@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroBase,
 )
-from .numerics import digamma, log_gamma, panel_nodes
+from .numerics import digamma, leg_nodes, log_gamma
 from .result import EvalResult
 
 MACH_EPS = float(np.finfo(float).eps)
@@ -266,6 +266,50 @@ def _denominator_zero_orders(params: FoxHParams, s: complex):
     return orders
 
 
+def _gamma_factors(params: FoxHParams, s):
+    """The gamma factors of theta at s as (sign, argument, d argument / ds,
+    |constant part of the argument|), sign +1 in the numerator and -1 in
+    the denominator, ordered lower[:m], upper[:n], lower[m:], upper[n:]."""
+    m, n = params.m, params.n
+    return ([(1, b + wt * s, wt, abs(b)) for b, wt in params.lower[:m]]
+            + [(1, 1.0 - a - wt * s, -wt, abs(1.0 - a)) for a, wt in params.upper[:n]]
+            + [(-1, 1.0 - b - wt * s, -wt, abs(1.0 - b)) for b, wt in params.lower[m:]]
+            + [(-1, a + wt * s, wt, abs(a)) for a, wt in params.upper[n:]])
+
+
+def _log_gamma_part(factors, s: complex):
+    """sum sign * log Gamma(u) over the factors, with the derivative of that
+    sum in s, the sum of the derivative magnitudes, and the error of the sum
+    caused by rounding each argument u: (|constant| + |du/ds| |s|) |psi(u)| eps.
+
+    The last term is what an eps-level log error misses beside a pole of
+    Gamma, where |psi| is large and a rounded argument moves the value.
+    """
+    log_acc = 0.0 + 0.0j
+    dsum = 0.0 + 0.0j
+    dmag = 0.0
+    sens = 0.0
+    for sign, u, du, c in factors:
+        log_acc += sign * log_gamma(u)
+        psi = digamma(u)
+        dsum += sign * du * psi
+        dmag += abs(du * psi)
+        sens += (c + abs(du) * abs(s)) * abs(psi)
+    return log_acc, dsum, dmag, sens * MACH_EPS
+
+
+def _check_term_range(log_acc: complex):
+    if log_acc.real > 700.0:
+        raise NonConvergence(
+            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
+
+
+def _log_error(log_acc: complex, sens: float) -> float:
+    """Relative error of exp(log_acc): an O(L) exponent turns eps-level log
+    errors into L*eps, plus the argument-rounding sensitivity."""
+    return (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS + sens
+
+
 def _demoted_term(params: FoxHParams, chain: int, k: int, other: int,
                   k2: int, logz: complex, zero_orders):
     """Simple residue at a double left pole demoted by one denominator zero.
@@ -281,36 +325,19 @@ def _demoted_term(params: FoxHParams, chain: int, k: int, other: int,
     idx = next(i for i, o in enumerate(zero_orders) if o is not None)
     nu_d, _, wt_d = zero_orders[idx]
     lower_side = idx < params.q - params.m
-    log_acc = math.lgamma(nu_d + 1.0) + math.log(wt_d) \
+    skip = (chain, other, params.m + params.n + idx)
+    factors = [f for pos, f in enumerate(_gamma_factors(params, s)) if pos not in skip]
+    log_acc, _, _, sens = _log_gamma_part(factors, s)
+    log_acc += math.lgamma(nu_d + 1.0) + math.log(wt_d) \
         - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0)
-    log_acc = complex(log_acc)
-    for i in range(params.m):
-        if i == chain or i == other:
-            continue
-        b, wt = params.lower[i]
-        log_acc += log_gamma(b + wt * s)
-    for j in range(params.n):
-        a, wt = params.upper[j]
-        log_acc += log_gamma(1.0 - a - wt * s)
-    for pos, (b, wt) in enumerate(params.lower[params.m:]):
-        if lower_side and pos == idx:
-            continue
-        log_acc -= log_gamma(1.0 - b - wt * s)
-    for pos, (a, wt) in enumerate(params.upper[params.n:]):
-        if (not lower_side) and pos == idx - (params.q - params.m):
-            continue
-        log_acc -= log_gamma(a + wt * s)
     power = (b_i + k) / B_i
     log_acc += power * logz
-    if log_acc.real > 700.0:
-        raise NonConvergence(
-            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
+    _check_term_range(log_acc)
     val = cmath.exp(log_acc) / (B_i * B_o)
     flips = k + k2 + nu_d + (1 if lower_side else 0)
     if flips % 2 == 1:
         val = -val
-    errb = (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS * abs(val)
-    return val, errb
+    return val, _log_error(log_acc, sens) * abs(val)
 
 
 def _confluent_term(params: FoxHParams, chain: int, k: int, other: int,
@@ -332,54 +359,30 @@ def _confluent_term(params: FoxHParams, chain: int, k: int, other: int,
         return 0.0 + 0.0j, 0.0
     if n_zero == 1:
         return _demoted_term(params, chain, k, other, k2, logz, zero_orders)
-    log_acc = 0.0 + 0.0j
-    dsum = B_i * digamma(k + 1.0) + B_o * digamma(k2 + 1.0)
-    dmag = abs(dsum)
-    for i in range(params.m):
-        if i == chain or i == other:
-            continue
-        b, wt = params.lower[i]
-        log_acc += log_gamma(b + wt * s)
-        d = wt * digamma(b + wt * s)
-        dsum += d
-        dmag += abs(d)
-    for j in range(params.n):
-        a, wt = params.upper[j]
-        log_acc += log_gamma(1.0 - a - wt * s)
-        d = wt * digamma(1.0 - a - wt * s)
-        dsum -= d
-        dmag += abs(d)
+    factors = _gamma_factors(params, s)
+    top = params.m + params.n
+    log_acc, dsum, dmag, sens = _log_gamma_part(
+        [f for pos, f in enumerate(factors[:top]) if pos not in (chain, other)], s)
     try:
-        for i in range(params.m, params.q):
-            b, wt = params.lower[i]
-            log_acc -= log_gamma(1.0 - b - wt * s)
-            d = wt * digamma(1.0 - b - wt * s)
-            dsum += d
-            dmag += abs(d)
-        for j in range(params.n, params.p):
-            a, wt = params.upper[j]
-            log_acc -= log_gamma(a + wt * s)
-            d = wt * digamma(a + wt * s)
-            dsum -= d
-            dmag += abs(d)
+        den = _log_gamma_part(factors[top:], s)
     except PoleOfGamma:
         # a denominator zero would demote the double pole; not worth the
         # extra case analysis for parameter sets nothing generates
         raise DegeneratePoles(
             "denominator pole coincides with a confluent pair at s = %s" % (s,))
-    bracket = dsum - logz
-    dmag += abs(logz)
+    log_acc += den[0]
+    head = B_i * digamma(k + 1.0) + B_o * digamma(k2 + 1.0)
+    bracket = head + dsum + den[1] - logz
+    dmag += abs(head) + den[2] + abs(logz)
+    sens += den[3]
     power = (b_i + k) / B_i
     log_acc += power * logz - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0)
-    if log_acc.real > 700.0:
-        raise NonConvergence(
-            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
+    _check_term_range(log_acc)
     val0 = cmath.exp(log_acc) / (B_i * B_o)
     term = val0 * bracket
     if (k + k2) % 2 == 1:
         term = -term
-    errb = (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS * abs(term) \
-        + dmag * MACH_EPS * abs(val0)
+    errb = _log_error(log_acc, sens) * abs(term) + dmag * MACH_EPS * abs(val0)
     return term, errb
 
 
@@ -400,34 +403,23 @@ def _residue_term(params: FoxHParams, chain: int, k: int, logz: complex):
         if k > k2 or (k == k2 and chain > other):
             return 0.0 + 0.0j, 0.0
         return _confluent_term(params, chain, k, other, k2, logz)
-    log_acc = 0.0 + 0.0j
-    for i in range(params.m):
-        if i == chain:
-            continue
-        b, wt = params.lower[i]
-        log_acc += log_gamma(b + wt * s)
-    for j in range(params.n):
-        a, wt = params.upper[j]
-        log_acc += log_gamma(1.0 - a - wt * s)
+    factors = _gamma_factors(params, s)
+    top = params.m + params.n
+    log_acc, _, _, sens = _log_gamma_part(
+        [f for pos, f in enumerate(factors[:top]) if pos != chain], s)
     try:
-        for i in range(params.m, params.q):
-            b, wt = params.lower[i]
-            log_acc -= log_gamma(1.0 - b - wt * s)
-        for j in range(params.n, params.p):
-            a, wt = params.upper[j]
-            log_acc -= log_gamma(a + wt * s)
+        den = _log_gamma_part(factors[top:], s)
     except PoleOfGamma:
         return 0.0 + 0.0j, 0.0
+    log_acc += den[0]
+    sens += den[3]
     power = (b_i + k) / B_i
     log_acc += power * logz - math.lgamma(k + 1.0)
-    if log_acc.real > 700.0:
-        raise NonConvergence(
-            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
+    _check_term_range(log_acc)
     val = cmath.exp(log_acc) / B_i
-    # exp of an O(L) exponent turns eps-level log errors into L*eps relative
-    # term errors; that, not the partial-sum roundoff, dominates when the
+    # the log error, not the partial-sum roundoff, dominates when the
     # series cancels
-    errb = (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS * abs(val)
+    errb = _log_error(log_acc, sens) * abs(val)
     return (val if k % 2 == 0 else -val), errb
 
 
@@ -547,18 +539,8 @@ def _contour_line(params: FoxHParams):
 
 def _theta_on_line(params: FoxHParams, s: np.ndarray, logz: complex) -> np.ndarray:
     log_acc = np.zeros_like(s)
-    for i in range(params.m):
-        b, wt = params.lower[i]
-        log_acc += log_gamma(b + wt * s)
-    for j in range(params.n):
-        a, wt = params.upper[j]
-        log_acc += log_gamma(1.0 - a - wt * s)
-    for i in range(params.m, params.q):
-        b, wt = params.lower[i]
-        log_acc -= log_gamma(1.0 - b - wt * s)
-    for j in range(params.n, params.p):
-        a, wt = params.upper[j]
-        log_acc -= log_gamma(a + wt * s)
+    for sign, u, _, _ in _gamma_factors(params, s):
+        log_acc += sign * log_gamma(u)
     return np.exp(log_acc - s * logz)
 
 
@@ -578,6 +560,7 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     _require_exists(params, z)
     logz = cmath.log(z)
     gamma_line, nudge = _contour_line(params)
+    leg_x, leg_w = leg_nodes(CONTOUR_ORDER)
 
     def integrate(gam):
         acc = 0.0 + 0.0j
@@ -585,20 +568,18 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
         work = 0
         t_lo = 0.0
         t_hi = CONTOUR_T0
-        block = math.inf
         while True:
-            block_val = 0.0 + 0.0j
-            for sign in (1.0, -1.0):
-                a_edge, b_edge = t_lo, t_hi
-                n_panels = max(1, int(round(b_edge - a_edge)))
-                edges = np.linspace(a_edge, b_edge, n_panels + 1)
-                for ip in range(n_panels):
-                    t_nodes, wts = panel_nodes(edges[ip], edges[ip + 1], CONTOUR_ORDER)
-                    s = gam + 1j * sign * t_nodes
-                    vals = _theta_on_line(params, s, logz)
-                    block_val += np.sum(vals * wts)
-                    abs_acc += float(np.sum(np.abs(vals) * wts))
-                    work += CONTOUR_ORDER
+            # unit panels on [t_lo, t_hi], both signs, in one theta call
+            n_panels = max(1, int(round(t_hi - t_lo)))
+            edges = np.linspace(t_lo, t_hi, n_panels + 1)
+            half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+            t_nodes = (half * leg_x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+            wts = np.tile((half * leg_w).ravel(), 2)
+            s = gam + 1j * np.concatenate((t_nodes, -t_nodes))
+            vals = _theta_on_line(params, s, logz) * wts
+            block_val = complex(np.sum(vals))
+            abs_acc += float(np.sum(np.abs(vals)))
+            work += 2 * n_panels * CONTOUR_ORDER
             acc += block_val
             block = abs(block_val)
             if block <= 0.1 * rel_tol * max(abs(acc), 1e-300) and t_hi > CONTOUR_T0:

@@ -1,9 +1,13 @@
 """Low-level numerical kernels: complex log-gamma and quadrature nodes.
 
 The log-gamma here is the one routine everything upstream leans on, so it
-is written for vectorized evaluation on complex arrays and kept free of
-external special-function dependencies.  Accuracy is ~1e-14 relative over
-the strip actually exercised by the pole series and contour integrals.
+is kept free of external special-function dependencies and costs O(1) per
+argument: a 14-term Lanczos sum on Re z >= 0.5 and the reflection formula
+on the rest of the plane.  Scalars take a pure-cmath path and arrays a
+vectorized numpy one.  The result is defined modulo 2 pi i, since every
+caller only exponentiates it; it stays within 64 eps (relative, or absolute
+below 1) of mpmath's loggamma for Re z in [-1000, 30] and |Im z| <= 400,
+including arguments 1e-9 from a pole.
 """
 
 from __future__ import annotations
@@ -29,6 +33,40 @@ _LANCZOS_C = np.array([
 _SQRT_2PI = 2.5066282746310005
 
 POLE_TOL = 1e-12
+# beyond this |Im z|, sin(pi z) is one exponential to within e^(-2 pi 20)
+_SIN_SPLIT = 20.0
+_LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
+_LANCZOS_TERMS = tuple(zip(_LANCZOS_C.tolist(), range(1, 15)))
+
+
+def _lanczos_scalar(z: complex) -> complex:
+    # valid for Re z >= 0.5
+    tmp = z + (_LANCZOS_G + 0.5)
+    ser = _LANCZOS_C0
+    for c, j in _LANCZOS_TERMS:
+        ser += c / (z + j)
+    return (z + 0.5) * cmath.log(tmp) - tmp + cmath.log(_SQRT_2PI * ser / z)
+
+
+def _log_sin_pi_scalar(z: complex) -> complex:
+    """log sin(pi z) modulo 2 pi i, accurate beside the integers."""
+    n = round(z.real)
+    w = complex(z.real - n, z.imag)  # exact: |Re w| <= 1/2
+    if abs(w.imag) > _SIN_SPLIT:
+        side = 1.0 if w.imag > 0.0 else -1.0
+        out = -_LOG_2 + side * (0.5j * math.pi - 1j * math.pi * w)
+    else:
+        out = cmath.log(cmath.sin(math.pi * w))
+    return out + 1j * math.pi if n % 2 else out
+
+
+def _log_gamma_scalar(z: complex) -> complex:
+    if z.real >= 0.5:
+        return _lanczos_scalar(z)
+    if abs(z.imag) < POLE_TOL and abs(z.real - round(z.real)) < POLE_TOL:
+        raise PoleOfGamma("log_gamma at nonpositive integer")
+    return _LOG_PI - _log_sin_pi_scalar(z) - _lanczos_scalar(1.0 - z)
 
 
 def _lanczos_half_plane(z):
@@ -40,50 +78,49 @@ def _lanczos_half_plane(z):
     return (z + 0.5) * np.log(tmp) - tmp + np.log(_SQRT_2PI * ser / z)
 
 
+def _log_sin_pi(z):
+    """Array form of _log_sin_pi_scalar."""
+    n = np.round(z.real)
+    w = (z.real - n) + 1j * z.imag
+    side = np.sign(w.imag)
+    far = np.abs(w.imag) > _SIN_SPLIT
+    out = np.where(far, -_LOG_2 + side * (0.5j * math.pi - 1j * math.pi * w), 0.0j)
+    near = ~far
+    out[near] = np.log(np.sin(math.pi * w[near]))
+    return out + 1j * math.pi * np.mod(n, 2.0)
+
+
 def log_gamma(z):
-    """Principal branch of log Gamma on the complex plane.
+    """log Gamma(z) modulo 2 pi i, in O(1) per argument.
 
-    Accepts scalars or arrays.  Arguments within POLE_TOL of a nonpositive
-    integer raise PoleOfGamma: the caller is expected to treat those as
-    exact pole hits (residue bookkeeping) rather than round through them.
+    Every caller only takes exp of the result, so no branch of the
+    logarithm is tracked: the imaginary part is fixed only up to a
+    multiple of 2 pi.  Re z >= 0.5 is the Lanczos sum; Re z < 0.5 goes
+    through the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z), with
+    log sin(pi z) taken after subtracting the nearest integer exactly and
+    with the dominant exponential factored out at large |Im z|.
 
-    For Re z < 0.5 the recurrence log Gamma(z) = log Gamma(z + n) - sum
-    log(z + j) is applied elementwise; with the principal log this stays
-    branch-consistent for Im z != 0, and real negative arguments are
-    treated as limits from the upper half plane.
+    A Python (or numpy) int, float or complex is evaluated in pure cmath;
+    anything else is treated as an array.  Arguments within POLE_TOL of a
+    nonpositive integer raise PoleOfGamma: the caller is expected to treat
+    those as exact pole hits (residue bookkeeping) rather than round
+    through them.
     """
+    if isinstance(z, (int, float, complex)):
+        return _log_gamma_scalar(complex(z))
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    w = np.atleast_1d(z).copy()
-
-    near_int = (np.abs(w.real - np.round(w.real)) < POLE_TOL) & (np.abs(w.imag) < POLE_TOL)
-    if np.any(near_int & (np.round(w.real) <= 0)):
+    if z.ndim == 0:
+        return _log_gamma_scalar(complex(z))
+    x, y = z.real, z.imag
+    n = np.round(x)
+    if np.any((n <= 0) & (np.abs(x - n) < POLE_TOL) & (np.abs(y) < POLE_TOL)):
         raise PoleOfGamma("log_gamma at nonpositive integer")
-
-    # -0.0 imaginary parts would select the wrong side of the log cut in
-    # the shift products; normalize them to +0.0.
-    im = w.imag.copy()
-    im[im == 0.0] = 0.0
-    w = w.real + 1j * im
-
-    acc = np.zeros_like(w)
-    mask = w.real < 0.5
-    while np.any(mask):
-        acc[mask] -= np.log(w[mask])
-        w[mask] += 1.0
-        mask = w.real < 0.5
-
-    out = _lanczos_half_plane(w) + acc
-    return out[0] if scalar else out
-
-
-def gamma_ratio_sign(x: float) -> float:
-    """Sign of Gamma at a real non-pole argument."""
-    if x > 0.0:
-        return 1.0
-    # reflection: sign flips on each unit interval (-1,0), (-2,-1), ...
-    n = int(np.floor(x))
-    return 1.0 if (n % 2 == 0) else -1.0
+    left = x < 0.5
+    if not np.any(left):
+        return _lanczos_half_plane(z)
+    out = _lanczos_half_plane(np.where(left, 1.0 - z, z))
+    out[left] = _LOG_PI - _log_sin_pi(z[left]) - out[left]
+    return out
 
 
 def signum(p: float) -> int:

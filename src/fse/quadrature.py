@@ -151,7 +151,14 @@ def tail_algebraic(g, cut: float, decay: float, tol: float):
         p = 1.0 / u
         return g(p) * p * p * u0 * m * v ** (m - 1)
 
-    return adaptive(h, 0.0, 1.0, tol, max_panels=200)
+    val, err, count = adaptive(h, 0.0, 1.0, tol, max_panels=200)
+    if not (cmath.isfinite(val) and math.isfinite(err)):
+        # slow decay makes m large, and u0 v^m underflows to 0 at the
+        # nodes near v = 0, where p = 1/u becomes infinite
+        raise QuadratureFailure(
+            "tail map v^%d underflows at decay %.3g; tail integral not finite"
+            % (m, decay))
+    return val, err, count
 
 
 def ray_segment(f, angle: float, radius: float, tol: float,

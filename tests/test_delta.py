@@ -5,7 +5,7 @@ import pytest
 
 from fse.delta import (delta_classical, delta_closed_form, delta_quadrature,
                        delta_riesz_form)
-from fse.errors import DomainError, ValidationError
+from fse.errors import DomainError, QuadratureFailure, ValidationError
 from fse.result import DeltaConfig
 
 
@@ -98,6 +98,14 @@ def test_quadrature_at_origin_beta_integral():
     q = delta_quadrature(cfg, 0.0, 1e-10)
     assert abs(q.value - want) <= 1e-8 * abs(want)
     assert abs(q.value.imag) <= 1e-12 * abs(q.value)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1.01, 1.03])
+def test_quadrature_at_origin_refuses_slow_tail(alpha):
+    # the tail decays like p^(1 - alpha); its power map underflows
+    with pytest.raises(QuadratureFailure):
+        delta_quadrature(DeltaConfig(alpha=alpha), 0.0)
 
 
 def test_quadrature_is_even_unskewed():

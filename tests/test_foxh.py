@@ -215,3 +215,24 @@ def test_auto_falls_back_to_contour():
     merged = FoxHParams(m=2, n=0, upper=(), lower=((0.0, 1.0), (0.5, 0.5)))
     ref = eval_series(merged, 0.5, 1e-9)
     assert abs(r.value - ref.value) <= 1e-6 * abs(ref.value)
+
+
+@pytest.mark.parametrize("part, alpha, zeta", [
+    (_even_part_params, 1.0717734742863902, 6.3625),
+    (_odd_part_params, 1.0668074022980814, 7.575),
+])
+def test_auto_is_honest_beside_pole_near_collisions(part, alpha, zeta):
+    # pole chains that nearly meet make some residues large and sensitive
+    # to the rounded pole position; the series must either absorb that into
+    # err_est or refuse, never return a value that misses rel_tol
+    theta = 0.7 * min(alpha, 2.0 - alpha)
+    z = zeta * cmath.exp(-1j * theta * math.pi / (2.0 * alpha))
+    params = part(alpha)
+    ref = eval_contour(params, z, 1e-9)
+    try:
+        got = eval_auto(params, z, 1e-9)
+    except (NonConvergence, DegeneratePoles):
+        return
+    diff = abs(got.value - ref.value)
+    assert diff <= 1e-9 * abs(ref.value)
+    assert diff <= got.err_est + ref.err_est

@@ -49,6 +49,40 @@ def test_log_gamma_pole_refusal():
     for z in (0.0, -1.0, -7.0, -3.0 + 1e-13j):
         with pytest.raises(PoleOfGamma):
             log_gamma(z)
+        with pytest.raises(PoleOfGamma):
+            log_gamma(np.array([1.5 + 2j, z]))
+
+
+def _distance_mod_2pi_i(a: complex, b: complex) -> float:
+    d = a - b
+    return abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
+
+
+def _log_gamma_grid():
+    rng = np.random.default_rng(23)
+    x = np.concatenate([rng.uniform(-1000, 30, 120), rng.uniform(-60, 30, 120)])
+    y = np.concatenate([rng.uniform(-400, 400, 80), rng.uniform(-30, 30, 80),
+                        rng.uniform(-1, 1, 80)])
+    zs = list(x + 1j * y)
+    # corners of the range, and |Im z| past where sin(pi z) overflows
+    zs += [-1000.0 + 400j, -999.5 - 400j, 30.0 - 400j, -7.5 + 300j, 0.25 - 390j]
+    for n in (1, 40, 999):
+        for d in (1e-9, -1e-9):
+            zs += [complex(-n + d, 0.0), complex(-n, d), complex(-n + d, d)]
+    return zs
+
+
+def test_log_gamma_matches_mpmath_modulo_2pi_i():
+    mpmath = pytest.importorskip("mpmath")
+    zs = _log_gamma_grid()
+    batch = log_gamma(np.array(zs))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for z, from_array in zip(zs, batch):
+            ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+            bar = 64.0 * eps * max(1.0, abs(ref))
+            assert _distance_mod_2pi_i(log_gamma(z), ref) <= bar, z
+            assert _distance_mod_2pi_i(complex(from_array), ref) <= bar, z
 
 
 def test_digamma_spot_values():
