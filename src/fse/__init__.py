@@ -15,8 +15,7 @@ from .errors import (ConfigMismatch, DegeneratePoles, DomainError,
                      EvaluationError, GridTooCoarse, NoSeparatingContour,
                      NonConvergence, PoleOfGamma, QuadratureFailure,
                      ValidationError, ZeroBase)
-from .result import (DeltaConfig, EvalResult, GridResult, LinearConfig,
-                     TimeConfig)
+from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
 from .numerics import log_gamma, principal_power, signum
 from .mittag import ml_contour, ml_eval, ml_series, ml_as_foxh
 from .foxh import (FoxHParams, boundary_radius, eval_auto, eval_contour,
@@ -37,7 +36,7 @@ __all__ = [
     "ConfigMismatch", "DegeneratePoles", "DomainError", "EvaluationError",
     "GridTooCoarse", "NoSeparatingContour", "NonConvergence", "PoleOfGamma",
     "QuadratureFailure", "ValidationError", "ZeroBase",
-    "DeltaConfig", "EvalResult", "GridResult", "LinearConfig", "TimeConfig",
+    "DeltaConfig", "EvalResult", "LinearConfig", "TimeConfig",
     "log_gamma", "principal_power", "signum",
     "ml_contour", "ml_eval", "ml_series", "ml_as_foxh",
     "FoxHParams", "boundary_radius", "eval_auto", "eval_contour",

@@ -43,6 +43,7 @@ CONTOUR_ORDER = 40
 CONTOUR_T0 = 8.0
 CONTOUR_T_CAP = 400.0
 SEPARATION_TOL = 1e-9
+LOOKAHEAD_SWEEPS = 64
 
 
 def _as_pair(pair):
@@ -423,6 +424,55 @@ def _residue_term(params: FoxHParams, chain: int, k: int, logz: complex):
     return (val if k % 2 == 0 else -val), errb
 
 
+def _near_pole_gain(params: FoxHParams, chain: int, k: int) -> float:
+    """How much the other chains' numerator gammas magnify the residue at
+    left pole k of the chain: the product of 1/(2 delta) over them, delta
+    the distance of the gamma argument from its nearest pole (at most 1/2,
+    giving 1).  Exactly coincident poles merge into a confluent term and
+    magnify nothing."""
+    s = _left_pole(params, chain, k)
+    gain = 1.0
+    for j, (b, wt) in enumerate(params.lower[:params.m]):
+        if j == chain:
+            continue
+        u = b + wt * s
+        k_near = round(-u.real)
+        delta = abs(u + k_near)
+        if k_near >= 0 and delta >= _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
+            gain *= 0.5 / delta
+    return gain
+
+
+def _collision_reach(params: FoxHParams, k: int, hist, err: float) -> int:
+    """Last sweep after k whose term could exceed err because its pole nearly
+    meets another chain's pole, or k itself when there is none.
+
+    hist maps each live chain to its last nonzero terms as (k, |term|).
+    Divided by their near-pole gains they decay smoothly; the fastest
+    per-sweep ratio among them, times the gain of each later pole,
+    estimates the terms the stop rule would skip.  The scan ends where even
+    the largest gain a pole can have short of an exact collision leaves the
+    estimate below err.  A flagged pole closer than SEPARATION_TOL is
+    refused as DegeneratePoles once the sum reaches it.
+    """
+    reach = k
+    w_min = min(wt for _, wt in params.lower[:params.m])
+    gain_cap = (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (params.m - 1)
+    for chain, h in hist.items():
+        base = [(kh, mag / _near_pole_gain(params, chain, kh)) for kh, mag in h]
+        rho = 1.0 if len(base) < 2 else min(1.0, max(
+            (b2 / b1) ** (1.0 / (k2 - k1))
+            for (k1, b1), (k2, b2) in zip(base, base[1:])))
+        k_last, b_last = base[-1]
+        for kk in range(k + 1, k + 1 + LOOKAHEAD_SWEEPS):
+            env = b_last * rho ** (kk - k_last)
+            if env * gain_cap < err:
+                break
+            if env * _near_pole_gain(params, chain, kk) >= err:
+                reach = kk
+    return reach
+
+
 def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """Ascending residue power series over the left pole chains.
 
@@ -430,7 +480,10 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     boundary radius) is reached by inverting the argument; on the boundary
     circle itself the bounded-oscillation partial sums are resummed by the
     epsilon algorithm.  Pole collisions are only fatal when a colliding
-    term is actually needed before the stop rule fires.
+    term is actually needed before the stop rule fires.  Before it fires,
+    the later poles of each chain are scanned for near-collisions with
+    another chain, and summing goes on past every one whose magnified term
+    could exceed the error the stop would claim.
     """
     if not (1e-14 <= rel_tol <= 1e-2):
         raise ValidationError("rel_tol must lie in [1e-14, 1e-2]")
@@ -465,12 +518,13 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     small_run = 0
     sweeps = TERM_CAP if not boundary else BOUNDARY_SWEEPS
     converged = False
-    last_sweep_mag = 0.0
     # structural zeros (denominator gammas killing a pole, or a merged pole
     # deferred to its partner chain) say nothing about a chain's tail, so
     # convergence watches each chain's most recent nonzero magnitude
     last_nz = [float("inf")] * params.m
     zero_run = [0] * params.m
+    hist = [[] for _ in range(params.m)]
+    reach = 0
     for k in range(sweeps):
         sweep = 0.0 + 0.0j
         sweep_mag = 0.0
@@ -481,6 +535,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
             else:
                 zero_run[chain] = 0
                 last_nz[chain] = abs(term)
+                hist[chain] = hist[chain][-2:] + [(k, last_nz[chain])]
             sweep += term
             sweep_mag += abs(term)
             round_acc += errb
@@ -488,7 +543,6 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
             if nterms >= TERM_CAP and not boundary:
                 raise NonConvergence("H series hit the %d-term cap" % TERM_CAP)
         total += sweep
-        last_sweep_mag = sweep_mag
         peak = max(peak, abs(total))
         partials.append(total)
         if not boundary:
@@ -497,20 +551,21 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
                           for c in range(params.m))
             if settled and sweep_mag < floor:
                 small_run += 1
-                if small_run >= 3:
-                    converged = True
-                    break
+                if small_run >= 3 and k >= reach:
+                    live = {c: hist[c] for c in range(params.m) if zero_run[c] < 8}
+                    tail = max([sweep_mag] + [last_nz[c] for c in live])
+                    err = tail + round_acc + MACH_EPS * peak
+                    reach = _collision_reach(params, k, live, err)
+                    if reach == k:
+                        converged = True
+                        break
             else:
                 small_run = 0
     if boundary:
         total, spread = wynn_epsilon(partials)
         err = spread + round_acc + MACH_EPS * peak
-    else:
-        if not converged:
-            raise NonConvergence("H series did not meet the stop rule in %d sweeps" % sweeps)
-        tail = max([last_sweep_mag] + [last_nz[c] for c in range(params.m)
-                                       if zero_run[c] < 8])
-        err = tail + round_acc + MACH_EPS * peak
+    elif not converged:
+        raise NonConvergence("H series did not meet the stop rule in %d sweeps" % sweeps)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise NonConvergence("H series overflowed double range")
     if err > rel_tol * max(abs(total), 1e-300):
@@ -537,11 +592,12 @@ def _contour_line(params: FoxHParams):
     return 0.5 * (lo + hi), min(1e-3, 0.1 * (hi - lo))
 
 
-def _theta_on_line(params: FoxHParams, s: np.ndarray, logz: complex) -> np.ndarray:
+def _log_theta(params: FoxHParams, s: np.ndarray) -> np.ndarray:
+    """log theta(s) modulo 2 pi i, one array log_gamma call per factor."""
     log_acc = np.zeros_like(s)
     for sign, u, _, _ in _gamma_factors(params, s):
         log_acc += sign * log_gamma(u)
-    return np.exp(log_acc - s * logz)
+    return log_acc
 
 
 def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
@@ -551,7 +607,11 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     until a full doubling block is negligible against the accumulated
     value.  Gamma decay along the line is super-exponential inside the
     existence sector, so doubling terminates quickly away from the sector
-    boundary.
+    boundary.  The nodes of a block on both half-lines go through one
+    array log_gamma call per gamma factor.  When every a_j and b_j is
+    real, theta(conj s) = conj theta(s) and the line is real, so log theta
+    is evaluated on the upper half-line only and the lower half is its
+    conjugate; z^-s is still taken at every node, since z may be complex.
     """
     if not (1e-14 <= rel_tol <= 1e-2):
         raise ValidationError("rel_tol must lie in [1e-14, 1e-2]")
@@ -561,6 +621,7 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     logz = cmath.log(z)
     gamma_line, nudge = _contour_line(params)
     leg_x, leg_w = leg_nodes(CONTOUR_ORDER)
+    real = all(c.imag == 0.0 for c, _ in params.upper + params.lower)
 
     def integrate(gam):
         acc = 0.0 + 0.0j
@@ -576,7 +637,12 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
             t_nodes = (half * leg_x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
             wts = np.tile((half * leg_w).ravel(), 2)
             s = gam + 1j * np.concatenate((t_nodes, -t_nodes))
-            vals = _theta_on_line(params, s, logz) * wts
+            if real:
+                upper = _log_theta(params, s[:t_nodes.size])
+                log_th = np.concatenate((upper, upper.conj()))
+            else:
+                log_th = _log_theta(params, s)
+            vals = np.exp(log_th - s * logz) * wts
             block_val = complex(np.sum(vals))
             abs_acc += float(np.sum(np.abs(vals)))
             work += 2 * n_panels * CONTOUR_ORDER

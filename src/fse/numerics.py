@@ -1,13 +1,16 @@
-"""Low-level numerical kernels: complex log-gamma and quadrature nodes.
+"""Low-level numerical kernels: log-gamma, digamma and quadrature nodes.
 
 The log-gamma here is the one routine everything upstream leans on, so it
-is kept free of external special-function dependencies and costs O(1) per
-argument: a 14-term Lanczos sum on Re z >= 0.5 and the reflection formula
-on the rest of the plane.  Scalars take a pure-cmath path and arrays a
-vectorized numpy one.  The result is defined modulo 2 pi i, since every
-caller only exponentiates it; it stays within 64 eps (relative, or absolute
-below 1) of mpmath's loggamma for Re z in [-1000, 30] and |Im z| <= 400,
-including arguments 1e-9 from a pole.
+costs O(1) per argument.  A real argument (a float, or a complex with a
+zero imaginary part, which is what every residue term of a real-parameter
+H-function passes) goes to math.lgamma, with i pi added where Gamma < 0.
+Other scalars take a pure-cmath path, a 14-term Lanczos sum on
+Re z >= 0.5 and the reflection formula on the rest of the plane, and
+arrays a vectorized numpy form of the same.  The result is defined modulo
+2 pi i, since every caller only exponentiates it; it stays within 64 eps
+(relative, or absolute below 1) of mpmath's loggamma for Re z in
+[-1000, 30] and |Im z| <= 400, including arguments 1e-9 from a pole.
+digamma has the same split between a real and a complex path.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ _LANCZOS_C = np.array([
 _SQRT_2PI = 2.5066282746310005
 
 POLE_TOL = 1e-12
+# math.lgamma overflows just above 2.5e305; larger reals take the complex path
+_LGAMMA_MAX = 1e305
 # beyond this |Im z|, sin(pi z) is one exponential to within e^(-2 pi 20)
 _SIN_SPLIT = 20.0
 _LOG_PI = math.log(math.pi)
@@ -61,7 +66,18 @@ def _log_sin_pi_scalar(z: complex) -> complex:
     return out + 1j * math.pi if n % 2 else out
 
 
+def _log_gamma_real(x: float) -> complex:
+    if x < 0.5 and abs(x - round(x)) < POLE_TOL:
+        raise PoleOfGamma("log_gamma at nonpositive integer")
+    # Gamma(x) < 0 on (-1, 0), (-3, -2), ...
+    if x < 0.0 and math.floor(x) % 2:
+        return complex(math.lgamma(x), math.pi)
+    return complex(math.lgamma(x), 0.0)
+
+
 def _log_gamma_scalar(z: complex) -> complex:
+    if z.imag == 0.0 and z.real < _LGAMMA_MAX:
+        return _log_gamma_real(z.real)
     if z.real >= 0.5:
         return _lanczos_scalar(z)
     if abs(z.imag) < POLE_TOL and abs(z.real - round(z.real)) < POLE_TOL:
@@ -95,13 +111,16 @@ def log_gamma(z):
 
     Every caller only takes exp of the result, so no branch of the
     logarithm is tracked: the imaginary part is fixed only up to a
-    multiple of 2 pi.  Re z >= 0.5 is the Lanczos sum; Re z < 0.5 goes
-    through the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z), with
-    log sin(pi z) taken after subtracting the nearest integer exactly and
-    with the dominant exponential factored out at large |Im z|.
+    multiple of 2 pi.
 
-    A Python (or numpy) int, float or complex is evaluated in pure cmath;
-    anything else is treated as an array.  Arguments within POLE_TOL of a
+    A Python (or numpy) int, float or complex is a scalar.  A real scalar
+    (imaginary part 0.0) returns math.lgamma(x), plus i pi where
+    Gamma(x) < 0.  A complex scalar takes the Lanczos sum for Re z >= 0.5
+    and the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z) below, with
+    log sin(pi z) taken after subtracting the nearest integer exactly and
+    with the dominant exponential factored out at large |Im z|; that path
+    is pure cmath.  Anything else is treated as an array and evaluated the
+    same way in numpy, real or not.  Arguments within POLE_TOL of a
     nonpositive integer raise PoleOfGamma: the caller is expected to treat
     those as exact pole hits (residue bookkeeping) rather than round
     through them.
@@ -147,26 +166,35 @@ _PSI_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
              1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
 
 
-def digamma(z) -> complex:
-    """Logarithmic derivative of Gamma for complex z off the pole set."""
+def digamma(z):
+    """Logarithmic derivative of Gamma off the pole set.
+
+    A real argument (a float, or a complex with imaginary part 0.0) is
+    evaluated in math and returns a float; anything else in cmath.
+    """
     z = complex(z)
+    lib = cmath
+    if z.imag == 0.0:
+        z, lib = z.real, math
     if z.real <= 0.5 and abs(z - round(z.real)) < POLE_TOL and round(z.real) <= 0:
         raise PoleOfGamma("digamma pole at z = %s" % (z,))
-    acc = 0.0 + 0.0j
-    # reflection keeps the upward recurrence short for far-left arguments
+    acc = 0.0
+    # reflection psi(z) = psi(1 - z) - pi cot(pi z) keeps the upward
+    # recurrence short for far-left arguments; cot is taken after
+    # subtracting the nearest integer exactly, as in _log_sin_pi_scalar
     if z.real < 0.5:
-        acc -= math.pi / cmath.tan(math.pi * z)
+        acc -= math.pi / lib.tan(math.pi * (z - round(z.real)))
         z = 1.0 - z
     while z.real < 8.0:
         acc -= 1.0 / z
         z += 1.0
     inv2 = 1.0 / (z * z)
-    tail = 0.0 + 0.0j
+    tail = 0.0
     p = inv2
     for c in _PSI_TAIL:
         tail += c * p
         p *= inv2
-    return acc + cmath.log(z) - 0.5 / z - tail
+    return acc + lib.log(z) - 0.5 / z - tail
 
 
 _leg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}

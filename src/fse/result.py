@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -116,21 +116,3 @@ class EvalResult:
             raise ValidationError("result value must be finite")
         self.value = v
 
-
-@dataclass
-class GridResult:
-    """Evaluation over a coordinate grid; parallel lists, one entry per node."""
-
-    coords: list[float] = field(default_factory=list)
-    values: list[complex] = field(default_factory=list)
-    err_ests: list[float] = field(default_factory=list)
-    methods: list[str] = field(default_factory=list)
-
-    def append(self, coord, res: EvalResult):
-        self.coords.append(float(coord))
-        self.values.append(complex(res.value))
-        self.err_ests.append(float(res.err_est))
-        self.methods.append(res.method)
-
-    def __len__(self):
-        return len(self.coords)

@@ -19,7 +19,7 @@ def full_solution(time_cfg: TimeConfig, space_cfg, x: float, t: float,
     f = time_factor(time_cfg, t, rel_tol)
     if isinstance(space_cfg, DeltaConfig):
         if x == 0.0:
-            phi = delta_quadrature(space_cfg, x)
+            phi = delta_quadrature(space_cfg, x, abs_tol=rel_tol)
         else:
             phi = delta_closed_form(space_cfg, x, rel_tol)
     elif isinstance(space_cfg, LinearConfig):

@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from fse.delta import delta_closed_form
 from fse.result import DeltaConfig, TimeConfig
 from fse.time_factor import time_factor
@@ -131,6 +133,20 @@ def test_full_matches_manual_product():
         got = complex(row["re"], row["im"])
         assert abs(got - want) <= 1e-12 * abs(want)
         assert "*" in row["method"]
+
+
+def test_full_at_origin_honours_the_tolerance():
+    # x = 0 takes the quadrature route in both commands, at the same tolerance
+    args = ("--alpha", "1.5", "--theta", "0.25", "--c-alpha", "1",
+            "--tol", "1e-4", "--grid", "-1:1:3", "--format", "json")
+    full = run_cli("full", "--potential", "delta", "--t", "0", *args)
+    delta = run_cli("delta", *args)
+    assert full.returncode == 0, full.stderr
+    assert delta.returncode == 0, delta.stderr
+    at0 = [[row for row in json.loads(r.stdout)["rows"] if row["coord"] == 0.0][0]
+           for r in (full, delta)]
+    assert at0[1]["method"] == "quadrature"
+    assert at0[0]["err_est"] == pytest.approx(at0[1]["err_est"], rel=1e-12)
 
 
 def test_complex_normalization_flag():

@@ -236,3 +236,53 @@ def test_auto_is_honest_beside_pole_near_collisions(part, alpha, zeta):
     diff = abs(got.value - ref.value)
     assert diff <= 1e-9 * abs(ref.value)
     assert diff <= got.err_est + ref.err_est
+
+
+@pytest.mark.parametrize("alpha, zeta", [
+    # chain 1's pole k = 18 lies 2.8e-8 from chain 0's pole at s = -27,
+    # one sweep past where the plain stop rule fires
+    (1.473684212, 1.5),
+    # chain 1's pole k = 16 lies 6.3e-3 from chain 0's: its term is below
+    # rel_tol but above the error the stop rule used to claim
+    (1.4121342772031986, 1.1083333333333332),
+])
+def test_series_sums_past_near_collisions_ahead_of_the_stop(alpha, zeta):
+    theta = 0.7 * min(alpha, 2.0 - alpha)
+    z = zeta * cmath.exp(-1j * theta * math.pi / (2.0 * alpha))
+    params = _odd_part_params(alpha)
+    ref = eval_contour(params, z, 1e-12)
+    for route in (eval_series, eval_auto):
+        try:
+            got = route(params, z, 1e-9)
+        except (NonConvergence, DegeneratePoles):
+            assert route is eval_series
+            continue
+        assert abs(got.value - ref.value) <= got.err_est + ref.err_est
+
+
+def test_contour_with_complex_parameters():
+    # a complex shift makes theta(conj s) != conj theta(s), so the contour
+    # must evaluate both half-lines
+    shift = 0.25 + 0.4j
+    base = _even_part_params(1.5)
+    params = shift_by_power(base, shift)
+    assert any(b.imag != 0.0 for b, _ in params.lower)
+    for z in (0.8, 1.2 * cmath.exp(-0.2j), 2.5 * cmath.exp(0.3j)):
+        c = eval_contour(params, z, 1e-10)
+        s = eval_series(params, z, 1e-10)
+        assert abs(c.value - s.value) <= c.err_est + s.err_est
+        want = cmath.exp(shift * cmath.log(z)) * eval_series(base, z, 1e-10).value
+        assert abs(c.value - want) <= 1e-9 * abs(want)
+
+
+def test_contour_is_conjugate_symmetric_for_real_parameters():
+    # the lower half-line is taken as the conjugate of the upper one; the
+    # value at conj z must still be the conjugate of the value at z
+    sets = [part(a) for part in (_even_part_params, _odd_part_params)
+            for a in (1.2, 1.5, 1.9)]
+    sets += [_h_params(LinearConfig(alpha=1.5, theta=0.3, c_alpha=1.0)), DIAG]
+    for params in sets:
+        for z in (0.7 * cmath.exp(0.3j), 4.0 * cmath.exp(-0.1j)):
+            a = eval_contour(params, z, 1e-10)
+            b = eval_contour(params, z.conjugate(), 1e-10)
+            assert abs(a.value - b.value.conjugate()) <= a.err_est + b.err_est

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fse.errors import PoleOfGamma, ZeroBase
 from fse.numerics import (digamma, log_gamma, panel_nodes, principal_power,
@@ -83,6 +85,85 @@ def test_log_gamma_matches_mpmath_modulo_2pi_i():
             bar = 64.0 * eps * max(1.0, abs(ref))
             assert _distance_mod_2pi_i(log_gamma(z), ref) <= bar, z
             assert _distance_mod_2pi_i(complex(from_array), ref) <= bar, z
+
+
+def _real_axis_grid():
+    rng = np.random.default_rng(29)
+    xs = list(rng.uniform(-1000, 30, 300)) + list(rng.uniform(-5, 5, 100))
+    for n in (1, 40, 999):
+        xs += [-n + 1e-9, -n - 1e-9]
+    return [float(x) for x in xs]
+
+
+def test_real_log_gamma_matches_mpmath():
+    # a real argument, as a float or as a complex with Im 0, takes the
+    # math.lgamma path, which is tighter than the complex one
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for x in _real_axis_grid():
+            ref = complex(mpmath.loggamma(mpmath.mpf(x)))
+            bar = 16.0 * eps * max(1.0, abs(ref))
+            assert _distance_mod_2pi_i(log_gamma(x), ref) <= bar, x
+            assert _distance_mod_2pi_i(log_gamma(complex(x, 0.0)), ref) <= bar, x
+
+
+def test_real_digamma_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for x in _real_axis_grid():
+            ref = float(mpmath.digamma(mpmath.mpf(x)))
+            bar = 16.0 * eps * max(1.0, abs(ref))
+            assert abs(digamma(x) - ref) <= bar, x
+            assert abs(digamma(complex(x, 0.0)) - ref) <= bar, x
+
+
+def test_real_log_gamma_sign_on_each_unit_interval():
+    # Gamma < 0 exactly on (-1, 0), (-3, -2), ...; exp(log_gamma) carries it
+    for n in range(-40, 5):
+        for frac in (1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6):
+            x = n + frac
+            want = -1.0 if x < 0.0 and n % 2 else 1.0
+            g = cmath.exp(log_gamma(x) - log_gamma(x).real)
+            assert abs(g - want) < 1e-15, x
+
+
+def test_real_path_refuses_poles_and_huge_arguments():
+    for x in (0.0, -1.0, -999.0, -1e300, -3.0 + 1e-13):
+        with pytest.raises(PoleOfGamma):
+            log_gamma(x)
+        with pytest.raises(PoleOfGamma):
+            digamma(x)
+    # past math.lgamma's overflow the complex path answers, without raising
+    assert log_gamma(1e306) == complex(math.inf, 0.0)
+
+
+def _off_poles(x):
+    return abs(x - round(x)) > 1e-6
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.floats(min_value=-1000.0, max_value=30.0).filter(_off_poles))
+def test_real_log_gamma_agrees_with_the_complex_array_path(x):
+    # the array path never takes math.lgamma, so it is an independent check
+    ref = complex(log_gamma(np.array([x]))[0])
+    assert _distance_mod_2pi_i(log_gamma(x), ref) <= 64.0 * np.finfo(float).eps * max(
+        1.0, abs(ref))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.floats(min_value=-60.0, max_value=60.0).filter(_off_poles))
+def test_real_reflection_identities(x):
+    # Gamma(x) Gamma(1 - x) = pi / sin(pi x), psi(1 - x) - psi(x) = pi cot(pi x)
+    sin_px = math.sin(math.pi * (x - round(x))) * (-1.0 if round(x) % 2 else 1.0)
+    log_ref = math.log(math.pi / abs(sin_px))
+    prod = cmath.exp(log_gamma(x) + log_gamma(1.0 - x) - log_ref)
+    assert abs(prod - math.copysign(1.0, sin_px)) <= 1e-13 * max(1.0, abs(log_ref))
+    cot = 1.0 / math.tan(math.pi * (x - round(x)))
+    lhs = digamma(1.0 - x) - digamma(x)
+    assert abs(lhs - math.pi * cot) <= 1e-12 * max(1.0, abs(math.pi * cot),
+                                                   abs(digamma(x)))
 
 
 def test_digamma_spot_values():
