@@ -28,8 +28,7 @@ from .delta import (delta_classical, delta_closed_form, delta_quadrature,
 from .linear import (linear_classical_airy, linear_closed_form,
                      linear_mellin_factor, linear_momentum_spectrum,
                      linear_quadrature, linear_series)
-from .quadrature import (GridSpec, QuadratureSpec, Strategy,
-                         fourier_pair_check, integrate)
+from .quadrature import GridSpec, fourier_pair_check
 from .solution import full_solution
 
 __all__ = [
@@ -48,8 +47,7 @@ __all__ = [
     "delta_riesz_form",
     "linear_classical_airy", "linear_closed_form", "linear_mellin_factor",
     "linear_momentum_spectrum", "linear_quadrature", "linear_series",
-    "GridSpec", "QuadratureSpec", "Strategy", "fourier_pair_check",
-    "integrate",
+    "GridSpec", "fourier_pair_check",
     "full_solution",
     "__version__",
 ]

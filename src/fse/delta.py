@@ -145,12 +145,23 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     omega = abs(x) / cfg.hbar
     work = 0
     if omega < 1e-12:
-        # no oscillation: split at the resolvent knee, map the tail
+        # no oscillation: split at the resolvent knee.  Past the cut the
+        # leading tail 2 cos(th2) / (C p^alpha) is integrated in closed
+        # form, and only the remainder, E / (q r (q r - E)) summed over
+        # r = e^(+-i th2), which is O(p^(-2 alpha)), is mapped; the bare
+        # p^(-alpha) tail defeats the map for alpha near 1
         knee = (-en / ca) ** (1.0 / cfg.alpha)
         cut = 50.0 * knee + 50.0
+
+        def rest(p):
+            q = ca * p ** cfg.alpha
+            return en * (1.0 / (q * rot_p * (q * rot_p - en))
+                         + 1.0 / (q * rot_m * (q * rot_m - en)))
+
+        lead = 2.0 * math.cos(th2) / ca * cut ** (1.0 - cfg.alpha) / (cfg.alpha - 1.0)
         v1, e1, w1 = adaptive(gsum, 0.0, cut, 0.5 * abs_tol)
-        v2, e2, w2 = tail_algebraic(gsum, cut, cfg.alpha - 1.0, 0.5 * abs_tol)
-        i1 = v1 + v2
+        v2, e2, w2 = tail_algebraic(rest, cut, 2.0 * cfg.alpha - 1.0, 0.5 * abs_tol)
+        i1 = v1 + lead + v2
         i2 = 0.0 + 0.0j
         ierr = e1 + e2
         work = w1 + w2

@@ -13,6 +13,16 @@ series obtained through argument inversion) and direct quadrature of the
 contour integral.  Gamma pairs that cancel exactly inside theta are
 stripped first, which is what collapses the classical-order instances to
 elementary functions instead of hitting multiple poles.
+
+Gamma pairs that multiply to a reflection Gamma(u) Gamma(1 - u) =
+pi / sin(pi u) are folded next: a lower[:m] entry equal to an upper[:n]
+entry in the numerator, a lower[m:] entry equal to an upper[n:] entry in
+the denominator.  The H kernels of this package are Mellin transforms of
+the Riesz-Feller resolvent and carry such pairs, so the even part of the
+delta well, theta(s) = Gamma(s) cos(pi s/2) / sin(pi (a1 + s/alpha)),
+costs one gamma function and two sines instead of five gamma functions.
+The pairing is read off the reduced parameters once per evaluation, on
+the contour and in the residue terms alike.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .errors import (
     ValidationError,
     ZeroBase,
 )
-from .numerics import digamma, leg_nodes, log_gamma
+from .numerics import digamma, leg_nodes, log_gamma, log_reflection, pi_cot_pi
 from .result import EvalResult
 
 MACH_EPS = float(np.finfo(float).eps)
@@ -278,25 +288,75 @@ def _gamma_factors(params: FoxHParams, s):
             + [(-1, a + wt * s, wt, abs(a)) for a, wt in params.upper[n:]])
 
 
-def _log_gamma_part(factors, s: complex):
-    """sum sign * log Gamma(u) over the factors, with the derivative of that
-    sum in s, the sum of the derivative magnitudes, and the error of the sum
-    caused by rounding each argument u: (|constant| + |du/ds| |s|) |psi(u)| eps.
+def _reflection_pairs(params: FoxHParams):
+    """Positions, in _gamma_factors order, of the factor pairs that multiply
+    to Gamma(u) Gamma(1 - u): a lower[:m] entry equal to an upper[:n] entry
+    (numerator), a lower[m:] entry equal to an upper[n:] entry
+    (denominator), matched by exact equality as in reduce_params.  Each
+    pair is (grow, mate), grow being the member whose argument u rises
+    with s."""
+    m, n = params.m, params.n
+    top = m + n
+    blocks = ((params.lower[:m], 0, params.upper[:n], m, True),
+              (params.lower[m:], top, params.upper[n:], top + params.q - m, False))
+    pairs = []
+    for lows, low0, ups, up0, numerator in blocks:
+        free = list(range(len(ups)))
+        for i, bb in enumerate(lows):
+            j = next((j for j in free if ups[j] == bb), None)
+            if j is not None:
+                free.remove(j)
+                pairs.append((low0 + i, up0 + j) if numerator else (up0 + j, low0 + i))
+    return tuple(pairs)
 
-    The last term is what an eps-level log error misses beside a pole of
-    Gamma, where |psi| is large and a rounded argument moves the value.
+
+def _fold_pairs(factors, pairs, skip=()):
+    """The factors as (sign, u, du/ds, |constant|, paired) entries, each
+    reflection pair with neither member in skip folded into the entry of
+    its growing member.  A member whose mate is skipped (a residue chain's
+    own gamma, a confluent partner, a demoted denominator zero) stays a
+    plain gamma factor."""
+    gone = set(skip)
+    out = []
+    for grow, mate in pairs:
+        if grow not in gone and mate not in gone:
+            out.append(factors[grow] + (True,))
+            gone.update((grow, mate))
+    return out + [f + (False,) for pos, f in enumerate(factors) if pos not in gone]
+
+
+def _log_gamma_part(entries, s: complex):
+    """sum sign * log Gamma(u) over the entries of _fold_pairs, a paired
+    entry counting log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u),
+    with the derivative of that sum in s, the sum of the derivative
+    magnitudes, and the error of the sum caused by rounding each argument
+    u: (|constant| + |du/ds| |s|) |d/du| eps, with d/du = psi(u) for a
+    gamma and -pi cot(pi u) for a pair.
+
+    The last term is what an eps-level log error misses beside a pole,
+    where the log derivative is large and a rounded argument moves the
+    value.  For a pair, |pi cot(pi u)| = |psi(u) - psi(1 - u)|.
     """
     log_acc = 0.0 + 0.0j
     dsum = 0.0 + 0.0j
     dmag = 0.0
     sens = 0.0
-    for sign, u, du, c in factors:
-        log_acc += sign * log_gamma(u)
-        psi = digamma(u)
-        dsum += sign * du * psi
-        dmag += abs(du * psi)
-        sens += (c + abs(du) * abs(s)) * abs(psi)
+    for sign, u, du, c, paired in entries:
+        if paired:
+            log_acc += sign * log_reflection(u)
+            slope = -pi_cot_pi(u)
+        else:
+            log_acc += sign * log_gamma(u)
+            slope = digamma(u)
+        dsum += sign * du * slope
+        dmag += abs(du * slope)
+        sens += (c + abs(du) * abs(s)) * abs(slope)
     return log_acc, dsum, dmag, sens * MACH_EPS
+
+
+def _split(entries):
+    """Numerator and denominator entries."""
+    return [e for e in entries if e[0] > 0], [e for e in entries if e[0] < 0]
 
 
 def _check_term_range(log_acc: complex):
@@ -311,7 +371,7 @@ def _log_error(log_acc: complex, sens: float) -> float:
     return (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS + sens
 
 
-def _demoted_term(params: FoxHParams, chain: int, k: int, other: int,
+def _demoted_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
                   k2: int, logz: complex, zero_orders):
     """Simple residue at a double left pole demoted by one denominator zero.
 
@@ -327,8 +387,8 @@ def _demoted_term(params: FoxHParams, chain: int, k: int, other: int,
     nu_d, _, wt_d = zero_orders[idx]
     lower_side = idx < params.q - params.m
     skip = (chain, other, params.m + params.n + idx)
-    factors = [f for pos, f in enumerate(_gamma_factors(params, s)) if pos not in skip]
-    log_acc, _, _, sens = _log_gamma_part(factors, s)
+    log_acc, _, _, sens = _log_gamma_part(
+        _fold_pairs(_gamma_factors(params, s), pairs, skip), s)
     log_acc += math.lgamma(nu_d + 1.0) + math.log(wt_d) \
         - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0)
     power = (b_i + k) / B_i
@@ -341,7 +401,7 @@ def _demoted_term(params: FoxHParams, chain: int, k: int, other: int,
     return val, _log_error(log_acc, sens) * abs(val)
 
 
-def _confluent_term(params: FoxHParams, chain: int, k: int, other: int,
+def _confluent_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
                     k2: int, logz: complex):
     """Derivative residue at a double left pole (two chains coinciding).
 
@@ -359,13 +419,11 @@ def _confluent_term(params: FoxHParams, chain: int, k: int, other: int,
     if n_zero >= 2:
         return 0.0 + 0.0j, 0.0
     if n_zero == 1:
-        return _demoted_term(params, chain, k, other, k2, logz, zero_orders)
-    factors = _gamma_factors(params, s)
-    top = params.m + params.n
-    log_acc, dsum, dmag, sens = _log_gamma_part(
-        [f for pos, f in enumerate(factors[:top]) if pos not in (chain, other)], s)
+        return _demoted_term(params, pairs, chain, k, other, k2, logz, zero_orders)
+    num, den = _split(_fold_pairs(_gamma_factors(params, s), pairs, (chain, other)))
+    log_acc, dsum, dmag, sens = _log_gamma_part(num, s)
     try:
-        den = _log_gamma_part(factors[top:], s)
+        den = _log_gamma_part(den, s)
     except PoleOfGamma:
         # a denominator zero would demote the double pole; not worth the
         # extra case analysis for parameter sets nothing generates
@@ -387,7 +445,7 @@ def _confluent_term(params: FoxHParams, chain: int, k: int, other: int,
     return term, errb
 
 
-def _residue_term(params: FoxHParams, chain: int, k: int, logz: complex):
+def _residue_term(params: FoxHParams, pairs, chain: int, k: int, logz: complex):
     """Signed residue contribution of left pole k on the given chain.
 
     A denominator gamma landing on its own pole kills the term
@@ -403,13 +461,11 @@ def _residue_term(params: FoxHParams, chain: int, k: int, logz: complex):
         other, k2 = hit
         if k > k2 or (k == k2 and chain > other):
             return 0.0 + 0.0j, 0.0
-        return _confluent_term(params, chain, k, other, k2, logz)
-    factors = _gamma_factors(params, s)
-    top = params.m + params.n
-    log_acc, _, _, sens = _log_gamma_part(
-        [f for pos, f in enumerate(factors[:top]) if pos != chain], s)
+        return _confluent_term(params, pairs, chain, k, other, k2, logz)
+    num, den = _split(_fold_pairs(_gamma_factors(params, s), pairs, (chain,)))
+    log_acc, _, _, sens = _log_gamma_part(num, s)
     try:
-        den = _log_gamma_part(factors[top:], s)
+        den = _log_gamma_part(den, s)
     except PoleOfGamma:
         return 0.0 + 0.0j, 0.0
     log_acc += den[0]
@@ -509,6 +565,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     if params.m == 0:
         raise DomainError("no left pole chains after reduction; series route undefined")
     logz = cmath.log(z)
+    pairs = _reflection_pairs(params)
 
     total = 0.0 + 0.0j
     peak = 0.0
@@ -529,7 +586,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         sweep = 0.0 + 0.0j
         sweep_mag = 0.0
         for chain in range(params.m):
-            term, errb = _residue_term(params, chain, k, logz)
+            term, errb = _residue_term(params, pairs, chain, k, logz)
             if term == 0.0:
                 zero_run[chain] += 1
             else:
@@ -592,11 +649,12 @@ def _contour_line(params: FoxHParams):
     return 0.5 * (lo + hi), min(1e-3, 0.1 * (hi - lo))
 
 
-def _log_theta(params: FoxHParams, s: np.ndarray) -> np.ndarray:
-    """log theta(s) modulo 2 pi i, one array log_gamma call per factor."""
+def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
+    """log theta(s) modulo 2 pi i: one array log_reflection call per
+    reflection pair and one array log_gamma call per remaining factor."""
     log_acc = np.zeros_like(s)
-    for sign, u, _, _ in _gamma_factors(params, s):
-        log_acc += sign * log_gamma(u)
+    for sign, u, _, _, paired in _fold_pairs(_gamma_factors(params, s), pairs):
+        log_acc += sign * (log_reflection(u) if paired else log_gamma(u))
     return log_acc
 
 
@@ -608,7 +666,8 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     value.  Gamma decay along the line is super-exponential inside the
     existence sector, so doubling terminates quickly away from the sector
     boundary.  The nodes of a block on both half-lines go through one
-    array log_gamma call per gamma factor.  When every a_j and b_j is
+    array call per gamma factor, a reflection pair Gamma(u) Gamma(1 - u)
+    counting as one log pi - log sin(pi u).  When every a_j and b_j is
     real, theta(conj s) = conj theta(s) and the line is real, so log theta
     is evaluated on the upper half-line only and the lower half is its
     conjugate; z^-s is still taken at every node, since z may be complex.
@@ -622,6 +681,7 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     gamma_line, nudge = _contour_line(params)
     leg_x, leg_w = leg_nodes(CONTOUR_ORDER)
     real = all(c.imag == 0.0 for c, _ in params.upper + params.lower)
+    pairs = _reflection_pairs(params)
 
     def integrate(gam):
         acc = 0.0 + 0.0j
@@ -638,10 +698,10 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
             wts = np.tile((half * leg_w).ravel(), 2)
             s = gam + 1j * np.concatenate((t_nodes, -t_nodes))
             if real:
-                upper = _log_theta(params, s[:t_nodes.size])
+                upper = _log_theta(params, pairs, s[:t_nodes.size])
                 log_th = np.concatenate((upper, upper.conj()))
             else:
-                log_th = _log_theta(params, s)
+                log_th = _log_theta(params, pairs, s)
             vals = np.exp(log_th - s * logz) * wts
             block_val = complex(np.sum(vals))
             abs_acc += float(np.sum(np.abs(vals)))

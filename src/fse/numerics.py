@@ -1,4 +1,5 @@
-"""Low-level numerical kernels: log-gamma, digamma and quadrature nodes.
+"""Low-level numerical kernels: log-gamma, digamma, the reflection pair
+Gamma(u) Gamma(1 - u) and quadrature nodes.
 
 The log-gamma here is the one routine everything upstream leans on, so it
 costs O(1) per argument.  A real argument (a float, or a complex with a
@@ -11,6 +12,10 @@ arrays a vectorized numpy form of the same.  The result is defined modulo
 (relative, or absolute below 1) of mpmath's loggamma for Re z in
 [-1000, 30] and |Im z| <= 400, including arguments 1e-9 from a pole.
 digamma has the same split between a real and a complex path.
+
+log_reflection gives log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u)
+directly, so a product of two gammas costs one sine; pi_cot_pi is its
+u-derivative up to sign.
 """
 
 from __future__ import annotations
@@ -142,6 +147,42 @@ def log_gamma(z):
     return out
 
 
+def log_reflection(u):
+    """log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u), modulo 2 pi i.
+
+    Scalars and arrays as in log_gamma: a real scalar is evaluated in math
+    (sin(pi u) = (-1)^n sin(pi (u - n)) with n the nearest integer), a
+    complex one by _log_sin_pi_scalar, an array by _log_sin_pi.  Arguments
+    within POLE_TOL of any integer raise PoleOfGamma, since one of the two
+    gammas has a pole there.
+    """
+    if isinstance(u, (int, float, complex)) or np.ndim(u) == 0:
+        u = complex(u)
+        n = round(u.real)
+        w = u.real - n
+        if abs(w) < POLE_TOL and abs(u.imag) < POLE_TOL:
+            raise PoleOfGamma("reflection pair at integer u = %s" % (u,))
+        if u.imag == 0.0:
+            sin_w = math.sin(math.pi * w)
+            odd = (sin_w < 0.0) != (n % 2 == 1)
+            return complex(_LOG_PI - math.log(abs(sin_w)), math.pi if odd else 0.0)
+        return _LOG_PI - _log_sin_pi_scalar(u)
+    u = np.asarray(u, dtype=complex)
+    x, y = u.real, u.imag
+    if np.any((np.abs(x - np.round(x)) < POLE_TOL) & (np.abs(y) < POLE_TOL)):
+        raise PoleOfGamma("reflection pair at an integer")
+    return _LOG_PI - _log_sin_pi(u)
+
+
+def pi_cot_pi(z):
+    """pi cot(pi z) for a scalar, taken after subtracting the nearest
+    integer exactly; a real z (imaginary part 0.0) gives a float by math."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return math.pi / math.tan(math.pi * (z.real - round(z.real)))
+    return math.pi / cmath.tan(math.pi * (z - round(z.real)))
+
+
 def signum(p: float) -> int:
     if p > 0.0:
         return 1
@@ -180,10 +221,9 @@ def digamma(z):
         raise PoleOfGamma("digamma pole at z = %s" % (z,))
     acc = 0.0
     # reflection psi(z) = psi(1 - z) - pi cot(pi z) keeps the upward
-    # recurrence short for far-left arguments; cot is taken after
-    # subtracting the nearest integer exactly, as in _log_sin_pi_scalar
+    # recurrence short for far-left arguments
     if z.real < 0.5:
-        acc -= math.pi / lib.tan(math.pi * (z - round(z.real)))
+        acc -= pi_cot_pi(z)
         z = 1.0 - z
     while z.real < 8.0:
         acc -= 1.0 / z

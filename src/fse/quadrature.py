@@ -14,34 +14,12 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .accel import euler_alternating
 from .errors import GridTooCoarse, QuadratureFailure, ValidationError
 from .numerics import panel_nodes
-from .result import EvalResult
-
-
-class Strategy(Enum):
-    Adaptive = "adaptive"
-    OscillatorySplit = "oscillatory"
-    RotatedRay = "ray"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float
-    rel_tol: float
-    max_panels: int = 800
-    strategy: Strategy = Strategy.Adaptive
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValidationError("tolerances must be positive")
-        if self.max_panels < 8:
-            raise ValidationError("max_panels must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -176,46 +154,6 @@ def ray_segment(f, angle: float, radius: float, tol: float,
 
     val, err, count = adaptive(h, 0.0, radius ** 0.25, tol, max_panels)
     return rot * val, err, count
-
-
-def integrate(f, spec: QuadratureSpec, a: float = 0.0, b: float = math.inf,
-              omega: float | None = None, kind: str = "cos",
-              ray_angle: float | None = None) -> EvalResult:
-    """Evaluate an integral under the given strategy and certify the result.
-
-    Adaptive needs a finite [a, b]; OscillatorySplit integrates [a, inf)
-    and needs the frequency hint omega; RotatedRay needs ray_angle and a
-    finite radius b, with f taking the complex ray point.
-    """
-    tol = spec.abs_tol
-    if spec.strategy is Strategy.Adaptive:
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValidationError("adaptive strategy needs a finite interval")
-        val, err, work = adaptive(f, a, b, tol, spec.max_panels)
-        label = "adaptive"
-    elif spec.strategy is Strategy.OscillatorySplit:
-        if omega is None:
-            raise ValidationError("oscillatory strategy needs a frequency hint")
-        if math.isfinite(b):
-            raise ValidationError("oscillatory strategy integrates to infinity")
-        val, err, work = osc_semi_inf(f, omega, kind, tol, a)
-        label = "oscillatory"
-    elif spec.strategy is Strategy.RotatedRay:
-        if ray_angle is None:
-            raise ValidationError("ray strategy needs ray_angle")
-        if not (math.isfinite(b) and b > 0.0) or a != 0.0:
-            raise ValidationError("ray strategy needs a = 0 and a finite radius")
-        val, err, work = ray_segment(f, ray_angle, b, tol, spec.max_panels)
-        label = "ray"
-    else:  # pragma: no cover - enum is closed
-        raise ValidationError("unknown strategy")
-    bound = max(spec.abs_tol, spec.rel_tol * abs(val))
-    if err > bound:
-        raise QuadratureFailure(
-            "%s quadrature stalled: error %.2e exceeds %.2e after %d panels"
-            % (label, err, bound, work))
-    return EvalResult(value=complex(val), err_est=float(err), method=label,
-                      work=int(work))
 
 
 def fourier_pair_check(samples, grid: GridSpec, hbar: float = 1.0):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -272,16 +273,26 @@ def criterion_9() -> CheckResult:
                        "(bar 1e-6)" % (rt, rdev))
 
 
+def cli_subprocess(*args, **kwargs):
+    """subprocess.run of `python -m fse.cli *args` that imports this same
+    fse package, whether it is installed or only on the caller's path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fse.cli", *args], env=env,
+                          **kwargs)
+
+
 def criterion_10() -> CheckResult:
     """CLI determinism and the exit-code contract for invalid skewness."""
-    cmd = [sys.executable, "-m", "fse.cli", "verify", "--only", "1,2"]
-    runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+    runs = [cli_subprocess("verify", "--only", "1,2", capture_output=True)
+            for _ in range(2)]
     same = (runs[0].stdout == runs[1].stdout
             and runs[0].returncode == runs[1].returncode)
-    bad = subprocess.run(
-        [sys.executable, "-m", "fse.cli", "delta", "--alpha", "1.5",
-         "--theta", "1.2", "--energy", "-1", "--grid", "0.5:1:2"],
-        capture_output=True)
+    bad = cli_subprocess("delta", "--alpha", "1.5", "--theta", "1.2",
+                         "--energy", "-1", "--grid", "0.5:1:2",
+                         capture_output=True)
     named = b"|theta| <= min(alpha, 2 - alpha)" in bad.stderr
     ok = same and bad.returncode == 2 and named
     return CheckResult("cli-contract", ok,

@@ -2,19 +2,17 @@ import csv
 import io
 import json
 import math
-import subprocess
-import sys
 
 import pytest
 
 from fse.delta import delta_closed_form
 from fse.result import DeltaConfig, TimeConfig
 from fse.time_factor import time_factor
+from fse.verify import cli_subprocess
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "fse.cli", *args],
-                         capture_output=True, text=True, timeout=300)
+    return cli_subprocess(*args, capture_output=True, text=True, timeout=300)
 
 
 def parse_csv(text):

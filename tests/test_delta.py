@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fse.delta import (delta_classical, delta_closed_form, delta_quadrature,
                        delta_riesz_form)
-from fse.errors import DomainError, QuadratureFailure, ValidationError
+from fse.errors import DomainError, ValidationError
 from fse.result import DeltaConfig
 
 
@@ -100,12 +101,20 @@ def test_quadrature_at_origin_beta_integral():
     assert abs(q.value.imag) <= 1e-12 * abs(q.value)
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
-@pytest.mark.parametrize("alpha", [1.01, 1.03])
-def test_quadrature_at_origin_refuses_slow_tail(alpha):
-    # the tail decays like p^(1 - alpha); its power map underflows
-    with pytest.raises(QuadratureFailure):
-        delta_quadrature(DeltaConfig(alpha=alpha), 0.0)
+@pytest.mark.parametrize("alpha", [1.01, 1.03, 1.2, 1.5, 1.9])
+def test_quadrature_at_origin_slow_tail(alpha):
+    # the integrand decays like p^(-alpha), barely integrable near alpha = 1;
+    # against psi(0) = pref pi / (alpha sin(pi/alpha)) sum a^(-1/alpha) / (-E)
+    # with a = C e^(+-i theta pi/2) / (-E), from int dp / (1 + a p^alpha)
+    cfg = DeltaConfig(alpha=alpha, theta=0.5 * min(alpha, 2.0 - alpha),
+                      c_alpha=0.8, energy=-1.3)
+    pref = cfg.gamma_strength * cfg.k_norm / (2.0 * math.pi * cfg.hbar) ** 2
+    want = pref * math.pi / (alpha * math.sin(math.pi / alpha)) * sum(
+        (cfg.c_alpha * cmath.exp(sg * 0.5j * math.pi * cfg.theta) / -cfg.energy)
+        ** (-1.0 / alpha) / -cfg.energy for sg in (1.0, -1.0))
+    q = delta_quadrature(cfg, 0.0, 1e-10)
+    assert abs(q.value - want) <= q.err_est
+    assert abs(q.value - want) <= 1e-12 * abs(want)
 
 
 def test_quadrature_is_even_unskewed():

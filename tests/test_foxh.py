@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from fse.delta import _even_part_params, _odd_part_params
-from fse.errors import (DegeneratePoles, DomainError, NonConvergence,
-                        ValidationError, ZeroBase)
-from fse.foxh import (FoxHParams, eval_auto, eval_contour, eval_series,
-                      exists, from_meijer_g, invert_argument, lemma31_check,
+from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
+                        NonConvergence, PoleOfGamma, ValidationError, ZeroBase)
+from fse.foxh import (FoxHParams, _gamma_factors, _log_theta, _reflection_pairs,
+                      _residue_term, eval_auto, eval_contour, eval_series, exists,
+                      from_meijer_g, invert_argument, lemma31_check,
                       reduce_params, scale_argument_power, shift_by_power,
                       sigma)
 from fse.linear import _h_params
@@ -286,3 +287,146 @@ def test_contour_is_conjugate_symmetric_for_real_parameters():
             a = eval_contour(params, z, 1e-10)
             b = eval_contour(params, z.conjugate(), 1e-10)
             assert abs(a.value - b.value.conjugate()) <= a.err_est + b.err_est
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def _distance_mod_2pi_i(a: complex, b: complex) -> float:
+    d = a - b
+    return abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
+
+
+def _paired_sets():
+    """Reduced shipped parameter sets with their expected pair counts."""
+    return [
+        (reduce_params(_even_part_params(1.37)), 2),
+        (reduce_params(_odd_part_params(1.37)), 1),
+        (reduce_params(_h_params(LinearConfig(alpha=1.6, theta=0.3))), 1),
+        (reduce_params(shift_by_power(_even_part_params(1.37), 0.25 + 0.4j)), 2),
+    ]
+
+
+def _pairing_points(params):
+    """Random s, and s putting each pair's argument u at n +- 1e-9."""
+    rng = np.random.default_rng(37)
+    s = list(rng.uniform(-12, 6, 20) + 1j * rng.uniform(-40, 40, 20))
+    s += list(rng.uniform(-12, 6, 10) + 1j * rng.uniform(-1, 1, 10))
+    at_zero = _gamma_factors(params, 0.0)
+    for grow, _ in _reflection_pairs(params):
+        _, u0, du, _ = at_zero[grow]
+        for n in (-3, 2):
+            for d in (1e-9, -1e-9):
+                s.append((n + d - u0) / du)
+    return np.array(s)
+
+
+def _sensitivity(params, s):
+    """Bound on the log-theta change from rounding each gamma argument."""
+    near = 0.0
+    for b, wt in params.upper + params.lower:
+        for u in (b + wt * s, 1.0 - b - wt * s):
+            dist = abs(u - round(u.real))
+            near += (abs(b) + 1.0 + wt * abs(s)) * EPS / max(dist, 1e-300) * 4.0
+    return near
+
+
+def test_reflection_pairs_of_the_shipped_kernels():
+    for params, count in _paired_sets():
+        pairs = _reflection_pairs(params)
+        assert len(pairs) == count
+        # the growing member is a lower[:m] (numerator) or upper[n:] entry
+        for grow, mate in pairs:
+            assert grow < params.m or grow >= params.q + params.n
+
+
+def test_paired_log_theta_matches_plain_gamma_product():
+    for params, _ in _paired_sets():
+        s = _pairing_points(params)
+        paired = _log_theta(params, _reflection_pairs(params), s)
+        plain = _log_theta(params, (), s)
+        for sk, a, b in zip(s, paired, plain):
+            bar = 64.0 * EPS * max(1.0, abs(b)) + _sensitivity(params, sk)
+            assert _distance_mod_2pi_i(complex(a), complex(b)) <= bar, sk
+
+
+def test_paired_log_theta_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for params, _ in _paired_sets():
+        s = _pairing_points(params)
+        got = _log_theta(params, _reflection_pairs(params), s)
+        m, n = params.m, params.n
+        with mpmath.workdps(30):
+            for sk, g in zip(s, got):
+                ms = mpmath.mpc(sk.real, sk.imag)
+
+                def lg(c, wt, sign):
+                    c = mpmath.mpc(c.real, c.imag)
+                    return mpmath.loggamma(c + sign * wt * ms)
+                ref = sum(lg(b, wt, 1) for b, wt in params.lower[:m])
+                ref += sum(lg(1.0 - a, wt, -1) for a, wt in params.upper[:n])
+                ref -= sum(lg(1.0 - b, wt, -1) for b, wt in params.lower[m:])
+                ref -= sum(lg(a, wt, 1) for a, wt in params.upper[n:])
+                ref = complex(ref)
+                bar = 64.0 * EPS * max(1.0, abs(ref)) + _sensitivity(params, sk)
+                assert _distance_mod_2pi_i(complex(g), ref) <= bar, sk
+
+
+def test_paired_log_theta_refuses_integer_pair_argument():
+    params = reduce_params(_even_part_params(1.37))
+    pairs = _reflection_pairs(params)
+    a1, wt = params.lower[1]
+    # the numerator pair's u = a1 + s / alpha lands on the integer 2
+    s = np.array([0.3 + 1j, (2.0 - a1) / wt])
+    with pytest.raises(PoleOfGamma):
+        _log_theta(params, pairs, s)
+
+
+def test_denominator_pair_zeroes_residue_terms():
+    # even part: the denominator pair 1 / Gamma(1/2 - s/2) Gamma(1/2 + s/2)
+    # is cos(pi s / 2) / pi, zero at the odd poles s = -k of Gamma(s)
+    params = reduce_params(_even_part_params(1.37))
+    pairs = _reflection_pairs(params)
+    assert any(g >= params.m + params.n for g, _ in pairs)
+    logz = cmath.log(0.9)
+    for k in range(12):
+        term, errb = _residue_term(params, pairs, 0, k, logz)
+        if k % 2:
+            assert term == 0.0 and errb == 0.0
+        else:
+            assert term != 0.0
+
+
+def _term_or_refusal(params, pairs, chain, k, logz):
+    try:
+        return _residue_term(params, pairs, chain, k, logz)
+    except EvaluationError as exc:
+        return type(exc)
+
+
+def test_paired_residue_terms_match_unpaired():
+    # every residue term, including the confluent double poles of
+    # alpha = 1.5 and terms whose pair member is the chain's own gamma
+    sets = [reduce_params(part(1.5)) for part in (_even_part_params, _odd_part_params)]
+    sets.append(reduce_params(_h_params(LinearConfig(alpha=1.5, theta=0.3))))
+    # chains 0 and 1 meet at s = -1, -3, ...: a numerator pair with
+    # pi cot(pi u) != 0 enters the confluent bracket there
+    sets.append(FoxHParams(m=3, n=1, upper=((0.25, 0.5),),
+                           lower=((0.0, 1.0), (0.5, 0.5), (0.25, 0.5))))
+    # the same double poles, demoted by a zero of the denominator pair's
+    # lower member (u = 3, 2, 1) or of its upper member (u = 0, -1, ...)
+    sets.append(FoxHParams(m=2, n=0, upper=((3.5, 0.5),),
+                           lower=((0.0, 1.0), (0.5, 0.5), (3.5, 0.5))))
+    logz = cmath.log(1.3 * cmath.exp(-0.2j))
+    for params in sets:
+        pairs = _reflection_pairs(params)
+        assert pairs
+        for chain in range(params.m):
+            for k in range(40):
+                got = _term_or_refusal(params, pairs, chain, k, logz)
+                ref = _term_or_refusal(params, (), chain, k, logz)
+                if isinstance(ref, type):
+                    assert got is ref, (chain, k)
+                    continue
+                (t1, e1), (t2, e2) = got, ref
+                assert abs(t1 - t2) <= e1 + e2 + 1e-300, (chain, k)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fse.errors import PoleOfGamma, ZeroBase
-from fse.numerics import (digamma, log_gamma, panel_nodes, principal_power,
-                          signum)
+from fse.numerics import (digamma, log_gamma, log_reflection, panel_nodes,
+                          pi_cot_pi, principal_power, signum)
 
 
 def test_log_gamma_at_one_and_half():
@@ -164,6 +164,58 @@ def test_real_reflection_identities(x):
     lhs = digamma(1.0 - x) - digamma(x)
     assert abs(lhs - math.pi * cot) <= 1e-12 * max(1.0, abs(math.pi * cot),
                                                    abs(digamma(x)))
+
+
+def _reflection_grid():
+    rng = np.random.default_rng(31)
+    us = [complex(x) for x in rng.uniform(-60, 60, 60)]
+    us += list(rng.uniform(-60, 60, 60) + 1j * rng.uniform(-300, 300, 60))
+    us += list(rng.uniform(-5, 5, 40) + 1j * rng.uniform(-1, 1, 40))
+    for n in (-40, -1, 0, 1, 3, 40):
+        for d in (1e-9, -1e-9):
+            us += [complex(n + d, 0.0), complex(n, d), complex(n + d, d)]
+    return us
+
+
+def test_log_reflection_matches_mpmath_modulo_2pi_i():
+    # log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u), and its slope
+    mpmath = pytest.importorskip("mpmath")
+    us = _reflection_grid()
+    batch = log_reflection(np.array(us))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for u, from_array in zip(us, batch):
+            mu = mpmath.mpc(u.real, u.imag)
+            ref = complex(mpmath.log(mpmath.pi) - mpmath.log(mpmath.sinpi(mu)))
+            bar = 64.0 * eps * max(1.0, abs(ref))
+            assert _distance_mod_2pi_i(log_reflection(u), ref) <= bar, u
+            assert _distance_mod_2pi_i(complex(from_array), ref) <= bar, u
+            cot = complex(mpmath.pi * mpmath.cospi(mu) / mpmath.sinpi(mu))
+            assert abs(pi_cot_pi(u) - cot) <= 64.0 * eps * max(1.0, abs(cot)), u
+
+
+def test_log_reflection_real_path():
+    # a real u takes math, returns the same value as the complex-array path,
+    # and pi_cot_pi gives a float there
+    for x in (0.3, -2.7, 41.5 - 1e-9, -0.5, 1e20 + 0.5e4):
+        if abs(x - round(x)) < 1e-12:
+            continue
+        got = log_reflection(x)
+        assert got == log_reflection(complex(x, 0.0))
+        ref = complex(log_reflection(np.array([x]))[0])
+        assert _distance_mod_2pi_i(got, ref) <= 64.0 * np.finfo(float).eps * max(
+            1.0, abs(ref))
+        assert isinstance(pi_cot_pi(x), float)
+
+
+def test_log_reflection_pole_refusal():
+    # Gamma(u) has poles at u = 0, -1, ..., Gamma(1 - u) at u = 1, 2, ...
+    for u in (0.0, -3.0, 1.0, 4.0, 4.0 + 1e-13, 2.0 + 1e-13j, -7.0 + 0j):
+        with pytest.raises(PoleOfGamma):
+            log_reflection(u)
+        with pytest.raises(PoleOfGamma):
+            log_reflection(np.array([0.5 + 2j, u]))
+    assert math.isfinite(log_reflection(4.0 + 1e-9).real)
 
 
 def test_digamma_spot_values():
