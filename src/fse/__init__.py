@@ -16,7 +16,7 @@ from .errors import (ConfigMismatch, DegeneratePoles, DomainError,
                      NonConvergence, PoleOfGamma, QuadratureFailure,
                      ValidationError, ZeroBase)
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
-from .numerics import log_gamma, principal_power, signum
+from .numerics import log_gamma, signum
 from .mittag import ml_contour, ml_eval, ml_series, ml_as_foxh
 from .foxh import (FoxHParams, boundary_radius, eval_auto, eval_contour,
                    eval_series, exists, from_meijer_g, invert_argument,
@@ -36,7 +36,7 @@ __all__ = [
     "GridTooCoarse", "NoSeparatingContour", "NonConvergence", "PoleOfGamma",
     "QuadratureFailure", "ValidationError", "ZeroBase",
     "DeltaConfig", "EvalResult", "LinearConfig", "TimeConfig",
-    "log_gamma", "principal_power", "signum",
+    "log_gamma", "signum",
     "ml_contour", "ml_eval", "ml_series", "ml_as_foxh",
     "FoxHParams", "boundary_radius", "eval_auto", "eval_contour",
     "eval_series", "exists", "from_meijer_g", "invert_argument",

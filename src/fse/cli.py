@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .delta import delta_closed_form, delta_quadrature
+from .delta import _delta_value
 from .errors import EvaluationError, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .linear import linear_closed_form, linear_quadrature, linear_series
@@ -28,6 +28,7 @@ from .time_factor import time_factor
 from .verify import format_report, run_criteria
 
 _H_ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
+_ALL_METHODS = ("auto", "series", "contour", "quadrature")
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -86,9 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=str, required=True,
                         help="start:stop:count, endpoints inclusive")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--method",
-                        choices=("auto", "series", "contour", "quadrature"),
-                        default="auto")
+    common.add_argument("--method", choices=_ALL_METHODS, default="auto")
     common.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("time", parents=[common],
@@ -147,75 +146,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _space_config(args):
+def _time_config(args) -> TimeConfig:
+    return TimeConfig(beta=args.beta, hbar=args.hbar, energy=args.energy,
+                      f0=args.f0)
+
+
+def _space_config(args, potential: str):
+    """The delta or linear config and its JSON meta.  The skew check runs
+    before c_alpha is resolved, so a bad theta given without --c-alpha is
+    reported as the skew violation."""
     _check_order_pair(args.alpha, args.theta)
-    c_alpha = _resolve_c_alpha(args)
-    if args.potential == "delta":
-        return DeltaConfig(alpha=args.alpha, theta=args.theta, hbar=args.hbar,
-                           c_alpha=c_alpha, energy=args.energy,
-                           gamma_strength=args.gamma, k_norm=args.k_norm)
-    return LinearConfig(alpha=args.alpha, theta=args.theta, hbar=args.hbar,
-                        c_alpha=c_alpha, energy=args.energy, slope=args.slope)
-
-
-def _rows_time(args, nodes, tol):
-    cfg = TimeConfig(beta=args.beta, hbar=args.hbar, energy=args.energy,
-                     f0=args.f0)
-    if args.method == "quadrature":
-        raise ValidationError("the time factor has no quadrature route")
-    out = []
-    for t in nodes:
-        r = time_factor(cfg, float(t), rel_tol=tol)
-        out.append((float(t), r.value, r.err_est, r.method))
-    return out, {"beta": args.beta, "hbar": args.hbar, "energy": args.energy,
-                 "f0": str(args.f0)}
-
-
-def _rows_delta(args, nodes, tol):
-    _check_order_pair(args.alpha, args.theta)
-    c_alpha = _resolve_c_alpha(args)
-    cfg = DeltaConfig(alpha=args.alpha, theta=args.theta, hbar=args.hbar,
-                      c_alpha=c_alpha, energy=args.energy,
-                      gamma_strength=args.gamma, k_norm=args.k_norm)
-    out = []
-    for x in nodes:
-        x = float(x)
-        if args.method == "quadrature":
-            r = delta_quadrature(cfg, x, abs_tol=tol)
-        elif x == 0.0 and args.method == "auto":
-            r = delta_quadrature(cfg, x, abs_tol=tol)
-        else:
-            r = delta_closed_form(cfg, x, rel_tol=tol, method=args.method)
-        out.append((x, r.value, r.err_est, r.method))
     meta = {"alpha": args.alpha, "theta": args.theta, "hbar": args.hbar,
-            "c_alpha": c_alpha, "energy": args.energy, "gamma": args.gamma,
-            "k_norm": str(args.k_norm)}
-    return out, meta
+            "c_alpha": _resolve_c_alpha(args), "energy": args.energy}
+    if potential == "delta":
+        cfg = DeltaConfig(gamma_strength=args.gamma, k_norm=args.k_norm, **meta)
+        meta.update(gamma=args.gamma, k_norm=str(args.k_norm))
+    else:
+        cfg = LinearConfig(slope=args.slope, **meta)
+        meta["slope"] = args.slope
+    return cfg, meta
 
 
-def _rows_linear(args, nodes, tol):
-    _check_order_pair(args.alpha, args.theta)
-    c_alpha = _resolve_c_alpha(args)
-    cfg = LinearConfig(alpha=args.alpha, theta=args.theta, hbar=args.hbar,
-                       c_alpha=c_alpha, energy=args.energy, slope=args.slope)
-    out = []
-    for x in nodes:
-        x = float(x)
+# Each command builds a point evaluator, coordinate -> EvalResult, and its
+# JSON meta from the parsed arguments and the tolerance.
+
+def _cmd_time(args, tol):
+    cfg = _time_config(args)
+    meta = {"beta": args.beta, "hbar": args.hbar, "energy": args.energy,
+            "f0": str(args.f0)}
+    return lambda t: time_factor(cfg, t, rel_tol=tol), meta
+
+
+def _cmd_delta(args, tol):
+    cfg, meta = _space_config(args, "delta")
+    return lambda x: _delta_value(cfg, x, tol, args.method), meta
+
+
+def _cmd_linear(args, tol):
+    cfg, meta = _space_config(args, "linear")
+
+    def point(x):
         if args.method == "quadrature":
-            r = linear_quadrature(cfg, x, abs_tol=tol)
-        elif args.method == "series":
-            r = linear_series(cfg, x)
-        else:
-            r = linear_closed_form(cfg, x, rel_tol=tol, method=args.method)
-        out.append((x, r.value, r.err_est, r.method))
-    meta = {"alpha": args.alpha, "theta": args.theta, "hbar": args.hbar,
-            "c_alpha": c_alpha, "energy": args.energy, "slope": args.slope}
-    return out, meta
+            return linear_quadrature(cfg, x, abs_tol=tol)
+        if args.method == "series":
+            return linear_series(cfg, x)
+        return linear_closed_form(cfg, x, rel_tol=tol, method=args.method)
+    return point, meta
 
 
-def _rows_foxh(args, nodes, tol):
-    if args.method == "quadrature":
-        raise ValidationError("the H-function has no quadrature route")
+def _cmd_foxh(args, tol):
     try:
         params = FoxHParams(m=args.m, n=args.n,
                             upper=_parse_pairs(args.upper),
@@ -223,60 +202,46 @@ def _rows_foxh(args, nodes, tol):
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc))
     ev = _H_ROUTES[args.method]
-    out = []
-    for z in nodes:
-        r = ev(params, complex(float(z)), tol)
-        out.append((float(z), r.value, r.err_est, r.method))
     meta = {"m": args.m, "n": args.n, "upper": args.upper, "lower": args.lower}
-    return out, meta
+    return lambda z: ev(params, complex(z), tol), meta
 
 
-def _rows_ml(args, nodes, tol):
-    if args.method == "quadrature":
-        raise ValidationError("the Mittag-Leffler function has no quadrature route")
-    out = []
-    for z in nodes:
-        z = float(z)
-        if args.method == "series":
-            val, err, work = ml_series(args.beta, z, tol)
-            r = EvalResult(val, err, "series", work)
-        elif args.method == "contour":
-            val, err, work = ml_contour(args.beta, z, tol)
-            r = EvalResult(val, err, "contour", work)
-        else:
-            r = ml_eval(args.beta, z, tol)
-        out.append((z, r.value, r.err_est, r.method))
-    return out, {"beta": args.beta}
+def _cmd_ml(args, tol):
+    meta = {"beta": args.beta}
+    if args.method == "auto":
+        return lambda z: ml_eval(args.beta, z, tol), meta
+    route = ml_series if args.method == "series" else ml_contour
+
+    def point(z):
+        val, err, work = route(args.beta, z, tol)
+        return EvalResult(val, err, args.method, work)
+    return point, meta
 
 
-def _rows_full(args, nodes, tol):
-    tcfg = TimeConfig(beta=args.beta, hbar=args.hbar, energy=args.energy,
-                      f0=args.f0)
-    scfg = _space_config(args)
-    out = []
-    for x in nodes:
-        r = full_solution(tcfg, scfg, float(x), args.t, rel_tol=tol)
-        out.append((float(x), r.value, r.err_est, r.method))
+def _cmd_full(args, tol):
+    tcfg = _time_config(args)
+    scfg, smeta = _space_config(args, args.potential)
+    del smeta["c_alpha"]
     meta = {"potential": args.potential, "t": args.t, "beta": args.beta,
-            "f0": str(args.f0), "alpha": args.alpha, "theta": args.theta,
-            "hbar": args.hbar, "energy": args.energy}
-    if args.potential == "delta":
-        meta["gamma"] = args.gamma
-        meta["k_norm"] = str(args.k_norm)
-    else:
-        meta["slope"] = args.slope
-    return out, meta
+            "f0": str(args.f0), **smeta}
+    return lambda x: full_solution(tcfg, scfg, x, args.t, rel_tol=tol), meta
 
 
-_ROWS = {"time": _rows_time, "delta": _rows_delta, "linear": _rows_linear,
-         "foxh": _rows_foxh, "ml": _rows_ml, "full": _rows_full}
+# command -> (evaluator builder, the --method values it accepts)
+_COMMANDS = {"time": (_cmd_time, ("auto",)),
+             "delta": (_cmd_delta, _ALL_METHODS),
+             "linear": (_cmd_linear, _ALL_METHODS),
+             "foxh": (_cmd_foxh, ("auto", "series", "contour")),
+             "ml": (_cmd_ml, ("auto", "series", "contour")),
+             "full": (_cmd_full, ("auto",))}
 
 
 def _emit_csv(rows) -> str:
     lines = ["coord,re,im,abs2,err_est,method"]
-    for c, v, e, m in rows:
+    for c, r in rows:
+        v = r.value
         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s"
-                     % (c, v.real, v.imag, abs(v) ** 2, e, m))
+                     % (c, v.real, v.imag, abs(v) ** 2, r.err_est, r.method))
     return "\n".join(lines) + "\n"
 
 
@@ -284,9 +249,10 @@ def _emit_json(command, meta, tol, method, rows) -> str:
     payload = {
         "meta": {"command": command, "version": __version__,
                  "tolerance": tol, "method": method, "config": meta},
-        "rows": [{"coord": c, "re": v.real, "im": v.imag,
-                  "abs2": abs(v) ** 2, "err_est": e, "method": m}
-                 for c, v, e, m in rows],
+        "rows": [{"coord": c, "re": r.value.real, "im": r.value.imag,
+                  "abs2": abs(r.value) ** 2, "err_est": r.err_est,
+                  "method": r.method}
+                 for c, r in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -320,7 +286,12 @@ def main(argv=None) -> int:
             return 0 if all(r.passed for _, r in results) else 1
         tol = _check_tol(args.tol)
         nodes = _parse_grid(args.grid).nodes()
-        rows, meta = _ROWS[args.command](args, nodes, tol)
+        build, methods = _COMMANDS[args.command]
+        if args.method not in methods:
+            raise ValidationError("%s takes --method %s, not %s"
+                                  % (args.command, "|".join(methods), args.method))
+        point, meta = build(args, tol)
+        rows = [(c, point(c)) for c in map(float, nodes)]
         if args.format == "json":
             text = _emit_json(args.command, meta, tol, args.method, rows)
         else:

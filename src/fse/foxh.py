@@ -253,24 +253,17 @@ def _find_left_collision(params: FoxHParams, s: complex, chain: int):
     return hit
 
 
-def _denominator_zero_orders(params: FoxHParams, s: complex):
-    """Order (0 or 1) of the reciprocal-gamma zero each denominator factor
-    contributes at s, refusing near-misses that are not exact."""
+def _denominator_zero_orders(factors, s: complex):
+    """Order (0 or 1) of the reciprocal-gamma zero each denominator entry of
+    _gamma_factors contributes at s, refusing near-misses that are not exact."""
     orders = []
     tol_exact = _EXACT_COLLISION_TOL * max(1.0, abs(s))
-    for b, wt in params.lower[params.m:]:
-        arg = 1.0 - b - wt * s
+    for sign, arg, du, _ in factors:
+        if sign > 0:
+            continue
         k_near = round(-arg.real)
-        d = abs(arg + k_near) / wt if k_near >= 0 else float("inf")
-        orders.append((k_near, d, wt) if d < tol_exact else None)
-        if d >= tol_exact and d < SEPARATION_TOL:
-            raise DegeneratePoles(
-                "denominator gamma nearly singular beside a double pole at s = %s" % (s,))
-    for a, wt in params.upper[params.n:]:
-        arg = a + wt * s
-        k_near = round(-arg.real)
-        d = abs(arg + k_near) / wt if k_near >= 0 else float("inf")
-        orders.append((k_near, d, wt) if d < tol_exact else None)
+        d = abs(arg + k_near) / abs(du) if k_near >= 0 else float("inf")
+        orders.append((k_near, d, abs(du)) if d < tol_exact else None)
         if d >= tol_exact and d < SEPARATION_TOL:
             raise DegeneratePoles(
                 "denominator gamma nearly singular beside a double pole at s = %s" % (s,))
@@ -354,11 +347,6 @@ def _log_gamma_part(entries, s: complex):
     return log_acc, dsum, dmag, sens * MACH_EPS
 
 
-def _split(entries):
-    """Numerator and denominator entries."""
-    return [e for e in entries if e[0] > 0], [e for e in entries if e[0] < 0]
-
-
 def _check_term_range(log_acc: complex):
     if log_acc.real > 700.0:
         raise NonConvergence(
@@ -371,6 +359,32 @@ def _log_error(log_acc: complex, sens: float) -> float:
     return (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS + sens
 
 
+def _factor_logs(factors, pairs, s: complex, skip):
+    """_log_gamma_part of the numerator entries, then of the denominator
+    entries, of the folded factors that skip leaves; the denominator part
+    is None when one of its gammas sits on a pole, its reciprocal zero."""
+    entries = _fold_pairs(factors, pairs, skip)
+    num = _log_gamma_part([e for e in entries if e[0] > 0], s)
+    try:
+        return num, _log_gamma_part([e for e in entries if e[0] < 0], s)
+    except PoleOfGamma:
+        return num, None
+
+
+def _signed_term(log_acc: complex, sens: float, weight: float, parity: int,
+                 bracket=None, dmag: float = 0.0):
+    """exp(log_acc) / weight, times the confluent bracket if there is one,
+    negated for odd parity, with its error: the log error of the exponent
+    (which, not the partial-sum roundoff, dominates when the series
+    cancels) and, for a bracket, dmag eps times the magnitude before it."""
+    _check_term_range(log_acc)
+    val = cmath.exp(log_acc) / weight
+    term = val if bracket is None else val * bracket
+    if parity % 2 == 1:
+        term = -term
+    return term, _log_error(log_acc, sens) * abs(term) + dmag * MACH_EPS * abs(val)
+
+
 def _demoted_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
                   k2: int, logz: complex, zero_orders):
     """Simple residue at a double left pole demoted by one denominator zero.
@@ -381,24 +395,20 @@ def _demoted_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
     (-1)^(nu_d+1) nu_d! B_d for a lower factor, (-1)^nu_d nu_d! A_d upper.
     """
     b_i, B_i = params.lower[chain]
-    b_o, B_o = params.lower[other]
+    B_o = params.lower[other][1]
     s = -(b_i + k) / B_i
     idx = next(i for i, o in enumerate(zero_orders) if o is not None)
     nu_d, _, wt_d = zero_orders[idx]
-    lower_side = idx < params.q - params.m
     skip = (chain, other, params.m + params.n + idx)
+    # one sum over all factors in fold order, and the slope joins the
+    # factorials before the power of z: the term's last bits depend on it
     log_acc, _, _, sens = _log_gamma_part(
         _fold_pairs(_gamma_factors(params, s), pairs, skip), s)
     log_acc += math.lgamma(nu_d + 1.0) + math.log(wt_d) \
         - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0)
-    power = (b_i + k) / B_i
-    log_acc += power * logz
-    _check_term_range(log_acc)
-    val = cmath.exp(log_acc) / (B_i * B_o)
-    flips = k + k2 + nu_d + (1 if lower_side else 0)
-    if flips % 2 == 1:
-        val = -val
-    return val, _log_error(log_acc, sens) * abs(val)
+    log_acc += (b_i + k) / B_i * logz
+    lower_side = idx < params.q - params.m
+    return _signed_term(log_acc, sens, B_i * B_o, k + k2 + nu_d + lower_side)
 
 
 def _confluent_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
@@ -412,37 +422,27 @@ def _confluent_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
     leaves an ordinary residue with the reciprocal-gamma slope as a factor.
     """
     b_i, B_i = params.lower[chain]
-    b_o, B_o = params.lower[other]
+    B_o = params.lower[other][1]
     s = -(b_i + k) / B_i
-    zero_orders = _denominator_zero_orders(params, s)
+    factors = _gamma_factors(params, s)
+    zero_orders = _denominator_zero_orders(factors, s)
     n_zero = sum(1 for o in zero_orders if o is not None)
     if n_zero >= 2:
         return 0.0 + 0.0j, 0.0
     if n_zero == 1:
         return _demoted_term(params, pairs, chain, k, other, k2, logz, zero_orders)
-    num, den = _split(_fold_pairs(_gamma_factors(params, s), pairs, (chain, other)))
-    log_acc, dsum, dmag, sens = _log_gamma_part(num, s)
-    try:
-        den = _log_gamma_part(den, s)
-    except PoleOfGamma:
+    num, den = _factor_logs(factors, pairs, s, (chain, other))
+    if den is None:
         # a denominator zero would demote the double pole; not worth the
         # extra case analysis for parameter sets nothing generates
         raise DegeneratePoles(
             "denominator pole coincides with a confluent pair at s = %s" % (s,))
-    log_acc += den[0]
     head = B_i * digamma(k + 1.0) + B_o * digamma(k2 + 1.0)
-    bracket = head + dsum + den[1] - logz
-    dmag += abs(head) + den[2] + abs(logz)
-    sens += den[3]
-    power = (b_i + k) / B_i
-    log_acc += power * logz - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0)
-    _check_term_range(log_acc)
-    val0 = cmath.exp(log_acc) / (B_i * B_o)
-    term = val0 * bracket
-    if (k + k2) % 2 == 1:
-        term = -term
-    errb = _log_error(log_acc, sens) * abs(term) + dmag * MACH_EPS * abs(val0)
-    return term, errb
+    bracket = head + num[1] + den[1] - logz
+    dmag = num[2] + (abs(head) + den[2] + abs(logz))
+    log_acc = num[0] + den[0] + ((b_i + k) / B_i * logz
+                                 - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0))
+    return _signed_term(log_acc, num[3] + den[3], B_i * B_o, k + k2, bracket, dmag)
 
 
 def _residue_term(params: FoxHParams, pairs, chain: int, k: int, logz: complex):
@@ -462,22 +462,11 @@ def _residue_term(params: FoxHParams, pairs, chain: int, k: int, logz: complex):
         if k > k2 or (k == k2 and chain > other):
             return 0.0 + 0.0j, 0.0
         return _confluent_term(params, pairs, chain, k, other, k2, logz)
-    num, den = _split(_fold_pairs(_gamma_factors(params, s), pairs, (chain,)))
-    log_acc, _, _, sens = _log_gamma_part(num, s)
-    try:
-        den = _log_gamma_part(den, s)
-    except PoleOfGamma:
+    num, den = _factor_logs(_gamma_factors(params, s), pairs, s, (chain,))
+    if den is None:
         return 0.0 + 0.0j, 0.0
-    log_acc += den[0]
-    sens += den[3]
-    power = (b_i + k) / B_i
-    log_acc += power * logz - math.lgamma(k + 1.0)
-    _check_term_range(log_acc)
-    val = cmath.exp(log_acc) / B_i
-    # the log error, not the partial-sum roundoff, dominates when the
-    # series cancels
-    errb = _log_error(log_acc, sens) * abs(val)
-    return (val if k % 2 == 0 else -val), errb
+    log_acc = num[0] + den[0] + ((b_i + k) / B_i * logz - math.lgamma(k + 1.0))
+    return _signed_term(log_acc, num[3] + den[3], B_i, k)
 
 
 def _near_pole_gain(params: FoxHParams, chain: int, k: int) -> float:

@@ -102,6 +102,14 @@ def _ascending_series(alpha: float, theta: float, y: float):
                          % (_SERIES_CAP, y))
 
 
+def _series_result(cfg: LinearConfig, x: float, y: float, label: str) -> EvalResult:
+    """The wavefunction at x from the ascending series at its y."""
+    tot, err, terms = _ascending_series(cfg.alpha, cfg.theta, y)
+    pref = 2.0 * cfg.n_norm / (cfg.alpha + 1.0)
+    return EvalResult(value=complex(pref * tot), err_est=abs(pref) * err,
+                      method=_flag(label, x), work=terms)
+
+
 def linear_closed_form(cfg: LinearConfig, x: float, rel_tol: float = 1e-9,
                        method: str = "auto") -> EvalResult:
     """Wavefunction via the H-function (y > 0) or its entire series (y <= 0)."""
@@ -112,21 +120,14 @@ def linear_closed_form(cfg: LinearConfig, x: float, rel_tol: float = 1e-9,
         return EvalResult(value=pref * r.value, err_est=abs(pref) * r.err_est,
                           method=_flag("h[%s]" % r.method, x), work=r.work)
     # the H sector excludes y <= 0; the series is entire and continues it
-    tot, err, terms = _ascending_series(cfg.alpha, cfg.theta, y)
-    pref_s = 2.0 * cfg.n_norm / (cfg.alpha + 1.0)
-    return EvalResult(value=complex(pref_s * tot), err_est=abs(pref_s) * err,
-                      method=_flag("series-continuation", x), work=terms)
+    return _series_result(cfg, x, y, "series-continuation")
 
 
 def linear_series(cfg: LinearConfig, x: float) -> EvalResult:
     """Symmetric-case power series in y; requires theta = 0."""
     if cfg.theta != 0.0:
         raise ValidationError("the power series route needs theta = 0")
-    y = scaled_coordinate(cfg, x)
-    tot, err, terms = _ascending_series(cfg.alpha, 0.0, y)
-    pref = 2.0 * cfg.n_norm / (cfg.alpha + 1.0)
-    return EvalResult(value=complex(pref * tot), err_est=abs(pref) * err,
-                      method=_flag("series", x), work=terms)
+    return _series_result(cfg, x, scaled_coordinate(cfg, x), "series")
 
 
 def linear_classical_airy(hbar: float, mass: float, energy: float,
@@ -135,23 +136,9 @@ def linear_classical_airy(hbar: float, mass: float, energy: float,
     if not (hbar > 0.0 and mass > 0.0 and slope > 0.0):
         raise ValidationError("hbar, mass, and slope must be positive")
     u = (x - energy / slope) * (2.0 * mass * slope / hbar ** 2) ** (1.0 / 3.0)
-    arg = 3.0 ** (1.0 / 3.0) * u
-    tot = 0.0
-    small = 0
-    ak = 1.0
-    for k in range(_SERIES_CAP):
-        t = math.exp(math.lgamma((k + 1) / 3.0) - math.lgamma(k + 1)) \
-            * math.sin(2.0 * (k + 1) * math.pi / 3.0) * ak
-        tot += t
-        ak *= arg
-        if abs(t) <= 1e-17 * max(abs(tot), 1e-300):
-            small += 1
-            if small >= 3:
-                return complex(lam) / math.pi * tot
-        else:
-            small = 0
-    raise NonConvergence("classical series passed %d terms at u = %g"
-                         % (_SERIES_CAP, u))
+    # the alpha = 2, theta = 0 series: c = 2/3, argument 3^(1/3) u
+    tot, _, _ = _ascending_series(2.0, 0.0, 3.0 ** (1.0 / 3.0) * u)
+    return complex(lam) / math.pi * tot
 
 
 def linear_quadrature(cfg: LinearConfig, x: float,

@@ -183,7 +183,11 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     ang = cmath.phase(z)
     poles = []
     if abs(ang) < beta * math.pi:
-        poles.append(abs(z) ** (1.0 / beta) * cmath.exp(1j * ang / beta))
+        try:
+            radius = abs(z) ** (1.0 / beta)
+        except OverflowError:
+            raise NonConvergence("Laplace pole of E_beta(z) overflows double range")
+        poles.append(radius * cmath.exp(1j * ang / beta))
     phis = [0.0] + [(s.real + abs(s)) / 2.0 for s in poles]
     sings = [0j] + poles
     keep = [0] + [i for i in range(1, len(phis)) if phis[i] > 1e-15]
@@ -224,7 +228,11 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     residues = 0.0 + 0.0j
     ressum = 0.0
     for s0 in sings[j_sel + 1:]:
-        r = cmath.exp(t * s0) / beta
+        try:
+            r = cmath.exp(t * s0) / beta
+        except OverflowError:
+            raise NonConvergence(
+                "residue exp(%.4g) of E_beta(z) overflows double range" % s0.real)
         residues += r
         ressum += abs(r)
     val = integral + residues

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import PoleOfGamma, ZeroBase
+from .errors import PoleOfGamma
 
 # Lanczos g = 607/128 with the matching 14-term coefficient set; relative
 # error of the rational part is below 1e-15 for Re z >= 0.5.
@@ -189,17 +189,6 @@ def signum(p: float) -> int:
     if p < 0.0:
         return -1
     return 0
-
-
-def principal_power(z, w) -> complex:
-    """z**w on the principal branch, arg z in (-pi, pi]."""
-    z = complex(z)
-    w = complex(w)
-    if z == 0.0:
-        if w.real > 0.0 and w.imag == 0.0:
-            return 0.0 + 0.0j
-        raise ZeroBase("0 cannot be raised to a power with Re <= 0")
-    return cmath.exp(w * cmath.log(z))
 
 
 # B_{2k}/(2k) for the digamma asymptotic tail

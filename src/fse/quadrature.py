@@ -29,6 +29,8 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValidationError("grid endpoints must be finite")
         if not (self.start < self.stop):
             raise ValidationError("grid start must be below stop")
         if self.count < 2:

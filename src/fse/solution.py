@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .delta import delta_closed_form, delta_quadrature
+from .delta import _delta_value
 from .errors import ConfigMismatch, ValidationError
 from .linear import linear_closed_form
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
@@ -18,10 +18,7 @@ def full_solution(time_cfg: TimeConfig, space_cfg, x: float, t: float,
         raise ConfigMismatch("energy differs between time and space configs")
     f = time_factor(time_cfg, t, rel_tol)
     if isinstance(space_cfg, DeltaConfig):
-        if x == 0.0:
-            phi = delta_quadrature(space_cfg, x, abs_tol=rel_tol)
-        else:
-            phi = delta_closed_form(space_cfg, x, rel_tol)
+        phi = _delta_value(space_cfg, x, rel_tol)
     elif isinstance(space_cfg, LinearConfig):
         phi = linear_closed_form(space_cfg, x, rel_tol)
     else:

@@ -69,8 +69,12 @@ def test_output_is_deterministic():
     assert a.stdout == b.stdout
 
 
-def test_invalid_skew_exits_2():
-    r = run_cli("delta", "--alpha", "1.9", "--theta", "0.5",
+@pytest.mark.parametrize("command", [("delta",), ("linear",),
+                                     ("full", "--potential", "delta", "--t", "1")],
+                         ids=["delta", "linear", "full"])
+def test_invalid_skew_exits_2(command):
+    # no --c-alpha either: the skew is reported, not the missing coefficient
+    r = run_cli(*command, "--alpha", "1.9", "--theta", "0.5",
                 "--energy", "-1", "--grid", "-1:1:5")
     assert r.returncode == 2
     assert "|theta| <= min(alpha, 2 - alpha)" in r.stderr
@@ -113,6 +117,35 @@ def test_grid_format_errors_exit_2():
     assert r.returncode == 2
     r = run_cli("time", "--beta", "1", "--grid", "0:1:200001")
     assert r.returncode == 2
+    r = run_cli("ml", "--beta", "0.5", "--grid=-inf:1:3")
+    assert r.returncode == 2
+    assert "finite" in r.stderr
+    r = run_cli("foxh", "--m", "1", "--n", "0", "--lower", "0:1",
+                "--grid=0:inf:3")
+    assert r.returncode == 2
+    assert "finite" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("time", "--beta", "0.7", "--grid", "0:2:3", "--method", "contour"),
+    ("full", "--potential", "delta", "--t", "1.2", "--alpha", "1.5",
+     "--c-alpha", "1", "--grid", "0.5:1:2", "--method", "quadrature"),
+], ids=["time", "full"])
+def test_unsupported_method_exits_2(command):
+    r = run_cli(*command)
+    assert r.returncode == 2
+    assert "--method auto" in r.stderr
+    # the one route they have is their default
+    auto = run_cli(*command[:-1], "auto")
+    default = run_cli(*command[:-2])
+    assert auto.returncode == default.returncode == 0, auto.stderr
+    assert auto.stdout == default.stdout
+
+
+def test_mittag_leffler_overflow_exits_3():
+    r = run_cli("ml", "--beta", "0.5", "--grid", "20:30:3")
+    assert r.returncode == 3
+    assert "NonConvergence" in r.stderr
 
 
 def test_full_matches_manual_product():

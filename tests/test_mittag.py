@@ -101,6 +101,16 @@ def test_deep_negative_beta_one_refusal():
         ml_eval(1.0, -50.0)
 
 
+def test_overflow_refuses():
+    # E_1/2(z) = e^(z^2) erfc(-z): e^676 still fits a double, e^729 does not
+    got = ml_eval(0.5, 26.0)
+    assert abs(got.value - 2.0 * math.exp(676.0)) <= 1e-9 * abs(got.value)
+    # the residue exp(z^2) overflows at 27, the pole z^2 itself at 1e160
+    for z in (27.0, 1e160):
+        with pytest.raises(NonConvergence):
+            ml_eval(0.5, z)
+
+
 def test_parameter_validation():
     for beta in (0.0, -0.5, 1.2):
         with pytest.raises(ValidationError):

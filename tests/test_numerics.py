@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fse.errors import PoleOfGamma, ZeroBase
+from fse.errors import PoleOfGamma
 from fse.numerics import (digamma, log_gamma, log_reflection, panel_nodes,
-                          pi_cot_pi, principal_power, signum)
+                          pi_cot_pi, signum)
 
 
 def test_log_gamma_at_one_and_half():
@@ -233,28 +233,6 @@ def test_digamma_recurrence_complex():
             continue
         assert abs(digamma(z + 1.0) - digamma(z) - 1.0 / z) < 1e-11 * max(
             1.0, abs(digamma(z)))
-
-
-def test_principal_power_examples():
-    assert principal_power(1.0, 3.7 - 2j) == 1.0
-    assert abs(principal_power(-1.0, 0.5) - 1j) < 1e-15
-    ref = cmath.exp(1.5 * (math.log(2.0) + 1j * math.pi / 2.0))
-    assert abs(principal_power(2j, 1.5) - ref) < 1e-15 * abs(ref)
-    assert principal_power(0.0, 2.0) == 0.0
-    with pytest.raises(ZeroBase):
-        principal_power(0.0, -1.0)
-    with pytest.raises(ZeroBase):
-        principal_power(0.0, 1j)
-
-
-def test_principal_power_identities():
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(z) < 0.1:
-            continue
-        assert abs(principal_power(z, 1.0) - z) < 1e-14 * abs(z)
-        assert principal_power(z, 0.0) == 1.0
 
 
 def test_signum():
