@@ -257,14 +257,23 @@ def _emit_json(command, meta, tol, method, rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_number(tok: str) -> bool:
+    try:
+        complex(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _mend_argv(argv):
-    # argparse reads "--grid -3:3:121" as a dangling option; fuse the pair
+    # argparse reads "--grid -3:3:121" or "--energy -1e-3" as a dangling
+    # option; fuse such a pair into "--opt=value"
     out = []
-    it = iter(argv)
-    for tok in it:
-        if tok == "--grid":
-            val = next(it, None)
-            out.append(tok if val is None else "--grid=" + val)
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and (
+                prev == "--grid" or tok.startswith("-") and _is_number(tok)):
+            out[-1] = prev + "=" + tok
         else:
             out.append(tok)
     return out

@@ -23,6 +23,20 @@ delta well, theta(s) = Gamma(s) cos(pi s/2) / sin(pi (a1 + s/alpha)),
 costs one gamma function and two sines instead of five gamma functions.
 The pairing is read off the reduced parameters once per evaluation, on
 the contour and in the residue terms alike.
+
+Every gamma factor is a linear form u = c +- B s in s (_gamma_forms), the
+one representation the contour (on arrays of s) and the residue terms
+(at scalar s) share.  Each eval_series call first builds its z-free term
+recipe: the forms, the folded numerator and denominator entries of an
+ordinary residue term on each chain, and the other chains' (b, B) for
+the collision scan.  A term then costs arithmetic on its pole s and the
+kernel calls; the rare confluent and demoted terms fold their own skip
+sets from the same forms.  Nothing is kept between calls, so a call is a
+pure function of its arguments and needs no invalidation; reuse across
+calls on one parameter set is left to a plan built outside this module.
+The kernels log_gamma and digamma are looked up as module globals at
+call time, once per unpaired factor per term, so that rebinding them (to
+count or time them) sees every call.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,15 +226,10 @@ def _require_exists(params: FoxHParams, z: complex):
             % (abs(cmath.phase(z)), 0.5 * math.pi * sig))
 
 
-def _left_pole(params: FoxHParams, i: int, k: int) -> complex:
-    b, wt = params.lower[i]
-    return -(b + k) / wt
-
-
 _EXACT_COLLISION_TOL = 1e-11
 
 
-def _find_left_collision(params: FoxHParams, s: complex, chain: int):
+def _find_left_collision(recipe: _Recipe, s: complex, chain: int):
     """Locate an exact two-chain left pole collision at s; (index, order) or None.
 
     Exactly-coincident poles merge into one double pole whose confluent
@@ -228,13 +238,10 @@ def _find_left_collision(params: FoxHParams, s: complex, chain: int):
     contour, so both of those refuse instead.
     """
     hit = None
-    for i in range(params.m):
-        if i == chain:
-            continue
-        b, wt = params.lower[i]
+    for i, b, wt in recipe.others[chain]:
         k_near = round((-b - wt * s).real)
         if k_near >= 0:
-            d = abs(_left_pole(params, i, k_near) - s)
+            d = abs(-(b + k_near) / wt - s)
             if d < _EXACT_COLLISION_TOL * max(1.0, abs(s)):
                 if hit is not None:
                     raise DegeneratePoles(
@@ -244,8 +251,7 @@ def _find_left_collision(params: FoxHParams, s: complex, chain: int):
                 raise DegeneratePoles(
                     "left pole chains %d and %d nearly collide at s = %s"
                     % (chain, i, s))
-    for j in range(params.n):
-        a, wt = params.upper[j]
+    for j, (a, wt) in enumerate(recipe.right):
         k_near = round((wt * s - 1.0 + a).real)
         if k_near >= 0 and abs((1.0 - a + k_near) / wt - s) < SEPARATION_TOL:
             raise DegeneratePoles(
@@ -253,14 +259,21 @@ def _find_left_collision(params: FoxHParams, s: complex, chain: int):
     return hit
 
 
-def _denominator_zero_orders(factors, s: complex):
+def _form_at(form, s):
+    """The argument u of a _gamma_forms entry at s (a scalar or an array)."""
+    _, c, wt, du = form[:4]
+    return c + wt * s if du > 0.0 else c - wt * s
+
+
+def _denominator_zero_orders(forms, s: complex):
     """Order (0 or 1) of the reciprocal-gamma zero each denominator entry of
-    _gamma_factors contributes at s, refusing near-misses that are not exact."""
+    _gamma_forms contributes at s, refusing near-misses that are not exact."""
     orders = []
     tol_exact = _EXACT_COLLISION_TOL * max(1.0, abs(s))
-    for sign, arg, du, _ in factors:
-        if sign > 0:
+    for form in forms:
+        if form[0] > 0:
             continue
+        arg, du = _form_at(form, s), form[3]
         k_near = round(-arg.real)
         d = abs(arg + k_near) / abs(du) if k_near >= 0 else float("inf")
         orders.append((k_near, d, abs(du)) if d < tol_exact else None)
@@ -270,19 +283,20 @@ def _denominator_zero_orders(factors, s: complex):
     return orders
 
 
-def _gamma_factors(params: FoxHParams, s):
-    """The gamma factors of theta at s as (sign, argument, d argument / ds,
-    |constant part of the argument|), sign +1 in the numerator and -1 in
-    the denominator, ordered lower[:m], upper[:n], lower[m:], upper[n:]."""
+def _gamma_forms(params: FoxHParams):
+    """The gamma factors of theta as linear forms in s, (sign, c, B, du/ds,
+    |c|): the argument is u = c + B s when du/ds = B and u = c - B s when
+    du/ds = -B, sign is +1 in the numerator and -1 in the denominator, and
+    the order is lower[:m], upper[:n], lower[m:], upper[n:]."""
     m, n = params.m, params.n
-    return ([(1, b + wt * s, wt, abs(b)) for b, wt in params.lower[:m]]
-            + [(1, 1.0 - a - wt * s, -wt, abs(1.0 - a)) for a, wt in params.upper[:n]]
-            + [(-1, 1.0 - b - wt * s, -wt, abs(1.0 - b)) for b, wt in params.lower[m:]]
-            + [(-1, a + wt * s, wt, abs(a)) for a, wt in params.upper[n:]])
+    return ([(1, b, wt, wt, abs(b)) for b, wt in params.lower[:m]]
+            + [(1, 1.0 - a, wt, -wt, abs(1.0 - a)) for a, wt in params.upper[:n]]
+            + [(-1, 1.0 - b, wt, -wt, abs(1.0 - b)) for b, wt in params.lower[m:]]
+            + [(-1, a, wt, wt, abs(a)) for a, wt in params.upper[n:]])
 
 
 def _reflection_pairs(params: FoxHParams):
-    """Positions, in _gamma_factors order, of the factor pairs that multiply
+    """Positions, in _gamma_forms order, of the factor pairs that multiply
     to Gamma(u) Gamma(1 - u): a lower[:m] entry equal to an upper[:n] entry
     (numerator), a lower[m:] entry equal to an upper[n:] entry
     (denominator), matched by exact equality as in reduce_params.  Each
@@ -303,8 +317,8 @@ def _reflection_pairs(params: FoxHParams):
     return tuple(pairs)
 
 
-def _fold_pairs(factors, pairs, skip=()):
-    """The factors as (sign, u, du/ds, |constant|, paired) entries, each
+def _fold_pairs(forms, pairs, skip=()):
+    """The forms as (sign, c, B, du/ds, |c|, paired) entries, each
     reflection pair with neither member in skip folded into the entry of
     its growing member.  A member whose mate is skipped (a residue chain's
     own gamma, a confluent partner, a demoted denominator zero) stays a
@@ -313,9 +327,45 @@ def _fold_pairs(factors, pairs, skip=()):
     out = []
     for grow, mate in pairs:
         if grow not in gone and mate not in gone:
-            out.append(factors[grow] + (True,))
+            out.append(forms[grow] + (True,))
             gone.update((grow, mate))
-    return out + [f + (False,) for pos, f in enumerate(factors) if pos not in gone]
+    return out + [f + (False,) for pos, f in enumerate(forms) if pos not in gone]
+
+
+def _split_fold(forms, pairs, skip):
+    """_fold_pairs split into its numerator and its denominator entries."""
+    entries = _fold_pairs(forms, pairs, skip)
+    return (tuple(e for e in entries if e[0] > 0),
+            tuple(e for e in entries if e[0] < 0))
+
+
+class _Recipe(NamedTuple):
+    """The z-free part of every residue term of one eval_series call.
+
+    forms are the gamma factors of theta (_gamma_forms); folded[chain] is
+    the _split_fold of an ordinary residue term on that chain, whose own
+    gamma is the one skipped; others[chain] lists the other chains as
+    (index, b, B) and right the upper[:n] entries, for the collision scan.
+    A confluent or demoted term folds its own skip set from forms.
+    """
+
+    params: FoxHParams
+    pairs: tuple
+    forms: list
+    folded: tuple
+    others: tuple
+    right: tuple
+
+
+def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
+    forms = _gamma_forms(params)
+    chains = range(params.m)
+    return _Recipe(
+        params, pairs, forms,
+        tuple(_split_fold(forms, pairs, (c,)) for c in chains),
+        tuple(tuple((i, b, wt) for i, (b, wt) in enumerate(params.lower[:params.m])
+                    if i != c) for c in chains),
+        params.upper[:params.n])
 
 
 def _log_gamma_part(entries, s: complex):
@@ -323,8 +373,8 @@ def _log_gamma_part(entries, s: complex):
     entry counting log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u),
     with the derivative of that sum in s, the sum of the derivative
     magnitudes, and the error of the sum caused by rounding each argument
-    u: (|constant| + |du/ds| |s|) |d/du| eps, with d/du = psi(u) for a
-    gamma and -pi cot(pi u) for a pair.
+    u: (|c| + |du/ds| |s|) |d/du| eps, with d/du = psi(u) for a gamma and
+    -pi cot(pi u) for a pair.
 
     The last term is what an eps-level log error misses beside a pole,
     where the log derivative is large and a rounded argument moves the
@@ -334,7 +384,10 @@ def _log_gamma_part(entries, s: complex):
     dsum = 0.0 + 0.0j
     dmag = 0.0
     sens = 0.0
-    for sign, u, du, c, paired in entries:
+    abs_s = abs(s)
+    for entry in entries:
+        sign, _, _, du, abs_c, paired = entry
+        u = _form_at(entry, s)
         if paired:
             log_acc += sign * log_reflection(u)
             slope = -pi_cot_pi(u)
@@ -343,30 +396,17 @@ def _log_gamma_part(entries, s: complex):
             slope = digamma(u)
         dsum += sign * du * slope
         dmag += abs(du * slope)
-        sens += (c + abs(du) * abs(s)) * abs(slope)
+        sens += (abs_c + abs(du) * abs_s) * abs(slope)
     return log_acc, dsum, dmag, sens * MACH_EPS
 
 
-def _check_term_range(log_acc: complex):
-    if log_acc.real > 700.0:
-        raise NonConvergence(
-            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
-
-
-def _log_error(log_acc: complex, sens: float) -> float:
-    """Relative error of exp(log_acc): an O(L) exponent turns eps-level log
-    errors into L*eps, plus the argument-rounding sensitivity."""
-    return (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS + sens
-
-
-def _factor_logs(factors, pairs, s: complex, skip):
+def _factor_logs(split, s: complex):
     """_log_gamma_part of the numerator entries, then of the denominator
-    entries, of the folded factors that skip leaves; the denominator part
-    is None when one of its gammas sits on a pole, its reciprocal zero."""
-    entries = _fold_pairs(factors, pairs, skip)
-    num = _log_gamma_part([e for e in entries if e[0] > 0], s)
+    entries, of a _split_fold; the denominator part is None when one of
+    its gammas sits on a pole, its reciprocal zero."""
+    num = _log_gamma_part(split[0], s)
     try:
-        return num, _log_gamma_part([e for e in entries if e[0] < 0], s)
+        return num, _log_gamma_part(split[1], s)
     except PoleOfGamma:
         return num, None
 
@@ -376,16 +416,21 @@ def _signed_term(log_acc: complex, sens: float, weight: float, parity: int,
     """exp(log_acc) / weight, times the confluent bracket if there is one,
     negated for odd parity, with its error: the log error of the exponent
     (which, not the partial-sum roundoff, dominates when the series
-    cancels) and, for a bracket, dmag eps times the magnitude before it."""
-    _check_term_range(log_acc)
+    cancels) and, for a bracket, dmag eps times the magnitude before it.
+    An O(L) exponent turns eps-level log errors into a relative L eps, to
+    which the argument-rounding sensitivity sens adds."""
+    if log_acc.real > 700.0:
+        raise NonConvergence(
+            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
     val = cmath.exp(log_acc) / weight
     term = val if bracket is None else val * bracket
     if parity % 2 == 1:
         term = -term
-    return term, _log_error(log_acc, sens) * abs(term) + dmag * MACH_EPS * abs(val)
+    rel = (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS + sens
+    return term, rel * abs(term) + dmag * MACH_EPS * abs(val)
 
 
-def _demoted_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
+def _demoted_term(recipe: _Recipe, chain: int, k: int, other: int,
                   k2: int, logz: complex, zero_orders):
     """Simple residue at a double left pole demoted by one denominator zero.
 
@@ -394,6 +439,7 @@ def _demoted_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
     residue is an ordinary limit; the reciprocal-gamma slope enters as
     (-1)^(nu_d+1) nu_d! B_d for a lower factor, (-1)^nu_d nu_d! A_d upper.
     """
+    params = recipe.params
     b_i, B_i = params.lower[chain]
     B_o = params.lower[other][1]
     s = -(b_i + k) / B_i
@@ -403,7 +449,7 @@ def _demoted_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
     # one sum over all factors in fold order, and the slope joins the
     # factorials before the power of z: the term's last bits depend on it
     log_acc, _, _, sens = _log_gamma_part(
-        _fold_pairs(_gamma_factors(params, s), pairs, skip), s)
+        _fold_pairs(recipe.forms, recipe.pairs, skip), s)
     log_acc += math.lgamma(nu_d + 1.0) + math.log(wt_d) \
         - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0)
     log_acc += (b_i + k) / B_i * logz
@@ -411,7 +457,7 @@ def _demoted_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
     return _signed_term(log_acc, sens, B_i * B_o, k + k2 + nu_d + lower_side)
 
 
-def _confluent_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
+def _confluent_term(recipe: _Recipe, chain: int, k: int, other: int,
                     k2: int, logz: complex):
     """Derivative residue at a double left pole (two chains coinciding).
 
@@ -421,17 +467,17 @@ def _confluent_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
     that demotes the double pole: two such zeros kill the term outright, one
     leaves an ordinary residue with the reciprocal-gamma slope as a factor.
     """
+    params = recipe.params
     b_i, B_i = params.lower[chain]
     B_o = params.lower[other][1]
     s = -(b_i + k) / B_i
-    factors = _gamma_factors(params, s)
-    zero_orders = _denominator_zero_orders(factors, s)
+    zero_orders = _denominator_zero_orders(recipe.forms, s)
     n_zero = sum(1 for o in zero_orders if o is not None)
     if n_zero >= 2:
         return 0.0 + 0.0j, 0.0
     if n_zero == 1:
-        return _demoted_term(params, pairs, chain, k, other, k2, logz, zero_orders)
-    num, den = _factor_logs(factors, pairs, s, (chain, other))
+        return _demoted_term(recipe, chain, k, other, k2, logz, zero_orders)
+    num, den = _factor_logs(_split_fold(recipe.forms, recipe.pairs, (chain, other)), s)
     if den is None:
         # a denominator zero would demote the double pole; not worth the
         # extra case analysis for parameter sets nothing generates
@@ -445,7 +491,7 @@ def _confluent_term(params: FoxHParams, pairs, chain: int, k: int, other: int,
     return _signed_term(log_acc, num[3] + den[3], B_i * B_o, k + k2, bracket, dmag)
 
 
-def _residue_term(params: FoxHParams, pairs, chain: int, k: int, logz: complex):
+def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
     """Signed residue contribution of left pole k on the given chain.
 
     A denominator gamma landing on its own pole kills the term
@@ -454,32 +500,31 @@ def _residue_term(params: FoxHParams, pairs, chain: int, k: int, logz: complex):
     and the partner's later consumption contributes exactly 0; putting the
     merged term at the earlier sweep keeps it ahead of the stop rule.
     """
-    b_i, B_i = params.lower[chain]
+    b_i, B_i = recipe.params.lower[chain]
     s = -(b_i + k) / B_i
-    hit = _find_left_collision(params, s, chain)
+    hit = _find_left_collision(recipe, s, chain)
     if hit is not None:
         other, k2 = hit
         if k > k2 or (k == k2 and chain > other):
             return 0.0 + 0.0j, 0.0
-        return _confluent_term(params, pairs, chain, k, other, k2, logz)
-    num, den = _factor_logs(_gamma_factors(params, s), pairs, s, (chain,))
+        return _confluent_term(recipe, chain, k, other, k2, logz)
+    num, den = _factor_logs(recipe.folded[chain], s)
     if den is None:
         return 0.0 + 0.0j, 0.0
     log_acc = num[0] + den[0] + ((b_i + k) / B_i * logz - math.lgamma(k + 1.0))
     return _signed_term(log_acc, num[3] + den[3], B_i, k)
 
 
-def _near_pole_gain(params: FoxHParams, chain: int, k: int) -> float:
+def _near_pole_gain(recipe: _Recipe, chain: int, k: int) -> float:
     """How much the other chains' numerator gammas magnify the residue at
     left pole k of the chain: the product of 1/(2 delta) over them, delta
     the distance of the gamma argument from its nearest pole (at most 1/2,
     giving 1).  Exactly coincident poles merge into a confluent term and
     magnify nothing."""
-    s = _left_pole(params, chain, k)
+    b_c, wt_c = recipe.params.lower[chain]
+    s = -(b_c + k) / wt_c
     gain = 1.0
-    for j, (b, wt) in enumerate(params.lower[:params.m]):
-        if j == chain:
-            continue
+    for _, b, wt in recipe.others[chain]:
         u = b + wt * s
         k_near = round(-u.real)
         delta = abs(u + k_near)
@@ -488,7 +533,7 @@ def _near_pole_gain(params: FoxHParams, chain: int, k: int) -> float:
     return gain
 
 
-def _collision_reach(params: FoxHParams, k: int, hist, err: float) -> int:
+def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
     """Last sweep after k whose term could exceed err because its pole nearly
     meets another chain's pole, or k itself when there is none.
 
@@ -501,10 +546,11 @@ def _collision_reach(params: FoxHParams, k: int, hist, err: float) -> int:
     refused as DegeneratePoles once the sum reaches it.
     """
     reach = k
-    w_min = min(wt for _, wt in params.lower[:params.m])
-    gain_cap = (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (params.m - 1)
+    m = recipe.params.m
+    w_min = min(wt for _, wt in recipe.params.lower[:m])
+    gain_cap = (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (m - 1)
     for chain, h in hist.items():
-        base = [(kh, mag / _near_pole_gain(params, chain, kh)) for kh, mag in h]
+        base = [(kh, mag / _near_pole_gain(recipe, chain, kh)) for kh, mag in h]
         rho = 1.0 if len(base) < 2 else min(1.0, max(
             (b2 / b1) ** (1.0 / (k2 - k1))
             for (k1, b1), (k2, b2) in zip(base, base[1:])))
@@ -513,7 +559,7 @@ def _collision_reach(params: FoxHParams, k: int, hist, err: float) -> int:
             env = b_last * rho ** (kk - k_last)
             if env * gain_cap < err:
                 break
-            if env * _near_pole_gain(params, chain, kk) >= err:
+            if env * _near_pole_gain(recipe, chain, kk) >= err:
                 reach = kk
     return reach
 
@@ -554,7 +600,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     if params.m == 0:
         raise DomainError("no left pole chains after reduction; series route undefined")
     logz = cmath.log(z)
-    pairs = _reflection_pairs(params)
+    recipe = _series_recipe(params, _reflection_pairs(params))
 
     total = 0.0 + 0.0j
     peak = 0.0
@@ -575,7 +621,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         sweep = 0.0 + 0.0j
         sweep_mag = 0.0
         for chain in range(params.m):
-            term, errb = _residue_term(params, pairs, chain, k, logz)
+            term, errb = _residue_term(recipe, chain, k, logz)
             if term == 0.0:
                 zero_run[chain] += 1
             else:
@@ -601,7 +647,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
                     live = {c: hist[c] for c in range(params.m) if zero_run[c] < 8}
                     tail = max([sweep_mag] + [last_nz[c] for c in live])
                     err = tail + round_acc + MACH_EPS * peak
-                    reach = _collision_reach(params, k, live, err)
+                    reach = _collision_reach(recipe, k, live, err)
                     if reach == k:
                         converged = True
                         break
@@ -642,8 +688,9 @@ def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
     """log theta(s) modulo 2 pi i: one array log_reflection call per
     reflection pair and one array log_gamma call per remaining factor."""
     log_acc = np.zeros_like(s)
-    for sign, u, _, _, paired in _fold_pairs(_gamma_factors(params, s), pairs):
-        log_acc += sign * (log_reflection(u) if paired else log_gamma(u))
+    for entry in _fold_pairs(_gamma_forms(params), pairs):
+        u = _form_at(entry, s)
+        log_acc += entry[0] * (log_reflection(u) if entry[-1] else log_gamma(u))
     return log_acc
 
 

@@ -16,6 +16,15 @@ digamma has the same split between a real and a complex path.
 log_reflection gives log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u)
 directly, so a product of two gammas costs one sine; pi_cot_pi is its
 u-derivative up to sign.
+
+The residue series of a real-parameter H-function calls these four
+kernels at real arguments once or twice per gamma factor per term, so
+their real paths are written out in math inside the function itself:
+no conversion to complex, no inner call.  A float, a numpy float64 and a
+complex with imaginary part 0.0 take the same path and give the same
+bits.  Nothing is cached: a kernel is a pure function of one argument,
+and residue-term arguments seldom repeat, so a memo would cost lookups
+and memory for few hits.
 """
 
 from __future__ import annotations
@@ -71,18 +80,9 @@ def _log_sin_pi_scalar(z: complex) -> complex:
     return out + 1j * math.pi if n % 2 else out
 
 
-def _log_gamma_real(x: float) -> complex:
-    if x < 0.5 and abs(x - round(x)) < POLE_TOL:
-        raise PoleOfGamma("log_gamma at nonpositive integer")
-    # Gamma(x) < 0 on (-1, 0), (-3, -2), ...
-    if x < 0.0 and math.floor(x) % 2:
-        return complex(math.lgamma(x), math.pi)
-    return complex(math.lgamma(x), 0.0)
-
-
-def _log_gamma_scalar(z: complex) -> complex:
-    if z.imag == 0.0 and z.real < _LGAMMA_MAX:
-        return _log_gamma_real(z.real)
+def _log_gamma_complex(z: complex) -> complex:
+    # z off the real axis (or past math.lgamma's range): Lanczos on the
+    # right half-plane, reflection on the left
     if z.real >= 0.5:
         return _lanczos_scalar(z)
     if abs(z.imag) < POLE_TOL and abs(z.real - round(z.real)) < POLE_TOL:
@@ -130,11 +130,23 @@ def log_gamma(z):
     those as exact pole hits (residue bookkeeping) rather than round
     through them.
     """
-    if isinstance(z, (int, float, complex)):
-        return _log_gamma_scalar(complex(z))
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        return _log_gamma_scalar(complex(z))
+    if not isinstance(z, (int, float, complex)):
+        z = np.asarray(z, dtype=complex)
+        if z.ndim:
+            return _log_gamma_array(z)
+        z = complex(z)
+    x = z.real
+    if z.imag != 0.0 or not x < _LGAMMA_MAX:
+        return _log_gamma_complex(complex(z))
+    if x < 0.5 and abs(x - round(x)) < POLE_TOL:
+        raise PoleOfGamma("log_gamma at nonpositive integer")
+    # Gamma(x) < 0 on (-1, 0), (-3, -2), ...
+    if x < 0.0 and math.floor(x) % 2:
+        return complex(math.lgamma(x), math.pi)
+    return complex(math.lgamma(x), 0.0)
+
+
+def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     x, y = z.real, z.imag
     n = np.round(x)
     if np.any((n <= 0) & (np.abs(x - n) < POLE_TOL) & (np.abs(y) < POLE_TOL)):
@@ -156,31 +168,37 @@ def log_reflection(u):
     within POLE_TOL of any integer raise PoleOfGamma, since one of the two
     gammas has a pole there.
     """
-    if isinstance(u, (int, float, complex)) or np.ndim(u) == 0:
+    if not isinstance(u, (int, float, complex)):
+        if np.ndim(u):
+            u = np.asarray(u, dtype=complex)
+            x, y = u.real, u.imag
+            if np.any((np.abs(x - np.round(x)) < POLE_TOL) & (np.abs(y) < POLE_TOL)):
+                raise PoleOfGamma("reflection pair at an integer")
+            return _LOG_PI - _log_sin_pi(u)
         u = complex(u)
-        n = round(u.real)
-        w = u.real - n
-        if abs(w) < POLE_TOL and abs(u.imag) < POLE_TOL:
-            raise PoleOfGamma("reflection pair at integer u = %s" % (u,))
-        if u.imag == 0.0:
-            sin_w = math.sin(math.pi * w)
-            odd = (sin_w < 0.0) != (n % 2 == 1)
-            return complex(_LOG_PI - math.log(abs(sin_w)), math.pi if odd else 0.0)
-        return _LOG_PI - _log_sin_pi_scalar(u)
-    u = np.asarray(u, dtype=complex)
-    x, y = u.real, u.imag
-    if np.any((np.abs(x - np.round(x)) < POLE_TOL) & (np.abs(y) < POLE_TOL)):
-        raise PoleOfGamma("reflection pair at an integer")
-    return _LOG_PI - _log_sin_pi(u)
+    n = round(u.real)
+    w = u.real - n
+    if abs(w) < POLE_TOL and abs(u.imag) < POLE_TOL:
+        raise PoleOfGamma("reflection pair at integer u = %s" % (complex(u),))
+    if u.imag == 0.0:
+        sin_w = math.sin(math.pi * w)
+        odd = (sin_w < 0.0) != (n % 2 == 1)
+        return complex(_LOG_PI - math.log(abs(sin_w)), math.pi if odd else 0.0)
+    return _LOG_PI - _log_sin_pi_scalar(complex(u))
 
 
 def pi_cot_pi(z):
     """pi cot(pi z) for a scalar, taken after subtracting the nearest
-    integer exactly; a real z (imaginary part 0.0) gives a float by math."""
-    z = complex(z)
+    integer exactly; a real z (imaginary part 0.0) gives a float by math.
+    Within POLE_TOL of an integer it raises PoleOfGamma, as log_reflection
+    does, whose u-derivative it is up to sign."""
+    n = round(z.real)
+    w = z.real - n
+    if abs(w) < POLE_TOL and abs(z.imag) < POLE_TOL:
+        raise PoleOfGamma("pi cot(pi z) at integer z = %s" % (complex(z),))
     if z.imag == 0.0:
-        return math.pi / math.tan(math.pi * (z.real - round(z.real)))
-    return math.pi / cmath.tan(math.pi * (z - round(z.real)))
+        return math.pi / math.tan(math.pi * w)
+    return math.pi / cmath.tan(math.pi * (complex(z) - n))
 
 
 def signum(p: float) -> int:
@@ -202,15 +220,35 @@ def digamma(z):
     A real argument (a float, or a complex with imaginary part 0.0) is
     evaluated in math and returns a float; anything else in cmath.
     """
-    z = complex(z)
-    lib = cmath
-    if z.imag == 0.0:
-        z, lib = z.real, math
-    if z.real <= 0.5 and abs(z - round(z.real)) < POLE_TOL and round(z.real) <= 0:
+    if z.imag != 0.0:
+        return _digamma_complex(complex(z))
+    x = float(z.real)
+    n = round(x)
+    if x <= 0.5 and abs(x - n) < POLE_TOL and n <= 0:
+        raise PoleOfGamma("digamma pole at z = %s" % (x,))
+    acc = 0.0
+    # reflection psi(x) = psi(1 - x) - pi cot(pi x) keeps the upward
+    # recurrence short for far-left arguments
+    if x < 0.5:
+        acc -= math.pi / math.tan(math.pi * (x - n))
+        x = 1.0 - x
+    while x < 8.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
+    p = inv2
+    for c in _PSI_TAIL:
+        tail += c * p
+        p *= inv2
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def _digamma_complex(z: complex) -> complex:
+    n = round(z.real)
+    if z.real <= 0.5 and abs(z - n) < POLE_TOL and n <= 0:
         raise PoleOfGamma("digamma pole at z = %s" % (z,))
     acc = 0.0
-    # reflection psi(z) = psi(1 - z) - pi cot(pi z) keeps the upward
-    # recurrence short for far-left arguments
     if z.real < 0.5:
         acc -= pi_cot_pi(z)
         z = 1.0 - z
@@ -223,7 +261,7 @@ def digamma(z):
     for c in _PSI_TAIL:
         tail += c * p
         p *= inv2
-    return acc + lib.log(z) - 0.5 / z - tail
+    return acc + cmath.log(z) - 0.5 / z - tail
 
 
 _leg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}

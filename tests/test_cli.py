@@ -126,6 +126,17 @@ def test_grid_format_errors_exit_2():
     assert "finite" in r.stderr
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--energy", "-1e-3"), ("--theta", "-2.5e-1"), ("--k-norm", "-1-2j")])
+def test_negative_scientific_option_values(option, value):
+    base = ("delta", "--alpha", "1.5", "--c-alpha", "1", "--grid", "1:2:2")
+    spaced = run_cli(*base, option, value)
+    fused = run_cli(*base, option + "=" + value)
+    assert fused.returncode == 0, fused.stderr
+    assert spaced.returncode == 0, spaced.stderr
+    assert spaced.stdout == fused.stdout
+
+
 @pytest.mark.parametrize("command", [
     ("time", "--beta", "0.7", "--grid", "0:2:3", "--method", "contour"),
     ("full", "--potential", "delta", "--t", "1.2", "--alpha", "1.5",

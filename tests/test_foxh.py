@@ -7,9 +7,9 @@ import pytest
 from fse.delta import _even_part_params, _odd_part_params
 from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
                         NonConvergence, PoleOfGamma, ValidationError, ZeroBase)
-from fse.foxh import (FoxHParams, _gamma_factors, _log_theta, _reflection_pairs,
-                      _residue_term, eval_auto, eval_contour, eval_series, exists,
-                      from_meijer_g, invert_argument, lemma31_check,
+from fse.foxh import (FoxHParams, _gamma_forms, _log_theta, _reflection_pairs,
+                      _residue_term, _series_recipe, eval_auto, eval_contour,
+                      eval_series, exists, from_meijer_g, invert_argument, lemma31_check,
                       reduce_params, scale_argument_power, shift_by_power,
                       sigma)
 from fse.linear import _h_params
@@ -312,9 +312,9 @@ def _pairing_points(params):
     rng = np.random.default_rng(37)
     s = list(rng.uniform(-12, 6, 20) + 1j * rng.uniform(-40, 40, 20))
     s += list(rng.uniform(-12, 6, 10) + 1j * rng.uniform(-1, 1, 10))
-    at_zero = _gamma_factors(params, 0.0)
+    forms = _gamma_forms(params)
     for grow, _ in _reflection_pairs(params):
-        _, u0, du, _ = at_zero[grow]
+        _, u0, _, du, _ = forms[grow]
         for n in (-3, 2):
             for d in (1e-9, -1e-9):
                 s.append((n + d - u0) / du)
@@ -388,18 +388,19 @@ def test_denominator_pair_zeroes_residue_terms():
     params = reduce_params(_even_part_params(1.37))
     pairs = _reflection_pairs(params)
     assert any(g >= params.m + params.n for g, _ in pairs)
+    recipe = _series_recipe(params, pairs)
     logz = cmath.log(0.9)
     for k in range(12):
-        term, errb = _residue_term(params, pairs, 0, k, logz)
+        term, errb = _residue_term(recipe, 0, k, logz)
         if k % 2:
             assert term == 0.0 and errb == 0.0
         else:
             assert term != 0.0
 
 
-def _term_or_refusal(params, pairs, chain, k, logz):
+def _term_or_refusal(recipe, chain, k, logz):
     try:
-        return _residue_term(params, pairs, chain, k, logz)
+        return _residue_term(recipe, chain, k, logz)
     except EvaluationError as exc:
         return type(exc)
 
@@ -419,14 +420,46 @@ def test_paired_residue_terms_match_unpaired():
                            lower=((0.0, 1.0), (0.5, 0.5), (3.5, 0.5))))
     logz = cmath.log(1.3 * cmath.exp(-0.2j))
     for params in sets:
-        pairs = _reflection_pairs(params)
-        assert pairs
+        paired = _series_recipe(params, _reflection_pairs(params))
+        unpaired = _series_recipe(params, ())
+        assert paired.pairs
         for chain in range(params.m):
             for k in range(40):
-                got = _term_or_refusal(params, pairs, chain, k, logz)
-                ref = _term_or_refusal(params, (), chain, k, logz)
+                got = _term_or_refusal(paired, chain, k, logz)
+                ref = _term_or_refusal(unpaired, chain, k, logz)
                 if isinstance(ref, type):
                     assert got is ref, (chain, k)
                     continue
                 (t1, e1), (t2, e2) = got, ref
                 assert abs(t1 - t2) <= e1 + e2 + 1e-300, (chain, k)
+
+
+def test_series_calls_the_module_kernels_once_per_unpaired_factor(monkeypatch):
+    # the benchmark's tracer counts kernel calls by rebinding these module
+    # globals, so eval_series must look them up at call time, once per
+    # factor that no reflection pair absorbs, in every residue term
+    import fse.foxh as foxh
+    counts = {"log_gamma": 0, "digamma": 0}
+
+    def counting(name):
+        kernel = getattr(foxh, name)
+
+        def wrapped(u):
+            counts[name] += 1
+            return kernel(u)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(foxh, name, counting(name))
+    params = reduce_params(_even_part_params(1.37))
+    pairs = _reflection_pairs(params)
+    res = eval_series(params, 0.8, 1e-10)
+    sweeps, rem = divmod(res.work, params.m)
+    assert rem == 0 and sweeps > 10
+    # a chain's own gamma is skipped; a pair without it folds two factors
+    # into one log_reflection, a pair with it leaves the mate unpaired
+    unpaired = [params.p + params.q - 1 - 2 * sum(c not in pair for pair in pairs)
+                for c in range(params.m)]
+    assert unpaired == [0, 2]
+    assert counts == {"log_gamma": sweeps * sum(unpaired),
+                      "digamma": sweeps * sum(unpaired)}

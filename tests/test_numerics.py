@@ -218,6 +218,37 @@ def test_log_reflection_pole_refusal():
     assert math.isfinite(log_reflection(4.0 + 1e-9).real)
 
 
+_KERNELS = (log_gamma, digamma, log_reflection, pi_cot_pi)
+
+
+def _outcome(fn, x):
+    try:
+        out = fn(x)
+    except PoleOfGamma:
+        return "pole"
+    return type(out), repr(out)
+
+
+def test_real_kernel_paths_agree_across_input_types():
+    # a float, a numpy float64 and a complex with imaginary part 0.0 take
+    # the same real path: same type, same bits
+    xs = _real_axis_grid() + [0.5, 7.999999999, 8.0, -40.5, 1e20 + 0.5e4, 3.0]
+    for fn in _KERNELS:
+        for x in xs:
+            want = _outcome(fn, x)
+            assert _outcome(fn, np.float64(x)) == want, (fn.__name__, x)
+            assert _outcome(fn, complex(x, 0.0)) == want, (fn.__name__, x)
+
+
+def test_real_kernel_paths_refuse_poles():
+    for n in (0.0, -1.0, -40.0):
+        for x in (n, n + 1e-13, n - 1e-13):
+            for arg in (x, np.float64(x), complex(x, 0.0)):
+                for fn in _KERNELS:
+                    with pytest.raises(PoleOfGamma):
+                        fn(arg)
+
+
 def test_digamma_spot_values():
     # psi(1) = -euler_gamma, psi(1/2) = -euler_gamma - 2 ln 2
     eg = 0.5772156649015329
