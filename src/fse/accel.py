@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
+WYNN_TINY = 1e-290
 
-def wynn_epsilon(partials, tiny: float = 1e-290):
+
+def wynn_epsilon(partials):
     """Wynn's epsilon extrapolation of a sequence of partial sums.
 
     Returns (estimate, spread) where spread is the absolute difference of
@@ -34,7 +36,7 @@ def wynn_epsilon(partials, tiny: float = 1e-290):
             ad = abs(d)
             # a vanishing difference means the previous column already
             # converged; deepening past it only amplifies roundoff
-            if ad < tiny or not np.isfinite(ad):
+            if ad < WYNN_TINY or not np.isfinite(ad):
                 degenerate = True
                 break
             cur.append(prev2[j + 1] + 1.0 / d)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
-from .errors import DomainError, QuadratureFailure, ValidationError
+from .errors import DomainError, NonConvergence, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
 from .result import DeltaConfig, EvalResult
@@ -34,14 +35,22 @@ def _odd_part_params(alpha: float) -> FoxHParams:
                       lower=((0.5, 0.5), (a1, 1.0 / alpha), (0.0, 0.5)))
 
 
-def _scaled_coordinate(cfg: DeltaConfig, x: float) -> float:
-    return abs(x) * (cfg.hbar ** cfg.alpha * cfg.c_alpha / (-cfg.energy)) ** (
-        -1.0 / cfg.alpha)
+def _hbar_scales(cfg: DeltaConfig):
+    """(zeta per unit |x|, (2 pi hbar)^2), refused when an extreme hbar takes
+    them out of double range; the divisor must be a normal float."""
+    try:
+        zscale = (cfg.hbar ** cfg.alpha * cfg.c_alpha / -cfg.energy) ** (-1.0 / cfg.alpha)
+        h2 = (2.0 * math.pi * cfg.hbar) ** 2
+    except (OverflowError, ZeroDivisionError):
+        zscale = h2 = 0.0
+    if not (0.0 < zscale < math.inf and sys.float_info.min <= h2 < math.inf):
+        raise NonConvergence("hbar = %g puts the delta-well scales out of double range" % cfg.hbar)
+    return zscale, h2
 
 
-def _prefactors(cfg: DeltaConfig):
+def _prefactors(cfg: DeltaConfig, h2: float):
     scal = (cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha)
-    denom = (2.0 * math.pi * cfg.hbar) ** 2 * cfg.alpha * cfg.energy
+    denom = h2 * cfg.alpha * cfg.energy
     pref1 = -math.pi * cfg.gamma_strength * cfg.k_norm / denom * scal
     pref2 = -1j * cfg.gamma_strength * cfg.k_norm * math.sqrt(math.pi) \
         / (2.0 * denom) * scal
@@ -56,9 +65,10 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
     if not math.isfinite(x):
         raise ValidationError("x must be finite")
     ev = _ROUTES[method]
-    zeta = _scaled_coordinate(cfg, x)
+    zscale, h2 = _hbar_scales(cfg)
+    zeta = abs(x) * zscale
     ph = cmath.exp(-1j * cfg.theta * math.pi / (2.0 * cfg.alpha))
-    pref1, pref2 = _prefactors(cfg)
+    pref1, pref2 = _prefactors(cfg, h2)
     work = 0
     err = 0.0
     labels = []
@@ -99,7 +109,7 @@ def delta_riesz_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
     if x == 0.0:
         raise DomainError("closed form is undefined at x = 0; use the quadrature route")
     ev = _ROUTES[method]
-    zeta = _scaled_coordinate(cfg, x)
+    zeta = abs(x) * _hbar_scales(cfg)[0]
     scal = (cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha)
     xi0 = -cfg.gamma_strength * cfg.k_norm / (
         2.0 * math.pi * cfg.hbar ** 2 * cfg.energy * cfg.alpha) * scal
@@ -128,6 +138,7 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     """
     if not math.isfinite(x):
         raise ValidationError("x must be finite")
+    h2 = _hbar_scales(cfg)[1]
     th2 = cfg.theta * math.pi / 2.0
     ca = cfg.c_alpha
     en = cfg.energy
@@ -174,7 +185,7 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
         i2 = sgn * i2
         ierr = e1 + e2
         work = w1 + w2
-    pref = cfg.gamma_strength * cfg.k_norm / (2.0 * math.pi * cfg.hbar) ** 2
+    pref = cfg.gamma_strength * cfg.k_norm / h2
     value = pref * (i1 + 1j * i2)
     err = abs(pref) * ierr
     if err > max(abs_tol, 1e-6 * abs(value)):

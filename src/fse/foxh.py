@@ -31,9 +31,13 @@ recipe: the forms, the folded numerator and denominator entries of an
 ordinary residue term on each chain, and the other chains' (b, B) for
 the collision scan.  A term then costs arithmetic on its pole s and the
 kernel calls; the rare confluent and demoted terms fold their own skip
-sets from the same forms.  Nothing is kept between calls, so a call is a
-pure function of its arguments and needs no invalidation; reuse across
-calls on one parameter set is left to a plan built outside this module.
+sets from the same forms.  One pole scan, _nearest_pole, serves the
+collision checks, the near-pole gain of the lookahead and the
+denominator zeros beside a double pole; one matcher, _exact_matches,
+finds both the cancelling and the reflection pairs.  Nothing is kept
+between calls, so a call is a pure function of its arguments and needs
+no invalidation; reuse across calls on one parameter set is left to a
+plan built outside this module.
 The kernels log_gamma and digamma are looked up as module globals at
 call time, once per unpaired factor per term, so that rebinding them (to
 count or time them) sees every call.
@@ -65,6 +69,9 @@ MACH_EPS = float(np.finfo(float).eps)
 TERM_CAP = 2000
 BOUNDARY_SWEEPS = 48
 CONTOUR_ORDER = 40
+# the unit panels alias z^-s = exp(-i t log z) past this |log z|: e^-z and
+# z^0.3/(1 + z) refuse up to 112, and err 1e9 times their err_est from 116
+CONTOUR_LOG_Z_CAP = 112.0
 CONTOUR_T0 = 8.0
 CONTOUR_T_CAP = 400.0
 SEPARATION_TOL = 1e-9
@@ -140,13 +147,26 @@ def boundary_radius(params: FoxHParams) -> float:
 
 def exists(params: FoxHParams, z: complex) -> bool:
     """Strict sector test: sigma > 0, z != 0, |arg z| < pi*sigma/2."""
-    z = complex(z)
-    if z == 0:
+    try:
+        _require_exists(params, z)
+    except (ZeroBase, DomainError):
         return False
-    sig = sigma(params)
-    if sig <= 0.0:
-        return False
-    return abs(cmath.phase(z)) < 0.5 * math.pi * sig
+    return True
+
+
+def _exact_matches(xs, ys):
+    """Index pairs (i, j) with xs[i] == ys[j]: each xs[i] in turn takes
+    the first equal ys[j] not taken yet.  Equal entries are
+    interchangeable, so the matched values, and the order of the
+    unmatched ones, do not depend on which list comes first."""
+    free = list(range(len(ys)))
+    out = []
+    for i, x in enumerate(xs):
+        j = next((j for j in free if ys[j] == x), None)
+        if j is not None:
+            free.remove(j)
+            out.append((i, j))
+    return out
 
 
 def reduce_params(params: FoxHParams) -> FoxHParams:
@@ -158,35 +178,15 @@ def reduce_params(params: FoxHParams) -> FoxHParams:
     is what turns the classical-limit parameter sets into bare exponentials
     before any pole bookkeeping happens.
     """
-    low_m = list(params.lower[:params.m])
-    low_r = list(params.lower[params.m:])
-    up_n = list(params.upper[:params.n])
-    up_r = list(params.upper[params.n:])
-    changed = True
-    while changed:
-        changed = False
-        for i, bb in enumerate(low_m):
-            for j, aa in enumerate(up_r):
-                if bb == aa:
-                    del low_m[i]
-                    del up_r[j]
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        for j, aa in enumerate(up_n):
-            for i, bb in enumerate(low_r):
-                if aa == bb:
-                    del up_n[j]
-                    del low_r[i]
-                    changed = True
-                    break
-            if changed:
-                break
-    return FoxHParams(m=len(low_m), n=len(up_n),
-                      upper=tuple(up_n + up_r), lower=tuple(low_m + low_r))
+    m, n = params.m, params.n
+    num = _exact_matches(params.lower[:m], params.upper[n:])
+    den = _exact_matches(params.lower[m:], params.upper[:n])
+    gone_low = {i for i, _ in num} | {m + i for i, _ in den}
+    gone_up = {n + j for _, j in num} | {j for _, j in den}
+    return FoxHParams(
+        m=m - len(num), n=n - len(den),
+        upper=tuple(a for j, a in enumerate(params.upper) if j not in gone_up),
+        lower=tuple(b for i, b in enumerate(params.lower) if i not in gone_low))
 
 
 def scale_argument_power(params: FoxHParams, k: float) -> FoxHParams:
@@ -229,6 +229,14 @@ def _require_exists(params: FoxHParams, z: complex):
 _EXACT_COLLISION_TOL = 1e-11
 
 
+def _nearest_pole(c, du, s):
+    """(k, |u + k|) for the pole -k of Gamma(u), u = c + du s, nearest u;
+    k < 0 when Re u > 1/2.  Flat on scalars: it runs in every term."""
+    u = c + du * s
+    k = round(-u.real)
+    return k, abs(u + k)
+
+
 def _find_left_collision(recipe: _Recipe, s: complex, chain: int):
     """Locate an exact two-chain left pole collision at s; (index, order) or None.
 
@@ -239,21 +247,21 @@ def _find_left_collision(recipe: _Recipe, s: complex, chain: int):
     """
     hit = None
     for i, b, wt in recipe.others[chain]:
-        k_near = round((-b - wt * s).real)
-        if k_near >= 0:
-            d = abs(-(b + k_near) / wt - s)
-            if d < _EXACT_COLLISION_TOL * max(1.0, abs(s)):
-                if hit is not None:
-                    raise DegeneratePoles(
-                        "three left pole chains meet at s = %s" % (s,))
-                hit = (i, k_near)
-            elif d < SEPARATION_TOL:
+        k_near, dist = _nearest_pole(b, wt, s)
+        if k_near < 0:
+            continue
+        if dist < _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
+            if hit is not None:
                 raise DegeneratePoles(
-                    "left pole chains %d and %d nearly collide at s = %s"
-                    % (chain, i, s))
-    for j, (a, wt) in enumerate(recipe.right):
-        k_near = round((wt * s - 1.0 + a).real)
-        if k_near >= 0 and abs((1.0 - a + k_near) / wt - s) < SEPARATION_TOL:
+                    "three left pole chains meet at s = %s" % (s,))
+            hit = (i, k_near)
+        elif dist < SEPARATION_TOL * wt:
+            raise DegeneratePoles(
+                "left pole chains %d and %d nearly collide at s = %s"
+                % (chain, i, s))
+    for j, (c, du) in enumerate(recipe.right):
+        k_near, dist = _nearest_pole(c, du, s)
+        if k_near >= 0 and dist < SEPARATION_TOL * abs(du):
             raise DegeneratePoles(
                 "left chain %d collides with right chain %d near s = %s" % (chain, j, s))
     return hit
@@ -270,12 +278,11 @@ def _denominator_zero_orders(forms, s: complex):
     _gamma_forms contributes at s, refusing near-misses that are not exact."""
     orders = []
     tol_exact = _EXACT_COLLISION_TOL * max(1.0, abs(s))
-    for form in forms:
-        if form[0] > 0:
+    for sign, c, _, du, _ in forms:
+        if sign > 0:
             continue
-        arg, du = _form_at(form, s), form[3]
-        k_near = round(-arg.real)
-        d = abs(arg + k_near) / abs(du) if k_near >= 0 else float("inf")
+        k_near, dist = _nearest_pole(c, du, s)
+        d = dist / abs(du) if k_near >= 0 else float("inf")
         orders.append((k_near, d, abs(du)) if d < tol_exact else None)
         if d >= tol_exact and d < SEPARATION_TOL:
             raise DegeneratePoles(
@@ -299,22 +306,14 @@ def _reflection_pairs(params: FoxHParams):
     """Positions, in _gamma_forms order, of the factor pairs that multiply
     to Gamma(u) Gamma(1 - u): a lower[:m] entry equal to an upper[:n] entry
     (numerator), a lower[m:] entry equal to an upper[n:] entry
-    (denominator), matched by exact equality as in reduce_params.  Each
+    (denominator), matched by _exact_matches as in reduce_params.  Each
     pair is (grow, mate), grow being the member whose argument u rises
     with s."""
     m, n = params.m, params.n
-    top = m + n
-    blocks = ((params.lower[:m], 0, params.upper[:n], m, True),
-              (params.lower[m:], top, params.upper[n:], top + params.q - m, False))
-    pairs = []
-    for lows, low0, ups, up0, numerator in blocks:
-        free = list(range(len(ups)))
-        for i, bb in enumerate(lows):
-            j = next((j for j in free if ups[j] == bb), None)
-            if j is not None:
-                free.remove(j)
-                pairs.append((low0 + i, up0 + j) if numerator else (up0 + j, low0 + i))
-    return tuple(pairs)
+    num = _exact_matches(params.lower[:m], params.upper[:n])
+    den = _exact_matches(params.lower[m:], params.upper[n:])
+    return tuple([(i, m + j) for i, j in num]
+                 + [(n + params.q + j, m + n + i) for i, j in den])
 
 
 def _fold_pairs(forms, pairs, skip=()):
@@ -345,7 +344,7 @@ class _Recipe(NamedTuple):
     forms are the gamma factors of theta (_gamma_forms); folded[chain] is
     the _split_fold of an ordinary residue term on that chain, whose own
     gamma is the one skipped; others[chain] lists the other chains as
-    (index, b, B) and right the upper[:n] entries, for the collision scan.
+    (index, b, B) and right the upper[:n] forms as (c, du/ds), for the scan.
     A confluent or demoted term folds its own skip set from forms.
     """
 
@@ -365,7 +364,7 @@ def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
         tuple(_split_fold(forms, pairs, (c,)) for c in chains),
         tuple(tuple((i, b, wt) for i, (b, wt) in enumerate(params.lower[:params.m])
                     if i != c) for c in chains),
-        params.upper[:params.n])
+        tuple((f[1], f[3]) for f in forms[params.m:params.m + params.n]))
 
 
 def _log_gamma_part(entries, s: complex):
@@ -525,9 +524,7 @@ def _near_pole_gain(recipe: _Recipe, chain: int, k: int) -> float:
     s = -(b_c + k) / wt_c
     gain = 1.0
     for _, b, wt in recipe.others[chain]:
-        u = b + wt * s
-        k_near = round(-u.real)
-        delta = abs(u + k_near)
+        k_near, delta = _nearest_pole(b, wt, s)
         if k_near >= 0 and delta >= _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
             gain *= 0.5 / delta
     return gain
@@ -586,7 +583,6 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     if mu < -1e-12:
         params = invert_argument(params)
         z = 1.0 / z
-        mu = -mu
     elif abs(mu) <= 1e-12:
         delta = boundary_radius(params)
         if abs(z) > delta:
@@ -668,11 +664,10 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
 
 
 def _contour_line(params: FoxHParams):
-    """Abscissa of a separating vertical contour plus a safe nudge distance."""
+    """Abscissa of a separating vertical contour plus a safe nudge distance
+    (the existence gate has refused m = n = 0, where sigma < 0)."""
     left = [(-b / wt).real for b, wt in params.lower[:params.m]]
     right = [((1.0 - a) / wt).real for a, wt in params.upper[:params.n]]
-    if not left and not right:
-        return 0.0, 1e-3
     if not left:
         return min(right) - 1.0, 1e-3
     if not right:
@@ -714,6 +709,9 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     params = reduce_params(params)
     _require_exists(params, z)
     logz = cmath.log(z)
+    if abs(logz) > CONTOUR_LOG_Z_CAP:
+        raise NonConvergence("|log z| = %.1f is past the contour's cap %g"
+                             % (abs(logz), CONTOUR_LOG_Z_CAP))
     gamma_line, nudge = _contour_line(params)
     leg_x, leg_w = leg_nodes(CONTOUR_ORDER)
     real = all(c.imag == 0.0 for c, _ in params.upper + params.lower)

@@ -4,10 +4,12 @@ Two schemes share the work.  A Taylor sum handles the ball where double
 precision keeps enough digits (the largest term grows like exp(|z|^(1/b)),
 so the ball is capped in that quantity, not just in |z|).  Everything else
 goes through an inverse-Laplace parabolic contour with optimally tuned
-(mu, h, N), including residue contributions for the pole of the Laplace
-image that can cross to the right of the contour.  The parameter tuning
-follows the optimal-parabolic-contour construction for Laplace inversion
-at t = 1.
+(mu, h, N), after the optimal-parabolic-contour construction for Laplace
+inversion at t = 1.  That construction handles any number of sorted
+singularities; the image of E_b with b <= 1 has two at most, the branch
+point at 0 and one pole on the principal sheet, so the contour has two
+candidate regions: left of the pole, which then adds its residue, and
+right of it.
 """
 
 from __future__ import annotations
@@ -83,84 +85,50 @@ def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     return total, err, k + 1
 
 
-def _param_bounded(phi_j, phi_j1, pj, qj, log_epsilon, t=1.0):
-    """Contour parameters for a region bounded by two singularity strengths.
-
-    Returns (mu, h, N) or None when the accuracy budget is inadmissible."""
-    fac = 1.01
+def _param_left(phi, log_epsilon):
+    """Contour parameters (mu, h, N) for the region left of the pole,
+    0 < mu < phi, bounded by the branch point at 0 and the pole's phi."""
     f_max = math.exp(log_epsilon - LOG_MACH_EPS)
-    sq_j = math.sqrt(phi_j)
-    threshold = 2.0 * math.sqrt((log_epsilon - LOG_MACH_EPS) / t)
-    sq_j1 = min(math.sqrt(phi_j1), threshold - sq_j)
-    f_bar = None
-    if pj < 1e-14 and qj < 1e-14:
-        sqb_j, sqb_j1 = sq_j, sq_j1
-    elif pj < 1e-14:
-        sqb_j = sq_j
-        f_min = fac * (sq_j / (sq_j1 - sq_j)) ** qj if sq_j > 0 else fac
-        if f_min >= f_max:
-            return None
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fq = f_bar ** (-1.0 / qj)
-        sqb_j1 = (2.0 * sq_j1 - fq * sq_j) / (2.0 + fq)
-    elif qj < 1e-14:
-        sqb_j1 = sq_j1
-        f_min = fac * (sq_j1 / (sq_j1 - sq_j)) ** pj
-        if f_min >= f_max:
-            return None
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp = f_bar ** (-1.0 / pj)
-        sqb_j = (2.0 * sq_j + fp * sq_j1) / (2.0 - fp)
-    else:
-        f_min = fac * (sq_j + sq_j1) / (sq_j1 - sq_j) ** max(pj, qj)
-        if f_min >= f_max:
-            return None
-        f_min = max(f_min, 1.5)
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp = f_bar ** (-1.0 / pj)
-        fq = f_bar ** (-1.0 / qj)
-        w = -phi_j1 * t / log_epsilon
-        den = 2.0 + w - (1.0 + w) * fp + fq
-        sqb_j = ((2.0 + w + fq) * sq_j + fp * sq_j1) / den
-        sqb_j1 = (-(1.0 + w) * fq * sq_j + (2.0 + w - (1.0 + w) * fp) * sq_j1) / den
-    if f_bar is not None:
-        log_epsilon = log_epsilon - math.log(f_bar)
-    w = -sqb_j1 ** 2 * t / log_epsilon
-    mu = (((1.0 + w) * sqb_j + sqb_j1) / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_epsilon * (sqb_j1 - sqb_j) / ((1.0 + w) * sqb_j + sqb_j1)
-    N = int(math.ceil(math.sqrt(1.0 - log_epsilon / t / mu) / h))
+    sq = min(math.sqrt(phi), 2.0 * math.sqrt(log_epsilon - LOG_MACH_EPS))
+    f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+    sqb = 2.0 * sq / (2.0 + f_bar ** -1.0)
+    log_epsilon = log_epsilon - math.log(f_bar)
+    w = -sqb ** 2 / log_epsilon
+    mu = (sqb / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_epsilon * sqb / sqb  # rounded as the general rule does
+    N = int(math.ceil(math.sqrt(1.0 - log_epsilon / mu) / h))
     return mu, h, N
 
 
-def _param_unbounded(phi_j, pj, log_epsilon, t=1.0):
-    """Contour parameters for the outermost, unbounded region."""
-    sq_j = math.sqrt(phi_j)
-    phibar = phi_j * 1.01 if phi_j > 0 else 0.01
+def _param_right(phi, log_epsilon):
+    """Contour parameters (mu, h, N) for the unbounded region right of the
+    pole's phi (of the branch point alone when phi = 0), or None when the
+    roundoff budget is blown."""
+    sq_j = math.sqrt(phi)
+    phibar = phi * 1.01 if phi > 0 else 0.01
     f_min, f_max, f_tar = 1.0, 10.0, 5.0
     while True:
-        phi_t = phibar * t
-        log_eps_phi = log_epsilon / phi_t
-        N = int(math.ceil(phi_t / math.pi * (1.0 - 1.5 * log_eps_phi + math.sqrt(1.0 - 2.0 * log_eps_phi))))
-        A = math.pi * N / phi_t
+        log_eps_phi = log_epsilon / phibar
+        N = int(math.ceil(phibar / math.pi * (1.0 - 1.5 * log_eps_phi + math.sqrt(1.0 - 2.0 * log_eps_phi))))
+        A = math.pi * N / phibar
         sq_mu = math.sqrt(phibar) * abs(4.0 - A) / abs(7.0 - math.sqrt(1.0 + 12.0 * A))
-        fbar = ((math.sqrt(phibar) - sq_j) / sq_mu) ** (-pj) if pj >= 1e-14 else 0.0
-        if pj < 1e-14 or (f_min < fbar < f_max):
+        if phi == 0 or f_min < ((math.sqrt(phibar) - sq_j) / sq_mu) ** -1.0 < f_max:
             break
-        phibar = (f_tar ** (-1.0 / pj) * sq_mu + sq_j) ** 2
+        phibar = (f_tar ** -1.0 * sq_mu + sq_j) ** 2
     mu = sq_mu ** 2
     h = (-3.0 * A - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * A)) / (4.0 - A) / N
-    threshold = (log_epsilon - LOG_MACH_EPS) / t
+    threshold = log_epsilon - LOG_MACH_EPS
     if mu > threshold:
         # the roundoff budget is blown; rebalance toward the epsilon floor
-        Q = f_tar ** (-1.0 / pj) * math.sqrt(mu) if abs(pj) >= 1e-14 else 0.0
+        Q = f_tar ** -1.0 * math.sqrt(mu) if phi > 0 else 0.0
         phibar = (Q + sq_j) ** 2
         if phibar >= threshold:
             return None
         w = math.sqrt(LOG_MACH_EPS / (LOG_MACH_EPS - log_epsilon))
-        u = math.sqrt(-phibar * t / LOG_MACH_EPS)
+        u = math.sqrt(-phibar / LOG_MACH_EPS)
         mu = threshold
         N = int(math.ceil(w * log_epsilon / (2.0 * math.pi * (u * w - 1.0))))
-        h = math.sqrt(LOG_MACH_EPS / (LOG_MACH_EPS - log_epsilon)) / N
+        h = w / N
     return mu, h, N
 
 
@@ -168,75 +136,65 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     """E_beta(z) by inverse Laplace transform on a tuned parabolic contour.
 
     The Laplace image s^(beta-1)/(s^beta - z) has a branch point at the
-    origin and, when |arg z| < beta*pi, one pole on the principal sheet.
-    Singularities are sorted by phi(s) = (Re s + |s|)/2; the region with
-    the cheapest admissible node count wins, and singularities right of
-    it contribute residues exp(s0)/beta.
+    origin and at most one pole on the principal sheet: the poles are
+    s^beta = z e^(2 pi i k), and |arg z + 2 pi k| < beta pi <= pi holds
+    for k = 0 only, when |arg z| < beta pi.  The parabola s = mu (1 + iu)^2
+    keeps the singularities with phi(s) = (Re s + |s|)/2 < mu on its left,
+    so it runs in one of two regions: left of the pole (0 < mu < phi of
+    the pole), where the pole's residue exp(s0)/beta is added, or right of
+    it (mu > phi, unbounded), the only region when there is no pole.  The
+    region with fewer nodes wins.
     Returns (value, err_est, nodes).
     """
     _validate(beta, rel_tol)
     z = complex(z)
     if z == 0:
         return 1.0 + 0.0j, 0.0, 0
-    t = 1.0
     log_epsilon = math.log(max(0.1 * rel_tol, 1e-15))
     ang = cmath.phase(z)
-    poles = []
+    pole, phi = None, 0.0
     if abs(ang) < beta * math.pi:
         try:
             radius = abs(z) ** (1.0 / beta)
         except OverflowError:
             raise NonConvergence("Laplace pole of E_beta(z) overflows double range")
-        poles.append(radius * cmath.exp(1j * ang / beta))
-    phis = [0.0] + [(s.real + abs(s)) / 2.0 for s in poles]
-    sings = [0j] + poles
-    keep = [0] + [i for i in range(1, len(phis)) if phis[i] > 1e-15]
-    phis = [phis[i] for i in keep]
-    sings = [sings[i] for i in keep]
-    p_str = [0.0] + [1.0] * (len(phis) - 1)
-    q_str = [1.0] * (len(phis) - 1) + [math.inf]
+        pole = radius * cmath.exp(1j * ang / beta)
+        phi = (pole.real + abs(pole)) / 2.0
+        if phi <= 1e-15:
+            # on the negative axis to rounding: left of every contour
+            pole, phi = None, 0.0
 
-    best = None
     for _ in range(8):
-        phis_ext = phis + [math.inf]
-        for j in range(len(phis)):
-            if phis_ext[j] >= (log_epsilon - LOG_MACH_EPS) / t or phis_ext[j] >= phis_ext[j + 1]:
-                continue
-            if j < len(phis) - 1:
-                got = _param_bounded(phis_ext[j], phis_ext[j + 1], p_str[j], q_str[j], log_epsilon)
-            else:
-                got = _param_unbounded(phis_ext[j], p_str[j], log_epsilon)
-            if got is None:
-                continue
-            if best is None or got[2] < best[2]:
-                best = (got[0], got[1], got[2], j)
+        best, left = None, False
+        if pole is not None:
+            best, left = _param_left(phi, log_epsilon), True
+        if phi < log_epsilon - LOG_MACH_EPS:
+            right = _param_right(phi, log_epsilon)
+            if right is not None and (best is None or right[2] < best[2]):
+                best, left = right, False
         if best is not None and best[2] <= CONTOUR_NODE_CAP:
             break
         log_epsilon += math.log(10.0)
-        best = None
-    if best is None:
+    else:
         raise NonConvergence("no admissible inversion contour for E_beta")
-    mu, h, N, j_sel = best
+    mu, h, N = best
 
     k = np.arange(-N, N + 1)
     u = h * k
     s = mu * (1j * u + 1.0) ** 2
     ds = 2j * mu * (1j * u + 1.0)
-    contrib = np.exp(s * t) * s ** (beta - 1.0) / (s ** beta - z) * ds
+    contrib = np.exp(s) * s ** (beta - 1.0) / (s ** beta - z) * ds
     integral = h * np.sum(contrib) / (2j * math.pi)
     asum = h * np.sum(np.abs(contrib)) / (2.0 * math.pi)
-    residues = 0.0 + 0.0j
-    ressum = 0.0
-    for s0 in sings[j_sel + 1:]:
+    residue = 0.0 + 0.0j
+    if left:
         try:
-            r = cmath.exp(t * s0) / beta
+            residue += cmath.exp(pole) / beta
         except OverflowError:
             raise NonConvergence(
-                "residue exp(%.4g) of E_beta(z) overflows double range" % s0.real)
-        residues += r
-        ressum += abs(r)
-    val = integral + residues
-    err = 3.0 * math.exp(log_epsilon) * max(abs(integral), abs(val)) + MACH_EPS * (asum + ressum)
+                "residue exp(%.4g) of E_beta(z) overflows double range" % pole.real)
+    val = integral + residue
+    err = 3.0 * math.exp(log_epsilon) * max(abs(integral), abs(val)) + MACH_EPS * (asum + abs(residue))
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise NonConvergence("contour value for E_beta overflowed double range")
     if z.imag == 0.0:

@@ -21,6 +21,9 @@ from .accel import euler_alternating
 from .errors import GridTooCoarse, QuadratureFailure, ValidationError
 from .numerics import panel_nodes
 
+OSC_HALF_PERIODS = 96   # half-period pieces osc_semi_inf sums at most
+RAY_PANELS = 1500       # adaptive panel cap of ray_segment
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -75,9 +78,8 @@ def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
     return total, toterr, count
 
 
-def osc_semi_inf(g, omega: float, kind: str, tol: float, a: float = 0.0,
-                 max_half: int = 96):
-    """Integral of g over [a, inf) where g oscillates like cos/sin(omega p).
+def osc_semi_inf(g, omega: float, kind: str, tol: float):
+    """Integral of g over [0, inf) where g oscillates like cos/sin(omega p).
 
     Splits at the oscillation zeros, then feeds the alternating half-period
     pieces to Euler acceleration; g itself must supply the oscillating
@@ -92,16 +94,11 @@ def osc_semi_inf(g, omega: float, kind: str, tol: float, a: float = 0.0,
     else:
         raise ValidationError("oscillation kind must be 'cos' or 'sin'")
     half = math.pi / omega
-    # zeros before a are irrelevant; find the first zero past the head
-    k0 = 0
-    while first + k0 * half <= a:
-        k0 += 1
-    z0 = first + k0 * half
-    head, head_err, _ = adaptive(g, a, z0, 0.1 * tol)
+    head, head_err, _ = adaptive(g, 0.0, first, 0.1 * tol)
     pieces = []
     perr = 0.0
-    for j in range(max_half):
-        lo = z0 + j * half
+    for j in range(OSC_HALF_PERIODS):
+        lo = first + j * half
         hi = lo + half
         v, e, _ = adaptive(g, lo, hi, 0.05 * tol / (j + 1.0) ** 2, max_panels=60)
         pieces.append(v)
@@ -111,7 +108,7 @@ def osc_semi_inf(g, omega: float, kind: str, tol: float, a: float = 0.0,
             if spread < 0.1 * tol:
                 return head + est, head_err + perr + spread, j + 1
     est, spread = euler_alternating(pieces)
-    return head + est, head_err + perr + spread, max_half
+    return head + est, head_err + perr + spread, OSC_HALF_PERIODS
 
 
 def tail_algebraic(g, cut: float, decay: float, tol: float):
@@ -141,8 +138,7 @@ def tail_algebraic(g, cut: float, decay: float, tol: float):
     return val, err, count
 
 
-def ray_segment(f, angle: float, radius: float, tol: float,
-                max_panels: int = 1500):
+def ray_segment(f, angle: float, radius: float, tol: float):
     """Integral of f along the ray t*e^(i*angle), t in [0, radius].
 
     The radial variable runs through t = v^4 so endpoint fractional powers
@@ -154,7 +150,7 @@ def ray_segment(f, angle: float, radius: float, tol: float,
         t = v ** 4
         return 4.0 * v ** 3 * f(t * rot)
 
-    val, err, count = adaptive(h, 0.0, radius ** 0.25, tol, max_panels)
+    val, err, count = adaptive(h, 0.0, radius ** 0.25, tol, RAY_PANELS)
     return rot * val, err, count
 
 

@@ -1,0 +1,58 @@
+"""Print one line per outcome of a fixed probe of the evaluators.
+
+Run from the repository root as `PYTHONPATH=src:. python tests/outcomes.py`.
+Each line is the repr of value, err_est, method and work, or the class and
+message of the exception raised.  Diffing the output of two commits shows
+whether a change kept the same numbers and the same refusals.  The probe:
+135 H parameter sets at 10 arguments through three routes, rounds 0-2 of
+every benchmark workload on seeds 1-3, and 245 E_beta arguments through
+ml_contour and ml_eval.
+"""
+
+import cmath
+import math
+
+import fse
+from fse.delta import _even_part_params, _odd_part_params
+from fse.linear import _h_params
+from perfbench.workloads import ROUNDS
+
+
+def show(tag, fn, *args, **kw):
+    try:
+        r = fn(*args, **kw)
+        r = (r.value, r.err_est, r.method, r.work) if hasattr(r, "value") else r
+        print(tag, *map(repr, r))
+    except Exception as exc:
+        print(tag, type(exc).__name__, exc)
+
+
+def h_sets():
+    for alpha in (1.05, 1.1, 1.2, 1.25, 1.3, 1.37, 1.4, 1.5, 1.6, 1.7,
+                  1.75, 1.8, 1.9, 1.95, 2.0):
+        even, odd, lim = _even_part_params(alpha), _odd_part_params(alpha), min(alpha, 2 - alpha)
+        yield from (even, odd, fse.shift_by_power(even, 0.25 + 0.4j),
+                    fse.scale_argument_power(odd, 0.5), fse.invert_argument(even),
+                    fse.FoxHParams(1, 1, ((0.0, 1.0),), ((0.0, 1.0), (0.0, alpha / 2))))
+        yield from (_h_params(fse.LinearConfig(alpha=alpha, theta=f * lim)) for f in (-0.7, 0.0, 0.6))
+
+
+H_ARGS = (0.05, 0.4, 0.9 + 0.3j, 1.7, 2.5 - 1.0j, 4.0, 7.5, 15.0, 60.0, 1e100)
+for i, params in enumerate(h_sets()):
+    for z in H_ARGS:
+        for route in (fse.eval_series, fse.eval_contour, fse.eval_auto):
+            show("H%d %r %s" % (i, z, route.__name__), route, params, z, 1e-9)
+
+for name, gen in ROUNDS.items():
+    for seed in (1, 2, 3):
+        for r in range(3):
+            for j, p in enumerate(gen(seed, r)):
+                show("%s s%d r%d #%d" % (name, seed, r, j),
+                     getattr(fse, p.route), p.cfg, p.coord, **p.tol_kwargs)
+
+for beta in (0.15, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
+    for radius in (0.5, 3.0, 9.0, 20.0, 80.0):
+        for turn in (0.0, 0.25, 0.5, 0.75, 1.0, -0.4, -0.9):
+            z = radius * cmath.exp(1j * math.pi * turn)
+            for route in (fse.ml_contour, fse.ml_eval):
+                show("E%r %r %s" % (beta, z, route.__name__), route, beta, z, 1e-9)

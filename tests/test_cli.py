@@ -222,3 +222,20 @@ def test_ml_subcommand_exponential_law():
     rows = parse_csv(r.stdout)
     assert abs(float(rows[0][1]) - math.exp(-2.0)) < 1e-10
     assert abs(float(rows[1][1]) - math.exp(-1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("hbar", ["1e-200", "1e200"])
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_extreme_hbar_on_the_delta_well_exits_3(hbar, method):
+    # (2 pi hbar)^2 underflows to 0 or overflows: a typed refusal, no traceback
+    r = run_cli("delta", "--alpha", "1.5", "--theta", "0.25", "--c-alpha", "1",
+                "--hbar", hbar, "--grid", "-0.5:1:3", "--method", method)
+    assert r.returncode == 3, r.stderr
+    assert "NonConvergence" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_contour_past_its_log_z_cap_exits_3():
+    r = run_cli("foxh", "--m", "1", "--n", "0", "--lower", "0:1",
+                "--grid", "1e300:1e301:2")
+    assert r.returncode == 3
+    assert "NonConvergence" in r.stderr

@@ -6,7 +6,7 @@ import pytest
 
 from fse.delta import (delta_classical, delta_closed_form, delta_quadrature,
                        delta_riesz_form)
-from fse.errors import DomainError, ValidationError
+from fse.errors import DomainError, NonConvergence, ValidationError
 from fse.result import DeltaConfig
 
 
@@ -144,3 +144,18 @@ def test_classical_profile():
     v = delta_classical(1.0, 1.0, -0.5, 2.0, 1.5)
     assert abs(v - 2.0 * math.exp(-1.5)) < 1e-14
     assert delta_classical(1.0, 1.0, -0.5, 2.0, -1.5) == v
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1e-162, 1e200])
+def test_extreme_hbar_refuses(hbar):
+    # hbar^alpha or (2 pi hbar)^2 leaves double range: refused, not a crash
+    for theta in (0.0, 0.25):
+        cfg = DeltaConfig(alpha=1.5, theta=theta, c_alpha=1.0, hbar=hbar)
+        for x in (0.5, -1.0):
+            with pytest.raises(NonConvergence):
+                delta_closed_form(cfg, x)
+        for x in (0.0, 0.5):
+            with pytest.raises(NonConvergence):
+                delta_quadrature(cfg, x)
+    with pytest.raises(NonConvergence):
+        delta_riesz_form(DeltaConfig(alpha=1.5, c_alpha=1.0, hbar=hbar), 0.5)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fse.delta import _even_part_params, _odd_part_params
 from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
@@ -463,3 +465,64 @@ def test_series_calls_the_module_kernels_once_per_unpaired_factor(monkeypatch):
     assert unpaired == [0, 2]
     assert counts == {"log_gamma": sweeps * sum(unpaired),
                       "digamma": sweeps * sum(unpaired)}
+
+
+@pytest.mark.parametrize("z", [math.exp(150.0), math.exp(-150.0), 1e100, 1e300])
+def test_contour_refuses_past_its_log_z_cap(z):
+    # past |log z| ~ 116 the unit panels alias z^-s, and e^-z and
+    # z^0.3 / (1 + z) came back 1e9 times off their err_est
+    ratio = FoxHParams(m=1, n=1, upper=((0.3, 1.0),), lower=((0.3, 1.0),))
+    for params in (EXP, ratio):
+        with pytest.raises(NonConvergence):
+            eval_contour(params, z)
+    if z > 1.0:
+        # nor can the series reach e^-z there, so auto refuses as well
+        with pytest.raises(NonConvergence):
+            eval_auto(EXP, z)
+
+
+_ENTRY = st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.5)),
+                   st.sampled_from((0.5, 1.0, 2.0)))
+# cancelling pads take values no other entry has
+_FRESH = st.tuples(st.sampled_from((0.1, 0.6, 0.85)), st.sampled_from((0.5, 1.0)))
+
+
+@st.composite
+def _original_and_padded(draw):
+    """A parameter set with reflection pairs in it, and the same set padded
+    with cancelling pairs, every pad at a random position."""
+    rnd = draw(st.randoms(use_true_random=False))
+    low_m, up_n, low_r, up_r = (draw(st.lists(_ENTRY, max_size=2)) for _ in range(4))
+    low_m.append(draw(_ENTRY))
+
+    def pad(pool, pairs, lists):
+        for _ in range(pairs):
+            entry = draw(pool)
+            for lst in lists:
+                lst.insert(rnd.randrange(len(lst) + 1), entry)
+
+    def params():
+        return FoxHParams(m=len(low_m), n=len(up_n),
+                          upper=tuple(up_n + up_r), lower=tuple(low_m + low_r))
+    pad(_ENTRY, draw(st.integers(0, 2)), (low_m, up_n))   # numerator reflection
+    pad(_ENTRY, draw(st.integers(0, 2)), (low_r, up_r))   # denominator reflection
+    original = params()
+    pad(_FRESH, draw(st.integers(0, 2)), (low_m, up_r))   # Gamma(b + B s) / itself
+    pad(_FRESH, draw(st.integers(0, 2)), (up_n, low_r))   # Gamma(1 - a - A s) / itself
+    return original, params()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_original_and_padded(),
+       st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 3.0)),
+                min_size=1, max_size=4))
+def test_matcher_strips_cancelling_pads_and_folds_reflection_pairs(sets, points):
+    original, padded = sets
+    reduced = reduce_params(padded)
+    assert reduced == reduce_params(original)
+    # off the real axis no gamma argument is near a pole
+    s = np.array([complex(x, y) for x, y in points])
+    folded = _log_theta(reduced, _reflection_pairs(reduced), s)
+    plain = _log_theta(padded, (), s)
+    for a, b in zip(folded, plain):
+        assert _distance_mod_2pi_i(complex(a), complex(b)) <= 1e-12 * (1.0 + abs(b))
