@@ -27,7 +27,7 @@ from .delta import (delta_classical, delta_closed_form, delta_quadrature,
                     delta_riesz_form)
 from .linear import (linear_classical_airy, linear_closed_form,
                      linear_mellin_factor, linear_momentum_spectrum,
-                     linear_quadrature, linear_series)
+                     linear_quadrature)
 from .quadrature import GridSpec, fourier_pair_check
 from .solution import full_solution
 
@@ -46,7 +46,7 @@ __all__ = [
     "delta_classical", "delta_closed_form", "delta_quadrature",
     "delta_riesz_form",
     "linear_classical_airy", "linear_closed_form", "linear_mellin_factor",
-    "linear_momentum_spectrum", "linear_quadrature", "linear_series",
+    "linear_momentum_spectrum", "linear_quadrature",
     "GridSpec", "fourier_pair_check",
     "full_solution",
     "__version__",

@@ -16,9 +16,9 @@ import sys
 
 from . import __version__
 from .delta import _delta_value
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, NonConvergence, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
-from .linear import linear_closed_form, linear_quadrature, linear_series
+from .linear import linear_closed_form, linear_quadrature
 from .mittag import ml_contour, ml_eval, ml_series
 from .quadrature import GridSpec
 from .result import (DeltaConfig, EvalResult, LinearConfig, TimeConfig,
@@ -29,6 +29,7 @@ from .verify import format_report, run_criteria
 
 _H_ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
 _ALL_METHODS = ("auto", "series", "contour", "quadrature")
+_COLUMNS = ("coord", "re", "im", "abs2", "err_est", "method")
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -184,14 +185,9 @@ def _cmd_delta(args, tol):
 
 def _cmd_linear(args, tol):
     cfg, meta = _space_config(args, "linear")
-
-    def point(x):
-        if args.method == "quadrature":
-            return linear_quadrature(cfg, x, abs_tol=tol)
-        if args.method == "series":
-            return linear_series(cfg, x)
-        return linear_closed_form(cfg, x, rel_tol=tol, method=args.method)
-    return point, meta
+    if args.method == "quadrature":
+        return lambda x: linear_quadrature(cfg, x, abs_tol=tol), meta
+    return lambda x: linear_closed_form(cfg, x, tol, args.method), meta
 
 
 def _cmd_foxh(args, tol):
@@ -236,23 +232,27 @@ _COMMANDS = {"time": (_cmd_time, ("auto",)),
              "full": (_cmd_full, ("auto",))}
 
 
+def _row(coord: float, r: EvalResult) -> tuple:
+    """One output row in _COLUMNS order; a value whose |value|^2
+    overflows is refused rather than written as inf."""
+    v = r.value
+    try:
+        abs2 = abs(v) ** 2
+    except OverflowError:
+        raise NonConvergence("|value|^2 overflows at coordinate %g" % coord)
+    return coord, v.real, v.imag, abs2, r.err_est, r.method
+
+
 def _emit_csv(rows) -> str:
-    lines = ["coord,re,im,abs2,err_est,method"]
-    for c, r in rows:
-        v = r.value
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s"
-                     % (c, v.real, v.imag, abs(v) ** 2, r.err_est, r.method))
-    return "\n".join(lines) + "\n"
+    lines = ["%.17g,%.17g,%.17g,%.17g,%.17g,%s" % row for row in rows]
+    return "\n".join([",".join(_COLUMNS)] + lines) + "\n"
 
 
 def _emit_json(command, meta, tol, method, rows) -> str:
     payload = {
         "meta": {"command": command, "version": __version__,
                  "tolerance": tol, "method": method, "config": meta},
-        "rows": [{"coord": c, "re": r.value.real, "im": r.value.imag,
-                  "abs2": abs(r.value) ** 2, "err_est": r.err_est,
-                  "method": r.method}
-                 for c, r in rows],
+        "rows": [dict(zip(_COLUMNS, row)) for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
             raise ValidationError("%s takes --method %s, not %s"
                                   % (args.command, "|".join(methods), args.method))
         point, meta = build(args, tol)
-        rows = [(c, point(c)) for c in map(float, nodes)]
+        rows = [_row(c, point(c)) for c in map(float, nodes)]
         if args.format == "json":
             text = _emit_json(args.command, meta, tol, args.method, rows)
         else:

@@ -24,8 +24,8 @@ costs one gamma function and two sines instead of five gamma functions.
 The pairing is read off the reduced parameters once per evaluation, on
 the contour and in the residue terms alike.
 
-Every gamma factor is a linear form u = c +- B s in s (_gamma_forms), the
-one representation the contour (on arrays of s) and the residue terms
+Every gamma factor is a linear form u = c + du s, du = +-B (_gamma_forms),
+evaluated as that one product and sum everywhere: the one representation the contour (on arrays of s) and the residue terms
 (at scalar s) share.  Each eval_series call first builds its z-free term
 recipe: the forms, the folded numerator and denominator entries of an
 ordinary residue term on each chain, and the other chains' (b, B) for
@@ -62,10 +62,10 @@ from .errors import (
     ValidationError,
     ZeroBase,
 )
-from .numerics import digamma, leg_nodes, log_gamma, log_reflection, pi_cot_pi
+from .numerics import (MACH_EPS, digamma, leg_nodes, log_gamma, log_reflection,
+                       pi_cot_pi)
 from .result import EvalResult
 
-MACH_EPS = float(np.finfo(float).eps)
 TERM_CAP = 2000
 BOUNDARY_SWEEPS = 48
 CONTOUR_ORDER = 40
@@ -267,18 +267,12 @@ def _find_left_collision(recipe: _Recipe, s: complex, chain: int):
     return hit
 
 
-def _form_at(form, s):
-    """The argument u of a _gamma_forms entry at s (a scalar or an array)."""
-    _, c, wt, du = form[:4]
-    return c + wt * s if du > 0.0 else c - wt * s
-
-
 def _denominator_zero_orders(forms, s: complex):
     """Order (0 or 1) of the reciprocal-gamma zero each denominator entry of
     _gamma_forms contributes at s, refusing near-misses that are not exact."""
     orders = []
     tol_exact = _EXACT_COLLISION_TOL * max(1.0, abs(s))
-    for sign, c, _, du, _ in forms:
+    for sign, c, du, _ in forms:
         if sign > 0:
             continue
         k_near, dist = _nearest_pole(c, du, s)
@@ -291,15 +285,15 @@ def _denominator_zero_orders(forms, s: complex):
 
 
 def _gamma_forms(params: FoxHParams):
-    """The gamma factors of theta as linear forms in s, (sign, c, B, du/ds,
-    |c|): the argument is u = c + B s when du/ds = B and u = c - B s when
-    du/ds = -B, sign is +1 in the numerator and -1 in the denominator, and
-    the order is lower[:m], upper[:n], lower[m:], upper[n:]."""
+    """The gamma factors of theta as linear forms in s, (sign, c, du/ds,
+    |c|): the argument is u = c + du/ds s with du/ds = +-B, sign is +1 in
+    the numerator and -1 in the denominator, and the order is lower[:m],
+    upper[:n], lower[m:], upper[n:]."""
     m, n = params.m, params.n
-    return ([(1, b, wt, wt, abs(b)) for b, wt in params.lower[:m]]
-            + [(1, 1.0 - a, wt, -wt, abs(1.0 - a)) for a, wt in params.upper[:n]]
-            + [(-1, 1.0 - b, wt, -wt, abs(1.0 - b)) for b, wt in params.lower[m:]]
-            + [(-1, a, wt, wt, abs(a)) for a, wt in params.upper[n:]])
+    return ([(1, b, wt, abs(b)) for b, wt in params.lower[:m]]
+            + [(1, 1.0 - a, -wt, abs(1.0 - a)) for a, wt in params.upper[:n]]
+            + [(-1, 1.0 - b, -wt, abs(1.0 - b)) for b, wt in params.lower[m:]]
+            + [(-1, a, wt, abs(a)) for a, wt in params.upper[n:]])
 
 
 def _reflection_pairs(params: FoxHParams):
@@ -317,7 +311,7 @@ def _reflection_pairs(params: FoxHParams):
 
 
 def _fold_pairs(forms, pairs, skip=()):
-    """The forms as (sign, c, B, du/ds, |c|, paired) entries, each
+    """The forms as (sign, c, du/ds, |c|, paired) entries, each
     reflection pair with neither member in skip folded into the entry of
     its growing member.  A member whose mate is skipped (a residue chain's
     own gamma, a confluent partner, a demoted denominator zero) stays a
@@ -364,7 +358,7 @@ def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
         tuple(_split_fold(forms, pairs, (c,)) for c in chains),
         tuple(tuple((i, b, wt) for i, (b, wt) in enumerate(params.lower[:params.m])
                     if i != c) for c in chains),
-        tuple((f[1], f[3]) for f in forms[params.m:params.m + params.n]))
+        tuple((f[1], f[2]) for f in forms[params.m:params.m + params.n]))
 
 
 def _log_gamma_part(entries, s: complex):
@@ -384,9 +378,8 @@ def _log_gamma_part(entries, s: complex):
     dmag = 0.0
     sens = 0.0
     abs_s = abs(s)
-    for entry in entries:
-        sign, _, _, du, abs_c, paired = entry
-        u = _form_at(entry, s)
+    for sign, c, du, abs_c, paired in entries:
+        u = c + du * s
         if paired:
             log_acc += sign * log_reflection(u)
             slope = -pi_cot_pi(u)
@@ -683,9 +676,9 @@ def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
     """log theta(s) modulo 2 pi i: one array log_reflection call per
     reflection pair and one array log_gamma call per remaining factor."""
     log_acc = np.zeros_like(s)
-    for entry in _fold_pairs(_gamma_forms(params), pairs):
-        u = _form_at(entry, s)
-        log_acc += entry[0] * (log_reflection(u) if entry[-1] else log_gamma(u))
+    for sign, c, du, _, paired in _fold_pairs(_gamma_forms(params), pairs):
+        u = c + du * s
+        log_acc += sign * (log_reflection(u) if paired else log_gamma(u))
     return log_acc
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import NonConvergence, PoleOfGamma, QuadratureFailure, ValidationError
+from .errors import PoleOfGamma, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
-from .numerics import log_gamma, signum
+from .numerics import log_gamma, power_sum, signum
 from .quadrature import ray_segment
 from .result import EvalResult, LinearConfig
 
 _ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
-_SERIES_CAP = 2000
+_RAMP_STOP = 1e-16
 
 
 def _h_params(cfg: LinearConfig) -> FoxHParams:
@@ -78,56 +78,40 @@ def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
 
 
 def _ascending_series(alpha: float, theta: float, y: float):
-    """Entire power series of the scaled wavefunction, sans prefactor."""
+    """Entire power series of the scaled wavefunction, sans prefactor, as
+    power_sum's (value, err_est, nterms).
+
+    Term k is Gamma((k+1)/(alpha+1)) sin(pi c (k+1)) y^k / k!.  The sine
+    makes the terms non-monotone, so the last-term tail is trusted only
+    past the fixed tight stop _RAMP_STOP, whatever the caller's rel_tol.
+    """
     ap1 = alpha + 1.0
     c = (2.0 + alpha - theta) / (2.0 * ap1)
-    tot = 0.0
-    abs_sum = 0.0
-    small = 0
-    yk = 1.0
-    for k in range(_SERIES_CAP):
-        t = math.exp(math.lgamma((k + 1) / ap1) - math.lgamma(k + 1)) \
-            * math.sin(math.pi * c * (k + 1)) * yk
-        tot += t
-        abs_sum += abs(t)
-        yk *= y
-        if abs(t) <= 1e-17 * max(abs(tot), 1e-300):
-            small += 1
-            if small >= 3:
-                err = 3.0 * abs(t) + 4.0 * 2.22e-16 * abs_sum
-                return tot, err, k + 1
-        else:
-            small = 0
-    raise NonConvergence("ascending series passed %d terms at y = %g"
-                         % (_SERIES_CAP, y))
 
+    def log_coef(k):
+        sine = math.sin(math.pi * c * (k + 1))
+        return complex(math.lgamma((k + 1) / ap1) - math.lgamma(k + 1.0)
+                       + math.log(abs(sine)), math.pi if sine < 0.0 else 0.0)
 
-def _series_result(cfg: LinearConfig, x: float, y: float, label: str) -> EvalResult:
-    """The wavefunction at x from the ascending series at its y."""
-    tot, err, terms = _ascending_series(cfg.alpha, cfg.theta, y)
-    pref = 2.0 * cfg.n_norm / (cfg.alpha + 1.0)
-    return EvalResult(value=complex(pref * tot), err_est=abs(pref) * err,
-                      method=_flag(label, x), work=terms)
+    tot, err, terms = power_sum(y, log_coef, _RAMP_STOP, "ascending series")
+    return tot.real, err, terms
 
 
 def linear_closed_form(cfg: LinearConfig, x: float, rel_tol: float = 1e-9,
                        method: str = "auto") -> EvalResult:
-    """Wavefunction via the H-function (y > 0) or its entire series (y <= 0)."""
+    """Wavefunction via the H-function (y > 0), by the route method names,
+    or its entire series (y <= 0), which runs to its own fixed stop."""
     y = scaled_coordinate(cfg, x)
-    pref = 2.0 * math.pi * cfg.n_norm / (cfg.alpha + 1.0)
     if y > 0.0:
+        pref = 2.0 * math.pi * cfg.n_norm / (cfg.alpha + 1.0)
         r = _ROUTES[method](_h_params(cfg), y, rel_tol)
         return EvalResult(value=pref * r.value, err_est=abs(pref) * r.err_est,
                           method=_flag("h[%s]" % r.method, x), work=r.work)
     # the H sector excludes y <= 0; the series is entire and continues it
-    return _series_result(cfg, x, y, "series-continuation")
-
-
-def linear_series(cfg: LinearConfig, x: float) -> EvalResult:
-    """Symmetric-case power series in y; requires theta = 0."""
-    if cfg.theta != 0.0:
-        raise ValidationError("the power series route needs theta = 0")
-    return _series_result(cfg, x, scaled_coordinate(cfg, x), "series")
+    tot, err, terms = _ascending_series(cfg.alpha, cfg.theta, y)
+    pref = 2.0 * cfg.n_norm / (cfg.alpha + 1.0)
+    return EvalResult(value=complex(pref * tot), err_est=abs(pref) * err,
+                      method=_flag("series-continuation", x), work=terms)
 
 
 def linear_classical_airy(hbar: float, mass: float, energy: float,

@@ -20,16 +20,15 @@ import math
 import numpy as np
 
 from .errors import NonConvergence, ValidationError
+from .numerics import MACH_EPS, power_sum
 from .result import EvalResult
 
-MACH_EPS = float(np.finfo(float).eps)
 LOG_MACH_EPS = math.log(MACH_EPS)
 
 SERIES_RADIUS = 10.0
 # exp(|z|^(1/beta)) is the top of the Taylor hump; keep it below ~e^12 so
 # roundoff on the partial sums stays near 1e-11 absolute
 SERIES_ROOT_CAP = 12.0
-TERM_CAP = 2000
 CONTOUR_NODE_CAP = 500
 
 
@@ -41,48 +40,11 @@ def _validate(beta: float, rel_tol: float):
 
 
 def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
-    """Taylor sum of E_beta at z with a three-term stop rule.
-
-    Returns (value, err_est, nterms).  err_est combines the truncation
-    tail with a roundoff floor proportional to the largest partial sum.
-    """
+    """Taylor sum of E_beta at z, (value, err_est, nterms): power_sum over
+    the log-coefficients -log Gamma(beta k + 1)."""
     _validate(beta, rel_tol)
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j, 0.0, 1
-    logz = cmath.log(z)
-    total = 1.0 + 0.0j
-    peak = 1.0
-    round_acc = 0.0
-    small_run = 0
-    last_mag = 0.0
-    for k in range(1, TERM_CAP + 1):
-        lg = math.lgamma(beta * k + 1.0)
-        expo = k * logz - lg
-        if expo.real > 700.0:
-            raise NonConvergence(
-                "Mittag-Leffler series term overflows double range at k=%d" % k)
-        term = cmath.exp(expo)
-        total += term
-        peak = max(peak, abs(total))
-        round_acc += (4.0 + abs(expo.real) + abs(expo.imag)) * MACH_EPS * abs(term)
-        last_mag = abs(term)
-        # stop only after three consecutive small terms: near sign flips a
-        # single small term proves nothing
-        if last_mag < rel_tol * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
-    else:
-        raise NonConvergence("Mittag-Leffler series hit the %d-term cap" % TERM_CAP)
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise NonConvergence("Mittag-Leffler series overflowed double range")
-    err = last_mag + round_acc + MACH_EPS * peak
-    if z.imag == 0.0:
-        total = complex(total.real, 0.0)
-    return total, err, k + 1
+    return power_sum(z, lambda k: -math.lgamma(beta * k + 1.0), rel_tol,
+                     "Mittag-Leffler series", head=1.0)
 
 
 def _param_left(phi, log_epsilon):

@@ -1,5 +1,5 @@
 """Low-level numerical kernels: log-gamma, digamma, the reflection pair
-Gamma(u) Gamma(1 - u) and quadrature nodes.
+Gamma(u) Gamma(1 - u), the log-space power sum and quadrature nodes.
 
 The log-gamma here is the one routine everything upstream leans on, so it
 costs O(1) per argument.  A real argument (a float, or a complex with a
@@ -34,7 +34,9 @@ import math
 
 import numpy as np
 
-from .errors import PoleOfGamma
+from .errors import NonConvergence, PoleOfGamma
+
+MACH_EPS = float(np.finfo(float).eps)
 
 # Lanczos g = 607/128 with the matching 14-term coefficient set; relative
 # error of the rational part is below 1e-15 for Re z >= 0.5.
@@ -199,6 +201,61 @@ def pi_cot_pi(z):
     if z.imag == 0.0:
         return math.pi / math.tan(math.pi * w)
     return math.pi / cmath.tan(math.pi * (complex(z) - n))
+
+
+POWER_SUM_CAP = 2000
+
+
+def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
+    """sum_k c_k z^k for real c_k, term k taken as exp(k log z + log c_k).
+
+    log_coef(k) gives log c_k, plus i pi where c_k < 0.  head, when given,
+    is the exact k = 0 term; else log_coef(0) gives it too.  At z = 0 only
+    that term is left.  The sum stops after three consecutive terms below
+    rel_tol times the partial sum: beside a sign flip one small term proves
+    nothing.  Returns (value, err_est, nterms), the value real for a real
+    z; err_est is the last term, plus (4 + |Re L| + |Im L|) eps |term| per
+    term of exponent L, plus eps times the largest partial sum.  A term
+    past exp(700) or the POWER_SUM_CAP-term cap raises NonConvergence,
+    named by what.
+    """
+    z = complex(z)
+    if z == 0:
+        if head is not None:
+            return complex(head), 0.0, 1
+        expo = log_coef(0)
+        term = cmath.exp(expo)
+        return term, (5.0 + abs(expo.real) + abs(expo.imag)) * MACH_EPS * abs(term), 1
+    logz = cmath.log(z)
+    exp = cmath.exp
+    total = 0.0j if head is None else complex(head)
+    peak = abs(total)
+    round_acc = 0.0
+    small_run = 0
+    for k in range(0 if head is None else 1, POWER_SUM_CAP + 1):
+        expo = k * logz + log_coef(k)
+        if expo.real > 700.0:
+            raise NonConvergence("%s term overflows double range at k=%d" % (what, k))
+        term = exp(expo)
+        total += term
+        size = abs(total)
+        if size > peak:
+            peak = size
+        last_mag = abs(term)
+        round_acc += (4.0 + abs(expo.real) + abs(expo.imag)) * MACH_EPS * last_mag
+        if last_mag < rel_tol * (size if size > 1e-300 else 1e-300):
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+    else:
+        raise NonConvergence("%s hit the %d-term cap" % (what, POWER_SUM_CAP))
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise NonConvergence("%s overflowed double range" % what)
+    if z.imag == 0.0:
+        total = complex(total.real, 0.0)
+    return total, last_mag + round_acc + MACH_EPS * peak, k + 1
 
 
 def signum(p: float) -> int:

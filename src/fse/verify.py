@@ -24,8 +24,8 @@ from .foxh import (FoxHParams, eval_contour, eval_series, exists,
                    invert_argument, lemma31_check, scale_argument_power,
                    shift_by_power)
 from .linear import (linear_classical_airy, linear_closed_form,
-                     linear_quadrature, linear_series, scaled_coordinate,
-                     _h_params)
+                     linear_quadrature, scaled_coordinate,
+                     _ascending_series, _h_params)
 from .mittag import ml_eval
 from .quadrature import GridSpec, adaptive, fourier_pair_check
 from .result import DeltaConfig, LinearConfig, TimeConfig
@@ -218,7 +218,8 @@ def criterion_7() -> CheckResult:
                 x = 0.5 + float(y) * scale
                 c = linear_closed_form(cfg, x).value
                 if theta == 0.0:
-                    s = linear_series(cfg, x).value
+                    s = 2.0 * cfg.n_norm / (alpha + 1.0) * _ascending_series(
+                        alpha, 0.0, scaled_coordinate(cfg, x))[0]
                     worst_s = max(worst_s, abs(c - s) / max(abs(s), 1e-300))
                 else:
                     q = linear_quadrature(cfg, x).value

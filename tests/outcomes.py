@@ -5,8 +5,9 @@ Each line is the repr of value, err_est, method and work, or the class and
 message of the exception raised.  Diffing the output of two commits shows
 whether a change kept the same numbers and the same refusals.  The probe:
 135 H parameter sets at 10 arguments through three routes, rounds 0-2 of
-every benchmark workload on seeds 1-3, and 245 E_beta arguments through
-ml_contour and ml_eval.
+every benchmark workload on seeds 1-3, 245 E_beta arguments through
+ml_contour and ml_eval, the ramp's ascending series left of the turning
+point, and linear_closed_form's series route right of it.
 """
 
 import cmath
@@ -14,7 +15,7 @@ import math
 
 import fse
 from fse.delta import _even_part_params, _odd_part_params
-from fse.linear import _h_params
+from fse.linear import _ascending_series, _h_params
 from perfbench.workloads import ROUNDS
 
 
@@ -56,3 +57,12 @@ for beta in (0.15, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
             z = radius * cmath.exp(1j * math.pi * turn)
             for route in (fse.ml_contour, fse.ml_eval):
                 show("E%r %r %s" % (beta, z, route.__name__), route, beta, z, 1e-9)
+
+for alpha in (1.05, 1.5, 2.0):
+    for theta in sorted({0.0, 0.5 * min(alpha, 2.0 - alpha)}):
+        for y in (-10.0, -14.4, -28.8):
+            show("ramp %r %r %r" % (alpha, theta, y), _ascending_series, alpha, theta, y)
+        cfg = fse.LinearConfig(alpha=alpha, theta=theta)
+        for x in (0.3, 1.5, 4.0):
+            show("linear %r %r %r series" % (alpha, theta, x),
+                 fse.linear_closed_form, cfg, x, 1e-9, "series")

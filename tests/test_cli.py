@@ -6,7 +6,8 @@ import math
 import pytest
 
 from fse.delta import delta_closed_form
-from fse.result import DeltaConfig, TimeConfig
+from fse.linear import linear_closed_form
+from fse.result import DeltaConfig, LinearConfig, TimeConfig
 from fse.time_factor import time_factor
 from fse.verify import cli_subprocess
 
@@ -106,10 +107,34 @@ def test_origin_refuses_series_route_exit_3():
     assert "x = 0" in r.stderr
 
 
-def test_linear_series_route_needs_unskewed_exit_2():
-    r = run_cli("linear", "--alpha", "1.5", "--theta", "0.3",
-                "--c-alpha", "1", "--grid", "0:1:3", "--method", "series")
-    assert r.returncode == 2
+def test_linear_series_method_is_the_closed_form_series_route():
+    # a skewed ramp: the H residue series right of the turning point
+    # (x = 0.5), the continuation left of it
+    r = run_cli("linear", "--alpha", "1.5", "--theta", "0.3", "--c-alpha", "1",
+                "--energy", "0.5", "--grid=-1:2:7", "--method", "series")
+    assert r.returncode == 0, r.stderr
+    cfg = LinearConfig(alpha=1.5, theta=0.3, c_alpha=1.0, energy=0.5)
+    rows = parse_csv(r.stdout)
+    assert {row[5].split("|")[0] for row in rows} == {"h[series]", "series-continuation"}
+    for row in rows:
+        want = linear_closed_form(cfg, float(row[0]), rel_tol=1e-9, method="series")
+        assert complex(float(row[1]), float(row[2])) == want.value
+        assert (float(row[4]), row[5]) == (want.err_est, want.method)
+
+
+def test_linear_continuation_past_product_overflow_exits_0():
+    # y^k once overflowed before the factorials caught up
+    r = run_cli("linear", "--alpha", "2", "--energy", "0", "--grid=-15:-9:3")
+    assert r.returncode == 0, r.stderr
+    assert all(math.isfinite(float(row[1])) for row in parse_csv(r.stdout))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_value_past_abs2_range_exits_3(fmt):
+    r = run_cli("delta", "--alpha", "1.5", "--theta", "0.25", "--c-alpha", "1",
+                "--gamma", "1e300", "--grid", "0.5:1:2", "--format", fmt)
+    assert r.returncode == 3
+    assert "NonConvergence" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_grid_format_errors_exit_2():

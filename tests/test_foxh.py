@@ -316,7 +316,7 @@ def _pairing_points(params):
     s += list(rng.uniform(-12, 6, 10) + 1j * rng.uniform(-1, 1, 10))
     forms = _gamma_forms(params)
     for grow, _ in _reflection_pairs(params):
-        _, u0, _, du, _ = forms[grow]
+        _, u0, du, _ = forms[grow]
         for n in (-3, 2):
             for d in (1e-9, -1e-9):
                 s.append((n + d - u0) / du)

@@ -2,14 +2,16 @@ import cmath
 import math
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import airy
 
 from fse.errors import PoleOfGamma, ValidationError
-from fse.linear import (linear_classical_airy, linear_closed_form,
-                        linear_mellin_factor, linear_momentum_spectrum,
-                        linear_quadrature, linear_series, scaled_coordinate)
+from fse.linear import (_ascending_series, linear_classical_airy,
+                        linear_closed_form, linear_mellin_factor,
+                        linear_momentum_spectrum, linear_quadrature,
+                        scaled_coordinate)
 from fse.quadrature import adaptive
 from fse.result import LinearConfig
 
@@ -134,14 +136,36 @@ def test_descending_side_matches_quadrature():
         assert abs(a.value - q.value) <= 1e-6 * sc
 
 
-def test_power_series_route_needs_unskewed():
-    with pytest.raises(ValidationError):
-        linear_series(_cfg(theta=0.3), 1.0)
-    cfg0 = _cfg(theta=0.0)
-    a = linear_series(cfg0, 0.9)
-    b = linear_closed_form(cfg0, 0.9)
-    assert abs(a.value - b.value) <= 1e-8 * abs(b.value)
-    assert a.method == "series"
+def _mp_ramp_series(alpha, theta, y):
+    """The ramp's ascending series at 60 digits.  It stops only after
+    three consecutive small terms: at alpha = 2 every third sine is an
+    exact zero."""
+    with mp.workdps(60):
+        ap1 = mp.mpf(alpha) + 1
+        c = (2 + mp.mpf(alpha) - mp.mpf(theta)) / (2 * ap1)
+        tot, small, k, yk = mp.mpf(0), 0, 0, mp.mpf(1)
+        while small < 3:
+            term = (mp.gamma((k + 1) / ap1) / mp.factorial(k)
+                    * mp.sin(mp.pi * c * (k + 1)) * yk)
+            tot += term
+            small = small + 1 if abs(term) < mp.mpf(10) ** -50 * abs(tot) else 0
+            k += 1
+            yk *= y
+        return tot
+
+
+@pytest.mark.parametrize("alpha,theta,y", [
+    (1.5, 0.2, -14.4), (1.05, 0.0, -10.0), (2.0, 0.0, -28.8),
+    # param-sweep continuation points whose former error model understated
+    (1.147551790880007, -0.7203482588481206, -4.308333333333334),
+    (1.1598532697278676, -0.7398288314742155, -3.8854166666666665),
+    (1.0081818284673787, 0.5938640663953418, -5.728125),
+    (1.180467786770138, -0.7177212118926937, -4.036458333333333),
+    (1.6094654616549908, 0.14652319969654456, -5.123958333333333)])
+def test_ascending_series_error_bound_is_honest(alpha, theta, y):
+    value, err, _ = _ascending_series(alpha, theta, y)
+    assert math.isfinite(value) and math.isfinite(err)
+    assert abs(mp.mpf(value) - _mp_ramp_series(alpha, theta, y)) <= err
 
 
 def test_negative_x_flag():
