@@ -11,10 +11,9 @@ route.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigMismatch, DegeneratePoles, DomainError,
-                     EvaluationError, GridTooCoarse, NoSeparatingContour,
-                     NonConvergence, PoleOfGamma, QuadratureFailure,
-                     ValidationError, ZeroBase)
+from .errors import (DegeneratePoles, DomainError, EvaluationError,
+                     GridTooCoarse, NoSeparatingContour, NonConvergence,
+                     PoleOfGamma, QuadratureFailure, ValidationError, ZeroBase)
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
 from .numerics import log_gamma, signum
 from .mittag import ml_contour, ml_eval, ml_series, ml_as_foxh
@@ -22,9 +21,8 @@ from .foxh import (FoxHParams, boundary_radius, eval_auto, eval_contour,
                    eval_series, exists, from_meijer_g, invert_argument,
                    lemma31_check, reduce_params, scale_argument_power,
                    shift_by_power, sigma)
-from .time_factor import time_factor, time_factor_via_h
-from .delta import (delta_classical, delta_closed_form, delta_quadrature,
-                    delta_riesz_form)
+from .time_factor import time_factor
+from .delta import delta_classical, delta_closed_form, delta_quadrature
 from .linear import (linear_classical_airy, linear_closed_form,
                      linear_mellin_factor, linear_momentum_spectrum,
                      linear_quadrature)
@@ -32,8 +30,8 @@ from .quadrature import GridSpec, fourier_pair_check
 from .solution import full_solution
 
 __all__ = [
-    "ConfigMismatch", "DegeneratePoles", "DomainError", "EvaluationError",
-    "GridTooCoarse", "NoSeparatingContour", "NonConvergence", "PoleOfGamma",
+    "DegeneratePoles", "DomainError", "EvaluationError", "GridTooCoarse",
+    "NoSeparatingContour", "NonConvergence", "PoleOfGamma",
     "QuadratureFailure", "ValidationError", "ZeroBase",
     "DeltaConfig", "EvalResult", "LinearConfig", "TimeConfig",
     "log_gamma", "signum",
@@ -42,9 +40,8 @@ __all__ = [
     "eval_series", "exists", "from_meijer_g", "invert_argument",
     "lemma31_check", "reduce_params", "scale_argument_power",
     "shift_by_power", "sigma",
-    "time_factor", "time_factor_via_h",
+    "time_factor",
     "delta_classical", "delta_closed_form", "delta_quadrature",
-    "delta_riesz_form",
     "linear_classical_airy", "linear_closed_form", "linear_mellin_factor",
     "linear_momentum_spectrum", "linear_quadrature",
     "GridSpec", "fourier_pair_check",

@@ -147,11 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _time_config(args) -> TimeConfig:
-    return TimeConfig(beta=args.beta, hbar=args.hbar, energy=args.energy,
-                      f0=args.f0)
-
-
 def _space_config(args, potential: str):
     """The delta or linear config and its JSON meta.  The skew check runs
     before c_alpha is resolved, so a bad theta given without --c-alpha is
@@ -172,7 +167,8 @@ def _space_config(args, potential: str):
 # JSON meta from the parsed arguments and the tolerance.
 
 def _cmd_time(args, tol):
-    cfg = _time_config(args)
+    cfg = TimeConfig(beta=args.beta, hbar=args.hbar, energy=args.energy,
+                     f0=args.f0)
     meta = {"beta": args.beta, "hbar": args.hbar, "energy": args.energy,
             "f0": str(args.f0)}
     return lambda t: time_factor(cfg, t, rel_tol=tol), meta
@@ -215,12 +211,12 @@ def _cmd_ml(args, tol):
 
 
 def _cmd_full(args, tol):
-    tcfg = _time_config(args)
     scfg, smeta = _space_config(args, args.potential)
     del smeta["c_alpha"]
     meta = {"potential": args.potential, "t": args.t, "beta": args.beta,
             "f0": str(args.f0), **smeta}
-    return lambda x: full_solution(tcfg, scfg, x, args.t, rel_tol=tol), meta
+    return lambda x: full_solution(scfg, x, args.t, args.beta, args.f0,
+                                   rel_tol=tol), meta
 
 
 # command -> (evaluator builder, the --method values it accepts)

@@ -16,7 +16,7 @@ import sys
 from .errors import DomainError, NonConvergence, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
-from .result import DeltaConfig, EvalResult
+from .result import DeltaConfig, EvalResult, _check_positive, _route
 
 _ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
 
@@ -64,7 +64,7 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
         raise DomainError("closed form is undefined at x = 0; use the quadrature route")
     if not math.isfinite(x):
         raise ValidationError("x must be finite")
-    ev = _ROUTES[method]
+    ev = _route(_ROUTES, method)
     zscale, h2 = _hbar_scales(cfg)
     zeta = abs(x) * zscale
     ph = cmath.exp(-1j * cfg.theta * math.pi / (2.0 * cfg.alpha))
@@ -101,23 +101,6 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
                       work=work)
 
 
-def delta_riesz_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
-                     method: str = "auto") -> EvalResult:
-    """Symmetric-derivative special case: a single H evaluation at theta = 0."""
-    if cfg.theta != 0.0:
-        raise ValidationError("the symmetric form needs theta = 0")
-    if x == 0.0:
-        raise DomainError("closed form is undefined at x = 0; use the quadrature route")
-    ev = _ROUTES[method]
-    zeta = abs(x) * _hbar_scales(cfg)[0]
-    scal = (cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha)
-    xi0 = -cfg.gamma_strength * cfg.k_norm / (
-        2.0 * math.pi * cfg.hbar ** 2 * cfg.energy * cfg.alpha) * scal
-    r = ev(_even_part_params(cfg.alpha), zeta, rel_tol)
-    return EvalResult(value=xi0 * r.value, err_est=abs(xi0) * r.err_est,
-                      method="riesz[%s]" % r.method, work=r.work)
-
-
 def delta_classical(hbar: float, mass: float, energy: float, lam: complex,
                     x: float) -> complex:
     """Textbook bound state of the point potential: lam * e^(-|x| kappa)."""
@@ -138,6 +121,7 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     """
     if not math.isfinite(x):
         raise ValidationError("x must be finite")
+    _check_positive(abs_tol, "abs_tol")
     h2 = _hbar_scales(cfg)[1]
     th2 = cfg.theta * math.pi / 2.0
     ca = cfg.c_alpha

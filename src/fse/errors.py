@@ -43,9 +43,5 @@ class GridTooCoarse(EvaluationError):
     """A sampling grid is too short or too irregular for the requested check."""
 
 
-class ConfigMismatch(EvaluationError):
-    """Two results being combined were produced from incompatible configurations."""
-
-
 class DomainError(EvaluationError):
     """The evaluation point lies outside the region where the formula holds."""

@@ -64,7 +64,7 @@ from .errors import (
 )
 from .numerics import (MACH_EPS, digamma, leg_nodes, log_gamma, log_reflection,
                        pi_cot_pi)
-from .result import EvalResult
+from .result import EvalResult, _check_rel_tol
 
 TERM_CAP = 2000
 BOUNDARY_SWEEPS = 48
@@ -566,8 +566,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     another chain, and summing goes on past every one whose magnified term
     could exceed the error the stop would claim.
     """
-    if not (1e-14 <= rel_tol <= 1e-2):
-        raise ValidationError("rel_tol must lie in [1e-14, 1e-2]")
+    _check_rel_tol(rel_tol)
     z = complex(z)
     params = reduce_params(params)
     _require_exists(params, z)
@@ -696,8 +695,7 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     is evaluated on the upper half-line only and the lower half is its
     conjugate; z^-s is still taken at every node, since z may be complex.
     """
-    if not (1e-14 <= rel_tol <= 1e-2):
-        raise ValidationError("rel_tol must lie in [1e-14, 1e-2]")
+    _check_rel_tol(rel_tol)
     z = complex(z)
     params = reduce_params(params)
     _require_exists(params, z)

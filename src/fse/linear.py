@@ -18,7 +18,8 @@ from .errors import PoleOfGamma, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .numerics import log_gamma, power_sum, signum
 from .quadrature import ray_segment
-from .result import EvalResult, LinearConfig
+from .result import (EvalResult, LinearConfig, _check_positive, _check_rel_tol,
+                     _route)
 
 _ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
 _RAMP_STOP = 1e-16
@@ -102,9 +103,11 @@ def linear_closed_form(cfg: LinearConfig, x: float, rel_tol: float = 1e-9,
     """Wavefunction via the H-function (y > 0), by the route method names,
     or its entire series (y <= 0), which runs to its own fixed stop."""
     y = scaled_coordinate(cfg, x)
+    _check_rel_tol(rel_tol)
+    ev = _route(_ROUTES, method)
     if y > 0.0:
         pref = 2.0 * math.pi * cfg.n_norm / (cfg.alpha + 1.0)
-        r = _ROUTES[method](_h_params(cfg), y, rel_tol)
+        r = ev(_h_params(cfg), y, rel_tol)
         return EvalResult(value=pref * r.value, err_est=abs(pref) * r.err_est,
                           method=_flag("h[%s]" % r.method, x), work=r.work)
     # the H sector excludes y <= 0; the series is entire and continues it
@@ -134,6 +137,7 @@ def linear_quadrature(cfg: LinearConfig, x: float,
     where the power-law decay wins.
     """
     y = scaled_coordinate(cfg, x)
+    _check_positive(abs_tol, "abs_tol")
     ap1 = cfg.alpha + 1.0
     radius = max(4.0, (3.0 * max(0.0, -y)) ** (1.0 / cfg.alpha) + 4.0)
     total = 0.0 + 0.0j

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonConvergence, ValidationError
 from .numerics import MACH_EPS, power_sum
-from .result import EvalResult
+from .result import EvalResult, _check_rel_tol
 
 LOG_MACH_EPS = math.log(MACH_EPS)
 
@@ -35,8 +35,7 @@ CONTOUR_NODE_CAP = 500
 def _validate(beta: float, rel_tol: float):
     if not (0.0 < beta <= 1.0):
         raise ValidationError("beta must satisfy 0 < beta <= 1")
-    if not (1e-14 <= rel_tol <= 1e-2):
-        raise ValidationError("rel_tol must lie in [1e-14, 1e-2]")
+    _check_rel_tol(rel_tol)
 
 
 def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):

@@ -5,12 +5,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NonConvergence, ValidationError
 
 
 def _check_positive(value, name):
     if not (value > 0.0) or not math.isfinite(value):
         raise ValidationError("%s must be positive and finite" % name)
+
+
+def _check_rel_tol(rel_tol):
+    if not (1e-14 <= rel_tol <= 1e-2):
+        raise ValidationError("rel_tol must lie in [1e-14, 1e-2]")
+
+
+def _route(routes, method):
+    """routes[method], refused as bad input when method is not a key."""
+    if method not in routes:
+        raise ValidationError("method must be one of %s, not %r"
+                              % ("|".join(routes), method))
+    return routes[method]
 
 
 def _check_order_pair(alpha, theta):
@@ -113,6 +126,6 @@ class EvalResult:
     def __post_init__(self):
         v = complex(self.value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValidationError("result value must be finite")
+            raise NonConvergence("result value is not finite")
         self.value = v
 

@@ -12,34 +12,19 @@ import cmath
 import math
 
 from .errors import ValidationError
-from .mittag import ml_as_foxh, ml_eval
+from .mittag import ml_eval
 from .result import EvalResult, TimeConfig
-
-
-def _phase_argument(cfg: TimeConfig, t: float) -> complex:
-    if t < 0.0 or not math.isfinite(t):
-        raise ValidationError("time must be finite and nonnegative")
-    scaled = (t / cfg.hbar) ** cfg.beta
-    return scaled * cmath.exp(-0.5j * math.pi * cfg.beta) * cfg.energy
 
 
 def time_factor(cfg: TimeConfig, t: float, rel_tol: float = 1e-10) -> EvalResult:
     """f(t) through the Mittag-Leffler evaluator."""
-    z = _phase_argument(cfg, t)
+    if t < 0.0 or not math.isfinite(t):
+        raise ValidationError("time must be finite and nonnegative")
     if t == 0.0:
         return EvalResult(value=cfg.f0, err_est=0.0, method="closed")
+    scaled = (t / cfg.hbar) ** cfg.beta
+    z = scaled * cmath.exp(-0.5j * math.pi * cfg.beta) * cfg.energy
     res = ml_eval(cfg.beta, z, rel_tol)
-    return EvalResult(value=cfg.f0 * res.value,
-                      err_est=abs(cfg.f0) * res.err_est,
-                      method=res.method, work=res.work)
-
-
-def time_factor_via_h(cfg: TimeConfig, t: float, rel_tol: float = 1e-10) -> EvalResult:
-    """Same factor through the H-function route; refuses outside its sector."""
-    z = _phase_argument(cfg, t)
-    if t == 0.0:
-        return EvalResult(value=cfg.f0, err_est=0.0, method="closed")
-    res = ml_as_foxh(cfg.beta, z, rel_tol)
     return EvalResult(value=cfg.f0 * res.value,
                       err_est=abs(cfg.f0) * res.err_est,
                       method=res.method, work=res.work)

@@ -264,3 +264,14 @@ def test_contour_past_its_log_z_cap_exits_3():
                 "--grid", "1e300:1e301:2")
     assert r.returncode == 3
     assert "NonConvergence" in r.stderr
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_overflowing_result_is_a_numerical_refusal(method):
+    # gamma * k_norm near the top of double range: no finite answer exists,
+    # which is a numerical refusal (exit 3), not an invalid input (exit 2)
+    r = run_cli("delta", "--alpha", "1.5", "--theta", "0.25", "--c-alpha", "1",
+                "--gamma", "1e308", "--k-norm", "10", "--grid", "0.5:1:2",
+                "--method", method)
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr

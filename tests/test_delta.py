@@ -1,12 +1,14 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from fse.delta import (delta_classical, delta_closed_form, delta_quadrature,
-                       delta_riesz_form)
+from fse.delta import (_even_part_params, delta_classical, delta_closed_form,
+                       delta_quadrature)
 from fse.errors import DomainError, NonConvergence, ValidationError
+from fse.foxh import eval_auto
 from fse.result import DeltaConfig
 
 
@@ -56,27 +58,50 @@ def test_closed_form_matches_quadrature():
 
 
 def test_riesz_route_equals_general_form_unskewed():
-    cfg = DeltaConfig(alpha=1.6, theta=0.0, c_alpha=1.0, energy=-0.7)
-    for x in (0.4, 1.1, -2.2):
-        a = delta_closed_form(cfg, x)
-        b = delta_riesz_form(cfg, x)
-        assert abs(a.value - b.value) <= 1e-14 * abs(a.value)
-
-
-def test_riesz_route_refuses_skew():
-    cfg = DeltaConfig(alpha=1.6, theta=0.2, c_alpha=1.0, energy=-0.7)
-    with pytest.raises(ValidationError):
-        delta_riesz_form(cfg, 1.0)
+    # the symmetric (theta = 0) well is a single H function,
+    # xi0 * H_even(zeta), as in de Oliveira, Costa & Vaz (2010)
+    for cfg in (DeltaConfig(alpha=1.6, theta=0.0, c_alpha=1.0, energy=-0.7),
+                DeltaConfig(alpha=1.3, theta=0.0, hbar=0.8, c_alpha=1.4,
+                            energy=-0.6, gamma_strength=2.5, k_norm=1.0 - 0.5j)):
+        a, e, hb = cfg.alpha, cfg.energy, cfg.hbar
+        scal = (cfg.c_alpha / -e) ** (-1.0 / a)
+        xi0 = -cfg.gamma_strength * cfg.k_norm / (
+            2.0 * math.pi * hb ** 2 * e * a) * scal
+        for x in (0.4, 1.1, -2.2):
+            zeta = abs(x) * (hb ** a * cfg.c_alpha / -e) ** (-1.0 / a)
+            want = xi0 * eval_auto(_even_part_params(a), zeta, 1e-9).value
+            got = delta_closed_form(cfg, x).value
+            assert abs(got - want) <= 1e-14 * abs(got)
 
 
 def test_closed_form_undefined_at_origin():
     cfg = DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-0.5)
     with pytest.raises(DomainError):
         delta_closed_form(cfg, 0.0)
-    with pytest.raises(DomainError):
-        delta_riesz_form(cfg, 0.0)
     with pytest.raises(ValidationError):
         delta_closed_form(cfg, math.nan)
+
+
+def test_unknown_method_is_refused():
+    cfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0)
+    with pytest.raises(ValidationError, match=re.escape("auto|series|contour")):
+        delta_closed_form(cfg, 1.0, method="bogus")
+
+
+@pytest.mark.parametrize("abs_tol", [math.nan, 0.0, -1e-9, math.inf])
+def test_quadrature_refuses_a_meaningless_tolerance(abs_tol):
+    # with a NaN tolerance the stall check could never fire
+    cfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0)
+    for x in (0.0, 0.7):
+        with pytest.raises(ValidationError, match="abs_tol"):
+            delta_quadrature(cfg, x, abs_tol=abs_tol)
+
+
+def test_overflowing_value_is_a_numerical_refusal():
+    cfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0,
+                      gamma_strength=1e308, k_norm=10.0)
+    with pytest.raises(NonConvergence, match="not finite"):
+        delta_closed_form(cfg, 0.5)
 
 
 def test_quadrature_frozen_residue_value():
@@ -157,5 +182,3 @@ def test_extreme_hbar_refuses(hbar):
         for x in (0.0, 0.5):
             with pytest.raises(NonConvergence):
                 delta_quadrature(cfg, x)
-    with pytest.raises(NonConvergence):
-        delta_riesz_form(DeltaConfig(alpha=1.5, c_alpha=1.0, hbar=hbar), 0.5)

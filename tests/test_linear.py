@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from functools import lru_cache
 
 import mpmath as mp
@@ -166,6 +167,23 @@ def test_ascending_series_error_bound_is_honest(alpha, theta, y):
     value, err, _ = _ascending_series(alpha, theta, y)
     assert math.isfinite(value) and math.isfinite(err)
     assert abs(mp.mpf(value) - _mp_ramp_series(alpha, theta, y)) <= err
+
+
+def test_closed_form_checks_method_and_rel_tol_on_both_sides():
+    cfg = _cfg()
+    for x in (-1.0, 0.5, 2.0):  # y < 0, y = 0, y > 0
+        with pytest.raises(ValidationError, match="rel_tol"):
+            linear_closed_form(cfg, x, rel_tol=5.0)
+        with pytest.raises(ValidationError,
+                           match=re.escape("auto|series|contour")):
+            linear_closed_form(cfg, x, method="bogus")
+
+
+@pytest.mark.parametrize("abs_tol", [math.nan, 0.0, -1e-9, math.inf])
+def test_quadrature_refuses_a_meaningless_tolerance(abs_tol):
+    # with a NaN tolerance the stall check could never fire
+    with pytest.raises(ValidationError, match="abs_tol"):
+        linear_quadrature(_cfg(alpha=1.5, theta=0.1), 1.0, abs_tol=abs_tol)
 
 
 def test_negative_x_flag():

@@ -1,7 +1,7 @@
 import pytest
 
 from fse.delta import delta_closed_form, delta_quadrature
-from fse.errors import ConfigMismatch
+from fse.errors import ValidationError
 from fse.linear import linear_closed_form
 from fse.result import DeltaConfig, LinearConfig, TimeConfig
 from fse.solution import full_solution
@@ -11,7 +11,7 @@ from fse.time_factor import time_factor
 def test_point_potential_product():
     tcfg = TimeConfig(beta=0.7, hbar=1.0, energy=-0.5)
     dcfg = DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-0.5)
-    r = full_solution(tcfg, dcfg, 0.8, 1.3)
+    r = full_solution(dcfg, 0.8, 1.3, beta=0.7)
     want = time_factor(tcfg, 1.3).value * delta_closed_form(dcfg, 0.8).value
     assert abs(r.value - want) <= 1e-11 * abs(want)
     assert "*" in r.method
@@ -21,7 +21,7 @@ def test_point_potential_product():
 def test_origin_falls_back_to_quadrature():
     tcfg = TimeConfig(beta=1.0, hbar=1.0, energy=-0.5)
     dcfg = DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-0.5)
-    r = full_solution(tcfg, dcfg, 0.0, 0.4)
+    r = full_solution(dcfg, 0.0, 0.4)
     want = time_factor(tcfg, 0.4).value * delta_quadrature(dcfg, 0.0).value
     assert abs(r.value - want) <= 1e-10 * abs(want)
     assert "quadrature" in r.method
@@ -31,16 +31,31 @@ def test_ramp_potential_product():
     tcfg = TimeConfig(beta=0.9, hbar=1.0, energy=0.5)
     lcfg = LinearConfig(alpha=1.5, theta=0.3, hbar=1.0, c_alpha=1.0,
                         energy=0.5, slope=1.0)
-    r = full_solution(tcfg, lcfg, 1.1, 0.6)
+    r = full_solution(lcfg, 1.1, 0.6, beta=0.9)
     want = time_factor(tcfg, 0.6).value * linear_closed_form(lcfg, 1.1).value
     assert abs(r.value - want) <= 1e-13 * abs(want)
 
 
-def test_mismatched_configs_refused():
-    dcfg = DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-0.5)
-    with pytest.raises(ConfigMismatch):
-        full_solution(TimeConfig(beta=1.0, hbar=2.0, energy=-0.5),
-                      dcfg, 1.0, 1.0)
-    with pytest.raises(ConfigMismatch):
-        full_solution(TimeConfig(beta=1.0, hbar=1.0, energy=-0.7),
-                      dcfg, 1.0, 1.0)
+def test_time_factor_shares_hbar_and_energy_with_the_space_config():
+    # one source for hbar and E: f(t) is built from the space config's
+    dcfg = DeltaConfig(alpha=1.7, theta=0.2, hbar=0.8, c_alpha=1.2,
+                       energy=-0.9)
+    lcfg = LinearConfig(alpha=1.4, theta=-0.3, hbar=1.3, c_alpha=0.9,
+                        energy=-0.4, slope=0.7)
+    for cfg, space, x in ((dcfg, delta_closed_form, -0.6),
+                          (lcfg, linear_closed_form, 0.3),
+                          (lcfg, linear_closed_form, -0.5)):
+        tcfg = TimeConfig(beta=0.6, hbar=cfg.hbar, energy=cfg.energy,
+                          f0=2.0 - 1.0j)
+        r = full_solution(cfg, x, 0.9, beta=0.6, f0=2.0 - 1.0j)
+        f = time_factor(tcfg, 0.9, 1e-9)
+        phi = space(cfg, x, 1e-9)
+        assert r.value == f.value * phi.value
+        assert r.method == "%s*%s" % (f.method, phi.method)
+
+
+def test_unknown_space_config_refused():
+    with pytest.raises(ValidationError):
+        full_solution(TimeConfig(beta=0.5), 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        full_solution(DeltaConfig(alpha=1.5, c_alpha=1.0), 1.0, 1.0, beta=0.0)
