@@ -3,6 +3,9 @@ oscillatory quadrature tails."""
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 WYNN_TINY = 1e-290
@@ -52,21 +55,27 @@ def wynn_epsilon(partials):
     return best, abs(best - alt)
 
 
+@lru_cache(maxsize=128)
+def _binomial_mean(k: int) -> np.ndarray:
+    """Weights C(k, i) / 2^k, i = 0..k, each correctly rounded."""
+    scale = 2 ** k
+    return np.array([math.comb(k, i) / scale for i in range(k + 1)])
+
+
 def euler_alternating(terms):
     """Euler transform of sum((-1)^k a_k) given the signed terms themselves.
 
     `terms` are the signed contributions t_k (already alternating in sign).
-    Averaging of partial sums is iterated to the top of the triangle.
-    Returns (estimate, spread).
+    Pairwise averaging of the n partial sums S_j, iterated k times, leaves
+    2^-k sum_i C(k, i) S_(j+i); the top of that triangle (k = n - 1) is the
+    estimate, and its gap to the last entry of the row below (k = n - 2,
+    over S_1..S_(n-1)) the spread.  Returns (estimate, spread).
     """
-    t = [complex(v) for v in terms]
-    if not t:
+    s = np.cumsum(np.asarray(terms, dtype=complex))
+    n = s.size
+    if n == 0:
         raise ValueError("empty sequence")
-    row = list(np.cumsum(t))
-    stage_last = [row[-1]]
-    while len(row) >= 2:
-        row = [0.5 * (row[j] + row[j + 1]) for j in range(len(row) - 1)]
-        stage_last.append(row[-1])
-    est = stage_last[-1]
-    spread = abs(est - stage_last[-2]) if len(stage_last) >= 2 else abs(est)
-    return est, spread
+    est = _binomial_mean(n - 1) @ s
+    if n == 1:
+        return est, abs(est)
+    return est, abs(est - _binomial_mean(n - 2) @ s[1:])

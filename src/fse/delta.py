@@ -13,6 +13,8 @@ import cmath
 import math
 import sys
 
+import numpy as np
+
 from .errors import DomainError, NonConvergence, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
@@ -123,6 +125,11 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
         raise ValidationError("x must be finite")
     _check_positive(abs_tol, "abs_tol")
     h2 = _hbar_scales(cfg)[1]
+    pref = cfg.gamma_strength * cfg.k_norm / h2
+    if not cmath.isfinite(pref):
+        raise NonConvergence(
+            "prefactor gamma * k_norm / (2 pi hbar)^2 overflows (gamma = %g)"
+            % cfg.gamma_strength)
     th2 = cfg.theta * math.pi / 2.0
     ca = cfg.c_alpha
     en = cfg.energy
@@ -162,14 +169,13 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
         work = w1 + w2
     else:
         sgn = 1.0 if x > 0.0 else -1.0
-        i1, e1, w1 = osc_semi_inf(lambda p: (gsum(p) * math.cos(omega * p)),
+        i1, e1, w1 = osc_semi_inf(lambda p: gsum(p) * np.cos(omega * p),
                                   omega, "cos", abs_tol)
-        i2, e2, w2 = osc_semi_inf(lambda p: (gdif(p) * math.sin(omega * p)),
+        i2, e2, w2 = osc_semi_inf(lambda p: gdif(p) * np.sin(omega * p),
                                   omega, "sin", abs_tol)
         i2 = sgn * i2
         ierr = e1 + e2
         work = w1 + w2
-    pref = cfg.gamma_strength * cfg.k_norm / h2
     value = pref * (i1 + 1j * i2)
     err = abs(pref) * ierr
     if err > max(abs_tol, 1e-6 * abs(value)):

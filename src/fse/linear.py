@@ -14,6 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import PoleOfGamma, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .numerics import log_gamma, power_sum, signum
@@ -148,7 +150,7 @@ def linear_quadrature(cfg: LinearConfig, x: float,
         rot = cmath.exp(1j * sgn * cfg.theta * math.pi / 2.0)
 
         def f(w, _s=sgn, _r=rot):
-            return cmath.exp(1j * _s * y * w + 1j * _s * _r * w ** ap1)
+            return np.exp(1j * _s * y * w + 1j * _s * _r * w ** ap1)
 
         val, perr, count = ray_segment(f, psi, radius, 0.5 * abs_tol / cfg.n_norm)
         total += val

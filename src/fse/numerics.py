@@ -331,10 +331,3 @@ def leg_nodes(order: int):
         got = np.polynomial.legendre.leggauss(order)
         _leg_cache[order] = got
     return got
-
-
-def panel_nodes(a: float, b: float, order: int):
-    """Nodes and weights for one Gauss-Legendre panel on [a, b]."""
-    x, w = leg_nodes(order)
-    half = 0.5 * (b - a)
-    return half * x + 0.5 * (a + b), half * w

@@ -6,6 +6,11 @@ semi-infinite cosine/sine integrals with algebraic decay, and a rotated
 ray for integrands that decay only off the real axis.  These routines are
 the ground truth the closed forms are compared against, so they share no
 code with the H-function evaluators.
+
+Every integrand is an array function: it takes a float or complex numpy
+array of nodes and returns an array of the same shape, elementwise (numpy
+ufuncs such as np.exp and np.cos, not math or cmath).  Each panel costs one
+call on all of its nodes.
 """
 
 from __future__ import annotations
@@ -14,15 +19,17 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .accel import euler_alternating
 from .errors import GridTooCoarse, QuadratureFailure, ValidationError
-from .numerics import panel_nodes
+from .numerics import leg_nodes
 
 OSC_HALF_PERIODS = 96   # half-period pieces osc_semi_inf sums at most
 RAY_PANELS = 1500       # adaptive panel cap of ray_segment
+_TAIL_U_MIN = 2.0 ** -511  # smallest mapped node u with 1/u^2 finite
 
 
 @dataclass(frozen=True)
@@ -43,17 +50,31 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
+@lru_cache(maxsize=1)
+def _panel_rule():
+    """The 15- and 30-point Gauss-Legendre nodes on [-1, 1] as one 45-node
+    set, with the weights of each rule."""
+    x15, w15 = leg_nodes(15)
+    x30, w30 = leg_nodes(30)
+    return np.concatenate((x15, x30)), w15, w30
+
+
 def _panel_est(f, a: float, b: float):
-    """One panel: order-30 value and its deviation from order-15."""
-    x1, w1 = panel_nodes(a, b, 15)
-    x2, w2 = panel_nodes(a, b, 30)
-    v1 = sum(wi * f(xi) for xi, wi in zip(x1, w1))
-    v2 = sum(wi * f(xi) for xi, wi in zip(x2, w2))
+    """One panel: order-30 value and its deviation from order-15, from one
+    call of f on both rules' nodes."""
+    x, w15, w30 = _panel_rule()
+    half = 0.5 * (b - a)
+    y = f(half * x + 0.5 * (a + b))
+    v1 = half * (w15 @ y[:15])
+    v2 = half * (w30 @ y[15:])
     return v2, abs(v2 - v1)
 
 
 def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
-    """Heap-driven bisection; returns (value, error bound, panels used)."""
+    """Heap-driven bisection; returns (value, error bound, panels used).
+
+    f maps an array of nodes in [a, b] to the array of integrand values.
+    """
     val, err = _panel_est(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     total = val
@@ -82,8 +103,8 @@ def osc_semi_inf(g, omega: float, kind: str, tol: float):
     """Integral of g over [0, inf) where g oscillates like cos/sin(omega p).
 
     Splits at the oscillation zeros, then feeds the alternating half-period
-    pieces to Euler acceleration; g itself must supply the oscillating
-    factor and decay algebraically.
+    pieces to Euler acceleration; g (an array integrand) must supply the
+    oscillating factor itself and decay algebraically.
     """
     if omega <= 0.0:
         raise ValidationError("oscillation frequency hint must be positive")
@@ -125,21 +146,24 @@ def tail_algebraic(g, cut: float, decay: float, tol: float):
 
     def h(v):
         u = u0 * v ** m
+        if not np.all(u > _TAIL_U_MIN):
+            # slow decay makes m large, and u0 v^m underflows at the nodes
+            # near v = 0, where p * p = 1/u^2 would overflow
+            raise QuadratureFailure(
+                "tail map v^%d underflows at decay %.3g; tail integral not finite"
+                % (m, decay))
         p = 1.0 / u
         return g(p) * p * p * u0 * m * v ** (m - 1)
 
     val, err, count = adaptive(h, 0.0, 1.0, tol, max_panels=200)
     if not (cmath.isfinite(val) and math.isfinite(err)):
-        # slow decay makes m large, and u0 v^m underflows to 0 at the
-        # nodes near v = 0, where p = 1/u becomes infinite
-        raise QuadratureFailure(
-            "tail map v^%d underflows at decay %.3g; tail integral not finite"
-            % (m, decay))
+        raise QuadratureFailure("tail integral not finite at decay %.3g" % decay)
     return val, err, count
 
 
 def ray_segment(f, angle: float, radius: float, tol: float):
-    """Integral of f along the ray t*e^(i*angle), t in [0, radius].
+    """Integral of f along the ray t*e^(i*angle), t in [0, radius]; f maps
+    an array of complex points to its values.
 
     The radial variable runs through t = v^4 so endpoint fractional powers
     in the integrand do not defeat the panel error estimator.

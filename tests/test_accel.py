@@ -20,6 +20,30 @@ def test_euler_alternating_pi():
     assert abs(est - math.pi) < 1e-10
 
 
+def _euler_triangle(terms):
+    # the averaging triangle itself: each row the pairwise means of the
+    # row above, from the partial sums up to a single entry
+    row = list(np.cumsum([complex(v) for v in terms]))
+    last = [row[-1]]
+    while len(row) >= 2:
+        row = [0.5 * (row[j] + row[j + 1]) for j in range(len(row) - 1)]
+        last.append(row[-1])
+    return last[-1], abs(last[-1] - last[-2]) if len(last) >= 2 else abs(last[-1])
+
+
+def test_euler_alternating_matches_its_triangle():
+    rng = np.random.default_rng(11)
+    for n in range(1, 97):
+        k = np.arange(n)
+        terms = ((-1.0) ** k * rng.uniform(0.5, 2.0, n) / (1.0 + k)
+                 * np.exp(1j * rng.uniform(-0.5, 0.5, n)))
+        scale = np.max(np.abs(np.cumsum(terms)))
+        est, spread = euler_alternating(terms)
+        want, want_spread = _euler_triangle(terms)
+        assert abs(est - want) <= 1e-14 * scale
+        assert abs(spread - want_spread) <= 1e-14 * scale
+
+
 def test_wynn_geometric():
     # partial sums of sum 0.7^k; wynn reproduces 1/(1-0.7) from few terms
     partials = np.cumsum([0.7 ** k for k in range(12)])

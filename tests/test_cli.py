@@ -275,3 +275,15 @@ def test_overflowing_result_is_a_numerical_refusal(method):
                 "--method", method)
     assert r.returncode == 3, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("grid", ["0.5:1:2", "0:1:2"])
+def test_overflowing_prefactor_is_refused_before_quadrature(grid):
+    # the first grid point (x = 0.5, then x = 0) is refused by name before
+    # any integrand runs, so numpy has nothing to warn about
+    r = run_cli("delta", "--alpha", "1.5", "--theta", "0.25", "--c-alpha", "1",
+                "--gamma", "1e308", "--k-norm", "10", "--grid", grid,
+                "--method", "quadrature")
+    assert r.returncode == 3, r.stderr
+    assert "NonConvergence" in r.stderr and "prefactor" in r.stderr
+    assert "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr

@@ -104,6 +104,15 @@ def test_overflowing_value_is_a_numerical_refusal():
         delta_closed_form(cfg, 0.5)
 
 
+@pytest.mark.parametrize("x", [0.5, 0.0])
+def test_quadrature_refuses_an_overflowing_prefactor(x):
+    # gamma * k_norm = 1e309 is infinite before any integral runs
+    cfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0,
+                      gamma_strength=1e308, k_norm=10.0)
+    with pytest.raises(NonConvergence, match="prefactor"):
+        delta_quadrature(cfg, x)
+
+
 def test_quadrature_frozen_residue_value():
     # alpha = 2, c = 1/2, E = -1/2: the momentum integral closes over the
     # pole at p = 1 and gives exactly exp(-|x|) / (2 pi)

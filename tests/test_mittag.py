@@ -11,7 +11,7 @@ from fse.quadrature import adaptive
 
 def _erfc_scaled(x: float) -> float:
     # e^{x^2} erfc(x) = (2/sqrt(pi)) Int_0^inf e^{-u^2 - 2xu} du
-    val, _, _ = adaptive(lambda u: math.exp(-u * u - 2.0 * x * u),
+    val, _, _ = adaptive(lambda u: np.exp(-u * u - 2.0 * x * u),
                          0.0, 14.0, 1e-13)
     return 2.0 / math.sqrt(math.pi) * val
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fse.errors import PoleOfGamma
-from fse.numerics import (digamma, log_gamma, log_reflection, panel_nodes,
-                          pi_cot_pi, signum)
+from fse.numerics import digamma, log_gamma, log_reflection, pi_cot_pi, signum
+from fse.quadrature import _panel_est
 
 
 def test_log_gamma_at_one_and_half():
@@ -273,7 +273,14 @@ def test_signum():
 
 
 def test_panel_nodes_integrate_polynomial():
-    # order-15 Gauss rule is exact for degree 29
-    xs, ws = panel_nodes(-1.0, 2.0, 15)
-    got = sum(w * x ** 8 for x, w in zip(xs, ws))
-    assert abs(got - (2.0 ** 9 + 1.0) / 9.0) < 1e-12
+    # the panel's order-15 rule is exact for degree 29, so both of its
+    # rules agree with the exact integral and the error estimate vanishes
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 30))
+        anti = poly.integ()
+        want = anti(2.0) - anti(-1.0)
+        val, err = _panel_est(poly, -1.0, 2.0)
+        scale = np.abs(poly.coef).sum() * 2.0 ** 30
+        assert abs(val - want) < 1e-14 * scale
+        assert err < 1e-14 * scale

@@ -4,13 +4,27 @@ import math
 import numpy as np
 import pytest
 
+import fse
+from fse import quadrature
 from fse.errors import (GridTooCoarse, QuadratureFailure, ValidationError)
+from fse.numerics import leg_nodes
 from fse.quadrature import (GridSpec, adaptive, fourier_pair_check,
                             osc_semi_inf, ray_segment, tail_algebraic)
+from perfbench.workloads import ROUNDS
+
+
+def _scalar_panel_est(f, a, b):
+    # reference panel rule: one call of f per Gauss node, summed in order
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    sums = []
+    for order in (15, 30):
+        x, w = leg_nodes(order)
+        sums.append(sum(half * wi * f(half * xi + mid) for xi, wi in zip(x, w)))
+    return sums[1], abs(sums[1] - sums[0])
 
 
 def test_adaptive_sine_lobe():
-    val, err, work = adaptive(math.sin, 0.0, math.pi, 1e-12)
+    val, err, work = adaptive(np.sin, 0.0, math.pi, 1e-12)
     assert abs(val - 2.0) < 1e-12
     assert abs(val - 2.0) <= max(err, 1e-12)
     assert work >= 1
@@ -27,10 +41,10 @@ def test_adaptive_peaked_integrand():
 
 def test_oscillatory_semi_infinite():
     want = 0.5 * math.pi * math.exp(-1.0)
-    val, err, _ = osc_semi_inf(lambda p: math.cos(p) / (1.0 + p * p),
+    val, err, _ = osc_semi_inf(lambda p: np.cos(p) / (1.0 + p * p),
                                1.0, "cos", 1e-12)
     assert abs(val - want) < 1e-10
-    val2, _, _ = osc_semi_inf(lambda p: p * math.sin(p) / (1.0 + p * p),
+    val2, _, _ = osc_semi_inf(lambda p: p * np.sin(p) / (1.0 + p * p),
                               1.0, "sin", 1e-12)
     assert abs(val2 - want) < 1e-10
 
@@ -42,7 +56,6 @@ def test_algebraic_tail():
     assert abs(val - want) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
 def test_algebraic_tail_refuses_underflowing_map():
     # decay 0.01 needs the map v^300, which underflows to u = 0 near v = 0
     with pytest.raises(QuadratureFailure):
@@ -51,10 +64,27 @@ def test_algebraic_tail_refuses_underflowing_map():
 
 def test_rotated_ray_fresnel():
     # int_0^inf exp(i w^2) dw along the pi/4 ray
-    val, err, _ = ray_segment(lambda w: cmath.exp(1j * w * w),
+    val, err, _ = ray_segment(lambda w: np.exp(1j * w * w),
                               0.25 * math.pi, 10.0, 1e-12)
     want = 0.5 * math.sqrt(math.pi) * cmath.exp(0.25j * math.pi)
     assert abs(val - want) < 1e-11
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_array_panels_match_the_per_node_rule(seed, monkeypatch):
+    # the oracle benchmark's first round through both panel rules: the
+    # same bisection (work) and values well inside the error claims
+    points = ROUNDS["oracle"](seed, 0)
+
+    def run():
+        return [getattr(fse, p.route)(p.cfg, p.coord, **p.tol_kwargs)
+                for p in points]
+
+    got = run()
+    monkeypatch.setattr(quadrature, "_panel_est", _scalar_panel_est)
+    for a, b in zip(got, run()):
+        assert a.work == b.work
+        assert abs(a.value - b.value) <= 0.1 * (a.err_est + b.err_est)
 
 
 def test_spec_validation():
