@@ -14,6 +14,13 @@ contour integral.  Gamma pairs that cancel exactly inside theta are
 stripped first, which is what collapses the classical-order instances to
 elementary functions instead of hitting multiple poles.
 
+Every a_j and b_j is real; FoxHParams refuses a complex one.  The
+H-functions of the space solution (the delta well's even and odd parts,
+the ramp, E_beta as H) all have real parameters, and the Riesz-Feller
+skewness enters only through the phase of the argument z.  So every
+residue term's gamma arguments are real and go to the real scalar
+kernels, and on the contour theta(conj s) = conj theta(s) halves the work.
+
 Gamma pairs that multiply to a reflection Gamma(u) Gamma(1 - u) =
 pi / sin(pi u) are folded next: a lower[:m] entry equal to an upper[:n]
 entry in the numerator, a lower[m:] entry equal to an upper[n:] entry in
@@ -24,9 +31,10 @@ costs one gamma function and two sines instead of five gamma functions.
 The pairing is read off the reduced parameters once per evaluation, on
 the contour and in the residue terms alike.
 
-Every gamma factor is a linear form u = c + du s, du = +-B (_gamma_forms),
-evaluated as that one product and sum everywhere: the one representation the contour (on arrays of s) and the residue terms
-(at scalar s) share.  Each eval_series call first builds its z-free term
+Every gamma factor is a linear form u = c + du s, du = +-B
+(_gamma_forms), evaluated as that one product and sum everywhere: the one
+representation the contour (on arrays of s) and the residue terms (at
+scalar s) share.  Each eval_series call first builds its z-free term
 recipe: the forms, the folded numerator and denominator entries of an
 ordinary residue term on each chain, and the other chains' (b, B) for
 the collision scan.  A term then costs arithmetic on its pole s and the
@@ -84,14 +92,17 @@ def _as_pair(pair):
     wt = float(wt)
     if not (wt > 0.0) or not math.isfinite(wt):
         raise ValidationError("H-function weights must be positive and finite")
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+    if a.imag != 0.0:
+        raise ValidationError("H-function parameters must be real, got %r" % (a,))
+    if not math.isfinite(a.real):
         raise ValidationError("H-function parameters must be finite")
-    return (a, wt)
+    return (a.real, wt)
 
 
 @dataclass(frozen=True)
 class FoxHParams:
-    """Parameter record (m, n, upper=(a_j, A_j) x p, lower=(b_j, B_j) x q)."""
+    """Parameter record (m, n, upper=(a_j, A_j) x p, lower=(b_j, B_j) x q),
+    every a_j, b_j a real float and every weight positive."""
 
     m: int
     n: int
@@ -118,8 +129,8 @@ class FoxHParams:
 def from_meijer_g(m: int, n: int, a_list, b_list) -> FoxHParams:
     """Meijer G parameters as an H-function: every weight is 1."""
     return FoxHParams(m=m, n=n,
-                      upper=tuple((complex(a), 1.0) for a in a_list),
-                      lower=tuple((complex(b), 1.0) for b in b_list))
+                      upper=tuple((a, 1.0) for a in a_list),
+                      lower=tuple((b, 1.0) for b in b_list))
 
 
 def sigma(params: FoxHParams) -> float:
@@ -146,10 +157,11 @@ def boundary_radius(params: FoxHParams) -> float:
 
 
 def exists(params: FoxHParams, z: complex) -> bool:
-    """Strict sector test: sigma > 0, z != 0, |arg z| < pi*sigma/2."""
+    """Strict sector test: z finite and nonzero, sigma > 0,
+    |arg z| < pi*sigma/2."""
     try:
         _require_exists(params, z)
-    except (ZeroBase, DomainError):
+    except (ValidationError, ZeroBase, NonConvergence, DomainError):
         return False
     return True
 
@@ -205,16 +217,23 @@ def invert_argument(params: FoxHParams) -> FoxHParams:
     return FoxHParams(m=params.n, n=params.m, upper=new_upper, lower=new_lower)
 
 
-def shift_by_power(params: FoxHParams, shift: complex) -> FoxHParams:
-    """Params absorbing z^shift: z^shift H(z) = H_shifted(z)."""
-    shift = complex(shift)
+def shift_by_power(params: FoxHParams, shift: float) -> FoxHParams:
+    """Params absorbing z^shift: z^shift H(z) = H_shifted(z), for a real
+    shift (a non-real one makes the parameters non-real, which FoxHParams
+    refuses)."""
     return FoxHParams(m=params.m, n=params.n,
                       upper=tuple((a + shift * wt, wt) for a, wt in params.upper),
                       lower=tuple((b + shift * wt, wt) for b, wt in params.lower))
 
 
 def _require_exists(params: FoxHParams, z: complex):
+    """Refuse a NaN z as invalid, an infinite one as past double range (the
+    class an overflowed argument gets), z = 0, and z outside the sector."""
     z = complex(z)
+    if cmath.isnan(z):
+        raise ValidationError("H-function argument is NaN")
+    if cmath.isinf(z):
+        raise NonConvergence("H-function argument %r is past double range" % (z,))
     if z == 0:
         raise ZeroBase("H-function argument must be nonzero")
     sig = sigma(params)
@@ -230,14 +249,14 @@ _EXACT_COLLISION_TOL = 1e-11
 
 
 def _nearest_pole(c, du, s):
-    """(k, |u + k|) for the pole -k of Gamma(u), u = c + du s, nearest u;
-    k < 0 when Re u > 1/2.  Flat on scalars: it runs in every term."""
+    """(k, |u + k|) for the pole -k of Gamma(u), u = c + du s, nearest the
+    real u; k < 0 when u > 1/2.  Flat on scalars: it runs in every term."""
     u = c + du * s
-    k = round(-u.real)
+    k = round(-u)
     return k, abs(u + k)
 
 
-def _find_left_collision(recipe: _Recipe, s: complex, chain: int):
+def _find_left_collision(recipe: _Recipe, s: float, chain: int):
     """Locate an exact two-chain left pole collision at s; (index, order) or None.
 
     Exactly-coincident poles merge into one double pole whose confluent
@@ -267,7 +286,7 @@ def _find_left_collision(recipe: _Recipe, s: complex, chain: int):
     return hit
 
 
-def _denominator_zero_orders(forms, s: complex):
+def _denominator_zero_orders(forms, s: float):
     """Order (0 or 1) of the reciprocal-gamma zero each denominator entry of
     _gamma_forms contributes at s, refusing near-misses that are not exact."""
     orders = []
@@ -361,7 +380,7 @@ def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
         tuple((f[1], f[2]) for f in forms[params.m:params.m + params.n]))
 
 
-def _log_gamma_part(entries, s: complex):
+def _log_gamma_part(entries, s: float):
     """sum sign * log Gamma(u) over the entries of _fold_pairs, a paired
     entry counting log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u),
     with the derivative of that sum in s, the sum of the derivative
@@ -392,7 +411,7 @@ def _log_gamma_part(entries, s: complex):
     return log_acc, dsum, dmag, sens * MACH_EPS
 
 
-def _factor_logs(split, s: complex):
+def _factor_logs(split, s: float):
     """_log_gamma_part of the numerator entries, then of the denominator
     entries, of a _split_fold; the denominator part is None when one of
     its gammas sits on a pole, its reciprocal zero."""
@@ -658,8 +677,8 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
 def _contour_line(params: FoxHParams):
     """Abscissa of a separating vertical contour plus a safe nudge distance
     (the existence gate has refused m = n = 0, where sigma < 0)."""
-    left = [(-b / wt).real for b, wt in params.lower[:params.m]]
-    right = [((1.0 - a) / wt).real for a, wt in params.upper[:params.n]]
+    left = [-b / wt for b, wt in params.lower[:params.m]]
+    right = [(1.0 - a) / wt for a, wt in params.upper[:params.n]]
     if not left:
         return min(right) - 1.0, 1e-3
     if not right:
@@ -688,12 +707,12 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     until a full doubling block is negligible against the accumulated
     value.  Gamma decay along the line is super-exponential inside the
     existence sector, so doubling terminates quickly away from the sector
-    boundary.  The nodes of a block on both half-lines go through one
-    array call per gamma factor, a reflection pair Gamma(u) Gamma(1 - u)
-    counting as one log pi - log sin(pi u).  When every a_j and b_j is
-    real, theta(conj s) = conj theta(s) and the line is real, so log theta
-    is evaluated on the upper half-line only and the lower half is its
-    conjugate; z^-s is still taken at every node, since z may be complex.
+    boundary.  Every a_j and b_j is real (FoxHParams refuses others), so
+    theta(conj s) = conj theta(s) and the line is real: the upper
+    half-line nodes of a block go through one array call per gamma factor,
+    a reflection pair Gamma(u) Gamma(1 - u) counting as one
+    log pi - log sin(pi u), and the lower half is their conjugate.  z^-s
+    is still taken at every node, since z may be complex.
     """
     _check_rel_tol(rel_tol)
     z = complex(z)
@@ -705,7 +724,6 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                              % (abs(logz), CONTOUR_LOG_Z_CAP))
     gamma_line, nudge = _contour_line(params)
     leg_x, leg_w = leg_nodes(CONTOUR_ORDER)
-    real = all(c.imag == 0.0 for c, _ in params.upper + params.lower)
     pairs = _reflection_pairs(params)
 
     def integrate(gam):
@@ -715,18 +733,15 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
         t_lo = 0.0
         t_hi = CONTOUR_T0
         while True:
-            # unit panels on [t_lo, t_hi], both signs, in one theta call
+            # unit panels on [t_lo, t_hi], both signs; theta on the upper half
             n_panels = max(1, int(round(t_hi - t_lo)))
             edges = np.linspace(t_lo, t_hi, n_panels + 1)
             half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
             t_nodes = (half * leg_x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
             wts = np.tile((half * leg_w).ravel(), 2)
             s = gam + 1j * np.concatenate((t_nodes, -t_nodes))
-            if real:
-                upper = _log_theta(params, pairs, s[:t_nodes.size])
-                log_th = np.concatenate((upper, upper.conj()))
-            else:
-                log_th = _log_theta(params, pairs, s)
+            upper = _log_theta(params, pairs, s[:t_nodes.size])
+            log_th = np.concatenate((upper, upper.conj()))
             vals = np.exp(log_th - s * logz) * wts
             block_val = complex(np.sum(vals))
             abs_acc += float(np.sum(np.abs(vals)))

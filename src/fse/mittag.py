@@ -32,16 +32,25 @@ SERIES_ROOT_CAP = 12.0
 CONTOUR_NODE_CAP = 500
 
 
-def _validate(beta: float, rel_tol: float):
+def _validate(beta: float, z: complex, rel_tol: float) -> complex:
+    """complex(z) once beta, z and rel_tol pass: a NaN z is invalid, an
+    infinite one past double range; either would only reach numpy as a
+    warning or stall the series."""
     if not (0.0 < beta <= 1.0):
         raise ValidationError("beta must satisfy 0 < beta <= 1")
     _check_rel_tol(rel_tol)
+    z = complex(z)
+    if cmath.isnan(z):
+        raise ValidationError("Mittag-Leffler argument is NaN")
+    if cmath.isinf(z):
+        raise NonConvergence("Mittag-Leffler argument %r is past double range" % (z,))
+    return z
 
 
 def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     """Taylor sum of E_beta at z, (value, err_est, nterms): power_sum over
     the log-coefficients -log Gamma(beta k + 1)."""
-    _validate(beta, rel_tol)
+    z = _validate(beta, z, rel_tol)
     return power_sum(z, lambda k: -math.lgamma(beta * k + 1.0), rel_tol,
                      "Mittag-Leffler series", head=1.0)
 
@@ -107,8 +116,7 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     region with fewer nodes wins.
     Returns (value, err_est, nodes).
     """
-    _validate(beta, rel_tol)
-    z = complex(z)
+    z = _validate(beta, z, rel_tol)
     if z == 0:
         return 1.0 + 0.0j, 0.0, 0
     log_epsilon = math.log(max(0.1 * rel_tol, 1e-15))
@@ -171,8 +179,7 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     sign-changing arguments where the function is exponentially smaller
     than the roundoff floor of any fixed-precision route.
     """
-    _validate(beta, rel_tol)
-    z = complex(z)
+    z = _validate(beta, z, rel_tol)
     if z == 0:
         return EvalResult(1.0 + 0.0j, 0.0, "series", 1)
     in_ball = abs(z) <= SERIES_RADIUS and abs(z) ** (1.0 / beta) <= SERIES_ROOT_CAP
@@ -199,8 +206,7 @@ def ml_as_foxh(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     points are refused by the existence gate rather than continued.
     z = 0 short-circuits to the exact value 1.
     """
-    _validate(beta, rel_tol)
-    z = complex(z)
+    z = _validate(beta, z, rel_tol)
     if z == 0:
         return EvalResult(1.0 + 0.0j, 0.0, "closed-form", 0)
     from .foxh import FoxHParams, eval_auto

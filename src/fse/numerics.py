@@ -2,29 +2,31 @@
 Gamma(u) Gamma(1 - u), the log-space power sum and quadrature nodes.
 
 The log-gamma here is the one routine everything upstream leans on, so it
-costs O(1) per argument.  A real argument (a float, or a complex with a
-zero imaginary part, which is what every residue term of a real-parameter
-H-function passes) goes to math.lgamma, with i pi added where Gamma < 0.
-Other scalars take a pure-cmath path, a 14-term Lanczos sum on
-Re z >= 0.5 and the reflection formula on the rest of the plane, and
-arrays a vectorized numpy form of the same.  The result is defined modulo
-2 pi i, since every caller only exponentiates it; it stays within 64 eps
-(relative, or absolute below 1) of mpmath's loggamma for Re z in
-[-1000, 30] and |Im z| <= 400, including arguments 1e-9 from a pole.
-digamma has the same split between a real and a complex path.
+costs O(1) per argument.  A real scalar (a float, or a complex with a zero
+imaginary part) goes to math.lgamma, with i pi added where Gamma < 0.
+Arrays take a vectorized numpy form of the 14-term Lanczos sum on
+Re z >= 0.5 and of the reflection formula on the rest of the plane, and a
+complex scalar takes the same path as a one-element array.  The result is
+defined modulo 2 pi i, since every caller only exponentiates it; it stays
+within 64 eps (relative, or absolute below 1) of mpmath's loggamma for
+Re z in [-1000, 30] and |Im z| <= 400, including arguments 1e-9 from a
+pole.
 
 log_reflection gives log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u)
 directly, so a product of two gammas costs one sine; pi_cot_pi is its
-u-derivative up to sign.
+u-derivative up to sign.  log_gamma and log_reflection take real and
+complex scalars and arrays; digamma and pi_cot_pi take real scalars only
+and raise TypeError on a non-real one.
 
-The residue series of a real-parameter H-function calls these four
-kernels at real arguments once or twice per gamma factor per term, so
-their real paths are written out in math inside the function itself:
-no conversion to complex, no inner call.  A float, a numpy float64 and a
-complex with imaginary part 0.0 take the same path and give the same
-bits.  Nothing is cached: a kernel is a pure function of one argument,
-and residue-term arguments seldom repeat, so a memo would cost lookups
-and memory for few hits.
+The H-functions of this package have real parameters, so every residue
+term calls these four kernels at real scalar arguments, once or twice per
+gamma factor per term; their real paths are written out in math inside
+the function itself: no conversion to complex, no inner call.  A float, a
+numpy float64 and a complex with imaginary part 0.0 take the same path
+and give the same bits.  Complex arguments arise only on the Mellin-Barnes
+contour, which evaluates whole arrays of s at once.  Nothing is cached: a
+kernel is a pure function of one argument, and residue-term arguments
+seldom repeat, so a memo would cost lookups and memory for few hits.
 """
 
 from __future__ import annotations
@@ -52,44 +54,10 @@ _LANCZOS_C = np.array([
 _SQRT_2PI = 2.5066282746310005
 
 POLE_TOL = 1e-12
-# math.lgamma overflows just above 2.5e305; larger reals take the complex path
-_LGAMMA_MAX = 1e305
 # beyond this |Im z|, sin(pi z) is one exponential to within e^(-2 pi 20)
 _SIN_SPLIT = 20.0
 _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
-_LANCZOS_TERMS = tuple(zip(_LANCZOS_C.tolist(), range(1, 15)))
-
-
-def _lanczos_scalar(z: complex) -> complex:
-    # valid for Re z >= 0.5
-    tmp = z + (_LANCZOS_G + 0.5)
-    ser = _LANCZOS_C0
-    for c, j in _LANCZOS_TERMS:
-        ser += c / (z + j)
-    return (z + 0.5) * cmath.log(tmp) - tmp + cmath.log(_SQRT_2PI * ser / z)
-
-
-def _log_sin_pi_scalar(z: complex) -> complex:
-    """log sin(pi z) modulo 2 pi i, accurate beside the integers."""
-    n = round(z.real)
-    w = complex(z.real - n, z.imag)  # exact: |Re w| <= 1/2
-    if abs(w.imag) > _SIN_SPLIT:
-        side = 1.0 if w.imag > 0.0 else -1.0
-        out = -_LOG_2 + side * (0.5j * math.pi - 1j * math.pi * w)
-    else:
-        out = cmath.log(cmath.sin(math.pi * w))
-    return out + 1j * math.pi if n % 2 else out
-
-
-def _log_gamma_complex(z: complex) -> complex:
-    # z off the real axis (or past math.lgamma's range): Lanczos on the
-    # right half-plane, reflection on the left
-    if z.real >= 0.5:
-        return _lanczos_scalar(z)
-    if abs(z.imag) < POLE_TOL and abs(z.real - round(z.real)) < POLE_TOL:
-        raise PoleOfGamma("log_gamma at nonpositive integer")
-    return _LOG_PI - _log_sin_pi_scalar(z) - _lanczos_scalar(1.0 - z)
 
 
 def _lanczos_half_plane(z):
@@ -102,7 +70,9 @@ def _lanczos_half_plane(z):
 
 
 def _log_sin_pi(z):
-    """Array form of _log_sin_pi_scalar."""
+    """log sin(pi z) modulo 2 pi i on an array, accurate beside the
+    integers: the nearest integer n is subtracted exactly, and past
+    |Im z| = _SIN_SPLIT the dominant exponential is factored out."""
     n = np.round(z.real)
     w = (z.real - n) + 1j * z.imag
     side = np.sign(w.imag)
@@ -122,30 +92,33 @@ def log_gamma(z):
 
     A Python (or numpy) int, float or complex is a scalar.  A real scalar
     (imaginary part 0.0) returns math.lgamma(x), plus i pi where
-    Gamma(x) < 0.  A complex scalar takes the Lanczos sum for Re z >= 0.5
-    and the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z) below, with
-    log sin(pi z) taken after subtracting the nearest integer exactly and
-    with the dominant exponential factored out at large |Im z|; that path
-    is pure cmath.  Anything else is treated as an array and evaluated the
-    same way in numpy, real or not.  Arguments within POLE_TOL of a
-    nonpositive integer raise PoleOfGamma: the caller is expected to treat
-    those as exact pole hits (residue bookkeeping) rather than round
-    through them.
+    Gamma(x) < 0, and complex(inf, 0) past 2.5e305, where the value is past
+    double range.  Anything else goes through the array path, a
+    complex scalar as a one-element array: the Lanczos sum for
+    Re z >= 0.5 and the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z)
+    below.  Arguments within POLE_TOL of a nonpositive integer raise
+    PoleOfGamma: the caller is expected to treat those as exact pole hits
+    (residue bookkeeping) rather than round through them.
     """
     if not isinstance(z, (int, float, complex)):
         z = np.asarray(z, dtype=complex)
         if z.ndim:
             return _log_gamma_array(z)
         z = complex(z)
+    if z.imag != 0.0:
+        return complex(_log_gamma_array(np.array([z]))[0])
     x = z.real
-    if z.imag != 0.0 or not x < _LGAMMA_MAX:
-        return _log_gamma_complex(complex(z))
     if x < 0.5 and abs(x - round(x)) < POLE_TOL:
         raise PoleOfGamma("log_gamma at nonpositive integer")
+    try:
+        lg = math.lgamma(x)
+    except OverflowError:
+        # math.lgamma overflows just above 2.5e305, where log Gamma(x) does
+        return complex(math.inf, 0.0)
     # Gamma(x) < 0 on (-1, 0), (-3, -2), ...
     if x < 0.0 and math.floor(x) % 2:
-        return complex(math.lgamma(x), math.pi)
-    return complex(math.lgamma(x), 0.0)
+        return complex(lg, math.pi)
+    return complex(lg, 0.0)
 
 
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
@@ -161,46 +134,50 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_reflection_array(u: np.ndarray) -> np.ndarray:
+    x, y = u.real, u.imag
+    if np.any((np.abs(x - np.round(x)) < POLE_TOL) & (np.abs(y) < POLE_TOL)):
+        raise PoleOfGamma("reflection pair at an integer")
+    return _LOG_PI - _log_sin_pi(u)
+
+
 def log_reflection(u):
     """log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u), modulo 2 pi i.
 
     Scalars and arrays as in log_gamma: a real scalar is evaluated in math
     (sin(pi u) = (-1)^n sin(pi (u - n)) with n the nearest integer), a
-    complex one by _log_sin_pi_scalar, an array by _log_sin_pi.  Arguments
-    within POLE_TOL of any integer raise PoleOfGamma, since one of the two
-    gammas has a pole there.
+    complex one as a one-element array, an array by _log_sin_pi.
+    Arguments within POLE_TOL of any integer raise PoleOfGamma, since one
+    of the two gammas has a pole there.
     """
     if not isinstance(u, (int, float, complex)):
         if np.ndim(u):
-            u = np.asarray(u, dtype=complex)
-            x, y = u.real, u.imag
-            if np.any((np.abs(x - np.round(x)) < POLE_TOL) & (np.abs(y) < POLE_TOL)):
-                raise PoleOfGamma("reflection pair at an integer")
-            return _LOG_PI - _log_sin_pi(u)
+            return _log_reflection_array(np.asarray(u, dtype=complex))
         u = complex(u)
+    if u.imag != 0.0:
+        return complex(_log_reflection_array(np.array([u]))[0])
     n = round(u.real)
     w = u.real - n
-    if abs(w) < POLE_TOL and abs(u.imag) < POLE_TOL:
+    if abs(w) < POLE_TOL:
         raise PoleOfGamma("reflection pair at integer u = %s" % (complex(u),))
-    if u.imag == 0.0:
-        sin_w = math.sin(math.pi * w)
-        odd = (sin_w < 0.0) != (n % 2 == 1)
-        return complex(_LOG_PI - math.log(abs(sin_w)), math.pi if odd else 0.0)
-    return _LOG_PI - _log_sin_pi_scalar(complex(u))
+    sin_w = math.sin(math.pi * w)
+    odd = (sin_w < 0.0) != (n % 2 == 1)
+    return complex(_LOG_PI - math.log(abs(sin_w)), math.pi if odd else 0.0)
 
 
-def pi_cot_pi(z):
-    """pi cot(pi z) for a scalar, taken after subtracting the nearest
-    integer exactly; a real z (imaginary part 0.0) gives a float by math.
-    Within POLE_TOL of an integer it raises PoleOfGamma, as log_reflection
-    does, whose u-derivative it is up to sign."""
-    n = round(z.real)
-    w = z.real - n
-    if abs(w) < POLE_TOL and abs(z.imag) < POLE_TOL:
-        raise PoleOfGamma("pi cot(pi z) at integer z = %s" % (complex(z),))
-    if z.imag == 0.0:
-        return math.pi / math.tan(math.pi * w)
-    return math.pi / cmath.tan(math.pi * (complex(z) - n))
+def pi_cot_pi(x) -> float:
+    """pi cot(pi x) for a real scalar x, taken after subtracting the
+    nearest integer exactly.  Within POLE_TOL of an integer it raises
+    PoleOfGamma, as log_reflection does, whose u-derivative it is up to
+    sign."""
+    if x.imag != 0.0:
+        raise TypeError("pi_cot_pi takes a real argument, got %r" % (x,))
+    x = float(x.real)
+    n = round(x)
+    w = x - n
+    if abs(w) < POLE_TOL:
+        raise PoleOfGamma("pi cot(pi x) at integer x = %s" % (x,))
+    return math.pi / math.tan(math.pi * w)
 
 
 POWER_SUM_CAP = 2000
@@ -271,15 +248,12 @@ _PSI_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
              1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
 
 
-def digamma(z):
-    """Logarithmic derivative of Gamma off the pole set.
-
-    A real argument (a float, or a complex with imaginary part 0.0) is
-    evaluated in math and returns a float; anything else in cmath.
-    """
-    if z.imag != 0.0:
-        return _digamma_complex(complex(z))
-    x = float(z.real)
+def digamma(x) -> float:
+    """Logarithmic derivative of Gamma at a real scalar x off the pole set,
+    in math."""
+    if x.imag != 0.0:
+        raise TypeError("digamma takes a real argument, got %r" % (x,))
+    x = float(x.real)
     n = round(x)
     if x <= 0.5 and abs(x - n) < POLE_TOL and n <= 0:
         raise PoleOfGamma("digamma pole at z = %s" % (x,))
@@ -299,26 +273,6 @@ def digamma(z):
         tail += c * p
         p *= inv2
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def _digamma_complex(z: complex) -> complex:
-    n = round(z.real)
-    if z.real <= 0.5 and abs(z - n) < POLE_TOL and n <= 0:
-        raise PoleOfGamma("digamma pole at z = %s" % (z,))
-    acc = 0.0
-    if z.real < 0.5:
-        acc -= pi_cot_pi(z)
-        z = 1.0 - z
-    while z.real < 8.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    tail = 0.0
-    p = inv2
-    for c in _PSI_TAIL:
-        tail += c * p
-        p *= inv2
-    return acc + cmath.log(z) - 0.5 / z - tail
 
 
 _leg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ValidationError
+from .errors import NonConvergence, ValidationError
 from .mittag import ml_eval
 from .result import EvalResult, TimeConfig
 
@@ -23,6 +23,10 @@ def time_factor(cfg: TimeConfig, t: float, rel_tol: float = 1e-10) -> EvalResult
     if t == 0.0:
         return EvalResult(value=cfg.f0, err_est=0.0, method="closed")
     scaled = (t / cfg.hbar) ** cfg.beta
+    if not math.isfinite(scaled):
+        # the complex product below would turn inf into a NaN argument
+        raise NonConvergence("(t/hbar)^beta overflows double range at t = %g, hbar = %g"
+                             % (t, cfg.hbar))
     z = scaled * cmath.exp(-0.5j * math.pi * cfg.beta) * cfg.energy
     res = ml_eval(cfg.beta, z, rel_tol)
     return EvalResult(value=cfg.f0 * res.value,

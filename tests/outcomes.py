@@ -4,10 +4,11 @@ Run from the repository root as `PYTHONPATH=src:. python tests/outcomes.py`.
 Each line is the repr of value, err_est, method and work, or the class and
 message of the exception raised.  Diffing the output of two commits shows
 whether a change kept the same numbers and the same refusals.  The probe:
-135 H parameter sets at 10 arguments through three routes, rounds 0-2 of
-every benchmark workload on seeds 1-3, 245 E_beta arguments through
-ml_contour and ml_eval, the ramp's ascending series left of the turning
-point, and linear_closed_form's series route right of it.
+135 H parameter sets at 10 arguments through three routes (and one set
+with a complex parameter, which refuses to build), rounds 0-2 of every
+benchmark workload on seeds 1-3, 245 E_beta arguments through ml_contour
+and ml_eval, the ramp's ascending series left of the turning point, and
+linear_closed_form's series route right of it.
 """
 
 import cmath
@@ -29,17 +30,31 @@ def show(tag, fn, *args, **kw):
 
 
 def h_sets():
+    """Builders of the probed parameter sets, called by the probe loop so
+    that a set which fails to build prints its refusal."""
     for alpha in (1.05, 1.1, 1.2, 1.25, 1.3, 1.37, 1.4, 1.5, 1.6, 1.7,
                   1.75, 1.8, 1.9, 1.95, 2.0):
-        even, odd, lim = _even_part_params(alpha), _odd_part_params(alpha), min(alpha, 2 - alpha)
-        yield from (even, odd, fse.shift_by_power(even, 0.25 + 0.4j),
-                    fse.scale_argument_power(odd, 0.5), fse.invert_argument(even),
-                    fse.FoxHParams(1, 1, ((0.0, 1.0),), ((0.0, 1.0), (0.0, alpha / 2))))
-        yield from (_h_params(fse.LinearConfig(alpha=alpha, theta=f * lim)) for f in (-0.7, 0.0, 0.6))
+        lim = min(alpha, 2 - alpha)
+        yield from (
+            lambda a=alpha: _even_part_params(a),
+            lambda a=alpha: _odd_part_params(a),
+            lambda a=alpha: fse.shift_by_power(_even_part_params(a), 0.25),
+            lambda a=alpha: fse.scale_argument_power(_odd_part_params(a), 0.5),
+            lambda a=alpha: fse.invert_argument(_even_part_params(a)),
+            lambda a=alpha: fse.FoxHParams(1, 1, ((0.0, 1.0),), ((0.0, 1.0), (0.0, a / 2))))
+        yield from (lambda a=alpha, t=f * lim: _h_params(fse.LinearConfig(alpha=a, theta=t))
+                    for f in (-0.7, 0.0, 0.6))
+    # H parameters are real: a complex shift refuses to build
+    yield lambda: fse.shift_by_power(_even_part_params(1.5), 0.25 + 0.4j)
 
 
 H_ARGS = (0.05, 0.4, 0.9 + 0.3j, 1.7, 2.5 - 1.0j, 4.0, 7.5, 15.0, 60.0, 1e100)
-for i, params in enumerate(h_sets()):
+for i, build in enumerate(h_sets()):
+    try:
+        params = build()
+    except Exception as exc:
+        print("H%d build" % i, type(exc).__name__, exc)
+        continue
     for z in H_ARGS:
         for route in (fse.eval_series, fse.eval_contour, fse.eval_auto):
             show("H%d %r %s" % (i, z, route.__name__), route, params, z, 1e-9)

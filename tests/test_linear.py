@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
-from fse.errors import PoleOfGamma, ValidationError
+from fse.errors import PoleOfGamma, QuadratureFailure, ValidationError
 from fse.linear import (_ascending_series, linear_classical_airy,
                         linear_closed_form, linear_mellin_factor,
                         linear_momentum_spectrum, linear_quadrature,
@@ -187,6 +187,18 @@ def test_quadrature_refuses_a_meaningless_tolerance(abs_tol):
     # with a NaN tolerance the stall check could never fire
     with pytest.raises(ValidationError, match="abs_tol"):
         linear_quadrature(_cfg(alpha=1.5, theta=0.1), 1.0, abs_tol=abs_tol)
+
+
+@pytest.mark.parametrize("alpha, theta, x", [
+    (1.5, 0.0, -150.0), (1.1, 0.0, -80.0),
+    # here the ray sums overflowed to a value near 1e302 with a NaN err_est
+    (1.5, 0.4, -190.0), (1.2, 0.15, -88.0)])
+def test_quadrature_refuses_an_overflowing_ray(alpha, theta, x):
+    # refused from the exponent's peak on the ray, before any node: pytest
+    # turns numpy's overflow warning into an error
+    cfg = LinearConfig(alpha=alpha, theta=theta)
+    with pytest.raises(QuadratureFailure, match="ray integrand reaches exp"):
+        linear_quadrature(cfg, x)
 
 
 def test_negative_x_flag():

@@ -111,6 +111,18 @@ def test_overflow_refuses():
             ml_eval(0.5, z)
 
 
+@pytest.mark.parametrize("route", [ml_series, ml_contour, ml_eval, ml_as_foxh])
+def test_non_finite_argument_refuses_before_numpy_work(route):
+    # pytest turns numpy's RuntimeWarning into an error, so a NaN or an
+    # infinity that reached the contour's arrays would fail here
+    for z in (math.nan, complex(0.5, math.nan)):
+        with pytest.raises(ValidationError, match="NaN"):
+            route(0.5, z)
+    for z in (math.inf, -math.inf, complex(-1.0, math.inf)):
+        with pytest.raises(NonConvergence, match="double range"):
+            route(0.5, z)
+
+
 def test_parameter_validation():
     for beta in (0.0, -0.5, 1.2):
         with pytest.raises(ValidationError):

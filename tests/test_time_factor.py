@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from fse.errors import DomainError, ValidationError
+from fse.errors import DomainError, NonConvergence, ValidationError
 from fse.mittag import ml_as_foxh
 from fse.result import TimeConfig
 from fse.time_factor import time_factor
@@ -81,6 +81,12 @@ def test_time_validation():
         time_factor(cfg, -0.1)
     with pytest.raises(ValidationError):
         time_factor(cfg, math.nan)
+
+
+def test_overflowing_scale_refuses():
+    # (t / hbar)^beta = inf would reach E_beta as a NaN argument
+    with pytest.raises(NonConvergence, match="double range"):
+        time_factor(TimeConfig(beta=0.5, hbar=1e-300), 1e300)
 
 
 def test_config_validation():
