@@ -22,7 +22,7 @@ from .linear import linear_closed_form, linear_quadrature
 from .mittag import ml_contour, ml_eval, ml_series
 from .quadrature import GridSpec
 from .result import (DeltaConfig, EvalResult, LinearConfig, TimeConfig,
-                     _check_order_pair)
+                     _check_order_pair, _check_positive)
 from .solution import full_solution
 from .time_factor import time_factor
 from .verify import format_report, run_criteria
@@ -67,10 +67,13 @@ def _check_tol(tol: float) -> float:
 
 
 def _resolve_c_alpha(args) -> float:
+    _check_positive(args.mass, "mass")
     if args.c_alpha is not None:
         return args.c_alpha
     if args.alpha == 2.0:
-        return args.hbar ** 2 / (2.0 * args.mass)
+        # products, not hbar ** 2: an overflow gives inf, which the
+        # config's c_alpha check refuses, instead of raising
+        return args.hbar * args.hbar / (2.0 * args.mass)
     raise ValidationError(
         "--c-alpha is required unless alpha = 2 (where it defaults to hbar^2/(2 mass))")
 

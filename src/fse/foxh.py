@@ -38,14 +38,16 @@ scalar s) share.  Each eval_series call first builds its z-free term
 recipe: the forms, the folded numerator and denominator entries of an
 ordinary residue term on each chain, and the other chains' (b, B) for
 the collision scan.  A term then costs arithmetic on its pole s and the
-kernel calls; the rare confluent and demoted terms fold their own skip
-sets from the same forms.  One pole scan, _nearest_pole, serves the
-collision checks, the near-pole gain of the lookahead and the
-denominator zeros beside a double pole; one matcher, _exact_matches,
-finds both the cancelling and the reflection pairs.  Nothing is kept
-between calls, so a call is a pure function of its arguments and needs
-no invalidation; reuse across calls on one parameter set is left to a
-plan built outside this module.
+kernel calls.  One function, _residue_term, gives every term; only where
+two chains meet exactly does it fold the forms again, skipping both
+chains' gammas and each denominator gamma that vanishes there, and the
+pole's order (two less those zeros) picks the residue.  One pole scan,
+_nearest_pole, serves the collision checks, the near-pole gain of the
+lookahead and the denominator zeros beside a double pole; one matcher,
+_exact_matches, finds both the cancelling and the reflection pairs.
+Nothing is kept between calls, so a call is a pure function of its
+arguments and needs no invalidation; reuse across calls on one parameter
+set is left to a plan built outside this module.
 The kernels log_gamma and digamma are looked up as module globals at
 call time, once per unpaired factor per term, so that rebinding them (to
 count or time them) sees every call.
@@ -239,10 +241,12 @@ def _require_exists(params: FoxHParams, z: complex):
     sig = sigma(params)
     if sig <= 0.0:
         raise DomainError("existence index sigma = %g is not positive" % sig)
-    if abs(cmath.phase(z)) >= 0.5 * math.pi * sig:
+    # math.atan2, not cmath.phase, which overflows at z = 1e300 + 1e-300j
+    arg = abs(math.atan2(z.imag, z.real))
+    if arg >= 0.5 * math.pi * sig:
         raise DomainError(
             "|arg z| = %.6f outside the existence sector pi*sigma/2 = %.6f"
-            % (abs(cmath.phase(z)), 0.5 * math.pi * sig))
+            % (arg, 0.5 * math.pi * sig))
 
 
 _EXACT_COLLISION_TOL = 1e-11
@@ -286,21 +290,23 @@ def _find_left_collision(recipe: _Recipe, s: float, chain: int):
     return hit
 
 
-def _denominator_zero_orders(forms, s: float):
-    """Order (0 or 1) of the reciprocal-gamma zero each denominator entry of
-    _gamma_forms contributes at s, refusing near-misses that are not exact."""
-    orders = []
+def _denominator_zeros(forms, s: float):
+    """The denominator entries of _gamma_forms whose gamma sits on its pole
+    u = -nu at s, each a simple zero of theta, as (position, nu, du/ds);
+    a near-miss that is not exact refuses."""
+    zeros = []
     tol_exact = _EXACT_COLLISION_TOL * max(1.0, abs(s))
-    for sign, c, du, _ in forms:
+    for pos, (sign, c, du, _) in enumerate(forms):
         if sign > 0:
             continue
         k_near, dist = _nearest_pole(c, du, s)
         d = dist / abs(du) if k_near >= 0 else float("inf")
-        orders.append((k_near, d, abs(du)) if d < tol_exact else None)
-        if d >= tol_exact and d < SEPARATION_TOL:
+        if d < tol_exact:
+            zeros.append((pos, k_near, du))
+        elif d < SEPARATION_TOL:
             raise DegeneratePoles(
                 "denominator gamma nearly singular beside a double pole at s = %s" % (s,))
-    return orders
+    return zeros
 
 
 def _gamma_forms(params: FoxHParams):
@@ -358,7 +364,9 @@ class _Recipe(NamedTuple):
     the _split_fold of an ordinary residue term on that chain, whose own
     gamma is the one skipped; others[chain] lists the other chains as
     (index, b, B) and right the upper[:n] forms as (c, du/ds), for the scan.
-    A confluent or demoted term folds its own skip set from forms.
+    pairs are the reflection pairs, which a term at a collision of two
+    chains folds again from forms with both chains' gammas and the
+    vanishing denominator gammas skipped.
     """
 
     params: FoxHParams
@@ -441,89 +449,59 @@ def _signed_term(log_acc: complex, sens: float, weight: float, parity: int,
     return term, rel * abs(term) + dmag * MACH_EPS * abs(val)
 
 
-def _demoted_term(recipe: _Recipe, chain: int, k: int, other: int,
-                  k2: int, logz: complex, zero_orders):
-    """Simple residue at a double left pole demoted by one denominator zero.
-
-    Near s0 the two singular numerator gammas supply (s-s0)^-2 and the
-    reciprocal of the singular denominator gamma supplies (s-s0)^1, so the
-    residue is an ordinary limit; the reciprocal-gamma slope enters as
-    (-1)^(nu_d+1) nu_d! B_d for a lower factor, (-1)^nu_d nu_d! A_d upper.
-    """
-    params = recipe.params
-    b_i, B_i = params.lower[chain]
-    B_o = params.lower[other][1]
-    s = -(b_i + k) / B_i
-    idx = next(i for i, o in enumerate(zero_orders) if o is not None)
-    nu_d, _, wt_d = zero_orders[idx]
-    skip = (chain, other, params.m + params.n + idx)
-    # one sum over all factors in fold order, and the slope joins the
-    # factorials before the power of z: the term's last bits depend on it
-    log_acc, _, _, sens = _log_gamma_part(
-        _fold_pairs(recipe.forms, recipe.pairs, skip), s)
-    log_acc += math.lgamma(nu_d + 1.0) + math.log(wt_d) \
-        - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0)
-    log_acc += (b_i + k) / B_i * logz
-    lower_side = idx < params.q - params.m
-    return _signed_term(log_acc, sens, B_i * B_o, k + k2 + nu_d + lower_side)
-
-
-def _confluent_term(recipe: _Recipe, chain: int, k: int, other: int,
-                    k2: int, logz: complex):
-    """Derivative residue at a double left pole (two chains coinciding).
-
-    Res = -+ exp(L - s0 log z)/(B1 B2 k! k2!) * [B1 psi(k+1) + B2 psi(k2+1)
-          + d log G / ds - log z], with G the non-singular gamma ratio.
-    A denominator gamma singular at the same point contributes a simple zero
-    that demotes the double pole: two such zeros kill the term outright, one
-    leaves an ordinary residue with the reciprocal-gamma slope as a factor.
-    """
-    params = recipe.params
-    b_i, B_i = params.lower[chain]
-    B_o = params.lower[other][1]
-    s = -(b_i + k) / B_i
-    zero_orders = _denominator_zero_orders(recipe.forms, s)
-    n_zero = sum(1 for o in zero_orders if o is not None)
-    if n_zero >= 2:
-        return 0.0 + 0.0j, 0.0
-    if n_zero == 1:
-        return _demoted_term(recipe, chain, k, other, k2, logz, zero_orders)
-    num, den = _factor_logs(_split_fold(recipe.forms, recipe.pairs, (chain, other)), s)
-    if den is None:
-        # a denominator zero would demote the double pole; not worth the
-        # extra case analysis for parameter sets nothing generates
-        raise DegeneratePoles(
-            "denominator pole coincides with a confluent pair at s = %s" % (s,))
-    head = B_i * digamma(k + 1.0) + B_o * digamma(k2 + 1.0)
-    bracket = head + num[1] + den[1] - logz
-    dmag = num[2] + (abs(head) + den[2] + abs(logz))
-    log_acc = num[0] + den[0] + ((b_i + k) / B_i * logz
-                                 - math.lgamma(k + 1.0) - math.lgamma(k2 + 1.0))
-    return _signed_term(log_acc, num[3] + den[3], B_i * B_o, k + k2, bracket, dmag)
-
-
 def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
     """Signed residue contribution of left pole k on the given chain.
 
-    A denominator gamma landing on its own pole kills the term
-    (1/Gamma -> 0), reported as exactly 0.  When two chains share the pole,
-    the chain consumed first in sweep order carries the full double residue
-    and the partner's later consumption contributes exactly 0; putting the
-    merged term at the earlier sweep keeps it ahead of the stop rule.
+    A simple pole takes the chain's folded entries, and a denominator gamma
+    landing on its own pole kills the term (1/Gamma -> 0), reported as
+    exactly 0.  When two chains share the pole, the chain consumed first in
+    sweep order carries the whole residue and the partner's later
+    consumption contributes exactly 0; putting the merged term at the
+    earlier sweep keeps it ahead of the stop rule.  The merged pole's order
+    is two less the denominator gammas singular there (_denominator_zeros):
+    two of them leave no pole and a zero term; one leaves a simple pole
+    whose residue takes that reciprocal gamma's slope (-1)^nu nu! du/ds as
+    a factor; none leaves a double pole, whose residue is
+
+        -+ exp(L - s0 log z)/(B1 B2 k! k2!) * [B1 psi(k+1) + B2 psi(k2+1)
+           + d log G / ds - log z],
+
+    G being the non-singular gamma ratio.
     """
-    b_i, B_i = recipe.params.lower[chain]
+    params = recipe.params
+    b_i, B_i = params.lower[chain]
     s = -(b_i + k) / B_i
+    log_rest = (b_i + k) / B_i * logz - math.lgamma(k + 1.0)
     hit = _find_left_collision(recipe, s, chain)
-    if hit is not None:
-        other, k2 = hit
-        if k > k2 or (k == k2 and chain > other):
+    if hit is None:
+        num, den = _factor_logs(recipe.folded[chain], s)
+        if den is None:
             return 0.0 + 0.0j, 0.0
-        return _confluent_term(recipe, chain, k, other, k2, logz)
-    num, den = _factor_logs(recipe.folded[chain], s)
-    if den is None:
+        return _signed_term(num[0] + den[0] + log_rest, num[3] + den[3], B_i, k)
+    other, k2 = hit
+    if k > k2 or (k == k2 and chain > other):
         return 0.0 + 0.0j, 0.0
-    log_acc = num[0] + den[0] + ((b_i + k) / B_i * logz - math.lgamma(k + 1.0))
-    return _signed_term(log_acc, num[3] + den[3], B_i, k)
+    zeros = _denominator_zeros(recipe.forms, s)
+    if len(zeros) >= 2:
+        return 0.0 + 0.0j, 0.0
+    skip = (chain, other) + tuple(pos for pos, _, _ in zeros)
+    num, den = _factor_logs(_split_fold(recipe.forms, recipe.pairs, skip), s)
+    if den is None:
+        # a denominator gamma on a pole the zero scan missed (its weight is
+        # below about 1e-3): no parameter set of this package makes one
+        raise DegeneratePoles(
+            "denominator pole coincides with a confluent pair at s = %s" % (s,))
+    B_o = params.lower[other][1]
+    log_acc = num[0] + den[0] + (log_rest - math.lgamma(k2 + 1.0))
+    if zeros:
+        _, nu, du = zeros[0]
+        log_acc += math.lgamma(nu + 1.0) + math.log(abs(du))
+        return _signed_term(log_acc, num[3] + den[3], B_i * B_o,
+                            k + k2 + nu + (du < 0))
+    head = B_i * digamma(k + 1.0) + B_o * digamma(k2 + 1.0)
+    bracket = head + num[1] + den[1] - logz
+    dmag = num[2] + (abs(head) + den[2] + abs(logz))
+    return _signed_term(log_acc, num[3] + den[3], B_i * B_o, k + k2, bracket, dmag)
 
 
 def _near_pole_gain(recipe: _Recipe, chain: int, k: int) -> float:
@@ -619,9 +597,8 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     converged = False
     # structural zeros (denominator gammas killing a pole, or a merged pole
     # deferred to its partner chain) say nothing about a chain's tail, so
-    # convergence watches each chain's most recent nonzero magnitude
-    last_nz = [float("inf")] * params.m
-    zero_run = [0] * params.m
+    # convergence watches each chain's last nonzero terms, kept in hist as
+    # (k, |term|); a chain whose last 8 terms were all zero is quiet
     hist = [[] for _ in range(params.m)]
     reach = 0
     for k in range(sweeps):
@@ -629,12 +606,8 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         sweep_mag = 0.0
         for chain in range(params.m):
             term, errb = _residue_term(recipe, chain, k, logz)
-            if term == 0.0:
-                zero_run[chain] += 1
-            else:
-                zero_run[chain] = 0
-                last_nz[chain] = abs(term)
-                hist[chain] = hist[chain][-2:] + [(k, last_nz[chain])]
+            if term != 0.0:
+                hist[chain] = hist[chain][-2:] + [(k, abs(term))]
             sweep += term
             sweep_mag += abs(term)
             round_acc += errb
@@ -646,13 +619,13 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         partials.append(total)
         if not boundary:
             floor = rel_tol * max(abs(total), 1e-300)
-            settled = all(zero_run[c] >= 8 or last_nz[c] < floor
-                          for c in range(params.m))
+            quiet = [k - (h[-1][0] if h else -1) >= 8 for h in hist]
+            settled = all(q or (h and h[-1][1] < floor) for q, h in zip(quiet, hist))
             if settled and sweep_mag < floor:
                 small_run += 1
                 if small_run >= 3 and k >= reach:
-                    live = {c: hist[c] for c in range(params.m) if zero_run[c] < 8}
-                    tail = max([sweep_mag] + [last_nz[c] for c in live])
+                    live = {c: h for c, (q, h) in enumerate(zip(quiet, hist)) if not q}
+                    tail = max([sweep_mag] + [h[-1][1] for h in live.values()])
                     err = tail + round_acc + MACH_EPS * peak
                     reach = _collision_reach(recipe, k, live, err)
                     if reach == k:
@@ -795,7 +768,7 @@ def lemma31_check(x: float, rho: float, alpha: float, b: complex,
     if not (alpha > 0.0):
         raise ValidationError("alpha must be positive")
     b = complex(b)
-    if b == 0 or abs(cmath.phase(b)) >= math.pi:
+    if b == 0 or abs(math.atan2(b.imag, b.real)) >= math.pi:
         raise ValidationError("b must satisfy b != 0 and |arg b| < pi")
     lhs = x ** rho / (1.0 + b * x ** alpha)
     r = rho / alpha

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import PoleOfGamma, QuadratureFailure, ValidationError
+from .errors import NonConvergence, PoleOfGamma, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .numerics import log_gamma, power_sum, signum
 from .quadrature import ray_segment
@@ -54,16 +54,28 @@ def _flag(label: str, x: float) -> str:
 
 
 def linear_momentum_spectrum(cfg: LinearConfig, p: float) -> complex:
-    """Momentum-space solution, integration constant fixed to 1."""
+    """Momentum-space solution, integration constant fixed to 1.
+
+    At theta < 0 its modulus grows like exp(|p|^(alpha+1)) and leaves
+    double range (from |p| of about 32 at alpha = 1.5, theta = -0.2), as
+    does its phase at any theta once |p|^(alpha+1) overflows; both refuse
+    as NonConvergence.
+    """
     if not math.isfinite(p):
         raise ValidationError("p must be finite")
     s = signum(p)
     if s == 0:
         return 1.0 + 0.0j
     rot = cmath.exp(1j * s * cfg.theta * math.pi / 2.0)
-    inner = cfg.energy * p - s * (cfg.c_alpha / (cfg.alpha + 1.0)) \
-        * abs(p) ** (cfg.alpha + 1.0) * rot
-    return cmath.exp(-1j / (cfg.slope * cfg.hbar) * inner)
+    try:
+        inner = cfg.energy * p - s * (cfg.c_alpha / (cfg.alpha + 1.0)) \
+            * abs(p) ** (cfg.alpha + 1.0) * rot
+        val = cmath.exp(-1j / (cfg.slope * cfg.hbar) * inner)
+    except OverflowError:
+        val = complex(math.inf)
+    if not cmath.isfinite(val):
+        raise NonConvergence("momentum spectrum at p = %g is past double range" % p)
+    return val
 
 
 def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
@@ -71,9 +83,13 @@ def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
 
     Numerator gamma poles propagate as errors; a denominator pole makes
     the factor an exact zero.  The two numerator and the two denominator
-    gammas are each one array log_gamma call, since s may be complex.
+    gammas are each one array log_gamma call, since s may be complex.  A
+    non-finite s refuses as invalid, a factor past double range (from
+    s of about 240 at alpha = 1.5, theta = 0.2) as NonConvergence.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValidationError("s must be finite")
     ap1 = cfg.alpha + 1.0
     num = log_gamma(np.array([s, (1.0 - s) / ap1]))
     d1 = (cfg.alpha + cfg.theta) * (1.0 - s) / (2.0 * ap1)
@@ -83,7 +99,13 @@ def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
     except PoleOfGamma:
         return 0.0 + 0.0j
     acc = complex(np.sum(num) - np.sum(den))
-    return 2.0 * math.pi * cfg.n_norm / ap1 * cmath.exp(acc)
+    try:
+        val = 2.0 * math.pi * cfg.n_norm / ap1 * cmath.exp(acc)
+    except OverflowError:
+        val = complex(math.inf)
+    if not cmath.isfinite(val):
+        raise NonConvergence("Mellin factor at s = %s is past double range" % (s,))
+    return val
 
 
 def _ascending_series(alpha: float, theta: float, y: float):

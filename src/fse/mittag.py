@@ -120,7 +120,7 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     if z == 0:
         return 1.0 + 0.0j, 0.0, 0
     log_epsilon = math.log(max(0.1 * rel_tol, 1e-15))
-    ang = cmath.phase(z)
+    ang = math.atan2(z.imag, z.real)  # cmath.phase overflows at 1e300 + 1e-300j
     pole, phi = None, 0.0
     if abs(ang) < beta * math.pi:
         try:

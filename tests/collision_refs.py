@@ -1,0 +1,91 @@
+"""Mellin-Barnes references for H-functions whose left pole chains meet.
+
+Run from the repository root as `PYTHONPATH=src:. python tests/collision_refs.py`
+(about a minute); it prints the COLLISION_REFS table that
+tests/test_foxh.py stores.  Each value is
+
+    H(z) = (1/2 pi) int theta(gamma + i t) z^-(gamma + i t) dt,
+
+theta built from mpmath gamma functions of the parameters alone, on a
+vertical line Re s = gamma midway between the left and the right pole
+chains, by mpmath.quad at 30 digits on 4-unit pieces of |t| <= 60 (one
+piece over the whole line is off by about 1e-9 at complex z).  Pieces
+are added past 60 until one adds less than 1e-25 of the value.
+"""
+
+import cmath
+import math
+
+import mpmath as mp
+
+from fse.delta import _even_part_params, _odd_part_params
+from fse.foxh import FoxHParams
+
+_PIECE = 4
+_T_MIN = 60
+
+
+def theta(params, s):
+    """The Mellin-Barnes integrand's gamma ratio at s, in mpmath."""
+    m, n = params.m, params.n
+    val = mp.mpc(1)
+    for b, wt in params.lower[:m]:
+        val *= mp.gamma(b + wt * s)
+    for a, wt in params.upper[:n]:
+        val *= mp.gamma(1 - a - wt * s)
+    for b, wt in params.lower[m:]:
+        val *= mp.rgamma(1 - b - wt * s)
+    for a, wt in params.upper[n:]:
+        val *= mp.rgamma(a + wt * s)
+    return val
+
+
+def line_integral(params, z, dps=30):
+    """H(z) by quadrature of the Mellin-Barnes integral, as a Python complex."""
+    with mp.workdps(dps):
+        left = [mp.mpf(-b) / wt for b, wt in params.lower[:params.m]]
+        right = [(1 - mp.mpf(a)) / wt for a, wt in params.upper[:params.n]]
+        gamma = (max(left) + min(right)) / 2 if right else max(left) + 1
+        logz = mp.log(mp.mpc(z))
+
+        def f(t):
+            s = gamma + 1j * t
+            return theta(params, s) * mp.exp(-s * logz)
+
+        acc = mp.mpc(0)
+        t = 0
+        while True:
+            piece = (mp.quad(f, [t, t + _PIECE])
+                     + mp.quad(f, [-t - _PIECE, -t]))
+            acc += piece
+            t += _PIECE
+            if t >= _T_MIN and abs(piece) < mp.mpf(10) ** -25 * abs(acc):
+                break
+        return complex(acc / (2 * mp.pi))
+
+
+ALPHA = 1.5
+TURN = cmath.exp(-0.25j * math.pi / (2.0 * ALPHA))  # theta = 0.25
+# the delta well's even and odd parts meet double poles at s = -2, -5, ...
+# (demoted where cos(pi s/2) = 0); the m = 3 set has a numerator pair in
+# its confluent brackets, and every double pole of the m = 2, n = 0 set is
+# demoted by a zero of one member of its denominator pair
+SETS = {
+    "even": _even_part_params(ALPHA),
+    "odd": _odd_part_params(ALPHA),
+    "confluent": FoxHParams(m=3, n=1, upper=((0.25, 0.5),),
+                            lower=((0.0, 1.0), (0.5, 0.5), (0.25, 0.5))),
+    "demoted": FoxHParams(m=2, n=0, upper=((3.5, 0.5),),
+                          lower=((0.0, 1.0), (0.5, 0.5), (3.5, 0.5))),
+}
+POINTS = ([(part, zeta * w) for part in ("even", "odd") for zeta in (0.5, 2.0, 4.0)
+           for w in (TURN, TURN.conjugate())]
+          + [(name, z) for name in ("confluent", "demoted")
+             for z in (1.3 * cmath.exp(-0.2j), 2.0, 4.0)])
+
+
+if __name__ == "__main__":
+    print("COLLISION_REFS = [")
+    for name, z in POINTS:
+        print("    (%r, %r, %r)," % (name, z, line_integral(SETS[name], z)))
+    print("]")

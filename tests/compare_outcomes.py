@@ -1,0 +1,91 @@
+"""Compare two outputs of tests/outcomes.py, line by line.
+
+Run from the repository root as
+`python tests/compare_outcomes.py OLD NEW`, where OLD and NEW hold the
+output of `PYTHONPATH=src:. python tests/outcomes.py` at two commits.
+It prints the number of changed lines, every line whose tag, method, work
+or refusal class changed, every refusal whose message alone changed, and
+the worst |value_new - value_old| / (err_old + err_new) over the answers
+whose value or err_est alone changed.  It exits 1 if any tag, method,
+work or class changed (an answer turning into a refusal counts as a class
+change), and 0 otherwise.
+"""
+
+import re
+import sys
+
+# value, err_est, 'method', work; or, from the ramp's series, value, err_est, nterms
+_ANSWER = re.compile(r"^(.*) ([^\s']+) ([^\s']+) (?:'([^']*)' )?(-?\d+)$")
+_REFUSAL = re.compile(r"^(.*?) ([A-Z]\w*) ?(.*)$")
+
+
+def parse(line):
+    """(tag, kind, value, err_est, method, work) for an answer, kind being
+    'answer', or (tag, class name, None, None, None, message) for a
+    refusal."""
+    m = _ANSWER.match(line)
+    if m:
+        tag, value, err, method, work = m.groups()
+        try:
+            return tag, "answer", complex(value), float(err), method, int(work)
+        except ValueError:
+            pass
+    m = _REFUSAL.match(line)
+    if not m:
+        raise ValueError("unparsed outcome line: %r" % line)
+    tag, cls, msg = m.groups()
+    return tag, cls, None, None, None, msg
+
+
+def compare(old_lines, new_lines):
+    """Print the comparison; True if no tag, method, work or class changed."""
+    if len(old_lines) != len(new_lines):
+        print("line counts differ: %d old, %d new" % (len(old_lines), len(new_lines)))
+        return False
+    changed = 0
+    structural = []
+    messages = []
+    values = 0
+    worst, worst_line = 0.0, None
+    for a, b in zip(old_lines, new_lines):
+        if a == b:
+            continue
+        changed += 1
+        ta, ka, va, ea, ma, wa = parse(a)
+        tb, kb, vb, eb, mb, wb = parse(b)
+        if ta != tb or ka != kb or (ka == "answer" and (ma, wa) != (mb, wb)):
+            structural.append((a, b))
+        elif ka != "answer":
+            messages.append((a, b))
+        else:
+            values += 1
+            bound = ea + eb
+            ratio = abs(vb - va) / bound if bound > 0.0 else float("inf")
+            if worst_line is None or ratio > worst:
+                worst, worst_line = ratio, (a, b)
+    print("%d of %d lines changed" % (changed, len(old_lines)))
+    print("%d with a changed tag, method, work or class:" % len(structural))
+    for a, b in structural:
+        print("  - " + a + "\n  + " + b)
+    print("%d refusals with a changed message only:" % len(messages))
+    for a, b in messages:
+        print("  - " + a + "\n  + " + b)
+    print("%d answers with a changed value or err_est only" % values)
+    if worst_line is not None:
+        print("worst |dvalue| / (err_a + err_b) over them: %.3g" % worst)
+        print("  - " + worst_line[0] + "\n  + " + worst_line[1])
+    return not structural
+
+
+def main(argv):
+    if len(argv) != 3:
+        print("usage: python tests/compare_outcomes.py OLD NEW", file=sys.stderr)
+        return 2
+    with open(argv[1]) as f_old, open(argv[2]) as f_new:
+        old_lines = f_old.read().splitlines()
+        new_lines = f_new.read().splitlines()
+    return 0 if compare(old_lines, new_lines) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -100,6 +100,22 @@ def test_missing_dispersion_coefficient():
     assert r2.returncode == 0, r2.stderr
 
 
+@pytest.mark.parametrize("command,options,name", [
+    (("delta",), ("--mass", "0"), "mass"),
+    (("linear",), ("--mass", "0"), "mass"),
+    (("full", "--potential", "delta", "--t", "1"), ("--mass", "0"), "mass"),
+    (("delta",), ("--mass", "-1"), "mass"),
+    (("delta",), ("--mass", "nan"), "mass"),
+    (("delta",), ("--hbar", "1e200", "--mass", "1e-200"), "c_alpha"),
+], ids=["delta-zero", "linear-zero", "full-zero", "negative", "nan", "overflow"])
+def test_bad_mass_behind_the_default_coefficient_exits_2(command, options, name):
+    # c_alpha = hbar^2 / (2 mass) at alpha = 2 needs a positive finite mass,
+    # and a quotient past double range is refused as c_alpha, not raised
+    r = run_cli(*command, "--alpha", "2", *options, "--grid", "0.5:1:2")
+    assert r.returncode == 2, r.stderr
+    assert name + " must be positive" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_origin_refuses_series_route_exit_3():
     r = run_cli("delta", "--alpha", "1.5", "--c-alpha", "1",
                 "--energy", "-1", "--grid", "0:1:2", "--method", "series")

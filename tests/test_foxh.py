@@ -16,6 +16,8 @@ from fse.foxh import (FoxHParams, _gamma_forms, _log_theta, _reflection_pairs,
                       sigma)
 from fse.linear import _h_params
 from fse.result import LinearConfig
+from tests.collision_refs import SETS as COLLISION_SETS
+from tests.collision_refs import line_integral
 
 EXP = FoxHParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
 DIAG = FoxHParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))
@@ -32,6 +34,20 @@ def test_exists_gate():
     assert exists(DIAG, 1.0)
     assert not exists(DIAG, 0.0)
     assert not exists(DIAG, -1.0)  # arg z = pi sits on the open boundary
+
+
+TINY_PHASE_ARG = 1e300 + 1e-300j  # cmath.phase of it overflows
+
+
+def test_exists_answers_where_the_phase_underflows():
+    assert exists(_even_part_params(1.5), TINY_PHASE_ARG) is True
+    assert exists(DIAG, -1e300 + 1e-300j) is False
+
+
+@pytest.mark.parametrize("route", [eval_series, eval_contour, eval_auto])
+def test_routes_refuse_a_huge_argument_with_a_tiny_phase(route):
+    with pytest.raises(NonConvergence):
+        route(_even_part_params(1.5), TINY_PHASE_ARG, 1e-9)
 
 
 def test_series_closed_form_examples():
@@ -453,6 +469,42 @@ def test_paired_residue_terms_match_unpaired():
                     continue
                 (t1, e1), (t2, e2) = got, ref
                 assert abs(t1 - t2) <= e1 + e2 + 1e-300, (chain, k)
+
+
+# H(z) where left pole chains meet, from tests/collision_refs.py: the
+# Mellin-Barnes line integral by mpmath at 30 digits, rounded to double
+COLLISION_REFS = [
+    ('even', (0.48296291314453416-0.12940952255126037j), (0.4104443303022337+0.07181218919654674j)),
+    ('even', (0.48296291314453416+0.12940952255126037j), (0.4104443303022337-0.07181218919654674j)),
+    ('even', (1.9318516525781366-0.5176380902050415j), (0.08151592640906648+0.03902976943102249j)),
+    ('even', (1.9318516525781366+0.5176380902050415j), (0.08151592640906648-0.03902976943102249j)),
+    ('even', (3.8637033051562732-1.035276180410083j), (0.017021093029446797+0.0127370689581688j)),
+    ('even', (3.8637033051562732+1.035276180410083j), (0.017021093029446797-0.0127370689581688j)),
+    ('odd', (0.48296291314453416-0.12940952255126037j), (1.1084211358137772+0.09047754961313344j)),
+    ('odd', (0.48296291314453416+0.12940952255126037j), (1.1084211358137772-0.09047754961313344j)),
+    ('odd', (1.9318516525781366-0.5176380902050415j), (0.4324432754427353+0.11095702434386873j)),
+    ('odd', (1.9318516525781366+0.5176380902050415j), (0.4324432754427353-0.11095702434386873j)),
+    ('odd', (3.8637033051562732-1.035276180410083j), (0.21117754526431493+0.05895659538825184j)),
+    ('odd', (3.8637033051562732+1.035276180410083j), (0.21117754526431493-0.05895659538825184j)),
+    ('confluent', (1.2740865511936141-0.25827013003357957j), (0.6163879286250029+0.12393718120716482j)),
+    ('confluent', 2.0, (0.3968921208457275+0j)),
+    ('confluent', 4.0, (0.17194071664336155+0j)),
+    ('demoted', (1.2740865511936141-0.25827013003357957j), (0.07918707102531772-0.040828149643719974j)),
+    ('demoted', 2.0, (0.12121088071755846+0j)),
+    ('demoted', 4.0, (0.03369539259680491+0j)),
+]
+
+
+def test_collision_residues_match_the_line_integral():
+    # the delta well's parts at alpha = 1.5, theta = 0.25 take confluent
+    # and demoted terms, the m = 3 set confluent terms with a numerator
+    # pair in their brackets, and the m = 2, n = 0 set only demoted ones
+    for name, z, ref in COLLISION_REFS:
+        res = eval_series(COLLISION_SETS[name], z, 1e-9)
+        assert abs(res.value - ref) <= res.err_est, (name, z)
+    # the stored table is what the script computes
+    name, z, ref = COLLISION_REFS[0]
+    assert abs(line_integral(COLLISION_SETS[name], z, dps=20) - ref) <= 1e-15 * abs(ref)
 
 
 def test_series_calls_the_module_kernels_once_per_unpaired_factor(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
-from fse.errors import PoleOfGamma, QuadratureFailure, ValidationError
+from fse.errors import NonConvergence, PoleOfGamma, QuadratureFailure, ValidationError
 from fse.linear import (_ascending_series, linear_classical_airy,
                         linear_closed_form, linear_mellin_factor,
                         linear_momentum_spectrum, linear_quadrature,
@@ -35,6 +35,33 @@ def test_momentum_spectrum_unskewed_is_unimodular():
                        energy=0.4, slope=1.3)
     for p in (-3.0, -0.7, 0.2, 5.0):
         assert abs(abs(linear_momentum_spectrum(cfg, p)) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("p", [35.0, 100.0, -100.0])
+def test_growing_momentum_spectrum_refuses_past_double_range(p):
+    # at theta < 0 the modulus grows like exp(|p|^(alpha+1))
+    cfg = LinearConfig(alpha=1.5, theta=-0.2)
+    assert abs(linear_momentum_spectrum(cfg, 30.0)) > 1e100
+    with pytest.raises(NonConvergence):
+        linear_momentum_spectrum(cfg, p)
+
+
+def test_momentum_spectrum_refuses_an_overflowing_phase():
+    with pytest.raises(NonConvergence):
+        linear_momentum_spectrum(LinearConfig(alpha=1.5, theta=0.0), 1e200)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), complex(1.0, -math.inf)])
+def test_mellin_factor_refuses_a_non_finite_s(s):
+    with pytest.raises(ValidationError):
+        linear_mellin_factor(LinearConfig(alpha=1.5, theta=0.2), s)
+
+
+def test_mellin_factor_refuses_past_double_range():
+    cfg = LinearConfig(alpha=1.5, theta=0.2)
+    assert abs(linear_mellin_factor(cfg, 100.0)) > 1e100
+    with pytest.raises(NonConvergence):
+        linear_mellin_factor(cfg, 1000.0)
 
 
 def test_mellin_factor_pole_and_zero():

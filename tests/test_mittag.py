@@ -16,6 +16,13 @@ def _erfc_scaled(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * val
 
 
+@pytest.mark.parametrize("route", [ml_contour, ml_eval])
+def test_huge_argument_with_a_tiny_phase_refuses(route):
+    # cmath.phase(1e300 + 1e-300j) overflows; the pole's residue does too
+    with pytest.raises(NonConvergence):
+        route(0.5, 1e300 + 1e-300j, 1e-9)
+
+
 def test_value_at_zero_and_exponential_point():
     assert ml_eval(0.7, 0.0).value == 1.0
     r = ml_eval(1.0, 1.0)
