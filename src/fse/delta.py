@@ -2,9 +2,9 @@
 
 The closed form combines four H-function evaluations at phase-rotated
 arguments; the quadrature route integrates the momentum-space resolvent
-directly and is the independent oracle.  For x < 0 the sine integral flips
-sign with the coordinate (the cosine one is even), a rule the oracle
-fixes unambiguously.
+directly and is the independent oracle.  Its one real Fourier integral
+carries the sign of x in the phase e^(i p x / hbar), so the even and odd
+parts of the wavefunction need no separate rule.
 """
 
 from __future__ import annotations
@@ -115,11 +115,13 @@ def delta_classical(hbar: float, mass: float, energy: float, lam: complex,
 
 
 def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalResult:
-    """Oracle route: cosine/sine integrals of the momentum-space resolvent.
+    """Oracle route: one real Fourier integral of the momentum-space resolvent.
 
-    The denominator C|p|^alpha e^(+-i theta pi/2) - E never vanishes for
-    E < 0 (its real part stays above -E), so both integrands are smooth
-    with algebraic decay.
+    With real alpha, theta, C and E the resolvents G+-(p) = 1/(C p^alpha
+    e^(+-i theta pi/2) - E) of the two half-lines are conjugates, so the
+    inverse transform is the integral over p > 0 of 2 Re[G+(p) e^(i p x / hbar)].
+    The denominator never vanishes for E < 0 (its real part stays above
+    -E), so the integrand is smooth with algebraic decay.
     """
     if not math.isfinite(x):
         raise ValidationError("x must be finite")
@@ -130,57 +132,41 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
         raise NonConvergence(
             "prefactor gamma * k_norm / (2 pi hbar)^2 overflows (gamma = %g)"
             % cfg.gamma_strength)
-    th2 = cfg.theta * math.pi / 2.0
     ca = cfg.c_alpha
     en = cfg.energy
-    rot_p = cmath.exp(1j * th2)
-    rot_m = rot_p.conjugate()
+    rot = cmath.exp(1j * cfg.theta * math.pi / 2.0)
+    k = x / cfg.hbar
+    omega = abs(k)
 
-    def gsum(p):
-        q = ca * p ** cfg.alpha
-        return 1.0 / (q * rot_p - en) + 1.0 / (q * rot_m - en)
+    def g(p):
+        return 2.0 * (np.exp(1j * k * p) / (ca * p ** cfg.alpha * rot - en)).real
 
-    def gdif(p):
-        q = ca * p ** cfg.alpha
-        return 1.0 / (q * rot_p - en) - 1.0 / (q * rot_m - en)
-
-    omega = abs(x) / cfg.hbar
-    work = 0
     if omega < 1e-12:
         # no oscillation: split at the resolvent knee.  Past the cut the
-        # leading tail 2 cos(th2) / (C p^alpha) is integrated in closed
-        # form, and only the remainder, E / (q r (q r - E)) summed over
-        # r = e^(+-i th2), which is O(p^(-2 alpha)), is mapped; the bare
-        # p^(-alpha) tail defeats the map for alpha near 1
+        # leading tail 2 cos(theta pi/2) / (C p^alpha) is integrated in
+        # closed form, and only the remainder 2 Re[E / (q (q - E))],
+        # q = C p^alpha e^(i theta pi/2), which is O(p^(-2 alpha)), is
+        # mapped; the bare p^(-alpha) tail defeats the map for alpha near 1
         knee = (-en / ca) ** (1.0 / cfg.alpha)
         cut = 50.0 * knee + 50.0
 
         def rest(p):
-            q = ca * p ** cfg.alpha
-            return en * (1.0 / (q * rot_p * (q * rot_p - en))
-                         + 1.0 / (q * rot_m * (q * rot_m - en)))
+            q = ca * p ** cfg.alpha * rot
+            return 2.0 * (en / (q * (q - en))).real
 
-        lead = 2.0 * math.cos(th2) / ca * cut ** (1.0 - cfg.alpha) / (cfg.alpha - 1.0)
-        v1, e1, w1 = adaptive(gsum, 0.0, cut, 0.5 * abs_tol)
+        lead = 2.0 * rot.real / ca * cut ** (1.0 - cfg.alpha) / (cfg.alpha - 1.0)
+        v1, e1, w1 = adaptive(g, 0.0, cut, 0.5 * abs_tol)
         v2, e2, w2 = tail_algebraic(rest, cut, 2.0 * cfg.alpha - 1.0, 0.5 * abs_tol)
-        i1 = v1 + lead + v2
-        i2 = 0.0 + 0.0j
+        integral = v1 + lead + v2
         ierr = e1 + e2
         work = w1 + w2
     else:
-        sgn = 1.0 if x > 0.0 else -1.0
-        i1, e1, w1 = osc_semi_inf(lambda p: gsum(p) * np.cos(omega * p),
-                                  omega, "cos", abs_tol)
-        i2, e2, w2 = osc_semi_inf(lambda p: gdif(p) * np.sin(omega * p),
-                                  omega, "sin", abs_tol)
-        i2 = sgn * i2
-        ierr = e1 + e2
-        work = w1 + w2
-    value = pref * (i1 + 1j * i2)
+        integral, ierr, work = osc_semi_inf(g, omega, abs_tol)
+    value = pref * integral
     err = abs(pref) * ierr
     if err > max(abs_tol, 1e-6 * abs(value)):
         raise QuadratureFailure(
-            "resolvent integrals stalled at error %.2e for x = %g" % (err, x))
+            "resolvent integral stalled at error %.2e for x = %g" % (err, x))
     return EvalResult(value=value, err_est=err, method="quadrature", work=work)
 
 

@@ -160,14 +160,16 @@ def linear_classical_airy(hbar: float, mass: float, energy: float,
 
 def linear_quadrature(cfg: LinearConfig, x: float,
                       abs_tol: float = 1e-10) -> EvalResult:
-    """Oracle route: two momentum half-line integrals on rotated rays.
+    """Oracle route: the momentum integral on a rotated ray.
 
-    Each ray is tilted so the w^(alpha+1) phase decays; the e^{iyw}
-    factor can grow for y < 0, so the radius is pushed past the point
-    where the power-law decay wins.  On either ray w = t e^(+-i psi) the
-    exponent has real part c t - t^(alpha+1), c = -y sin(psi), whose peak
-    c t* alpha/(alpha+1) at t* = (c/(alpha+1))^(1/alpha) is checked
-    against _RAY_EXP_CAP before any node is evaluated.
+    The ray w = t e^(i psi) is tilted so the w^(alpha+1) phase decays; the
+    integral over p < 0, on the mirrored ray, is its exact conjugate, so
+    the value is twice the real part of one ray.  The e^{iyw} factor can
+    grow for y < 0, so the radius is pushed past the point where the
+    power-law decay wins.  On the ray the exponent has real part
+    c t - t^(alpha+1), c = -y sin(psi), whose peak c t* alpha/(alpha+1) at
+    t* = (c/(alpha+1))^(1/alpha) is checked against _RAY_EXP_CAP before
+    any node is evaluated.
     """
     y = scaled_coordinate(cfg, x)
     _check_positive(abs_tol, "abs_tol")
@@ -181,22 +183,14 @@ def linear_quadrature(cfg: LinearConfig, x: float,
                 "ray integrand reaches exp(%.4g) for x = %g, past the cap exp(%g)"
                 % (peak, x, _RAY_EXP_CAP))
     radius = max(4.0, (3.0 * max(0.0, -y)) ** (1.0 / cfg.alpha) + 4.0)
-    total = 0.0 + 0.0j
-    err = 0.0
-    work = 0
-    for sgn in (1.0, -1.0):
-        psi = sgn * tilt
-        rot = cmath.exp(1j * sgn * cfg.theta * math.pi / 2.0)
+    rot = cmath.exp(1j * cfg.theta * math.pi / 2.0)
 
-        def f(w, _s=sgn, _r=rot):
-            return np.exp(1j * _s * y * w + 1j * _s * _r * w ** ap1)
+    def f(w):
+        return np.exp(1j * y * w + 1j * rot * w ** ap1)
 
-        val, perr, count = ray_segment(f, psi, radius, 0.5 * abs_tol / cfg.n_norm)
-        total += val
-        err += perr
-        work += count
-    value = cfg.n_norm * total
-    err *= cfg.n_norm
+    val, perr, work = ray_segment(f, tilt, radius, 0.5 * abs_tol / cfg.n_norm)
+    value = 2.0 * cfg.n_norm * val.real
+    err = 2.0 * cfg.n_norm * perr
     if not err <= max(abs_tol, 1e-5 * cfg.n_norm):
         raise QuadratureFailure(
             "ray integrals stalled at error %.2e for x = %g" % (err, x))

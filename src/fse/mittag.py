@@ -1,6 +1,7 @@
 """One-parameter Mittag-Leffler function E_b(z) on 0 < b <= 1.
 
-Two schemes share the work.  A Taylor sum handles the ball where double
+Two schemes share the work; at b = 1, ml_eval returns E_1(z) = exp(z)
+itself.  A Taylor sum handles the ball where double
 precision keeps enough digits (the largest term grows like exp(|z|^(1/b)),
 so the ball is capped in that quantity, not just in |z|).  Everything else
 goes through an inverse-Laplace parabolic contour with optimally tuned
@@ -174,14 +175,25 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
 def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """E_beta(z) with automatic scheme selection and an honest accuracy gate.
 
-    Raises NonConvergence when neither scheme's error estimate meets
-    rel_tol relative to the returned magnitude; this is inherent near deep
-    sign-changing arguments where the function is exponentially smaller
-    than the roundoff floor of any fixed-precision route.
+    At beta = 1 it returns E_1(z) = exp(z) directly (method "exp").
+    Otherwise it raises NonConvergence when neither scheme's error
+    estimate meets rel_tol relative to the returned magnitude; this is
+    inherent near deep sign-changing arguments where the function is
+    exponentially smaller than the roundoff floor of any fixed-precision
+    route.
     """
     z = _validate(beta, z, rel_tol)
     if z == 0:
         return EvalResult(1.0 + 0.0j, 0.0, "series", 1)
+    if beta == 1.0:
+        # E_1 is the exponential; cmath rounds it to within an ulp or two,
+        # and an underflowing value to within one subnormal step
+        try:
+            val = cmath.exp(z)
+        except OverflowError:
+            raise NonConvergence(
+                "E_1(z) = exp(z) overflows double range at Re z = %.4g" % z.real)
+        return EvalResult(val, 2.0 * MACH_EPS * abs(val) + math.ulp(0.0), "exp", 1)
     in_ball = abs(z) <= SERIES_RADIUS and abs(z) ** (1.0 / beta) <= SERIES_ROOT_CAP
     tried = []
     if in_ball:

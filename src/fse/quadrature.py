@@ -1,8 +1,8 @@
 """Adaptive quadrature engines and discrete Fourier-pair checkers.
 
 Three strategies cover the integral shapes the solvers need: plain
-adaptive bisection on a finite interval, an oscillatory splitter for
-semi-infinite cosine/sine integrals with algebraic decay, and a rotated
+adaptive bisection on a finite interval, an oscillatory splitter for a
+real Fourier integral over [0, inf) with algebraic decay, and a rotated
 ray for integrands that decay only off the real axis.  These routines are
 the ground truth the closed forms are compared against, so they share no
 code with the H-function evaluators.
@@ -99,37 +99,38 @@ def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
     return total, toterr, count
 
 
-def osc_semi_inf(g, omega: float, kind: str, tol: float):
-    """Integral of g over [0, inf) where g oscillates like cos/sin(omega p).
+def osc_semi_inf(g, omega: float, tol: float):
+    """Integral of g over [0, inf) where g oscillates like e^(i omega p).
 
-    Splits at the oscillation zeros, then feeds the alternating half-period
-    pieces to Euler acceleration; g (an array integrand) must supply the
-    oscillating factor itself and decay algebraically.
+    The head [0, pi/omega] is integrated whole; the half-period pieces
+    after it alternate in sign and go to Euler acceleration.  The sum stops
+    once two successive estimates (pieces j and j - 2) each have spread
+    below 0.1 tol and agree within 0.1 tol; err_est adds twice the last
+    spread and the last change to the panel errors.  g (a real array
+    integrand) must supply the oscillating factor itself, at any phase,
+    and decay algebraically.
     """
     if omega <= 0.0:
         raise ValidationError("oscillation frequency hint must be positive")
-    if kind == "cos":
-        first = 0.5 * math.pi / omega
-    elif kind == "sin":
-        first = math.pi / omega
-    else:
-        raise ValidationError("oscillation kind must be 'cos' or 'sin'")
     half = math.pi / omega
-    head, head_err, _ = adaptive(g, 0.0, first, 0.1 * tol)
+    head, head_err, _ = adaptive(g, 0.0, half, 0.1 * tol)
     pieces = []
     perr = 0.0
+    last = None  # (estimate, spread) of the previous stop attempt
     for j in range(OSC_HALF_PERIODS):
-        lo = first + j * half
+        lo = half + j * half
         hi = lo + half
         v, e, _ = adaptive(g, lo, hi, 0.05 * tol / (j + 1.0) ** 2, max_panels=60)
         pieces.append(v)
         perr += e
         if j >= 7 and j % 2 == 1:
             est, spread = euler_alternating(pieces)
-            if spread < 0.1 * tol:
-                return head + est, head_err + perr + spread, j + 1
-    est, spread = euler_alternating(pieces)
-    return head + est, head_err + perr + spread, OSC_HALF_PERIODS
+            if last is not None:
+                change = abs(est - last[0])
+                if max(spread, last[1], change) < 0.1 * tol:
+                    break
+            last = est, spread
+    return head + est, head_err + perr + 2.0 * (spread + change), len(pieces)
 
 
 def tail_algebraic(g, cut: float, decay: float, tol: float):

@@ -116,7 +116,11 @@ class LinearConfig:
 
 @dataclass
 class EvalResult:
-    """A single evaluated value with an error estimate and the route used."""
+    """A single evaluated value with an error estimate and the route used.
+
+    value is stored as a Python complex and err_est as a Python float; a
+    non-finite value or a NaN err_est refuses as NonConvergence.
+    """
 
     value: complex
     err_est: float
@@ -127,5 +131,9 @@ class EvalResult:
         v = complex(self.value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise NonConvergence("result value is not finite")
+        e = float(self.err_est)
+        if math.isnan(e):
+            raise NonConvergence("result err_est is NaN")
         self.value = v
+        self.err_est = e
 

@@ -17,6 +17,14 @@ import sys
 # value, err_est, 'method', work; or, from the ramp's series, value, err_est, nterms
 _ANSWER = re.compile(r"^(.*) ([^\s']+) ([^\s']+) (?:'([^']*)' )?(-?\d+)$")
 _REFUSAL = re.compile(r"^(.*?) ([A-Z]\w*) ?(.*)$")
+# numpy 2 prints a numpy scalar as np.float64(x) or np.complex128(z)
+_NUMPY_SCALAR = re.compile(r"^np\.\w+\((.*)\)$")
+
+
+def _number(tok):
+    """The repr of a number, unwrapped from numpy's scalar repr."""
+    m = _NUMPY_SCALAR.match(tok)
+    return m.group(1) if m else tok
 
 
 def parse(line):
@@ -27,7 +35,8 @@ def parse(line):
     if m:
         tag, value, err, method, work = m.groups()
         try:
-            return tag, "answer", complex(value), float(err), method, int(work)
+            return (tag, "answer", complex(_number(value)), float(_number(err)),
+                    method, int(work))
         except ValueError:
             pass
     m = _REFUSAL.match(line)

@@ -265,6 +265,21 @@ def test_ml_subcommand_exponential_law():
     assert abs(float(rows[1][1]) - math.exp(-1.0)) < 1e-10
 
 
+def test_ml_beta_one_deep_negative_grid():
+    # E_1 = exp exactly, so the deep negative axis answers to full
+    # relative accuracy
+    r = run_cli("ml", "--beta", "1", "--grid=-20:-13:8")
+    assert r.returncode == 0, r.stderr
+    rows = parse_csv(r.stdout)
+    assert len(rows) == 8
+    for row in rows:
+        want = math.exp(float(row[0]))
+        assert row[5] == "exp"
+        assert abs(float(row[1]) - want) <= 4e-16 * want
+        assert float(row[2]) == 0.0
+        assert 0.0 < float(row[4]) <= 1e-15 * want
+
+
 @pytest.mark.parametrize("hbar", ["1e-200", "1e200"])
 @pytest.mark.parametrize("method", ["auto", "quadrature"])
 def test_extreme_hbar_on_the_delta_well_exits_3(hbar, method):

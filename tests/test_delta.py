@@ -151,6 +151,22 @@ def test_quadrature_at_origin_slow_tail(alpha):
     assert abs(q.value - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])
+def test_quadrature_error_claim_bounds_its_error(alpha):
+    # the oracle's claim must bound its error at every point, including the
+    # skew bounds |theta| = 2 - alpha; the closed form at 1e-12 is the
+    # reference
+    lim = 2.0 - alpha
+    for theta in (lim, -lim, 0.9 * lim, 0.0):
+        cfg = DeltaConfig(alpha=alpha, theta=theta, c_alpha=1.0, energy=-1.0)
+        for x in np.linspace(-4.0, 4.0, 33):
+            if x == 0.0:
+                continue
+            q = delta_quadrature(cfg, float(x), abs_tol=1e-9)
+            c = delta_closed_form(cfg, float(x), rel_tol=1e-12)
+            assert abs(q.value - c.value) <= q.err_est + c.err_est, (theta, x)
+
+
 def test_quadrature_is_even_unskewed():
     cfg = DeltaConfig(alpha=1.4, theta=0.0, c_alpha=1.0, energy=-0.6)
     a = delta_quadrature(cfg, 0.9, 1e-10)

@@ -102,10 +102,26 @@ def test_foxh_route_refuses_positive_axis():
 
 
 def test_deep_negative_beta_one_refusal():
-    # E_1(-50) = e^{-50} sits far below the float64 cancellation floor of
-    # both schemes; an honest evaluator refuses rather than guessing
+    # just below beta = 1, E_beta(-50) ~ e^{-50} sits far below the float64
+    # cancellation floor of both schemes; an honest evaluator refuses
+    # rather than guessing
     with pytest.raises(NonConvergence):
-        ml_eval(1.0, -50.0)
+        ml_eval(0.9999, -50.0)
+
+
+@pytest.mark.parametrize("z", [-20.0, -13.3, -50.0, -700.0, 3.0 - 40.0j, 709.0])
+def test_beta_one_is_the_exponential(z):
+    # E_1(z) = exp(z) exactly: no cancellation floor on the negative axis
+    r = ml_eval(1.0, z)
+    want = cmath.exp(z)
+    assert r.method == "exp"
+    assert r.value == want
+    assert 0.0 < r.err_est <= 4.0 * np.finfo(float).eps * abs(want) + 5e-324
+
+
+def test_beta_one_overflow_refuses():
+    with pytest.raises(NonConvergence, match="overflows"):
+        ml_eval(1.0, 710.0)
 
 
 def test_overflow_refuses():

@@ -42,10 +42,10 @@ def test_adaptive_peaked_integrand():
 def test_oscillatory_semi_infinite():
     want = 0.5 * math.pi * math.exp(-1.0)
     val, err, _ = osc_semi_inf(lambda p: np.cos(p) / (1.0 + p * p),
-                               1.0, "cos", 1e-12)
+                               1.0, 1e-12)
     assert abs(val - want) < 1e-10
     val2, _, _ = osc_semi_inf(lambda p: p * np.sin(p) / (1.0 + p * p),
-                              1.0, "sin", 1e-12)
+                              1.0, 1e-12)
     assert abs(val2 - want) < 1e-10
 
 
