@@ -1,10 +1,13 @@
 """Bound-state wavefunction for the attractive point potential.
 
-The closed form combines four H-function evaluations at phase-rotated
-arguments; the quadrature route integrates the momentum-space resolvent
-directly and is the independent oracle.  Its one real Fourier integral
-carries the sign of x in the phase e^(i p x / hbar), so the even and odd
-parts of the wavefunction need no separate rule.
+The closed form combines the even and odd H-functions at the
+phase-rotated arguments zeta e^(-+i theta pi/(2 alpha)): two evaluations
+and their conjugates, since with real parameters H(conj z) = conj H(z)
+and eval_auto answers the second of each pair from the first.  The
+quadrature route integrates the momentum-space resolvent directly and is
+the independent oracle.  Its one real Fourier integral carries the sign
+of x in the phase e^(i p x / hbar), so the even and odd parts of the
+wavefunction need no separate rule.
 """
 
 from __future__ import annotations

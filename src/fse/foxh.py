@@ -45,8 +45,10 @@ pole's order (two less those zeros) picks the residue.  One pole scan,
 _nearest_pole, serves the collision checks, the near-pole gain of the
 lookahead and the denominator zeros beside a double pole; one matcher,
 _exact_matches, finds both the cancelling and the reflection pairs.
-Nothing is kept between calls, so a call is a pure function of its
-arguments and needs no invalidation; reuse across calls on one parameter
+Nothing is kept between calls but eval_auto's last answer, which it
+replays only as the exact conjugate H(conj z) = conj H(z).  A replay can
+differ from a fresh evaluation at conj z in rounding, within both
+err_est, and needs no invalidation; reuse across calls on one parameter
 set is left to a plan built outside this module.
 The kernels log_gamma and digamma are looked up as module globals at
 call time, once per unpaired factor per term, so that rebinding them (to
@@ -744,12 +746,34 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     return EvalResult(acc, err, "contour", work)
 
 
+# (params, z, rel_tol, result) of eval_auto's last computed answer
+_conj_memo = None
+
+
 def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
-    """Series first, contour as fallback on degenerate poles or slow series."""
+    """Series first, contour as fallback on degenerate poles or slow series.
+
+    A call with the same params and rel_tol at the conjugate of the last
+    computed z, off the real axis, is answered from that answer: with real
+    parameters H(conj z) = conj H(z), and the conjugate is exact in floating
+    point, so conj(value) is off H(conj z) by exactly what value is off H(z)
+    and the stored err_est still bounds it.  The replay reports work 0.  A
+    real z never replays, so the two sides of the branch cut at z = -x +- 0j
+    stay apart.  A refusal leaves the stored answer as it was.
+    """
+    global _conj_memo
+    z = complex(z)
+    memo = _conj_memo
+    if memo is not None and z.imag != 0.0 and z == memo[1].conjugate() \
+            and rel_tol == memo[2] and params == memo[0]:
+        r = memo[3]
+        return EvalResult(r.value.conjugate(), r.err_est, r.method, 0)
     try:
-        return eval_series(params, z, rel_tol)
+        r = eval_series(params, z, rel_tol)
     except (DegeneratePoles, NonConvergence):
-        return eval_contour(params, z, rel_tol)
+        r = eval_contour(params, z, rel_tol)
+    _conj_memo = (params, z, rel_tol, r)
+    return r
 
 
 def lemma31_check(x: float, rho: float, alpha: float, b: complex,

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from fse import foxh
 from fse.delta import (_even_part_params, delta_classical, delta_closed_form,
                        delta_quadrature)
 from fse.errors import DomainError, NonConvergence, ValidationError
@@ -72,6 +73,44 @@ def test_riesz_route_equals_general_form_unskewed():
             want = xi0 * eval_auto(_even_part_params(a), zeta, 1e-9).value
             got = delta_closed_form(cfg, x).value
             assert abs(got - want) <= 1e-14 * abs(got)
+
+
+@pytest.mark.parametrize("theta, x, evaluations", [
+    (0.25, 0.7, 2), (-0.2, -2.4, 2),
+    (0.25, 11.0, 2),                    # contour points, after failed series
+    (0.0, 0.7, 1),
+])
+def test_closed_form_computes_one_h_per_conjugate_pair(monkeypatch, theta, x,
+                                                       evaluations):
+    # H(conj z) = conj H(z) with real parameters: the second H value of each
+    # pair is the conjugate of the first, not a second evaluation
+    computed = []
+
+    def counting(fn):
+        def wrapper(*args):
+            r = fn(*args)
+            computed.append(r.work)
+            return r
+        return wrapper
+
+    for name in ("eval_series", "eval_contour"):
+        monkeypatch.setattr(foxh, name, counting(getattr(foxh, name)))
+    cfg = DeltaConfig(alpha=1.5, theta=theta, c_alpha=1.0, energy=-1.0)
+    r = delta_closed_form(cfg, x)
+    assert len(computed) == evaluations
+    assert r.work == sum(computed)
+
+
+def test_wavefunction_is_real_for_real_strength_and_norm():
+    # psi = pref1 2 Re(phi H_e) + pref2 2i Im(phi H_o) is real when gamma and
+    # k_norm are; the conjugate pairs make its imaginary part exactly zero
+    cases = [(DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0, energy=-1.0),
+              np.linspace(-3.0, 3.0, 121)),
+             (DeltaConfig(alpha=1.2, theta=-0.15, c_alpha=0.8, energy=-0.6),
+              np.array([-12.0, -0.3, 0.9, 10.0]))]
+    for cfg, xs in cases:
+        for x in xs[xs != 0.0]:
+            assert delta_closed_form(cfg, float(x)).value.imag == 0.0
 
 
 def test_closed_form_undefined_at_origin():

@@ -326,6 +326,74 @@ def test_contour_is_conjugate_symmetric_for_real_parameters():
             assert abs(a.value - b.value.conjugate()) <= a.err_est + b.err_est
 
 
+# sigma = 3: the existence sector admits arg z = pi, on both sides of the cut
+WIDE = FoxHParams(m=1, n=0, upper=(), lower=((0.0, 3.0),))
+
+
+def test_auto_replays_the_conjugate_of_its_last_answer():
+    params = _even_part_params(1.5)
+    z = 2.0 * cmath.exp(-0.3j)
+    a = eval_auto(params, z, 1e-9)
+    b = eval_auto(params, z.conjugate(), 1e-9)
+    assert a.work > 0 and b.work == 0
+    assert b.value == a.value.conjugate()
+    assert (b.err_est, b.method) == (a.err_est, a.method)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((DIAG, 0.7, 1e-9), (DIAG, 0.7, 1e-9)),                 # a real z
+    # the two sides of the branch cut
+    ((WIDE, complex(-2.0, 0.0), 1e-9), (WIDE, complex(-2.0, -0.0), 1e-9)),
+    ((DIAG, 0.7 + 0.4j, 1e-9), (DIAG, 0.7 - 0.4j, 1e-10)),  # another rel_tol
+    ((DIAG, 0.7 + 0.4j, 1e-9), (WIDE, 0.7 - 0.4j, 1e-9)),   # other params
+])
+def test_auto_computes_when_the_last_answer_does_not_match(first, second):
+    eval_auto(*first)
+    got = eval_auto(*second)
+    ref = eval_series(*second)
+    assert got.work > 0
+    assert abs(got.value - ref.value) <= got.err_est + ref.err_est
+
+
+def test_auto_replays_only_the_last_answer():
+    z = 0.7 + 0.4j
+    eval_auto(DIAG, z, 1e-9)
+    eval_auto(WIDE, 1.3 + 0.2j, 1e-9)
+    assert eval_auto(DIAG, z.conjugate(), 1e-9).work > 0
+
+
+@pytest.mark.parametrize("params, z, err", [
+    (EXP, -1.0 + 1.0j, DomainError),                        # outside the sector
+    (EXP, 1e60 * cmath.exp(0.2j), NonConvergence),          # past the contour cap
+])
+def test_a_refused_call_leaves_no_answer_to_replay(params, z, err):
+    with pytest.raises(err):
+        eval_auto(params, z)
+    with pytest.raises(err):
+        eval_auto(params, z.conjugate())
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+def test_replayed_conjugate_agrees_with_a_fresh_evaluation(alpha):
+    # H(conj z) = conj H(z) for the delta well's real parameters, on the
+    # series points and on the contour points (zeta > 8) alike
+    routes = {"series": eval_series, "contour": eval_contour}
+    seen = set()
+    for frac in (-0.9, 0.4, 1.0):
+        theta = frac * min(alpha, 2.0 - alpha)
+        ph = cmath.exp(-1j * theta * math.pi / (2.0 * alpha))
+        for zeta in (0.4, 3.0, 9.0, 14.0):
+            for params, z in ((_even_part_params(alpha), zeta * ph),
+                              (_odd_part_params(alpha), 0.5 * zeta * ph)):
+                eval_auto(params, z, 1e-9)
+                replay = eval_auto(params, z.conjugate(), 1e-9)
+                assert replay.work == 0
+                fresh = routes[replay.method](params, z.conjugate(), 1e-9)
+                assert abs(fresh.value - replay.value) <= fresh.err_est + replay.err_est
+                seen.add(replay.method)
+    assert seen == {"series", "contour"}
+
+
 EPS = float(np.finfo(float).eps)
 
 
