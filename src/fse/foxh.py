@@ -9,10 +9,21 @@ H^{m,n}_{p,q}(z) is defined through the Mellin-Barnes integral
 with the contour separating the left pole chains s = -(b_j + k)/B_j from
 the right chains s = (1 - a_j + k)/A_j.  Two numerical routes are
 provided: the ascending residue series over the left chains (descending
-series obtained through argument inversion) and direct quadrature of the
-contour integral.  Gamma pairs that cancel exactly inside theta are
-stripped first, which is what collapses the classical-order instances to
-elementary functions instead of hitting multiple poles.
+series obtained through argument inversion) and the trapezoid rule on a
+vertical line of the contour integral.  Gamma pairs that cancel exactly
+inside theta are stripped first, which is what collapses the
+classical-order instances to elementary functions instead of hitting
+multiple poles.
+
+The trapezoid rule converges exponentially for an integrand analytic in
+a strip about the line (Trefethen and Weideman, SIAM Rev. 56 (2014)
+385): the step h comes from the strip width d, the distance from the
+line to the nearest pole, and from |ln |z||, and the cut T from the rate
+r = pi sigma/2 - |arg z| at which |theta(s) z^-s| decays along the line
+(Braaksma, Compositio Math. 15 (1964)), both before any node is
+evaluated.  err_est adds the discretisation bound of that h, the tail
+beyond T and the rounding of each node's exponent
+log theta(s) - s log z.
 
 Every a_j and b_j is real; FoxHParams refuses a complex one.  The
 H-functions of the space solution (the delta well's even and odd parts,
@@ -74,18 +85,20 @@ from .errors import (
     ValidationError,
     ZeroBase,
 )
-from .numerics import (MACH_EPS, digamma, leg_nodes, log_gamma, log_reflection,
-                       pi_cot_pi)
+from .numerics import MACH_EPS, digamma, log_gamma, log_reflection, pi_cot_pi
 from .result import EvalResult, _check_rel_tol
 
 TERM_CAP = 2000
 BOUNDARY_SWEEPS = 48
-CONTOUR_ORDER = 40
-# the unit panels alias z^-s = exp(-i t log z) past this |log z|: e^-z and
-# z^0.3/(1 + z) refuse up to 112, and err 1e9 times their err_est from 116
+# the contour refuses past this |log z|: there the line at the gap midpoint
+# cancels far below its rounding floor (e^-z and z^0.3/(1 + z) refuse on
+# their own err_est from |log z| = 50, after a full integral); it stays
+# until the line is chosen by the size of the integrand
 CONTOUR_LOG_Z_CAP = 112.0
-CONTOUR_T0 = 8.0
 CONTOUR_T_CAP = 400.0
+# a contour call's node budget: 2 MB per complex array of a block
+_CONTOUR_NODE_CAP = 1 << 17
+_LOG_INV_EPS = -math.log(MACH_EPS)
 SEPARATION_TOL = 1e-9
 LOOKAHEAD_SWEEPS = 64
 
@@ -665,6 +678,13 @@ def _contour_line(params: FoxHParams):
     return 0.5 * (lo + hi), min(1e-3, 0.1 * (hi - lo))
 
 
+def _pole_distance(params: FoxHParams, gam: float) -> float:
+    """Distance from the line Re s = gam to the nearest pole of theta: the
+    first pole of a left chain, or of a right one."""
+    return min([gam + b / wt for b, wt in params.lower[:params.m]]
+               + [(1.0 - a) / wt - gam for a, wt in params.upper[:params.n]])
+
+
 def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
     """log theta(s) modulo 2 pi i: one array log_reflection call per
     reflection pair and one array log_gamma call per remaining factor."""
@@ -676,18 +696,35 @@ def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
 
 
 def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
-    """Direct quadrature of the Mellin-Barnes integral on a vertical line.
+    """Trapezoid rule on the Mellin-Barnes integral along a vertical line.
 
-    Unit-length Gauss-Legendre panels; the integration half-width doubles
-    until a full doubling block is negligible against the accumulated
-    value.  Gamma decay along the line is super-exponential inside the
-    existence sector, so doubling terminates quickly away from the sector
-    boundary.  Every a_j and b_j is real (FoxHParams refuses others), so
-    theta(conj s) = conj theta(s) and the line is real: the upper
-    half-line nodes of a block go through one array call per gamma factor,
-    a reflection pair Gamma(u) Gamma(1 - u) counting as one
-    log pi - log sin(pi u), and the lower half is their conjugate.  z^-s
-    is still taken at every node, since z may be complex.
+    The line Re s = gamma sits midway between the left and right pole
+    families (one unit past the only family when there is one).  The
+    integrand f(t) = theta(gamma + i t) z^-(gamma + i t) is analytic in the
+    strip |Im t| < d, d the distance to the nearest pole, and on a line
+    shifted by a = d/2 it is at most |z|^a e^3 times its size on this one.
+    The trapezoid error is then 2 M e^(-2 pi a/h) (Trefethen and Weideman,
+    SIAM Rev. 56 (2014) 385), so the step
+
+        h = 2 pi a / (ln(1/eps) + 3 + a |ln |z||)
+
+    puts it at 2 eps sum |f| h, fixed before any node.  Gamma decay makes
+    |f(t)| fall like exp(-r |t|), r = pi sigma/2 - |arg z| (Braaksma), so
+    [0, T] with T = (ln(100/rel_tol) + 8)/r is taken as one block and
+    extended by half its length until the tail estimate 2 |f(T)|/r is
+    below 0.1 rel_tol of the sum.  The cut stops at CONTOUR_T_CAP, where a
+    tail still above that refuses; a step that would need more than
+    _CONTOUR_NODE_CAP nodes refuses before the block is evaluated.
+
+    err_est sums three parts: that discretisation bound, the tail estimate,
+    and the rounding eps sum |v| (1 + |log theta(s) - s log z|) of the
+    node values v, whose exponent reaches hundreds where the line cancels
+    heavily.  Every a_j and b_j is real (FoxHParams refuses others), so
+    theta(conj s) = conj theta(s): the upper half-line nodes of a block go
+    through one array call per gamma factor, a reflection pair
+    Gamma(u) Gamma(1 - u) counting as one log pi - log sin(pi u), and the
+    lower half is their conjugate.  z^-s is still taken at every node,
+    since z may be complex.  work counts the nodes.
     """
     _check_rel_tol(rel_tol)
     z = complex(z)
@@ -698,45 +735,54 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
         raise NonConvergence("|log z| = %.1f is past the contour's cap %g"
                              % (abs(logz), CONTOUR_LOG_Z_CAP))
     gamma_line, nudge = _contour_line(params)
-    leg_x, leg_w = leg_nodes(CONTOUR_ORDER)
     pairs = _reflection_pairs(params)
+    rate = 0.5 * math.pi * sigma(params) - abs(logz.imag)
 
     def integrate(gam):
+        a = 0.5 * _pole_distance(params, gam)
+        h = 2.0 * math.pi * a / (_LOG_INV_EPS + 3.0 + a * abs(logz.real))
+        t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
         acc = 0.0 + 0.0j
         abs_acc = 0.0
-        work = 0
-        t_lo = 0.0
-        t_hi = CONTOUR_T0
+        round_acc = 0.0
+        k_lo = 0
         while True:
-            # unit panels on [t_lo, t_hi], both signs; theta on the upper half
-            n_panels = max(1, int(round(t_hi - t_lo)))
-            edges = np.linspace(t_lo, t_hi, n_panels + 1)
-            half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-            t_nodes = (half * leg_x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
-            wts = np.tile((half * leg_w).ravel(), 2)
-            s = gam + 1j * np.concatenate((t_nodes, -t_nodes))
-            upper = _log_theta(params, pairs, s[:t_nodes.size])
-            log_th = np.concatenate((upper, upper.conj()))
-            vals = np.exp(log_th - s * logz) * wts
-            block_val = complex(np.sum(vals))
-            abs_acc += float(np.sum(np.abs(vals)))
-            work += 2 * n_panels * CONTOUR_ORDER
-            acc += block_val
-            block = abs(block_val)
-            if block <= 0.1 * rel_tol * max(abs(acc), 1e-300) and t_hi > CONTOUR_T0:
-                break
-            if t_hi >= CONTOUR_T_CAP:
+            k_hi = math.ceil(t_cut / h)
+            if 2 * k_hi + 1 > _CONTOUR_NODE_CAP:
                 raise NonConvergence(
-                    "contour tail still %.2e at |Im s| = %g" % (block, t_hi))
-            t_lo, t_hi = t_hi, 2.0 * t_hi
-        return acc / (2.0 * math.pi), abs_acc / (2.0 * math.pi), block / (2.0 * math.pi), work
+                    "contour step %.2e needs %d nodes to |Im s| = %.3g, past its cap %d"
+                    % (h, 2 * k_hi + 1, t_cut, _CONTOUR_NODE_CAP))
+            # nodes k h for k_lo <= k <= k_hi, both signs, t = 0 once;
+            # theta on the upper half
+            s_up = gam + 1j * h * np.arange(k_lo, k_hi + 1)
+            upper = _log_theta(params, pairs, s_up)
+            mirror = slice(1 if k_lo == 0 else 0, None)
+            s = np.concatenate((s_up, s_up[mirror].conj()))
+            expo = np.concatenate((upper, upper[mirror].conj())) - s * logz
+            mags = np.exp(expo.real)
+            acc += h * complex(np.sum(np.exp(expo)))
+            abs_acc += h * float(np.sum(mags))
+            round_acc += h * float(np.sum(mags * (1.0 + np.abs(expo))))
+            # |f| at the cut, on the upper and the lower half-line
+            tail = 2.0 * max(mags[k_hi - k_lo], mags[-1]) / rate
+            if tail <= 0.1 * rel_tol * max(abs(acc), 1e-300):
+                break
+            if t_cut >= CONTOUR_T_CAP:
+                raise NonConvergence(
+                    "contour tail still %.2e at |Im s| = %g" % (tail, t_cut))
+            k_lo = k_hi + 1
+            t_cut = min(1.5 * t_cut, CONTOUR_T_CAP)
+        work = 2 * k_hi + 1
+        # M = e^(3 + a |ln |z||) sum |f| makes 2 M e^(-2 pi a/h) = 2 eps sum |f|
+        err = tail + 2.0 * MACH_EPS * abs_acc + MACH_EPS * round_acc
+        return acc / (2.0 * math.pi), err / (2.0 * math.pi), work
 
     try:
-        acc, abs_acc, tail, work = integrate(gamma_line)
+        acc, err, work = integrate(gamma_line)
     except PoleOfGamma:
-        # a denominator zero sat exactly on a node; nudge the line inside the gap
-        acc, abs_acc, tail, work = integrate(gamma_line + nudge)
-    err = tail + MACH_EPS * abs_acc
+        # a denominator zero sat on the real node t = 0; nudge the line
+        # inside the gap
+        acc, err, work = integrate(gamma_line + nudge)
     if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
         raise NonConvergence("contour accumulation overflowed double range")
     if err > rel_tol * max(abs(acc), 1e-300):

@@ -1,16 +1,19 @@
-"""Mellin-Barnes references for H-functions whose left pole chains meet.
+"""Mellin-Barnes references for H-functions whose left pole chains meet,
+and for the points where the contour route has to carry the value.
 
 Run from the repository root as `PYTHONPATH=src:. python tests/collision_refs.py`
-(about a minute); it prints the COLLISION_REFS table that
+(a few minutes); it prints the COLLISION_REFS and CONTOUR_REFS tables that
 tests/test_foxh.py stores.  Each value is
 
     H(z) = (1/2 pi) int theta(gamma + i t) z^-(gamma + i t) dt,
 
 theta built from mpmath gamma functions of the parameters alone, on a
 vertical line Re s = gamma midway between the left and the right pole
-chains, by mpmath.quad at 30 digits on 4-unit pieces of |t| <= 60 (one
-piece over the whole line is off by about 1e-9 at complex z).  Pieces
-are added past 60 until one adds less than 1e-25 of the value.
+chains, by mpmath.quad at 30 digits (25 for CONTOUR_REFS, whose points
+near the sector edge need |t| out to about 900) on 4-unit pieces of
+|t| <= 60 (one piece over the whole line is off by about 1e-9 at
+complex z).  Pieces are added past 60 until one adds less than 1e-25 of
+the value.
 """
 
 import cmath
@@ -19,7 +22,9 @@ import math
 import mpmath as mp
 
 from fse.delta import _even_part_params, _odd_part_params
-from fse.foxh import FoxHParams
+from fse.foxh import FoxHParams, sigma
+from fse.linear import _h_params
+from fse.result import LinearConfig
 
 _PIECE = 4
 _T_MIN = 60
@@ -84,8 +89,41 @@ POINTS = ([(part, zeta * w) for part in ("even", "odd") for zeta in (0.5, 2.0, 4
              for z in (1.3 * cmath.exp(-0.2j), 2.0, 4.0)])
 
 
-if __name__ == "__main__":
-    print("COLLISION_REFS = [")
-    for name, z in POINTS:
-        print("    (%r, %r, %r)," % (name, z, line_integral(SETS[name], z)))
+def _phase(alpha, theta):
+    """The delta well's argument phase e^(-i pi theta/(2 alpha))."""
+    return cmath.exp(-0.5j * math.pi * theta / alpha)
+
+
+def _edge(params, frac):
+    """The phase at frac of the existence sector's edge pi sigma/2."""
+    return cmath.exp(-0.5j * math.pi * frac * sigma(params))
+
+
+# contour points: the delta well's even part at large zeta, where the line
+# at the gap midpoint cancels heavily (alpha 1.9 unskewed, alpha 1.2 at
+# theta 0.1), the ramp past the series limit, and the even and odd parts of
+# the README well near the sector edge, where |theta z^-s| decays slowly
+CONTOUR_SETS = {
+    "even 1.9": _even_part_params(1.9),
+    "even 1.2": _even_part_params(1.2),
+    "ramp": _h_params(LinearConfig(alpha=1.5, theta=0.3)),
+    "even 1.5": _even_part_params(ALPHA),
+    "odd 1.5": _odd_part_params(ALPHA),
+}
+CONTOUR_POINTS = ([("even 1.9", zeta) for zeta in (10.0, 30.0, 100.0)]
+                  + [("even 1.2", zeta * _phase(1.2, 0.1)) for zeta in (10.0, 30.0, 100.0)]
+                  + [("ramp", 8.0)]
+                  + [(part, 5.0 * _edge(CONTOUR_SETS[part], frac))
+                     for part in ("even 1.5", "odd 1.5") for frac in (0.9, 0.97)])
+
+
+def _table(name, sets, points, dps):
+    print("%s = [" % name)
+    for key, z in points:
+        print("    (%r, %r, %r)," % (key, z, line_integral(sets[key], z, dps)))
     print("]")
+
+
+if __name__ == "__main__":
+    _table("COLLISION_REFS", SETS, POINTS, 30)
+    _table("CONTOUR_REFS", CONTOUR_SETS, CONTOUR_POINTS, 25)

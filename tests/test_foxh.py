@@ -1,6 +1,8 @@
 import cmath
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from fse.foxh import (FoxHParams, _gamma_forms, _log_theta, _reflection_pairs,
                       sigma)
 from fse.linear import _h_params
 from fse.result import LinearConfig
+from tests.collision_refs import CONTOUR_SETS
 from tests.collision_refs import SETS as COLLISION_SETS
 from tests.collision_refs import line_integral
 
@@ -575,6 +578,93 @@ def test_collision_residues_match_the_line_integral():
     assert abs(line_integral(COLLISION_SETS[name], z, dps=20) - ref) <= 1e-15 * abs(ref)
 
 
+def _binomial(gap):
+    """H^{1,1}_{1,1}(z | (a, 1); (-a, 1)) = Gamma(1 - 2a) z^-a (1 + z)^(2a - 1),
+    a = (1 - gap)/2: the line sits gap/2 from a pole on each side."""
+    a = 0.5 * (1.0 - gap)
+    params = FoxHParams(m=1, n=1, upper=((a, 1.0),), lower=((-a, 1.0),))
+    return params, lambda z: mp.gamma(1 - 2 * mp.mpf(a)) * z ** -a * (1 + z) ** (2 * a - 1)
+
+
+@pytest.mark.parametrize("params, exact, zs", [
+    # narrow gaps shrink the step, and at large |z| the rounding of the
+    # exponent log theta(s) - s log z dominates the error
+    _binomial(0.1) + ([math.exp(v) for v in (0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0)],),
+    _binomial(0.04) + ([math.exp(v) for v in (0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0)],),
+    (EXP, lambda z: mp.exp(-z), [0.5, 3.0, 10.0, 10.0 * cmath.exp(0.7j)]),
+], ids=["gap-0.1", "gap-0.04", "exp"])
+def test_contour_err_est_bounds_exact_instances(params, exact, zs):
+    for z in zs:
+        with mp.workdps(30):
+            ref = complex(exact(mp.mpmathify(z)))
+        got = eval_contour(params, z, 1e-9)
+        assert abs(got.value - ref) <= got.err_est, z
+
+
+def test_contour_nudges_its_line_off_a_zero_on_the_real_node():
+    # 1/Gamma(s - 1/2) vanishes at the gap midpoint s = 1/2, the t = 0
+    # node of the trapezoid, where its log refuses; the line moves by the
+    # nudge and the value still matches the series
+    params = FoxHParams(m=1, n=1, upper=((0.0, 1.0), (-0.5, 1.0)), lower=((0.0, 1.0),))
+    for z in (0.5, 2.0):
+        got = eval_contour(params, z, 1e-9)
+        ref = eval_series(params, z, 1e-9)
+        assert abs(got.value - ref.value) <= got.err_est + ref.err_est
+
+
+@pytest.mark.parametrize("params, z, match", [
+    # a gap of 1e-5 needs a step near 4e-7, some 5e7 nodes: refused before
+    # any node is evaluated
+    (_binomial(1e-5)[0], 2.0, "nodes"),
+    # at 0.97 of the sector edge the alpha 1.9 even part decays at rate
+    # 0.05, and its tail estimate at |Im s| = CONTOUR_T_CAP is still 1e-7
+    (_even_part_params(1.9), 5.0 * cmath.exp(-0.485j * math.pi * sigma(_even_part_params(1.9))),
+     "tail"),
+], ids=["narrow-gap", "sector-edge"])
+def test_contour_refuses_past_its_node_and_cut_budgets(params, z, match):
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match=match):
+        eval_contour(params, z, 1e-9)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_contour_work_on_the_readme_well_and_the_ramp():
+    # the step follows the strip width and the cut the decay rate, so a
+    # contour point past the series limit takes about a thousand nodes
+    z = 9.0 * cmath.exp(-0.25j * math.pi / 3.0)
+    assert eval_contour(_even_part_params(1.5), z, 1e-9).work <= 1200
+    ramp = _h_params(LinearConfig(alpha=1.5, theta=0.3))
+    assert eval_contour(ramp, 8.0, 1e-9).work <= 2000
+
+
+# H(z) at contour points, from tests/collision_refs.py: the Mellin-Barnes
+# line integral by mpmath at 25 digits, rounded to double
+CONTOUR_REFS = [
+    ('even 1.9', 10.0, (0.00034073706980113213+0j)),
+    ('even 1.9', 30.0, (9.2838621234917e-06+0j)),
+    ('even 1.9', 100.0, (2.7484734577255933e-07+0j)),
+    ('even 1.2', (9.914448613738104-1.305261922200516j), (0.002572360936241544+0.0007679258785150146j)),
+    ('even 1.2', (29.74334584121431-3.915785766601548j), (0.00022126195322018152+6.63848624999489e-05j)),
+    ('even 1.2', (99.14448613738104-13.052619222005161j), (1.5372548197390058e-05+4.5702160140033345e-06j)),
+    ('ramp', 8.0, (0.0007255786578104337+0j)),
+    ('even 1.5', (-1.5450849718747348-4.755282581475769j), (0.2288932760115828-0.2752069243239828j)),
+    ('even 1.5', (-2.2231758959246357-4.478558801197065j), (0.5267614520667291-0.5130457526167952j)),
+    ('odd 1.5', (-1.5450849718747348-4.755282581475769j), (-0.39396658926452277+0.43836737383920626j)),
+    ('odd 1.5', (-2.2231758959246357-4.478558801197065j), (-1.741284520445682+1.0402730854367122j)),
+]
+
+
+def test_contour_err_est_bounds_the_line_integral():
+    # large zeta at alpha 1.9 and at alpha 1.2, theta 0.1, the ramp past
+    # the series limit, and 0.9 and 0.97 of the sector edge
+    for name, z, ref in CONTOUR_REFS:
+        got = eval_contour(CONTOUR_SETS[name], z, 1e-9)
+        assert abs(got.value - ref) <= got.err_est, (name, z)
+    # the stored table is what the script computes
+    name, z, ref = CONTOUR_REFS[0]
+    assert abs(line_integral(CONTOUR_SETS[name], z, dps=20) - ref) <= 1e-15 * abs(ref)
+
+
 def test_series_calls_the_module_kernels_once_per_unpaired_factor(monkeypatch):
     # the benchmark's tracer counts kernel calls by rebinding these module
     # globals, so eval_series must look them up at call time, once per
@@ -608,8 +698,9 @@ def test_series_calls_the_module_kernels_once_per_unpaired_factor(monkeypatch):
 
 @pytest.mark.parametrize("z", [math.exp(150.0), math.exp(-150.0), 1e100, 1e300])
 def test_contour_refuses_past_its_log_z_cap(z):
-    # past |log z| ~ 116 the unit panels alias z^-s, and e^-z and
-    # z^0.3 / (1 + z) came back 1e9 times off their err_est
+    # past |log z| = 112 the line at the gap midpoint cancels far below
+    # its rounding floor, and e^-z and z^0.3 / (1 + z) would only refuse
+    # on their err_est after a full integral
     ratio = FoxHParams(m=1, n=1, upper=((0.3, 1.0),), lower=((0.3, 1.0),))
     for params in (EXP, ratio):
         with pytest.raises(NonConvergence):
