@@ -17,10 +17,9 @@ from .errors import (DegeneratePoles, DomainError, EvaluationError,
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
 from .numerics import log_gamma, signum
 from .mittag import ml_contour, ml_eval, ml_series, ml_as_foxh
-from .foxh import (FoxHParams, boundary_radius, eval_auto, eval_contour,
-                   eval_series, exists, from_meijer_g, invert_argument,
-                   lemma31_check, reduce_params, scale_argument_power,
-                   shift_by_power, sigma)
+from .foxh import (FoxHParams, eval_auto, eval_contour, eval_series, exists,
+                   from_meijer_g, invert_argument, lemma31_check,
+                   reduce_params, scale_argument_power, shift_by_power, sigma)
 from .time_factor import time_factor
 from .delta import delta_classical, delta_closed_form, delta_quadrature
 from .linear import (linear_classical_airy, linear_closed_form,
@@ -36,10 +35,9 @@ __all__ = [
     "DeltaConfig", "EvalResult", "LinearConfig", "TimeConfig",
     "log_gamma", "signum",
     "ml_contour", "ml_eval", "ml_series", "ml_as_foxh",
-    "FoxHParams", "boundary_radius", "eval_auto", "eval_contour",
-    "eval_series", "exists", "from_meijer_g", "invert_argument",
-    "lemma31_check", "reduce_params", "scale_argument_power",
-    "shift_by_power", "sigma",
+    "FoxHParams", "eval_auto", "eval_contour", "eval_series", "exists",
+    "from_meijer_g", "invert_argument", "lemma31_check", "reduce_params",
+    "scale_argument_power", "shift_by_power", "sigma",
     "time_factor",
     "delta_classical", "delta_closed_form", "delta_quadrature",
     "linear_classical_airy", "linear_closed_form", "linear_mellin_factor",

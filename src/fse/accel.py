@@ -1,5 +1,7 @@
-"""Sequence acceleration used by the boundary-regime series and the
-oscillatory quadrature tails."""
+"""Sequence acceleration for the oscillatory quadrature tails: the Euler
+transform of an alternating series.  No H series is resummed: a
+series-index-0 set, whose residue series has a finite radius, takes the
+Mellin-Barnes contour instead."""
 
 from __future__ import annotations
 
@@ -7,52 +9,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-WYNN_TINY = 1e-290
-
-
-def wynn_epsilon(partials):
-    """Wynn's epsilon extrapolation of a sequence of partial sums.
-
-    Returns (estimate, spread) where spread is the absolute difference of
-    the last two accessible even-column entries, usable as a crude error
-    gauge.  Works on real or complex input.  For a sequence that already
-    converges the estimate just tracks it; for bounded oscillation (the
-    alternating 1, 0, 1, 0, ... pattern) it returns the Cesaro-type limit.
-    """
-    s = [complex(v) for v in partials]
-    n = len(s)
-    if n == 0:
-        raise ValueError("empty sequence")
-    if n == 1:
-        return s[0], abs(s[0])
-    prev2 = [0.0 + 0.0j] * (n + 1)  # epsilon_{-1}
-    prev1 = list(s)                 # epsilon_0
-    best = s[-1]
-    alt = s[-2]
-    col = 0
-    while len(prev1) >= 2:
-        cur = []
-        degenerate = False
-        for j in range(len(prev1) - 1):
-            d = prev1[j + 1] - prev1[j]
-            ad = abs(d)
-            # a vanishing difference means the previous column already
-            # converged; deepening past it only amplifies roundoff
-            if ad < WYNN_TINY or not np.isfinite(ad):
-                degenerate = True
-                break
-            cur.append(prev2[j + 1] + 1.0 / d)
-        if degenerate:
-            break
-        col += 1
-        if col % 2 == 0 and cur:
-            cand = cur[-1]
-            if np.isfinite(abs(cand)):
-                alt = cur[-3] if len(cur) >= 3 else best
-                best = cand
-        prev2, prev1 = prev1, cur
-    return best, abs(best - alt)
 
 
 @lru_cache(maxsize=128)

@@ -10,10 +10,14 @@ with the contour separating the left pole chains s = -(b_j + k)/B_j from
 the right chains s = (1 - a_j + k)/A_j.  Two numerical routes are
 provided: the ascending residue series over the left chains (descending
 series obtained through argument inversion) and the trapezoid rule on a
-vertical line of the contour integral.  Gamma pairs that cancel exactly
-inside theta are stripped first, which is what collapses the
-classical-order instances to elementary functions instead of hitting
-multiple poles.
+vertical line of the contour integral.  The series route takes the sets
+whose series index sum(B) - sum(A) is nonzero, where one of the two
+series is entire.  A series-index-0 set, such as the Lemma 3.1 kernel
+x^rho/(1 + b x^alpha) = H^{1,1}_{1,1}, has series of finite radius only;
+eval_series refuses it with NonConvergence and eval_auto evaluates it on
+the contour.  Gamma pairs that cancel exactly inside theta are stripped
+first, which is what collapses the classical-order instances to
+elementary functions instead of hitting multiple poles.
 
 The trapezoid rule converges exponentially for an integrand analytic in
 a strip about the line (Trefethen and Weideman, SIAM Rev. 56 (2014)
@@ -69,13 +73,13 @@ count or time them) sees every call.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .accel import wynn_epsilon
 from .errors import (
     DegeneratePoles,
     DomainError,
@@ -89,7 +93,6 @@ from .numerics import MACH_EPS, digamma, log_gamma, log_reflection, pi_cot_pi
 from .result import EvalResult, _check_rel_tol
 
 TERM_CAP = 2000
-BOUNDARY_SWEEPS = 48
 # the contour refuses past this |log z|: there the line at the gap midpoint
 # cancels far below its rounding floor (e^-z and z^0.3/(1 + z) refuse on
 # their own err_est from |log z| = 50, after a full integral); it stays
@@ -159,18 +162,9 @@ def sigma(params: FoxHParams) -> float:
 
 
 def series_index(params: FoxHParams) -> float:
-    """sum(B) - sum(A); sign decides where the ascending series converges."""
+    """sum(B) - sum(A): the ascending series is entire when it is positive,
+    the descending one when it is negative."""
     return sum(wt for _, wt in params.lower) - sum(wt for _, wt in params.upper)
-
-
-def boundary_radius(params: FoxHParams) -> float:
-    """Convergence radius of the ascending series when series_index == 0."""
-    acc = 1.0
-    for _, wt in params.upper:
-        acc *= wt ** (-wt)
-    for _, wt in params.lower:
-        acc *= wt ** wt
-    return acc
 
 
 def exists(params: FoxHParams, z: complex) -> bool:
@@ -569,36 +563,28 @@ def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
 def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """Ascending residue power series over the left pole chains.
 
-    The descending regime (series index < 0, or index 0 with |z| beyond the
-    boundary radius) is reached by inverting the argument; on the boundary
-    circle itself the bounded-oscillation partial sums are resummed by the
-    epsilon algorithm.  Pole collisions are only fatal when a colliding
-    term is actually needed before the stop rule fires.  Before it fires,
-    the later poles of each chain are scanned for near-collisions with
-    another chain, and summing goes on past every one whose magnified term
-    could exceed the error the stop would claim.
+    The series is entire for series index > 0; index < 0 is reached by
+    inverting the argument.  A series-index-0 set (the Lemma 3.1 kernel
+    among them) converges only inside a finite radius, and near its edge
+    the partial sums stall with no honest error estimate, so it refuses
+    with NonConvergence and eval_auto hands it to the contour.  Pole
+    collisions are only fatal when a colliding term is actually needed
+    before the stop rule fires.  Before it fires, the later poles of each
+    chain are scanned for near-collisions with another chain, and summing
+    goes on past every one whose magnified term could exceed the error the
+    stop would claim.
     """
     _check_rel_tol(rel_tol)
     z = complex(z)
     params = reduce_params(params)
     _require_exists(params, z)
     mu = series_index(params)
-    boundary = False
-    if mu < -1e-12:
+    if abs(mu) <= 1e-12:
+        raise NonConvergence(
+            "series index 0: the residue series converges only inside a finite radius")
+    if mu < 0.0:
         params = invert_argument(params)
         z = 1.0 / z
-    elif abs(mu) <= 1e-12:
-        delta = boundary_radius(params)
-        if abs(z) > delta:
-            params = invert_argument(params)
-            z = 1.0 / z
-            delta = boundary_radius(params)
-        if abs(z) >= 0.7 * delta:
-            # on or near the convergence circle the raw sums stall (or just
-            # oscillate); resum a fixed window by the epsilon algorithm
-            boundary = True
-    if params.m == 0:
-        raise DomainError("no left pole chains after reduction; series route undefined")
     logz = cmath.log(z)
     recipe = _series_recipe(params, _reflection_pairs(params))
 
@@ -606,17 +592,15 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     peak = 0.0
     round_acc = 0.0
     nterms = 0
-    partials = []
     small_run = 0
-    sweeps = TERM_CAP if not boundary else BOUNDARY_SWEEPS
-    converged = False
     # structural zeros (denominator gammas killing a pole, or a merged pole
     # deferred to its partner chain) say nothing about a chain's tail, so
     # convergence watches each chain's last nonzero terms, kept in hist as
     # (k, |term|); a chain whose last 8 terms were all zero is quiet
     hist = [[] for _ in range(params.m)]
     reach = 0
-    for k in range(sweeps):
+    # every sweep adds m >= 1 terms, so the term cap ends the loop
+    for k in itertools.count():
         sweep = 0.0 + 0.0j
         sweep_mag = 0.0
         for chain in range(params.m):
@@ -627,32 +611,24 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
             sweep_mag += abs(term)
             round_acc += errb
             nterms += 1
-            if nterms >= TERM_CAP and not boundary:
+            if nterms >= TERM_CAP:
                 raise NonConvergence("H series hit the %d-term cap" % TERM_CAP)
         total += sweep
         peak = max(peak, abs(total))
-        partials.append(total)
-        if not boundary:
-            floor = rel_tol * max(abs(total), 1e-300)
-            quiet = [k - (h[-1][0] if h else -1) >= 8 for h in hist]
-            settled = all(q or (h and h[-1][1] < floor) for q, h in zip(quiet, hist))
-            if settled and sweep_mag < floor:
-                small_run += 1
-                if small_run >= 3 and k >= reach:
-                    live = {c: h for c, (q, h) in enumerate(zip(quiet, hist)) if not q}
-                    tail = max([sweep_mag] + [h[-1][1] for h in live.values()])
-                    err = tail + round_acc + MACH_EPS * peak
-                    reach = _collision_reach(recipe, k, live, err)
-                    if reach == k:
-                        converged = True
-                        break
-            else:
-                small_run = 0
-    if boundary:
-        total, spread = wynn_epsilon(partials)
-        err = spread + round_acc + MACH_EPS * peak
-    elif not converged:
-        raise NonConvergence("H series did not meet the stop rule in %d sweeps" % sweeps)
+        floor = rel_tol * max(abs(total), 1e-300)
+        quiet = [k - (h[-1][0] if h else -1) >= 8 for h in hist]
+        settled = all(q or (h and h[-1][1] < floor) for q, h in zip(quiet, hist))
+        if settled and sweep_mag < floor:
+            small_run += 1
+            if small_run >= 3 and k >= reach:
+                live = {c: h for c, (q, h) in enumerate(zip(quiet, hist)) if not q}
+                tail = max([sweep_mag] + [h[-1][1] for h in live.values()])
+                err = tail + round_acc + MACH_EPS * peak
+                reach = _collision_reach(recipe, k, live, err)
+                if reach == k:
+                    break
+        else:
+            small_run = 0
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise NonConvergence("H series overflowed double range")
     if err > rel_tol * max(abs(total), 1e-300):
@@ -798,6 +774,8 @@ _conj_memo = None
 
 def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """Series first, contour as fallback on degenerate poles or slow series.
+
+    A series-index-0 set always takes the contour: eval_series refuses it.
 
     A call with the same params and rel_tol at the conjugate of the last
     computed z, off the real axis, is answered from that answer: with real

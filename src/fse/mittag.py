@@ -114,7 +114,8 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     so it runs in one of two regions: left of the pole (0 < mu < phi of
     the pole), where the pole's residue exp(s0)/beta is added, or right of
     it (mu > phi, unbounded), the only region when there is no pole.  The
-    region with fewer nodes wins.
+    region with fewer nodes wins; when neither region admits a contour of
+    at most CONTOUR_NODE_CAP nodes at the target accuracy, it refuses.
     Returns (value, err_est, nodes).
     """
     z = _validate(beta, z, rel_tol)
@@ -134,18 +135,14 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
             # on the negative axis to rounding: left of every contour
             pole, phi = None, 0.0
 
-    for _ in range(8):
-        best, left = None, False
-        if pole is not None:
-            best, left = _param_left(phi, log_epsilon), True
-        if phi < log_epsilon - LOG_MACH_EPS:
-            right = _param_right(phi, log_epsilon)
-            if right is not None and (best is None or right[2] < best[2]):
-                best, left = right, False
-        if best is not None and best[2] <= CONTOUR_NODE_CAP:
-            break
-        log_epsilon += math.log(10.0)
-    else:
+    best, left = None, False
+    if pole is not None:
+        best, left = _param_left(phi, log_epsilon), True
+    if phi < log_epsilon - LOG_MACH_EPS:
+        right = _param_right(phi, log_epsilon)
+        if right is not None and (best is None or right[2] < best[2]):
+            best, left = right, False
+    if best is None or best[2] > CONTOUR_NODE_CAP:
         raise NonConvergence("no admissible inversion contour for E_beta")
     mu, h, N = best
 

@@ -2,8 +2,8 @@
 and for the points where the contour route has to carry the value.
 
 Run from the repository root as `PYTHONPATH=src:. python tests/collision_refs.py`
-(a few minutes); it prints the COLLISION_REFS and CONTOUR_REFS tables that
-tests/test_foxh.py stores.  Each value is
+(a few minutes); it prints the COLLISION_REFS, CONTOUR_REFS and DELTA0_REFS
+tables that tests/test_foxh.py stores.  Each value is
 
     H(z) = (1/2 pi) int theta(gamma + i t) z^-(gamma + i t) dt,
 
@@ -117,6 +117,23 @@ CONTOUR_POINTS = ([("even 1.9", zeta) for zeta in (10.0, 30.0, 100.0)]
                      for part in ("even 1.5", "odd 1.5") for frac in (0.9, 0.97)])
 
 
+# series index 0 (sum B = sum A): the ascending series has a finite radius,
+# 1.54 for "b", 1.19 for "inner" and 1 for the others, and only the contour
+# evaluates them.  The real points sit at 0.85-1.23 of the radius; "lemma"
+# is H^{1,1}_{1,1}(z | (0.3, 1); (0.3, 1)) = z^0.3 / (1 + z) at complex z,
+# and "inner" a point at 0.59 of the radius
+DELTA0_SETS = {
+    "a": FoxHParams(m=1, n=1, upper=((-0.6, 2.0), (0.7, 1.0)), lower=((0.9, 2.0), (0.7, 1.0))),
+    "b": FoxHParams(m=1, n=2, upper=((0.3, 1.5), (-0.8, 1.0)), lower=((0.4, 0.5), (-0.6, 2.0))),
+    "c": FoxHParams(m=2, n=1, upper=((-0.3, 2.0), (-0.2, 1.5)), lower=((0.2, 1.5), (-0.6, 2.0))),
+    "d": FoxHParams(m=1, n=2, upper=((1.0, 2.0), (0.7, 1.0)), lower=((0.1, 2.0), (-0.4, 1.0))),
+    "lemma": FoxHParams(m=1, n=1, upper=((0.3, 1.0),), lower=((0.3, 1.0),)),
+    "inner": FoxHParams(m=2, n=2, upper=((-0.4, 1.5), (0.0, 1.5)), lower=((0.3, 2.0), (0.9, 1.0))),
+}
+DELTA0_POINTS = [("a", 1.1), ("b", 1.9), ("c", 0.85), ("d", 1.05),
+                 ("lemma", 0.9 * cmath.exp(0.6j)), ("inner", 0.7 * cmath.exp(2.8j))]
+
+
 def _table(name, sets, points, dps):
     print("%s = [" % name)
     for key, z in points:
@@ -127,3 +144,4 @@ def _table(name, sets, points, dps):
 if __name__ == "__main__":
     _table("COLLISION_REFS", SETS, POINTS, 30)
     _table("CONTOUR_REFS", CONTOUR_SETS, CONTOUR_POINTS, 25)
+    _table("DELTA0_REFS", DELTA0_SETS, DELTA0_POINTS, 30)

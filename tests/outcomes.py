@@ -7,8 +7,9 @@ whether a change kept the same numbers and the same refusals.  The probe:
 135 H parameter sets at 10 arguments through three routes (and one set
 with a complex parameter, which refuses to build), rounds 0-2 of every
 benchmark workload on seeds 1-3, 245 E_beta arguments through ml_contour
-and ml_eval, the ramp's ascending series left of the turning point, and
-linear_closed_form's series route right of it.
+and ml_eval, the ramp's ascending series left of the turning point,
+linear_closed_form's series route right of it, and the series-index-0
+points of tests/collision_refs.py through the three H routes.
 """
 
 import cmath
@@ -18,6 +19,7 @@ import fse
 from fse.delta import _even_part_params, _odd_part_params
 from fse.linear import _ascending_series, _h_params
 from perfbench.workloads import ROUNDS
+from tests.collision_refs import DELTA0_POINTS, DELTA0_SETS
 
 
 def show(tag, fn, *args, **kw):
@@ -81,3 +83,7 @@ for alpha in (1.05, 1.5, 2.0):
         for x in (0.3, 1.5, 4.0):
             show("linear %r %r %r series" % (alpha, theta, x),
                  fse.linear_closed_form, cfg, x, 1e-9, "series")
+
+for name, z in DELTA0_POINTS:
+    for route in (fse.eval_series, fse.eval_contour, fse.eval_auto):
+        show("D0 %s %r %s" % (name, z, route.__name__), route, DELTA0_SETS[name], z, 1e-9)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from fse.accel import euler_alternating, wynn_epsilon
+from fse.accel import euler_alternating
 
 
 def test_euler_alternating_log2():
@@ -43,23 +43,3 @@ def test_euler_alternating_matches_its_triangle():
         assert abs(est - want) <= 1e-14 * scale
         assert abs(spread - want_spread) <= 1e-14 * scale
 
-
-def test_wynn_geometric():
-    # partial sums of sum 0.7^k; wynn reproduces 1/(1-0.7) from few terms
-    partials = np.cumsum([0.7 ** k for k in range(12)])
-    est, spread = wynn_epsilon(partials)
-    assert abs(est - 1.0 / 0.3) < 1e-9
-    assert spread < 1e-6
-
-
-def test_wynn_oscillating_partials():
-    # 1, 0, 1, 0, ... has Cesaro-type limit 1/2
-    est, _ = wynn_epsilon([1.0, 0.0] * 8)
-    assert abs(est - 0.5) < 1e-12
-
-
-def test_wynn_complex_sequence():
-    z = 0.4 + 0.4j
-    partials = np.cumsum([z ** k for k in range(14)])
-    est, _ = wynn_epsilon(partials)
-    assert abs(est - 1.0 / (1.0 - z)) < 1e-9

@@ -18,7 +18,7 @@ from fse.foxh import (FoxHParams, _gamma_forms, _log_theta, _reflection_pairs,
                       sigma)
 from fse.linear import _h_params
 from fse.result import LinearConfig
-from tests.collision_refs import CONTOUR_SETS
+from tests.collision_refs import CONTOUR_SETS, DELTA0_SETS
 from tests.collision_refs import SETS as COLLISION_SETS
 from tests.collision_refs import line_integral
 
@@ -55,7 +55,10 @@ def test_routes_refuse_a_huge_argument_with_a_tiny_phase(route):
 
 def test_series_closed_form_examples():
     assert abs(eval_series(EXP, 1.0).value - math.exp(-1.0)) < 1e-12
-    assert abs(eval_series(DIAG, 1.0).value - 0.5) < 1e-10
+    # DIAG has series index 0: the series refuses it, the contour answers
+    with pytest.raises(NonConvergence):
+        eval_series(DIAG, 1.0)
+    assert abs(eval_contour(DIAG, 1.0).value - 0.5) < 1e-10
     ml1 = FoxHParams(m=1, n=1, upper=((0.0, 1.0),),
                      lower=((0.0, 1.0), (0.0, 1.0)))
     assert abs(eval_series(ml1, 0.5).value - math.exp(-0.5)) < 1e-10
@@ -84,9 +87,11 @@ def test_err_estimate_is_honest_for_exponential():
 
 def test_scale_argument_power_examples():
     assert scale_argument_power(DIAG, 1.0) == DIAG
-    lhs = eval_series(DIAG, 1.0).value
-    rhs = 2.0 * eval_series(scale_argument_power(DIAG, 2.0), 1.0).value
+    lhs = eval_contour(DIAG, 1.0).value
+    rhs = 2.0 * eval_contour(scale_argument_power(DIAG, 2.0), 1.0).value
     assert abs(lhs - rhs) < 1e-9
+    with pytest.raises(NonConvergence):
+        eval_series(scale_argument_power(DIAG, 2.0), 1.0)
     lhs2 = eval_series(EXP, 4.0).value
     rhs2 = 0.5 * eval_series(scale_argument_power(EXP, 0.5), 2.0).value
     assert abs(lhs2 - rhs2) < 1e-12
@@ -95,7 +100,9 @@ def test_scale_argument_power_examples():
 def test_invert_argument_examples():
     assert invert_argument(invert_argument(DIAG)) == DIAG
     inv = invert_argument(DIAG)
-    assert abs(eval_series(inv, 0.5).value - 1.0 / 3.0) < 1e-10
+    assert abs(eval_contour(inv, 0.5).value - 1.0 / 3.0) < 1e-10
+    with pytest.raises(NonConvergence):
+        eval_series(inv, 0.5)
     flipped = invert_argument(EXP)
     assert flipped.m == 0 and flipped.n == 1
     assert abs(eval_series(flipped, 1.0).value - math.exp(-1.0)) < 1e-12
@@ -104,7 +111,9 @@ def test_invert_argument_examples():
 def test_shift_by_power_examples():
     assert shift_by_power(DIAG, 0.0) == FoxHParams(
         m=1, n=1, upper=(((0.0 + 0.0j), 1.0),), lower=(((0.0 + 0.0j), 1.0),))
-    assert abs(eval_series(shift_by_power(DIAG, 1.0), 1.0).value - 0.5) < 1e-10
+    assert abs(eval_contour(shift_by_power(DIAG, 1.0), 1.0).value - 0.5) < 1e-10
+    with pytest.raises(NonConvergence):
+        eval_series(shift_by_power(DIAG, 1.0), 1.0)
     got = eval_series(shift_by_power(EXP, 2.0), 1.5).value
     assert abs(got - 1.5 ** 2 * math.exp(-1.5)) < 1e-11
 
@@ -353,7 +362,13 @@ def test_auto_replays_the_conjugate_of_its_last_answer():
 def test_auto_computes_when_the_last_answer_does_not_match(first, second):
     eval_auto(*first)
     got = eval_auto(*second)
-    ref = eval_series(*second)
+    if second[0] == DIAG:
+        # DIAG has series index 0, which only the contour evaluates
+        with pytest.raises(NonConvergence):
+            eval_series(*second)
+        ref = eval_contour(*second)
+    else:
+        ref = eval_series(*second)
     assert got.work > 0
     assert abs(got.value - ref.value) <= got.err_est + ref.err_est
 
@@ -663,6 +678,36 @@ def test_contour_err_est_bounds_the_line_integral():
     # the stored table is what the script computes
     name, z, ref = CONTOUR_REFS[0]
     assert abs(line_integral(CONTOUR_SETS[name], z, dps=20) - ref) <= 1e-15 * abs(ref)
+
+
+# H(z) for series-index-0 sets, from tests/collision_refs.py: the
+# Mellin-Barnes line integral by mpmath at 30 digits, rounded to double
+DELTA0_REFS = [
+    ('a', 1.1, (0.02856857745330497+0j)),
+    ('b', 1.9, (0.7194193253928947+0j)),
+    ('c', 0.85, (0.2752671032026384+0j)),
+    ('d', 1.05, (13.283094190423729+0j)),
+    ('lemma', (0.7428020534187105+0.5081782260555319j), (0.5308416291519414-0.055257498172338215j)),
+    ('inner', (-0.6595556384680606+0.23449170510913356j), (0.1803009172840254-0.09693215865409628j)),
+]
+
+
+def test_series_index_0_takes_the_contour():
+    # the ascending series of these sets has a finite radius, and near it
+    # no stop rule on its partial sums is honest (at "a" they settle on
+    # 2.66, not 0.0286), so it refuses and auto answers from the contour
+    for name, z, ref in DELTA0_REFS:
+        with pytest.raises(NonConvergence):
+            eval_series(DELTA0_SETS[name], z, 1e-9)
+        got = eval_auto(DELTA0_SETS[name], z, 1e-9)
+        assert got.method == "contour"
+        assert abs(got.value - ref) <= got.err_est, (name, z)
+    # the Lemma 3.1 kernel is z^0.3 / (1 + z)
+    _, z, ref = DELTA0_REFS[4]
+    assert abs(z ** 0.3 / (1.0 + z) - ref) <= 1e-15 * abs(ref)
+    # the stored table is what the script computes
+    name, z, ref = DELTA0_REFS[0]
+    assert abs(line_integral(DELTA0_SETS[name], z, dps=20) - ref) <= 1e-15 * abs(ref)
 
 
 def test_series_calls_the_module_kernels_once_per_unpaired_factor(monkeypatch):
