@@ -15,15 +15,13 @@ import json
 import sys
 
 from . import __version__
-from .delta import _delta_value
 from .errors import EvaluationError, NonConvergence, ValidationError
 from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
-from .linear import linear_closed_form, linear_quadrature
 from .mittag import ml_contour, ml_eval, ml_series
 from .quadrature import GridSpec
 from .result import (DeltaConfig, EvalResult, LinearConfig, TimeConfig,
                      _check_order_pair, _check_positive)
-from .solution import full_solution
+from .solution import _space_value, full_solution
 from .time_factor import time_factor
 from .verify import format_report, run_criteria
 
@@ -86,36 +84,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=1.0)
-    common.add_argument("--mass", type=float, default=1.0)
     common.add_argument("--grid", type=str, required=True,
                         help="start:stop:count, endpoints inclusive")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--method", choices=_ALL_METHODS, default="auto")
     common.add_argument("--tol", type=float, default=1e-9)
 
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--alpha", type=float, required=True)
+    space.add_argument("--theta", type=float, default=0.0)
+    space.add_argument("--c-alpha", dest="c_alpha", type=float, default=None)
+    space.add_argument("--hbar", type=float, default=1.0)
+    space.add_argument("--mass", type=float, default=1.0)
+
+    well = argparse.ArgumentParser(add_help=False)
+    well.add_argument("--gamma", type=float, default=1.0)
+    well.add_argument("--k-norm", dest="k_norm", type=complex, default=1.0 + 0.0j)
+
+    ramp = argparse.ArgumentParser(add_help=False)
+    ramp.add_argument("--slope", type=float, default=1.0)
+
     p = sub.add_parser("time", parents=[common],
                        help="Caputo time factor on a t-grid")
     p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--energy", type=float, default=-1.0)
     p.add_argument("--f0", type=complex, default=1.0 + 0.0j)
 
-    p = sub.add_parser("delta", parents=[common],
+    p = sub.add_parser("delta", parents=[common, space, well],
                        help="point-potential bound state on an x-grid")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--energy", type=float, default=-1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--c-alpha", dest="c_alpha", type=float, default=None)
-    p.add_argument("--k-norm", dest="k_norm", type=complex, default=1.0 + 0.0j)
 
-    p = sub.add_parser("linear", parents=[common],
+    p = sub.add_parser("linear", parents=[common, space, ramp],
                        help="linear-ramp wavefunction on an x-grid")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--energy", type=float, default=0.0)
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--c-alpha", dest="c_alpha", type=float, default=None)
 
     p = sub.add_parser("foxh", parents=[common],
                        help="H-function on a real argument grid")
@@ -130,19 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="one-parameter Mittag-Leffler on a real grid")
     p.add_argument("--beta", type=float, required=True)
 
-    p = sub.add_parser("full", parents=[common],
+    p = sub.add_parser("full", parents=[common, space, well, ramp],
                        help="separated solution f(t)*phi(x) on an x-grid")
     p.add_argument("--potential", choices=("delta", "linear"), required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--f0", type=complex, default=1.0 + 0.0j)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--energy", type=float, default=-1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--c-alpha", dest="c_alpha", type=float, default=None)
-    p.add_argument("--k-norm", dest="k_norm", type=complex, default=1.0 + 0.0j)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--only", type=str, default="",
@@ -177,16 +173,9 @@ def _cmd_time(args, tol):
     return lambda t: time_factor(cfg, t, rel_tol=tol), meta
 
 
-def _cmd_delta(args, tol):
-    cfg, meta = _space_config(args, "delta")
-    return lambda x: _delta_value(cfg, x, tol, args.method), meta
-
-
-def _cmd_linear(args, tol):
-    cfg, meta = _space_config(args, "linear")
-    if args.method == "quadrature":
-        return lambda x: linear_quadrature(cfg, x, abs_tol=tol), meta
-    return lambda x: linear_closed_form(cfg, x, tol, args.method), meta
+def _cmd_space(args, tol):
+    cfg, meta = _space_config(args, args.command)
+    return lambda x: _space_value(cfg, x, tol, args.method), meta
 
 
 def _cmd_foxh(args, tol):
@@ -224,8 +213,8 @@ def _cmd_full(args, tol):
 
 # command -> (evaluator builder, the --method values it accepts)
 _COMMANDS = {"time": (_cmd_time, ("auto",)),
-             "delta": (_cmd_delta, _ALL_METHODS),
-             "linear": (_cmd_linear, _ALL_METHODS),
+             "delta": (_cmd_space, _ALL_METHODS),
+             "linear": (_cmd_space, _ALL_METHODS),
              "foxh": (_cmd_foxh, ("auto", "series", "contour")),
              "ml": (_cmd_ml, ("auto", "series", "contour")),
              "full": (_cmd_full, ("auto",))}

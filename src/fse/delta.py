@@ -172,11 +172,3 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
             "resolvent integral stalled at error %.2e for x = %g" % (err, x))
     return EvalResult(value=value, err_est=err, method="quadrature", work=work)
 
-
-def _delta_value(cfg: DeltaConfig, x: float, tol: float,
-                 method: str = "auto") -> EvalResult:
-    """The wavefunction by the named route; "auto" takes the quadrature
-    oracle at x = 0, where the closed form is undefined."""
-    if method == "quadrature" or (x == 0.0 and method == "auto"):
-        return delta_quadrature(cfg, x, abs_tol=tol)
-    return delta_closed_form(cfg, x, rel_tol=tol, method=method)

@@ -639,26 +639,19 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
 
 
 def _contour_line(params: FoxHParams):
-    """Abscissa of a separating vertical contour plus a safe nudge distance
-    (the existence gate has refused m = n = 0, where sigma < 0)."""
-    left = [-b / wt for b, wt in params.lower[:params.m]]
-    right = [(1.0 - a) / wt for a, wt in params.upper[:params.n]]
-    if not left:
-        return min(right) - 1.0, 1e-3
-    if not right:
-        return max(left) + 1.0, 1e-3
-    lo, hi = max(left), min(right)
+    """Abscissa of a separating vertical contour, a safe nudge distance, and
+    the nearest left and right poles lo and hi of theta, -inf or inf for an
+    empty family (the existence gate has refused m = n = 0, where sigma < 0)."""
+    lo = max([-b / wt for b, wt in params.lower[:params.m]], default=-math.inf)
+    hi = min([(1.0 - a) / wt for a, wt in params.upper[:params.n]], default=math.inf)
+    if not params.m:
+        return hi - 1.0, 1e-3, lo, hi
+    if not params.n:
+        return lo + 1.0, 1e-3, lo, hi
     if hi - lo <= 1e-6:
         raise NoSeparatingContour(
             "pole families separated by %.2e only" % (hi - lo))
-    return 0.5 * (lo + hi), min(1e-3, 0.1 * (hi - lo))
-
-
-def _pole_distance(params: FoxHParams, gam: float) -> float:
-    """Distance from the line Re s = gam to the nearest pole of theta: the
-    first pole of a left chain, or of a right one."""
-    return min([gam + b / wt for b, wt in params.lower[:params.m]]
-               + [(1.0 - a) / wt - gam for a, wt in params.upper[:params.n]])
+    return 0.5 * (lo + hi), min(1e-3, 0.1 * (hi - lo)), lo, hi
 
 
 def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
@@ -710,12 +703,12 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     if abs(logz) > CONTOUR_LOG_Z_CAP:
         raise NonConvergence("|log z| = %.1f is past the contour's cap %g"
                              % (abs(logz), CONTOUR_LOG_Z_CAP))
-    gamma_line, nudge = _contour_line(params)
+    gamma_line, nudge, lo, hi = _contour_line(params)
     pairs = _reflection_pairs(params)
     rate = 0.5 * math.pi * sigma(params) - abs(logz.imag)
 
     def integrate(gam):
-        a = 0.5 * _pole_distance(params, gam)
+        a = 0.5 * min(gam - lo, hi - gam)
         h = 2.0 * math.pi * a / (_LOG_INV_EPS + 3.0 + a * abs(logz.real))
         t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
         acc = 0.0 + 0.0j

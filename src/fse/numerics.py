@@ -1,5 +1,5 @@
 """Low-level numerical kernels: log-gamma, digamma, the reflection pair
-Gamma(u) Gamma(1 - u), the log-space power sum and quadrature nodes.
+Gamma(u) Gamma(1 - u) and the log-space power sum.
 
 The log-gamma here is the one routine everything upstream leans on, so it
 costs O(1) per argument.  A real scalar (a float, or a complex with a zero
@@ -274,14 +274,3 @@ def digamma(x) -> float:
         p *= inv2
     return acc + math.log(x) - 0.5 / x - tail
 
-
-_leg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def leg_nodes(order: int):
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    got = _leg_cache.get(order)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(order)
-        _leg_cache[order] = got
-    return got

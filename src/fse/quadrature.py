@@ -25,7 +25,6 @@ import numpy as np
 
 from .accel import euler_alternating
 from .errors import GridTooCoarse, QuadratureFailure, ValidationError
-from .numerics import leg_nodes
 
 OSC_HALF_PERIODS = 96   # half-period pieces osc_semi_inf sums at most
 RAY_PANELS = 1500       # adaptive panel cap of ray_segment
@@ -54,8 +53,8 @@ class GridSpec:
 def _panel_rule():
     """The 15- and 30-point Gauss-Legendre nodes on [-1, 1] as one 45-node
     set, with the weights of each rule."""
-    x15, w15 = leg_nodes(15)
-    x30, w30 = leg_nodes(30)
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    x30, w30 = np.polynomial.legendre.leggauss(30)
     return np.concatenate((x15, x30)), w15, w30
 
 

@@ -2,27 +2,38 @@
 
 from __future__ import annotations
 
-from .delta import _delta_value
+from .delta import delta_closed_form, delta_quadrature
 from .errors import ValidationError
-from .linear import linear_closed_form
+from .linear import linear_closed_form, linear_quadrature
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
 from .time_factor import time_factor
+
+
+def _space_value(cfg, x: float, tol: float, method: str = "auto") -> EvalResult:
+    """phi(x) by the named route: "quadrature" takes the oracle, "auto" the
+    delta oracle at x = 0, where the closed form is undefined, and every
+    other case the closed form."""
+    if isinstance(cfg, DeltaConfig):
+        closed, oracle = delta_closed_form, delta_quadrature
+        if x == 0.0 and method == "auto":
+            method = "quadrature"
+    elif isinstance(cfg, LinearConfig):
+        closed, oracle = linear_closed_form, linear_quadrature
+    else:
+        raise ValidationError("space config must be a delta or linear config")
+    if method == "quadrature":
+        return oracle(cfg, x, abs_tol=tol)
+    return closed(cfg, x, tol, method)
 
 
 def full_solution(space_cfg, x: float, t: float, beta: float = 1.0,
                   f0: complex = 1.0, rel_tol: float = 1e-9) -> EvalResult:
     """Separated solution f(t) * phi(x).  The time and space equations
     share hbar and the eigenvalue E, so f takes both from space_cfg."""
-    if isinstance(space_cfg, DeltaConfig):
-        space = _delta_value
-    elif isinstance(space_cfg, LinearConfig):
-        space = linear_closed_form
-    else:
-        raise ValidationError("space config must be a delta or linear config")
     time_cfg = TimeConfig(beta=beta, hbar=space_cfg.hbar,
                           energy=space_cfg.energy, f0=f0)
     f = time_factor(time_cfg, t, rel_tol)
-    phi = space(space_cfg, x, rel_tol)
+    phi = _space_value(space_cfg, x, rel_tol)
     err = (abs(f.value) * phi.err_est + abs(phi.value) * f.err_est
            + f.err_est * phi.err_est)
     return EvalResult(value=f.value * phi.value, err_est=err,

@@ -5,11 +5,13 @@ import math
 
 import pytest
 
+from fse.cli import main
 from fse.delta import delta_closed_form
 from fse.linear import linear_closed_form
 from fse.result import DeltaConfig, LinearConfig, TimeConfig
 from fse.time_factor import time_factor
 from fse.verify import cli_subprocess
+from tests.traffic_lines import readme_commands
 
 
 def run_cli(*args):
@@ -114,6 +116,30 @@ def test_bad_mass_behind_the_default_coefficient_exits_2(command, options, name)
     r = run_cli(*command, "--alpha", "2", *options, "--grid", "0.5:1:2")
     assert r.returncode == 2, r.stderr
     assert name + " must be positive" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command,option", [
+    (("time", "--beta", "0.7"), "--mass"),
+    (("foxh", "--m", "1", "--n", "0", "--lower", "0:1"), "--mass"),
+    (("ml", "--beta", "0.5"), "--mass"),
+    (("foxh", "--m", "1", "--n", "0", "--lower", "0:1"), "--hbar"),
+    (("ml", "--beta", "0.5"), "--hbar"),
+], ids=["time-mass", "foxh-mass", "ml-mass", "foxh-hbar", "ml-hbar"])
+def test_options_a_command_does_not_read_exit_2(command, option):
+    r = run_cli(*command, option, "2", "--grid", "0.5:1:2")
+    assert r.returncode == 2
+    assert "unrecognized arguments: " + option in r.stderr
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_grid_commands(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    count = int(argv[argv.index("--grid") + 1].split(":")[2])
+    if "json" in argv:
+        assert len(json.loads(out)["rows"]) == count
+    else:
+        assert len(parse_csv(out)) == count
 
 
 def test_origin_refuses_series_route_exit_3():

@@ -627,6 +627,15 @@ def test_contour_nudges_its_line_off_a_zero_on_the_real_node():
         assert abs(got.value - ref.value) <= got.err_est + ref.err_est
 
 
+@pytest.mark.parametrize("w", [0.5, 1.0, 3.0, 2.0 + 1.0j])
+def test_contour_line_with_an_empty_left_family(w):
+    # invert_argument(EXP) = e^(-1/w) has m = 0: no left poles, so the line
+    # sits one unit left of the first right pole and the strip is bounded
+    # on the right only
+    got = eval_contour(invert_argument(EXP), w, 1e-10)
+    assert abs(got.value - cmath.exp(-1.0 / w)) <= got.err_est
+
+
 @pytest.mark.parametrize("params, z, match", [
     # a gap of 1e-5 needs a step near 4e-7, some 5e7 nodes: refused before
     # any node is evaluated

@@ -88,15 +88,16 @@ def run_traffic():
             main(argv)
 
 
-sys.settrace(trace)
-try:
-    run_traffic()
-finally:
-    sys.settrace(None)
+if __name__ == "__main__":
+    sys.settrace(trace)
+    try:
+        run_traffic()
+    finally:
+        sys.settrace(None)
 
-for path in sorted(glob.glob(os.path.join(PKG, "*.py"))):
-    total = statements(path)
-    missed = total - hits.get(path, set())
-    print("%-16s %4d/%4d" % (os.path.basename(path), len(total) - len(missed), len(total)))
-    if missed:
-        print("    never:", spans(missed))
+    for path in sorted(glob.glob(os.path.join(PKG, "*.py"))):
+        total = statements(path)
+        missed = total - hits.get(path, set())
+        print("%-16s %4d/%4d" % (os.path.basename(path), len(total) - len(missed), len(total)))
+        if missed:
+            print("    never:", spans(missed))
