@@ -7,10 +7,11 @@ ray for integrands that decay only off the real axis.  These routines are
 the ground truth the closed forms are compared against, so they share no
 code with the H-function evaluators.
 
-Every integrand is an array function: it takes a float or complex numpy
-array of nodes and returns an array of the same shape, elementwise (numpy
-ufuncs such as np.exp and np.cos, not math or cmath).  Each panel costs one
-call on all of its nodes.
+Every integrand is an array function: it takes a 1-D float or complex
+numpy array of nodes and returns an array of the same shape, elementwise
+(numpy ufuncs such as np.exp and np.cos, not math or cmath).  One call
+evaluates the nodes of a batch of panels: a bisection step's two halves,
+or the first panels of OSC_BATCH half-period pieces.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .accel import euler_alternating
 from .errors import GridTooCoarse, QuadratureFailure, ValidationError
 
 OSC_HALF_PERIODS = 96   # half-period pieces osc_semi_inf sums at most
+OSC_BATCH = 8           # pieces whose first panels share one call of g
 RAY_PANELS = 1500       # adaptive panel cap of ray_segment
 _TAIL_U_MIN = 2.0 ** -511  # smallest mapped node u with 1/u^2 finite
 
@@ -58,23 +60,24 @@ def _panel_rule():
     return np.concatenate((x15, x30)), w15, w30
 
 
-def _panel_est(f, a: float, b: float):
-    """One panel: order-30 value and its deviation from order-15, from one
-    call of f on both rules' nodes."""
+def _panel_est(f, a: np.ndarray, b: np.ndarray):
+    """Panels [a_i, b_i] from one call of f on all of their nodes: each
+    panel's order-30 value and its deviation from order 15, as arrays."""
     x, w15, w30 = _panel_rule()
     half = 0.5 * (b - a)
-    y = f(half * x + 0.5 * (a + b))
-    v1 = half * (w15 @ y[:15])
-    v2 = half * (w30 @ y[15:])
-    return v2, abs(v2 - v1)
+    nodes = half[:, None] * x + (0.5 * (a + b))[:, None]
+    y = f(nodes.ravel()).reshape(nodes.shape)
+    v2 = half * (y[:, 15:] @ w30)
+    return v2, np.abs(v2 - half * (y[:, :15] @ w15))
 
 
-def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
-    """Heap-driven bisection; returns (value, error bound, panels used).
-
-    f maps an array of nodes in [a, b] to the array of integrand values.
-    """
-    val, err = _panel_est(f, a, b)
+def _bisect(f, a: float, b: float, val, err, tol: float, max_panels: int):
+    """Heap-driven bisection of [a, b], starting from its first panel
+    (val, err); returns (value, error bound, panels used).  Each step splits
+    the panel with the largest error and evaluates both halves in one call
+    of f."""
+    if not err > tol:
+        return val, err, 1
     heap = [(-err, 0, a, b, val, err)]
     total = val
     toterr = err
@@ -83,8 +86,8 @@ def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
     while toterr > tol and count < max_panels:
         neg, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        lv, le = _panel_est(f, pa, mid)
-        rv, re_ = _panel_est(f, mid, pb)
+        (lv, rv), (le, re_) = _panel_est(f, np.array([pa, mid]),
+                                         np.array([mid, pb]))
         total += lv + rv - pval
         toterr += le + re_ - perr
         heapq.heappush(heap, (-le, serial, pa, mid, lv, le))
@@ -98,16 +101,29 @@ def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
     return total, toterr, count
 
 
+def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
+    """Heap-driven bisection; returns (value, error bound, panels used).
+
+    f maps an array of nodes in [a, b] to the array of integrand values.
+    The first panel is one call of f; each bisection step after it is one
+    call on the nodes of both halves.
+    """
+    (val,), (err,) = _panel_est(f, np.array([a]), np.array([b]))
+    return _bisect(f, a, b, val, err, tol, max_panels)
+
+
 def osc_semi_inf(g, omega: float, tol: float):
     """Integral of g over [0, inf) where g oscillates like e^(i omega p).
 
     The head [0, pi/omega] is integrated whole; the half-period pieces
-    after it alternate in sign and go to Euler acceleration.  The sum stops
-    once two successive estimates (pieces j and j - 2) each have spread
-    below 0.1 tol and agree within 0.1 tol; err_est adds twice the last
-    spread and the last change to the panel errors.  g (a real array
-    integrand) must supply the oscillating factor itself, at any phase,
-    and decay algebraically.
+    after it alternate in sign and go to Euler acceleration.  The first
+    panels of OSC_BATCH pieces at a time come from one call of g, and a
+    piece whose first panel misses its tolerance is bisected from there.
+    The sum stops once two successive estimates (pieces j and j - 2) each
+    have spread below 0.1 tol and agree within 0.1 tol; err_est adds twice
+    the last spread and the last change to the panel errors, and work
+    counts the pieces summed.  g (a real array integrand) must supply the
+    oscillating factor itself, at any phase, and decay algebraically.
     """
     if omega <= 0.0:
         raise ValidationError("oscillation frequency hint must be positive")
@@ -117,9 +133,11 @@ def osc_semi_inf(g, omega: float, tol: float):
     perr = 0.0
     last = None  # (estimate, spread) of the previous stop attempt
     for j in range(OSC_HALF_PERIODS):
-        lo = half + j * half
-        hi = lo + half
-        v, e, _ = adaptive(g, lo, hi, 0.05 * tol / (j + 1.0) ** 2, max_panels=60)
+        if j % OSC_BATCH == 0:
+            lo = half + np.arange(j, min(j + OSC_BATCH, OSC_HALF_PERIODS)) * half
+            batch = zip(lo, lo + half, *_panel_est(g, lo, lo + half))
+        lo_j, hi_j, v, e = next(batch)
+        v, e, _ = _bisect(g, lo_j, hi_j, v, e, 0.05 * tol / (j + 1.0) ** 2, 60)
         pieces.append(v)
         perr += e
         if j >= 7 and j % 2 == 1:

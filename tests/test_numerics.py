@@ -287,7 +287,7 @@ def test_panel_nodes_integrate_polynomial():
         poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 30))
         anti = poly.integ()
         want = anti(2.0) - anti(-1.0)
-        val, err = _panel_est(poly, -1.0, 2.0)
+        (val,), (err,) = _panel_est(poly, np.array([-1.0]), np.array([2.0]))
         scale = np.abs(poly.coef).sum() * 2.0 ** 30
         assert abs(val - want) < 1e-14 * scale
         assert err < 1e-14 * scale

@@ -5,21 +5,53 @@ import numpy as np
 import pytest
 
 import fse
-from fse import quadrature
-from fse.errors import (GridTooCoarse, QuadratureFailure, ValidationError)
+from fse import delta, quadrature
+from fse.accel import euler_alternating
+from fse.errors import (EvaluationError, GridTooCoarse, QuadratureFailure,
+                        ValidationError)
 from fse.quadrature import (GridSpec, adaptive, fourier_pair_check,
                             osc_semi_inf, ray_segment, tail_algebraic)
+from fse.result import DeltaConfig
 from perfbench.workloads import ROUNDS
 
 
 def _scalar_panel_est(f, a, b):
-    # reference panel rule: one call of f per Gauss node, summed in order
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    sums = []
-    for order in (15, 30):
-        x, w = np.polynomial.legendre.leggauss(order)
-        sums.append(sum(half * wi * f(half * xi + mid) for xi, wi in zip(x, w)))
-    return sums[1], abs(sums[1] - sums[0])
+    # reference panel rule: one call of f per Gauss node, summed in order,
+    # panel by panel over the interval arrays a, b
+    vals, errs = [], []
+    for lo, hi in zip(a, b):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        sums = []
+        for order in (15, 30):
+            x, w = np.polynomial.legendre.leggauss(order)
+            sums.append(sum(half * wi * f(half * xi + mid)
+                            for xi, wi in zip(x, w)))
+        vals.append(sums[1])
+        errs.append(abs(sums[1] - sums[0]))
+    return np.array(vals), np.array(errs)
+
+
+def _sequential_osc_semi_inf(g, omega, tol):
+    # reference: one adaptive call per half-period piece, in order
+    half = math.pi / omega
+    head, head_err, _ = adaptive(g, 0.0, half, 0.1 * tol)
+    pieces = []
+    perr = 0.0
+    last = None
+    for j in range(quadrature.OSC_HALF_PERIODS):
+        lo = half + j * half
+        v, e, _ = adaptive(g, lo, lo + half, 0.05 * tol / (j + 1.0) ** 2,
+                           max_panels=60)
+        pieces.append(v)
+        perr += e
+        if j >= 7 and j % 2 == 1:
+            est, spread = euler_alternating(pieces)
+            if last is not None:
+                change = abs(est - last[0])
+                if max(spread, last[1], change) < 0.1 * tol:
+                    break
+            last = est, spread
+    return head + est, head_err + perr + 2.0 * (spread + change), len(pieces)
 
 
 def test_adaptive_sine_lobe():
@@ -46,6 +78,63 @@ def test_oscillatory_semi_infinite():
     val2, _, _ = osc_semi_inf(lambda p: p * np.sin(p) / (1.0 + p * p),
                               1.0, 1e-12)
     assert abs(val2 - want) < 1e-10
+
+
+@pytest.mark.parametrize("g", [lambda p: np.cos(p) / (1.0 + p * p),
+                               lambda p: p * np.sin(p) / (1.0 + p * p)])
+def test_batched_pieces_match_the_sequential_loop(g):
+    val, err, work = osc_semi_inf(g, 1.0, 1e-12)
+    ref, ref_err, ref_work = _sequential_osc_semi_inf(g, 1.0, 1e-12)
+    assert work == ref_work
+    assert abs(val - ref) <= 0.1 * (err + ref_err)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_pieces_match_the_sequential_loop_on_the_oracle(
+        seed, monkeypatch):
+    # the oracle benchmark's first round of oscillatory delta points
+    points = [p for p in ROUNDS["oracle"](seed, 0)
+              if p.route == "delta_quadrature" and p.coord != 0.0]
+    assert points
+
+    def run():
+        out = []
+        for p in points:
+            try:
+                out.append(fse.delta_quadrature(p.cfg, p.coord, **p.tol_kwargs))
+            except EvaluationError as exc:
+                out.append(type(exc))
+        return out
+
+    got = run()
+    monkeypatch.setattr(delta, "osc_semi_inf", _sequential_osc_semi_inf)
+    for a, b in zip(got, run()):
+        if isinstance(b, type):
+            assert a is b
+            continue
+        assert a.work == b.work
+        assert abs(a.value - b.value) <= 0.1 * (a.err_est + b.err_est)
+
+
+def test_batched_pieces_cut_integrand_calls(monkeypatch):
+    calls = []
+
+    def counting(engine):
+        def run(g, omega, tol):
+            def counted(p):
+                calls[-1] += 1
+                return g(p)
+            calls.append(0)
+            return engine(counted, omega, tol)
+        return run
+
+    cfg = DeltaConfig(alpha=1.5, theta=0.25)
+    results = []
+    for engine in (osc_semi_inf, _sequential_osc_semi_inf):
+        monkeypatch.setattr(delta, "osc_semi_inf", counting(engine))
+        results.append(fse.delta_quadrature(cfg, 1.0))
+    assert results[0].work == results[1].work
+    assert 3 * calls[0] <= calls[1]
 
 
 def test_algebraic_tail():
