@@ -15,7 +15,7 @@ from .errors import (DegeneratePoles, DomainError, EvaluationError,
                      GridTooCoarse, NoSeparatingContour, NonConvergence,
                      PoleOfGamma, QuadratureFailure, ValidationError, ZeroBase)
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
-from .numerics import log_gamma, signum
+from .numerics import log_gamma
 from .mittag import ml_contour, ml_eval, ml_series, ml_as_foxh
 from .foxh import (FoxHParams, eval_auto, eval_contour, eval_series, exists,
                    from_meijer_g, invert_argument, lemma31_check,
@@ -33,7 +33,7 @@ __all__ = [
     "NoSeparatingContour", "NonConvergence", "PoleOfGamma",
     "QuadratureFailure", "ValidationError", "ZeroBase",
     "DeltaConfig", "EvalResult", "LinearConfig", "TimeConfig",
-    "log_gamma", "signum",
+    "log_gamma",
     "ml_contour", "ml_eval", "ml_series", "ml_as_foxh",
     "FoxHParams", "eval_auto", "eval_contour", "eval_series", "exists",
     "from_meijer_g", "invert_argument", "lemma31_check", "reduce_params",

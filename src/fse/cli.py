@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .errors import EvaluationError, NonConvergence, ValidationError
-from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
+from .foxh import FoxHParams, _ROUTES
 from .mittag import ml_contour, ml_eval, ml_series
 from .quadrature import GridSpec
 from .result import (DeltaConfig, EvalResult, LinearConfig, TimeConfig,
@@ -25,7 +25,6 @@ from .solution import _space_value, full_solution
 from .time_factor import time_factor
 from .verify import format_report, run_criteria
 
-_H_ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
 _ALL_METHODS = ("auto", "series", "contour", "quadrature")
 _COLUMNS = ("coord", "re", "im", "abs2", "err_est", "method")
 
@@ -185,7 +184,7 @@ def _cmd_foxh(args, tol):
                             lower=_parse_pairs(args.lower))
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc))
-    ev = _H_ROUTES[args.method]
+    ev = _ROUTES[args.method]
     meta = {"m": args.m, "n": args.n, "upper": args.upper, "lower": args.lower}
     return lambda z: ev(params, complex(z), tol), meta
 

@@ -19,11 +19,10 @@ import sys
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure, ValidationError
-from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
+# eval_auto is unused here; its binding stays for perfbench's CONSUMER_SITES
+from .foxh import FoxHParams, _ROUTES, eval_auto
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
-from .result import DeltaConfig, EvalResult, _check_positive, _route
-
-_ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
+from .result import DeltaConfig, EvalResult, _check_finite, _check_positive, _route
 
 
 def _even_part_params(alpha: float) -> FoxHParams:
@@ -64,11 +63,12 @@ def _prefactors(cfg: DeltaConfig, h2: float):
 
 def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
                       method: str = "auto") -> EvalResult:
-    """Wavefunction at x != 0 from the four-H-function assembly."""
+    """Wavefunction at x != 0 from the four-H-function assembly: the even
+    and odd parts at zeta e^(-+i theta pi/(2 alpha)), of which auto computes
+    two and replays the other two as their conjugates (one H at theta = 0)."""
     if x == 0.0:
         raise DomainError("closed form is undefined at x = 0; use the quadrature route")
-    if not math.isfinite(x):
-        raise ValidationError("x must be finite")
+    _check_finite(x, "x")
     ev = _route(_ROUTES, method)
     zscale, h2 = _hbar_scales(cfg)
     zeta = abs(x) * zscale
@@ -126,8 +126,7 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     The denominator never vanishes for E < 0 (its real part stays above
     -E), so the integrand is smooth with algebraic decay.
     """
-    if not math.isfinite(x):
-        raise ValidationError("x must be finite")
+    _check_finite(x, "x")
     _check_positive(abs_tol, "abs_tol")
     h2 = _hbar_scales(cfg)[1]
     pref = cfg.gamma_strength * cfg.k_norm / h2
@@ -138,7 +137,9 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     ca = cfg.c_alpha
     en = cfg.energy
     rot = cmath.exp(1j * cfg.theta * math.pi / 2.0)
-    k = x / cfg.hbar
+    # float: a complex x, which _check_finite lets through, would damp the
+    # Fourier kernel instead of being refused
+    k = float(x) / cfg.hbar
     omega = abs(k)
 
     def g(p):

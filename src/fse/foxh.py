@@ -25,9 +25,11 @@ a strip about the line (Trefethen and Weideman, SIAM Rev. 56 (2014)
 line to the nearest pole, and from |ln |z||, and the cut T from the rate
 r = pi sigma/2 - |arg z| at which |theta(s) z^-s| decays along the line
 (Braaksma, Compositio Math. 15 (1964)), both before any node is
-evaluated.  err_est adds the discretisation bound of that h, the tail
-beyond T and the rounding of each node's exponent
-log theta(s) - s log z.
+evaluated.  That bound holds for any shift of the grid, so the nodes sit
+at gamma +- i(k + 1/2)h, 0 <= k <= k_hi: none is real, as every pole of
+theta is, and work counts the 2 (k_hi + 1) of them.  err_est adds the
+discretisation bound of that h, the tail beyond T and the rounding of
+each node's exponent log theta(s) - s log z.
 
 Every a_j and b_j is real; FoxHParams refuses a complex one.  The
 H-functions of the space solution (the delta well's even and odd parts,
@@ -90,7 +92,7 @@ from .errors import (
     ZeroBase,
 )
 from .numerics import MACH_EPS, digamma, log_gamma, log_reflection, pi_cot_pi
-from .result import EvalResult, _check_rel_tol
+from .result import EvalResult, _check_argument, _check_rel_tol, _meets_tol
 
 TERM_CAP = 2000
 # the contour refuses past this |log z|: there the line at the gap midpoint
@@ -177,6 +179,29 @@ def exists(params: FoxHParams, z: complex) -> bool:
     return True
 
 
+def _prepare(params: FoxHParams, z: complex, rel_tol: float):
+    """The reduced params and complex z of an evaluation, once rel_tol and z
+    pass and z lies in the existence sector."""
+    _check_rel_tol(rel_tol)
+    z = complex(z)
+    params = reduce_params(params)
+    _require_exists(params, z)
+    return params, z
+
+
+def _accept(value: complex, err: float, rel_tol: float, what: str, method: str,
+            work: int) -> EvalResult:
+    """The answer of a route named what, refused when its sum is not finite
+    or its err_est misses rel_tol."""
+    if not cmath.isfinite(value):
+        raise NonConvergence("%s overflowed double range" % what)
+    if not _meets_tol(err, value, rel_tol):
+        raise NonConvergence(
+            "%s error estimate %.2e misses rel_tol at |value| %.2e"
+            % (what, err, abs(value)))
+    return EvalResult(value, err, method, work)
+
+
 def _exact_matches(xs, ys):
     """Index pairs (i, j) with xs[i] == ys[j]: each xs[i] in turn takes
     the first equal ys[j] not taken yet.  Equal entries are
@@ -240,11 +265,7 @@ def shift_by_power(params: FoxHParams, shift: float) -> FoxHParams:
 def _require_exists(params: FoxHParams, z: complex):
     """Refuse a NaN z as invalid, an infinite one as past double range (the
     class an overflowed argument gets), z = 0, and z outside the sector."""
-    z = complex(z)
-    if cmath.isnan(z):
-        raise ValidationError("H-function argument is NaN")
-    if cmath.isinf(z):
-        raise NonConvergence("H-function argument %r is past double range" % (z,))
+    z = _check_argument(z, "H-function")
     if z == 0:
         raise ZeroBase("H-function argument must be nonzero")
     sig = sigma(params)
@@ -574,10 +595,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     goes on past every one whose magnified term could exceed the error the
     stop would claim.
     """
-    _check_rel_tol(rel_tol)
-    z = complex(z)
-    params = reduce_params(params)
-    _require_exists(params, z)
+    params, z = _prepare(params, z, rel_tol)
     mu = series_index(params)
     if abs(mu) <= 1e-12:
         raise NonConvergence(
@@ -629,29 +647,25 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
                     break
         else:
             small_run = 0
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise NonConvergence("H series overflowed double range")
-    if err > rel_tol * max(abs(total), 1e-300):
-        raise NonConvergence(
-            "H series error estimate %.2e misses rel_tol at |value| %.2e"
-            % (err, abs(total)))
-    return EvalResult(total, err, "series", nterms)
+    return _accept(total, err, rel_tol, "H series", "series", nterms)
 
 
 def _contour_line(params: FoxHParams):
-    """Abscissa of a separating vertical contour, a safe nudge distance, and
-    the nearest left and right poles lo and hi of theta, -inf or inf for an
-    empty family (the existence gate has refused m = n = 0, where sigma < 0)."""
+    """Abscissa gamma of a separating vertical contour and the nearest left
+    and right poles lo and hi of theta, -inf or inf for an empty family (the
+    existence gate has refused m = n = 0, where sigma < 0).  Every pole is
+    real and eval_contour's nodes gamma +- i(k + 1/2)h are not, so a gamma
+    factor singular or vanishing at gamma itself needs no other line."""
     lo = max([-b / wt for b, wt in params.lower[:params.m]], default=-math.inf)
     hi = min([(1.0 - a) / wt for a, wt in params.upper[:params.n]], default=math.inf)
     if not params.m:
-        return hi - 1.0, 1e-3, lo, hi
+        return hi - 1.0, lo, hi
     if not params.n:
-        return lo + 1.0, 1e-3, lo, hi
+        return lo + 1.0, lo, hi
     if hi - lo <= 1e-6:
         raise NoSeparatingContour(
             "pole families separated by %.2e only" % (hi - lo))
-    return 0.5 * (lo + hi), min(1e-3, 0.1 * (hi - lo)), lo, hi
+    return 0.5 * (lo + hi), lo, hi
 
 
 def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
@@ -672,17 +686,19 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     integrand f(t) = theta(gamma + i t) z^-(gamma + i t) is analytic in the
     strip |Im t| < d, d the distance to the nearest pole, and on a line
     shifted by a = d/2 it is at most |z|^a e^3 times its size on this one.
-    The trapezoid error is then 2 M e^(-2 pi a/h) (Trefethen and Weideman,
-    SIAM Rev. 56 (2014) 385), so the step
+    The trapezoid error is then 2 M e^(-2 pi a/h) for any shift of the grid
+    (Trefethen and Weideman, SIAM Rev. 56 (2014) 385), so the step
 
         h = 2 pi a / (ln(1/eps) + 3 + a |ln |z||)
 
-    puts it at 2 eps sum |f| h, fixed before any node.  Gamma decay makes
-    |f(t)| fall like exp(-r |t|), r = pi sigma/2 - |arg z| (Braaksma), so
-    [0, T] with T = (ln(100/rel_tol) + 8)/r is taken as one block and
-    extended by half its length until the tail estimate 2 |f(T)|/r is
-    below 0.1 rel_tol of the sum.  The cut stops at CONTOUR_T_CAP, where a
-    tail still above that refuses; a step that would need more than
+    puts it at 2 eps sum |f| h, fixed before any node.  The nodes are
+    t = +-(k + 1/2) h, k >= 0: none is real, so no gamma factor sits on a
+    pole, whatever gamma is.  Gamma decay makes |f(t)| fall like
+    exp(-r |t|), r = pi sigma/2 - |arg z| (Braaksma), so the nodes up to
+    k_hi = ceil(T/h), T = (ln(100/rel_tol) + 8)/r, are taken as one block
+    and T is extended by half until the tail estimate 2 |f| / r at the last
+    node is below 0.1 rel_tol of the sum.  The cut stops at CONTOUR_T_CAP,
+    where a tail still above that refuses; a step that would need more than
     _CONTOUR_NODE_CAP nodes refuses before the block is evaluated.
 
     err_est sums three parts: that discretisation bound, the tail estimate,
@@ -693,72 +709,52 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     through one array call per gamma factor, a reflection pair
     Gamma(u) Gamma(1 - u) counting as one log pi - log sin(pi u), and the
     lower half is their conjugate.  z^-s is still taken at every node,
-    since z may be complex.  work counts the nodes.
+    since z may be complex.  work counts the nodes, 2 (k_hi + 1).
     """
-    _check_rel_tol(rel_tol)
-    z = complex(z)
-    params = reduce_params(params)
-    _require_exists(params, z)
+    params, z = _prepare(params, z, rel_tol)
     logz = cmath.log(z)
     if abs(logz) > CONTOUR_LOG_Z_CAP:
         raise NonConvergence("|log z| = %.1f is past the contour's cap %g"
                              % (abs(logz), CONTOUR_LOG_Z_CAP))
-    gamma_line, nudge, lo, hi = _contour_line(params)
+    gam, lo, hi = _contour_line(params)
     pairs = _reflection_pairs(params)
     rate = 0.5 * math.pi * sigma(params) - abs(logz.imag)
-
-    def integrate(gam):
-        a = 0.5 * min(gam - lo, hi - gam)
-        h = 2.0 * math.pi * a / (_LOG_INV_EPS + 3.0 + a * abs(logz.real))
-        t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
-        acc = 0.0 + 0.0j
-        abs_acc = 0.0
-        round_acc = 0.0
-        k_lo = 0
-        while True:
-            k_hi = math.ceil(t_cut / h)
-            if 2 * k_hi + 1 > _CONTOUR_NODE_CAP:
-                raise NonConvergence(
-                    "contour step %.2e needs %d nodes to |Im s| = %.3g, past its cap %d"
-                    % (h, 2 * k_hi + 1, t_cut, _CONTOUR_NODE_CAP))
-            # nodes k h for k_lo <= k <= k_hi, both signs, t = 0 once;
-            # theta on the upper half
-            s_up = gam + 1j * h * np.arange(k_lo, k_hi + 1)
-            upper = _log_theta(params, pairs, s_up)
-            mirror = slice(1 if k_lo == 0 else 0, None)
-            s = np.concatenate((s_up, s_up[mirror].conj()))
-            expo = np.concatenate((upper, upper[mirror].conj())) - s * logz
-            mags = np.exp(expo.real)
-            acc += h * complex(np.sum(np.exp(expo)))
-            abs_acc += h * float(np.sum(mags))
-            round_acc += h * float(np.sum(mags * (1.0 + np.abs(expo))))
-            # |f| at the cut, on the upper and the lower half-line
-            tail = 2.0 * max(mags[k_hi - k_lo], mags[-1]) / rate
-            if tail <= 0.1 * rel_tol * max(abs(acc), 1e-300):
-                break
-            if t_cut >= CONTOUR_T_CAP:
-                raise NonConvergence(
-                    "contour tail still %.2e at |Im s| = %g" % (tail, t_cut))
-            k_lo = k_hi + 1
-            t_cut = min(1.5 * t_cut, CONTOUR_T_CAP)
-        work = 2 * k_hi + 1
-        # M = e^(3 + a |ln |z||) sum |f| makes 2 M e^(-2 pi a/h) = 2 eps sum |f|
-        err = tail + 2.0 * MACH_EPS * abs_acc + MACH_EPS * round_acc
-        return acc / (2.0 * math.pi), err / (2.0 * math.pi), work
-
-    try:
-        acc, err, work = integrate(gamma_line)
-    except PoleOfGamma:
-        # a denominator zero sat on the real node t = 0; nudge the line
-        # inside the gap
-        acc, err, work = integrate(gamma_line + nudge)
-    if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
-        raise NonConvergence("contour accumulation overflowed double range")
-    if err > rel_tol * max(abs(acc), 1e-300):
-        raise NonConvergence(
-            "contour error estimate %.2e misses rel_tol at |value| %.2e"
-            % (err, abs(acc)))
-    return EvalResult(acc, err, "contour", work)
+    a = 0.5 * min(gam - lo, hi - gam)
+    h = 2.0 * math.pi * a / (_LOG_INV_EPS + 3.0 + a * abs(logz.real))
+    t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
+    acc = 0.0 + 0.0j
+    abs_acc = 0.0
+    round_acc = 0.0
+    k_lo = 0
+    while True:
+        k_hi = math.ceil(t_cut / h)
+        if 2 * (k_hi + 1) > _CONTOUR_NODE_CAP:
+            raise NonConvergence(
+                "contour step %.2e needs %d nodes to |Im s| = %.3g, past its cap %d"
+                % (h, 2 * (k_hi + 1), t_cut, _CONTOUR_NODE_CAP))
+        # nodes (k + 1/2) h for k_lo <= k <= k_hi, both signs; theta on the
+        # upper half
+        s_up = gam + 1j * h * (np.arange(k_lo, k_hi + 1) + 0.5)
+        upper = _log_theta(params, pairs, s_up)
+        s = np.concatenate((s_up, s_up.conj()))
+        expo = np.concatenate((upper, upper.conj())) - s * logz
+        mags = np.exp(expo.real)
+        acc += h * complex(np.sum(np.exp(expo)))
+        abs_acc += h * float(np.sum(mags))
+        round_acc += h * float(np.sum(mags * (1.0 + np.abs(expo))))
+        # |f| at the last node, on the upper and the lower half-line
+        tail = 2.0 * max(mags[k_hi - k_lo], mags[-1]) / rate
+        if tail <= 0.1 * rel_tol * max(abs(acc), 1e-300):
+            break
+        if t_cut >= CONTOUR_T_CAP:
+            raise NonConvergence(
+                "contour tail still %.2e at |Im s| = %g" % (tail, t_cut))
+        k_lo = k_hi + 1
+        t_cut = min(1.5 * t_cut, CONTOUR_T_CAP)
+    # M = e^(3 + a |ln |z||) sum |f| makes 2 M e^(-2 pi a/h) = 2 eps sum |f|
+    err = tail + 2.0 * MACH_EPS * abs_acc + MACH_EPS * round_acc
+    return _accept(acc / (2.0 * math.pi), err / (2.0 * math.pi), rel_tol,
+                   "contour", "contour", 2 * (k_hi + 1))
 
 
 # (params, z, rel_tol, result) of eval_auto's last computed answer
@@ -791,6 +787,10 @@ def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalRes
         r = eval_contour(params, z, rel_tol)
     _conj_memo = (params, z, rel_tol, r)
     return r
+
+
+# the H routes by name, for every caller that takes a method option
+_ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
 
 
 def lemma31_check(x: float, rho: float, alpha: float, b: complex,

@@ -17,13 +17,13 @@ import math
 import numpy as np
 
 from .errors import NonConvergence, PoleOfGamma, QuadratureFailure, ValidationError
-from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
-from .numerics import log_gamma, power_sum, signum
+# eval_auto is unused here; its binding stays for perfbench's CONSUMER_SITES
+from .foxh import FoxHParams, _ROUTES, eval_auto
+from .numerics import log_gamma, power_sum
 from .quadrature import ray_segment
-from .result import (EvalResult, LinearConfig, _check_positive, _check_rel_tol,
-                     _route)
+from .result import (EvalResult, LinearConfig, _check_finite, _check_positive,
+                     _check_rel_tol, _route)
 
-_ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
 _RAMP_STOP = 1e-16
 # largest exponent the ray integrand may reach: e^600 leaves a rounding
 # error near eps e^600 ~ 1e245 in the ray sums, far past any error the
@@ -42,8 +42,7 @@ def _h_params(cfg: LinearConfig) -> FoxHParams:
 
 def scaled_coordinate(cfg: LinearConfig, x: float) -> float:
     """Dimensionless y: coordinate shifted to the turning point and rescaled."""
-    if not math.isfinite(x):
-        raise ValidationError("x must be finite")
+    _check_finite(x, "x")
     scale = (cfg.c_alpha / (cfg.hbar * cfg.slope * (cfg.alpha + 1.0))) ** (
         1.0 / (cfg.alpha + 1.0))
     return (x - cfg.energy / cfg.slope) / cfg.hbar / scale
@@ -61,11 +60,10 @@ def linear_momentum_spectrum(cfg: LinearConfig, p: float) -> complex:
     does its phase at any theta once |p|^(alpha+1) overflows; both refuse
     as NonConvergence.
     """
-    if not math.isfinite(p):
-        raise ValidationError("p must be finite")
-    s = signum(p)
-    if s == 0:
+    _check_finite(p, "p")
+    if p == 0.0:
         return 1.0 + 0.0j
+    s = math.copysign(1.0, p)
     rot = cmath.exp(1j * s * cfg.theta * math.pi / 2.0)
     try:
         inner = cfg.energy * p - s * (cfg.c_alpha / (cfg.alpha + 1.0)) \
@@ -88,8 +86,7 @@ def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
     s of about 240 at alpha = 1.5, theta = 0.2) as NonConvergence.
     """
     s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValidationError("s must be finite")
+    _check_finite(s, "s")
     ap1 = cfg.alpha + 1.0
     num = log_gamma(np.array([s, (1.0 - s) / ap1]))
     d1 = (cfg.alpha + cfg.theta) * (1.0 - s) / (2.0 * ap1)

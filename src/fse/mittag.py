@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonConvergence, ValidationError
 from .numerics import MACH_EPS, power_sum
-from .result import EvalResult, _check_rel_tol
+from .result import EvalResult, _check_argument, _check_rel_tol, _meets_tol
 
 LOG_MACH_EPS = math.log(MACH_EPS)
 
@@ -40,12 +40,7 @@ def _validate(beta: float, z: complex, rel_tol: float) -> complex:
     if not (0.0 < beta <= 1.0):
         raise ValidationError("beta must satisfy 0 < beta <= 1")
     _check_rel_tol(rel_tol)
-    z = complex(z)
-    if cmath.isnan(z):
-        raise ValidationError("Mittag-Leffler argument is NaN")
-    if cmath.isinf(z):
-        raise NonConvergence("Mittag-Leffler argument %r is past double range" % (z,))
-    return z
+    return _check_argument(z, "Mittag-Leffler")
 
 
 def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
@@ -195,11 +190,11 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     tried = []
     if in_ball:
         val, err, work = ml_series(beta, z, rel_tol)
-        if err <= rel_tol * max(abs(val), 1e-300):
+        if _meets_tol(err, val, rel_tol):
             return EvalResult(val, err, "series", work)
         tried.append(("series", err, abs(val)))
     val, err, work = ml_contour(beta, z, rel_tol)
-    if err <= rel_tol * max(abs(val), 1e-300):
+    if _meets_tol(err, val, rel_tol):
         return EvalResult(val, err, "contour", work)
     tried.append(("contour", err, abs(val)))
     detail = "; ".join("%s err_est %.2e at |value| %.2e" % t for t in tried)

@@ -235,14 +235,6 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
     return total, last_mag + round_acc + MACH_EPS * peak, k + 1
 
 
-def signum(p: float) -> int:
-    if p > 0.0:
-        return 1
-    if p < 0.0:
-        return -1
-    return 0
-
-
 # B_{2k}/(2k) for the digamma asymptotic tail
 _PSI_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
              1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,28 @@ def _check_positive(value, name):
 def _check_rel_tol(rel_tol):
     if not (1e-14 <= rel_tol <= 1e-2):
         raise ValidationError("rel_tol must lie in [1e-14, 1e-2]")
+
+
+def _check_finite(value, name):
+    if not cmath.isfinite(value):
+        raise ValidationError("%s must be finite" % name)
+
+
+def _check_argument(z, name) -> complex:
+    """complex(z) for the argument of the function called name: a NaN z
+    refuses as invalid, an infinite one as past double range (the class an
+    overflowed argument gets)."""
+    z = complex(z)
+    if cmath.isnan(z):
+        raise ValidationError("%s argument is NaN" % name)
+    if cmath.isinf(z):
+        raise NonConvergence("%s argument %r is past double range" % (name, z))
+    return z
+
+
+def _meets_tol(err, value, rel_tol) -> bool:
+    """Whether err_est meets rel_tol relative to |value| (floored at 1e-300)."""
+    return err <= rel_tol * max(abs(value), 1e-300)
 
 
 def _route(routes, method):

@@ -3,16 +3,19 @@
 Run from the repository root as
 `python tests/compare_outcomes.py OLD NEW`, where OLD and NEW hold the
 output of `PYTHONPATH=src:. python tests/outcomes.py` at two commits.
-It prints the number of changed lines, every line whose tag, method, work
-or refusal class changed, every refusal whose message alone changed, and
-the worst |value_new - value_old| / (err_old + err_new) over the answers
-whose value or err_est alone changed.  It exits 1 if any tag, method,
-work or class changed (an answer turning into a refusal counts as a class
-change), and 0 otherwise.
+It prints the number of changed lines, every line whose tag, method or
+refusal class changed, and every refusal whose message alone changed.
+The answers whose value, err_est or work alone changed are summarised,
+not listed: for those whose work changed, their count, the summed work
+old -> new and the largest relative change; for all of them, the count
+per method and the worst |value_new - value_old| / (err_old + err_new).
+It exits 1 if any tag, method, work or class changed (an answer turning
+into a refusal counts as a class change), and 0 otherwise.
 """
 
 import re
 import sys
+from collections import Counter
 
 # value, err_est, 'method', work; or, from the ramp's series, value, err_est, nterms
 _ANSWER = re.compile(r"^(.*) ([^\s']+) ([^\s']+) (?:'([^']*)' )?(-?\d+)$")
@@ -54,7 +57,8 @@ def compare(old_lines, new_lines):
     changed = 0
     structural = []
     messages = []
-    values = 0
+    works = []
+    methods = Counter()
     worst, worst_line = 0.0, None
     for a, b in zip(old_lines, new_lines):
         if a == b:
@@ -62,28 +66,39 @@ def compare(old_lines, new_lines):
         changed += 1
         ta, ka, va, ea, ma, wa = parse(a)
         tb, kb, vb, eb, mb, wb = parse(b)
-        if ta != tb or ka != kb or (ka == "answer" and (ma, wa) != (mb, wb)):
+        if ta != tb or ka != kb or (ka == "answer" and ma != mb):
             structural.append((a, b))
         elif ka != "answer":
             messages.append((a, b))
         else:
-            values += 1
+            methods[ma] += 1
+            if wa != wb:
+                works.append((wa, wb, a, b))
             bound = ea + eb
             ratio = abs(vb - va) / bound if bound > 0.0 else float("inf")
             if worst_line is None or ratio > worst:
                 worst, worst_line = ratio, (a, b)
     print("%d of %d lines changed" % (changed, len(old_lines)))
-    print("%d with a changed tag, method, work or class:" % len(structural))
+    print("%d with a changed tag, method or class:" % len(structural))
     for a, b in structural:
         print("  - " + a + "\n  + " + b)
     print("%d refusals with a changed message only:" % len(messages))
     for a, b in messages:
         print("  - " + a + "\n  + " + b)
-    print("%d answers with a changed value or err_est only" % values)
+    print("%d answers with a changed work" % len(works))
+    if works:
+        rel = [abs(wb - wa) / wa if wa else float("inf") for wa, wb, _, _ in works]
+        top = max(range(len(works)), key=rel.__getitem__)
+        print("summed work %d -> %d, largest relative change %.3g:"
+              % (sum(w[0] for w in works), sum(w[1] for w in works), rel[top]))
+        print("  - " + works[top][2] + "\n  + " + works[top][3])
+    print("%d answers with a changed value, err_est or work only, by method: %s"
+          % (sum(methods.values()),
+             ", ".join("%s %d" % kv for kv in sorted(methods.items(), key=str))))
     if worst_line is not None:
         print("worst |dvalue| / (err_a + err_b) over them: %.3g" % worst)
         print("  - " + worst_line[0] + "\n  + " + worst_line[1])
-    return not structural
+    return not structural and not works
 
 
 def main(argv):

@@ -5,6 +5,10 @@ import math
 
 import pytest
 
+import fse.cli
+import fse.delta
+import fse.foxh
+import fse.linear
 from fse.cli import main
 from fse.delta import delta_closed_form
 from fse.linear import linear_closed_form
@@ -218,6 +222,13 @@ def test_unsupported_method_exits_2(command):
     default = run_cli(*command[:-2])
     assert auto.returncode == default.returncode == 0, auto.stderr
     assert auto.stdout == default.stdout
+
+
+def test_h_commands_share_one_route_table():
+    # `fse foxh`, `fse delta` and `fse linear` read their --method from
+    # the one table foxh defines
+    assert fse.delta._ROUTES is fse.linear._ROUTES is fse.cli._ROUTES is fse.foxh._ROUTES
+    assert list(fse.cli._ROUTES) == ["auto", "series", "contour"]
 
 
 def test_mittag_leffler_overflow_exits_3():

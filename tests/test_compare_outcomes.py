@@ -17,3 +17,17 @@ def test_a_numpy_scalar_repr_alone_is_no_change(capsys):
     new = ["t (1+0j) 1e-10 'contour' 25"]
     assert compare(old, new)
     assert "worst |dvalue| / (err_a + err_b) over them: 0" in capsys.readouterr().out
+
+
+def test_work_only_changes_are_summarised_not_listed(capsys):
+    old = ["a (1+0j) 1e-10 'contour' 100", "b (2+0j) 1e-10 'contour' 50",
+           "c ValueError gone"]
+    new = ["a (1+0j) 1e-10 'contour' 101", "b (2+1e-10j) 1e-10 'contour' 60",
+           "c ValueError gone"]
+    assert not compare(old, new)
+    out = capsys.readouterr().out
+    assert "0 with a changed tag, method or class:" in out
+    assert "2 answers with a changed work" in out
+    assert "summed work 150 -> 161, largest relative change 0.2:" in out
+    assert "by method: contour 2" in out
+    assert "worst |dvalue| / (err_a + err_b) over them: 0.5" in out

@@ -121,6 +121,16 @@ def test_closed_form_undefined_at_origin():
         delta_closed_form(cfg, math.nan)
 
 
+def test_quadrature_refuses_a_non_finite_or_complex_x():
+    # a complex x would give the oracle a damped kernel and a number
+    cfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0)
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="x must be finite"):
+            delta_quadrature(cfg, x)
+    with pytest.raises(TypeError):
+        delta_quadrature(cfg, 1.0 + 0.5j)
+
+
 def test_unknown_method_is_refused():
     cfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0)
     with pytest.raises(ValidationError, match=re.escape("auto|series|contour")):

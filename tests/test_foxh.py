@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fse import foxh
 from fse.delta import _even_part_params, _odd_part_params
 from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
                         NonConvergence, PoleOfGamma, ValidationError, ZeroBase)
@@ -616,15 +617,40 @@ def test_contour_err_est_bounds_exact_instances(params, exact, zs):
         assert abs(got.value - ref) <= got.err_est, z
 
 
-def test_contour_nudges_its_line_off_a_zero_on_the_real_node():
-    # 1/Gamma(s - 1/2) vanishes at the gap midpoint s = 1/2, the t = 0
-    # node of the trapezoid, where its log refuses; the line moves by the
-    # nudge and the value still matches the series
-    params = FoxHParams(m=1, n=1, upper=((0.0, 1.0), (-0.5, 1.0)), lower=((0.0, 1.0),))
+# 1/Gamma(s - 1/2) vanishes at the gap midpoint s = 1/2, where the contour
+# line crosses the real axis
+ZERO_ON_THE_LINE = FoxHParams(m=1, n=1, upper=((0.0, 1.0), (-0.5, 1.0)),
+                              lower=((0.0, 1.0),))
+
+
+def test_contour_line_through_a_zero_on_the_real_axis():
+    # the nodes sit half a step off the real axis, so the line stays at the
+    # zero and the value still matches the series
     for z in (0.5, 2.0):
-        got = eval_contour(params, z, 1e-9)
-        ref = eval_series(params, z, 1e-9)
+        got = eval_contour(ZERO_ON_THE_LINE, z, 1e-9)
+        ref = eval_series(ZERO_ON_THE_LINE, z, 1e-9)
         assert abs(got.value - ref.value) <= got.err_est + ref.err_est
+
+
+@pytest.mark.parametrize("params, z", [
+    (_even_part_params(1.5), 9.0 * cmath.exp(-0.25j * math.pi / 3.0)),
+    (ZERO_ON_THE_LINE, 0.5),
+    (ZERO_ON_THE_LINE, 2.0),
+], ids=["readme-well", "zero-0.5", "zero-2"])
+def test_contour_evaluates_theta_once_per_node_off_the_real_axis(monkeypatch, params, z):
+    # each _log_theta call takes a block of upper half-line nodes: none is
+    # real, and no node is evaluated twice, so the calls hold work/2 nodes
+    blocks = []
+
+    def spy(params, pairs, s):
+        blocks.append(np.array(s))
+        return _log_theta(params, pairs, s)
+
+    monkeypatch.setattr(foxh, "_log_theta", spy)
+    got = eval_contour(params, z, 1e-9)
+    nodes = np.concatenate(blocks)
+    assert np.all(nodes.imag > 0.0)
+    assert nodes.size == len(np.unique(nodes.imag)) == got.work // 2
 
 
 @pytest.mark.parametrize("w", [0.5, 1.0, 3.0, 2.0 + 1.0j])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fse.errors import PoleOfGamma
-from fse.numerics import digamma, log_gamma, log_reflection, pi_cot_pi, signum
+from fse.numerics import digamma, log_gamma, log_reflection, pi_cot_pi
 from fse.quadrature import _panel_est
 
 
@@ -271,12 +271,6 @@ def test_complex_scalars_take_the_array_path():
         for fn in (digamma, pi_cot_pi):
             with pytest.raises(TypeError, match="real"):
                 fn(z)
-
-
-def test_signum():
-    assert signum(0.0) == 0
-    assert signum(-3.2) == -1
-    assert signum(7.0) == 1
 
 
 def test_panel_nodes_integrate_polynomial():
