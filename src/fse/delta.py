@@ -137,9 +137,7 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     ca = cfg.c_alpha
     en = cfg.energy
     rot = cmath.exp(1j * cfg.theta * math.pi / 2.0)
-    # float: a complex x, which _check_finite lets through, would damp the
-    # Fourier kernel instead of being refused
-    k = float(x) / cfg.hbar
+    k = x / cfg.hbar
     omega = abs(k)
 
     def g(p):

@@ -86,7 +86,8 @@ def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
     s of about 240 at alpha = 1.5, theta = 0.2) as NonConvergence.
     """
     s = complex(s)
-    _check_finite(s, "s")
+    _check_finite(s.real, "s")
+    _check_finite(s.imag, "s")
     ap1 = cfg.alpha + 1.0
     num = log_gamma(np.array([s, (1.0 - s) / ap1]))
     d1 = (cfg.alpha + cfg.theta) * (1.0 - s) / (2.0 * ap1)

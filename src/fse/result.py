@@ -20,7 +20,7 @@ def _check_rel_tol(rel_tol):
 
 
 def _check_finite(value, name):
-    if not cmath.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError("%s must be finite" % name)
 
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import fse.delta
 from fse import foxh
 from fse.delta import (_even_part_params, delta_classical, delta_closed_form,
                        delta_quadrature)
@@ -129,6 +130,16 @@ def test_quadrature_refuses_a_non_finite_or_complex_x():
             delta_quadrature(cfg, x)
     with pytest.raises(TypeError):
         delta_quadrature(cfg, 1.0 + 0.5j)
+
+
+def test_closed_form_refuses_a_complex_x_before_any_h_value(monkeypatch):
+    def never(*args):
+        raise AssertionError("H evaluated for a complex x")
+
+    monkeypatch.setitem(fse.delta._ROUTES, "auto", never)
+    cfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0)
+    with pytest.raises(TypeError):
+        delta_closed_form(cfg, 1.0 + 0.5j)
 
 
 def test_unknown_method_is_refused():

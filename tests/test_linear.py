@@ -62,6 +62,16 @@ def test_mellin_factor_refuses_past_double_range():
     assert abs(linear_mellin_factor(cfg, 100.0)) > 1e100
     with pytest.raises(NonConvergence):
         linear_mellin_factor(cfg, 1000.0)
+    # finite parts whose modulus overflows are past range, not invalid
+    with np.errstate(all="ignore"), pytest.raises(NonConvergence):
+        linear_mellin_factor(cfg, 1.5e308 + 1.5e308j)
+
+
+@pytest.mark.parametrize("f", [scaled_coordinate, linear_momentum_spectrum,
+                               linear_closed_form, linear_quadrature])
+def test_real_coordinate_entry_points_refuse_a_complex_argument(f):
+    with pytest.raises(TypeError):
+        f(_cfg(), 1.0 + 0.5j)
 
 
 def test_mellin_factor_pole_and_zero():
