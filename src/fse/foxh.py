@@ -52,24 +52,28 @@ Every gamma factor is a linear form u = c + du s, du = +-B
 (_gamma_forms), evaluated as that one product and sum everywhere: the one
 representation the contour (on arrays of s) and the residue terms (at
 scalar s) share.  Each eval_series call first builds its z-free term
-recipe: the forms, the folded numerator and denominator entries of an
-ordinary residue term on each chain, and the other chains' (b, B) for
-the collision scan.  A term then costs arithmetic on its pole s and the
-kernel calls.  One function, _residue_term, gives every term; only where
-two chains meet exactly does it fold the forms again, skipping both
-chains' gammas and each denominator gamma that vanishes there, and the
-pole's order (two less those zeros) picks the residue.  One pole scan,
-_nearest_pole, serves the collision checks, the near-pole gain of the
-lookahead and the denominator zeros beside a double pole; one matcher,
+recipe (_Recipe): per chain, the flat tuples an ordinary residue term
+reads (the poles to scan for a collision, and the folded numerator and
+denominator factors, pairs and gammas apart), and the forms, pairs and
+other chains that a collision term and the lookahead read.  One
+function, _residue_term, gives every term.  An ordinary term, a simple
+pole on one chain, costs its kernel calls and a few float operations on
+its pole s, with no Python call but the kernels.  Only where the scan finds
+a near miss or two chains meeting exactly does it hand the term to
+_collision_term, which folds the forms again, skipping both chains'
+gammas and each denominator gamma that vanishes there, and the pole's
+order (two less those zeros) picks the residue.  The lookahead's
+near-pole gains (_near_pole_gains) come from the same arithmetic, one
+loop per chain for all the sweeps it looks at.  One matcher,
 _exact_matches, finds both the cancelling and the reflection pairs.
 Nothing is kept between calls but eval_auto's last answer, which it
 replays only as the exact conjugate H(conj z) = conj H(z).  A replay can
 differ from a fresh evaluation at conj z in rounding, within both
 err_est, and needs no invalidation; reuse across calls on one parameter
 set is left to a plan built outside this module.
-The kernels log_gamma and digamma are looked up as module globals at
-call time, once per unpaired factor per term, so that rebinding them (to
-count or time them) sees every call.
+The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
+up as module globals at call time, once per folded factor per term, so that
+rebinding them (to count or time them) sees every call.
 """
 
 from __future__ import annotations
@@ -229,6 +233,8 @@ def reduce_params(params: FoxHParams) -> FoxHParams:
     m, n = params.m, params.n
     num = _exact_matches(params.lower[:m], params.upper[n:])
     den = _exact_matches(params.lower[m:], params.upper[:n])
+    if not num and not den:
+        return params
     gone_low = {i for i, _ in num} | {m + i for i, _ in den}
     gone_up = {n + j for _, j in num} | {j for _, j in den}
     return FoxHParams(
@@ -284,7 +290,8 @@ _EXACT_COLLISION_TOL = 1e-11
 
 def _nearest_pole(c, du, s):
     """(k, |u + k|) for the pole -k of Gamma(u), u = c + du s, nearest the
-    real u; k < 0 when u > 1/2.  Flat on scalars: it runs in every term."""
+    real u; k < 0 when u > 1/2.  _residue_term and _near_pole_gains make
+    the same test inline."""
     u = c + du * s
     k = round(-u)
     return k, abs(u + k)
@@ -380,42 +387,52 @@ def _fold_pairs(forms, pairs, skip=()):
     return out + [f + (False,) for pos, f in enumerate(forms) if pos not in gone]
 
 
-def _split_fold(forms, pairs, skip):
-    """_fold_pairs split into its numerator and its denominator entries."""
-    entries = _fold_pairs(forms, pairs, skip)
-    return (tuple(e for e in entries if e[0] > 0),
-            tuple(e for e in entries if e[0] < 0))
-
-
 class _Recipe(NamedTuple):
     """The z-free part of every residue term of one eval_series call.
 
-    forms are the gamma factors of theta (_gamma_forms); folded[chain] is
-    the _split_fold of an ordinary residue term on that chain, whose own
-    gamma is the one skipped; others[chain] lists the other chains as
-    (index, b, B) and right the upper[:n] forms as (c, du/ds), for the scan.
-    pairs are the reflection pairs, which a term at a collision of two
-    chains folds again from forms with both chains' gammas and the
-    vanishing denominator gammas skipped.
+    terms[chain] is all that an ordinary term on the chain reads, as flat
+    tuples:
+    - the chain's b and B;
+    - its scan: the other left chains as (b, B, SEPARATION_TOL B, B), then
+      the right chains, the upper[:n] forms, as (c, du/ds,
+      SEPARATION_TOL |du/ds|, 0.0);
+    - the factors of theta left once the chain's own gamma is skipped and
+      the reflection pairs are folded (_fold_pairs), as (c, du/ds, |c|,
+      |du/ds|) in four tuples: numerator pairs, numerator gammas,
+      denominator pairs and denominator gammas, each in _fold_pairs order.
+    The rest serves the rare terms and the lookahead: forms are the gamma
+    factors of theta (_gamma_forms), pairs the reflection pairs,
+    others[chain] the other chains as (index, b, B) and right the
+    upper[:n] forms as (c, du/ds).  A term where two chains meet folds the
+    pairs again from forms, with both chains' gammas and the vanishing
+    denominator gammas skipped.
     """
 
     params: FoxHParams
     pairs: tuple
     forms: list
-    folded: tuple
     others: tuple
     right: tuple
+    terms: tuple
 
 
 def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
     forms = _gamma_forms(params)
-    chains = range(params.m)
-    return _Recipe(
-        params, pairs, forms,
-        tuple(_split_fold(forms, pairs, (c,)) for c in chains),
-        tuple(tuple((i, b, wt) for i, (b, wt) in enumerate(params.lower[:params.m])
-                    if i != c) for c in chains),
-        tuple((f[1], f[2]) for f in forms[params.m:params.m + params.n]))
+    m = params.m
+    others = tuple(tuple((i, b, wt) for i, (b, wt) in enumerate(params.lower[:m])
+                         if i != c) for c in range(m))
+    right = tuple((f[1], f[2]) for f in forms[m:m + params.n])
+    right_scan = tuple((c, du, SEPARATION_TOL * abs(du), 0.0) for c, du in right)
+    terms = []
+    for chain, (b, wt) in enumerate(params.lower[:m]):
+        scan = tuple((b2, wt2, SEPARATION_TOL * wt2, wt2) for _, b2, wt2 in others[chain])
+        entries = _fold_pairs(forms, pairs, (chain,))
+        # the order an ordinary term takes them in, as (sign, paired)
+        groups = (tuple((c, du, abs_c, abs(du)) for sign, c, du, abs_c, paired in entries
+                        if (sign, paired) == group)
+                  for group in ((1, True), (1, False), (-1, True), (-1, False)))
+        terms.append((b, wt, scan + right_scan, *groups))
+    return _Recipe(params, pairs, forms, others, right, tuple(terms))
 
 
 def _log_gamma_part(entries, s: float):
@@ -424,7 +441,9 @@ def _log_gamma_part(entries, s: float):
     with the derivative of that sum in s, the sum of the derivative
     magnitudes, and the error of the sum caused by rounding each argument
     u: (|c| + |du/ds| |s|) |d/du| eps, with d/du = psi(u) for a gamma and
-    -pi cot(pi u) for a pair.
+    -pi cot(pi u) for a pair.  Only a term where two chains meet calls it:
+    the derivative enters its confluent bracket.  An ordinary term sums
+    the same logs and rounding errors inline in _residue_term.
 
     The last term is what an eps-level log error misses beside a pole,
     where the log derivative is large and a rounded argument moves the
@@ -449,17 +468,6 @@ def _log_gamma_part(entries, s: float):
     return log_acc, dsum, dmag, sens * MACH_EPS
 
 
-def _factor_logs(split, s: float):
-    """_log_gamma_part of the numerator entries, then of the denominator
-    entries, of a _split_fold; the denominator part is None when one of
-    its gammas sits on a pole, its reciprocal zero."""
-    num = _log_gamma_part(split[0], s)
-    try:
-        return num, _log_gamma_part(split[1], s)
-    except PoleOfGamma:
-        return num, None
-
-
 def _signed_term(log_acc: complex, sens: float, weight: float, parity: int,
                  bracket=None, dmag: float = 0.0):
     """exp(log_acc) / weight, times the confluent bracket if there is one,
@@ -467,7 +475,8 @@ def _signed_term(log_acc: complex, sens: float, weight: float, parity: int,
     (which, not the partial-sum roundoff, dominates when the series
     cancels) and, for a bracket, dmag eps times the magnitude before it.
     An O(L) exponent turns eps-level log errors into a relative L eps, to
-    which the argument-rounding sensitivity sens adds."""
+    which the argument-rounding sensitivity sens adds.  _residue_term
+    does the same inline for an ordinary term."""
     if log_acc.real > 700.0:
         raise NonConvergence(
             "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
@@ -480,48 +489,103 @@ def _signed_term(log_acc: complex, sens: float, weight: float, parity: int,
 
 
 def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
-    """Signed residue contribution of left pole k on the given chain.
+    """Signed residue contribution of left pole k on the given chain, with
+    its error.
 
-    A simple pole takes the chain's folded entries, and a denominator gamma
-    landing on its own pole kills the term (1/Gamma -> 0), reported as
-    exactly 0.  When two chains share the pole, the chain consumed first in
-    sweep order carries the whole residue and the partner's later
-    consumption contributes exactly 0; putting the merged term at the
-    earlier sweep keeps it ahead of the stop rule.  The merged pole's order
-    is two less the denominator gammas singular there (_denominator_zeros):
-    two of them leave no pole and a zero term; one leaves a simple pole
-    whose residue takes that reciprocal gamma's slope (-1)^nu nu! du/ds as
-    a factor; none leaves a double pole, whose residue is
+    An ordinary term, a simple pole, is summed flat from recipe.terms:
+    the scan, then one kernel call and one slope call per factor, in the
+    order numerator pairs, numerator gammas, denominator pairs,
+    denominator gammas, then exp.  A denominator gamma landing on its own
+    pole kills the term (1/Gamma -> 0), reported as exactly 0.  The scan
+    makes the tests of _find_left_collision; a pole that meets one, a
+    near miss or another chain's pole, goes to _collision_term.
+    """
+    b_i, B_i, scan, num_pairs, num_gammas, den_pairs, den_gammas = recipe.terms[chain]
+    t = (b_i + k) / B_i
+    s = -t
+    abs_s = abs(s)
+    log_rest = t * logz - math.lgamma(k + 1.0)
+    tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
+    for c, du, sep, wt in scan:
+        u = c + du * s
+        k_near = round(-u)
+        if k_near >= 0:
+            dist = abs(u + k_near)
+            if dist < sep or dist < tol * wt:
+                return _collision_term(recipe, chain, k, s, log_rest, logz)
+    log_num = 0.0 + 0.0j
+    sens_num = 0.0
+    for c, du, abs_c, abs_du in num_pairs:
+        u = c + du * s
+        log_num += log_reflection(u)
+        sens_num += (abs_c + abs_du * abs_s) * abs(pi_cot_pi(u))
+    for c, du, abs_c, abs_du in num_gammas:
+        u = c + du * s
+        log_num += log_gamma(u)
+        sens_num += (abs_c + abs_du * abs_s) * abs(digamma(u))
+    log_den = 0.0 + 0.0j
+    sens_den = 0.0
+    try:
+        for c, du, abs_c, abs_du in den_pairs:
+            u = c + du * s
+            log_den += log_reflection(u)
+            sens_den += (abs_c + abs_du * abs_s) * abs(pi_cot_pi(u))
+        for c, du, abs_c, abs_du in den_gammas:
+            u = c + du * s
+            log_den += log_gamma(u)
+            sens_den += (abs_c + abs_du * abs_s) * abs(digamma(u))
+    except PoleOfGamma:
+        return 0.0 + 0.0j, 0.0
+    log_acc = log_num - log_den + log_rest
+    if log_acc.real > 700.0:
+        raise NonConvergence(
+            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
+    term = cmath.exp(log_acc) / B_i
+    if k % 2 == 1:
+        term = -term
+    rel = ((4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS
+           + (sens_num * MACH_EPS + sens_den * MACH_EPS))
+    return term, rel * abs(term)
+
+
+def _collision_term(recipe: _Recipe, chain: int, k: int, s: float,
+                    log_rest: complex, logz: complex):
+    """The residue term at left pole k of the chain, s = -(b + k)/B, where
+    _find_left_collision refuses or finds another chain's pole.
+
+    When two chains share the pole, the chain consumed first in sweep
+    order carries the whole residue and the partner's later consumption
+    contributes exactly 0; putting the merged term at the earlier sweep
+    keeps it ahead of the stop rule.  The merged pole's order is two less
+    the denominator gammas singular there (_denominator_zeros): two of
+    them leave no pole and a zero term; one leaves a simple pole whose
+    residue takes that reciprocal gamma's slope (-1)^nu nu! du/ds as a
+    factor; none leaves a double pole, whose residue is
 
         -+ exp(L - s0 log z)/(B1 B2 k! k2!) * [B1 psi(k+1) + B2 psi(k2+1)
            + d log G / ds - log z],
 
-    G being the non-singular gamma ratio.
+    G being the non-singular gamma ratio.  log_rest is the term's
+    (b + k)/B log z - log k!.
     """
-    params = recipe.params
-    b_i, B_i = params.lower[chain]
-    s = -(b_i + k) / B_i
-    log_rest = (b_i + k) / B_i * logz - math.lgamma(k + 1.0)
-    hit = _find_left_collision(recipe, s, chain)
-    if hit is None:
-        num, den = _factor_logs(recipe.folded[chain], s)
-        if den is None:
-            return 0.0 + 0.0j, 0.0
-        return _signed_term(num[0] + den[0] + log_rest, num[3] + den[3], B_i, k)
-    other, k2 = hit
+    other, k2 = _find_left_collision(recipe, s, chain)
     if k > k2 or (k == k2 and chain > other):
         return 0.0 + 0.0j, 0.0
     zeros = _denominator_zeros(recipe.forms, s)
     if len(zeros) >= 2:
         return 0.0 + 0.0j, 0.0
     skip = (chain, other) + tuple(pos for pos, _, _ in zeros)
-    num, den = _factor_logs(_split_fold(recipe.forms, recipe.pairs, skip), s)
-    if den is None:
+    entries = _fold_pairs(recipe.forms, recipe.pairs, skip)
+    num = _log_gamma_part([e for e in entries if e[0] > 0], s)
+    try:
+        den = _log_gamma_part([e for e in entries if e[0] < 0], s)
+    except PoleOfGamma:
         # a denominator gamma on a pole the zero scan missed (its weight is
         # below about 1e-3): no parameter set of this package makes one
         raise DegeneratePoles(
-            "denominator pole coincides with a confluent pair at s = %s" % (s,))
-    B_o = params.lower[other][1]
+            "denominator pole coincides with a confluent pair at s = %s" % (s,)) from None
+    B_i = recipe.params.lower[chain][1]
+    B_o = recipe.params.lower[other][1]
     log_acc = num[0] + den[0] + (log_rest - math.lgamma(k2 + 1.0))
     if zeros:
         _, nu, du = zeros[0]
@@ -534,20 +598,29 @@ def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
     return _signed_term(log_acc, num[3] + den[3], B_i * B_o, k + k2, bracket, dmag)
 
 
-def _near_pole_gain(recipe: _Recipe, chain: int, k: int) -> float:
+def _near_pole_gains(recipe: _Recipe, chain: int, ks) -> list:
     """How much the other chains' numerator gammas magnify the residue at
-    left pole k of the chain: the product of 1/(2 delta) over them, delta
-    the distance of the gamma argument from its nearest pole (at most 1/2,
-    giving 1).  Exactly coincident poles merge into a confluent term and
-    magnify nothing."""
+    each left pole k in ks of the chain: the product of 1/(2 delta) over
+    them, delta the distance of the gamma argument from its nearest pole
+    (at most 1/2, giving 1).  Exactly coincident poles merge into a
+    confluent term and magnify nothing.  Pure arithmetic, one loop for
+    all of ks."""
     b_c, wt_c = recipe.params.lower[chain]
-    s = -(b_c + k) / wt_c
-    gain = 1.0
-    for _, b, wt in recipe.others[chain]:
-        k_near, delta = _nearest_pole(b, wt, s)
-        if k_near >= 0 and delta >= _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
-            gain *= 0.5 / delta
-    return gain
+    others = recipe.others[chain]
+    gains = []
+    for k in ks:
+        s = -(b_c + k) / wt_c
+        abs_s = abs(s)
+        tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
+        gain = 1.0
+        for _, b, wt in others:
+            u = b + wt * s
+            k_near = round(-u)
+            delta = abs(u + k_near)
+            if k_near >= 0 and delta >= tol * wt:
+                gain *= 0.5 / delta
+        gains.append(gain)
+    return gains
 
 
 def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
@@ -560,23 +633,30 @@ def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
     estimates the terms the stop rule would skip.  The scan ends where even
     the largest gain a pole can have short of an exact collision leaves the
     estimate below err.  A flagged pole closer than SEPARATION_TOL is
-    refused as DegeneratePoles once the sum reaches it.
+    refused as DegeneratePoles once the sum reaches it.  reach is the last
+    flagged pole of the last live chain that has one; the stop is tried
+    again from there, so the sum stops only once no chain has one ahead.
     """
     reach = k
     m = recipe.params.m
     w_min = min(wt for _, wt in recipe.params.lower[:m])
     gain_cap = (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (m - 1)
     for chain, h in hist.items():
-        base = [(kh, mag / _near_pole_gain(recipe, chain, kh)) for kh, mag in h]
+        base = [(kh, mag / gain) for (kh, mag), gain
+                in zip(h, _near_pole_gains(recipe, chain, [kh for kh, _ in h]))]
         rho = 1.0 if len(base) < 2 else min(1.0, max(
             (b2 / b1) ** (1.0 / (k2 - k1))
             for (k1, b1), (k2, b2) in zip(base, base[1:])))
         k_last, b_last = base[-1]
+        envs = []
         for kk in range(k + 1, k + 1 + LOOKAHEAD_SWEEPS):
             env = b_last * rho ** (kk - k_last)
             if env * gain_cap < err:
                 break
-            if env * _near_pole_gain(recipe, chain, kk) >= err:
+            envs.append(env)
+        gains = _near_pole_gains(recipe, chain, range(k + 1, k + 1 + len(envs)))
+        for kk, env, gain in zip(itertools.count(k + 1), envs, gains):
+            if env * gain >= err:
                 reach = kk
     return reach
 
@@ -605,6 +685,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         z = 1.0 / z
     logz = cmath.log(z)
     recipe = _series_recipe(params, _reflection_pairs(params))
+    chains = range(params.m)
 
     total = 0.0 + 0.0j
     peak = 0.0
@@ -613,33 +694,36 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     small_run = 0
     # structural zeros (denominator gammas killing a pole, or a merged pole
     # deferred to its partner chain) say nothing about a chain's tail, so
-    # convergence watches each chain's last nonzero terms, kept in hist as
+    # convergence watches each chain's nonzero terms, appended to hist as
     # (k, |term|); a chain whose last 8 terms were all zero is quiet
-    hist = [[] for _ in range(params.m)]
+    hist = [[] for _ in chains]
     reach = 0
     # every sweep adds m >= 1 terms, so the term cap ends the loop
     for k in itertools.count():
         sweep = 0.0 + 0.0j
         sweep_mag = 0.0
-        for chain in range(params.m):
+        for chain in chains:
             term, errb = _residue_term(recipe, chain, k, logz)
             if term != 0.0:
-                hist[chain] = hist[chain][-2:] + [(k, abs(term))]
+                mag = abs(term)
+                hist[chain].append((k, mag))
+                sweep_mag += mag
             sweep += term
-            sweep_mag += abs(term)
             round_acc += errb
             nterms += 1
             if nterms >= TERM_CAP:
                 raise NonConvergence("H series hit the %d-term cap" % TERM_CAP)
         total += sweep
-        peak = max(peak, abs(total))
-        floor = rel_tol * max(abs(total), 1e-300)
-        quiet = [k - (h[-1][0] if h else -1) >= 8 for h in hist]
-        settled = all(q or (h and h[-1][1] < floor) for q, h in zip(quiet, hist))
-        if settled and sweep_mag < floor:
+        size = abs(total)
+        peak = max(peak, size)
+        floor = rel_tol * max(size, 1e-300)
+        # every chain quiet or with its last nonzero term below floor
+        if sweep_mag < floor and all(
+                (k - h[-1][0] >= 8 or h[-1][1] < floor) if h else k >= 7
+                for h in hist):
             small_run += 1
             if small_run >= 3 and k >= reach:
-                live = {c: h for c, (q, h) in enumerate(zip(quiet, hist)) if not q}
+                live = {c: h[-3:] for c, h in enumerate(hist) if h and k - h[-1][0] < 8}
                 tail = max([sweep_mag] + [h[-1][1] for h in live.values()])
                 err = tail + round_acc + MACH_EPS * peak
                 reach = _collision_reach(recipe, k, live, err)

@@ -21,12 +21,14 @@ and raise TypeError on a non-real one.
 The H-functions of this package have real parameters, so every residue
 term calls these four kernels at real scalar arguments, once or twice per
 gamma factor per term; their real paths are written out in math inside
-the function itself: no conversion to complex, no inner call.  A float, a
-numpy float64 and a complex with imaginary part 0.0 take the same path
-and give the same bits.  Complex arguments arise only on the Mellin-Barnes
-contour, which evaluates whole arrays of s at once.  Nothing is cached: a
-kernel is a pure function of one argument, and residue-term arguments
-seldom repeat, so a memo would cost lookups and memory for few hits.
+the function itself: no conversion to complex, no inner call.  A float,
+the type the residue terms pass, goes to that path before any other type
+test; a numpy float64 and a complex with imaginary part 0.0 reach it
+after them and give the same bits.  Complex arguments arise only on the
+Mellin-Barnes contour, which evaluates whole arrays of s at once.
+Nothing is cached: a kernel is a pure function of one argument, and
+residue-term arguments seldom repeat, so a memo would cost lookups and
+memory for few hits.
 """
 
 from __future__ import annotations
@@ -100,13 +102,14 @@ def log_gamma(z):
     PoleOfGamma: the caller is expected to treat those as exact pole hits
     (residue bookkeeping) rather than round through them.
     """
-    if not isinstance(z, (int, float, complex)):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim:
-            return _log_gamma_array(z)
-        z = complex(z)
-    if z.imag != 0.0:
-        return complex(_log_gamma_array(np.array([z]))[0])
+    if type(z) is not float:
+        if not isinstance(z, (int, float, complex)):
+            z = np.asarray(z, dtype=complex)
+            if z.ndim:
+                return _log_gamma_array(z)
+            z = complex(z)
+        if z.imag != 0.0:
+            return complex(_log_gamma_array(np.array([z]))[0])
     x = z.real
     if x < 0.5 and abs(x - round(x)) < POLE_TOL:
         raise PoleOfGamma("log_gamma at nonpositive integer")
@@ -150,12 +153,13 @@ def log_reflection(u):
     Arguments within POLE_TOL of any integer raise PoleOfGamma, since one
     of the two gammas has a pole there.
     """
-    if not isinstance(u, (int, float, complex)):
-        if np.ndim(u):
-            return _log_reflection_array(np.asarray(u, dtype=complex))
-        u = complex(u)
-    if u.imag != 0.0:
-        return complex(_log_reflection_array(np.array([u]))[0])
+    if type(u) is not float:
+        if not isinstance(u, (int, float, complex)):
+            if np.ndim(u):
+                return _log_reflection_array(np.asarray(u, dtype=complex))
+            u = complex(u)
+        if u.imag != 0.0:
+            return complex(_log_reflection_array(np.array([u]))[0])
     n = round(u.real)
     w = u.real - n
     if abs(w) < POLE_TOL:
@@ -170,9 +174,10 @@ def pi_cot_pi(x) -> float:
     nearest integer exactly.  Within POLE_TOL of an integer it raises
     PoleOfGamma, as log_reflection does, whose u-derivative it is up to
     sign."""
-    if x.imag != 0.0:
-        raise TypeError("pi_cot_pi takes a real argument, got %r" % (x,))
-    x = float(x.real)
+    if type(x) is not float:
+        if x.imag != 0.0:
+            raise TypeError("pi_cot_pi takes a real argument, got %r" % (x,))
+        x = float(x.real)
     n = round(x)
     w = x - n
     if abs(w) < POLE_TOL:
@@ -243,9 +248,10 @@ _PSI_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
 def digamma(x) -> float:
     """Logarithmic derivative of Gamma at a real scalar x off the pole set,
     in math."""
-    if x.imag != 0.0:
-        raise TypeError("digamma takes a real argument, got %r" % (x,))
-    x = float(x.real)
+    if type(x) is not float:
+        if x.imag != 0.0:
+            raise TypeError("digamma takes a real argument, got %r" % (x,))
+        x = float(x.real)
     n = round(x)
     if x <= 0.5 and abs(x - n) < POLE_TOL and n <= 0:
         raise PoleOfGamma("digamma pole at z = %s" % (x,))

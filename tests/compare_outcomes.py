@@ -11,6 +11,13 @@ old -> new and the largest relative change; for all of them, the count
 per method and the worst |value_new - value_old| / (err_old + err_new).
 It exits 1 if any tag, method, work or class changed (an answer turning
 into a refusal counts as a class change), and 0 otherwise.
+
+With `--identical` (`python tests/compare_outcomes.py --identical OLD NEW`)
+it also lists every line whose parsed outcome differs in any field: tag,
+value, err_est, method, work, refusal class or message, floats compared by
+their exact repr.  A numpy scalar repr is unwrapped first, so it alone is
+no difference.  It then exits 1 on any such line, and 0 only when every
+outcome is the same to the last bit.
 """
 
 import re
@@ -101,14 +108,39 @@ def compare(old_lines, new_lines):
     return not structural and not works
 
 
+def identical(old_lines, new_lines, show=20):
+    """Print the lines whose parsed outcome differs in any field, floats
+    compared by repr (so -0.0 differs from 0.0 and nan matches nan); True
+    if there is none."""
+    if len(old_lines) != len(new_lines):
+        print("line counts differ: %d old, %d new" % (len(old_lines), len(new_lines)))
+        return False
+    differ = [(a, b) for a, b in zip(old_lines, new_lines)
+              if a != b and list(map(repr, parse(a))) != list(map(repr, parse(b)))]
+    print("%d of %d outcomes differ in a parsed field" % (len(differ), len(old_lines)))
+    for a, b in differ[:show]:
+        print("  - " + a + "\n  + " + b)
+    if len(differ) > show:
+        print("  ... and %d more" % (len(differ) - show))
+    return not differ
+
+
 def main(argv):
-    if len(argv) != 3:
-        print("usage: python tests/compare_outcomes.py OLD NEW", file=sys.stderr)
+    args = argv[1:]
+    exact = "--identical" in args
+    if exact:
+        args.remove("--identical")
+    if len(args) != 2:
+        print("usage: python tests/compare_outcomes.py [--identical] OLD NEW",
+              file=sys.stderr)
         return 2
-    with open(argv[1]) as f_old, open(argv[2]) as f_new:
+    with open(args[0]) as f_old, open(args[1]) as f_new:
         old_lines = f_old.read().splitlines()
         new_lines = f_new.read().splitlines()
-    return 0 if compare(old_lines, new_lines) else 1
+    ok = compare(old_lines, new_lines)
+    if exact:
+        ok = identical(old_lines, new_lines)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-from tests.compare_outcomes import compare, parse
+from tests.compare_outcomes import compare, identical, main, parse
 
 
 def test_parse_reads_plain_and_numpy_scalar_reprs():
@@ -31,3 +31,36 @@ def test_work_only_changes_are_summarised_not_listed(capsys):
     assert "summed work 150 -> 161, largest relative change 0.2:" in out
     assert "by method: contour 2" in out
     assert "worst |dvalue| / (err_a + err_b) over them: 0.5" in out
+
+
+def test_identical_flags_every_parsed_difference_but_numpy_wrapping(capsys, tmp_path):
+    base = ["a (1+0j) 1e-10 'contour' 25", "b (0.5-2j) 3e-12 'series' 40",
+            "c NonConvergence H series error estimate 2e-09 misses rel_tol"]
+    same = ["a (1+0j) np.float64(1e-10) 'contour' 25", base[1], base[2]]
+    assert identical(base, same)
+    assert "0 of 3 outcomes differ in a parsed field" in capsys.readouterr().out
+    # one last-bit change in each field, one at a time
+    changes = [
+        (1, "b (0.5000000000000001-2j) 3e-12 'series' 40"),
+        (1, "b (0.5-2j) 3.0000000000000004e-12 'series' 40"),
+        (1, "b (0.5-2j) 3e-12 'contour' 40"),
+        (1, "b (0.5-2j) 3e-12 'series' 41"),
+        (1, "b (-0.5-2j) 3e-12 'series' 40"),
+        (2, "c DegeneratePoles H series error estimate 2e-09 misses rel_tol"),
+        (2, "c NonConvergence H series error estimate 3e-09 misses rel_tol"),
+    ]
+    for pos, line in changes:
+        new = list(base)
+        new[pos] = line
+        assert not identical(base, new), line
+        assert "1 of 3 outcomes differ in a parsed field" in capsys.readouterr().out
+    # value and err_est alone do not fail the summary; --identical does
+    old_file, new_file = tmp_path / "old.txt", tmp_path / "new.txt"
+    old_file.write_text("\n".join(base) + "\n")
+    new = list(base)
+    new[1] = changes[0][1]
+    new_file.write_text("\n".join(new) + "\n")
+    assert main(["compare_outcomes.py", str(old_file), str(new_file)]) == 0
+    assert main(["compare_outcomes.py", "--identical", str(old_file), str(new_file)]) == 1
+    new_file.write_text("\n".join(same) + "\n")
+    assert main(["compare_outcomes.py", "--identical", str(old_file), str(new_file)]) == 0

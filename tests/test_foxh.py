@@ -125,6 +125,10 @@ def test_reduce_params_cancels_pairs():
     assert reduce_params(padded) == reduce_params(EXP)
     assert abs(eval_series(reduce_params(padded), 1.2).value
                - math.exp(-1.2)) < 1e-12
+    # a set with nothing to cancel comes back as it is, not rebuilt
+    for params in (EXP, _even_part_params(1.37), _odd_part_params(1.37),
+                   _h_params(LinearConfig(alpha=1.6, theta=0.3))):
+        assert reduce_params(params) is params
 
 
 def test_from_meijer_g_unit_weights():
@@ -774,6 +778,110 @@ def test_series_calls_the_module_kernels_once_per_unpaired_factor(monkeypatch):
     assert unpaired == [0, 2]
     assert counts == {"log_gamma": sweeps * sum(unpaired),
                       "digamma": sweeps * sum(unpaired)}
+
+
+# eval_series at fixed points, recorded to the last bit: float.hex of the
+# value's real and imaginary parts and of err_est, and work, or the class
+# and message of the refusal; then the calls of log_gamma and digamma the
+# call made.  Any change to the term arithmetic, the kernel calls or the
+# stop rule shows here.
+_M3 = FoxHParams(m=3, n=1, upper=((0.25, 0.5),),
+                 lower=((0.0, 1.0), (0.5, 0.5), (0.25, 0.5)))
+_DEMOTED = FoxHParams(m=2, n=0, upper=((3.5, 0.5),),
+                      lower=((0.0, 1.0), (0.5, 0.5), (3.5, 0.5)))
+_NEAR = FoxHParams(m=3, n=1, upper=((1.293, 2.0), (1.921, 2.0)),
+                   lower=((2 / 3, 1.5), (0.281, 2 / 3), (-0.677, 1.5), (1.5, 0.5),
+                          (1.288, 1.5)))
+SERIES_BITS = [
+    # ordinary terms; the even part's denominator pair zeroes every odd one
+    ("even-1.37-z0.8", lambda: _even_part_params(1.37), 0.8, 1e-10,
+     ("0x1.f0c3a4150549bp-3", "0x1.9ddd3737488a3p-53", "0x1.9217697c67ac9p-47", 34),
+     (34, 34)),
+    ("even-1.37-z3", lambda: _even_part_params(1.37), 3.0 * cmath.exp(0.3j), 1e-9,
+     ("0x1.01559d8f47f89p-5", "-0x1.5ba0c54333c0dp-6", "0x1.10d144b5f8627p-42", 54),
+     (54, 54)),
+    ("odd-1.37-z0.8", lambda: _odd_part_params(1.37), 0.8, 1e-10,
+     ("0x1.968cdcaeb451cp-1", "0x1.1969ed83b2c19p-52", "0x1.eb83f62ec2470p-43", 32),
+     (64, 64)),
+    ("odd-1.37-z3", lambda: _odd_part_params(1.37), 3.0 * cmath.exp(0.3j), 1e-9,
+     ("0x1.04cb266113a03p-2", "-0x1.436a12d4dbda7p-4", "0x1.12fa1c1541d39p-35", 52),
+     (104, 104)),
+    # the README well's alpha: chains meet, confluent terms
+    ("even-1.5", lambda: _even_part_params(1.5), 1.2 * cmath.exp(0.4j), 1e-9,
+     ("0x1.63850b4acbadfp-3", "-0x1.768b584e6c919p-4", "0x1.9179c31877b62p-47", 38),
+     (33, 43)),
+    ("odd-1.5", lambda: _odd_part_params(1.5), 2.5, 1e-9,
+     ("0x1.6bd1ec716a807p-2", "0x1.40ecd224ceab0p-50", "0x1.473b6474f5873p-39", 46),
+     (84, 98)),
+    # double poles demoted by a denominator zero
+    ("demoted", lambda: _DEMOTED, 1.3 * cmath.exp(-0.2j), 1e-9,
+     ("0x1.4459a9851dc54p-4", "-0x1.4e76d5ef3b27ep-5", "0x1.ccaa734c9d9c3p-48", 34),
+     (26, 26)),
+    # a numerator pair inside the confluent bracket
+    ("pair-m3", lambda: _M3, 1.3 * cmath.exp(-0.2j), 1e-9,
+     ("0x1.3b9732d62fe19p-1", "0x1.fba58dc0b10b1p-4", "0x1.670fbb58ca1bdp-42", 51),
+     (60, 94)),
+    # three chains whose near misses make the lookahead put off the stop
+    ("lookahead", lambda: _NEAR, 0.20908046076902703 + 1.4853569809727936j, 1e-9,
+     ("-0x1.e25c77d971aebp-1", "-0x1.2bbe9f60e73e9p-2", "0x1.a615d619291c8p-37", 81),
+     (486, 486)),
+    # the ramp point where a near-zero sine makes one sweep small
+    ("ramp", lambda: _h_params(LinearConfig(alpha=1.227, theta=-0.064)), 1.51, 1e-9,
+     ("0x1.130e8d0b03bcep-3", "-0x1.0f885ba6d1f86p-59", "0x1.410ee80ba6f8fp-45", 23),
+     (23, 23)),
+    ("inverted", lambda: invert_argument(_even_part_params(1.37)), 2.5, 1e-9,
+     ("0x1.a948658233b9fp-2", "0x1.3041c4731d19ap-53", "0x1.6aa9881368541p-45", 26),
+     (26, 26)),
+    ("refuses", lambda: _even_part_params(1.37), 8.0 * cmath.exp(0.2j), 1e-9,
+     (NonConvergence,
+      "H series error estimate 4.61e-10 misses rel_tol at |value| 3.84e-03"),
+     (90, 90)),
+]
+
+
+def _series_bits(params, z, rel_tol):
+    try:
+        r = eval_series(params, z, rel_tol)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+    return r.value.real.hex(), r.value.imag.hex(), r.err_est.hex(), r.work
+
+
+@pytest.mark.parametrize("name, build, z, rel_tol, want, calls", SERIES_BITS,
+                         ids=[p[0] for p in SERIES_BITS])
+def test_series_values_keep_their_recorded_bits(name, build, z, rel_tol, want, calls):
+    assert _series_bits(build(), z, rel_tol) == want
+
+
+def test_series_kernel_calls_keep_their_recorded_counts(monkeypatch):
+    # the benchmark's tracer counts and times the kernels by rebinding
+    # these module globals between calls, after import: each call must
+    # look them up afresh, and make the recorded number of calls
+    kernels = {"log_gamma": foxh.log_gamma, "digamma": foxh.digamma}
+
+    def counting(counts, name):
+        def wrapped(u):
+            counts[name] += 1
+            return kernels[name](u)
+        return wrapped
+
+    def install():
+        counts = dict.fromkeys(kernels, 0)
+        for name in kernels:
+            monkeypatch.setattr(foxh, name, counting(counts, name))
+        return counts
+
+    for name, build, z, rel_tol, want, calls in SERIES_BITS:
+        params = build()
+        _series_bits(params, z, rel_tol)
+        counts = install()
+        assert _series_bits(params, z, rel_tol) == want
+        assert (counts["log_gamma"], counts["digamma"]) == calls, name
+        later = install()
+        _series_bits(params, z, rel_tol)
+        assert (counts["log_gamma"], counts["digamma"]) == calls, name
+        assert (later["log_gamma"], later["digamma"]) == calls, name
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("z", [math.exp(150.0), math.exp(-150.0), 1e100, 1e300])
