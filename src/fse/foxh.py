@@ -21,11 +21,13 @@ elementary functions instead of hitting multiple poles.
 
 The trapezoid rule converges exponentially for an integrand analytic in
 a strip about the line (Trefethen and Weideman, SIAM Rev. 56 (2014)
-385): the step h comes from the strip width d, the distance from the
-line to the nearest pole, and from |ln |z||, and the cut T from the rate
-r = pi sigma/2 - |arg z| at which |theta(s) z^-s| decays along the line
-(Braaksma, Compositio Math. 15 (1964)), both before any node is
-evaluated.  That bound holds for any shift of the grid, so the nodes sit
+385): the step h comes from a strip shift a = 0.8 d, d the distance from
+the line to the nearest pole, and from |ln |z||, and the cut T from the
+rate r = pi sigma/2 - |arg z| at which |theta(s) z^-s| decays along the
+line (Braaksma, Compositio Math. 15 (1964)), both before any node is
+evaluated.  Their error bound holds for any strip shift a < d (it grows
+like 1/(d - a) as the shifted line nears the pole, which the step's
+denominator allows for) and for any shift of the grid, so the nodes sit
 at gamma +- i(k + 1/2)h, 0 <= k <= k_hi: none is real, as every pole of
 theta is, and work counts the 2 (k_hi + 1) of them.  err_est adds the
 discretisation bound of that h, the tail beyond T and the rounding of
@@ -64,7 +66,12 @@ _collision_term, which folds the forms again, skipping both chains'
 gammas and each denominator gamma that vanishes there, and the pole's
 order (two less those zeros) picks the residue.  The lookahead's
 near-pole gains (_near_pole_gains) come from the same arithmetic, one
-loop per chain for all the sweeps it looks at.  One matcher,
+loop per chain for all the sweeps it looks at.  A sum that cancels past
+its rounding floor is refused as soon as that is certain: the rounding
+part of err_est only grows, so once it passes 2 rel_tol times |partial
+sum| plus a bound on the rest of the sum (_rest_bound), the stop could
+only refuse.  The bound and the lookahead (_collision_reach) read one
+per-chain envelope (_chain_envelope).  One matcher,
 _exact_matches, finds both the cancelling and the reflection pairs.
 Nothing is kept between calls but eval_auto's last answer, which it
 replays only as the exact conjugate H(conj z) = conj H(z).  A replay can
@@ -108,6 +115,11 @@ CONTOUR_T_CAP = 400.0
 # a contour call's node budget: 2 MB per complex array of a block
 _CONTOUR_NODE_CAP = 1 << 17
 _LOG_INV_EPS = -math.log(MACH_EPS)
+# eval_contour's strip shift a, as a fraction of the distance d to the
+# nearest pole, and the log of the allowance for theta's growth on the
+# shifted line: e^3 at a = d/2, times (d/2)/(d - a) for the nearest pole
+_STRIP_SHIFT = 0.8
+_LOG_STRIP_GROWTH = 3.0 + math.log(0.5 / (1.0 - _STRIP_SHIFT))
 SEPARATION_TOL = 1e-9
 LOOKAHEAD_SWEEPS = 64
 
@@ -623,13 +635,36 @@ def _near_pole_gains(recipe: _Recipe, chain: int, ks) -> list:
     return gains
 
 
+def _gain_cap(recipe: _Recipe) -> float:
+    """The largest gain a pole can have short of an exact collision: one
+    factor 1/(2 delta) per other chain, delta at least _EXACT_COLLISION_TOL
+    times the lightest weight."""
+    m = recipe.params.m
+    w_min = min(wt for _, wt in recipe.params.lower[:m])
+    return (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (m - 1)
+
+
+def _chain_envelope(recipe: _Recipe, chain: int, h):
+    """(k_last, b_last, rho) from the chain's last nonzero terms h, as
+    (k, |term|): divided by their near-pole gains they decay smoothly,
+    b_last is the last of them so divided and rho the fastest per-sweep
+    ratio among them, at most 1.  b_last rho^(kk - k_last) times the gain
+    of a later pole kk estimates its term."""
+    base = [(kh, mag / gain) for (kh, mag), gain
+            in zip(h, _near_pole_gains(recipe, chain, [kh for kh, _ in h]))]
+    rho = 1.0 if len(base) < 2 else min(1.0, max(
+        (b2 / b1) ** (1.0 / (k2 - k1))
+        for (k1, b1), (k2, b2) in zip(base, base[1:])))
+    k_last, b_last = base[-1]
+    return k_last, b_last, rho
+
+
 def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
     """Last sweep after k whose term could exceed err because its pole nearly
     meets another chain's pole, or k itself when there is none.
 
     hist maps each live chain to its last nonzero terms as (k, |term|).
-    Divided by their near-pole gains they decay smoothly; the fastest
-    per-sweep ratio among them, times the gain of each later pole,
+    Their envelope (_chain_envelope), times the gain of each later pole,
     estimates the terms the stop rule would skip.  The scan ends where even
     the largest gain a pole can have short of an exact collision leaves the
     estimate below err.  A flagged pole closer than SEPARATION_TOL is
@@ -638,16 +673,9 @@ def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
     again from there, so the sum stops only once no chain has one ahead.
     """
     reach = k
-    m = recipe.params.m
-    w_min = min(wt for _, wt in recipe.params.lower[:m])
-    gain_cap = (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (m - 1)
+    gain_cap = _gain_cap(recipe)
     for chain, h in hist.items():
-        base = [(kh, mag / gain) for (kh, mag), gain
-                in zip(h, _near_pole_gains(recipe, chain, [kh for kh, _ in h]))]
-        rho = 1.0 if len(base) < 2 else min(1.0, max(
-            (b2 / b1) ** (1.0 / (k2 - k1))
-            for (k1, b1), (k2, b2) in zip(base, base[1:])))
-        k_last, b_last = base[-1]
+        k_last, b_last, rho = _chain_envelope(recipe, chain, h)
         envs = []
         for kk in range(k + 1, k + 1 + LOOKAHEAD_SWEEPS):
             env = b_last * rho ** (kk - k_last)
@@ -659,6 +687,73 @@ def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
             if env * gain >= err:
                 reach = kk
     return reach
+
+
+def _pair_sines(recipe: _Recipe, chain: int, ks) -> list:
+    """The factor |sin pi u| <= 1 that the denominator reflection pairs,
+    each 1/(Gamma(u) Gamma(1 - u)) = sin(pi u)/pi, put on the residue at
+    each left pole k in ks of the chain.  A sine near 0 makes one term
+    small and says nothing of the next."""
+    b, wt, _, _, _, den_pairs, _ = recipe.terms[chain]
+    sines = []
+    for k in ks:
+        s = -(b + k) / wt
+        f = 1.0
+        for c, du, _, _ in den_pairs:
+            f *= abs(math.sin(math.pi * (c + du * s)))
+        sines.append(f)
+    return sines
+
+
+def _rest_bound(recipe: _Recipe, k: int, hist, room: float) -> float:
+    """A bound on the summed magnitudes of the terms after sweep k, or a
+    number at least room once the bound reaches room (inf when a chain
+    does not decay yet).
+
+    hist maps each live chain to its last nonzero terms as (k, |term|).
+    Each is divided by its denominator pairs' sines (_pair_sines), so that
+    the envelope of _chain_envelope follows the terms' smooth part; a later
+    term is at most that envelope times its pole's near-pole gain, which is
+    at least 1.  So the envelope's geometric sum comes first, and then the
+    gains' excess over 1, summed over the sweeps where even the gain cap
+    could still matter: until the geometric rest at the cap is below 1/8
+    of the room left, or LOOKAHEAD_SWEEPS, past which there is no bound.
+    That geometric rest is added.  With one chain every gain is 1.
+    """
+    excess_cap = _gain_cap(recipe) - 1.0
+    rest = 0.0
+    for chain, h in hist.items():
+        sines = _pair_sines(recipe, chain, [kh for kh, _ in h])
+        if not all(sines):
+            return math.inf
+        k_last, b_last, rho = _chain_envelope(
+            recipe, chain, [(kh, mag / sine) for (kh, mag), sine in zip(h, sines)])
+        if rho >= 1.0:
+            return math.inf
+        env = b_last * rho ** (k + 1 - k_last)
+        rest += env / (1.0 - rho)
+        if rest >= room:
+            break
+        cap_rest = env * excess_cap / (1.0 - rho)
+        n = 0
+        while cap_rest >= 0.125 * (room - rest):
+            if n == LOOKAHEAD_SWEEPS:
+                return math.inf
+            n += 1
+            cap_rest *= rho
+        for gain in _near_pole_gains(recipe, chain, range(k + 1, k + 1 + n)):
+            rest += env * (gain - 1.0)
+            env *= rho
+        rest += cap_rest
+        if rest >= room:
+            break
+    return rest
+
+
+def _live_chains(hist, k: int) -> dict:
+    """The last three nonzero terms of each chain with one in the last 8
+    sweeps, by chain."""
+    return {c: h[-3:] for c, h in enumerate(hist) if h and k - h[-1][0] < 8}
 
 
 def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
@@ -674,6 +769,15 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     chain are scanned for near-collisions with another chain, and summing
     goes on past every one whose magnified term could exceed the error the
     stop would claim.
+
+    The claim at the stop is err = tail + round_acc + eps peak, the summed
+    error bounds of the terms and the rounding of the largest partial sum.
+    round_acc and peak only grow.  So from sweep 7 on, once they pass
+    2 rel_tol |total|, the rest of the sum is bounded (_rest_bound), and
+    once they pass 2 rel_tol (|total| + rest) the series refuses with
+    NonConvergence there: the stop could only refuse, later.  The factor 2
+    covers an envelope that underestimates the rest; the cheap first test
+    keeps the bound off every sweep where the sum does not cancel.
     """
     params, z = _prepare(params, z, rel_tol)
     mu = series_index(params)
@@ -717,13 +821,24 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         size = abs(total)
         peak = max(peak, size)
         floor = rel_tol * max(size, 1e-300)
+        # the part of the stop's err_est that only grows
+        fixed = round_acc + MACH_EPS * peak
+        # from sweep 7 on, a chain with no nonzero term is quiet, as below
+        if fixed > 2.0 * floor and k >= 7:
+            live = _live_chains(hist, k)
+            room = 0.5 * fixed / rel_tol - size
+            rest = _rest_bound(recipe, k, live, room)
+            if rest < room:
+                raise NonConvergence(
+                    "H series rounding error %.2e misses rel_tol at |value| <= %.2e"
+                    % (fixed, size + rest))
         # every chain quiet or with its last nonzero term below floor
         if sweep_mag < floor and all(
                 (k - h[-1][0] >= 8 or h[-1][1] < floor) if h else k >= 7
                 for h in hist):
             small_run += 1
             if small_run >= 3 and k >= reach:
-                live = {c: h[-3:] for c, h in enumerate(hist) if h and k - h[-1][0] < 8}
+                live = _live_chains(hist, k)
                 tail = max([sweep_mag] + [h[-1][1] for h in live.values()])
                 err = tail + round_acc + MACH_EPS * peak
                 reach = _collision_reach(recipe, k, live, err)
@@ -768,12 +883,20 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     The line Re s = gamma sits midway between the left and right pole
     families (one unit past the only family when there is one).  The
     integrand f(t) = theta(gamma + i t) z^-(gamma + i t) is analytic in the
-    strip |Im t| < d, d the distance to the nearest pole, and on a line
-    shifted by a = d/2 it is at most |z|^a e^3 times its size on this one.
-    The trapezoid error is then 2 M e^(-2 pi a/h) for any shift of the grid
-    (Trefethen and Weideman, SIAM Rev. 56 (2014) 385), so the step
+    strip |Im t| < d, d the distance to the nearest pole, and the step
+    takes the strip shift a = 0.8 d.  On the line shifted by a, f is taken
+    to be at most G = |z|^a e^3 (d/2)/(d - a) times its size on this one:
+    |z^-s| moves by at most |z|^a there; the nearest pole's factor
+    1/|s - pole| grows by d/(d - a), 2.5 times what it grows by at a = d/2;
+    and e^3 is the allowance made at a = d/2 for it and the other gamma
+    factors.  That allowance is checked, not proved (a gamma factor's
+    growth under the shift rises slowly with |t|): the tests hold err_est
+    to 30-digit references on narrow gaps, near the sector edge and at
+    large |z|.  The trapezoid error is then 2 M e^(-2 pi a/h), M = G sum |f|
+    h, for any shift of the grid (Trefethen and Weideman, SIAM Rev. 56
+    (2014) 385), so the step
 
-        h = 2 pi a / (ln(1/eps) + 3 + a |ln |z||)
+        h = 2 pi a / (ln(1/eps) + 3 + ln 2.5 + a |ln |z||)
 
     puts it at 2 eps sum |f| h, fixed before any node.  The nodes are
     t = +-(k + 1/2) h, k >= 0: none is real, so no gamma factor sits on a
@@ -803,8 +926,8 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     gam, lo, hi = _contour_line(params)
     pairs = _reflection_pairs(params)
     rate = 0.5 * math.pi * sigma(params) - abs(logz.imag)
-    a = 0.5 * min(gam - lo, hi - gam)
-    h = 2.0 * math.pi * a / (_LOG_INV_EPS + 3.0 + a * abs(logz.real))
+    a = _STRIP_SHIFT * min(gam - lo, hi - gam)
+    h = 2.0 * math.pi * a / (_LOG_INV_EPS + _LOG_STRIP_GROWTH + a * abs(logz.real))
     t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
     acc = 0.0 + 0.0j
     abs_acc = 0.0
@@ -835,7 +958,8 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                 "contour tail still %.2e at |Im s| = %g" % (tail, t_cut))
         k_lo = k_hi + 1
         t_cut = min(1.5 * t_cut, CONTOUR_T_CAP)
-    # M = e^(3 + a |ln |z||) sum |f| makes 2 M e^(-2 pi a/h) = 2 eps sum |f|
+    # M = e^(_LOG_STRIP_GROWTH + a |ln |z||) sum |f| makes
+    # 2 M e^(-2 pi a/h) = 2 eps sum |f|
     err = tail + 2.0 * MACH_EPS * abs_acc + MACH_EPS * round_acc
     return _accept(acc / (2.0 * math.pi), err / (2.0 * math.pi), rel_tol,
                    "contour", "contour", 2 * (k_hi + 1))

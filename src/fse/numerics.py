@@ -240,11 +240,6 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
     return total, last_mag + round_acc + MACH_EPS * peak, k + 1
 
 
-# B_{2k}/(2k) for the digamma asymptotic tail
-_PSI_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
-             1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
-
-
 def digamma(x) -> float:
     """Logarithmic derivative of Gamma at a real scalar x off the pole set,
     in math."""
@@ -264,11 +259,17 @@ def digamma(x) -> float:
     while x < 8.0:
         acc -= 1.0 / x
         x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for c in _PSI_TAIL:
-        tail += c * p
-        p *= inv2
+    # the asymptotic tail sum B_2j/(2j) x^-2j, j = 1..7, smallest power
+    # first; the compiler folds each coefficient to one constant
+    p1 = 1.0 / (x * x)
+    p2 = p1 * p1
+    p3 = p2 * p1
+    p4 = p3 * p1
+    p5 = p4 * p1
+    p6 = p5 * p1
+    p7 = p6 * p1
+    tail = ((1.0 / 12.0) * p1 + (-1.0 / 120.0) * p2 + (1.0 / 252.0) * p3
+            + (-1.0 / 240.0) * p4 + (1.0 / 132.0) * p5 + (-691.0 / 32760.0) * p6
+            + (1.0 / 12.0) * p7)
     return acc + math.log(x) - 0.5 / x - tail
 

@@ -18,6 +18,10 @@ value, err_est, method, work, refusal class or message, floats compared by
 their exact repr.  A numpy scalar repr is unwrapped first, so it alone is
 no difference.  It then exits 1 on any such line, and 0 only when every
 outcome is the same to the last bit.
+
+drift() is the stricter rule of tests/test_outcomes.py, which holds the
+probe to the committed tests/outcomes.txt: any change of tag, method,
+class, message or work, or a value that moves by more than err_a + err_b.
 """
 
 import re
@@ -106,6 +110,26 @@ def compare(old_lines, new_lines):
         print("worst |dvalue| / (err_a + err_b) over them: %.3g" % worst)
         print("  - " + worst_line[0] + "\n  + " + worst_line[1])
     return not structural and not works
+
+
+def drift(old_lines, new_lines):
+    """The (old, new) line pairs whose outcomes differ by more than
+    rounding explains: a changed tag, method, refusal class, message or
+    work, or a value that moved more than err_a + err_b.  Line counts that
+    differ give one pair, the two counts."""
+    if len(old_lines) != len(new_lines):
+        return [("%d lines" % len(old_lines), "%d lines" % len(new_lines))]
+    out = []
+    for a, b in zip(old_lines, new_lines):
+        if a == b:
+            continue
+        ta, ka, va, ea, ma, wa = parse(a)
+        tb, kb, vb, eb, mb, wb = parse(b)
+        # a refusal's message sits in the work field
+        if (ta, ka, ma, wa) != (tb, kb, mb, wb) or (
+                ka == "answer" and not abs(vb - va) <= ea + eb):
+            out.append((a, b))
+    return out
 
 
 def identical(old_lines, new_lines, show=20):

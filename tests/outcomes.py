@@ -10,6 +10,15 @@ benchmark workload on seeds 1-3, 245 E_beta arguments through ml_contour
 and ml_eval, the ramp's ascending series left of the turning point,
 linear_closed_form's series route right of it, and the series-index-0
 points of tests/collision_refs.py through the three H routes.
+
+tests/outcomes.txt holds the probe's output at the current commit, and
+tests/test_outcomes.py fails when the probe drifts from it (see
+compare_outcomes.drift).  A change that moves outcomes on purpose
+regenerates it with
+
+    PYTHONPATH=src:. python tests/outcomes.py > tests/outcomes.txt
+
+and reports `python tests/compare_outcomes.py OLD tests/outcomes.txt`.
 """
 
 import cmath

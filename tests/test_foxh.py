@@ -621,6 +621,21 @@ def test_contour_err_est_bounds_exact_instances(params, exact, zs):
         assert abs(got.value - ref) <= got.err_est, z
 
 
+@pytest.mark.parametrize("gap", [0.5, 0.2, 0.01])
+def test_contour_err_est_bounds_the_narrow_gap_family_off_the_axis(gap):
+    # the step's strip shift comes within 0.2 d of the nearest pole, and
+    # these binomials put a pole d from the line on both sides, at |z|
+    # below and above 1 and off the real axis
+    params, exact = _binomial(gap)
+    for v in (-20.0, -5.0, -0.5, 0.5, 5.0, 20.0):
+        for phase in (0.0, 0.5, 1.2):
+            z = math.exp(v) * cmath.exp(1j * phase)
+            with mp.workdps(30):
+                ref = complex(exact(mp.mpmathify(z)))
+            got = eval_contour(params, z, 1e-9)
+            assert abs(got.value - ref) <= got.err_est, (v, phase)
+
+
 # 1/Gamma(s - 1/2) vanishes at the gap midpoint s = 1/2, where the contour
 # line crosses the real axis
 ZERO_ON_THE_LINE = FoxHParams(m=1, n=1, upper=((0.0, 1.0), (-0.5, 1.0)),
@@ -834,8 +849,8 @@ SERIES_BITS = [
      (26, 26)),
     ("refuses", lambda: _even_part_params(1.37), 8.0 * cmath.exp(0.2j), 1e-9,
      (NonConvergence,
-      "H series error estimate 4.61e-10 misses rel_tol at |value| 3.84e-03"),
-     (90, 90)),
+      "H series rounding error 4.61e-10 misses rel_tol at |value| <= 1.59e-01"),
+     (46, 46)),
 ]
 
 
@@ -882,6 +897,62 @@ def test_series_kernel_calls_keep_their_recorded_counts(monkeypatch):
         assert (counts["log_gamma"], counts["digamma"]) == calls, name
         assert (later["log_gamma"], later["digamma"]) == calls, name
         monkeypatch.undo()
+
+
+def _even(a1, w):
+    return FoxHParams(m=2, n=1, upper=((a1, w), (0.5, 0.5)),
+                      lower=((0.0, 1.0), (a1, w), (0.5, 0.5)))
+
+
+def _ramp(a, wa, c, wc):
+    return FoxHParams(m=1, n=1, upper=((a, wa), (c, wc)), lower=((0.0, 1.0), (c, wc)))
+
+
+# series answers of the benchmark's param-sweep (seeds 1-4, rounds 0-39)
+# that a careless early refusal turns into refusals, with their recorded
+# float.hex of value (real, imaginary), err_est and work.  At the delta
+# well's even parts the denominator pair zeroes every odd sweep, so a
+# guard that takes the last sweep's size as the rest of the sum refuses
+# them; at the ramps a folded denominator pair's sin(pi (c - w k)) makes
+# single terms small, so a guard whose envelope keeps that sine refuses.
+GUARD_TRAPS = [
+    (_even(0.4968300248635019, 0.5031699751364981),
+     4.948390106251789 + 0.021657510375150752j,
+     ("0x1.dd4c9be266b20p-8", "-0x1.42c235c46461bp-13", "0x1.480fef234ba9ap-38", 66)),
+    (_even(0.48954192087961135, 0.5104580791203887),
+     5.533552402128051 + 0.05779057740582637j,
+     ("0x1.26ffb86749771p-8", "-0x1.ed78efe499262p-13", "0x1.847cf0d7e5751p-39", 74)),
+    (_even(0.42703947753050275, 0.5729605224694972),
+     3.8031695174669378 + 0.6920681050556398j,
+     ("0x1.471c83d19355dp-6", "-0x1.857c67a11e3ebp-7", "0x1.8127913117799p-36", 58)),
+    (_even(0.4407066564746268, 0.5592933435253732),
+     4.974763124687331 + 0.7161191858347306j,
+     ("0x1.0e591f5019ba3p-7", "-0x1.3054416f07a5dp-8", "0x1.48a0635a986d5p-37", 66)),
+    (_even(0.3661194638466231, 0.6338805361533769),
+     5.1780731846903 + 0.7656629379931219j,
+     ("0x1.2a4b335679069p-7", "-0x1.0b3fd03e18c54p-8", "0x1.203650086f2d7p-37", 70)),
+    (_even(0.4996659545229548, 0.5003340454770452),
+     3.839842871304652 + 0.002597711475236078j,
+     ("0x1.606aef1820585p-6", "-0x1.d40622676574ap-15", "0x1.e02e3efb5639cp-37", 58)),
+    (_even(0.24771745759170105, 0.752282542408299),
+     5.0221257129679575 - 2.475194485600853j,
+     ("0x1.2fb13fce8c97ap-8", "0x1.1845184536641p-7", "0x1.34b4b84cb16a0p-37", 70)),
+    (_even(0.4978514477575412, 0.5021485522424588),
+     4.909698930070007 + 0.025591180142076075j,
+     ("0x1.eba482f30008cp-8", "-0x1.8c15ccb86e634p-13", "0x1.c933d2c82ce77p-38", 66)),
+    (_ramp(0.5996143479370244, 0.4003856520629757, 0.7885336764097516, 0.21146632359024845),
+     6.272916666666667,
+     ("0x1.100d7f7b40999p-8", "-0x1.7eb98ace210fap-52", "0x1.1190987329b52p-38", 63)),
+    (_ramp(0.6036221345292274, 0.39637786547077264, 0.6896266937489621, 0.31037330625103793),
+     5.7458333333333345,
+     ("0x1.51dd5b19982b2p-8", "0x1.6eeccbbfd9d16p-55", "0x1.d3f22ee12a4b6p-40", 57)),
+]
+
+
+@pytest.mark.parametrize("params, z, want", GUARD_TRAPS,
+                         ids=["even-%d" % i for i in range(8)] + ["ramp-0", "ramp-1"])
+def test_early_refusal_leaves_these_series_answers_alone(params, z, want):
+    assert _series_bits(params, z, 1e-9) == want
 
 
 @pytest.mark.parametrize("z", [math.exp(150.0), math.exp(-150.0), 1e100, 1e300])

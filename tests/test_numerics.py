@@ -262,6 +262,25 @@ def test_digamma_spot_values():
     assert abs(digamma(0.5) + eg + 2.0 * math.log(2.0)) < 1e-13
 
 
+@pytest.mark.parametrize("x, want", [
+    # x < 0.5: reflection, then the upward recurrence
+    (-3.3, "0x1.cf67be009a0fbp+1"),
+    (0.25, "-0x1.0e8e9943cd7c2p+2"),
+    # 0.5 <= x < 8: the upward recurrence to x >= 8
+    (0.5, "-0x1.f6a897d3214fcp+0"),
+    (2.5, "0x1.680425af12b59p-1"),
+    (7.999, "0x1.01fc2d51925fep+1"),
+    # x >= 8: the asymptotic tail alone
+    (8.0, "0x1.02008a3a23e59p+1"),
+    (11.0, "0x1.2d063a9529963p+1"),
+    (1234.5, "0x1.c78d93f4064c5p+2"),
+])
+def test_digamma_keeps_its_recorded_bits(x, want):
+    # the residue series' recorded bits rest on these: any change to the
+    # order of the asymptotic tail's operations shows here
+    assert digamma(x).hex() == want
+
+
 def test_complex_scalars_take_the_array_path():
     # log_gamma and log_reflection answer a complex scalar as a one-element
     # array; digamma and pi_cot_pi are real-only
