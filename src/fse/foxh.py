@@ -57,27 +57,31 @@ scalar s) share.  Each eval_series call first builds its z-free term
 recipe (_Recipe): per chain, the flat tuples an ordinary residue term
 reads (the poles to scan for a collision, and the folded numerator and
 denominator factors, pairs and gammas apart), and the forms, pairs and
-other chains that a collision term and the lookahead read.  One
+other chains that a collision term and the rest bound read.  One
 function, _residue_term, gives every term.  An ordinary term, a simple
 pole on one chain, costs its kernel calls and a few float operations on
 its pole s, with no Python call but the kernels.  Only where the scan finds
 a near miss or two chains meeting exactly does it hand the term to
 _collision_term, which folds the forms again, skipping both chains'
 gammas and each denominator gamma that vanishes there, and the pole's
-order (two less those zeros) picks the residue.  The lookahead's
-near-pole gains (_near_pole_gains) come from the same arithmetic, one
-loop per chain for all the sweeps it looks at.  A sum that cancels past
-its rounding floor is refused as soon as that is certain: the rounding
-part of err_est only grows, so once it passes 2 rel_tol times |partial
-sum| plus a bound on the rest of the sum (_rest_bound), the stop could
-only refuse.  The bound and the lookahead (_collision_reach) read one
-per-chain envelope (_chain_envelope).  One matcher,
-_exact_matches, finds both the cancelling and the reflection pairs.
-Nothing is kept between calls but eval_auto's last answer, which it
-replays only as the exact conjugate H(conj z) = conj H(z).  A replay can
-differ from a fresh evaluation at conj z in rounding, within both
-err_est, and needs no invalidation; reuse across calls on one parameter
-set is left to a plan built outside this module.
+order (two less those zeros) picks the residue.
+
+One bound on the rest of the sum (_rest_bound) makes every decision of
+eval_series.  It takes each live chain's last terms, divides out their
+denominator pairs' sines and near-pole gains, and sums the geometric
+envelope of what is left, times the gains of the poles ahead
+(_near_pole_gains, from the same arithmetic as the terms); a chain whose
+envelope does not decay yet has no bound.  The series stops once its
+claim, the rounding of the terms and of the largest partial sum plus that
+bound, is within rel_tol, and refuses as soon as the rounding part, which
+only grows, misses rel_tol whatever the rest adds.
+
+One matcher, _exact_matches, finds both the cancelling and the
+reflection pairs.  Nothing is kept between calls but eval_auto's last
+answer, which it replays only as the exact conjugate H(conj z) =
+conj H(z).  A replay can differ from a fresh evaluation at conj z in
+rounding, within both err_est, and needs no invalidation; reuse across
+calls on one parameter set is left to a plan built outside this module.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
 up as module globals at call time, once per folded factor per term, so that
 rebinding them (to count or time them) sees every call.
@@ -412,7 +416,7 @@ class _Recipe(NamedTuple):
       the reflection pairs are folded (_fold_pairs), as (c, du/ds, |c|,
       |du/ds|) in four tuples: numerator pairs, numerator gammas,
       denominator pairs and denominator gammas, each in _fold_pairs order.
-    The rest serves the rare terms and the lookahead: forms are the gamma
+    The rest serves the rare terms and the rest bound: forms are the gamma
     factors of theta (_gamma_forms), pairs the reflection pairs,
     others[chain] the other chains as (index, b, B) and right the
     upper[:n] forms as (c, du/ds).  A term where two chains meet folds the
@@ -635,60 +639,6 @@ def _near_pole_gains(recipe: _Recipe, chain: int, ks) -> list:
     return gains
 
 
-def _gain_cap(recipe: _Recipe) -> float:
-    """The largest gain a pole can have short of an exact collision: one
-    factor 1/(2 delta) per other chain, delta at least _EXACT_COLLISION_TOL
-    times the lightest weight."""
-    m = recipe.params.m
-    w_min = min(wt for _, wt in recipe.params.lower[:m])
-    return (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (m - 1)
-
-
-def _chain_envelope(recipe: _Recipe, chain: int, h):
-    """(k_last, b_last, rho) from the chain's last nonzero terms h, as
-    (k, |term|): divided by their near-pole gains they decay smoothly,
-    b_last is the last of them so divided and rho the fastest per-sweep
-    ratio among them, at most 1.  b_last rho^(kk - k_last) times the gain
-    of a later pole kk estimates its term."""
-    base = [(kh, mag / gain) for (kh, mag), gain
-            in zip(h, _near_pole_gains(recipe, chain, [kh for kh, _ in h]))]
-    rho = 1.0 if len(base) < 2 else min(1.0, max(
-        (b2 / b1) ** (1.0 / (k2 - k1))
-        for (k1, b1), (k2, b2) in zip(base, base[1:])))
-    k_last, b_last = base[-1]
-    return k_last, b_last, rho
-
-
-def _collision_reach(recipe: _Recipe, k: int, hist, err: float) -> int:
-    """Last sweep after k whose term could exceed err because its pole nearly
-    meets another chain's pole, or k itself when there is none.
-
-    hist maps each live chain to its last nonzero terms as (k, |term|).
-    Their envelope (_chain_envelope), times the gain of each later pole,
-    estimates the terms the stop rule would skip.  The scan ends where even
-    the largest gain a pole can have short of an exact collision leaves the
-    estimate below err.  A flagged pole closer than SEPARATION_TOL is
-    refused as DegeneratePoles once the sum reaches it.  reach is the last
-    flagged pole of the last live chain that has one; the stop is tried
-    again from there, so the sum stops only once no chain has one ahead.
-    """
-    reach = k
-    gain_cap = _gain_cap(recipe)
-    for chain, h in hist.items():
-        k_last, b_last, rho = _chain_envelope(recipe, chain, h)
-        envs = []
-        for kk in range(k + 1, k + 1 + LOOKAHEAD_SWEEPS):
-            env = b_last * rho ** (kk - k_last)
-            if env * gain_cap < err:
-                break
-            envs.append(env)
-        gains = _near_pole_gains(recipe, chain, range(k + 1, k + 1 + len(envs)))
-        for kk, env, gain in zip(itertools.count(k + 1), envs, gains):
-            if env * gain >= err:
-                reach = kk
-    return reach
-
-
 def _pair_sines(recipe: _Recipe, chain: int, ks) -> list:
     """The factor |sin pi u| <= 1 that the denominator reflection pairs,
     each 1/(Gamma(u) Gamma(1 - u)) = sin(pi u)/pi, put on the residue at
@@ -705,55 +655,62 @@ def _pair_sines(recipe: _Recipe, chain: int, ks) -> list:
     return sines
 
 
-def _rest_bound(recipe: _Recipe, k: int, hist, room: float) -> float:
-    """A bound on the summed magnitudes of the terms after sweep k, or a
-    number at least room once the bound reaches room (inf when a chain
-    does not decay yet).
+def _rest_bound(recipe: _Recipe, k: int, hist, room: float):
+    """(rest, beyond), whose sum bounds the summed magnitudes of the terms
+    after sweep k, beyond being the allowance for the poles past the sweeps
+    scanned.  Once the bound reaches room the pair only says so: its sum
+    is at least room, and rest is inf where there is no bound, as for a
+    chain that does not decay yet.
 
     hist maps each live chain to its last nonzero terms as (k, |term|).
-    Each is divided by its denominator pairs' sines (_pair_sines), so that
-    the envelope of _chain_envelope follows the terms' smooth part; a later
-    term is at most that envelope times its pole's near-pole gain, which is
-    at least 1.  So the envelope's geometric sum comes first, and then the
-    gains' excess over 1, summed over the sweeps where even the gain cap
-    could still matter: until the geometric rest at the cap is below 1/8
-    of the room left, or LOOKAHEAD_SWEEPS, past which there is no bound.
-    That geometric rest is added.  With one chain every gain is 1.
+    Each is divided by its denominator pairs' sines (_pair_sines) and its
+    near-pole gain (_near_pole_gains), so that they follow the chain's
+    smooth part: b_last, the last of them, times rho^(kk - k_last), rho the
+    fastest per-sweep ratio among them, is its envelope at a later sweep
+    kk.  A later term is at most that envelope times its pole's gain, which
+    is at least 1.  So the envelope's geometric sum comes first, and then
+    the gains' excess over 1, summed over the sweeps where even the gain
+    cap could still matter: until the geometric rest at the cap is below
+    1/8 of the room left, or LOOKAHEAD_SWEEPS, past which there is no
+    bound.  That geometric rest is beyond.  The gain cap is the largest
+    gain a pole can have short of an exact collision: one factor
+    1/(2 delta) per other chain, delta at least _EXACT_COLLISION_TOL times
+    the lightest weight.  With one chain every gain is 1 and beyond is 0.
     """
-    excess_cap = _gain_cap(recipe) - 1.0
-    rest = 0.0
+    m = recipe.params.m
+    w_min = min(wt for _, wt in recipe.params.lower[:m])
+    excess_cap = (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (m - 1) - 1.0
+    rest = beyond = 0.0
     for chain, h in hist.items():
-        sines = _pair_sines(recipe, chain, [kh for kh, _ in h])
-        if not all(sines):
-            return math.inf
-        k_last, b_last, rho = _chain_envelope(
-            recipe, chain, [(kh, mag / sine) for (kh, mag), sine in zip(h, sines)])
+        ks = [kh for kh, _ in h]
+        sines = _pair_sines(recipe, chain, ks)
+        if len(h) < 2 or not all(sines):
+            return math.inf, 0.0
+        base = [(kh, mag / sine / gain) for (kh, mag), sine, gain
+                in zip(h, sines, _near_pole_gains(recipe, chain, ks))]
+        rho = max((b2 / b1) ** (1.0 / (k2 - k1))
+                  for (k1, b1), (k2, b2) in zip(base, base[1:]))
         if rho >= 1.0:
-            return math.inf
+            return math.inf, 0.0
+        k_last, b_last = base[-1]
         env = b_last * rho ** (k + 1 - k_last)
         rest += env / (1.0 - rho)
-        if rest >= room:
+        if rest + beyond >= room:
             break
         cap_rest = env * excess_cap / (1.0 - rho)
         n = 0
-        while cap_rest >= 0.125 * (room - rest):
+        while cap_rest >= 0.125 * (room - rest - beyond):
             if n == LOOKAHEAD_SWEEPS:
-                return math.inf
+                return math.inf, 0.0
             n += 1
             cap_rest *= rho
         for gain in _near_pole_gains(recipe, chain, range(k + 1, k + 1 + n)):
             rest += env * (gain - 1.0)
             env *= rho
-        rest += cap_rest
-        if rest >= room:
+        beyond += cap_rest
+        if rest + beyond >= room:
             break
-    return rest
-
-
-def _live_chains(hist, k: int) -> dict:
-    """The last three nonzero terms of each chain with one in the last 8
-    sweeps, by chain."""
-    return {c: h[-3:] for c, h in enumerate(hist) if h and k - h[-1][0] < 8}
+    return rest, beyond
 
 
 def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
@@ -765,19 +722,28 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     the partial sums stall with no honest error estimate, so it refuses
     with NonConvergence and eval_auto hands it to the contour.  Pole
     collisions are only fatal when a colliding term is actually needed
-    before the stop rule fires.  Before it fires, the later poles of each
-    chain are scanned for near-collisions with another chain, and summing
-    goes on past every one whose magnified term could exceed the error the
-    stop would claim.
+    before the sum stops.
 
-    The claim at the stop is err = tail + round_acc + eps peak, the summed
-    error bounds of the terms and the rounding of the largest partial sum.
-    round_acc and peak only grow.  So from sweep 7 on, once they pass
-    2 rel_tol |total|, the rest of the sum is bounded (_rest_bound), and
-    once they pass 2 rel_tol (|total| + rest) the series refuses with
-    NonConvergence there: the stop could only refuse, later.  The factor 2
-    covers an envelope that underestimates the rest; the cheap first test
-    keeps the bound off every sweep where the sum does not cancel.
+    Every decision reads one bound on the rest of the sum, rest + beyond
+    (_rest_bound), and the part of the claim that only grows,
+    fixed = round_acc + eps peak: the summed error bounds of the terms and
+    the rounding of the largest partial sum.
+    - Stop.  Once three sweeps in a row fall below rel_tol |total|, the
+      sum stops when fixed + rest + beyond < rel_tol |total|, and claims
+      err = fixed + rest.  beyond is what the poles past the sweeps the
+      bound scans would add if each came as near another chain's pole as
+      any can short of an exact collision: it holds the stop back, but
+      the claim counts only the envelope and the gains actually scanned.
+      A chain whose terms still grow has no bound, so the stop waits for
+      it even when every term of the last sweeps is small.
+    - Refuse.  From sweep 7 on, once fixed passes 2 rel_tol |total|, the
+      series refuses with NonConvergence as soon as fixed passes
+      2 rel_tol (|total| + rest + beyond): a later stop could only refuse.
+      The factor 2 covers an envelope that underestimates the rest; the
+      cheap first test keeps the bound off every sweep where the sum does
+      not cancel.  At the stop's sweeps, once fixed alone misses
+      rel_tol |total| and the bound is below fixed/rel_tol - |total|, the
+      sum stops and _accept refuses its claim.
     """
     params, z = _prepare(params, z, rel_tol)
     mu = series_index(params)
@@ -801,7 +767,6 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     # convergence watches each chain's nonzero terms, appended to hist as
     # (k, |term|); a chain whose last 8 terms were all zero is quiet
     hist = [[] for _ in chains]
-    reach = 0
     # every sweep adds m >= 1 terms, so the term cap ends the loop
     for k in itertools.count():
         sweep = 0.0 + 0.0j
@@ -821,31 +786,38 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         size = abs(total)
         peak = max(peak, size)
         floor = rel_tol * max(size, 1e-300)
-        # the part of the stop's err_est that only grows
-        fixed = round_acc + MACH_EPS * peak
-        # from sweep 7 on, a chain with no nonzero term is quiet, as below
-        if fixed > 2.0 * floor and k >= 7:
-            live = _live_chains(hist, k)
-            room = 0.5 * fixed / rel_tol - size
-            rest = _rest_bound(recipe, k, live, room)
-            if rest < room:
-                raise NonConvergence(
-                    "H series rounding error %.2e misses rel_tol at |value| <= %.2e"
-                    % (fixed, size + rest))
         # every chain quiet or with its last nonzero term below floor
         if sweep_mag < floor and all(
                 (k - h[-1][0] >= 8 or h[-1][1] < floor) if h else k >= 7
                 for h in hist):
             small_run += 1
-            if small_run >= 3 and k >= reach:
-                live = _live_chains(hist, k)
-                tail = max([sweep_mag] + [h[-1][1] for h in live.values()])
-                err = tail + round_acc + MACH_EPS * peak
-                reach = _collision_reach(recipe, k, live, err)
-                if reach == k:
-                    break
         else:
             small_run = 0
+        # the part of err_est that only grows
+        fixed = round_acc + MACH_EPS * peak
+        # room: a rest below it decides the sum.  It can lift |total| to
+        # neither fixed / (2 rel_tol) (refuse now) nor, at the stop,
+        # fixed / rel_tol (refuse), or it keeps fixed + rest within
+        # rel_tol |total| (answer)
+        guard = fixed > 2.0 * floor and k >= 7
+        if guard:
+            room = 0.5 * fixed / rel_tol - size
+        elif small_run < 3:
+            continue
+        elif fixed <= floor:
+            room = floor - fixed
+        else:
+            room = fixed / rel_tol - size
+        # from sweep 7 on, a chain with no nonzero term is quiet, as above
+        live = {c: h[-3:] for c, h in enumerate(hist) if h and k - h[-1][0] < 8}
+        rest, beyond = _rest_bound(recipe, k, live, room)
+        if rest + beyond < room:
+            if guard:
+                raise NonConvergence(
+                    "H series rounding error %.2e misses rel_tol at |value| <= %.2e"
+                    % (fixed, size + rest + beyond))
+            err = fixed + rest
+            break
     return _accept(total, err, rel_tol, "H series", "series", nterms)
 
 

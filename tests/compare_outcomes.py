@@ -8,7 +8,9 @@ refusal class changed, and every refusal whose message alone changed.
 The answers whose value, err_est or work alone changed are summarised,
 not listed: for those whose work changed, their count, the summed work
 old -> new and the largest relative change; for all of them, the count
-per method and the worst |value_new - value_old| / (err_old + err_new).
+per method and the worst |value_new - value_old| / (err_old + err_new);
+for those whose err_est changed, the median of err_new / err_old, the
+count above 2 and the largest, with its line.
 It exits 1 if any tag, method, work or class changed (an answer turning
 into a refusal counts as a class change), and 0 otherwise.
 
@@ -25,6 +27,7 @@ class, message or work, or a value that moves by more than err_a + err_b.
 """
 
 import re
+import statistics
 import sys
 from collections import Counter
 
@@ -69,6 +72,7 @@ def compare(old_lines, new_lines):
     structural = []
     messages = []
     works = []
+    ratios = []
     methods = Counter()
     worst, worst_line = 0.0, None
     for a, b in zip(old_lines, new_lines):
@@ -85,6 +89,8 @@ def compare(old_lines, new_lines):
             methods[ma] += 1
             if wa != wb:
                 works.append((wa, wb, a, b))
+            if ea != eb:
+                ratios.append((eb / ea if ea > 0.0 else float("inf"), a, b))
             bound = ea + eb
             ratio = abs(vb - va) / bound if bound > 0.0 else float("inf")
             if worst_line is None or ratio > worst:
@@ -109,6 +115,12 @@ def compare(old_lines, new_lines):
     if worst_line is not None:
         print("worst |dvalue| / (err_a + err_b) over them: %.3g" % worst)
         print("  - " + worst_line[0] + "\n  + " + worst_line[1])
+    if ratios:
+        ratios.sort(key=lambda r: r[0])
+        print("err_est new/old over the %d changed: median %.3g, %d above 2, largest %.3g:"
+              % (len(ratios), statistics.median(r[0] for r in ratios),
+                 sum(r[0] > 2.0 for r in ratios), ratios[-1][0]))
+        print("  - " + ratios[-1][1] + "\n  + " + ratios[-1][2])
     return not structural and not works
 
 

@@ -153,6 +153,25 @@ def test_origin_refuses_series_route_exit_3():
     assert "x = 0" in r.stderr
 
 
+def test_delta_far_out_agrees_with_quadrature_or_exits_3():
+    # at zeta ~ 230 the odd part's second pole chain peaks long after the
+    # first: a series that stopped between them printed 4.8e84 and 1.75e85
+    # where the quadrature gives 5.1e-7
+    argv = ("delta", "--alpha", "1.1", "--theta", "0.45", "--c-alpha", "1",
+            "--energy", "-1", "--tol", "1e-3", "--grid", "200:201:2")
+    r = run_cli(*argv)
+    if r.returncode == 3:
+        return
+    assert r.returncode == 0, r.stderr
+    q = run_cli(*argv, "--method", "quadrature")
+    assert q.returncode == 0, q.stderr
+    for row, ref in zip(parse_csv(r.stdout), parse_csv(q.stdout), strict=True):
+        assert row[0] == ref[0]
+        diff = abs(complex(float(row[1]), float(row[2]))
+                   - complex(float(ref[1]), float(ref[2])))
+        assert diff <= float(row[4]) + float(ref[4]), (row, ref)
+
+
 def test_linear_series_method_is_the_closed_form_series_route():
     # a skewed ramp: the H residue series right of the turning point
     # (x = 0.5), the continuation left of it

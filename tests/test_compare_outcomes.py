@@ -64,3 +64,16 @@ def test_identical_flags_every_parsed_difference_but_numpy_wrapping(capsys, tmp_
     assert main(["compare_outcomes.py", "--identical", str(old_file), str(new_file)]) == 1
     new_file.write_text("\n".join(same) + "\n")
     assert main(["compare_outcomes.py", "--identical", str(old_file), str(new_file)]) == 0
+
+
+def test_err_est_ratios_over_the_changed_answers(capsys):
+    old = ["a (1+0j) 1e-10 'series' 30", "b (2+0j) 1e-10 'series' 40",
+           "c (3+0j) 1e-10 'series' 50", "d (4+0j) 1e-10 'contour' 25",
+           "e ValueError gone"]
+    new = ["a (1+0j) 5e-11 'series' 30", "b (2+0j) 2.5e-10 'series' 40",
+           "c (3+0j) 3e-10 'series' 50", "d (4.0000000001+0j) 1e-10 'contour' 25",
+           "e ValueError gone"]
+    assert compare(old, new)
+    out = capsys.readouterr().out
+    assert "err_est new/old over the 3 changed: median 2.5, 2 above 2, largest 3:" in out
+    assert "  + c (3+0j) 3e-10 'series' 50" in out
