@@ -45,7 +45,10 @@ def _validate(beta: float, z: complex, rel_tol: float) -> complex:
 
 def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     """Taylor sum of E_beta at z, (value, err_est, nterms): power_sum over
-    the log-coefficients -log Gamma(beta k + 1)."""
+    the log-coefficients -log Gamma(beta k + 1).  Its terms fall slowly at
+    small beta (the ratio is about |z| / (beta k)^beta), so the rest of the
+    sum is claimed as the geometric tail at the last term ratios, not as
+    the last term alone."""
     z = _validate(beta, z, rel_tol)
     return power_sum(z, lambda k: -math.lgamma(beta * k + 1.0), rel_tol,
                      "Mittag-Leffler series", head=1.0)
@@ -61,7 +64,7 @@ def _param_left(phi, log_epsilon):
     log_epsilon = log_epsilon - math.log(f_bar)
     w = -sqb ** 2 / log_epsilon
     mu = (sqb / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_epsilon * sqb / sqb  # rounded as the general rule does
+    h = -2.0 * math.pi / log_epsilon
     N = int(math.ceil(math.sqrt(1.0 - log_epsilon / mu) / h))
     return mu, h, N
 
@@ -111,6 +114,12 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     it (mu > phi, unbounded), the only region when there is no pole.  The
     region with fewer nodes wins; when neither region admits a contour of
     at most CONTOUR_NODE_CAP nodes at the target accuracy, it refuses.
+
+    The nodes are s = mu w^2 with w = 1 + iu, u = h k for |k| <= N.  Each
+    takes one complex logarithm: s^beta = exp(beta log s) on the principal
+    branch, and the rest of the integrand follows by division, since
+    s^(beta-1) ds = (s^beta / s) 2 mu w du = s^beta (2i / w) du; the 2i
+    cancels against the 1 / (2 pi i) of the inversion.
     Returns (value, err_est, nodes).
     """
     z = _validate(beta, z, rel_tol)
@@ -141,13 +150,12 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
         raise NonConvergence("no admissible inversion contour for E_beta")
     mu, h, N = best
 
-    k = np.arange(-N, N + 1)
-    u = h * k
-    s = mu * (1j * u + 1.0) ** 2
-    ds = 2j * mu * (1j * u + 1.0)
-    contrib = np.exp(s) * s ** (beta - 1.0) / (s ** beta - z) * ds
-    integral = h * np.sum(contrib) / (2j * math.pi)
-    asum = h * np.sum(np.abs(contrib)) / (2.0 * math.pi)
+    w = np.arange(-N, N + 1) * (1j * h) + 1.0
+    s = w * w * mu
+    s_beta = np.exp(np.log(s) * beta)
+    contrib = np.exp(s) * s_beta / ((s_beta - z) * w)
+    integral = h / math.pi * contrib.sum()
+    asum = h / math.pi * np.abs(contrib).sum()
     residue = 0.0 + 0.0j
     if left:
         try:
@@ -168,7 +176,10 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """E_beta(z) with automatic scheme selection and an honest accuracy gate.
 
     At beta = 1 it returns E_1(z) = exp(z) directly (method "exp").
-    Otherwise it raises NonConvergence when neither scheme's error
+    Otherwise the series is tried first inside the ball |z| <= SERIES_RADIUS,
+    |z|^(1/beta) <= SERIES_ROOT_CAP; where |z|^(1/beta) is past double range
+    (|z| > 1 at a tiny beta) the point is outside the ball and goes to the
+    contour.  It raises NonConvergence when neither scheme's error
     estimate meets rel_tol relative to the returned magnitude; this is
     inherent near deep sign-changing arguments where the function is
     exponentially smaller than the roundoff floor of any fixed-precision
@@ -186,7 +197,13 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
             raise NonConvergence(
                 "E_1(z) = exp(z) overflows double range at Re z = %.4g" % z.real)
         return EvalResult(val, 2.0 * MACH_EPS * abs(val) + math.ulp(0.0), "exp", 1)
-    in_ball = abs(z) <= SERIES_RADIUS and abs(z) ** (1.0 / beta) <= SERIES_ROOT_CAP
+    r = abs(z)
+    try:
+        in_ball = r <= SERIES_RADIUS and r ** (1.0 / beta) <= SERIES_ROOT_CAP
+    except OverflowError:
+        # |z| > 1 at a tiny beta: |z|^(1/beta) is past double range, so
+        # far past the cap
+        in_ball = False
     tried = []
     if in_ball:
         val, err, work = ml_series(beta, z, rel_tol)

@@ -194,10 +194,13 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
     log_coef(k) gives log c_k, plus i pi where c_k < 0.  head, when given,
     is the exact k = 0 term; else log_coef(0) gives it too.  At z = 0 only
     that term is left.  The sum stops after three consecutive terms below
-    rel_tol times the partial sum: beside a sign flip one small term proves
-    nothing.  Returns (value, err_est, nterms), the value real for a real
-    z; err_est is the last term, plus (4 + |Re L| + |Im L|) eps |term| per
-    term of exponent L, plus eps times the largest partial sum.  A term
+    rel_tol times the partial sum (beside a sign flip one small term proves
+    nothing), and only once the geometric rest last q / (1 - q) is below it
+    too, q being the larger of the last two term ratios: a slowly falling
+    series has a rest many times its last term.  Returns (value, err_est,
+    nterms), the value real for a real z; err_est is max(last term, that
+    rest), plus (4 + |Re L| + |Im L|) eps |term| per term of exponent L,
+    plus eps times the largest partial sum.  A term
     past exp(700) or the POWER_SUM_CAP-term cap raises NonConvergence,
     named by what.
     """
@@ -214,9 +217,13 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
     peak = abs(total)
     round_acc = 0.0
     small_run = 0
+    # real exponents (log magnitudes) of the two terms before this one,
+    # kept while the run of small terms lasts
+    log_prev = log_prev2 = 0.0
     for k in range(0 if head is None else 1, POWER_SUM_CAP + 1):
         expo = k * logz + log_coef(k)
-        if expo.real > 700.0:
+        log_mag = expo.real
+        if log_mag > 700.0:
             raise NonConvergence("%s term overflows double range at k=%d" % (what, k))
         term = exp(expo)
         total += term
@@ -224,11 +231,20 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
         if size > peak:
             peak = size
         last_mag = abs(term)
-        round_acc += (4.0 + abs(expo.real) + abs(expo.imag)) * MACH_EPS * last_mag
-        if last_mag < rel_tol * (size if size > 1e-300 else 1e-300):
+        round_acc += (4.0 + abs(log_mag) + abs(expo.imag)) * MACH_EPS * last_mag
+        floor = rel_tol * (size if size > 1e-300 else 1e-300)
+        if last_mag < floor:
             small_run += 1
             if small_run >= 3:
-                break
+                # geometric rest of the sum at the larger of the last two
+                # term ratios, taken in logs so an underflowed term is no 0/0
+                log_q = max(log_mag - log_prev, log_prev - log_prev2)
+                q = math.exp(min(log_q, 0.0))
+                if q < 1.0:
+                    tail = last_mag * q / (1.0 - q)
+                    if tail < floor:
+                        break
+            log_prev2, log_prev = log_prev, log_mag
         else:
             small_run = 0
     else:
@@ -237,7 +253,7 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
         raise NonConvergence("%s overflowed double range" % what)
     if z.imag == 0.0:
         total = complex(total.real, 0.0)
-    return total, last_mag + round_acc + MACH_EPS * peak, k + 1
+    return total, max(last_mag, tail) + round_acc + MACH_EPS * peak, k + 1
 
 
 def digamma(x) -> float:

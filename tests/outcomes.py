@@ -7,7 +7,10 @@ whether a change kept the same numbers and the same refusals.  The probe:
 135 H parameter sets at 10 arguments through three routes (and one set
 with a complex parameter, which refuses to build), rounds 0-2 of every
 benchmark workload on seeds 1-3, 245 E_beta arguments through ml_contour
-and ml_eval, the ramp's ascending series left of the turning point,
+and ml_eval, time_factor and ml_series on the time factor's two rays
+arg z = pi - pi beta / 2 (E < 0) and -pi beta / 2 (E > 0) from beta =
+0.001 up, ml_series and ml_eval at three slowly falling Taylor sums on the
+second ray, the ramp's ascending series left of the turning point,
 linear_closed_form's series route right of it, and the series-index-0
 points of tests/collision_refs.py through the three H routes.
 
@@ -83,6 +86,21 @@ for beta in (0.15, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
             z = radius * cmath.exp(1j * math.pi * turn)
             for route in (fse.ml_contour, fse.ml_eval):
                 show("E%r %r %s" % (beta, z, route.__name__), route, beta, z, 1e-9)
+
+for beta in (0.001, 0.3, 0.5, 0.7, 0.9, 0.97):
+    for energy in (-5.0, -1.0, 1.0):
+        cfg = fse.TimeConfig(beta=beta, energy=energy)
+        for t in (0.05, 0.7, 2.0, 6.0, 15.0, 40.0):
+            # time_factor's own argument (t / (i hbar))^beta E at hbar = 1
+            z = t ** beta * cmath.exp(-0.5j * math.pi * beta) * energy
+            show("T %r %r %r time_factor" % (beta, energy, t), fse.time_factor, cfg, t, 1e-9)
+            show("T %r %r %r ml_series" % (beta, energy, t), fse.ml_series, beta, z, 1e-9)
+
+# arg z = -pi beta / 2, where the terms fall slowest relative to the sum
+for beta, radius in ((0.2, 1.320), (0.25, 1.565), (0.3, 1.853)):
+    z = radius * cmath.exp(-0.5j * math.pi * beta)
+    for route in (fse.ml_series, fse.ml_eval):
+        show("tail %r %r %s" % (beta, radius, route.__name__), route, beta, z, 1e-9)
 
 for alpha in (1.05, 1.5, 2.0):
     for theta in sorted({0.0, 0.5 * min(alpha, 2.0 - alpha)}):

@@ -256,6 +256,17 @@ def test_mittag_leffler_overflow_exits_3():
     assert "NonConvergence" in r.stderr
 
 
+def test_time_factor_at_a_tiny_order_answers():
+    # |z|^(1/beta) overflows at beta = 0.001, |z| ~ 5: outside the series
+    # ball, so the contour answers E_beta(z) ~ 1 / (1 - z) ~ 1/6
+    r = run_cli("time", "--beta", "0.001", "--energy", "-5", "--grid", "1:2:2")
+    assert r.returncode == 0, r.stderr
+    rows = parse_csv(r.stdout)
+    assert [row[5] for row in rows] == ["contour", "contour"]
+    for row in rows:
+        assert abs(float(row[1]) - 1.0 / 6.0) < 1e-3
+
+
 def test_full_matches_manual_product():
     r = run_cli("full", "--potential", "delta", "--t", "1.2",
                 "--beta", "0.7", "--alpha", "1.5", "--c-alpha", "1",

@@ -1,12 +1,29 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fse.errors import DomainError, NonConvergence, ValidationError
 from fse.mittag import ml_as_foxh, ml_contour, ml_eval, ml_series
 from fse.quadrature import adaptive
+
+
+def _taylor_ref(beta: float, z: complex) -> complex:
+    """E_beta(z) by its Taylor sum in mpmath, at 35 digits beyond the
+    cancellation of the peak term, about exp(|z|^(1/beta))."""
+    root = abs(z) ** (1.0 / beta)
+    with mp.workdps(int(35 + root / math.log(10))):
+        w, b = mp.mpc(z.real, z.imag), mp.mpf(beta)
+        total, k, tol = mp.mpc(0), 0, mp.mpf(10) ** -30
+        while True:
+            term = w ** k * mp.rgamma(b * k + 1)
+            total += term
+            # past the peak at k ~ root / beta before the size test counts
+            if k > 2 * root / beta + 10 and abs(term) < tol * abs(total):
+                return complex(total)
+            k += 1
 
 
 def _erfc_scaled(x: float) -> float:
@@ -161,3 +178,40 @@ def test_oscillatory_argument_phase():
                  for k in range(300))
     got = ml_eval(0.6, z).value
     assert abs(got - direct) <= 1e-9 * abs(direct)
+
+
+@pytest.mark.parametrize("route", [ml_eval, ml_contour])
+def test_tiny_order_outside_the_series_ball_answers(route):
+    # |z|^(1/beta) = 5^1000 overflows a double: ml_eval's ball test must
+    # read it as outside the ball, not raise OverflowError
+    out = route(0.001, -5.0)
+    value, err = (out.value, out.err_est) if route is ml_eval else out[:2]
+    assert abs(value - 0.16658643709604629) <= err + 1e-12
+    if route is ml_eval:
+        assert out.method == "contour"
+
+
+@pytest.mark.parametrize("beta,radius", [(0.2, 1.320), (0.25, 1.565), (0.3, 1.853)])
+def test_slowly_falling_series_claims_its_whole_rest(beta, radius):
+    # on arg z = -pi beta / 2 the term ratio |z| / (beta k)^beta falls
+    # slowly: the last term alone understates the rest by up to 1.76x
+    z = radius * cmath.exp(-0.5j * math.pi * beta)
+    want = _taylor_ref(beta, z)
+    value, err, _ = ml_series(beta, z, 1e-9)
+    assert abs(value - want) <= err
+    got = ml_eval(beta, z, 1e-9)
+    assert abs(got.value - want) <= got.err_est
+
+
+def test_err_est_bounds_the_error_on_the_time_factor_rays():
+    # time_factor's arguments lie on arg z = pi - pi beta / 2 (E < 0) and
+    # -pi beta / 2 (E > 0); both routes must bound their error there
+    for beta in (0.3, 0.5, 0.7, 0.9):
+        for arg in (math.pi - 0.5 * math.pi * beta, -0.5 * math.pi * beta):
+            for root in np.geomspace(0.3, 150.0, 12):
+                z = float(root) ** beta * cmath.exp(1j * arg)
+                want = _taylor_ref(beta, z)
+                value, err, _ = ml_contour(beta, z, 1e-9)
+                assert abs(value - want) <= err, (beta, arg, root, "contour")
+                got = ml_eval(beta, z, 1e-9)
+                assert abs(got.value - want) <= got.err_est, (beta, arg, root, got.method)

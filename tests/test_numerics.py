@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fse.errors import PoleOfGamma
-from fse.numerics import digamma, log_gamma, log_reflection, pi_cot_pi
+from fse.numerics import digamma, log_gamma, log_reflection, pi_cot_pi, power_sum
 from fse.quadrature import _panel_est
 
 
@@ -304,3 +304,12 @@ def test_panel_nodes_integrate_polynomial():
         scale = np.abs(poly.coef).sum() * 2.0 ** 30
         assert abs(val - want) < 1e-14 * scale
         assert err < 1e-14 * scale
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.98, -0.98])
+def test_power_sum_claims_the_geometric_rest(q):
+    # sum q^k = 1 / (1 - q): at |q| = 0.98 the unsummed rest is 49 times
+    # the last term, which a last-term claim would understate
+    value, err, _ = power_sum(q, lambda k: 0j, 1e-9, "geometric series")
+    assert abs(value - 1.0 / (1.0 - q)) <= err
+    assert err <= 1e-8 * abs(value)
