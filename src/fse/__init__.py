@@ -16,10 +16,10 @@ from .errors import (DegeneratePoles, DomainError, EvaluationError,
                      PoleOfGamma, QuadratureFailure, ValidationError, ZeroBase)
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
 from .numerics import log_gamma
-from .mittag import ml_contour, ml_eval, ml_series, ml_as_foxh
+from .mittag import ml_contour, ml_eval, ml_series
 from .foxh import (FoxHParams, eval_auto, eval_contour, eval_series, exists,
-                   from_meijer_g, invert_argument, lemma31_check,
-                   reduce_params, scale_argument_power, shift_by_power, sigma)
+                   invert_argument, lemma31_check, reduce_params,
+                   scale_argument_power, shift_by_power, sigma)
 from .time_factor import time_factor
 from .delta import delta_classical, delta_closed_form, delta_quadrature
 from .linear import (linear_classical_airy, linear_closed_form,
@@ -34,9 +34,9 @@ __all__ = [
     "QuadratureFailure", "ValidationError", "ZeroBase",
     "DeltaConfig", "EvalResult", "LinearConfig", "TimeConfig",
     "log_gamma",
-    "ml_contour", "ml_eval", "ml_series", "ml_as_foxh",
+    "ml_contour", "ml_eval", "ml_series",
     "FoxHParams", "eval_auto", "eval_contour", "eval_series", "exists",
-    "from_meijer_g", "invert_argument", "lemma31_check", "reduce_params",
+    "invert_argument", "lemma31_check", "reduce_params",
     "scale_argument_power", "shift_by_power", "sigma",
     "time_factor",
     "delta_classical", "delta_closed_form", "delta_quadrature",

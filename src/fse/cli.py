@@ -20,7 +20,7 @@ from .foxh import FoxHParams, _ROUTES
 from .mittag import ml_contour, ml_eval, ml_series
 from .quadrature import GridSpec
 from .result import (DeltaConfig, EvalResult, LinearConfig, TimeConfig,
-                     _check_order_pair, _check_positive)
+                     _accept, _check_order_pair, _check_positive)
 from .solution import _space_value, full_solution
 from .time_factor import time_factor
 from .verify import format_report, run_criteria
@@ -193,11 +193,13 @@ def _cmd_ml(args, tol):
     meta = {"beta": args.beta}
     if args.method == "auto":
         return lambda z: ml_eval(args.beta, z, tol), meta
+    # the raw routes' answers pass the acceptance rule of `fse foxh`
     route = ml_series if args.method == "series" else ml_contour
+    what = "Mittag-Leffler " + args.method
 
     def point(z):
         val, err, work = route(args.beta, z, tol)
-        return EvalResult(val, err, args.method, work)
+        return _accept(val, err, tol, what, args.method, work)
     return point, meta
 
 

@@ -35,8 +35,9 @@ each node's exponent log theta(s) - s log z.
 
 Every a_j and b_j is real; FoxHParams refuses a complex one.  The
 H-functions of the space solution (the delta well's even and odd parts,
-the ramp, E_beta as H) all have real parameters, and the Riesz-Feller
-skewness enters only through the phase of the argument z.  So every
+the ramp) all have real parameters: the Riesz-Feller skewness enters the
+delta well through the phase of the argument z, and the ramp through the
+real parameters c and w of its H set, at a real argument.  So every
 residue term's gamma arguments are real and go to the real scalar
 kernels, and on the contour theta(conj s) = conj theta(s) halves the work.
 
@@ -56,8 +57,9 @@ representation the contour (on arrays of s) and the residue terms (at
 scalar s) share.  Each eval_series call first builds its z-free term
 recipe (_Recipe): per chain, the flat tuples an ordinary residue term
 reads (the poles to scan for a collision, and the folded numerator and
-denominator factors, pairs and gammas apart), and the forms, pairs and
-other chains that a collision term and the rest bound read.  One
+denominator factors, pairs and gammas apart), and the forms and pairs
+that a collision term reads.  The collision test and the rest bound's
+near-pole gains read the same scan.  One
 function, _residue_term, gives every term.  An ordinary term, a simple
 pole on one chain, costs its kernel calls and a few float operations on
 its pole s, with no Python call but the kernels.  Only where the scan finds
@@ -107,7 +109,7 @@ from .errors import (
     ZeroBase,
 )
 from .numerics import MACH_EPS, digamma, log_gamma, log_reflection, pi_cot_pi
-from .result import EvalResult, _check_argument, _check_rel_tol, _meets_tol
+from .result import EvalResult, _accept, _check_argument, _check_rel_tol
 
 TERM_CAP = 2000
 # the contour refuses past this |log z|: there the line at the gap midpoint
@@ -168,13 +170,6 @@ class FoxHParams:
         return len(self.lower)
 
 
-def from_meijer_g(m: int, n: int, a_list, b_list) -> FoxHParams:
-    """Meijer G parameters as an H-function: every weight is 1."""
-    return FoxHParams(m=m, n=n,
-                      upper=tuple((a, 1.0) for a in a_list),
-                      lower=tuple((b, 1.0) for b in b_list))
-
-
 def sigma(params: FoxHParams) -> float:
     """Existence index: signed weight sum fixing the sector |arg z| < pi*sigma/2."""
     a_w = [wt for _, wt in params.upper]
@@ -207,19 +202,6 @@ def _prepare(params: FoxHParams, z: complex, rel_tol: float):
     params = reduce_params(params)
     _require_exists(params, z)
     return params, z
-
-
-def _accept(value: complex, err: float, rel_tol: float, what: str, method: str,
-            work: int) -> EvalResult:
-    """The answer of a route named what, refused when its sum is not finite
-    or its err_est misses rel_tol."""
-    if not cmath.isfinite(value):
-        raise NonConvergence("%s overflowed double range" % what)
-    if not _meets_tol(err, value, rel_tol):
-        raise NonConvergence(
-            "%s error estimate %.2e misses rel_tol at |value| %.2e"
-            % (what, err, abs(value)))
-    return EvalResult(value, err, method, work)
 
 
 def _exact_matches(xs, ys):
@@ -304,17 +286,9 @@ def _require_exists(params: FoxHParams, z: complex):
 _EXACT_COLLISION_TOL = 1e-11
 
 
-def _nearest_pole(c, du, s):
-    """(k, |u + k|) for the pole -k of Gamma(u), u = c + du s, nearest the
-    real u; k < 0 when u > 1/2.  _residue_term and _near_pole_gains make
-    the same test inline."""
-    u = c + du * s
-    k = round(-u)
-    return k, abs(u + k)
-
-
 def _find_left_collision(recipe: _Recipe, s: float, chain: int):
-    """Locate an exact two-chain left pole collision at s; (index, order) or None.
+    """Locate an exact two-chain left pole collision at s; (index, order) or None,
+    from the chain's scan in its recipe.
 
     Exactly-coincident poles merge into one double pole whose confluent
     residue is computable; nearly-coincident ones leave a catastrophically
@@ -322,24 +296,29 @@ def _find_left_collision(recipe: _Recipe, s: float, chain: int):
     contour, so both of those refuse instead.
     """
     hit = None
-    for i, b, wt in recipe.others[chain]:
-        k_near, dist = _nearest_pole(b, wt, s)
+    n_left = recipe.params.m - 1
+    for j, (c, du, sep, wt) in enumerate(recipe.terms[chain][2]):
+        u = c + du * s
+        k_near = round(-u)
         if k_near < 0:
             continue
+        dist = abs(u + k_near)
+        if j >= n_left:
+            if dist < sep:
+                raise DegeneratePoles(
+                    "left chain %d collides with right chain %d near s = %s"
+                    % (chain, j - n_left, s))
+            continue
+        i = j + (j >= chain)  # the scan skips the chain itself
         if dist < _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
             if hit is not None:
                 raise DegeneratePoles(
                     "three left pole chains meet at s = %s" % (s,))
             hit = (i, k_near)
-        elif dist < SEPARATION_TOL * wt:
+        elif dist < sep:
             raise DegeneratePoles(
                 "left pole chains %d and %d nearly collide at s = %s"
                 % (chain, i, s))
-    for j, (c, du) in enumerate(recipe.right):
-        k_near, dist = _nearest_pole(c, du, s)
-        if k_near >= 0 and dist < SEPARATION_TOL * abs(du):
-            raise DegeneratePoles(
-                "left chain %d collides with right chain %d near s = %s" % (chain, j, s))
     return hit
 
 
@@ -352,8 +331,9 @@ def _denominator_zeros(forms, s: float):
     for pos, (sign, c, du, _) in enumerate(forms):
         if sign > 0:
             continue
-        k_near, dist = _nearest_pole(c, du, s)
-        d = dist / abs(du) if k_near >= 0 else float("inf")
+        u = c + du * s
+        k_near = round(-u)
+        d = abs(u + k_near) / abs(du) if k_near >= 0 else float("inf")
         if d < tol_exact:
             zeros.append((pos, k_near, du))
         elif d < SEPARATION_TOL:
@@ -409,46 +389,42 @@ class _Recipe(NamedTuple):
     terms[chain] is all that an ordinary term on the chain reads, as flat
     tuples:
     - the chain's b and B;
-    - its scan: the other left chains as (b, B, SEPARATION_TOL B, B), then
-      the right chains, the upper[:n] forms, as (c, du/ds,
-      SEPARATION_TOL |du/ds|, 0.0);
+    - its scan, the one record of the other chains: the other left chains
+      in index order as (b, B, SEPARATION_TOL B, B), then the right
+      chains, the upper[:n] forms, as (c, du/ds, SEPARATION_TOL |du/ds|,
+      0.0);
     - the factors of theta left once the chain's own gamma is skipped and
       the reflection pairs are folded (_fold_pairs), as (c, du/ds, |c|,
       |du/ds|) in four tuples: numerator pairs, numerator gammas,
       denominator pairs and denominator gammas, each in _fold_pairs order.
-    The rest serves the rare terms and the rest bound: forms are the gamma
-    factors of theta (_gamma_forms), pairs the reflection pairs,
-    others[chain] the other chains as (index, b, B) and right the
-    upper[:n] forms as (c, du/ds).  A term where two chains meet folds the
-    pairs again from forms, with both chains' gammas and the vanishing
-    denominator gammas skipped.
+    The rest serves the rare terms: forms are the gamma factors of theta
+    (_gamma_forms) and pairs the reflection pairs.  A term where two chains
+    meet folds the pairs again from forms, with both chains' gammas and the
+    vanishing denominator gammas skipped.
     """
 
     params: FoxHParams
     pairs: tuple
     forms: list
-    others: tuple
-    right: tuple
     terms: tuple
 
 
 def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
     forms = _gamma_forms(params)
     m = params.m
-    others = tuple(tuple((i, b, wt) for i, (b, wt) in enumerate(params.lower[:m])
-                         if i != c) for c in range(m))
-    right = tuple((f[1], f[2]) for f in forms[m:m + params.n])
-    right_scan = tuple((c, du, SEPARATION_TOL * abs(du), 0.0) for c, du in right)
+    right_scan = tuple((c, du, SEPARATION_TOL * abs(du), 0.0)
+                       for _, c, du, _ in forms[m:m + params.n])
     terms = []
     for chain, (b, wt) in enumerate(params.lower[:m]):
-        scan = tuple((b2, wt2, SEPARATION_TOL * wt2, wt2) for _, b2, wt2 in others[chain])
+        scan = tuple((b2, wt2, SEPARATION_TOL * wt2, wt2)
+                     for i, (b2, wt2) in enumerate(params.lower[:m]) if i != chain)
         entries = _fold_pairs(forms, pairs, (chain,))
         # the order an ordinary term takes them in, as (sign, paired)
         groups = (tuple((c, du, abs_c, abs(du)) for sign, c, du, abs_c, paired in entries
                         if (sign, paired) == group)
                   for group in ((1, True), (1, False), (-1, True), (-1, False)))
         terms.append((b, wt, scan + right_scan, *groups))
-    return _Recipe(params, pairs, forms, others, right, tuple(terms))
+    return _Recipe(params, pairs, forms, tuple(terms))
 
 
 def _log_gamma_part(entries, s: float):
@@ -621,15 +597,15 @@ def _near_pole_gains(recipe: _Recipe, chain: int, ks) -> list:
     (at most 1/2, giving 1).  Exactly coincident poles merge into a
     confluent term and magnify nothing.  Pure arithmetic, one loop for
     all of ks."""
-    b_c, wt_c = recipe.params.lower[chain]
-    others = recipe.others[chain]
+    b_c, wt_c, scan = recipe.terms[chain][:3]
+    others = scan[:recipe.params.m - 1]
     gains = []
     for k in ks:
         s = -(b_c + k) / wt_c
         abs_s = abs(s)
         tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
         gain = 1.0
-        for _, b, wt in others:
+        for b, wt, _, _ in others:
             u = b + wt * s
             k_near = round(-u)
             delta = abs(u + k_near)

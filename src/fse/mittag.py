@@ -48,7 +48,8 @@ def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     the log-coefficients -log Gamma(beta k + 1).  Its terms fall slowly at
     small beta (the ratio is about |z| / (beta k)^beta), so the rest of the
     sum is claimed as the geometric tail at the last term ratios, not as
-    the last term alone."""
+    the last term alone.  The tuple is raw: ml_eval and `fse ml` accept it
+    only when err_est meets rel_tol."""
     z = _validate(beta, z, rel_tol)
     return power_sum(z, lambda k: -math.lgamma(beta * k + 1.0), rel_tol,
                      "Mittag-Leffler series", head=1.0)
@@ -120,7 +121,7 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     branch, and the rest of the integrand follows by division, since
     s^(beta-1) ds = (s^beta / s) 2 mu w du = s^beta (2i / w) du; the 2i
     cancels against the 1 / (2 pi i) of the inversion.
-    Returns (value, err_est, nodes).
+    Returns (value, err_est, nodes), raw like ml_series's tuple.
     """
     z = _validate(beta, z, rel_tol)
     if z == 0:
@@ -217,28 +218,3 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     detail = "; ".join("%s err_est %.2e at |value| %.2e" % t for t in tried)
     raise NonConvergence(
         "E_beta(z) error estimate misses rel_tol %.1e (%s)" % (rel_tol, detail))
-
-
-def ml_as_foxh(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
-    """E_beta(z) routed through its H-function representation.
-
-    The representation carries argument -z, so positive real z sits on the
-    boundary ray where the Mellin-Barnes integral stops existing; such
-    points are refused by the existence gate rather than continued.
-    z = 0 short-circuits to the exact value 1.
-    """
-    z = _validate(beta, z, rel_tol)
-    if z == 0:
-        return EvalResult(1.0 + 0.0j, 0.0, "closed-form", 0)
-    from .foxh import FoxHParams, eval_auto
-
-    params = FoxHParams(
-        m=1, n=1,
-        upper=((0.0, 1.0),),
-        lower=((0.0, 1.0), (0.0, beta)),
-    )
-    res = eval_auto(params, -z, rel_tol)
-    val = res.value
-    if z.imag == 0.0 and abs(val.imag) <= 1e-13 * abs(val):
-        val = complex(val.real, 0.0)
-    return EvalResult(val, res.err_est, res.method, res.work)

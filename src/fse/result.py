@@ -1,4 +1,5 @@
-"""Configuration and result containers shared across the solver modules."""
+"""Configuration and result containers shared across the solver modules,
+with the input checks and the one acceptance rule (_accept) they share."""
 
 from __future__ import annotations
 
@@ -160,3 +161,15 @@ class EvalResult:
         self.value = v
         self.err_est = e
 
+
+def _accept(value: complex, err: float, rel_tol: float, what: str, method: str,
+            work: int) -> EvalResult:
+    """The answer of a route named what, refused when its value is not
+    finite or its err_est misses rel_tol (_meets_tol)."""
+    if not cmath.isfinite(value):
+        raise NonConvergence("%s overflowed double range" % what)
+    if not _meets_tol(err, value, rel_tol):
+        raise NonConvergence(
+            "%s error estimate %.2e misses rel_tol at |value| %.2e"
+            % (what, err, abs(value)))
+    return EvalResult(value, err, method, work)

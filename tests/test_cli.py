@@ -347,6 +347,25 @@ def test_ml_beta_one_deep_negative_grid():
         assert 0.0 < float(row[4]) <= 1e-15 * want
 
 
+@pytest.mark.parametrize("argv, route", [
+    # E_1/2(-8) = e^64 erfc(8) = 0.0699852; the series sums to 3.18e13
+    # with err_est 1.29e15
+    (("ml", "--beta", "0.5", "--method", "series", "--grid=-8:-7:2"),
+     "Mittag-Leffler series"),
+    # e^-20 = 2.0611536e-9; the contour gives 2.0622635e-9, and its own
+    # err_est 3.05e-16 misses the default tolerance
+    (("ml", "--beta", "1", "--method", "contour", "--grid=-20:-19:2"),
+     "Mittag-Leffler contour"),
+    (("foxh", "--m", "1", "--n", "0", "--lower", "0:1", "--method", "series",
+      "--grid", "40:41:2"), "H series"),
+], ids=["ml-series", "ml-contour", "foxh-series"])
+def test_raw_routes_refuse_an_uncertified_answer_exit_3(argv, route):
+    # a named route answers only what it certifies, as auto does
+    r = run_cli(*argv)
+    assert r.returncode == 3, r.stdout
+    assert "NonConvergence: " + route in r.stderr
+
+
 @pytest.mark.parametrize("hbar", ["1e-200", "1e200"])
 @pytest.mark.parametrize("method", ["auto", "quadrature"])
 def test_extreme_hbar_on_the_delta_well_exits_3(hbar, method):

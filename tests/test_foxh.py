@@ -15,7 +15,7 @@ from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
                         NonConvergence, PoleOfGamma, ValidationError, ZeroBase)
 from fse.foxh import (FoxHParams, _gamma_forms, _log_theta, _reflection_pairs,
                       _residue_term, _series_recipe, eval_auto, eval_contour,
-                      eval_series, exists, from_meijer_g, invert_argument, lemma31_check,
+                      eval_series, exists, invert_argument, lemma31_check,
                       reduce_params, scale_argument_power, shift_by_power,
                       sigma)
 from fse.linear import _h_params
@@ -132,12 +132,6 @@ def test_reduce_params_cancels_pairs():
         assert reduce_params(params) is params
 
 
-def test_from_meijer_g_unit_weights():
-    params = from_meijer_g(1, 0, [], [0.0])
-    assert params.lower == (((0.0 + 0.0j), 1.0),)
-    assert abs(eval_series(params, 0.8).value - math.exp(-0.8)) < 1e-12
-
-
 def test_lemma31_fixed_examples():
     lhs, rhs = lemma31_check(1.0, 0.0, 1.0, 1.0)
     assert abs(lhs - 0.5) < 1e-15 and abs(rhs - 0.5) < 1e-9
@@ -210,6 +204,25 @@ def test_series_refuses_near_collision():
         eval_series(params, 0.5)
 
 
+def test_series_refuses_three_chains_meeting():
+    # the chains s = -k, -2k and -4k all pass through s = 0: a triple pole
+    # has no confluent residue here
+    params = FoxHParams(m=3, n=0, upper=(),
+                        lower=((0.0, 1.0), (0.0, 0.5), (0.0, 0.25)))
+    with pytest.raises(DegeneratePoles) as err:
+        eval_series(params, 0.5, 1e-9)
+    assert str(err.value) == "three left pole chains meet at s = -0.0"
+
+
+def test_series_refuses_left_chain_on_a_right_chain():
+    # Gamma(s) has its pole s = -1 where Gamma(1 - 1.5 - 0.5 s) = Gamma(0)
+    # has one: the chains pinch the contour
+    params = FoxHParams(m=1, n=1, upper=((1.5, 0.5),), lower=((0.0, 1.0),))
+    with pytest.raises(DegeneratePoles) as err:
+        eval_series(params, 0.5)
+    assert str(err.value) == "left chain 0 collides with right chain 0 near s = -1.0"
+
+
 def test_series_handles_exact_double_poles():
     # the same chains at exact collision have well-defined residues
     params = FoxHParams(m=2, n=0, upper=(),
@@ -245,11 +258,10 @@ def test_parameter_validation():
 
 def test_parameters_are_real():
     # every H-function of the space solution has real a_j, b_j; the skew
-    # enters through the phase of z, so a complex parameter is refused
+    # enters through the phase of z (delta well) or the real parameters
+    # (ramp), so a complex parameter is refused
     with pytest.raises(ValidationError, match="real"):
         FoxHParams(m=1, n=1, upper=((0.2j, 1.0),), lower=((0.0, 1.0),))
-    with pytest.raises(ValidationError, match="real"):
-        from_meijer_g(1, 0, [], [0.5 + 0.1j])
     with pytest.raises(ValidationError, match="real"):
         shift_by_power(_even_part_params(1.5), 0.25 + 0.4j)
     # a complex with imaginary part 0.0 is real, and is stored as a float

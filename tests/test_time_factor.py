@@ -6,9 +6,10 @@ import pytest
 from scipy.special import wofz
 
 from fse.errors import DomainError, NonConvergence, ValidationError
-from fse.mittag import ml_as_foxh
+from fse.foxh import eval_auto
 from fse.result import TimeConfig
 from fse.time_factor import time_factor
+from tests.test_mittag import _ml_params
 
 
 def _argument(cfg, t):
@@ -64,7 +65,7 @@ def test_routes_agree():
         cfg = TimeConfig(beta=beta, hbar=1.0, energy=-1.2, f0=1.0)
         for t in (0.3, 1.0, 2.7):
             a = time_factor(cfg, t, 1e-9)
-            b = ml_as_foxh(beta, _argument(cfg, t), 1e-8)
+            b = eval_auto(_ml_params(beta), -_argument(cfg, t), 1e-8)
             assert abs(a.value - b.value) <= 1e-7 * abs(a.value)
 
 
@@ -72,7 +73,7 @@ def test_h_route_refuses_existence_boundary():
     # beta = 1 parks arg z right on the sector edge; strict gate
     cfg = TimeConfig(beta=1.0, hbar=1.0, energy=-1.2, f0=1.0)
     with pytest.raises(DomainError):
-        ml_as_foxh(cfg.beta, _argument(cfg, 1.0))
+        eval_auto(_ml_params(cfg.beta), -_argument(cfg, 1.0))
 
 
 def test_time_validation():
