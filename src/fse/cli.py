@@ -205,7 +205,6 @@ def _cmd_ml(args, tol):
 
 def _cmd_full(args, tol):
     scfg, smeta = _space_config(args, args.potential)
-    del smeta["c_alpha"]
     meta = {"potential": args.potential, "t": args.t, "beta": args.beta,
             "f0": str(args.f0), **smeta}
     return lambda x: full_solution(scfg, x, args.t, args.beta, args.f0,

@@ -1,9 +1,13 @@
 """Bound-state wavefunction for the attractive point potential.
 
-The closed form combines the even and odd H-functions at the
-phase-rotated arguments zeta e^(-+i theta pi/(2 alpha)): two evaluations
-and their conjugates, since with real parameters H(conj z) = conj H(z)
-and eval_auto answers the second of each pair from the first.  The
+The closed form is k_norm times one sum over a list of H terms
+coef * H(z): the even part at zeta e^(-i phi) and zeta e^(i phi), then the
+odd part at half those arguments, phi = theta pi/(2 alpha).  Each second
+term is the exact conjugate of the first in argument and coefficient, and
+with real parameters H(conj z) = conj H(z), so eval_auto computes two H
+values and replays the other two.  At theta = 0 the odd part cancels and
+the list is one even term at the real zeta, the Riesz-case well of
+de Oliveira, Costa & Vaz (J. Math. Phys. 51, 123517, 2010).  The
 quadrature route integrates the momentum-space resolvent directly and is
 the independent oracle.  Its one real Fourier integral carries the sign
 of x in the phase e^(i p x / hbar), so the even and odd parts of the
@@ -52,58 +56,52 @@ def _hbar_scales(cfg: DeltaConfig):
     return zscale, h2
 
 
-def _prefactors(cfg: DeltaConfig, h2: float):
-    scal = (cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha)
-    denom = h2 * cfg.alpha * cfg.energy
-    pref1 = -math.pi * cfg.gamma_strength * cfg.k_norm / denom * scal
-    pref2 = -1j * cfg.gamma_strength * cfg.k_norm * math.sqrt(math.pi) \
-        / (2.0 * denom) * scal
-    return pref1, pref2
-
-
 def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
                       method: str = "auto") -> EvalResult:
-    """Wavefunction at x != 0 from the four-H-function assembly: the even
-    and odd parts at zeta e^(-+i theta pi/(2 alpha)), of which auto computes
-    two and replays the other two as their conjugates (one H at theta = 0)."""
+    """Wavefunction at x != 0 as k_norm times a sum of H terms coef * H(z).
+
+    Off theta = 0 the terms are, in this order, the even part at
+    zeta e^(-i phi) and zeta e^(i phi), then the odd part at half those
+    arguments, phi = theta pi/(2 alpha).  The second term of each pair has
+    the exact conjugate argument and coefficient of the first, so auto
+    computes the first and replays the second, and a real well sums to an
+    exactly real value.  At theta = 0 the odd part cancels and the list is
+    the one even term at zeta.  err_est sums |coef| err_est over the
+    terms; the method tag names the route every term took, or mixed."""
     if x == 0.0:
         raise DomainError("closed form is undefined at x = 0; use the quadrature route")
     _check_finite(x, "x")
     ev = _route(_ROUTES, method)
     zscale, h2 = _hbar_scales(cfg)
     zeta = abs(x) * zscale
-    ph = cmath.exp(-1j * cfg.theta * math.pi / (2.0 * cfg.alpha))
-    pref1, pref2 = _prefactors(cfg, h2)
-    work = 0
-    err = 0.0
-    labels = []
+    denom = h2 * cfg.alpha * cfg.energy
+    scal = (cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha)
+    c_even = -math.pi * cfg.gamma_strength / denom * scal
     even = _even_part_params(cfg.alpha)
     if cfg.theta == 0.0:
-        r = ev(even, zeta, rel_tol)
-        b1 = 2.0 * r.value
-        err += 2.0 * abs(pref1) * r.err_est
-        work += r.work
-        labels.append(r.method)
-        b2 = 0.0 + 0.0j
+        terms = [(even, zeta, 2.0 * c_even)]
     else:
-        rp = ev(even, zeta * ph, rel_tol)
-        rm = ev(even, zeta * ph.conjugate(), rel_tol)
-        b1 = ph * rp.value + ph.conjugate() * rm.value
-        err += abs(pref1) * (rp.err_est + rm.err_est)
-        work += rp.work + rm.work
-        labels += [rp.method, rm.method]
-        odd = _odd_part_params(cfg.alpha)
-        sp = ev(odd, 0.5 * zeta * ph, rel_tol)
-        sm = ev(odd, 0.5 * zeta * ph.conjugate(), rel_tol)
-        b2 = ph * sp.value - ph.conjugate() * sm.value
-        err += abs(pref2) * (sp.err_est + sm.err_est)
-        work += sp.work + sm.work
-        labels += [sp.method, sm.method]
-    sgn = 1.0 if x > 0.0 else -1.0
-    value = pref1 * b1 + sgn * pref2 * b2
-    label = labels[0] if len(set(labels)) == 1 else "mixed"
-    return EvalResult(value=value, err_est=err, method="closed[%s]" % label,
-                      work=work)
+        ph = cmath.exp(-1j * cfg.theta * math.pi / (2.0 * cfg.alpha))
+        # the odd part is odd in x
+        c_odd = (-1j if x > 0.0 else 1j) * cfg.gamma_strength * math.sqrt(math.pi) \
+            / (2.0 * denom) * scal
+        terms = []
+        for params, z, coef in ((even, zeta * ph, c_even * ph),
+                                (_odd_part_params(cfg.alpha), 0.5 * zeta * ph, c_odd * ph)):
+            terms += [(params, z, coef), (params, z.conjugate(), coef.conjugate())]
+    value = 0.0
+    err = 0.0
+    work = 0
+    routes = set()
+    for params, z, coef in terms:
+        r = ev(params, z, rel_tol)
+        value += coef * r.value
+        err += abs(coef) * r.err_est
+        work += r.work
+        routes.add(r.method)
+    label = routes.pop() if len(routes) == 1 else "mixed"
+    return EvalResult(value=cfg.k_norm * value, err_est=abs(cfg.k_norm) * err,
+                      method="closed[%s]" % label, work=work)
 
 
 def delta_classical(hbar: float, mass: float, energy: float, lam: complex,

@@ -40,6 +40,10 @@ delta well through the phase of the argument z, and the ramp through the
 real parameters c and w of its H set, at a real argument.  So every
 residue term's gamma arguments are real and go to the real scalar
 kernels, and on the contour theta(conj s) = conj theta(s) halves the work.
+Real parameters also make H real at a real z > 0, and both routes return
+an imaginary part of exactly 0 there (_answer): the series carries a
+negative gamma's sign as i pi and the contour sums conjugate nodes apart,
+so each would leave one of rounding size.
 
 Gamma pairs that multiply to a reflection Gamma(u) Gamma(1 - u) =
 pi / sin(pi u) are folded next: a lower[:m] entry equal to an upper[:n]
@@ -202,6 +206,16 @@ def _prepare(params: FoxHParams, z: complex, rel_tol: float):
     params = reduce_params(params)
     _require_exists(params, z)
     return params, z
+
+
+def _answer(z: complex, value: complex, err: float, rel_tol: float, what: str,
+            method: str, work: int) -> EvalResult:
+    """_accept's answer of an H route at z, with the imaginary part that
+    rounding leaves at a real z > 0 dropped, as power_sum and ml_contour
+    drop theirs at a real z."""
+    if z.imag == 0.0 and z.real > 0.0:
+        value = complex(value.real, 0.0)
+    return _accept(value, err, rel_tol, what, method, work)
 
 
 def _exact_matches(xs, ys):
@@ -794,7 +808,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
                     % (fixed, size + rest + beyond))
             err = fixed + rest
             break
-    return _accept(total, err, rel_tol, "H series", "series", nterms)
+    return _answer(z, total, err, rel_tol, "H series", "series", nterms)
 
 
 def _contour_line(params: FoxHParams):
@@ -909,7 +923,7 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     # M = e^(_LOG_STRIP_GROWTH + a |ln |z||) sum |f| makes
     # 2 M e^(-2 pi a/h) = 2 eps sum |f|
     err = tail + 2.0 * MACH_EPS * abs_acc + MACH_EPS * round_acc
-    return _accept(acc / (2.0 * math.pi), err / (2.0 * math.pi), rel_tol,
+    return _answer(z, acc / (2.0 * math.pi), err / (2.0 * math.pi), rel_tol,
                    "contour", "contour", 2 * (k_hi + 1))
 
 

@@ -141,9 +141,14 @@ def test_readme_grid_commands(argv, capsys):
     out = capsys.readouterr().out
     count = int(argv[argv.index("--grid") + 1].split(":")[2])
     if "json" in argv:
-        assert len(json.loads(out)["rows"]) == count
+        ims = [row["im"] for row in json.loads(out)["rows"]]
     else:
-        assert len(parse_csv(out)) == count
+        ims = [float(row[2]) for row in parse_csv(out)]
+    assert len(ims) == count
+    # real coordinates and a real k_norm give real values; time and full
+    # carry the complex time factor
+    if argv[0] in ("delta", "linear", "ml", "foxh"):
+        assert ims == [0.0] * count
 
 
 def test_origin_refuses_series_route_exit_3():
@@ -283,6 +288,23 @@ def test_full_matches_manual_product():
         got = complex(row["re"], row["im"])
         assert abs(got - want) <= 1e-12 * abs(want)
         assert "*" in row["method"]
+
+
+@pytest.mark.parametrize("space, c_alpha", [
+    (("--alpha", "1.5", "--c-alpha", "3"), 3.0),
+    (("--alpha", "2", "--mass", "2"), 0.25),        # hbar^2 / (2 mass)
+], ids=["given", "alpha-2-default"])
+def test_full_json_records_the_c_alpha_it_used(space, c_alpha, capsys):
+    argv = ["full", "--potential", "delta", "--t", "1.2", "--beta", "0.7",
+            *space, "--energy", "-0.5", "--grid", "0.5:1.5:2"]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["meta"]["config"]["c_alpha"] == c_alpha
+    # the same config as fse delta's
+    assert main(["delta", *space, "--energy", "-0.5", "--grid", "0.5:1.5:2",
+                 "--format", "json"]) == 0
+    delta = json.loads(capsys.readouterr().out)["meta"]["config"]
+    assert {k: doc["meta"]["config"][k] for k in delta} == delta
 
 
 def test_full_at_origin_honours_the_tolerance():

@@ -9,9 +9,10 @@ import fse.delta
 from fse import foxh
 from fse.delta import (_even_part_params, delta_classical, delta_closed_form,
                        delta_quadrature)
-from fse.errors import DomainError, NonConvergence, ValidationError
+from fse.errors import DomainError, NonConvergence, QuadratureFailure, ValidationError
 from fse.foxh import eval_auto
-from fse.result import DeltaConfig
+from fse.linear import linear_closed_form
+from fse.result import DeltaConfig, LinearConfig
 
 
 def test_even_in_x_when_unskewed():
@@ -103,15 +104,26 @@ def test_closed_form_computes_one_h_per_conjugate_pair(monkeypatch, theta, x,
 
 
 def test_wavefunction_is_real_for_real_strength_and_norm():
-    # psi = pref1 2 Re(phi H_e) + pref2 2i Im(phi H_o) is real when gamma and
-    # k_norm are; the conjugate pairs make its imaginary part exactly zero
+    # psi = c_even 2 Re(phi H_e) + c_odd 2i Im(phi H_o) is real when gamma and
+    # k_norm are; the conjugate pairs make its imaginary part exactly zero.
+    # At theta = 0 psi is one H at a real zeta, which is real there, as is
+    # the ramp's one H at a real y (the contour points of 0:30:31 among them)
     cases = [(DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0, energy=-1.0),
               np.linspace(-3.0, 3.0, 121)),
              (DeltaConfig(alpha=1.2, theta=-0.15, c_alpha=0.8, energy=-0.6),
-              np.array([-12.0, -0.3, 0.9, 10.0]))]
+              np.array([-12.0, -0.3, 0.9, 10.0])),
+             (DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-1.0),
+              np.linspace(-30.0, 30.0, 121))]
     for cfg, xs in cases:
         for x in xs[xs != 0.0]:
             assert delta_closed_form(cfg, float(x)).value.imag == 0.0
+    ramp = LinearConfig(alpha=1.5, c_alpha=1.0, energy=0.5)
+    methods = set()
+    for x in np.linspace(0.0, 30.0, 31):
+        r = linear_closed_form(ramp, float(x))
+        assert r.value.imag == 0.0, x
+        methods.add(r.method)
+    assert "h[contour]" in methods
 
 
 def test_closed_form_undefined_at_origin():
@@ -267,3 +279,12 @@ def test_extreme_hbar_refuses(hbar):
         for x in (0.0, 0.5):
             with pytest.raises(NonConvergence):
                 delta_quadrature(cfg, x)
+
+
+def test_quadrature_refuses_a_stalled_integral():
+    # at x = 1e5 the oscillatory tail stops near 1e-5 relative, short of
+    # both abs_tol = 1e-30 and the 1e-6 relative floor
+    cfg = DeltaConfig(alpha=1.5, theta=0.25)
+    with pytest.raises(QuadratureFailure, match="^resolvent integral stalled at "
+                       r"error 8\.54e-20 for x = 100000$"):
+        delta_quadrature(cfg, 1e5, abs_tol=1e-30)

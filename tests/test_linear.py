@@ -262,3 +262,12 @@ def test_normalization_scale():
     ap1 = cfg.alpha + 1.0
     scale = (cfg.c_alpha / (cfg.hbar * cfg.slope * ap1)) ** (1.0 / ap1)
     assert abs(cfg.n_norm - 1.0 / (2.0 * math.pi * cfg.hbar) / scale) < 1e-15
+
+
+def test_quadrature_refuses_a_stalled_ray():
+    # left of the turning point the ray's e^(iyw) factor grows; at x = -15
+    # the ray sums stop short of the 1e-5 n_norm floor
+    cfg = LinearConfig(alpha=1.5, c_alpha=1.0, energy=0.5)
+    with pytest.raises(QuadratureFailure,
+                       match=r"^ray integrals stalled at error 1\.30e-05 for x = -15$"):
+        linear_quadrature(cfg, -15.0)

@@ -224,3 +224,17 @@ def test_err_est_bounds_the_error_on_the_time_factor_rays():
                 assert abs(value - want) <= err, (beta, arg, root, "contour")
                 got = ml_eval(beta, z, 1e-9)
                 assert abs(got.value - want) <= got.err_est, (beta, arg, root, got.method)
+
+
+def test_series_refuses_at_its_term_cap():
+    # at beta 0.001 the terms z^k / Gamma(1 + beta k) fall like 0.999^k
+    with pytest.raises(NonConvergence,
+                       match="^Mittag-Leffler series hit the 2000-term cap$"):
+        ml_series(0.001, 0.999, 1e-9)
+
+
+def test_contour_refuses_a_value_past_double_range():
+    # E_1/2(z) ~ 2 exp(z^2): the residue exp(709.5) / beta overflows
+    with pytest.raises(NonConvergence,
+                       match="^contour value for E_beta overflowed double range$"):
+        ml_contour(0.5, 26.636, 1e-9)
