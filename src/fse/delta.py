@@ -7,7 +7,9 @@ term is the exact conjugate of the first in argument and coefficient, and
 with real parameters H(conj z) = conj H(z), so eval_auto computes two H
 values and replays the other two.  At theta = 0 the odd part cancels and
 the list is one even term at the real zeta, the Riesz-case well of
-de Oliveira, Costa & Vaz (J. Math. Phys. 51, 123517, 2010).  The
+de Oliveira, Costa & Vaz (J. Math. Phys. 51, 123517, 2010).  At x = 0,
+where the paper fixes the energy by self-consistency, only the even
+part's first residue is left, and psi(0) is elementary.  The
 quadrature route integrates the momentum-space resolvent directly and is
 the independent oracle.  Its one real Fourier integral carries the sign
 of x in the phase e^(i p x / hbar), so the even and odd parts of the
@@ -22,11 +24,11 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, QuadratureFailure, ValidationError
+from .errors import NonConvergence, QuadratureFailure, ValidationError
 # eval_auto is unused here; its binding stays for perfbench's CONSUMER_SITES
 from .foxh import FoxHParams, _ROUTES, eval_auto
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
-from .result import DeltaConfig, EvalResult, _check_finite, _check_positive, _route
+from .result import DeltaConfig, EvalResult, _accept, _check_finite, _check_positive, _route
 
 
 def _even_part_params(alpha: float) -> FoxHParams:
@@ -58,7 +60,7 @@ def _hbar_scales(cfg: DeltaConfig):
 
 def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
                       method: str = "auto") -> EvalResult:
-    """Wavefunction at x != 0 as k_norm times a sum of H terms coef * H(z).
+    """Wavefunction as k_norm times a sum of H terms coef * H(z).
 
     Off theta = 0 the terms are, in this order, the even part at
     zeta e^(-i phi) and zeta e^(i phi), then the odd part at half those
@@ -67,9 +69,17 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
     computes the first and replays the second, and a real well sums to an
     exactly real value.  At theta = 0 the odd part cancels and the list is
     the one even term at zeta.  err_est sums |coef| err_est over the
-    terms; the method tag names the route every term took, or mixed."""
-    if x == 0.0:
-        raise DomainError("closed form is undefined at x = 0; use the quadrature route")
+    terms; the method tag names the route every term took, or mixed.
+
+    At x = 0 every method answers psi(0) = k_norm 2 c_even cos(phi) /
+    sin(pi/alpha), tagged closed[series] with work 1: the even part's
+    k = 0 residue, the only term of its series left at zeta = 0, while the
+    odd part vanishes like |x|^(alpha - 1).  Its err_est bounds the
+    rounding, (16 + |ln scal| + 2 |(pi/alpha) cot(pi/alpha)| +
+    2 |phi tan phi|) eps relative, scal = (C/(-E))^(-1/alpha): the last two
+    are the sine's conditioning near alpha = 1 and the cosine's near the
+    skew limit.  Like every H route's answer it passes _accept, so a
+    rel_tol below that rounding refuses with NonConvergence."""
     _check_finite(x, "x")
     ev = _route(_ROUTES, method)
     zscale, h2 = _hbar_scales(cfg)
@@ -77,11 +87,17 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
     denom = h2 * cfg.alpha * cfg.energy
     scal = (cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha)
     c_even = -math.pi * cfg.gamma_strength / denom * scal
+    phi = cfg.theta * math.pi / (2.0 * cfg.alpha)
+    if x == 0.0:
+        q = math.pi / cfg.alpha
+        value = cfg.k_norm * (2.0 * c_even * math.cos(phi) / math.sin(q))
+        rel = 16.0 + abs(math.log(scal)) + 2.0 * (abs(q / math.tan(q)) + abs(phi * math.tan(phi)))
+        return _accept(value, rel * math.ulp(1.0) * abs(value), rel_tol, "psi(0)", "closed[series]", 1)
     even = _even_part_params(cfg.alpha)
     if cfg.theta == 0.0:
         terms = [(even, zeta, 2.0 * c_even)]
     else:
-        ph = cmath.exp(-1j * cfg.theta * math.pi / (2.0 * cfg.alpha))
+        ph = cmath.exp(-1j * phi)
         # the odd part is odd in x
         c_odd = (-1j if x > 0.0 else 1j) * cfg.gamma_strength * math.sqrt(math.pi) \
             / (2.0 * denom) * scal

@@ -89,8 +89,10 @@ conj H(z).  A replay can differ from a fresh evaluation at conj z in
 rounding, within both err_est, and needs no invalidation; reuse across
 calls on one parameter set is left to a plan built outside this module.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
-up as module globals at call time, once per folded factor per term, so that
-rebinding them (to count or time them) sees every call.
+up as module globals at call time: by eval_series once per call, when it
+builds its recipe, and otherwise once per folded factor.  So rebinding
+them between calls (to count or time them) sees every kernel call, still
+one per folded factor per term.
 """
 
 from __future__ import annotations
@@ -409,8 +411,11 @@ class _Recipe(NamedTuple):
       0.0);
     - the factors of theta left once the chain's own gamma is skipped and
       the reflection pairs are folded (_fold_pairs), as (c, du/ds, |c|,
-      |du/ds|) in four tuples: numerator pairs, numerator gammas,
-      denominator pairs and denominator gammas, each in _fold_pairs order.
+      |du/ds|, kernel, slope) in two tuples, numerator and denominator,
+      each with its pairs first and then its gammas, in _fold_pairs order.
+      kernel and slope are log_reflection and pi_cot_pi for a pair,
+      log_gamma and digamma for a gamma, looked up once per call;
+    - the denominator pairs alone, as (c, du/ds), which _pair_sines reads.
     The rest serves the rare terms: forms are the gamma factors of theta
     (_gamma_forms) and pairs the reflection pairs.  A term where two chains
     meet folds the pairs again from forms, with both chains' gammas and the
@@ -426,6 +431,7 @@ class _Recipe(NamedTuple):
 def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
     forms = _gamma_forms(params)
     m = params.m
+    kernels = {True: (log_reflection, pi_cot_pi), False: (log_gamma, digamma)}
     right_scan = tuple((c, du, SEPARATION_TOL * abs(du), 0.0)
                        for _, c, du, _ in forms[m:m + params.n])
     terms = []
@@ -433,11 +439,12 @@ def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
         scan = tuple((b2, wt2, SEPARATION_TOL * wt2, wt2)
                      for i, (b2, wt2) in enumerate(params.lower[:m]) if i != chain)
         entries = _fold_pairs(forms, pairs, (chain,))
-        # the order an ordinary term takes them in, as (sign, paired)
-        groups = (tuple((c, du, abs_c, abs(du)) for sign, c, du, abs_c, paired in entries
-                        if (sign, paired) == group)
-                  for group in ((1, True), (1, False), (-1, True), (-1, False)))
-        terms.append((b, wt, scan + right_scan, *groups))
+        # the order an ordinary term takes them in: per side, pairs first
+        num, den = [], []
+        for sign, c, du, abs_c, paired in sorted(entries, key=lambda e: not e[4]):
+            (num if sign > 0 else den).append((c, du, abs_c, abs(du)) + kernels[paired])
+        den_pairs = tuple((c, du) for sign, c, du, _, paired in entries if sign < 0 and paired)
+        terms.append((b, wt, scan + right_scan, tuple(num), tuple(den), den_pairs))
     return _Recipe(params, pairs, forms, tuple(terms))
 
 
@@ -501,12 +508,13 @@ def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
     An ordinary term, a simple pole, is summed flat from recipe.terms:
     the scan, then one kernel call and one slope call per factor, in the
     order numerator pairs, numerator gammas, denominator pairs,
-    denominator gammas, then exp.  A denominator gamma landing on its own
-    pole kills the term (1/Gamma -> 0), reported as exactly 0.  The scan
+    denominator gammas (one loop per side), then exp.  A denominator
+    gamma landing on its own pole kills the term (1/Gamma -> 0), reported
+    as exactly 0.  The scan
     makes the tests of _find_left_collision; a pole that meets one, a
     near miss or another chain's pole, goes to _collision_term.
     """
-    b_i, B_i, scan, num_pairs, num_gammas, den_pairs, den_gammas = recipe.terms[chain]
+    b_i, B_i, scan, num, den, _ = recipe.terms[chain]
     t = (b_i + k) / B_i
     s = -t
     abs_s = abs(s)
@@ -521,25 +529,17 @@ def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
                 return _collision_term(recipe, chain, k, s, log_rest, logz)
     log_num = 0.0 + 0.0j
     sens_num = 0.0
-    for c, du, abs_c, abs_du in num_pairs:
+    for c, du, abs_c, abs_du, kernel, slope in num:
         u = c + du * s
-        log_num += log_reflection(u)
-        sens_num += (abs_c + abs_du * abs_s) * abs(pi_cot_pi(u))
-    for c, du, abs_c, abs_du in num_gammas:
-        u = c + du * s
-        log_num += log_gamma(u)
-        sens_num += (abs_c + abs_du * abs_s) * abs(digamma(u))
+        log_num += kernel(u)
+        sens_num += (abs_c + abs_du * abs_s) * abs(slope(u))
     log_den = 0.0 + 0.0j
     sens_den = 0.0
     try:
-        for c, du, abs_c, abs_du in den_pairs:
+        for c, du, abs_c, abs_du, kernel, slope in den:
             u = c + du * s
-            log_den += log_reflection(u)
-            sens_den += (abs_c + abs_du * abs_s) * abs(pi_cot_pi(u))
-        for c, du, abs_c, abs_du in den_gammas:
-            u = c + du * s
-            log_den += log_gamma(u)
-            sens_den += (abs_c + abs_du * abs_s) * abs(digamma(u))
+            log_den += kernel(u)
+            sens_den += (abs_c + abs_du * abs_s) * abs(slope(u))
     except PoleOfGamma:
         return 0.0 + 0.0j, 0.0
     log_acc = log_num - log_den + log_rest
@@ -634,12 +634,12 @@ def _pair_sines(recipe: _Recipe, chain: int, ks) -> list:
     each 1/(Gamma(u) Gamma(1 - u)) = sin(pi u)/pi, put on the residue at
     each left pole k in ks of the chain.  A sine near 0 makes one term
     small and says nothing of the next."""
-    b, wt, _, _, _, den_pairs, _ = recipe.terms[chain]
+    b, wt, _, _, _, den_pairs = recipe.terms[chain]
     sines = []
     for k in ks:
         s = -(b + k) / wt
         f = 1.0
-        for c, du, _, _ in den_pairs:
+        for c, du in den_pairs:
             f *= abs(math.sin(math.pi * (c + du * s)))
         sines.append(f)
     return sines
@@ -725,7 +725,9 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
       any can short of an exact collision: it holds the stop back, but
       the claim counts only the envelope and the gains actually scanned.
       A chain whose terms still grow has no bound, so the stop waits for
-      it even when every term of the last sweeps is small.
+      it even when every term of the last sweeps is small, and so does a
+      chain with no nonzero term yet while a denominator gamma can still
+      be zeroing its poles.
     - Refuse.  From sweep 7 on, once fixed passes 2 rel_tol |total|, the
       series refuses with NonConvergence as soon as fixed passes
       2 rel_tol (|total| + rest + beyond): a later stop could only refuse.
@@ -746,6 +748,11 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     logz = cmath.log(z)
     recipe = _series_recipe(params, _reflection_pairs(params))
     chains = range(params.m)
+    # the last pole k of each chain (b, B) that a denominator gamma
+    # 1/Gamma(1 - b' - B' s), zero only at s >= (1 - b')/B', can zero:
+    # k <= -b - B (1 - b')/B'
+    reach = [max([-b - wt * (1.0 - b2) / wt2 for b2, wt2 in params.lower[params.m:]],
+                 default=-1.0) for b, wt in params.lower[:params.m]]
 
     total = 0.0 + 0.0j
     peak = 0.0
@@ -798,8 +805,10 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
             room = floor - fixed
         else:
             room = fixed / rel_tol - size
-        # from sweep 7 on, a chain with no nonzero term is quiet, as above
-        live = {c: h[-3:] for c, h in enumerate(hist) if h and k - h[-1][0] < 8}
+        # a chain with no nonzero term stays live, with no bound, while a
+        # denominator gamma can still be zeroing its poles
+        live = {c: h[-3:] for c, h in enumerate(hist)
+                if (k - h[-1][0] < 8 if h else k <= reach[c])}
         rest, beyond = _rest_bound(recipe, k, live, room)
         if rest + beyond < room:
             if guard:
@@ -907,13 +916,20 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
         upper = _log_theta(params, pairs, s_up)
         s = np.concatenate((s_up, s_up.conj()))
         expo = np.concatenate((upper, upper.conj())) - s * logz
-        mags = np.exp(expo.real)
-        acc += h * complex(np.sum(np.exp(expo)))
-        abs_acc += h * float(np.sum(mags))
-        round_acc += h * float(np.sum(mags * (1.0 + np.abs(expo))))
+        # a node or a sum past double range refuses before numpy warns, and
+        # so does a finite sum whose modulus overflows
+        try:
+            with np.errstate(over="raise"):
+                mags = np.exp(expo.real)
+                acc += h * complex(np.sum(np.exp(expo)))
+                abs_acc += h * float(np.sum(mags))
+                round_acc += h * float(np.sum(mags * (1.0 + np.abs(expo))))
+                size = abs(acc)
+        except (FloatingPointError, OverflowError):
+            raise NonConvergence("contour overflowed double range") from None
         # |f| at the last node, on the upper and the lower half-line
         tail = 2.0 * max(mags[k_hi - k_lo], mags[-1]) / rate
-        if tail <= 0.1 * rel_tol * max(abs(acc), 1e-300):
+        if tail <= 0.1 * rel_tol * max(size, 1e-300):
             break
         if t_cut >= CONTOUR_T_CAP:
             raise NonConvergence(

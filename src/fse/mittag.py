@@ -177,10 +177,10 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """E_beta(z) with automatic scheme selection and an honest accuracy gate.
 
     At beta = 1 it returns E_1(z) = exp(z) directly (method "exp").
-    Otherwise the series is tried first inside the ball |z| <= SERIES_RADIUS,
-    |z|^(1/beta) <= SERIES_ROOT_CAP; where |z|^(1/beta) is past double range
-    (|z| > 1 at a tiny beta) the point is outside the ball and goes to the
-    contour.  It raises NonConvergence when neither scheme's error
+    Otherwise the series is tried first inside the ball
+    |z| <= min(SERIES_RADIUS, SERIES_ROOT_CAP^beta), that is |z|^(1/beta) <=
+    SERIES_ROOT_CAP, written so that no power overflows at a tiny beta, and
+    every other point goes to the contour.  It raises NonConvergence when neither scheme's error
     estimate meets rel_tol relative to the returned magnitude; this is
     inherent near deep sign-changing arguments where the function is
     exponentially smaller than the roundoff floor of any fixed-precision
@@ -198,15 +198,8 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
             raise NonConvergence(
                 "E_1(z) = exp(z) overflows double range at Re z = %.4g" % z.real)
         return EvalResult(val, 2.0 * MACH_EPS * abs(val) + math.ulp(0.0), "exp", 1)
-    r = abs(z)
-    try:
-        in_ball = r <= SERIES_RADIUS and r ** (1.0 / beta) <= SERIES_ROOT_CAP
-    except OverflowError:
-        # |z| > 1 at a tiny beta: |z|^(1/beta) is past double range, so
-        # far past the cap
-        in_ball = False
     tried = []
-    if in_ball:
+    if abs(z) <= min(SERIES_RADIUS, SERIES_ROOT_CAP ** beta):
         val, err, work = ml_series(beta, z, rel_tol)
         if _meets_tol(err, val, rel_tol):
             return EvalResult(val, err, "series", work)

@@ -10,13 +10,10 @@ from .time_factor import time_factor
 
 
 def _space_value(cfg, x: float, tol: float, method: str = "auto") -> EvalResult:
-    """phi(x) by the named route: "quadrature" takes the oracle, "auto" the
-    delta oracle at x = 0, where the closed form is undefined, and every
-    other case the closed form."""
+    """phi(x) by the named route: "quadrature" takes the oracle, and every
+    other method the closed form, at every x."""
     if isinstance(cfg, DeltaConfig):
         closed, oracle = delta_closed_form, delta_quadrature
-        if x == 0.0 and method == "auto":
-            method = "quadrature"
     elif isinstance(cfg, LinearConfig):
         closed, oracle = linear_closed_form, linear_quadrature
     else:

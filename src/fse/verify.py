@@ -193,7 +193,7 @@ def criterion_6() -> CheckResult:
                 cfg = DeltaConfig(alpha=alpha, theta=theta, hbar=1.0,
                                   c_alpha=1.0, energy=energy,
                                   gamma_strength=1.0, k_norm=1.0)
-                for x in (-3.0, -1.0, -0.25, 0.25, 1.0, 3.0):
+                for x in (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0):
                     a = delta_closed_form(cfg, x).value
                     b = delta_quadrature(cfg, x).value
                     worst = max(worst, abs(a - b) / max(abs(b), 1e-300))

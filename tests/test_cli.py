@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 import fse.cli
@@ -10,7 +11,7 @@ import fse.delta
 import fse.foxh
 import fse.linear
 from fse.cli import main
-from fse.delta import delta_closed_form
+from fse.delta import delta_closed_form, delta_quadrature
 from fse.linear import linear_closed_form
 from fse.result import DeltaConfig, LinearConfig, TimeConfig
 from fse.time_factor import time_factor
@@ -28,6 +29,10 @@ def parse_csv(text):
     return rows[1:]
 
 
+def _value(row):
+    return complex(float(row[1]), float(row[2]))
+
+
 def test_delta_grid_csv():
     r = run_cli("delta", "--alpha", "1.5", "--theta", "0.25",
                 "--energy", "-1", "--gamma", "1", "--hbar", "1",
@@ -37,8 +42,11 @@ def test_delta_grid_csv():
     assert len(rows) == 121
     mid = rows[60]
     assert float(mid[0]) == 0.0
-    assert mid[5] == "quadrature"
-    assert all(row[5].startswith("closed[") for row in rows[:60])
+    # x = 0 is the closed form's k = 0 residue, as every other row is closed
+    assert mid[5] == "closed[series]"
+    assert all(row[5].startswith("closed[") for row in rows)
+    q = delta_quadrature(DeltaConfig(alpha=1.5, theta=0.25, energy=-1.0), 0.0)
+    assert abs(_value(mid) - q.value) <= float(mid[4]) + q.err_est
     # profile decays away from the well
     assert float(rows[1][3]) < float(rows[60][3])
 
@@ -151,11 +159,17 @@ def test_readme_grid_commands(argv, capsys):
         assert ims == [0.0] * count
 
 
-def test_origin_refuses_series_route_exit_3():
-    r = run_cli("delta", "--alpha", "1.5", "--c-alpha", "1",
-                "--energy", "-1", "--grid", "0:1:2", "--method", "series")
-    assert r.returncode == 3
-    assert "x = 0" in r.stderr
+def test_origin_series_route_answers_from_the_closed_form():
+    # x = 0 under --method series is the closed form's k = 0 residue, and
+    # only --method quadrature takes the oracle there
+    ref = delta_quadrature(DeltaConfig(alpha=1.5, energy=-1.0), 0.0)
+    for method, route in (("series", "closed[series]"), ("quadrature", "quadrature")):
+        r = run_cli("delta", "--alpha", "1.5", "--c-alpha", "1",
+                    "--energy", "-1", "--grid", "0:1:2", "--method", method)
+        assert r.returncode == 0, r.stderr
+        at0 = parse_csv(r.stdout)[0]
+        assert (float(at0[0]), at0[5]) == (0.0, route)
+        assert abs(_value(at0) - ref.value) <= float(at0[4]) + ref.err_est
 
 
 def test_delta_far_out_agrees_with_quadrature_or_exits_3():
@@ -308,7 +322,7 @@ def test_full_json_records_the_c_alpha_it_used(space, c_alpha, capsys):
 
 
 def test_full_at_origin_honours_the_tolerance():
-    # x = 0 takes the quadrature route in both commands, at the same tolerance
+    # x = 0 takes the closed form in both commands, at the same tolerance
     args = ("--alpha", "1.5", "--theta", "0.25", "--c-alpha", "1",
             "--tol", "1e-4", "--grid", "-1:1:3", "--format", "json")
     full = run_cli("full", "--potential", "delta", "--t", "0", *args)
@@ -317,8 +331,12 @@ def test_full_at_origin_honours_the_tolerance():
     assert delta.returncode == 0, delta.stderr
     at0 = [[row for row in json.loads(r.stdout)["rows"] if row["coord"] == 0.0][0]
            for r in (full, delta)]
-    assert at0[1]["method"] == "quadrature"
+    assert at0[1]["method"] == "closed[series]"
+    assert at0[0]["method"].endswith("*closed[series]")
     assert at0[0]["err_est"] == pytest.approx(at0[1]["err_est"], rel=1e-12)
+    q = delta_quadrature(DeltaConfig(alpha=1.5, theta=0.25, energy=-1.0), 0.0)
+    for row in at0:
+        assert abs(complex(row["re"], row["im"]) - q.value) <= row["err_est"] + q.err_est
 
 
 def test_complex_normalization_flag():
@@ -386,6 +404,32 @@ def test_raw_routes_refuse_an_uncertified_answer_exit_3(argv, route):
     r = run_cli(*argv)
     assert r.returncode == 3, r.stdout
     assert "NonConvergence: " + route in r.stderr
+
+
+@pytest.mark.parametrize("b", ["570", "566"])
+def test_contour_sum_past_double_range_exits_3(b, capsys):
+    # in process, so that a numpy overflow warning fails the test: the node
+    # sum reaches double range (570: a finite sum whose modulus overflows)
+    argv = ["foxh", "--m", "1", "--n", "0", "--lower", b + ":4",
+            "--grid", "152.08972971241963:152.1:2"]
+    assert main(argv) == 3
+    assert "NonConvergence: contour overflowed double range" in capsys.readouterr().err
+
+
+def test_foxh_series_past_zeroed_poles(capsys):
+    # 1/Gamma(-9 - s) zeroes the chain's poles k <= 9; the sum from k = 10
+    # is 1.2689e-8 and 9.7003e-3, where the series used to print 0 +- 0
+    argv = ["foxh", "--m", "1", "--n", "1", "--upper", "0.5:0.5",
+            "--lower", "0:1,10:1", "--grid", "0.5:2:2"]
+    assert main(argv) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    with mp.workdps(30):
+        for row in rows:
+            z = mp.mpf(row[0])
+            ref = mp.fsum((-1) ** k / mp.factorial(k) * mp.gamma(0.5 + 0.5 * k)
+                          / mp.gamma(k - 9) * z ** k for k in range(10, 200))
+            assert row[5] == "series"
+            assert abs(_value(row) - complex(ref)) <= float(row[4]), row
 
 
 @pytest.mark.parametrize("hbar", ["1e-200", "1e200"])

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,7 +10,7 @@ import fse.delta
 from fse import foxh
 from fse.delta import (_even_part_params, delta_classical, delta_closed_form,
                        delta_quadrature)
-from fse.errors import DomainError, NonConvergence, QuadratureFailure, ValidationError
+from fse.errors import NonConvergence, QuadratureFailure, ValidationError
 from fse.foxh import eval_auto
 from fse.linear import linear_closed_form
 from fse.result import DeltaConfig, LinearConfig
@@ -115,7 +116,7 @@ def test_wavefunction_is_real_for_real_strength_and_norm():
              (DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-1.0),
               np.linspace(-30.0, 30.0, 121))]
     for cfg, xs in cases:
-        for x in xs[xs != 0.0]:
+        for x in xs:
             assert delta_closed_form(cfg, float(x)).value.imag == 0.0
     ramp = LinearConfig(alpha=1.5, c_alpha=1.0, energy=0.5)
     methods = set()
@@ -126,12 +127,78 @@ def test_wavefunction_is_real_for_real_strength_and_norm():
     assert "h[contour]" in methods
 
 
-def test_closed_form_undefined_at_origin():
+def test_closed_form_answers_at_origin_for_every_method():
+    # at x = 0 every method answers the even part's k = 0 residue, tagged as
+    # the series term it is; bad input still refuses first
     cfg = DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-0.5)
-    with pytest.raises(DomainError):
-        delta_closed_form(cfg, 0.0)
+    q = delta_quadrature(cfg, 0.0)
+    for method in ("auto", "series", "contour"):
+        r = delta_closed_form(cfg, 0.0, method=method)
+        assert (r.method, r.work) == ("closed[series]", 1)
+        assert abs(r.value - q.value) <= r.err_est + q.err_est
     with pytest.raises(ValidationError):
         delta_closed_form(cfg, math.nan)
+    with pytest.raises(ValidationError, match="method"):
+        delta_closed_form(cfg, 0.0, method="quadrature")
+    with pytest.raises(NonConvergence, match="psi"):
+        delta_closed_form(cfg, 0.0, rel_tol=1e-16)
+    with pytest.raises(NonConvergence, match="hbar"):
+        delta_closed_form(DeltaConfig(alpha=1.5, hbar=1e-200), 0.0)
+
+
+def _psi0_reference(cfg):
+    """psi(0) at 30 digits: gamma k_norm / (2 pi hbar)^2 times the sum over
+    +-theta of int_0^inf dp / (C p^alpha e^(+-i theta pi/2) - E)."""
+    with mp.workdps(30):
+        a, e = mp.mpf(cfg.alpha), mp.mpf(cfg.energy)
+        total = sum((mp.mpf(cfg.c_alpha) * mp.expjpi(sg * mp.mpf(cfg.theta) / 2) / -e)
+                    ** (-1 / a) / -e for sg in (1, -1))
+        total *= mp.pi / (a * mp.sin(mp.pi / a))
+        return complex(mp.mpf(cfg.gamma_strength) * mp.mpc(cfg.k_norm)
+                       / (2 * mp.pi * mp.mpf(cfg.hbar)) ** 2 * total)
+
+
+@pytest.mark.parametrize("alpha", [1.001, 1.05, 1.5, 1.999, 2.0])
+def test_origin_value_against_mpmath(alpha):
+    # the err_est of psi(0) bounds its rounding, the sine's conditioning
+    # near alpha = 1 and the cosine's near the skew limit among it
+    lim = min(alpha, 2.0 - alpha)
+    for theta in sorted({0.0, 0.99 * lim, -0.99 * lim, lim, -lim}):
+        for hbar, c_alpha, energy, gamma, k_norm in (
+                (1.0, 1.0, -1.0, 1.0, 1.0), (0.7, 2.5, -0.03, 1.7, 2.0 - 1.0j),
+                (1.3, 0.04, -40.0, 0.2, 1.0), (3.0, 1e3, -1e-3, 5.0, 0.5j)):
+            cfg = DeltaConfig(alpha=alpha, theta=theta, hbar=hbar, c_alpha=c_alpha,
+                              energy=energy, gamma_strength=gamma, k_norm=k_norm)
+            r = delta_closed_form(cfg, 0.0)
+            ref = _psi0_reference(cfg)
+            assert abs(r.value - ref) <= r.err_est <= 1e-12 * abs(r.value), (theta, cfg)
+
+
+def test_origin_meets_the_bound_state_condition():
+    # the bound state psi = gamma psi(0) G_E fixes E by gamma G_E(0) = 1:
+    # (-E)^(1 - 1/alpha) = gamma cos(theta pi/(2 alpha)) / (hbar alpha
+    # sin(pi/alpha) C^(1/alpha)).  The routes carry gamma k_norm/(2 pi hbar)^2,
+    # so there psi(0) = k_norm/(2 pi hbar).  At alpha = 2 with C = 1/(2 m)
+    # (p is the momentum) that E is the textbook -m gamma^2/(2 hbar^2).
+    # The ratio's slack of 1e-14 is the rounding of the formula's E
+    for hbar, want in ((1.0, 0.159155), (0.7, 0.227364)):
+        mass, gamma = 0.5, 1.0
+        cfg = DeltaConfig(alpha=2.0, hbar=hbar, c_alpha=1.0 / (2.0 * mass),
+                          energy=-mass * gamma ** 2 / (2.0 * hbar ** 2),
+                          gamma_strength=gamma)
+        assert delta_closed_form(cfg, 0.0).value == pytest.approx(want, abs=5e-7)
+    for alpha, theta, hbar, c_alpha, gamma in (
+            (2.0, 0.0, 1.0, 0.5, 1.0), (1.5, 0.25, 1.0, 1.0, 1.0),
+            (1.3, -0.5, 0.7, 2.0, 1.7), (1.9, 0.08, 1.3, 0.8, 0.6)):
+        energy = -(gamma * math.cos(theta * math.pi / (2.0 * alpha))
+                   / (hbar * alpha * math.sin(math.pi / alpha) * c_alpha ** (1.0 / alpha))
+                   ) ** (alpha / (alpha - 1.0))
+        cfg = DeltaConfig(alpha=alpha, theta=theta, hbar=hbar, c_alpha=c_alpha,
+                          energy=energy, gamma_strength=gamma, k_norm=1.0 - 2.0j)
+        for route in (delta_closed_form, delta_quadrature):
+            r = route(cfg, 0.0)
+            ratio = 2.0 * math.pi * hbar * r.value / cfg.k_norm
+            assert abs(ratio - 1.0) <= 2.0 * math.pi * hbar * r.err_est / abs(cfg.k_norm) + 1e-14
 
 
 def test_quadrature_refuses_a_non_finite_or_complex_x():
@@ -232,8 +299,6 @@ def test_quadrature_error_claim_bounds_its_error(alpha):
     for theta in (lim, -lim, 0.9 * lim, 0.0):
         cfg = DeltaConfig(alpha=alpha, theta=theta, c_alpha=1.0, energy=-1.0)
         for x in np.linspace(-4.0, 4.0, 33):
-            if x == 0.0:
-                continue
             q = delta_quadrature(cfg, float(x), abs_tol=1e-9)
             c = delta_closed_form(cfg, float(x), rel_tol=1e-12)
             assert abs(q.value - c.value) <= q.err_est + c.err_est, (theta, x)

@@ -1124,6 +1124,20 @@ def test_rest_bound_waits_for_a_chain_with_one_nonzero_term(monkeypatch):
     assert abs(r.value - ref) <= r.err_est
 
 
+def test_series_waits_for_a_chain_whose_first_poles_are_zeroed():
+    # 1/Gamma(1 - 10 - s) zeroes the chain's poles k <= 9 (k <= -b - B (1 - b')/B'
+    # = 9): the chain stays live with no bound until then, where three
+    # all-zero sweeps used to stop the sum at 0 with err_est 0
+    params = FoxHParams(m=1, n=1, upper=((0.5, 0.5),), lower=((0.0, 1.0), (10.0, 1.0)))
+    for z, want in ((0.5, 1.2689e-8), (2.0, 9.7003e-3)):
+        r = eval_series(params, z, 1e-9)
+        with mp.workdps(30):
+            ref = complex(mp.fsum((-1) ** k / mp.factorial(k) * mp.gamma(0.5 + 0.5 * k)
+                                  / mp.gamma(k - 9) * mp.mpf(z) ** k for k in range(10, 200)))
+        assert ref.real == pytest.approx(want, rel=1e-4)
+        assert abs(r.value - ref) <= r.err_est <= 1e-9 * abs(r.value)
+
+
 def test_contour_refuses_pole_families_that_nearly_touch():
     params = FoxHParams(m=1, n=1, upper=((1.0 - 1e-7, 1.0),), lower=((0.0, 1.0),))
     with pytest.raises(NoSeparatingContour,

@@ -18,13 +18,16 @@ def test_point_potential_product():
     assert r.err_est > 0.0
 
 
-def test_origin_falls_back_to_quadrature():
+def test_origin_takes_the_closed_form():
+    # phi(0) is the closed form's k = 0 residue; the oracle checks it
     tcfg = TimeConfig(beta=1.0, hbar=1.0, energy=-0.5)
     dcfg = DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-0.5)
     r = full_solution(dcfg, 0.0, 0.4)
-    want = time_factor(tcfg, 0.4).value * delta_quadrature(dcfg, 0.0).value
-    assert abs(r.value - want) <= 1e-10 * abs(want)
-    assert "quadrature" in r.method
+    f = time_factor(tcfg, 0.4)
+    q = delta_quadrature(dcfg, 0.0)
+    assert r.method == f.method + "*closed[series]"
+    want = f.value * q.value
+    assert abs(r.value - want) <= r.err_est + abs(f.value) * q.err_est + abs(q.value) * f.err_est
 
 
 def test_ramp_potential_product():
