@@ -68,11 +68,12 @@ def _resolve_c_alpha(args) -> float:
     if args.c_alpha is not None:
         return args.c_alpha
     if args.alpha == 2.0:
-        # products, not hbar ** 2: an overflow gives inf, which the
-        # config's c_alpha check refuses, instead of raising
-        return args.hbar * args.hbar / (2.0 * args.mass)
+        # the routes' p is the momentum (phase e^(ipx/hbar)), so the kinetic
+        # term p^2/(2 mass) has no hbar; a quotient past double range is inf,
+        # which the config's c_alpha check refuses
+        return 1.0 / (2.0 * args.mass)
     raise ValidationError(
-        "--c-alpha is required unless alpha = 2 (where it defaults to hbar^2/(2 mass))")
+        "--c-alpha is required unless alpha = 2 (where it defaults to 1/(2 mass))")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,12 +179,8 @@ def _cmd_space(args, tol):
 
 
 def _cmd_foxh(args, tol):
-    try:
-        params = FoxHParams(m=args.m, n=args.n,
-                            upper=_parse_pairs(args.upper),
-                            lower=_parse_pairs(args.lower))
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(str(exc))
+    params = FoxHParams(m=args.m, n=args.n, upper=_parse_pairs(args.upper),
+                        lower=_parse_pairs(args.lower))
     ev = _ROUTES[args.method]
     meta = {"m": args.m, "n": args.n, "upper": args.upper, "lower": args.lower}
     return lambda z: ev(params, complex(z), tol), meta

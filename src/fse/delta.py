@@ -28,7 +28,8 @@ from .errors import NonConvergence, QuadratureFailure, ValidationError
 # eval_auto is unused here; its binding stays for perfbench's CONSUMER_SITES
 from .foxh import FoxHParams, _ROUTES, eval_auto
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
-from .result import DeltaConfig, EvalResult, _accept, _check_finite, _check_positive, _route
+from .result import (DeltaConfig, EvalResult, _accept, _check_finite, _check_positive,
+                     _check_rel_tol, _route)
 
 
 def _even_part_params(alpha: float) -> FoxHParams:
@@ -78,9 +79,12 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
     rounding, (16 + |ln scal| + 2 |(pi/alpha) cot(pi/alpha)| +
     2 |phi tan phi|) eps relative, scal = (C/(-E))^(-1/alpha): the last two
     are the sine's conditioning near alpha = 1 and the cosine's near the
-    skew limit.  Like every H route's answer it passes _accept, so a
-    rel_tol below that rounding refuses with NonConvergence."""
+    skew limit.  rel_tol is checked first at every x, so one outside
+    [1e-14, 1e-2] is a ValidationError; like every H route's answer psi(0)
+    passes _accept, so a valid rel_tol below its rounding refuses with
+    NonConvergence."""
     _check_finite(x, "x")
+    _check_rel_tol(rel_tol)
     ev = _route(_ROUTES, method)
     zscale, h2 = _hbar_scales(cfg)
     zeta = abs(x) * zscale

@@ -59,18 +59,20 @@ Every gamma factor is a linear form u = c + du s, du = +-B
 (_gamma_forms), evaluated as that one product and sum everywhere: the one
 representation the contour (on arrays of s) and the residue terms (at
 scalar s) share.  Each eval_series call first builds its z-free term
-recipe (_Recipe): per chain, the flat tuples an ordinary residue term
-reads (the poles to scan for a collision, and the folded numerator and
-denominator factors, pairs and gammas apart), and the forms and pairs
-that a collision term reads.  The collision test and the rest bound's
-near-pole gains read the same scan.  One
-function, _residue_term, gives every term.  An ordinary term, a simple
-pole on one chain, costs its kernel calls and a few float operations on
-its pole s, with no Python call but the kernels.  Only where the scan finds
-a near miss or two chains meeting exactly does it hand the term to
-_collision_term, which folds the forms again, skipping both chains'
-gammas and each denominator gamma that vanishes there, and the pole's
-order (two less those zeros) picks the residue.
+recipe (_Recipe): per chain, the flat tuples a residue term reads (the
+poles to scan for a collision, and the folded numerator and denominator
+factors from _flat, pairs and gammas apart), and the forms and pairs that
+a merged pole folds again.  The collision test and the rest bound's
+near-pole gains read the same scan.  One function, _residue_term, gives
+every term, simple, confluent or demoted, with one pair of factor loops
+and one finish.  An ordinary term, a simple pole on one chain, costs its
+kernel calls and a few float operations on its pole s, with no Python
+call but the kernels.  Only where the scan finds a near miss or two
+chains meeting exactly does the term call _merged_pole, a z-free setup
+that refuses, or folds the forms again with both chains' gammas and each
+denominator gamma that vanishes there skipped, and picks the residue by
+the pole's order (two less those zeros); the same loops then also sum the
+log derivative that a double pole's confluent bracket reads.
 
 One bound on the rest of the sum (_rest_bound) makes every decision of
 eval_series.  It takes each live chain's last terms, divides out their
@@ -89,10 +91,10 @@ conj H(z).  A replay can differ from a fresh evaluation at conj z in
 rounding, within both err_est, and needs no invalidation; reuse across
 calls on one parameter set is left to a plan built outside this module.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
-up as module globals at call time: by eval_series once per call, when it
-builds its recipe, and otherwise once per folded factor.  So rebinding
-them between calls (to count or time them) sees every kernel call, still
-one per folded factor per term.
+up as module globals at call time: by _flat, when eval_series builds its
+recipe and when a merged pole folds its factors, and by the contour once
+per folded factor.  So rebinding them between calls (to count or time them)
+sees every kernel call, still one per folded factor per term.
 """
 
 from __future__ import annotations
@@ -302,42 +304,6 @@ def _require_exists(params: FoxHParams, z: complex):
 _EXACT_COLLISION_TOL = 1e-11
 
 
-def _find_left_collision(recipe: _Recipe, s: float, chain: int):
-    """Locate an exact two-chain left pole collision at s; (index, order) or None,
-    from the chain's scan in its recipe.
-
-    Exactly-coincident poles merge into one double pole whose confluent
-    residue is computable; nearly-coincident ones leave a catastrophically
-    cancelling residue pair, and collisions with a right chain pinch the
-    contour, so both of those refuse instead.
-    """
-    hit = None
-    n_left = recipe.params.m - 1
-    for j, (c, du, sep, wt) in enumerate(recipe.terms[chain][2]):
-        u = c + du * s
-        k_near = round(-u)
-        if k_near < 0:
-            continue
-        dist = abs(u + k_near)
-        if j >= n_left:
-            if dist < sep:
-                raise DegeneratePoles(
-                    "left chain %d collides with right chain %d near s = %s"
-                    % (chain, j - n_left, s))
-            continue
-        i = j + (j >= chain)  # the scan skips the chain itself
-        if dist < _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
-            if hit is not None:
-                raise DegeneratePoles(
-                    "three left pole chains meet at s = %s" % (s,))
-            hit = (i, k_near)
-        elif dist < sep:
-            raise DegeneratePoles(
-                "left pole chains %d and %d nearly collide at s = %s"
-                % (chain, i, s))
-    return hit
-
-
 def _denominator_zeros(forms, s: float):
     """The denominator entries of _gamma_forms whose gamma sits on its pole
     u = -nu at s, each a simple zero of theta, as (position, nu, du/ds);
@@ -410,16 +376,14 @@ class _Recipe(NamedTuple):
       chains, the upper[:n] forms, as (c, du/ds, SEPARATION_TOL |du/ds|,
       0.0);
     - the factors of theta left once the chain's own gamma is skipped and
-      the reflection pairs are folded (_fold_pairs), as (c, du/ds, |c|,
-      |du/ds|, kernel, slope) in two tuples, numerator and denominator,
-      each with its pairs first and then its gammas, in _fold_pairs order.
-      kernel and slope are log_reflection and pi_cot_pi for a pair,
-      log_gamma and digamma for a gamma, looked up once per call;
+      the reflection pairs are folded (_fold_pairs), as _flat gives them:
+      (c, du/ds, |c|, |du/ds|, kernel, slope, g) in two tuples, numerator
+      and denominator, each with its pairs first and then its gammas;
     - the denominator pairs alone, as (c, du/ds), which _pair_sines reads.
-    The rest serves the rare terms: forms are the gamma factors of theta
-    (_gamma_forms) and pairs the reflection pairs.  A term where two chains
-    meet folds the pairs again from forms, with both chains' gammas and the
-    vanishing denominator gammas skipped.
+    The rest serves the merged terms: forms are the gamma factors of theta
+    (_gamma_forms) and pairs the reflection pairs, from which _merged_pole
+    folds the factors again, with both chains' gammas and the vanishing
+    denominator gammas skipped, through the same _flat.
     """
 
     params: FoxHParams
@@ -428,10 +392,25 @@ class _Recipe(NamedTuple):
     terms: tuple
 
 
+def _flat(entries):
+    """The entries of _fold_pairs as the factors a residue term reads,
+    numerator and denominator apart, each in _fold_pairs order (pairs
+    first): (c, du/ds, |c|, |du/ds|, kernel, slope, g).  kernel and slope
+    are log_reflection and pi_cot_pi for a pair, log_gamma and digamma for
+    a gamma, looked up as module globals at each call; g slope(u) is the
+    factor's share of d log theta/ds, so g carries the side's sign, and a
+    pair's -1 as d/du log Gamma(u) Gamma(1 - u) = -pi cot(pi u)."""
+    kernels = {True: (log_reflection, pi_cot_pi, -1), False: (log_gamma, digamma, 1)}
+    num, den = [], []
+    for sign, c, du, abs_c, paired in entries:
+        kernel, slope, g_sign = kernels[paired]
+        (num if sign > 0 else den).append((c, du, abs_c, abs(du), kernel, slope, g_sign * sign * du))
+    return tuple(num), tuple(den)
+
+
 def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
     forms = _gamma_forms(params)
     m = params.m
-    kernels = {True: (log_reflection, pi_cot_pi), False: (log_gamma, digamma)}
     right_scan = tuple((c, du, SEPARATION_TOL * abs(du), 0.0)
                        for _, c, du, _ in forms[m:m + params.n])
     terms = []
@@ -439,86 +418,119 @@ def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
         scan = tuple((b2, wt2, SEPARATION_TOL * wt2, wt2)
                      for i, (b2, wt2) in enumerate(params.lower[:m]) if i != chain)
         entries = _fold_pairs(forms, pairs, (chain,))
-        # the order an ordinary term takes them in: per side, pairs first
-        num, den = [], []
-        for sign, c, du, abs_c, paired in sorted(entries, key=lambda e: not e[4]):
-            (num if sign > 0 else den).append((c, du, abs_c, abs(du)) + kernels[paired])
         den_pairs = tuple((c, du) for sign, c, du, _, paired in entries if sign < 0 and paired)
-        terms.append((b, wt, scan + right_scan, tuple(num), tuple(den), den_pairs))
+        terms.append((b, wt, scan + right_scan) + _flat(entries) + (den_pairs,))
     return _Recipe(params, pairs, forms, tuple(terms))
 
 
-def _log_gamma_part(entries, s: float):
-    """sum sign * log Gamma(u) over the entries of _fold_pairs, a paired
-    entry counting log Gamma(u) Gamma(1 - u) = log pi - log sin(pi u),
-    with the derivative of that sum in s, the sum of the derivative
-    magnitudes, and the error of the sum caused by rounding each argument
-    u: (|c| + |du/ds| |s|) |d/du| eps, with d/du = psi(u) for a gamma and
-    -pi cot(pi u) for a pair.  Only a term where two chains meet calls it:
-    the derivative enters its confluent bracket.  An ordinary term sums
-    the same logs and rounding errors inline in _residue_term.
+def _merged_pole(recipe: _Recipe, chain: int, k: int, s: float):
+    """The setup of the residue term at left pole k of the chain, s =
+    -(b + k)/B, whose scan has met another chain's pole: None for a term
+    that is 0, else (num, den, weight, parity, lead, shift, head), which
+    _residue_term sums in place of the ordinary term's factors, weight B
+    and parity k.
 
-    The last term is what an eps-level log error misses beside a pole,
-    where the log derivative is large and a rounded argument moves the
-    value.  For a pair, |pi cot(pi u)| = |psi(u) - psi(1 - u)|.
+    Exactly coincident left poles merge into one pole whose confluent
+    residue is computable.  Nearly coincident ones leave a catastrophically
+    cancelling residue pair, a collision with a right chain pinches the
+    contour, and a third chain on the pole is not handled, so each of these
+    refuses with DegeneratePoles.  When two chains share the pole, the
+    chain consumed first in sweep order carries the whole residue and the
+    partner's later consumption is 0; putting the merged term at the
+    earlier sweep keeps it ahead of the stop rule.  The merged pole's order
+    is two less the denominator gammas singular there (_denominator_zeros):
+    two of them leave no pole and a zero term; one leaves a simple pole
+    whose residue takes that reciprocal gamma's slope (-1)^nu nu! du/ds as
+    a factor; none leaves a double pole, whose residue is
+
+        -+ exp(L - s0 log z)/(B1 B2 k! k2!) * [B1 psi(k+1) + B2 psi(k2+1)
+           + d log G / ds - log z],
+
+    G being the non-singular gamma ratio.  num and den are G's factors
+    from _flat (_fold_pairs with both chains' gammas and the vanishing
+    denominator gammas skipped), weight is B1 B2, lead log k2!, shift the
+    simple pole's log nu! + log |du/ds| (0 for a double pole), and head
+    B1 psi(k+1) + B2 psi(k2+1) for a double pole, None for a simple one.
     """
-    log_acc = 0.0 + 0.0j
-    dsum = 0.0 + 0.0j
-    dmag = 0.0
-    sens = 0.0
-    abs_s = abs(s)
-    for sign, c, du, abs_c, paired in entries:
+    hit = None
+    n_left = recipe.params.m - 1
+    for j, (c, du, sep, wt) in enumerate(recipe.terms[chain][2]):
         u = c + du * s
-        if paired:
-            log_acc += sign * log_reflection(u)
-            slope = -pi_cot_pi(u)
-        else:
-            log_acc += sign * log_gamma(u)
-            slope = digamma(u)
-        dsum += sign * du * slope
-        dmag += abs(du * slope)
-        sens += (abs_c + abs(du) * abs_s) * abs(slope)
-    return log_acc, dsum, dmag, sens * MACH_EPS
-
-
-def _signed_term(log_acc: complex, sens: float, weight: float, parity: int,
-                 bracket=None, dmag: float = 0.0):
-    """exp(log_acc) / weight, times the confluent bracket if there is one,
-    negated for odd parity, with its error: the log error of the exponent
-    (which, not the partial-sum roundoff, dominates when the series
-    cancels) and, for a bracket, dmag eps times the magnitude before it.
-    An O(L) exponent turns eps-level log errors into a relative L eps, to
-    which the argument-rounding sensitivity sens adds.  _residue_term
-    does the same inline for an ordinary term."""
-    if log_acc.real > 700.0:
-        raise NonConvergence(
-            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
-    val = cmath.exp(log_acc) / weight
-    term = val if bracket is None else val * bracket
-    if parity % 2 == 1:
-        term = -term
-    rel = (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS + sens
-    return term, rel * abs(term) + dmag * MACH_EPS * abs(val)
+        k_near = round(-u)
+        if k_near < 0:
+            continue
+        dist = abs(u + k_near)
+        i = j + (j >= chain)  # the scan skips the chain itself
+        if j >= n_left:
+            if dist < sep:
+                raise DegeneratePoles(
+                    "left chain %d collides with right chain %d near s = %s"
+                    % (chain, j - n_left, s))
+        elif dist < _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
+            if hit is not None:
+                raise DegeneratePoles(
+                    "three left pole chains meet at s = %s" % (s,))
+            hit = (i, k_near)
+        elif dist < sep:
+            raise DegeneratePoles(
+                "left pole chains %d and %d nearly collide at s = %s"
+                % (chain, i, s))
+    other, k2 = hit
+    if k > k2 or (k == k2 and chain > other):
+        return None
+    zeros = _denominator_zeros(recipe.forms, s)
+    if len(zeros) >= 2:
+        return None
+    skip = (chain, other) + tuple(pos for pos, _, _ in zeros)
+    num, den = _flat(_fold_pairs(recipe.forms, recipe.pairs, skip))
+    B_i = recipe.params.lower[chain][1]
+    B_o = recipe.params.lower[other][1]
+    lead = math.lgamma(k2 + 1.0)
+    if zeros:
+        _, nu, du = zeros[0]
+        return (num, den, B_i * B_o, k + k2 + nu + (du < 0), lead,
+                math.lgamma(nu + 1.0) + math.log(abs(du)), None)
+    head = B_i * digamma(k + 1.0) + B_o * digamma(k2 + 1.0)
+    return num, den, B_i * B_o, k + k2, lead, 0.0, head
 
 
 def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
     """Signed residue contribution of left pole k on the given chain, with
     its error.
 
-    An ordinary term, a simple pole, is summed flat from recipe.terms:
-    the scan, then one kernel call and one slope call per factor, in the
-    order numerator pairs, numerator gammas, denominator pairs,
-    denominator gammas (one loop per side), then exp.  A denominator
-    gamma landing on its own pole kills the term (1/Gamma -> 0), reported
-    as exactly 0.  The scan
-    makes the tests of _find_left_collision; a pole that meets one, a
-    near miss or another chain's pole, goes to _collision_term.
+    Every term, simple, confluent or demoted, runs the same code: the
+    scan, then one kernel call and one slope call per factor, one loop per
+    side in the order numerator pairs, numerator gammas, denominator
+    pairs, denominator gammas, then one finish.  An ordinary term, a
+    simple pole, reads its factors, weight B and parity k from
+    recipe.terms and makes no Python call but the kernels.  Where the scan
+    meets another chain's pole, exactly or nearly, _merged_pole refuses
+    the term, makes it 0, or gives the merged pole's factors, weight,
+    parity and log offsets, and for a double pole the head of its
+    confluent bracket; only then do the loops sum the log derivative and
+    its magnitudes that the bracket reads.  A denominator gamma landing
+    on its own pole kills an ordinary term (1/Gamma -> 0), reported as
+    exactly 0; in a merged term, whose zeros _denominator_zeros took out,
+    it refuses.
+
+    The finish takes exp of the summed logs over the weight, times the
+    bracket if there is one, negated for odd parity.  Its error is the log
+    error of the exponent (which, not the partial-sum roundoff, dominates
+    when the series cancels): an O(L) exponent turns eps-level log errors
+    into a relative L eps, and each factor adds the error of rounding its
+    argument u, (|c| + |du/ds| |s|) |slope(u)| eps, which is what an
+    eps-level log error misses beside a pole, where the log derivative is
+    large and a rounded argument moves the value.  For a pair, |pi cot(pi
+    u)| = |psi(u) - psi(1 - u)|.  A bracket adds eps times the magnitudes
+    of its parts times the magnitude before it.
     """
-    b_i, B_i, scan, num, den, _ = recipe.terms[chain]
-    t = (b_i + k) / B_i
+    b_i, weight, scan, num, den, _ = recipe.terms[chain]
+    t = (b_i + k) / weight
     s = -t
     abs_s = abs(s)
     log_rest = t * logz - math.lgamma(k + 1.0)
+    merged = head = None
+    parity, shift = k, 0.0
     tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
     for c, du, sep, wt in scan:
         u = c + du * s
@@ -526,82 +538,56 @@ def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
         if k_near >= 0:
             dist = abs(u + k_near)
             if dist < sep or dist < tol * wt:
-                return _collision_term(recipe, chain, k, s, log_rest, logz)
-    log_num = 0.0 + 0.0j
-    sens_num = 0.0
-    for c, du, abs_c, abs_du, kernel, slope in num:
+                merged = _merged_pole(recipe, chain, k, s)
+                if merged is None:
+                    return 0.0 + 0.0j, 0.0
+                num, den, weight, parity, lead, shift, head = merged
+                log_rest = log_rest - lead
+                break
+    log_num = dsum_num = 0.0 + 0.0j
+    sens_num = dmag_num = 0.0
+    for c, du, abs_c, abs_du, kernel, slope, g in num:
         u = c + du * s
         log_num += kernel(u)
-        sens_num += (abs_c + abs_du * abs_s) * abs(slope(u))
-    log_den = 0.0 + 0.0j
-    sens_den = 0.0
+        d = slope(u)
+        sens_num += (abs_c + abs_du * abs_s) * abs(d)
+        if merged:
+            dsum_num += g * d
+            dmag_num += abs(g * d)
+    log_den = dsum_den = 0.0 + 0.0j
+    sens_den = dmag_den = 0.0
     try:
-        for c, du, abs_c, abs_du, kernel, slope in den:
+        for c, du, abs_c, abs_du, kernel, slope, g in den:
             u = c + du * s
             log_den += kernel(u)
-            sens_den += (abs_c + abs_du * abs_s) * abs(slope(u))
+            d = slope(u)
+            sens_den += (abs_c + abs_du * abs_s) * abs(d)
+            if merged:
+                dsum_den += g * d
+                dmag_den += abs(g * d)
     except PoleOfGamma:
-        return 0.0 + 0.0j, 0.0
-    log_acc = log_num - log_den + log_rest
-    if log_acc.real > 700.0:
-        raise NonConvergence(
-            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
-    term = cmath.exp(log_acc) / B_i
-    if k % 2 == 1:
-        term = -term
-    rel = ((4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS
-           + (sens_num * MACH_EPS + sens_den * MACH_EPS))
-    return term, rel * abs(term)
-
-
-def _collision_term(recipe: _Recipe, chain: int, k: int, s: float,
-                    log_rest: complex, logz: complex):
-    """The residue term at left pole k of the chain, s = -(b + k)/B, where
-    _find_left_collision refuses or finds another chain's pole.
-
-    When two chains share the pole, the chain consumed first in sweep
-    order carries the whole residue and the partner's later consumption
-    contributes exactly 0; putting the merged term at the earlier sweep
-    keeps it ahead of the stop rule.  The merged pole's order is two less
-    the denominator gammas singular there (_denominator_zeros): two of
-    them leave no pole and a zero term; one leaves a simple pole whose
-    residue takes that reciprocal gamma's slope (-1)^nu nu! du/ds as a
-    factor; none leaves a double pole, whose residue is
-
-        -+ exp(L - s0 log z)/(B1 B2 k! k2!) * [B1 psi(k+1) + B2 psi(k2+1)
-           + d log G / ds - log z],
-
-    G being the non-singular gamma ratio.  log_rest is the term's
-    (b + k)/B log z - log k!.
-    """
-    other, k2 = _find_left_collision(recipe, s, chain)
-    if k > k2 or (k == k2 and chain > other):
-        return 0.0 + 0.0j, 0.0
-    zeros = _denominator_zeros(recipe.forms, s)
-    if len(zeros) >= 2:
-        return 0.0 + 0.0j, 0.0
-    skip = (chain, other) + tuple(pos for pos, _, _ in zeros)
-    entries = _fold_pairs(recipe.forms, recipe.pairs, skip)
-    num = _log_gamma_part([e for e in entries if e[0] > 0], s)
-    try:
-        den = _log_gamma_part([e for e in entries if e[0] < 0], s)
-    except PoleOfGamma:
+        if merged is None:
+            return 0.0 + 0.0j, 0.0
         # a denominator gamma on a pole the zero scan missed (its weight is
         # below about 1e-3): no parameter set of this package makes one
         raise DegeneratePoles(
             "denominator pole coincides with a confluent pair at s = %s" % (s,)) from None
-    B_i = recipe.params.lower[chain][1]
-    B_o = recipe.params.lower[other][1]
-    log_acc = num[0] + den[0] + (log_rest - math.lgamma(k2 + 1.0))
-    if zeros:
-        _, nu, du = zeros[0]
-        log_acc += math.lgamma(nu + 1.0) + math.log(abs(du))
-        return _signed_term(log_acc, num[3] + den[3], B_i * B_o,
-                            k + k2 + nu + (du < 0))
-    head = B_i * digamma(k + 1.0) + B_o * digamma(k2 + 1.0)
-    bracket = head + num[1] + den[1] - logz
-    dmag = num[2] + (abs(head) + den[2] + abs(logz))
-    return _signed_term(log_acc, num[3] + den[3], B_i * B_o, k + k2, bracket, dmag)
+    log_acc = log_num - log_den + log_rest
+    if shift:
+        log_acc += shift
+    if log_acc.real > 700.0:
+        raise NonConvergence(
+            "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
+    term = cmath.exp(log_acc) / weight
+    err = 0.0
+    if head is not None:
+        err = (dmag_num + (abs(head) + dmag_den + abs(logz))) * MACH_EPS * abs(term)
+        term *= head + dsum_num + dsum_den - logz
+    if parity % 2 == 1:
+        term = -term
+    rel = ((4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS
+           + (sens_num * MACH_EPS + sens_den * MACH_EPS))
+    return term, rel * abs(term) + err
 
 
 def _near_pole_gains(recipe: _Recipe, chain: int, ks) -> list:

@@ -108,10 +108,29 @@ def test_missing_dispersion_coefficient():
                 "--grid", "-1:1:5")
     assert r.returncode == 2
     assert "--c-alpha" in r.stderr
-    # at alpha = 2 it falls back to hbar^2 / (2 mass)
+    # at alpha = 2 it falls back to 1 / (2 mass)
     r2 = run_cli("delta", "--alpha", "2", "--energy", "-1",
                  "--grid", "1:2:3")
     assert r2.returncode == 0, r2.stderr
+
+
+@pytest.mark.parametrize("command, classical", [
+    (("delta", "--energy", "-0.5", "--grid", "0:2:5"),
+     lambda x: fse.delta.delta_classical(0.7, 1.0, -0.5, 1.0, x)),
+    (("linear", "--energy", "0.5", "--grid", "0:1.5:6"),
+     lambda x: fse.linear.linear_classical_airy(0.7, 1.0, 0.5, 1.0, 1.0, x)),
+], ids=["delta", "linear"])
+def test_order_two_default_keeps_the_classical_profile_at_any_hbar(command, classical,
+                                                                   capsys):
+    # the routes' p is the momentum, so the default C = 1/(2 mass) makes the
+    # textbook kinetic term p^2/(2 mass) at every hbar, and the profile is
+    # the classical one times a constant
+    assert main([command[0], "--alpha", "2", "--hbar", "0.7", *command[1:],
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["meta"]["config"]["c_alpha"] == 0.5
+    ratios = [complex(row["re"], row["im"]) / classical(row["coord"]) for row in doc["rows"]]
+    assert max(abs(r / ratios[0] - 1.0) for r in ratios) < 1e-9
 
 
 @pytest.mark.parametrize("command,options,name", [
@@ -120,11 +139,11 @@ def test_missing_dispersion_coefficient():
     (("full", "--potential", "delta", "--t", "1"), ("--mass", "0"), "mass"),
     (("delta",), ("--mass", "-1"), "mass"),
     (("delta",), ("--mass", "nan"), "mass"),
-    (("delta",), ("--hbar", "1e200", "--mass", "1e-200"), "c_alpha"),
+    (("delta",), ("--mass", "1e-309"), "c_alpha"),
 ], ids=["delta-zero", "linear-zero", "full-zero", "negative", "nan", "overflow"])
 def test_bad_mass_behind_the_default_coefficient_exits_2(command, options, name):
-    # c_alpha = hbar^2 / (2 mass) at alpha = 2 needs a positive finite mass,
-    # and a quotient past double range is refused as c_alpha, not raised
+    # c_alpha = 1 / (2 mass) at alpha = 2 needs a positive finite mass, and
+    # a quotient past double range is refused as c_alpha, not raised
     r = run_cli(*command, "--alpha", "2", *options, "--grid", "0.5:1:2")
     assert r.returncode == 2, r.stderr
     assert name + " must be positive" in r.stderr and "Traceback" not in r.stderr
@@ -306,7 +325,7 @@ def test_full_matches_manual_product():
 
 @pytest.mark.parametrize("space, c_alpha", [
     (("--alpha", "1.5", "--c-alpha", "3"), 3.0),
-    (("--alpha", "2", "--mass", "2"), 0.25),        # hbar^2 / (2 mass)
+    (("--alpha", "2", "--mass", "2"), 0.25),        # 1 / (2 mass)
 ], ids=["given", "alpha-2-default"])
 def test_full_json_records_the_c_alpha_it_used(space, c_alpha, capsys):
     argv = ["full", "--potential", "delta", "--t", "1.2", "--beta", "0.7",
@@ -362,6 +381,19 @@ def test_foxh_subcommand_exponential():
         z = float(row[0])
         assert abs(float(row[1]) - math.exp(-z)) < 1e-9
         assert abs(float(row[2])) < 1e-15
+
+
+@pytest.mark.parametrize("options, message", [
+    (("--m", "1", "--n", "0", "--lower", "0:1:2"), "gamma pairs must be a:W,a:W,..."),
+    (("--m", "1", "--n", "0", "--lower", "a:1"), "gamma pair fields must be numeric"),
+    (("--m", "1", "--n", "0", "--lower", "0:0"), "H-function weights must be positive"),
+    (("--m", "2", "--n", "0", "--lower", "0:1"), "need 0 <= m <= q"),
+], ids=["shape", "non-numeric", "zero-weight", "m-past-q"])
+def test_foxh_bad_parameters_exit_2(options, message, capsys):
+    # main maps the ValidationError of the pair parser and of FoxHParams to
+    # exit 2 with its message; nothing escapes as an exception
+    assert main(["foxh", *options, "--grid", "0.5:1:2"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_ml_subcommand_exponential_law():

@@ -140,10 +140,23 @@ def test_closed_form_answers_at_origin_for_every_method():
         delta_closed_form(cfg, math.nan)
     with pytest.raises(ValidationError, match="method"):
         delta_closed_form(cfg, 0.0, method="quadrature")
-    with pytest.raises(NonConvergence, match="psi"):
+    with pytest.raises(ValidationError, match="rel_tol"):
         delta_closed_form(cfg, 0.0, rel_tol=1e-16)
+    # a valid rel_tol below psi(0)'s rounding (2.27e-11 relative beside
+    # alpha = 1) is refused by the acceptance rule
+    with pytest.raises(NonConvergence, match="psi"):
+        delta_closed_form(DeltaConfig(alpha=1.001, c_alpha=1.0, energy=-0.5), 0.0,
+                          rel_tol=1e-14)
     with pytest.raises(NonConvergence, match="hbar"):
         delta_closed_form(DeltaConfig(alpha=1.5, hbar=1e-200), 0.0)
+
+
+@pytest.mark.parametrize("rel_tol", [0.5, math.nan])
+@pytest.mark.parametrize("x", [0.0, 0.5])
+def test_closed_form_checks_rel_tol_at_every_x(x, rel_tol):
+    cfg = DeltaConfig(alpha=1.5, theta=0.0, c_alpha=1.0, energy=-0.5)
+    with pytest.raises(ValidationError, match="rel_tol"):
+        delta_closed_form(cfg, x, rel_tol=rel_tol)
 
 
 def _psi0_reference(cfg):

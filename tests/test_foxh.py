@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 import time
 
 import mpmath as mp
@@ -594,6 +595,34 @@ def test_denominator_pair_zeroes_residue_terms():
             assert term == 0.0 and errb == 0.0
         else:
             assert term != 0.0
+
+
+def test_ordinary_terms_call_no_python_function_but_the_kernels():
+    # every term runs one pair of factor loops; only where two chains meet
+    # (alpha = 1.5: the chains s = -k and s = -(a1 + k) alpha) does it call
+    # its setup, _merged_pole, too
+    params = reduce_params(_even_part_params(1.5))
+    recipe = _series_recipe(params, _reflection_pairs(params))
+    code = _residue_term.__code__
+    kernels = {"log_gamma", "digamma", "log_reflection", "pi_cot_pi"}
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is code:
+            seen[-1].add(frame.f_code.co_name)
+
+    merged = 0
+    for chain in range(recipe.params.m):
+        for k in range(12):
+            seen.append(set())
+            sys.setprofile(profile)
+            try:
+                _residue_term(recipe, chain, k, cmath.log(0.9 + 0.3j))
+            finally:
+                sys.setprofile(None)
+            merged += "_merged_pole" in seen[-1]
+            assert seen[-1] - {"_merged_pole"} <= kernels, (chain, k, seen[-1])
+    assert 0 < merged < 2 * 12
 
 
 def _term_or_refusal(recipe, chain, k, logz):

@@ -128,9 +128,13 @@ def test_foxh_route_refuses_positive_axis():
 
 
 def test_deep_negative_beta_one_refusal():
-    # just below beta = 1, E_beta(-50) ~ e^{-50} sits far below the float64
-    # cancellation floor of both schemes; an honest evaluator refuses
-    # rather than guessing
+    # just below beta = 1, E_beta(-50) is 2.0853349e-6, not ~e^{-50}: the
+    # algebraic tail -sum_k z^-k / Gamma(1 - beta k), which the beta = 1
+    # exponential lacks.  The series cancels far above it in float64, and
+    # the contour's own claim, 1.2e-10 relative, misses rel_tol 1e-10, so
+    # ml_eval refuses.  That claim, 2.4e-16, is 400 times short of the
+    # contour's true error, 9.9e-14 (ROADMAP item 20), so the refusal rests
+    # on this rel_tol.
     with pytest.raises(NonConvergence):
         ml_eval(0.9999, -50.0)
 
