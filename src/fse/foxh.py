@@ -58,21 +58,26 @@ the contour and in the residue terms alike.
 Every gamma factor is a linear form u = c + du s, du = +-B
 (_gamma_forms), evaluated as that one product and sum everywhere: the one
 representation the contour (on arrays of s) and the residue terms (at
-scalar s) share.  Each eval_series call first builds its z-free term
-recipe (_Recipe): per chain, the flat tuples a residue term reads (the
-poles to scan for a collision, and the folded numerator and denominator
-factors from _flat, pairs and gammas apart), and the forms and pairs that
-a merged pole folds again.  The collision test and the rest bound's
-near-pole gains read the same scan.  One function, _residue_term, gives
-every term, simple, confluent or demoted, with one pair of factor loops
-and one finish.  An ordinary term, a simple pole on one chain, costs its
-kernel calls and a few float operations on its pole s, with no Python
-call but the kernels.  Only where the scan finds a near miss or two
-chains meeting exactly does the term call _merged_pole, a z-free setup
-that refuses, or folds the forms again with both chains' gammas and each
-denominator gamma that vanishes there skipped, and picks the residue by
-the pole's order (two less those zeros); the same loops then also sum the
-log derivative that a double pole's confluent bracket reads.
+scalar s) share.  eval_series sums from a plan (_Plan) of the H set: the
+z-free term recipe (_Recipe), which holds per chain the flat tuples a
+residue term reads (the poles to scan for a collision, and the folded
+numerator and denominator factors from _flat, pairs and gammas apart) and
+the forms and pairs that a merged pole folds again; and the z-free part
+of every term summed so far.  The collision test and the rest bound's
+near-pole gains read the same scan.  A residue term is pole k's z-free
+part (_term_part), which holds all of its kernel calls, then a finish at
+ln z (_finish).  One _term_part gives every term, simple, confluent or
+demoted, with one pair of factor loops.  An ordinary term, a simple pole
+on one chain, costs its kernel calls and a few float operations on its
+pole s, with no Python call but the kernels.  Only where the scan finds
+a near miss or two chains meeting exactly does the term call
+_merged_pole, a z-free setup that refuses, or folds the forms again with
+both chains' gammas and each denominator gamma that vanishes there
+skipped, and picks the residue by the pole's order (two less those
+zeros); the same loops then also sum the log derivative that a double
+pole's confluent bracket reads.  The finish exponentiates t ln z plus the
+part's logs in one fixed order, so a term finished from a kept part has
+the bits of one built afresh.
 
 One bound on the rest of the sum (_rest_bound) makes every decision of
 eval_series.  It takes each live chain's last terms, divides out their
@@ -85,16 +90,21 @@ bound, is within rel_tol, and refuses as soon as the rounding part, which
 only grows, misses rel_tol whatever the rest adds.
 
 One matcher, _exact_matches, finds both the cancelling and the
-reflection pairs.  Nothing is kept between calls but eval_auto's last
-answer, which it replays only as the exact conjugate H(conj z) =
+reflection pairs.  Two things are kept between calls.  eval_auto keeps
+its last answer, which it replays only as the exact conjugate H(conj z) =
 conj H(z).  A replay can differ from a fresh evaluation at conj z in
-rounding, within both err_est, and needs no invalidation; reuse across
-calls on one parameter set is left to a plan built outside this module.
+rounding, within both err_est, and needs no invalidation.  eval_series
+keeps the plans of the last PLAN_CAP H sets it summed, least recently used
+out first, each extended as a later call needs further poles; a plan is
+z-free, so any z reuses it, and a term from it has the bits of a fresh
+one.  A term that refuses is not kept, and refuses afresh on every call.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
-up as module globals at call time: by _flat, when eval_series builds its
-recipe and when a merged pole folds its factors, and by the contour once
-per folded factor.  So rebinding them between calls (to count or time them)
-sees every kernel call, still one per folded factor per term.
+up as module globals at call time: by eval_series, whose plans are keyed
+on the reduced H set and the four kernels bound at the call, by _flat,
+when a plan builds its recipe and when a merged pole folds its factors,
+and by the contour once per folded factor.  So rebinding any of them
+between calls (to count or time them) starts a fresh plan, which sees
+every kernel call, still one per folded factor per term.
 """
 
 from __future__ import annotations
@@ -102,6 +112,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -366,7 +377,7 @@ def _fold_pairs(forms, pairs, skip=()):
 
 
 class _Recipe(NamedTuple):
-    """The z-free part of every residue term of one eval_series call.
+    """The z-free factors of every residue term of one H set's plan.
 
     terms[chain] is all that an ordinary term on the chain reads, as flat
     tuples:
@@ -427,8 +438,8 @@ def _merged_pole(recipe: _Recipe, chain: int, k: int, s: float):
     """The setup of the residue term at left pole k of the chain, s =
     -(b + k)/B, whose scan has met another chain's pole: None for a term
     that is 0, else (num, den, weight, parity, lead, shift, head), which
-    _residue_term sums in place of the ordinary term's factors, weight B
-    and parity k.
+    _term_part sums in place of the ordinary term's factors, weight B and
+    parity k.
 
     Exactly coincident left poles merge into one pole whose confluent
     residue is computable.  Nearly coincident ones leave a catastrophically
@@ -494,43 +505,39 @@ def _merged_pole(recipe: _Recipe, chain: int, k: int, s: float):
     return num, den, B_i * B_o, k + k2, lead, 0.0, head
 
 
-def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
-    """Signed residue contribution of left pole k on the given chain, with
-    its error.
+def _term_part(recipe: _Recipe, chain: int, k: int):
+    """The z-free part of the residue term at left pole k of the given
+    chain: None for a term that is 0, else (t, log k!, log_ratio, weight,
+    odd, sens, merge), which _finish turns into the term at ln z.
 
     Every term, simple, confluent or demoted, runs the same code: the
     scan, then one kernel call and one slope call per factor, one loop per
     side in the order numerator pairs, numerator gammas, denominator
-    pairs, denominator gammas, then one finish.  An ordinary term, a
-    simple pole, reads its factors, weight B and parity k from
-    recipe.terms and makes no Python call but the kernels.  Where the scan
-    meets another chain's pole, exactly or nearly, _merged_pole refuses
-    the term, makes it 0, or gives the merged pole's factors, weight,
-    parity and log offsets, and for a double pole the head of its
-    confluent bracket; only then do the loops sum the log derivative and
-    its magnitudes that the bracket reads.  A denominator gamma landing
-    on its own pole kills an ordinary term (1/Gamma -> 0), reported as
-    exactly 0; in a merged term, whose zeros _denominator_zeros took out,
-    it refuses.
+    pairs, denominator gammas.  An ordinary term, a simple pole, reads its
+    factors, weight B and parity k from recipe.terms and makes no Python
+    call but the kernels.  Where the scan meets another chain's pole,
+    exactly or nearly, _merged_pole refuses the term, makes it 0, or gives
+    the merged pole's factors, weight, parity and log offsets, and for a
+    double pole the head of its confluent bracket; only then do the loops
+    sum the log derivative and its magnitudes that the bracket reads.  A
+    denominator gamma landing on its own pole kills an ordinary term
+    (1/Gamma -> 0), reported as None; in a merged term, whose zeros
+    _denominator_zeros took out, it refuses.
 
-    The finish takes exp of the summed logs over the weight, times the
-    bracket if there is one, negated for odd parity.  Its error is the log
-    error of the exponent (which, not the partial-sum roundoff, dominates
-    when the series cancels): an O(L) exponent turns eps-level log errors
-    into a relative L eps, and each factor adds the error of rounding its
-    argument u, (|c| + |du/ds| |s|) |slope(u)| eps, which is what an
-    eps-level log error misses beside a pole, where the log derivative is
-    large and a rounded argument moves the value.  For a pair, |pi cot(pi
-    u)| = |psi(u) - psi(1 - u)|.  A bracket adds eps times the magnitudes
-    of its parts times the magnitude before it.
+    t = -s is the power of z, log_ratio the summed kernel logs of the
+    numerator less those of the denominator, odd the parity, and sens
+    eps times the summed argument-rounding sensitivities (see _finish).
+    merge is None for an ordinary term, else (lead, shift, bracket):
+    lead and shift the merged pole's log offsets, bracket None for a
+    simple pole, else the double pole's head plus the log derivative, the
+    numerator's derivative magnitudes, and |head| plus the denominator's.
     """
     b_i, weight, scan, num, den, _ = recipe.terms[chain]
     t = (b_i + k) / weight
     s = -t
     abs_s = abs(s)
-    log_rest = t * logz - math.lgamma(k + 1.0)
     merged = head = None
-    parity, shift = k, 0.0
+    parity = k
     tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
     for c, du, sep, wt in scan:
         u = c + du * s
@@ -540,9 +547,8 @@ def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
             if dist < sep or dist < tol * wt:
                 merged = _merged_pole(recipe, chain, k, s)
                 if merged is None:
-                    return 0.0 + 0.0j, 0.0
+                    return None
                 num, den, weight, parity, lead, shift, head = merged
-                log_rest = log_rest - lead
                 break
     log_num = dsum_num = 0.0 + 0.0j
     sens_num = dmag_num = 0.0
@@ -567,26 +573,60 @@ def _residue_term(recipe: _Recipe, chain: int, k: int, logz: complex):
                 dmag_den += abs(g * d)
     except PoleOfGamma:
         if merged is None:
-            return 0.0 + 0.0j, 0.0
+            return None
         # a denominator gamma on a pole the zero scan missed (its weight is
         # below about 1e-3): no parameter set of this package makes one
         raise DegeneratePoles(
             "denominator pole coincides with a confluent pair at s = %s" % (s,)) from None
-    log_acc = log_num - log_den + log_rest
-    if shift:
-        log_acc += shift
+    merge = None
+    if merged:
+        bracket = None if head is None else (
+            head + dsum_num + dsum_den, dmag_num, abs(head) + dmag_den)
+        merge = (lead, shift, bracket)
+    return (t, math.lgamma(k + 1.0), log_num - log_den, weight, parity % 2 == 1,
+            sens_num * MACH_EPS + sens_den * MACH_EPS, merge)
+
+
+def _finish(part, logz: complex):
+    """The signed residue term of a _term_part at ln z, with its error;
+    (0, 0) for a term that is 0.
+
+    The finish takes exp of the summed logs, log_ratio + t ln z - log k!
+    (less the merged pole's lead, plus its shift), over the weight, times
+    the bracket less ln z if there is one, negated for odd parity.  Its
+    error is the log error of the exponent (which, not the partial-sum
+    roundoff, dominates when the series cancels): an O(L) exponent turns
+    eps-level log errors into a relative L eps, and each factor adds the
+    error of rounding its argument u, (|c| + |du/ds| |s|) |slope(u)| eps,
+    which is what an eps-level log error misses beside a pole, where the
+    log derivative is large and a rounded argument moves the value.  For a
+    pair, |pi cot(pi u)| = |psi(u) - psi(1 - u)|.  A bracket adds eps
+    times the magnitudes of its parts times the magnitude before it.
+    """
+    if part is None:
+        return 0.0 + 0.0j, 0.0
+    t, log_fact, log_ratio, weight, odd, sens, merge = part
+    log_rest = t * logz - log_fact
+    bracket = None
+    if merge is None:
+        log_acc = log_ratio + log_rest
+    else:
+        lead, shift, bracket = merge
+        log_acc = log_ratio + (log_rest - lead)
+        if shift:
+            log_acc += shift
     if log_acc.real > 700.0:
         raise NonConvergence(
             "H series term magnitude exp(%.1f) exceeds double range" % log_acc.real)
     term = cmath.exp(log_acc) / weight
     err = 0.0
-    if head is not None:
-        err = (dmag_num + (abs(head) + dmag_den + abs(logz))) * MACH_EPS * abs(term)
-        term *= head + dsum_num + dsum_den - logz
-    if parity % 2 == 1:
+    if bracket is not None:
+        derivs, dmag_num, dmag_rest = bracket
+        err = (dmag_num + (dmag_rest + abs(logz))) * MACH_EPS * abs(term)
+        term *= derivs - logz
+    if odd:
         term = -term
-    rel = ((4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS
-           + (sens_num * MACH_EPS + sens_den * MACH_EPS))
+    rel = (4.0 + abs(log_acc.real) + abs(log_acc.imag)) * MACH_EPS + sens
     return term, rel * abs(term) + err
 
 
@@ -689,6 +729,56 @@ def _rest_bound(recipe: _Recipe, k: int, hist, room: float):
     return rest, beyond
 
 
+class _Plan(NamedTuple):
+    """The z-free part of eval_series on one reduced H set: whether the
+    series runs on the inverted set, the recipe of that set, reach[chain]
+    (the last pole k of the chain that a denominator gamma can zero), and
+    parts[chain], the _term_part of each pole k summed so far by any call.
+    A call that needs a later pole appends its part; a part that refuses
+    is not stored, so a later call recomputes it and refuses alike."""
+
+    inverted: bool
+    recipe: _Recipe
+    reach: list
+    parts: list
+
+
+# eval_series's plans by (reduced params, log_gamma, digamma,
+# log_reflection, pi_cot_pi), least recently used first; PLAN_CAP of them
+# cost well under a megabyte at the benchmark's term counts
+PLAN_CAP = 32
+_plans: OrderedDict = OrderedDict()
+
+
+def _series_plan(params: FoxHParams) -> _Plan:
+    """The plan of the reduced params under the kernels bound now: a
+    rebinding of any of the four starts a cold plan, whose terms make
+    every kernel call afresh.  A series-index-0 set refuses, unstored."""
+    key = (params, log_gamma, digamma, log_reflection, pi_cot_pi)
+    plan = _plans.get(key)
+    if plan is not None:
+        _plans.move_to_end(key)
+        return plan
+    mu = series_index(params)
+    if abs(mu) <= 1e-12:
+        raise NonConvergence(
+            "series index 0: the residue series converges only inside a finite radius")
+    if mu < 0.0:
+        params = invert_argument(params)
+    m = params.m
+    # the last pole k of each chain (b, B) that a denominator gamma
+    # 1/Gamma(1 - b' - B' s), zero only at s >= (1 - b')/B', can zero:
+    # k <= -b - B (1 - b')/B'
+    reach = [max([-b - wt * (1.0 - b2) / wt2 for b2, wt2 in params.lower[m:]],
+                 default=-1.0) for b, wt in params.lower[:m]]
+    plan = _Plan(mu < 0.0, _series_recipe(params, _reflection_pairs(params)), reach,
+                 [[] for _ in range(m)])
+    _plans[key] = plan
+    if len(_plans) > PLAN_CAP:
+        _plans.popitem(last=False)
+    return plan
+
+
 def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """Ascending residue power series over the left pole chains.
 
@@ -722,23 +812,18 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
       not cancel.  At the stop's sweeps, once fixed alone misses
       rel_tol |total| and the bound is below fixed/rel_tol - |total|, the
       sum stops and _accept refuses its claim.
+
+    The terms' z-free parts come from the set's plan (_series_plan), so a
+    call on a set summed before makes kernel calls only for the poles past
+    those earlier calls reached.
     """
     params, z = _prepare(params, z, rel_tol)
-    mu = series_index(params)
-    if abs(mu) <= 1e-12:
-        raise NonConvergence(
-            "series index 0: the residue series converges only inside a finite radius")
-    if mu < 0.0:
-        params = invert_argument(params)
+    plan = _series_plan(params)
+    if plan.inverted:
         z = 1.0 / z
     logz = cmath.log(z)
-    recipe = _series_recipe(params, _reflection_pairs(params))
-    chains = range(params.m)
-    # the last pole k of each chain (b, B) that a denominator gamma
-    # 1/Gamma(1 - b' - B' s), zero only at s >= (1 - b')/B', can zero:
-    # k <= -b - B (1 - b')/B'
-    reach = [max([-b - wt * (1.0 - b2) / wt2 for b2, wt2 in params.lower[params.m:]],
-                 default=-1.0) for b, wt in params.lower[:params.m]]
+    recipe, reach, parts = plan.recipe, plan.reach, plan.parts
+    chains = range(recipe.params.m)
 
     total = 0.0 + 0.0j
     peak = 0.0
@@ -755,7 +840,10 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         sweep = 0.0 + 0.0j
         sweep_mag = 0.0
         for chain in chains:
-            term, errb = _residue_term(recipe, chain, k, logz)
+            built = parts[chain]
+            if k == len(built):
+                built.append(_term_part(recipe, chain, k))
+            term, errb = _finish(built[k], logz)
             if term != 0.0:
                 mag = abs(term)
                 hist[chain].append((k, mag))

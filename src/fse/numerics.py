@@ -26,9 +26,12 @@ the type the residue terms pass, goes to that path before any other type
 test; a numpy float64 and a complex with imaginary part 0.0 reach it
 after them and give the same bits.  Complex arguments arise only on the
 Mellin-Barnes contour, which evaluates whole arrays of s at once.
-Nothing is cached: a kernel is a pure function of one argument, and
-residue-term arguments seldom repeat, so a memo would cost lookups and
-memory for few hits.
+The kernels keep no memo: a kernel is a pure function of one argument,
+and its arguments seldom repeat across H sets, so a memo would cost
+lookups and memory for few hits.  What repeats is an H set summed at many
+arguments, and that reuse is foxh's: a plan per H set keeps the z-free
+part of each residue term, kernel values included, keyed on the four
+kernels bound at the call, so a rebound kernel sees every call afresh.
 """
 
 from __future__ import annotations

@@ -1,0 +1,130 @@
+"""Interleaved A/B of two fse source trees over benchmark workload rounds.
+
+Run from the repository root as
+
+    python tests/ab_replay.py OLD_SRC NEW_SRC --workloads delta-grid,param-sweep \
+        --seeds 1-3 --rounds 0-7 --pairs 10
+
+where OLD_SRC and NEW_SRC are directories holding an `fse` package (the
+`src` of two checkouts).  Each pass is a fresh subprocess that imports fse
+from one tree, builds the rounds of perfbench/workloads.py with it, and
+replays every point through the public entry point the workload names, at
+the workload's tolerances, in one loop timed as a whole.  Pair i runs OLD
+first when i is even and NEW first when it is odd, so a drift of the
+machine's speed loads both sides alike.
+
+Per workload it prints the median, first and third quartiles of the time
+ratio NEW/OLD over the pairs (below 1 means NEW is faster), and the median
+seconds of each side; then the outcome diff of the first pass of each side
+with the semantics of tests/compare_outcomes.py: its summary (compare) and
+its last-bit check (identical).  The outcome lines have the format of
+tests/outcomes.py.  It exits 1 if any tag, method, work or refusal class
+differs, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from perfbench.repeat import parse_seeds, summarise  # noqa: E402
+from tests.compare_outcomes import compare, identical  # noqa: E402
+
+PASS_TIMEOUT_S = 600
+
+
+def replay(workload: str, seeds, rounds) -> dict:
+    """One pass in this process: the seconds of the evaluation loop and the
+    outcome line of every point."""
+    import fse
+    from perfbench.workloads import ROUNDS
+
+    calls = []
+    for seed in seeds:
+        for r in rounds:
+            for j, p in enumerate(ROUNDS[workload](seed, r)):
+                calls.append(("%s s%d r%d #%d" % (workload, seed, r, j),
+                              getattr(fse, p.route), p.cfg, p.coord, p.tol_kwargs))
+    results = []
+    t0 = perf_counter()
+    for _, fn, cfg, coord, kw in calls:
+        try:
+            results.append(fn(cfg, coord, **kw))
+        except fse.EvaluationError as exc:
+            results.append(exc)
+    seconds = perf_counter() - t0
+    lines = []
+    for (tag, *_), r in zip(calls, results):
+        if isinstance(r, Exception):
+            lines.append("%s %s %s" % (tag, type(r).__name__, r))
+        else:
+            fields = (r.value, r.err_est, r.method, r.work)
+            lines.append(" ".join([tag] + [repr(v) for v in fields]))
+    return {"seconds": seconds, "lines": lines}
+
+
+def run_pass(src: str, workload: str, seeds: str, rounds: str) -> dict:
+    """One pass in a fresh subprocess that imports fse from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(src).resolve()), str(ROOT)]))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--replay", workload,
+           "--seeds", seeds, "--rounds", rounds]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=str(ROOT), env=env,
+                          timeout=PASS_TIMEOUT_S)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-4000:])
+        raise SystemExit("pass failed (exit %d) on %s" % (proc.returncode, src))
+    return json.loads(proc.stdout)
+
+
+def ab(old: str, new: str, workload: str, seeds: str, rounds: str, pairs: int) -> bool:
+    """Print one workload's ratio and outcome diff; True if no tag, method,
+    work or class changed."""
+    trees = (old, new)
+    times = ([], [])
+    lines = [None, None]
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            out = run_pass(trees[side], workload, seeds, rounds)
+            times[side].append(out["seconds"])
+            lines[side] = lines[side] or out["lines"]
+    ratio = summarise([b / a for a, b in zip(*times)])
+    print("%s: %d points, %d pairs, time ratio new/old median %.3f (Q1 %.3f, Q3 %.3f);"
+          " old %.3f s, new %.3f s"
+          % (workload, len(lines[0]), pairs, ratio["median"], ratio["q1"], ratio["q3"],
+             statistics.median(times[0]), statistics.median(times[1])))
+    ok = compare(*lines)
+    identical(*lines)
+    return ok
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("trees", nargs="*", metavar="SRC", help="OLD_SRC NEW_SRC")
+    ap.add_argument("--workloads", default="delta-grid,param-sweep")
+    ap.add_argument("--seeds", default="1-3")
+    ap.add_argument("--rounds", default="0-7")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--replay", metavar="WORKLOAD", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.replay:
+        print(json.dumps(replay(args.replay, parse_seeds(args.seeds), parse_seeds(args.rounds))))
+        return 0
+    if len(args.trees) != 2 or args.pairs < 2:
+        ap.error("need OLD_SRC NEW_SRC and --pairs >= 2")
+    ok = True
+    for workload in args.workloads.split(","):
+        ok = ab(*args.trees, workload, args.seeds, args.rounds, args.pairs) and ok
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,32 @@
+import re
+import shutil
+from pathlib import Path
+
+from tests.ab_replay import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_a_tree_against_itself_reads_no_outcome_difference(capsys):
+    assert main([str(SRC), str(SRC), "--workloads", "time-grid", "--seeds", "1",
+                 "--rounds", "0", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    m = re.search(r"time-grid: (\d+) points, 2 pairs, time ratio new/old median ([\d.]+) "
+                  r"\(Q1 ([\d.]+), Q3 ([\d.]+)\)", out)
+    assert m and int(m.group(1)) > 0
+    assert float(m.group(3)) <= float(m.group(2)) <= float(m.group(4))
+    assert "0 of %s outcomes differ in a parsed field" % m.group(1) in out
+
+
+def test_a_changed_work_count_fails_the_ab(capsys, tmp_path):
+    shutil.copytree(SRC / "fse", tmp_path / "fse")
+    foxh = tmp_path / "fse" / "foxh.py"
+    text = foxh.read_text()
+    old = '"H series", "series", nterms)'
+    assert text.count(old) == 1
+    foxh.write_text(text.replace(old, '"H series", "series", nterms + 1)'))
+    assert main([str(SRC), str(tmp_path), "--workloads", "delta-grid", "--seeds", "1",
+                 "--rounds", "0", "--pairs", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "0 with a changed tag, method or class:" in out
+    assert re.search(r"^[1-9]\d* answers with a changed work$", out, re.M)

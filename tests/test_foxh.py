@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from collections import OrderedDict
 
 import mpmath as mp
 import numpy as np
@@ -15,11 +16,11 @@ from fse.delta import _even_part_params, _odd_part_params
 from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
                         NoSeparatingContour, NonConvergence, PoleOfGamma,
                         ValidationError, ZeroBase)
-from fse.foxh import (FoxHParams, _gamma_forms, _log_theta, _reflection_pairs,
-                      _residue_term, _series_recipe, eval_auto, eval_contour,
+from fse.foxh import (FoxHParams, _finish, _gamma_forms, _log_theta, _reflection_pairs,
+                      _series_recipe, _term_part, eval_auto, eval_contour,
                       eval_series, exists, invert_argument, lemma31_check,
                       reduce_params, scale_argument_power, shift_by_power,
-                      sigma)
+                      series_index, sigma)
 from fse.linear import _h_params
 from fse.result import LinearConfig
 from tests.collision_refs import CONTOUR_SETS, DELTA0_SETS
@@ -581,6 +582,11 @@ def test_paired_log_theta_refuses_integer_pair_argument():
         _log_theta(params, pairs, s)
 
 
+def _residue_term(recipe, chain, k, logz):
+    # the term as a cold plan gives it: its z-free part built afresh
+    return _finish(_term_part(recipe, chain, k), logz)
+
+
 def test_denominator_pair_zeroes_residue_terms():
     # even part: the denominator pair 1 / Gamma(1/2 - s/2) Gamma(1/2 + s/2)
     # is cos(pi s / 2) / pi, zero at the odd poles s = -k of Gamma(s)
@@ -598,12 +604,12 @@ def test_denominator_pair_zeroes_residue_terms():
 
 
 def test_ordinary_terms_call_no_python_function_but_the_kernels():
-    # every term runs one pair of factor loops; only where two chains meet
-    # (alpha = 1.5: the chains s = -k and s = -(a1 + k) alpha) does it call
-    # its setup, _merged_pole, too
+    # every term's z-free part runs one pair of factor loops; only where
+    # two chains meet (alpha = 1.5: the chains s = -k and s = -(a1 + k)
+    # alpha) does it call its setup, _merged_pole, too
     params = reduce_params(_even_part_params(1.5))
     recipe = _series_recipe(params, _reflection_pairs(params))
-    code = _residue_term.__code__
+    code = _term_part.__code__
     kernels = {"log_gamma", "digamma", "log_reflection", "pi_cot_pi"}
     seen = []
 
@@ -617,7 +623,7 @@ def test_ordinary_terms_call_no_python_function_but_the_kernels():
             seen.append(set())
             sys.setprofile(profile)
             try:
-                _residue_term(recipe, chain, k, cmath.log(0.9 + 0.3j))
+                _term_part(recipe, chain, k)
             finally:
                 sys.setprofile(None)
             merged += "_merged_pole" in seen[-1]
@@ -1003,6 +1009,85 @@ def test_series_kernel_calls_keep_their_recorded_counts(monkeypatch):
         assert (counts["log_gamma"], counts["digamma"]) == calls, name
         assert (later["log_gamma"], later["digamma"]) == calls, name
         monkeypatch.undo()
+
+
+def _plan_terms(params):
+    plan = foxh._plans[(reduce_params(params), foxh.log_gamma, foxh.digamma,
+                        foxh.log_reflection, foxh.pi_cot_pi)]
+    return sum(map(len, plan.parts))
+
+
+@pytest.mark.parametrize("name, build, z, rel_tol, want, calls", SERIES_BITS,
+                         ids=[p[0] for p in SERIES_BITS])
+def test_series_bits_hold_on_cold_warm_extended_and_rebound_plans(
+        monkeypatch, name, build, z, rel_tol, want, calls):
+    # the plan keeps each term's z-free part across calls: a warm term, one
+    # built by a call that went further, and one of a fresh plan after the
+    # kernels are rebound must all finish to the bits of a cold one
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    params = build()
+    assert _series_bits(params, z, rel_tol) == want
+    built = _plan_terms(params)
+    assert _series_bits(params, z, rel_tol) == want
+    # a larger argument of the series actually summed needs more sweeps
+    far = z * 8.0 if series_index(reduce_params(params)) > 0.0 else z / 8.0
+    _series_bits(params, far, rel_tol)
+    assert _plan_terms(params) > built
+    assert _series_bits(params, z, rel_tol) == want
+    log_gamma = foxh.log_gamma
+    monkeypatch.setattr(foxh, "log_gamma", lambda u: log_gamma(u))
+    assert _series_bits(params, z, rel_tol) == want
+    assert len(foxh._plans) == 2 and _plan_terms(params) == built
+
+
+def test_a_refusal_from_a_warm_plan_keeps_its_class_and_message(monkeypatch):
+    # chain 0's pole s = 0 is summed and kept; chain 1's first pole lies
+    # 3e-10 from chain 0's s = -1 and refuses, unstored, on every call
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    params = FoxHParams(m=2, n=0, upper=(), lower=((0.0, 1.0), (0.5 + 1.5e-10, 0.5)))
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(DegeneratePoles) as err:
+            eval_series(params, 0.5)
+        refusals.append((type(err.value), str(err.value)))
+        assert [len(p) for p in foxh._series_plan(params).parts] == [1, 0]
+    assert refusals[0] == refusals[1]
+    assert refusals[0][1].startswith("left pole chains 1 and 0 nearly collide")
+
+
+def test_zero_terms_stay_zero_on_a_warm_plan(monkeypatch):
+    # the even part's denominator pair zeroes every odd pole of chain 0 at
+    # alpha = 1.37; at alpha = 1.5 a merged pole is deferred to its partner
+    # chain: both are kept as None and finish to exactly 0
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    for alpha, z in ((1.37, 0.8), (1.5, 1.2 * cmath.exp(0.4j))):
+        params = reduce_params(_even_part_params(alpha))
+        first = eval_series(params, z, 1e-9)
+        assert eval_series(params, z, 1e-9) == first
+        plan = foxh._series_plan(params)
+        zeros = {(c, k) for c, built in enumerate(plan.parts)
+                 for k, p in enumerate(built) if p is None}
+        for c, k in zeros:
+            assert _finish(plan.parts[c][k], cmath.log(z)) == (0.0 + 0.0j, 0.0)
+            assert _residue_term(plan.recipe, c, k, cmath.log(z)) == (0.0 + 0.0j, 0.0)
+        odd = {(0, k) for k in range(1, len(plan.parts[0]), 2)}
+        # at 1.5 chain 1's poles k = 1, 3, 5, ... meet chain 0's k2 = 2, 5,
+        # 8, ..., whose even ones the pair leaves alive
+        deferred = {(0, k) for k in range(2, len(plan.parts[0]), 6)}
+        assert deferred and zeros == (odd if alpha == 1.37 else odd | deferred)
+
+
+def test_the_plan_table_never_holds_more_than_its_cap(monkeypatch):
+    # least recently used out first: sets[0], used again after each new
+    # set, stays, beside the PLAN_CAP - 1 newest others
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    sets = [_even(0.3 + 0.004 * i, 0.6) for i in range(foxh.PLAN_CAP + 8)]
+    for i, params in enumerate(sets):
+        eval_series(params, 0.7, 1e-9)
+        eval_series(sets[0], 0.7, 1e-9)
+        assert len(foxh._plans) == min(i + 1, foxh.PLAN_CAP)
+    kept = {key[0] for key in foxh._plans}
+    assert kept == {reduce_params(p) for p in [sets[0]] + sets[-foxh.PLAN_CAP + 1:]}
 
 
 def _even(a1, w):
