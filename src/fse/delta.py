@@ -127,10 +127,11 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
 def delta_classical(hbar: float, mass: float, energy: float, lam: complex,
                     x: float) -> complex:
     """Textbook bound state of the point potential: lam * e^(-|x| kappa)."""
-    if not (hbar > 0.0 and mass > 0.0):
-        raise ValidationError("hbar and mass must be positive")
-    if not (energy < 0.0):
-        raise ValidationError("the bound state needs energy < 0")
+    _check_positive(hbar, "hbar")
+    _check_positive(mass, "mass")
+    if not (energy < 0.0) or not math.isfinite(energy):
+        raise ValidationError("the bound state needs a finite energy < 0")
+    _check_finite(x, "x")
     kappa = math.sqrt(-2.0 * mass * energy) / hbar
     return complex(lam) * math.exp(-abs(x) * kappa)
 

@@ -62,9 +62,10 @@ scalar s) share.  eval_series sums from a plan (_Plan) of the H set: the
 z-free term recipe (_Recipe), which holds per chain the flat tuples a
 residue term reads (the poles to scan for a collision, and the folded
 numerator and denominator factors from _flat, pairs and gammas apart) and
-the forms and pairs that a merged pole folds again; and the z-free part
-of every term summed so far.  The collision test and the rest bound's
-near-pole gains read the same scan.  A residue term is pole k's z-free
+the forms and pairs that a merged pole folds again; the z-free part of
+every term summed so far; and the z-free scale of every pole the rest
+bound has read (_pole_scale).  The collision test and the scale's
+near-pole gain read the same scan.  A residue term is pole k's z-free
 part (_term_part), which holds all of its kernel calls, then a finish at
 ln z (_finish).  One _term_part gives every term, simple, confluent or
 demoted, with one pair of factor loops.  An ordinary term, a simple pole
@@ -81,13 +82,13 @@ the bits of one built afresh.
 
 One bound on the rest of the sum (_rest_bound) makes every decision of
 eval_series.  It takes each live chain's last terms, divides out their
-denominator pairs' sines and near-pole gains, and sums the geometric
-envelope of what is left, times the gains of the poles ahead
-(_near_pole_gains, from the same arithmetic as the terms); a chain whose
-envelope does not decay yet has no bound.  The series stops once its
-claim, the rounding of the terms and of the largest partial sum plus that
-bound, is within rel_tol, and refuses as soon as the rounding part, which
-only grows, misses rel_tol whatever the rest adds.
+poles' scales, the denominator pairs' sine and the near-pole gain, and
+sums the geometric envelope of what is left, times the gains of the
+poles ahead (_pole_scale, from the same arithmetic as the terms); a
+chain whose envelope does not decay yet has no bound.  The series stops
+once its claim, the rounding of the terms and of the largest partial sum
+plus that bound, is within rel_tol, and refuses as soon as the rounding
+part, which only grows, misses rel_tol whatever the rest adds.
 
 One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
@@ -95,9 +96,10 @@ its last answer, which it replays only as the exact conjugate H(conj z) =
 conj H(z).  A replay can differ from a fresh evaluation at conj z in
 rounding, within both err_est, and needs no invalidation.  eval_series
 keeps the plans of the last PLAN_CAP H sets it summed, least recently used
-out first, each extended as a later call needs further poles; a plan is
-z-free, so any z reuses it, and a term from it has the bits of a fresh
-one.  A term that refuses is not kept, and refuses afresh on every call.
+out first, each extended as a later call needs further poles or the rest
+bound reads further scales; a plan is z-free, so any z reuses it, and a
+term or a scale from it has the bits of a fresh one.  A term that refuses
+is not kept, and refuses afresh on every call.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
 up as module globals at call time: by eval_series, whose plans are keyed
 on the reduced H set and the four kernels bound at the call, by _flat,
@@ -390,7 +392,7 @@ class _Recipe(NamedTuple):
       the reflection pairs are folded (_fold_pairs), as _flat gives them:
       (c, du/ds, |c|, |du/ds|, kernel, slope, g) in two tuples, numerator
       and denominator, each with its pairs first and then its gammas;
-    - the denominator pairs alone, as (c, du/ds), which _pair_sines reads.
+    - the denominator pairs alone, as (c, du/ds), which _pole_scale reads.
     The rest serves the merged terms: forms are the gamma factors of theta
     (_gamma_forms) and pairs the reflection pairs, from which _merged_pole
     folds the factors again, with both chains' gammas and the vanishing
@@ -630,48 +632,34 @@ def _finish(part, logz: complex):
     return term, rel * abs(term) + err
 
 
-def _near_pole_gains(recipe: _Recipe, chain: int, ks) -> list:
-    """How much the other chains' numerator gammas magnify the residue at
-    each left pole k in ks of the chain: the product of 1/(2 delta) over
-    them, delta the distance of the gamma argument from its nearest pole
-    (at most 1/2, giving 1).  Exactly coincident poles merge into a
-    confluent term and magnify nothing.  Pure arithmetic, one loop for
-    all of ks."""
-    b_c, wt_c, scan = recipe.terms[chain][:3]
-    others = scan[:recipe.params.m - 1]
-    gains = []
-    for k in ks:
-        s = -(b_c + k) / wt_c
-        abs_s = abs(s)
-        tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
-        gain = 1.0
-        for b, wt, _, _ in others:
-            u = b + wt * s
-            k_near = round(-u)
-            delta = abs(u + k_near)
-            if k_near >= 0 and delta >= tol * wt:
-                gain *= 0.5 / delta
-        gains.append(gain)
-    return gains
+def _pole_scale(recipe: _Recipe, chain: int, k: int):
+    """(sine, gain) at left pole k of the chain, the two z-free factors
+    that _rest_bound divides out of a term.  sine <= 1 is the product of
+    |sin pi u| over the denominator reflection pairs, each
+    1/(Gamma(u) Gamma(1 - u)) = sin(pi u)/pi: a sine near 0 makes one term
+    small and says nothing of the next.  gain >= 1 is how much the other
+    chains' numerator gammas magnify the residue: the product of
+    1/(2 delta) over them, delta the distance of the gamma argument from
+    its nearest pole (at most 1/2, giving 1).  Exactly coincident poles
+    merge into a confluent term and magnify nothing.  Pure arithmetic."""
+    b_c, wt_c, scan, _, _, den_pairs = recipe.terms[chain]
+    s = -(b_c + k) / wt_c
+    sine = 1.0
+    for c, du in den_pairs:
+        sine *= abs(math.sin(math.pi * (c + du * s)))
+    abs_s = abs(s)
+    tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
+    gain = 1.0
+    for b, wt, _, _ in scan[:recipe.params.m - 1]:
+        u = b + wt * s
+        k_near = round(-u)
+        delta = abs(u + k_near)
+        if k_near >= 0 and delta >= tol * wt:
+            gain *= 0.5 / delta
+    return sine, gain
 
 
-def _pair_sines(recipe: _Recipe, chain: int, ks) -> list:
-    """The factor |sin pi u| <= 1 that the denominator reflection pairs,
-    each 1/(Gamma(u) Gamma(1 - u)) = sin(pi u)/pi, put on the residue at
-    each left pole k in ks of the chain.  A sine near 0 makes one term
-    small and says nothing of the next."""
-    b, wt, _, _, _, den_pairs = recipe.terms[chain]
-    sines = []
-    for k in ks:
-        s = -(b + k) / wt
-        f = 1.0
-        for c, du in den_pairs:
-            f *= abs(math.sin(math.pi * (c + du * s)))
-        sines.append(f)
-    return sines
-
-
-def _rest_bound(recipe: _Recipe, k: int, hist, room: float):
+def _rest_bound(plan: _Plan, k: int, hist, room: float):
     """(rest, beyond), whose sum bounds the summed magnitudes of the terms
     after sweep k, beyond being the allowance for the poles past the sweeps
     scanned.  Once the bound reaches room the pair only says so: its sum
@@ -679,8 +667,8 @@ def _rest_bound(recipe: _Recipe, k: int, hist, room: float):
     chain that does not decay yet.
 
     hist maps each live chain to its last nonzero terms as (k, |term|).
-    Each is divided by its denominator pairs' sines (_pair_sines) and its
-    near-pole gain (_near_pole_gains), so that they follow the chain's
+    Each is divided by its pole's scale, the denominator pairs' sine and
+    the near-pole gain (_pole_scale), so that they follow the chain's
     smooth part: b_last, the last of them, times rho^(kk - k_last), rho the
     fastest per-sweep ratio among them, is its envelope at a later sweep
     kk.  A later term is at most that envelope times its pole's gain, which
@@ -692,18 +680,23 @@ def _rest_bound(recipe: _Recipe, k: int, hist, room: float):
     gain a pole can have short of an exact collision: one factor
     1/(2 delta) per other chain, delta at least _EXACT_COLLISION_TOL times
     the lightest weight.  With one chain every gain is 1 and beyond is 0.
+    Every scale, of a history term or of a pole ahead, is read from
+    plan.scales, and computed and kept there the first time it is read.
     """
+    recipe = plan.recipe
     m = recipe.params.m
     w_min = min(wt for _, wt in recipe.params.lower[:m])
     excess_cap = (0.5 / (w_min * _EXACT_COLLISION_TOL)) ** (m - 1) - 1.0
     rest = beyond = 0.0
     for chain, h in hist.items():
-        ks = [kh for kh, _ in h]
-        sines = _pair_sines(recipe, chain, ks)
-        if len(h) < 2 or not all(sines):
+        scales = plan.scales[chain]
+        for kh, _ in h:
+            if kh not in scales:
+                scales[kh] = _pole_scale(recipe, chain, kh)
+        divs = [scales[kh] for kh, _ in h]
+        if len(h) < 2 or not all(sine for sine, _ in divs):
             return math.inf, 0.0
-        base = [(kh, mag / sine / gain) for (kh, mag), sine, gain
-                in zip(h, sines, _near_pole_gains(recipe, chain, ks))]
+        base = [(kh, mag / sine / gain) for (kh, mag), (sine, gain) in zip(h, divs)]
         rho = max((b2 / b1) ** (1.0 / (k2 - k1))
                   for (k1, b1), (k2, b2) in zip(base, base[1:]))
         if rho >= 1.0:
@@ -720,8 +713,10 @@ def _rest_bound(recipe: _Recipe, k: int, hist, room: float):
                 return math.inf, 0.0
             n += 1
             cap_rest *= rho
-        for gain in _near_pole_gains(recipe, chain, range(k + 1, k + 1 + n)):
-            rest += env * (gain - 1.0)
+        for kk in range(k + 1, k + 1 + n):
+            if kk not in scales:
+                scales[kk] = _pole_scale(recipe, chain, kk)
+            rest += env * (scales[kk][1] - 1.0)
             env *= rho
         beyond += cap_rest
         if rest + beyond >= room:
@@ -733,14 +728,17 @@ class _Plan(NamedTuple):
     """The z-free part of eval_series on one reduced H set: whether the
     series runs on the inverted set, the recipe of that set, reach[chain]
     (the last pole k of the chain that a denominator gamma can zero), and
-    parts[chain], the _term_part of each pole k summed so far by any call.
-    A call that needs a later pole appends its part; a part that refuses
-    is not stored, so a later call recomputes it and refuses alike."""
+    parts[chain], the _term_part of each pole k summed so far by any call,
+    and scales[chain], a dict from pole k to its _pole_scale (sine, gain),
+    filled the first time _rest_bound reads that pole.  A call that needs
+    a later pole appends its part; a part that refuses is not stored, so a
+    later call recomputes it and refuses alike."""
 
     inverted: bool
     recipe: _Recipe
     reach: list
     parts: list
+    scales: list
 
 
 # eval_series's plans by (reduced params, log_gamma, digamma,
@@ -772,7 +770,7 @@ def _series_plan(params: FoxHParams) -> _Plan:
     reach = [max([-b - wt * (1.0 - b2) / wt2 for b2, wt2 in params.lower[m:]],
                  default=-1.0) for b, wt in params.lower[:m]]
     plan = _Plan(mu < 0.0, _series_recipe(params, _reflection_pairs(params)), reach,
-                 [[] for _ in range(m)])
+                 [[] for _ in range(m)], [{} for _ in range(m)])
     _plans[key] = plan
     if len(_plans) > PLAN_CAP:
         _plans.popitem(last=False)
@@ -883,7 +881,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
         # denominator gamma can still be zeroing its poles
         live = {c: h[-3:] for c, h in enumerate(hist)
                 if (k - h[-1][0] < 8 if h else k <= reach[c])}
-        rest, beyond = _rest_bound(recipe, k, live, room)
+        rest, beyond = _rest_bound(plan, k, live, room)
         if rest + beyond < room:
             if guard:
                 raise NonConvergence(

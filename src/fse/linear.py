@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergence, PoleOfGamma, QuadratureFailure, ValidationError
+from .errors import NonConvergence, PoleOfGamma, QuadratureFailure
 # eval_auto is unused here; its binding stays for perfbench's CONSUMER_SITES
 from .foxh import FoxHParams, _ROUTES, eval_auto
 from .numerics import log_gamma, power_sum
@@ -148,8 +148,11 @@ def linear_closed_form(cfg: LinearConfig, x: float, rel_tol: float = 1e-9,
 def linear_classical_airy(hbar: float, mass: float, energy: float,
                           slope: float, lam: complex, x: float) -> complex:
     """Airy-type series of the classical (alpha=2) ramp eigenfunction."""
-    if not (hbar > 0.0 and mass > 0.0 and slope > 0.0):
-        raise ValidationError("hbar, mass, and slope must be positive")
+    _check_positive(hbar, "hbar")
+    _check_positive(mass, "mass")
+    _check_positive(slope, "slope")
+    _check_finite(energy, "energy")
+    _check_finite(x, "x")
     u = (x - energy / slope) * (2.0 * mass * slope / hbar ** 2) ** (1.0 / 3.0)
     # the alpha = 2, theta = 0 series: c = 2/3, argument 3^(1/3) u
     tot, _, _ = _ascending_series(2.0, 0.0, 3.0 ** (1.0 / 3.0) * u)

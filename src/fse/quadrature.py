@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .accel import euler_alternating
 from .errors import GridTooCoarse, QuadratureFailure, ValidationError
+from .result import _check_positive
 
 OSC_HALF_PERIODS = 96   # half-period pieces osc_semi_inf sums at most
 OSC_BATCH = 8           # pieces whose first panels share one call of g
@@ -44,6 +46,10 @@ class GridSpec:
             raise ValidationError("grid endpoints must be finite")
         if not (self.start < self.stop):
             raise ValidationError("grid start must be below stop")
+        try:
+            object.__setattr__(self, "count", operator.index(self.count))
+        except TypeError:
+            raise ValidationError("grid count must be an integer") from None
         if self.count < 2:
             raise ValidationError("grid count must be at least 2")
 
@@ -205,8 +211,7 @@ def fourier_pair_check(samples, grid: GridSpec, hbar: float = 1.0):
     hidden by an exactly unitary DFT pair.  Returns (roundtrip, ratio) with
     ratio = norm(psi)^2 / (2 pi hbar norm(psihat)^2).
     """
-    if hbar <= 0.0:
-        raise ValidationError("hbar must be positive")
+    _check_positive(hbar, "hbar")
     psi = np.asarray(list(samples), dtype=complex)
     n = grid.count
     if psi.shape != (n,):

@@ -54,8 +54,8 @@ def _check_order_pair(alpha, theta):
     if not (1.0 < alpha <= 2.0):
         raise ValidationError("alpha must satisfy 1 < alpha <= 2")
     lim = min(alpha, 2.0 - alpha)
-    # skew bound is closed: theta = +-lim is admissible
-    if abs(theta) > lim + 1e-15:
+    # skew bound is closed: theta = +-lim is admissible; a NaN theta fails
+    if not abs(theta) <= lim + 1e-15:
         raise ValidationError(
             "theta violates |theta| <= min(alpha, 2 - alpha): "
             "got theta=%g with alpha=%g" % (theta, alpha))

@@ -95,6 +95,18 @@ def test_invalid_skew_exits_2(command):
     assert "|theta| <= min(alpha, 2 - alpha)" in r.stderr
 
 
+@pytest.mark.parametrize("command,grid", [
+    (("delta",), "0:1:2"), (("linear",), "-2:1:2"),
+    (("full", "--potential", "delta", "--t", "1"), "0.5:1:2"),
+], ids=["delta", "linear", "full"])
+def test_nan_skew_exits_2(command, grid):
+    # a NaN theta is refused up front, not by the route it breaks later
+    r = run_cli(*command, "--alpha", "1.5", "--theta", "nan", "--c-alpha", "1",
+                "--grid=" + grid)
+    assert r.returncode == 2, r.stderr
+    assert "|theta| <= min(alpha, 2 - alpha)" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_tolerance_range_exits_2():
     r = run_cli("time", "--beta", "0.8", "--grid", "0:1:3", "--tol", "1.0")
     assert r.returncode == 2

@@ -333,6 +333,9 @@ def test_config_validation():
         DeltaConfig(alpha=2.3)
     with pytest.raises(ValidationError):
         DeltaConfig(alpha=1.5, theta=0.6)
+    # abs(nan) > lim is False: the skew check must see a NaN theta too
+    with pytest.raises(ValidationError, match=re.escape("|theta| <= min(alpha, 2 - alpha)")):
+        DeltaConfig(alpha=1.5, theta=math.nan)
     with pytest.raises(ValidationError):
         DeltaConfig(alpha=1.5, c_alpha=-1.0)
     with pytest.raises(ValidationError):
@@ -344,6 +347,19 @@ def test_classical_profile():
     v = delta_classical(1.0, 1.0, -0.5, 2.0, 1.5)
     assert abs(v - 2.0 * math.exp(-1.5)) < 1e-14
     assert delta_classical(1.0, 1.0, -0.5, 2.0, -1.5) == v
+
+
+@pytest.mark.parametrize("args, name", [
+    ((1.0, 1.0, -0.5, 1.0, math.nan), "x"),
+    ((1.0, 1.0, -0.5, 1.0, math.inf), "x"),
+    ((math.inf, 1.0, -0.5, 1.0, 1.0), "hbar"),
+    ((1.0, math.inf, -0.5, 1.0, 1.0), "mass"),
+    ((1.0, 1.0, -math.inf, 1.0, 0.0), "energy"),
+])
+def test_classical_profile_refuses_bad_inputs(args, name):
+    # the reference the closed form is compared against checks its inputs
+    with pytest.raises(ValidationError, match=name):
+        delta_classical(*args)
 
 
 @pytest.mark.parametrize("hbar", [1e-200, 1e-162, 1e200])

@@ -1040,6 +1040,45 @@ def test_series_bits_hold_on_cold_warm_extended_and_rebound_plans(
     assert len(foxh._plans) == 2 and _plan_terms(params) == built
 
 
+@pytest.mark.parametrize("name, build, z, rel_tol, want, calls", SERIES_BITS,
+                         ids=[p[0] for p in SERIES_BITS])
+def test_rest_bounds_hold_on_cold_warm_extended_and_rebound_scales(
+        monkeypatch, name, build, z, rel_tol, want, calls):
+    # the plan keeps each pole's (sine, gain) once _rest_bound has read it:
+    # a warm plan, one whose scales a call at a larger argument extended,
+    # and a fresh plan after the kernels are rebound must all give every
+    # (rest, beyond) of the cold plan, bit for bit
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    bounds = []
+    rest_bound = foxh._rest_bound
+
+    def recording(plan, k, hist, room):
+        rest, beyond = rest_bound(plan, k, hist, room)
+        bounds.append((k, rest.hex(), beyond.hex()))
+        return rest, beyond
+
+    def run(at):
+        bounds.clear()
+        return _series_bits(params, at, rel_tol), list(bounds)
+
+    monkeypatch.setattr(foxh, "_rest_bound", recording)
+    params = reduce_params(build())
+    cold = run(z)
+    assert cold[0] == want and cold[1]
+    plan = foxh._series_plan(params)
+    filled = sum(map(len, plan.scales))
+    assert filled and run(z) == cold
+    far = z * 8.0 if series_index(params) > 0.0 else z / 8.0
+    run(far)
+    assert sum(map(len, plan.scales)) > filled
+    assert run(z) == cold
+    log_gamma = foxh.log_gamma
+    monkeypatch.setattr(foxh, "log_gamma", lambda u: log_gamma(u))
+    rebound = foxh._series_plan(params)
+    assert rebound is not plan and not any(rebound.scales)
+    assert run(z) == cold
+
+
 def test_a_refusal_from_a_warm_plan_keeps_its_class_and_message(monkeypatch):
     # chain 0's pole s = 0 is summed and kept; chain 1's first pole lies
     # 3e-10 from chain 0's s = -1 and refuses, unstored, on every call

@@ -152,6 +152,20 @@ def test_classical_airy_series_tracks_scipy():
     assert np.max(np.abs(vals - vals[0])) <= 1e-8 * abs(vals[0])
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.0, 1.0, 0.5, 1.0, 1.0, math.nan), "x"),
+    ((1.0, 1.0, 0.5, 1.0, 1.0, -math.inf), "x"),
+    ((math.inf, 1.0, 0.5, 1.0, 1.0, 1.0), "hbar"),
+    ((1.0, math.inf, 0.5, 1.0, 1.0, 1.0), "mass"),
+    ((1.0, 1.0, 0.5, math.inf, 1.0, 1.0), "slope"),
+    ((1.0, 1.0, math.nan, 1.0, 1.0, 1.0), "energy"),
+])
+def test_classical_airy_refuses_bad_inputs(args, name):
+    # the reference the closed form is compared against checks its inputs
+    with pytest.raises(ValidationError, match=name):
+        linear_classical_airy(*args)
+
+
 def test_turning_point_series_value():
     # at y = 0 only the leading series term survives
     cfg = _cfg()
@@ -252,6 +266,9 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         LinearConfig(alpha=1.5, theta=0.6, hbar=1.0, c_alpha=1.0,
                      energy=0.0, slope=1.0)
+    # abs(nan) > lim is False: the skew check must see a NaN theta too
+    with pytest.raises(ValidationError, match=re.escape("|theta| <= min(alpha, 2 - alpha)")):
+        LinearConfig(alpha=1.5, theta=math.nan)
     with pytest.raises(ValidationError):
         LinearConfig(alpha=1.5, theta=0.0, hbar=1.0, c_alpha=1.0,
                      energy=0.0, slope=0.0)

@@ -180,8 +180,13 @@ def test_spec_validation():
         GridSpec(1.0, -1.0, 32)
     with pytest.raises(ValidationError):
         GridSpec(-1.0, 1.0, 1)
+    for count in (2.5, 3.0, math.nan, "5"):
+        with pytest.raises(ValidationError, match="grid count must be an integer"):
+            GridSpec(0.0, 1.0, count)
     g = GridSpec(-1.0, 1.0, 5)
     assert np.allclose(g.nodes(), np.linspace(-1.0, 1.0, 5))
+    g = GridSpec(0.0, 1.0, np.int64(3))
+    assert type(g.count) is int and list(g.nodes()) == [0.0, 0.5, 1.0]
 
 
 def test_fourier_pair_gaussian():
@@ -216,5 +221,8 @@ def test_fourier_pair_input_validation():
     bad[3] = math.inf
     with pytest.raises(ValidationError):
         fourier_pair_check(bad, grid)
+    for hbar in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValidationError, match="hbar must be positive and finite"):
+            fourier_pair_check(np.ones(64), grid, hbar=hbar)
     roundtrip, ratio = fourier_pair_check(np.zeros(64), grid)
     assert roundtrip == 0.0 and ratio == 1.0
