@@ -52,7 +52,7 @@ the denominator.  The H kernels of this package are Mellin transforms of
 the Riesz-Feller resolvent and carry such pairs, so the even part of the
 delta well, theta(s) = Gamma(s) cos(pi s/2) / sin(pi (a1 + s/alpha)),
 costs one gamma function and two sines instead of five gamma functions.
-The pairing is read off the reduced parameters once per evaluation, on
+The pairing is read off the reduced parameters once per plan (_Plan), on
 the contour and in the residue terms alike.
 
 Every gamma factor is a linear form u = c + du s, du = +-B
@@ -94,19 +94,26 @@ One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
 its last answer, which it replays only as the exact conjugate H(conj z) =
 conj H(z).  A replay can differ from a fresh evaluation at conj z in
-rounding, within both err_est, and needs no invalidation.  eval_series
-keeps the plans of the last PLAN_CAP H sets it summed, least recently used
-out first, each extended as a later call needs further poles or the rest
-bound reads further scales; a plan is z-free, so any z reuses it, and a
-term or a scale from it has the bits of a fresh one.  A term that refuses
-is not kept, and refuses afresh on every call.
+rounding, within both err_est, and needs no invalidation.  And one table
+keeps the plans (_Plan) of the last PLAN_CAP H sets that either route
+ran on, least recently used out first.  A plan's series part is extended
+as a later call needs further poles or the rest bound reads further
+scales.  Its contour part holds the set's line and reflection pairs, read
+once per plan, and log theta on the nodes of each step rung a call has
+used: eval_contour rounds its step down to a fixed ladder, so calls at
+nearby |ln |z|| share their nodes, and a call finds theta on the nodes
+kept and extends them as its cut needs.  A plan is z-free, so any z
+reuses it, and a term, a scale or a node value from it has the bits of a
+fresh one.  A term that refuses is not kept, and refuses afresh on every
+call.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
-up as module globals at call time: by eval_series, whose plans are keyed
-on the reduced H set and the four kernels bound at the call, by _flat,
-when a plan builds its recipe and when a merged pole folds its factors,
-and by the contour once per folded factor.  So rebinding any of them
-between calls (to count or time them) starts a fresh plan, which sees
-every kernel call, still one per folded factor per term.
+up as module globals at call time: by eval_series and eval_contour, whose
+plans are keyed on the reduced H set and the four kernels bound at the
+call, by _flat, when a plan builds its recipe and when a merged pole
+folds its factors, and by the contour once per folded factor on each
+block of new nodes.  So rebinding any of them between calls (to count or
+time them) starts a fresh plan, which sees every kernel call, still one
+per folded factor per term or per block of nodes.
 """
 
 from __future__ import annotations
@@ -147,6 +154,11 @@ _LOG_INV_EPS = -math.log(MACH_EPS)
 # shifted line: e^3 at a = d/2, times (d/2)/(d - a) for the nearest pole
 _STRIP_SHIFT = 0.8
 _LOG_STRIP_GROWTH = 3.0 + math.log(0.5 / (1.0 - _STRIP_SHIFT))
+# the contour's step is rounded down to a fixed ladder of this many rungs
+# per halving, so that calls at nearby |ln |z|| share their nodes; a rung
+# is at most 2^(1/16) - 1 = 4.4 % below the step, and so are the nodes
+_RUNGS_PER_OCTAVE = 16
+_NO_NODES = np.empty(0, dtype=complex)
 SEPARATION_TOL = 1e-9
 LOOKAHEAD_SWEEPS = 64
 
@@ -724,38 +736,66 @@ def _rest_bound(plan: _Plan, k: int, hist, room: float):
     return rest, beyond
 
 
-class _Plan(NamedTuple):
-    """The z-free part of eval_series on one reduced H set: whether the
+class _Plan:
+    """What eval_series and eval_contour keep of one reduced H set, each
+    route's part built the first time that route runs on the set.
+
+    The series part, left None by a series-index-0 set: whether the
     series runs on the inverted set, the recipe of that set, reach[chain]
-    (the last pole k of the chain that a denominator gamma can zero), and
+    (the last pole k of the chain that a denominator gamma can zero),
     parts[chain], the _term_part of each pole k summed so far by any call,
     and scales[chain], a dict from pole k to its _pole_scale (sine, gain),
     filled the first time _rest_bound reads that pole.  A call that needs
     a later pole appends its part; a part that refuses is not stored, so a
-    later call recomputes it and refuses alike."""
+    later call recomputes it and refuses alike.
 
-    inverted: bool
-    recipe: _Recipe
-    reach: list
-    parts: list
-    scales: list
+    The contour part: line, the set's (gamma, a, pi sigma/2, reflection
+    pairs), and rungs, a dict from a step's rung j (_contour_step) to the
+    upper half-line nodes gamma + i(k + 1/2)h_j, k = 0, 1, ..., that any
+    call has evaluated, as the arrays of s and of log theta(s).  A call
+    that needs further nodes extends them, as long as the plan keeps at
+    most _KEPT_NODE_CAP nodes over all its rungs; past that it evaluates
+    the rest without keeping it.
+    """
+
+    __slots__ = ("inverted", "recipe", "reach", "parts", "scales", "line", "rungs")
+
+    def __init__(self):
+        self.inverted = False
+        self.recipe = self.reach = self.parts = self.scales = self.line = None
+        self.rungs = {}
 
 
-# eval_series's plans by (reduced params, log_gamma, digamma,
-# log_reflection, pi_cot_pi), least recently used first; PLAN_CAP of them
-# cost well under a megabyte at the benchmark's term counts
+# the plans by (reduced params, log_gamma, digamma, log_reflection,
+# pi_cot_pi), least recently used first.  A series part costs well under
+# a megabyte at the benchmark's term counts, and a contour part at most
+# _KEPT_NODE_CAP nodes of 32 bytes (s and log theta), 64 KB; so PLAN_CAP
+# plans keep at most 2 MB of contour nodes
 PLAN_CAP = 32
+_KEPT_NODE_CAP = 1 << 11
 _plans: OrderedDict = OrderedDict()
 
 
-def _series_plan(params: FoxHParams) -> _Plan:
+def _plan(params: FoxHParams) -> _Plan:
     """The plan of the reduced params under the kernels bound now: a
-    rebinding of any of the four starts a cold plan, whose terms make
-    every kernel call afresh.  A series-index-0 set refuses, unstored."""
+    rebinding of any of the four starts a cold plan, whose terms and nodes
+    make every kernel call afresh."""
     key = (params, log_gamma, digamma, log_reflection, pi_cot_pi)
     plan = _plans.get(key)
     if plan is not None:
         _plans.move_to_end(key)
+        return plan
+    plan = _plans[key] = _Plan()
+    if len(_plans) > PLAN_CAP:
+        _plans.popitem(last=False)
+    return plan
+
+
+def _series_plan(params: FoxHParams) -> _Plan:
+    """The plan of the reduced params with its series part built.  A
+    series-index-0 set refuses, and its plan keeps no series part."""
+    plan = _plan(params)
+    if plan.recipe is not None:
         return plan
     mu = series_index(params)
     if abs(mu) <= 1e-12:
@@ -767,13 +807,12 @@ def _series_plan(params: FoxHParams) -> _Plan:
     # the last pole k of each chain (b, B) that a denominator gamma
     # 1/Gamma(1 - b' - B' s), zero only at s >= (1 - b')/B', can zero:
     # k <= -b - B (1 - b')/B'
-    reach = [max([-b - wt * (1.0 - b2) / wt2 for b2, wt2 in params.lower[m:]],
-                 default=-1.0) for b, wt in params.lower[:m]]
-    plan = _Plan(mu < 0.0, _series_recipe(params, _reflection_pairs(params)), reach,
-                 [[] for _ in range(m)], [{} for _ in range(m)])
-    _plans[key] = plan
-    if len(_plans) > PLAN_CAP:
-        _plans.popitem(last=False)
+    plan.reach = [max([-b - wt * (1.0 - b2) / wt2 for b2, wt2 in params.lower[m:]],
+                      default=-1.0) for b, wt in params.lower[:m]]
+    plan.parts = [[] for _ in range(m)]
+    plan.scales = [{} for _ in range(m)]
+    plan.inverted = mu < 0.0
+    plan.recipe = _series_recipe(params, _reflection_pairs(params))
     return plan
 
 
@@ -920,6 +959,41 @@ def _log_theta(params: FoxHParams, pairs, s: np.ndarray) -> np.ndarray:
     return log_acc
 
 
+def _contour_step(a: float, log_abs_z: float):
+    """(j, h_j): the step for strip shift a at |ln |z|| = log_abs_z, rounded
+    down to the ladder h_j = h0 2^(-j/_RUNGS_PER_OCTAVE), h0 the step at
+    |ln |z|| = 0, j the least rung with h_j at most the step itself."""
+    den = _LOG_INV_EPS + _LOG_STRIP_GROWTH
+    h0 = 2.0 * math.pi * a / den
+    ideal = 2.0 * math.pi * a / (den + a * log_abs_z)
+    j = math.ceil(_RUNGS_PER_OCTAVE * math.log2(h0 / ideal))
+    h = h0 * 2.0 ** (-j / _RUNGS_PER_OCTAVE)
+    if h > ideal:
+        j += 1
+        h = h0 * 2.0 ** (-j / _RUNGS_PER_OCTAVE)
+    return j, h
+
+
+def _contour_nodes(plan: _Plan, params: FoxHParams, j: int, h: float, k_lo: int, k_hi: int):
+    """s and log theta(s) at the upper half-line nodes gamma + i(k + 1/2)h
+    of rung j, k_lo <= k <= k_hi: the kept ones, and the rest evaluated
+    and kept after them while the plan has room."""
+    s_kept, log_kept = plan.rungs.get(j, (_NO_NODES, _NO_NODES))
+    n = len(s_kept)
+    if k_hi >= n:
+        gam, _, _, pairs = plan.line
+        start = max(n, k_lo)
+        s_new = gam + 1j * h * (np.arange(start, k_hi + 1) + 0.5)
+        log_new = _log_theta(params, pairs, s_new)
+        if start > n:
+            return s_new, log_new
+        s_kept = np.concatenate((s_kept, s_new))
+        log_kept = np.concatenate((log_kept, log_new))
+        if sum(len(s) for s, _ in plan.rungs.values()) - n + k_hi + 1 <= _KEPT_NODE_CAP:
+            plan.rungs[j] = (s_kept, log_kept)
+    return s_kept[k_lo:k_hi + 1], log_kept[k_lo:k_hi + 1]
+
+
 def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """Trapezoid rule on the Mellin-Barnes integral along a vertical line.
 
@@ -941,15 +1015,22 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
 
         h = 2 pi a / (ln(1/eps) + 3 + ln 2.5 + a |ln |z||)
 
-    puts it at 2 eps sum |f| h, fixed before any node.  The nodes are
-    t = +-(k + 1/2) h, k >= 0: none is real, so no gamma factor sits on a
-    pole, whatever gamma is.  Gamma decay makes |f(t)| fall like
-    exp(-r |t|), r = pi sigma/2 - |arg z| (Braaksma), so the nodes up to
-    k_hi = ceil(T/h), T = (ln(100/rel_tol) + 8)/r, are taken as one block
-    and T is extended by half until the tail estimate 2 |f| / r at the last
-    node is below 0.1 rel_tol of the sum.  The cut stops at CONTOUR_T_CAP,
-    where a tail still above that refuses; a step that would need more than
-    _CONTOUR_NODE_CAP nodes refuses before the block is evaluated.
+    puts it at 2 eps sum |f| h, fixed before any node.  The step taken is
+    that h rounded down to a rung h_j = h0 2^(-j/16) of a fixed ladder, h0
+    the step at |ln |z|| = 0 (_contour_step): a smaller step only shrinks
+    e^(-2 pi a/h), so the bound holds as it stands, and the rung is at
+    most 4.4 % below h.  The nodes are t = +-(k + 1/2) h_j, k >= 0: none is
+    real, so no gamma factor sits on a pole, whatever gamma is.  They
+    depend on neither z nor rel_tol, so the set's plan keeps log theta on
+    them (_contour_nodes), and a later call on the same rung evaluates
+    theta only on the nodes past those kept.  Gamma decay makes |f(t)|
+    fall like exp(-r |t|), r = pi sigma/2 - |arg z| (Braaksma), so the
+    nodes up to k_hi = ceil(T/h_j), T = (ln(100/rel_tol) + 8)/r, are taken
+    as one block and T is extended by half until the tail estimate
+    2 |f| / r at the last node is below 0.1 rel_tol of the sum.  The cut
+    stops at CONTOUR_T_CAP, where a tail still above that refuses; a step
+    that would need more than _CONTOUR_NODE_CAP nodes refuses before the
+    block is evaluated.
 
     err_est sums three parts: that discretisation bound, the tail estimate,
     and the rounding eps sum |v| (1 + |log theta(s) - s log z|) of the
@@ -966,11 +1047,14 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     if abs(logz) > CONTOUR_LOG_Z_CAP:
         raise NonConvergence("|log z| = %.1f is past the contour's cap %g"
                              % (abs(logz), CONTOUR_LOG_Z_CAP))
-    gam, lo, hi = _contour_line(params)
-    pairs = _reflection_pairs(params)
-    rate = 0.5 * math.pi * sigma(params) - abs(logz.imag)
-    a = _STRIP_SHIFT * min(gam - lo, hi - gam)
-    h = 2.0 * math.pi * a / (_LOG_INV_EPS + _LOG_STRIP_GROWTH + a * abs(logz.real))
+    plan = _plan(params)
+    if plan.line is None:
+        gam, lo, hi = _contour_line(params)
+        plan.line = (gam, _STRIP_SHIFT * min(gam - lo, hi - gam),
+                     0.5 * math.pi * sigma(params), _reflection_pairs(params))
+    _, a, edge, _ = plan.line
+    rate = edge - abs(logz.imag)
+    j, h = _contour_step(a, abs(logz.real))
     t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
     acc = 0.0 + 0.0j
     abs_acc = 0.0
@@ -984,8 +1068,7 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                 % (h, 2 * (k_hi + 1), t_cut, _CONTOUR_NODE_CAP))
         # nodes (k + 1/2) h for k_lo <= k <= k_hi, both signs; theta on the
         # upper half
-        s_up = gam + 1j * h * (np.arange(k_lo, k_hi + 1) + 0.5)
-        upper = _log_theta(params, pairs, s_up)
+        s_up, upper = _contour_nodes(plan, params, j, h, k_lo, k_hi)
         s = np.concatenate((s_up, s_up.conj()))
         expo = np.concatenate((upper, upper.conj())) - s * logz
         # a node or a sum past double range refuses before numpy warns, and

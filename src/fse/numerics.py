@@ -30,8 +30,9 @@ The kernels keep no memo: a kernel is a pure function of one argument,
 and its arguments seldom repeat across H sets, so a memo would cost
 lookups and memory for few hits.  What repeats is an H set summed at many
 arguments, and that reuse is foxh's: a plan per H set keeps the z-free
-part of each residue term, kernel values included, keyed on the four
-kernels bound at the call, so a rebound kernel sees every call afresh.
+part of each residue term, kernel values included, and log theta on the
+contour nodes of each step rung it has used, keyed on the four kernels
+bound at the call, so a rebound kernel sees every call afresh.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 import time
 from collections import OrderedDict
@@ -763,7 +764,9 @@ def test_contour_line_through_a_zero_on_the_real_axis():
 ], ids=["readme-well", "zero-0.5", "zero-2"])
 def test_contour_evaluates_theta_once_per_node_off_the_real_axis(monkeypatch, params, z):
     # each _log_theta call takes a block of upper half-line nodes: none is
-    # real, and no node is evaluated twice, so the calls hold work/2 nodes
+    # real, and no node is evaluated twice, so on a cold plan the calls
+    # hold work/2 nodes, and a repeated call, on the kept nodes, makes none
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
     blocks = []
 
     def spy(params, pairs, s):
@@ -775,6 +778,8 @@ def test_contour_evaluates_theta_once_per_node_off_the_real_axis(monkeypatch, pa
     nodes = np.concatenate(blocks)
     assert np.all(nodes.imag > 0.0)
     assert nodes.size == len(np.unique(nodes.imag)) == got.work // 2
+    blocks.clear()
+    assert eval_contour(params, z, 1e-9) == got and blocks == []
 
 
 @pytest.mark.parametrize("w", [0.5, 1.0, 3.0, 2.0 + 1.0j])
@@ -1307,3 +1312,129 @@ def test_contour_refuses_a_sum_that_overflows():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonConvergence, match="^contour overflowed double range$"):
         eval_contour(params, 152.08972971241963, 1e-9)
+
+
+def _contour_bits(params, z, rel_tol=1e-9):
+    try:
+        r = eval_contour(params, z, rel_tol)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+    return r.value.real.hex(), r.value.imag.hex(), r.err_est.hex(), r.work
+
+
+def _kept_nodes(params):
+    return sum(len(s) for s, _ in foxh._plan(reduce_params(params)).rungs.values())
+
+
+def _wider(params, z):
+    """z turned halfway from its phase to the sector edge: the same |z|,
+    so the same step, and half the decay rate, so a longer cut."""
+    edge = 0.5 * math.pi * sigma(reduce_params(params))
+    phase = abs(cmath.phase(z))
+    return abs(z) * cmath.exp(1j * (phase + 0.5 * (edge - phase)))
+
+
+@pytest.mark.parametrize("params, z", [
+    (_even_part_params(1.5), 9.0 * cmath.exp(-0.25j * math.pi / 3.0)),
+    (_odd_part_params(1.2), 30.0 * cmath.exp(-0.1j * math.pi / 2.4)),
+    (_h_params(LinearConfig(alpha=1.5, theta=0.3)), 8.0),
+    (DELTA0_SETS["a"], 1.1),
+    (ZERO_ON_THE_LINE, 0.5),
+    (EXP, 10.0 * cmath.exp(0.7j)),
+], ids=["readme-well", "odd-1.2", "ramp", "delta0-a", "zero-0.5", "exp"])
+def test_contour_bits_hold_on_cold_warm_extended_and_rebound_nodes(monkeypatch, params, z):
+    # the plan keeps log theta on its step's rung: a warm call, one after a
+    # call at a smaller decay rate has extended the kept nodes, and one on a
+    # fresh plan after the kernels are rebound must all give the cold bits
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    cold = _contour_bits(params, z)
+    assert isinstance(cold[3], int)
+    kept = _kept_nodes(params)
+    assert kept == cold[3] // 2
+    assert _contour_bits(params, z) == cold
+    wide = _contour_bits(params, _wider(params, z))
+    assert wide[3] > cold[3] and _kept_nodes(params) == wide[3] // 2
+    assert _contour_bits(params, z) == cold
+    log_gamma = foxh.log_gamma
+    monkeypatch.setattr(foxh, "log_gamma", lambda u: log_gamma(u))
+    assert _contour_bits(params, z) == cold
+    assert len(foxh._plans) == 2 and _kept_nodes(params) == kept
+
+
+@pytest.mark.parametrize("a", [1e-4, 0.02, 0.2, 0.4, 0.8, 1.6])
+def test_contour_step_is_a_ladder_rung_at_most_one_rung_below_the_step(a):
+    # err_est's discretisation bound needs h_j <= the step; the node count
+    # grows by at most 2^(1/16) - 1 = 4.4 % when h_j is above step / 2^(1/16)
+    den = foxh._LOG_INV_EPS + foxh._LOG_STRIP_GROWTH
+    h0 = 2.0 * math.pi * a / den
+    rungs = set()
+    for log_abs_z in np.linspace(0.0, foxh.CONTOUR_LOG_Z_CAP, 2001):
+        ideal = 2.0 * math.pi * a / (den + a * log_abs_z)
+        j, h = foxh._contour_step(a, log_abs_z)
+        assert ideal / 2.0 ** (1.0 / 16.0) <= h <= ideal, (a, log_abs_z)
+        assert h == h0 * 2.0 ** (-j / 16.0)
+        rungs.add(j)
+    assert foxh._contour_step(a, 0.0) == (0, h0)
+    assert rungs == set(range(max(rungs) + 1))
+
+
+def test_contour_plans_keep_at_most_their_node_cap_and_go_least_recently_used_first(
+        monkeypatch):
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    well = _even_part_params(1.5)
+    z = 9.0 * cmath.exp(-0.25j * math.pi / 3.0)
+    fresh = _contour_bits(well, z), _contour_bits(well, _wider(well, z))
+    # with a cap below the wider call's nodes, its extension is evaluated
+    # and not kept, and every answer keeps its bits
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    cap = fresh[0][3] // 2 + 10
+    monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", cap)
+    assert _contour_bits(well, z) == fresh[0]
+    for _ in range(2):
+        assert _contour_bits(well, _wider(well, z)) == fresh[1]
+        assert _kept_nodes(well) == fresh[0][3] // 2
+    # a second rung counts against the same cap: a call at another |z|
+    # needing more than the room left keeps nothing
+    assert foxh._contour_step(foxh._plan(reduce_params(well)).line[1], math.log(90.0))[0] == 2
+    assert _contour_bits(well, 10.0 * z)[3] // 2 > 10
+    assert list(foxh._plan(reduce_params(well)).rungs) == [1]
+    # a series-index-0 set gets a plan with no series part
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", 1 << 11)
+    with pytest.raises(NonConvergence, match="series index 0"):
+        eval_series(DELTA0_SETS["a"], 1.1, 1e-9)
+    eval_contour(DELTA0_SETS["a"], 1.1, 1e-9)
+    (plan,) = foxh._plans.values()
+    assert plan.recipe is None and plan.line is not None and plan.rungs
+    # least recently used out first: sets[0], used again after each new
+    # set, stays beside the PLAN_CAP - 1 newest others
+    sets = [_even(0.3 + 0.004 * i, 0.6) for i in range(foxh.PLAN_CAP + 8)]
+    for i, params in enumerate(sets):
+        eval_contour(params, 0.7, 1e-9)
+        eval_contour(sets[0], 0.7, 1e-9)
+        assert len(foxh._plans) == min(i + 2, foxh.PLAN_CAP)
+        assert all(sum(len(s) for s, _ in plan.rungs.values()) <= foxh._KEPT_NODE_CAP
+                   for plan in foxh._plans.values())
+    kept = {key[0] for key in foxh._plans}
+    assert kept == {reduce_params(p) for p in [sets[0]] + sets[-foxh.PLAN_CAP + 1:]}
+
+
+@pytest.mark.parametrize("params, z, match", [
+    (_binomial(1e-5)[0], 2.0, "nodes"),
+    (_even_part_params(1.9), 5.0 * cmath.exp(-0.485j * math.pi * sigma(_even_part_params(1.9))),
+     "tail"),
+    (FoxHParams(m=1, n=0, upper=(), lower=((566.0, 4.0),)), 152.08972971241963,
+     "^contour overflowed double range$"),
+], ids=["node-cap", "tail-cap", "overflow"])
+def test_a_contour_refusal_from_a_warm_plan_keeps_its_class_and_message(
+        monkeypatch, params, z, match):
+    # every node a call sums is kept, so the repeat sums only kept nodes
+    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", 1 << 17)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cold = _contour_bits(params, z)
+        kept = _kept_nodes(params)
+        assert _contour_bits(params, z) == cold
+    assert cold[0] is NonConvergence and re.search(match, cold[1])
+    # the node cap refuses before any node is evaluated
+    assert (kept == 0) == (match == "nodes")
