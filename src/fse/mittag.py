@@ -11,12 +11,26 @@ singularities; the image of E_b with b <= 1 has two at most, the branch
 point at 0 and one pole on the principal sheet, so the contour has two
 candidate regions: left of the pole, which then adds its residue, and
 right of it.
+
+One table keeps the z-free work of the last _TABLE_CAP orders b, least
+recently used out first, since a time grid calls both routes many times
+at one b.  Per b it holds the Taylor log-coefficients -log Gamma(b k + 1),
+each computed the first time a sum reads it, so at most POWER_SUM_CAP + 1
+of them; and, for each of the last _KEPT_TOL_CAP values of log epsilon,
+the pole-free contour: (h, N) and the nodes' w, s^b and e^s s^b.  With no
+pole on the principal sheet (mu, h, N) depend on log epsilon alone, so a
+pole-free call only divides by (s^b - z) w and sums.  With a pole they
+follow the pole's phi, which moves with z, so a call with a pole keeps
+nothing.  A cold call fills the table and then reads it as a warm one
+does, and every kept value has the bits of a fresh one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +45,12 @@ SERIES_RADIUS = 10.0
 # roundoff on the partial sums stays near 1e-11 absolute
 SERIES_ROOT_CAP = 12.0
 CONTOUR_NODE_CAP = 500
+# the table's orders, and per order its pole-free contours.  A contour has
+# at most 2 N + 1 = 55 nodes over rel_tol in [1e-14, 1e-2], three complex
+# arrays of under 1 KB each, so the contours of a full table take under
+# 0.8 MB; an order's log-coefficients take about 170 KB at the term cap
+_TABLE_CAP = 32
+_KEPT_TOL_CAP = 8
 
 
 def _validate(beta: float, z: complex, rel_tol: float) -> complex:
@@ -43,15 +63,52 @@ def _validate(beta: float, z: complex, rel_tol: float) -> complex:
     return _check_argument(z, "Mittag-Leffler")
 
 
+class _LogCoefs(dict):
+    """-log Gamma(beta k + 1) by k, each computed on its first read."""
+
+    __slots__ = ("beta",)
+
+    def __init__(self, beta):
+        self.beta = beta
+
+    def __missing__(self, k):
+        coef = self[k] = -math.lgamma(self.beta * k + 1.0)
+        return coef
+
+
+class _Kept(NamedTuple):
+    """The z-free work kept for one order beta: its log-coefficients, and
+    its pole-free contour (h, N, w, s^beta, e^s s^beta) by log epsilon."""
+
+    coefs: _LogCoefs
+    contours: dict
+
+
+# the kept work by beta, least recently used first
+_table: OrderedDict = OrderedDict()
+
+
+def _kept(beta) -> _Kept:
+    kept = _table.get(beta)
+    if kept is not None:
+        _table.move_to_end(beta)
+        return kept
+    kept = _table[beta] = _Kept(_LogCoefs(beta), {})
+    if len(_table) > _TABLE_CAP:
+        _table.popitem(last=False)
+    return kept
+
+
 def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     """Taylor sum of E_beta at z, (value, err_est, nterms): power_sum over
-    the log-coefficients -log Gamma(beta k + 1).  Its terms fall slowly at
-    small beta (the ratio is about |z| / (beta k)^beta), so the rest of the
-    sum is claimed as the geometric tail at the last term ratios, not as
-    the last term alone.  The tuple is raw: ml_eval and `fse ml` accept it
-    only when err_est meets rel_tol."""
+    the log-coefficients -log Gamma(beta k + 1), read from the order's kept
+    ones and computed only past them, so a sum at any z reuses them.  Its
+    terms fall slowly at small beta (the ratio is about |z| / (beta k)^beta),
+    so the rest of the sum is claimed as the geometric tail at the last
+    term ratios, not as the last term alone.  The tuple is raw: ml_eval
+    and `fse ml` accept it only when err_est meets rel_tol."""
     z = _validate(beta, z, rel_tol)
-    return power_sum(z, lambda k: -math.lgamma(beta * k + 1.0), rel_tol,
+    return power_sum(z, _kept(beta).coefs.__getitem__, rel_tol,
                      "Mittag-Leffler series", head=1.0)
 
 
@@ -102,6 +159,44 @@ def _param_right(phi, log_epsilon):
     return mu, h, N
 
 
+def _contour_params(phi, log_epsilon):
+    """(mu, h, N, left) of the region with fewer nodes: left of a pole at
+    phi > 0, or right of it (of the branch point alone when phi = 0).
+    Refuses when neither admits at most CONTOUR_NODE_CAP nodes."""
+    best, left = None, False
+    if phi > 0:
+        best, left = _param_left(phi, log_epsilon), True
+    if phi < log_epsilon - LOG_MACH_EPS:
+        right = _param_right(phi, log_epsilon)
+        if right is not None and (best is None or right[2] < best[2]):
+            best, left = right, False
+    if best is None or best[2] > CONTOUR_NODE_CAP:
+        raise NonConvergence("no admissible inversion contour for E_beta")
+    return best + (left,)
+
+
+def _nodes(beta, mu, h, N):
+    """The z-free parts of the contour's integrand at its nodes: w = 1 + iu,
+    s^beta and e^s s^beta, for s = mu w^2 and u = h k, |k| <= N."""
+    w = np.arange(-N, N + 1) * (1j * h) + 1.0
+    s = w * w * mu
+    s_beta = np.exp(np.log(s) * beta)
+    return w, s_beta, np.exp(s) * s_beta
+
+
+def _pole_free_contour(beta, log_epsilon):
+    """(h, N, w, s^beta, e^s s^beta) of the contour right of the branch
+    point, kept per beta and log epsilon."""
+    contours = _kept(beta).contours
+    kept = contours.get(log_epsilon)
+    if kept is None:
+        mu, h, N, _ = _contour_params(0.0, log_epsilon)
+        if len(contours) >= _KEPT_TOL_CAP:
+            del contours[next(iter(contours))]
+        kept = contours[log_epsilon] = (h, N) + _nodes(beta, mu, h, N)
+    return kept
+
+
 def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     """E_beta(z) by inverse Laplace transform on a tuned parabolic contour.
 
@@ -120,7 +215,13 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     takes one complex logarithm: s^beta = exp(beta log s) on the principal
     branch, and the rest of the integrand follows by division, since
     s^(beta-1) ds = (s^beta / s) 2 mu w du = s^beta (2i / w) du; the 2i
-    cancels against the 1 / (2 pi i) of the inversion.
+    cancels against the 1 / (2 pi i) of the inversion.  With no pole,
+    (mu, h, N) depend on log epsilon alone, so the nodes' w, s^beta and
+    e^s s^beta are kept per beta and log epsilon and a call only forms
+    e^s s^beta / ((s^beta - z) w) and sums; with a pole they follow the
+    pole's phi, and nothing is kept.  Near double range (|z| ~ 5e307)
+    (s^beta - z) w overflows at most nodes, which would then add 0 to the
+    sum, so the call refuses.
     Returns (value, err_est, nodes), raw like ml_series's tuple.
     """
     z = _validate(beta, z, rel_tol)
@@ -140,21 +241,19 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
             # on the negative axis to rounding: left of every contour
             pole, phi = None, 0.0
 
-    best, left = None, False
-    if pole is not None:
-        best, left = _param_left(phi, log_epsilon), True
-    if phi < log_epsilon - LOG_MACH_EPS:
-        right = _param_right(phi, log_epsilon)
-        if right is not None and (best is None or right[2] < best[2]):
-            best, left = right, False
-    if best is None or best[2] > CONTOUR_NODE_CAP:
-        raise NonConvergence("no admissible inversion contour for E_beta")
-    mu, h, N = best
-
-    w = np.arange(-N, N + 1) * (1j * h) + 1.0
-    s = w * w * mu
-    s_beta = np.exp(np.log(s) * beta)
-    contrib = np.exp(s) * s_beta / ((s_beta - z) * w)
+    if pole is None:
+        h, N, w, s_beta, num = _pole_free_contour(beta, log_epsilon)
+        left = False
+    else:
+        mu, h, N, left = _contour_params(phi, log_epsilon)
+        w, s_beta, num = _nodes(beta, mu, h, N)
+    try:
+        with np.errstate(over="raise"):
+            contrib = num / ((s_beta - z) * w)
+    except FloatingPointError:
+        raise NonConvergence(
+            "inversion contour of E_beta overflows double range at |z| = %.4g"
+            % abs(z)) from None
     integral = h / math.pi * contrib.sum()
     asum = h / math.pi * np.abs(contrib).sum()
     residue = 0.0 + 0.0j

@@ -28,11 +28,13 @@ after them and give the same bits.  Complex arguments arise only on the
 Mellin-Barnes contour, which evaluates whole arrays of s at once.
 The kernels keep no memo: a kernel is a pure function of one argument,
 and its arguments seldom repeat across H sets, so a memo would cost
-lookups and memory for few hits.  What repeats is an H set summed at many
-arguments, and that reuse is foxh's: a plan per H set keeps the z-free
-part of each residue term, kernel values included, and log theta on the
-contour nodes of each step rung it has used, keyed on the four kernels
-bound at the call, so a rebound kernel sees every call afresh.
+lookups and memory for few hits.  What repeats is an H set or an order
+beta summed at many arguments, and that reuse is the callers': a foxh
+plan per H set keeps the z-free part of each residue term, kernel values
+included, and log theta on the contour nodes of each step rung it has
+used, keyed on the four kernels bound at the call, so a rebound kernel
+sees every call afresh; mittag keeps per beta the log-coefficients it
+hands to power_sum and its pole-free contour nodes.
 """
 
 from __future__ import annotations

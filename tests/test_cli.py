@@ -460,6 +460,15 @@ def test_contour_sum_past_double_range_exits_3(b, capsys):
     assert "NonConvergence: contour overflowed double range" in capsys.readouterr().err
 
 
+def test_mittag_leffler_contour_past_double_range_exits_3(capsys):
+    # in process, so that a numpy overflow warning fails the test: from
+    # |z| ~ 5e307, (s^beta - z) w overflows at most nodes, which then added
+    # 0 to the sum and printed 3.8e-308 where E_0.9 is about 6.2e-310
+    assert main(["ml", "--beta", "0.9", "--grid=-1.7e308:-1e308:2"]) == 3
+    assert ("NonConvergence: inversion contour of E_beta overflows double range"
+            in capsys.readouterr().err)
+
+
 def test_foxh_series_past_zeroed_poles(capsys):
     # 1/Gamma(-9 - s) zeroes the chain's poles k <= 9; the sum from k = 10
     # is 1.2689e-8 and 9.7003e-3, where the series used to print 0 +- 0

@@ -1,14 +1,19 @@
 import cmath
 import math
+from collections import OrderedDict
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from fse import mittag
 from fse.errors import DomainError, NonConvergence, ValidationError
 from fse.foxh import FoxHParams, eval_auto
 from fse.mittag import ml_contour, ml_eval, ml_series
+from fse.numerics import POWER_SUM_CAP
 from fse.quadrature import adaptive
+from fse.result import TimeConfig
+from fse.time_factor import time_factor
 
 
 def _taylor_ref(beta: float, z: complex) -> complex:
@@ -242,3 +247,116 @@ def test_contour_refuses_a_value_past_double_range():
     with pytest.raises(NonConvergence,
                        match="^contour value for E_beta overflowed double range$"):
         ml_contour(0.5, 26.636, 1e-9)
+
+
+@pytest.mark.parametrize("z", [-1.7e308, -1e308, complex(-1e308, 1e307)])
+@pytest.mark.parametrize("beta", [0.3, 0.9])
+@pytest.mark.parametrize("route", [ml_contour, ml_eval])
+def test_contour_refuses_where_its_nodes_overflow(route, beta, z):
+    # from |z| ~ 5e307 on the pole-free side (s^beta - z) w overflows at
+    # most nodes, which then added 0 to the sum: E_0.9(-1.7e308) read
+    # 3.83e-308 +- 1.1e-317 where its leading term -1/(z Gamma(0.1)) is
+    # 6.2e-310
+    with pytest.raises(NonConvergence,
+                       match="^inversion contour of E_beta overflows double range"):
+        route(beta, z, 1e-9)
+
+
+def _bits(route, *args):
+    out = route(*args)
+    value, err, work = (out.value, out.err_est, out.work) if hasattr(out, "value") else out
+    return value.real.hex(), value.imag.hex(), err.hex(), work
+
+
+# E < 0 puts time_factor's argument on arg z = pi - pi beta / 2, where
+# E_beta has no pole for beta <= 2/3
+_TABLE_CASES = [
+    ("series", ml_series, 0.307, 1.9 * cmath.exp(0.8j * math.pi)),
+    ("series-real", ml_series, 0.6, -3.5),
+    ("contour-pole-free", ml_contour, 0.45, 14.0 * cmath.exp(0.9j * math.pi)),
+    ("contour-negative-axis", ml_contour, 0.8, -40.0),
+    ("contour-pole", ml_contour, 0.45, 14.0 * cmath.exp(0.2j * math.pi)),
+    ("eval-series", ml_eval, 0.5, 2.0 - 1.0j),
+    ("eval-contour", ml_eval, 0.3, 30.0 * cmath.exp(-0.95j * math.pi)),
+    ("time-factor", time_factor, TimeConfig(beta=0.4, energy=-2.0), 9.0),
+    ("time-factor-pole", time_factor, TimeConfig(beta=0.8, energy=-2.0), 9.0),
+]
+
+
+@pytest.mark.parametrize("route, first, arg", [c[1:] for c in _TABLE_CASES],
+                         ids=[c[0] for c in _TABLE_CASES])
+def test_table_bits_hold_on_cold_warm_extended_and_evicted_orders(
+        monkeypatch, route, first, arg):
+    # the table keeps an order's log-coefficients and pole-free contours:
+    # a warm call, one after a longer series has extended the coefficients,
+    # and one after the order was evicted must all give the cold bits
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    beta = getattr(first, "beta", first)
+    cold = _bits(route, first, arg, 1e-9)
+    kept = mittag._table.get(beta)
+    read = len(kept.coefs) if kept else 0
+    assert _bits(route, first, arg, 1e-9) == cold
+    ml_series(beta, 9.5 ** beta, 1e-12)
+    assert len(mittag._table[beta].coefs) > read
+    assert _bits(route, first, arg, 1e-9) == cold
+    for i in range(mittag._TABLE_CAP):
+        ml_eval(0.05 + 0.029 * i, -2.0, 1e-9)
+    assert beta not in mittag._table and len(mittag._table) == mittag._TABLE_CAP
+    assert _bits(route, first, arg, 1e-9) == cold
+
+
+def test_a_pole_call_keeps_no_contour(monkeypatch):
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    # the pole of E_0.45 at 14 e^(0.2 i pi) has phi > 0, and a contour's
+    # (mu, h, N) follow it
+    ml_contour(0.45, 14.0 * cmath.exp(0.2j * math.pi), 1e-9)
+    assert all(not kept.contours for kept in mittag._table.values())
+    ml_contour(0.45, 14.0 * cmath.exp(0.9j * math.pi), 1e-9)
+    ml_contour(0.45, -14.0, 1e-6)
+    assert list(mittag._table[0.45].contours) == [math.log(0.1 * 1e-9), math.log(0.1 * 1e-6)]
+
+
+def test_kept_contours_and_orders_go_oldest_first(monkeypatch):
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    tols = np.geomspace(1e-12, 1e-3, mittag._KEPT_TOL_CAP + 3)
+    fresh = [_bits(ml_contour, 0.5, -6.0, float(tol)) for tol in tols]
+    kept = mittag._table[0.5].contours
+    assert list(kept) == [math.log(0.1 * tol) for tol in tols[3:]]
+    assert [_bits(ml_contour, 0.5, -6.0, float(tol)) for tol in tols] == fresh
+    # least recently used out first: 0.5, used again after each new
+    # order, stays beside the _TABLE_CAP - 1 newest others
+    for i in range(mittag._TABLE_CAP + 8):
+        ml_contour(0.51 + 0.011 * i, -6.0, 1e-9)
+        ml_contour(0.5, -6.0, 1e-9)
+        assert len(mittag._table) == min(i + 2, mittag._TABLE_CAP)
+    assert 0.5 in mittag._table and 0.51 not in mittag._table
+
+
+def test_log_coefficients_stop_at_the_term_cap(monkeypatch):
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    for _ in range(2):
+        with pytest.raises(NonConvergence,
+                           match="^Mittag-Leffler series hit the 2000-term cap$"):
+            ml_series(0.001, 0.999, 1e-9)
+        coefs = mittag._table[0.001].coefs
+        assert len(coefs) <= POWER_SUM_CAP + 1 and max(coefs) == POWER_SUM_CAP
+        assert all(coefs[k] == -math.lgamma(0.001 * k + 1.0) for k in coefs)
+
+
+def test_a_refusal_from_a_warm_order_keeps_its_class_and_message(monkeypatch):
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    ml_contour(0.5, -6.0, 1e-9)
+    ml_series(0.5, -1.0, 1e-9)
+    # on a scan of rel_tol in [1e-14, 1e-2] no contour asked for more than
+    # 2 * 173 + 1 nodes, so a lowered cap is what makes it refuse
+    monkeypatch.setattr(mittag, "CONTOUR_NODE_CAP", 10)
+    for z, tol in ((-6.0, 1e-12), (6.0 * cmath.exp(0.4j * math.pi), 1e-9)):
+        for _ in range(2):
+            with pytest.raises(NonConvergence,
+                               match="^no admissible inversion contour for E_beta$"):
+                ml_contour(0.5, z, tol)
+    assert list(mittag._table[0.5].contours) == [math.log(0.1 * 1e-9)]
+    for _ in range(2):
+        with pytest.raises(NonConvergence,
+                           match="^Mittag-Leffler series hit the 2000-term cap$"):
+            ml_series(0.001, 0.999, 1e-9)
