@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import OrderedDict
 from typing import NamedTuple
 
@@ -39,6 +40,7 @@ from .numerics import MACH_EPS, power_sum
 from .result import EvalResult, _check_argument, _check_rel_tol, _meets_tol
 
 LOG_MACH_EPS = math.log(MACH_EPS)
+_DBL_MAX = sys.float_info.max
 
 SERIES_RADIUS = 10.0
 # exp(|z|^(1/beta)) is the top of the Taylor hump; keep it below ~e^12 so
@@ -105,11 +107,18 @@ def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     ones and computed only past them, so a sum at any z reuses them.  Its
     terms fall slowly at small beta (the ratio is about |z| / (beta k)^beta),
     so the rest of the sum is claimed as the geometric tail at the last
-    term ratios, not as the last term alone.  The tuple is raw: ml_eval
-    and `fse ml` accept it only when err_est meets rel_tol."""
+    term ratios, not as the last term alone.  The ratios
+    |z| Gamma(beta k + 1) / Gamma(beta k + beta + 1) never rise, by the
+    log-convexity of Gamma, so power_sum runs falling: a sum whose rounding
+    floor already misses rel_tol, against the partial sum plus a bound on
+    the rest, stops there and returns the partial sum with an honest
+    err_est that misses rel_tol, as the whole sum's would, so ml_eval
+    still takes the contour; a sum that would hit the term cap still
+    refuses.  The tuple is raw: ml_eval and `fse ml` accept it only when
+    err_est meets rel_tol."""
     z = _validate(beta, z, rel_tol)
     return power_sum(z, _kept(beta).coefs.__getitem__, rel_tol,
-                     "Mittag-Leffler series", head=1.0)
+                     "Mittag-Leffler series", head=1.0, falling=True)
 
 
 def _param_left(phi, log_epsilon):
@@ -184,16 +193,40 @@ def _nodes(beta, mu, h, N):
     return w, s_beta, np.exp(s) * s_beta
 
 
+def _overflow_free(w, s_beta, num):
+    """(z_cap, arg_floor) of a pole-free contour: for |z| < z_cap and
+    |arg z| > arg_floor no node's (s^beta - z) w or quotient can overflow.
+
+    |s^beta - z| |w| <= (max|s^beta| + |z|) max|w|, below DBL_MAX / 4
+    under z_cap, which bounds the difference, every product the complex
+    multiply forms and the divisor's rescaling in the division.  The angle
+    between z and each s^beta is at least |arg z| - max|arg s^beta|, so
+    above arg_floor = max|arg s^beta| + 1e-9 (1e-9 covers the rounding of
+    both angles, and of the difference) |s^beta - z| >=
+    max(|s^beta|, |z|) sin(1e-9).  Since |w| >= 1, no quotient then exceeds
+    max|num| / (min|s^beta| 2e-9 / pi), and reach < 1e-9 keeps that below
+    DBL_MAX / 8 and the divisor's reciprocal finite; past it nothing is
+    free.
+    """
+    size = np.abs(s_beta)
+    z_cap = _DBL_MAX / (4.0 * float(np.abs(w).max())) - float(size.max())
+    reach = 16.0 * max(float(np.abs(num).max()), 1.0) / (float(size.min()) * _DBL_MAX)
+    arg_floor = float(np.abs(np.angle(s_beta)).max()) + 1e-9 if reach < 1e-9 else math.inf
+    return z_cap, arg_floor
+
+
 def _pole_free_contour(beta, log_epsilon):
-    """(h, N, w, s^beta, e^s s^beta) of the contour right of the branch
-    point, kept per beta and log epsilon."""
+    """(h, N, w, s^beta, e^s s^beta, z_cap, arg_floor) of the contour right
+    of the branch point, kept per beta and log epsilon; see _overflow_free
+    for the last two."""
     contours = _kept(beta).contours
     kept = contours.get(log_epsilon)
     if kept is None:
         mu, h, N, _ = _contour_params(0.0, log_epsilon)
         if len(contours) >= _KEPT_TOL_CAP:
             del contours[next(iter(contours))]
-        kept = contours[log_epsilon] = (h, N) + _nodes(beta, mu, h, N)
+        nodes = _nodes(beta, mu, h, N)
+        kept = contours[log_epsilon] = (h, N) + nodes + _overflow_free(*nodes)
     return kept
 
 
@@ -221,7 +254,14 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     e^s s^beta / ((s^beta - z) w) and sums; with a pole they follow the
     pole's phi, and nothing is kept.  Near double range (|z| ~ 5e307)
     (s^beta - z) w overflows at most nodes, which would then add 0 to the
-    sum, so the call refuses.
+    sum, so the quotients are formed under np.errstate(over="raise") and
+    an overflow refuses.  A pole-free call skips that check (about 1.3 us)
+    where its kept contour's bound rules overflow out (_overflow_free):
+    |z| below DBL_MAX / (4 max|w|) - max|s^beta|, about 1e307, and
+    |arg z| at least 1e-9 past every node's |arg s^beta| <=
+    2 beta atan(N h), which lies well below beta pi, so the whole
+    pole-free side clears it.  Past that bound, and on every call with a
+    pole, the check and its refusal stay.
     Returns (value, err_est, nodes), raw like ml_series's tuple.
     """
     z = _validate(beta, z, rel_tol)
@@ -242,18 +282,23 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
             pole, phi = None, 0.0
 
     if pole is None:
-        h, N, w, s_beta, num = _pole_free_contour(beta, log_epsilon)
+        h, N, w, s_beta, num, z_cap, arg_floor = _pole_free_contour(beta, log_epsilon)
         left = False
+        free = abs(z) < z_cap and abs(ang) > arg_floor
     else:
         mu, h, N, left = _contour_params(phi, log_epsilon)
         w, s_beta, num = _nodes(beta, mu, h, N)
-    try:
-        with np.errstate(over="raise"):
-            contrib = num / ((s_beta - z) * w)
-    except FloatingPointError:
-        raise NonConvergence(
-            "inversion contour of E_beta overflows double range at |z| = %.4g"
-            % abs(z)) from None
+        free = False
+    if free:
+        contrib = num / ((s_beta - z) * w)
+    else:
+        try:
+            with np.errstate(over="raise"):
+                contrib = num / ((s_beta - z) * w)
+        except FloatingPointError:
+            raise NonConvergence(
+                "inversion contour of E_beta overflows double range at |z| = %.4g"
+                % abs(z)) from None
     integral = h / math.pi * contrib.sum()
     asum = h / math.pi * np.abs(contrib).sum()
     residue = 0.0 + 0.0j

@@ -18,8 +18,14 @@ ratio NEW/OLD over the pairs (below 1 means NEW is faster), and the median
 seconds of each side; then the outcome diff of the first pass of each side
 with the semantics of tests/compare_outcomes.py: its summary (compare) and
 its last-bit check (identical).  The outcome lines have the format of
-tests/outcomes.py.  It exits 1 if any tag, method, work or refusal class
-differs, and 0 otherwise.
+tests/outcomes.py.  Per workload it also prints, for each side, the calls,
+refusals and returned work of the COUNTED routes, taken in one more pass
+of the first subprocess of each side, after its timed loop and untimed:
+wrappers on the routes' module globals count them, so every call that
+looks them up there (ml_eval's and eval_auto's) is seen.  The kernels are
+never wrapped, since a rebound kernel makes every foxh plan cold.  It
+exits 1 if any tag, method, work or refusal class differs, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -40,11 +46,64 @@ from perfbench.repeat import parse_seeds, summarise  # noqa: E402
 from tests.compare_outcomes import compare, identical  # noqa: E402
 
 PASS_TIMEOUT_S = 600
+# (module, route) whose calls, refusals and work a counting pass reports
+COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"),
+           ("foxh", "eval_series"), ("foxh", "eval_contour"))
 
 
-def replay(workload: str, seeds, rounds) -> dict:
+def _evaluate(calls) -> list:
+    """The result, or the refusal, of every call."""
+    import fse
+
+    results = []
+    for _, fn, cfg, coord, kw in calls:
+        try:
+            results.append(fn(cfg, coord, **kw))
+        except fse.EvaluationError as exc:
+            results.append(exc)
+    return results
+
+
+def _counting(fn, tally):
+    """fn, adding 1 to tally[0] per call, 1 to tally[1] per refusal and
+    its work (an EvalResult's, or a raw tuple's last field) to tally[2]."""
+    import fse
+
+    def wrapped(*args, **kw):
+        tally[0] += 1
+        try:
+            out = fn(*args, **kw)
+        except fse.EvaluationError:
+            tally[1] += 1
+            raise
+        tally[2] += out.work if hasattr(out, "work") else out[2]
+        return out
+    return wrapped
+
+
+def count(calls) -> dict:
+    """[calls, refusals, work] of each COUNTED route over one pass of calls,
+    counted by wrappers on the routes' module globals, restored after."""
+    import importlib
+
+    counts, kept = {}, []
+    for module, name in COUNTED:
+        mod = importlib.import_module("fse." + module)
+        fn = getattr(mod, name)
+        kept.append((mod, name, fn))
+        setattr(mod, name, _counting(fn, counts.setdefault("%s.%s" % (module, name), [0, 0, 0])))
+    try:
+        _evaluate(calls)
+    finally:
+        for mod, name, fn in kept:
+            setattr(mod, name, fn)
+    return counts
+
+
+def replay(workload: str, seeds, rounds, counted=False) -> dict:
     """One pass in this process: the seconds of the evaluation loop and the
-    outcome line of every point."""
+    outcome line of every point; with counted, the COUNTED routes' counts
+    of one more, untimed pass."""
     import fse
     from perfbench.workloads import ROUNDS
 
@@ -54,13 +113,8 @@ def replay(workload: str, seeds, rounds) -> dict:
             for j, p in enumerate(ROUNDS[workload](seed, r)):
                 calls.append(("%s s%d r%d #%d" % (workload, seed, r, j),
                               getattr(fse, p.route), p.cfg, p.coord, p.tol_kwargs))
-    results = []
     t0 = perf_counter()
-    for _, fn, cfg, coord, kw in calls:
-        try:
-            results.append(fn(cfg, coord, **kw))
-        except fse.EvaluationError as exc:
-            results.append(exc)
+    results = _evaluate(calls)
     seconds = perf_counter() - t0
     lines = []
     for (tag, *_), r in zip(calls, results):
@@ -69,14 +123,17 @@ def replay(workload: str, seeds, rounds) -> dict:
         else:
             fields = (r.value, r.err_est, r.method, r.work)
             lines.append(" ".join([tag] + [repr(v) for v in fields]))
-    return {"seconds": seconds, "lines": lines}
+    out = {"seconds": seconds, "lines": lines}
+    if counted:
+        out["counts"] = count(calls)
+    return out
 
 
-def run_pass(src: str, workload: str, seeds: str, rounds: str) -> dict:
+def run_pass(src: str, workload: str, seeds: str, rounds: str, counted=False) -> dict:
     """One pass in a fresh subprocess that imports fse from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(src).resolve()), str(ROOT)]))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--replay", workload,
-           "--seeds", seeds, "--rounds", rounds]
+           "--seeds", seeds, "--rounds", rounds] + ["--count"] * counted
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=str(ROOT), env=env,
                           timeout=PASS_TIMEOUT_S)
     if proc.returncode != 0:
@@ -91,16 +148,22 @@ def ab(old: str, new: str, workload: str, seeds: str, rounds: str, pairs: int) -
     trees = (old, new)
     times = ([], [])
     lines = [None, None]
+    counts = [None, None]
     for i in range(pairs):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            out = run_pass(trees[side], workload, seeds, rounds)
+            out = run_pass(trees[side], workload, seeds, rounds, counted=not lines[side])
             times[side].append(out["seconds"])
-            lines[side] = lines[side] or out["lines"]
+            if not lines[side]:
+                lines[side], counts[side] = out["lines"], out["counts"]
     ratio = summarise([b / a for a, b in zip(*times)])
     print("%s: %d points, %d pairs, time ratio new/old median %.3f (Q1 %.3f, Q3 %.3f);"
           " old %.3f s, new %.3f s"
           % (workload, len(lines[0]), pairs, ratio["median"], ratio["q1"], ratio["q3"],
              statistics.median(times[0]), statistics.median(times[1])))
+    for name in counts[0]:
+        (c0, r0, w0), (c1, r1, w1) = counts[0][name], counts[1][name]
+        print("  %s: calls %d -> %d, refused %d -> %d, work %d -> %d"
+              % (name, c0, c1, r0, r1, w0, w1))
     ok = compare(*lines)
     identical(*lines)
     return ok
@@ -114,9 +177,11 @@ def main(argv=None):
     ap.add_argument("--rounds", default="0-7")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--replay", metavar="WORKLOAD", help=argparse.SUPPRESS)
+    ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.replay:
-        print(json.dumps(replay(args.replay, parse_seeds(args.seeds), parse_seeds(args.rounds))))
+        print(json.dumps(replay(args.replay, parse_seeds(args.seeds), parse_seeds(args.rounds),
+                                args.count)))
         return 0
     if len(args.trees) != 2 or args.pairs < 2:
         ap.error("need OLD_SRC NEW_SRC and --pairs >= 2")

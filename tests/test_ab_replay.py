@@ -2,7 +2,7 @@ import re
 import shutil
 from pathlib import Path
 
-from tests.ab_replay import main
+from tests.ab_replay import COUNTED, main, run_pass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,3 +30,20 @@ def test_a_changed_work_count_fails_the_ab(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "0 with a changed tag, method or class:" in out
     assert re.search(r"^[1-9]\d* answers with a changed work$", out, re.M)
+
+
+def test_two_passes_of_one_tree_count_alike(capsys):
+    passes = [run_pass(str(SRC), "time-grid", "1", "0-1", counted=True) for _ in range(2)]
+    counts = passes[0]["counts"]
+    assert counts == passes[1]["counts"]
+    assert sorted(counts) == sorted("%s.%s" % c for c in COUNTED)
+    calls, refused, work = counts["mittag.ml_series"]
+    assert 0 < calls < len(passes[0]["lines"]) and refused == 0 and work > calls
+    assert counts["mittag.ml_contour"][0] > 0
+    # time_factor never reaches foxh
+    assert counts["foxh.eval_series"] == counts["foxh.eval_contour"] == [0, 0, 0]
+    # the timed passes of an A/B print each side's counts
+    assert main([str(SRC), str(SRC), "--workloads", "time-grid", "--seeds", "1",
+                 "--rounds", "0", "--pairs", "2"]) == 0
+    assert re.search(r"^  mittag\.ml_series: calls (\d+) -> \1, refused 0 -> 0, "
+                     r"work (\d+) -> \2$", capsys.readouterr().out, re.M)

@@ -10,7 +10,7 @@ from fse import mittag
 from fse.errors import DomainError, NonConvergence, ValidationError
 from fse.foxh import FoxHParams, eval_auto
 from fse.mittag import ml_contour, ml_eval, ml_series
-from fse.numerics import POWER_SUM_CAP
+from fse.numerics import POWER_SUM_CAP, power_sum
 from fse.quadrature import adaptive
 from fse.result import TimeConfig
 from fse.time_factor import time_factor
@@ -221,18 +221,41 @@ def test_slowly_falling_series_claims_its_whole_rest(beta, radius):
     assert abs(got.value - want) <= got.err_est
 
 
+def _ray(beta, ray, root):
+    """time_factor's argument at |z|^(1/beta) = root on its ray: arg z =
+    pi - pi beta / 2 for E < 0 ("neg"), -pi beta / 2 for E > 0 ("pos")."""
+    arg = -0.5 * math.pi * beta + (math.pi if ray == "neg" else 0.0)
+    return root ** beta * cmath.exp(1j * arg)
+
+
+# in-ball sums near the ball edge |z|^(1/beta) = 12 whose rounding floor
+# misses rel_tol 1e-9: the series stops early, and ml_eval takes the contour
+_SHORT_ROOTS = {"neg": (10.5, 11.9), "pos": (11.9,)}
+
+
 def test_err_est_bounds_the_error_on_the_time_factor_rays():
     # time_factor's arguments lie on arg z = pi - pi beta / 2 (E < 0) and
     # -pi beta / 2 (E > 0); both routes must bound their error there
     for beta in (0.3, 0.5, 0.7, 0.9):
-        for arg in (math.pi - 0.5 * math.pi * beta, -0.5 * math.pi * beta):
-            for root in np.geomspace(0.3, 150.0, 12):
-                z = float(root) ** beta * cmath.exp(1j * arg)
+        for ray in ("neg", "pos"):
+            for root in list(np.geomspace(0.3, 150.0, 12)) + list(_SHORT_ROOTS[ray]):
+                z = _ray(beta, ray, float(root))
                 want = _taylor_ref(beta, z)
                 value, err, _ = ml_contour(beta, z, 1e-9)
-                assert abs(value - want) <= err, (beta, arg, root, "contour")
+                assert abs(value - want) <= err, (beta, ray, root, "contour")
                 got = ml_eval(beta, z, 1e-9)
-                assert abs(got.value - want) <= got.err_est, (beta, arg, root, got.method)
+                assert abs(got.value - want) <= got.err_est, (beta, ray, root, got.method)
+            for root in _SHORT_ROOTS[ray]:
+                # a sum that cannot meet rel_tol stops short of the whole
+                # sum with an honest claim that misses rel_tol
+                z = _ray(beta, ray, root)
+                want = _taylor_ref(beta, z)
+                value, err, nterms = ml_series(beta, z, 1e-9)
+                assert abs(value - want) <= err, (beta, ray, root, "series")
+                assert err > 1e-9 * abs(value), (beta, ray, root)
+                whole = power_sum(z, mittag._kept(beta).coefs.__getitem__, 1e-9,
+                                  "Mittag-Leffler series", head=1.0)
+                assert whole[1] > 1e-9 * abs(whole[0]) and nterms < whole[2], (beta, ray, root)
 
 
 def test_series_refuses_at_its_term_cap():
@@ -240,6 +263,23 @@ def test_series_refuses_at_its_term_cap():
     with pytest.raises(NonConvergence,
                        match="^Mittag-Leffler series hit the 2000-term cap$"):
         ml_series(0.001, 0.999, 1e-9)
+
+
+@pytest.mark.parametrize("route, beta, z", [
+    # in the ball at beta 0.01 the terms fall too slowly for 2,000 of them
+    (ml_eval, 0.01, -1.02),
+    (ml_series, 0.01, 1.02j),
+    # T 0.3 -5.0 2.0 of tests/outcomes.py: past the ball, the rounding
+    # floor of a hump near e^426 misses rel_tol long before the cap
+    (ml_series, 0.3, 2.0 ** 0.3 * cmath.exp(-0.15j * math.pi) * -5.0),
+])
+def test_a_sum_that_would_hit_the_cap_still_refuses(route, beta, z):
+    # the early stop of a sum that misses rel_tol is taken only where the
+    # whole sum provably ends inside the cap, so this refusal, which
+    # ml_eval passes on instead of trying the contour, keeps its class
+    with pytest.raises(NonConvergence,
+                       match="^Mittag-Leffler series hit the 2000-term cap$"):
+        route(beta, z, 1e-9)
 
 
 def test_contour_refuses_a_value_past_double_range():
@@ -360,3 +400,123 @@ def test_a_refusal_from_a_warm_order_keeps_its_class_and_message(monkeypatch):
         with pytest.raises(NonConvergence,
                            match="^Mittag-Leffler series hit the 2000-term cap$"):
             ml_series(0.001, 0.999, 1e-9)
+
+
+# (value.real, value.imag, err_est) hex, method and work, recorded before
+# the Taylor sum stopped early: ml_eval and time_factor at in-ball points
+# whose sum misses rel_tol 1e-9 and so takes the contour, and ml_contour
+# with a pole and without one, inside its overflow bound and (at a tiny z
+# inside the sector, whose pole counts as none) outside it
+ML_BITS = [
+    ("eval-0.3-neg-10.5", ml_eval, 0.3, _ray(0.3, "neg", 10.5),
+     ("0x1.1b514253854e8p-2", "0x1.9e2161c872cd8p-4", "0x1.84aa7f6c10e1ap-34", "contour", 25)),
+    ("eval-0.3-neg-11.9", ml_eval, 0.3, _ray(0.3, "neg", 11.9),
+     ("0x1.13001ef261cc7p-2", "0x1.96b23a693c786p-4", "0x1.79c8092218abfp-34", "contour", 25)),
+    ("eval-0.3-pos-11.9", ml_eval, 0.3, _ray(0.3, "pos", 11.9),
+     ("0x1.1cb294e37dfe1p+1", "0x1.d0a58dd84279ap+0", "0x1.d978190f581d2p-31", "contour", 43)),
+    ("eval-0.5-neg-10.5", ml_eval, 0.5, _ray(0.5, "neg", 10.5),
+     ("0x1.062f4e4a934ffp-3", "0x1.ddcb24e3bd864p-4", "0x1.c908f014b0cefp-35", "contour", 25)),
+    ("eval-0.5-neg-11.9", ml_eval, 0.5, _ray(0.5, "neg", 11.9),
+     ("0x1.eabdebd319600p-4", "0x1.c3e4da211326ep-4", "0x1.adc9e95df79efp-35", "contour", 25)),
+    ("eval-0.5-pos-11.9", ml_eval, 0.5, _ray(0.5, "pos", 11.9),
+     ("0x1.73cbef8f60603p+0", "0x1.203e2a10f0215p+0", "0x1.2f14b76dba508p-31", "contour", 43)),
+    ("eval-0.7-neg-10.5", ml_eval, 0.7, _ray(0.7, "neg", 10.5),
+     ("0x1.6f951d9287278p-6", "0x1.0e7f63dae2561p-4", "0x1.702e231d6533bp-36", "contour", 27)),
+    ("eval-0.7-neg-11.9", ml_eval, 0.7, _ray(0.7, "neg", 11.9),
+     ("0x1.5b73a2ee2d9f8p-6", "0x1.e9508946670dcp-5", "0x1.4e99de96a9966p-36", "contour", 27)),
+    ("eval-0.7-pos-11.9", ml_eval, 0.7, _ray(0.7, "pos", 11.9),
+     ("0x1.178a7adb3f3a7p+0", "0x1.acc764c9b6733p-1", "0x1.c5eb1fff1ae8dp-32", "contour", 43)),
+    ("eval-0.9-neg-10.5", ml_eval, 0.9, _ray(0.9, "neg", 10.5),
+     ("-0x1.ce0eaa15c0305p-6", "-0x1.fc865eab4362dp-12", "0x1.6098e6c597d76p-36", "contour", 45)),
+    ("eval-0.9-neg-11.9", ml_eval, 0.9, _ray(0.9, "neg", 11.9),
+     ("0x1.af36107d44259p-9", "-0x1.e02db27187d42p-8", "0x1.ddeea714c6361p-39", "contour", 51)),
+    ("eval-0.9-pos-11.9", ml_eval, 0.9, _ray(0.9, "pos", 11.9),
+     ("0x1.bd7403ecb8472p-1", "0x1.5a6b57917dcf4p-1", "0x1.6b8c4c093cd31p-32", "contour", 43)),
+    ("time-0.3--1.0", time_factor, TimeConfig(beta=0.3, energy=-1.0), 11.9,
+     ("0x1.13001ef261ccap-2", "0x1.96b23a693c772p-4", "0x1.79c8092218ac0p-34", "contour", 25)),
+    ("time-0.3-1.0", time_factor, TimeConfig(beta=0.3, energy=1.0), 11.9,
+     ("0x1.1cb294e37dfe1p+1", "0x1.d0a58dd84279ap+0", "0x1.d978190f581d2p-31", "contour", 43)),
+    ("time-0.5--1.0", time_factor, TimeConfig(beta=0.5, energy=-1.0), 11.9,
+     ("0x1.eabdebd3195f6p-4", "0x1.c3e4da2113278p-4", "0x1.adc9e95df79efp-35", "contour", 25)),
+    ("time-0.5-1.0", time_factor, TimeConfig(beta=0.5, energy=1.0), 11.9,
+     ("0x1.73cbef8f60603p+0", "0x1.203e2a10f0215p+0", "0x1.2f14b76dba508p-31", "contour", 43)),
+    ("time-0.7--1.0", time_factor, TimeConfig(beta=0.7, energy=-1.0), 11.9,
+     ("0x1.5b73a2ee2d9f8p-6", "0x1.e9508946670dcp-5", "0x1.4e99de96a9966p-36", "contour", 27)),
+    ("time-0.7-1.0", time_factor, TimeConfig(beta=0.7, energy=1.0), 11.9,
+     ("0x1.178a7adb3f3a7p+0", "0x1.acc764c9b6733p-1", "0x1.c5eb1fff1ae8dp-32", "contour", 43)),
+    ("time-0.9--1.0", time_factor, TimeConfig(beta=0.9, energy=-1.0), 11.9,
+     ("0x1.af36107d44249p-9", "-0x1.e02db27187d00p-8", "0x1.ddeea714c6365p-39", "contour", 51)),
+    ("time-0.9-1.0", time_factor, TimeConfig(beta=0.9, energy=1.0), 11.9,
+     ("0x1.bd7403ecb8472p-1", "0x1.5a6b57917dcf4p-1", "0x1.6b8c4c093cd31p-32", "contour", 43)),
+    ("contour-pole", ml_contour, 0.45, 14.0 * cmath.exp(0.2j * math.pi),
+     ("0x1.c822d14cd1170p+86", "0x1.515f6b2aafabap+89", "0x1.b8ddb526c5c4ap+57", None, 25)),
+    ("contour-pole-free", ml_contour, 0.45, 14.0 * cmath.exp(0.9j * math.pi),
+     ("0x1.545bcd590218bp-5", "0x1.b2ebf27bb1182p-7", "0x1.cc63f4c909eb5p-37", None, 25)),
+    ("contour-negative-axis", ml_contour, 0.8, -40.0,
+     ("0x1.705c40b0f874bp-8", "0x0.0p+0", "0x1.daaa055133a65p-40", None, 25)),
+    ("contour-pole-free-huge", ml_contour, 0.3, -1e300,
+     ("0x1.0826af02c13acp-997", "0x0.0p+0", "0x0.02a8b8651c1acp-1022", None, 25)),
+    ("contour-pole-free-inside-the-sector", ml_contour, 0.7, -1e-200j,
+     ("0x1.000000000c070p+0", "0x1.aa332e7007518p-55", "0x1.49db02cf7e188p-32", None, 25)),
+    ("contour-pole-on-the-axis", ml_contour, 0.6, 2.0,
+     ("0x1.3d8add537a6e8p+5", "0x0.0p+0", "0x1.9a09a09408a41p-27", None, 43)),
+]
+
+
+@pytest.mark.parametrize("route, first, arg, want", [c[1:] for c in ML_BITS],
+                         ids=[c[0] for c in ML_BITS])
+def test_answers_keep_their_recorded_bits(route, first, arg, want):
+    out = route(first, arg, 1e-9)
+    if hasattr(out, "value"):
+        got = (out.value.real.hex(), out.value.imag.hex(), out.err_est.hex(), out.method, out.work)
+    else:
+        got = (out[0].real.hex(), out[0].imag.hex(), out[1].hex(), None, out[2])
+    assert got == want
+
+
+def _errstate_calls(monkeypatch):
+    """A list that grows by one per np.errstate the contour enters."""
+    calls, errstate = [], np.errstate
+
+    def spy(**kw):
+        calls.append(kw)
+        return errstate(**kw)
+    monkeypatch.setattr(np, "errstate", spy)
+    return calls
+
+
+def _forced_errstate_bits(monkeypatch, beta, z, log_epsilon):
+    """ml_contour's bits with the kept contour's bound lowered to nothing,
+    so the quotients are formed under np.errstate."""
+    contours = mittag._table[beta].contours
+    kept = contours[log_epsilon]
+    monkeypatch.setitem(contours, log_epsilon, kept[:5] + (0.0, math.inf))
+    bits = _bits(ml_contour, beta, z, 1e-9)
+    monkeypatch.setitem(contours, log_epsilon, kept)
+    return bits
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9])
+def test_contour_skips_the_overflow_check_only_inside_its_bound(monkeypatch, beta):
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    log_epsilon = math.log(0.1 * 1e-9)
+    ml_contour(beta, -1.0, 1e-9)
+    z_cap, arg_floor = mittag._table[beta].contours[log_epsilon][5:]
+    assert 1e306 < z_cap < 5e307 and 0.0 < arg_floor < beta * math.pi
+    calls = _errstate_calls(monkeypatch)
+    # |z| on each side of z_cap, on the negative axis; |arg z| on each side
+    # of arg_floor at a |z| whose pole, near 0, counts as none
+    for z, inside in ((-z_cap * (1.0 - 1e-12), True), (-z_cap * (1.0 + 1e-12), False),
+                      (1e-200 * cmath.exp(1j * (arg_floor + 1e-6)), True),
+                      (1e-200 * cmath.exp(1j * (arg_floor - 1e-6)), False)):
+        del calls[:]
+        got = _bits(ml_contour, beta, z, 1e-9)
+        assert calls == ([] if inside else [{"over": "raise"}]), z
+        assert got == _forced_errstate_bits(monkeypatch, beta, z, log_epsilon), z
+    # far past the bound the check's refusal keeps its class and message
+    del calls[:]
+    with pytest.raises(NonConvergence,
+                       match="^inversion contour of E_beta overflows double range"):
+        ml_contour(beta, -1e308, 1e-9)
+    assert calls == [{"over": "raise"}]
+

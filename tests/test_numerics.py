@@ -313,3 +313,22 @@ def test_power_sum_claims_the_geometric_rest(q):
     value, err, _ = power_sum(q, lambda k: 0j, 1e-9, "geometric series")
     assert abs(value - 1.0 / (1.0 - q)) <= err
     assert err <= 1e-8 * abs(value)
+
+
+def test_a_falling_sum_stops_once_its_rounding_floor_misses_rel_tol():
+    # e^-30 = sum (-30)^k / k!: the terms peak near 30^30 / 30! ~ 8e11, so
+    # the rounding floor, about 1e-4, misses rel_tol against e^-30 ~ 1e-13
+    # long before the terms fall below it
+    def log_coef(k):
+        return -math.lgamma(k + 1.0)
+
+    want = math.exp(-30.0)
+    whole = power_sum(-30.0, log_coef, 1e-9, "exp series", head=1.0)
+    short = power_sum(-30.0, log_coef, 1e-9, "exp series", head=1.0, falling=True)
+    for value, err, _ in (whole, short):
+        assert abs(value - want) <= err
+        assert err > 1e-9 * abs(value)
+    assert short[2] < whole[2]
+    # an ordinary sum that meets rel_tol keeps its bits
+    assert (power_sum(-3.0, log_coef, 1e-9, "exp series", head=1.0, falling=True)
+            == power_sum(-3.0, log_coef, 1e-9, "exp series", head=1.0))
