@@ -16,13 +16,20 @@ One table keeps the z-free work of the last _TABLE_CAP orders b, least
 recently used out first, since a time grid calls both routes many times
 at one b.  Per b it holds the Taylor log-coefficients -log Gamma(b k + 1),
 each computed the first time a sum reads it, so at most POWER_SUM_CAP + 1
-of them; and, for each of the last _KEPT_TOL_CAP values of log epsilon,
-the pole-free contour: (h, N) and the nodes' w, s^b and e^s s^b.  With no
-pole on the principal sheet (mu, h, N) depend on log epsilon alone, so a
-pole-free call only divides by (s^b - z) w and sums.  With a pole they
-follow the pole's phi, which moves with z, so a call with a pole keeps
-nothing.  A cold call fills the table and then reads it as a warm one
-does, and every kept value has the bits of a fresh one.
+of them; for each of the last _KEPT_TOL_CAP values of log epsilon, the
+pole-free contour; and for each of the last _KEPT_RUNG_CAP pairs of log
+epsilon and rung, the contour of a pole on that rung.  A contour is its
+(h, N) and the nodes' w, s^b and e^s s^b.  With no pole on the principal
+sheet (mu, h, N) depend on log epsilon alone, so a pole-free call only
+divides by (s^b - z) w and sums.  With a pole they follow the pole's phi,
+which moves with z; so phi is taken down to a rung [lo, hi] of a fixed
+ladder, 16 rungs an octave, and the contour is tuned to the rung's edge on
+its own side of the pole: left of it to lo <= phi, right of it to hi >=
+phi, so the pole lies at least as far from the nodes as the tuning
+assumed, and every z on the rung shares one contour.  A pole call whose
+rung's contour misses rel_tol runs again on one tuned to its own phi,
+which is not kept.  A cold call fills the table and then reads it as a
+warm one does, and every kept value has the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import NamedTuple
 
@@ -47,12 +55,26 @@ SERIES_RADIUS = 10.0
 # roundoff on the partial sums stays near 1e-11 absolute
 SERIES_ROOT_CAP = 12.0
 CONTOUR_NODE_CAP = 500
-# the table's orders, and per order its pole-free contours.  A contour has
-# at most 2 N + 1 = 55 nodes over rel_tol in [1e-14, 1e-2], three complex
-# arrays of under 1 KB each, so the contours of a full table take under
-# 0.8 MB; an order's log-coefficients take about 170 KB at the term cap
+# the table's orders, and per order its pole-free contours and pole rungs.
+# Over rel_tol in [1e-14, 1e-2] a pole-free contour has at most 2 N + 1 =
+# 55 nodes, three complex arrays of under 1 KB each, and a rung's contour
+# at most 365 nodes, 18 KB (51 nodes, 3 KB, at rel_tol 1e-9).  So the
+# contours of a full table take under 0.8 MB and 18.5 MB (3 MB at 1e-9);
+# an order's log-coefficients take about 170 KB at the term cap
 _TABLE_CAP = 32
 _KEPT_TOL_CAP = 8
+_KEPT_RUNG_CAP = 32
+# rung j = 16 e + k of the ladder holds 2^e m_k <= phi < 2^e m_(k+1), with
+# the mantissas m_k = 2^(k/16), k = 0..16: scaling by 2^e is exact, so
+# the rung's edges bracket phi to the bit.  From phi = 4 (log epsilon -
+# log eps) on, the left region's (mu, h, N) no longer depend on phi (its
+# sqrt(phi) is capped at 2 sqrt(log epsilon - log eps)) and the right
+# region is closed (phi past log epsilon - log eps), so one top rung holds
+# them all; that edge lies below 2^7 at every rel_tol, and _TOP_RUNG above
+# every rung under it
+_RUNGS_PER_OCTAVE = 16
+_RUNG_MANTISSAS = tuple(2.0 ** (k / _RUNGS_PER_OCTAVE) for k in range(_RUNGS_PER_OCTAVE + 1))
+_TOP_RUNG = 7 * _RUNGS_PER_OCTAVE
 
 
 def _validate(beta: float, z: complex, rel_tol: float) -> complex:
@@ -79,11 +101,14 @@ class _LogCoefs(dict):
 
 
 class _Kept(NamedTuple):
-    """The z-free work kept for one order beta: its log-coefficients, and
-    its pole-free contour (h, N, w, s^beta, e^s s^beta) by log epsilon."""
+    """The z-free work kept for one order beta: its log-coefficients, its
+    pole-free contour (h, N, w, s^beta, e^s s^beta, z_cap, arg_floor) by
+    log epsilon, and its pole contours (h, N, w, s^beta, e^s s^beta, left)
+    by log epsilon and rung (_contour)."""
 
     coefs: _LogCoefs
     contours: dict
+    rungs: dict
 
 
 # the kept work by beta, least recently used first
@@ -95,7 +120,7 @@ def _kept(beta) -> _Kept:
     if kept is not None:
         _table.move_to_end(beta)
         return kept
-    kept = _table[beta] = _Kept(_LogCoefs(beta), {})
+    kept = _table[beta] = _Kept(_LogCoefs(beta), {}, {})
     if len(_table) > _TABLE_CAP:
         _table.popitem(last=False)
     return kept
@@ -168,15 +193,34 @@ def _param_right(phi, log_epsilon):
     return mu, h, N
 
 
-def _contour_params(phi, log_epsilon):
-    """(mu, h, N, left) of the region with fewer nodes: left of a pole at
-    phi > 0, or right of it (of the branch point alone when phi = 0).
-    Refuses when neither admits at most CONTOUR_NODE_CAP nodes."""
+def _rung(phi, log_epsilon):
+    """The ladder's rung j of a pole's phi > 0: _TOP_RUNG from
+    4 (log epsilon - log eps) on."""
+    if phi >= 4.0 * (log_epsilon - LOG_MACH_EPS):
+        return _TOP_RUNG
+    mantissa, e = math.frexp(phi)
+    return _RUNGS_PER_OCTAVE * (e - 1) + bisect_right(_RUNG_MANTISSAS, 2.0 * mantissa) - 1
+
+
+def _rung_edges(j, log_epsilon):
+    """(lo, hi) of rung j: lo <= phi < hi for every phi on it."""
+    if j == _TOP_RUNG:
+        return 4.0 * (log_epsilon - LOG_MACH_EPS), math.inf
+    e, k = divmod(j, _RUNGS_PER_OCTAVE)
+    return math.ldexp(_RUNG_MANTISSAS[k], e), math.ldexp(_RUNG_MANTISSAS[k + 1], e)
+
+
+def _contour_params(lo, hi, log_epsilon):
+    """(mu, h, N, left) of the region with fewer nodes for a pole whose
+    phi lies in [lo, hi]: left of it, tuned to lo, or right of it, tuned
+    to hi; lo = hi = 0 when there is no pole, and then right of the branch
+    point alone.  Refuses when neither admits at most CONTOUR_NODE_CAP
+    nodes."""
     best, left = None, False
-    if phi > 0:
-        best, left = _param_left(phi, log_epsilon), True
-    if phi < log_epsilon - LOG_MACH_EPS:
-        right = _param_right(phi, log_epsilon)
+    if lo > 0:
+        best, left = _param_left(lo, log_epsilon), True
+    if hi < log_epsilon - LOG_MACH_EPS:
+        right = _param_right(hi, log_epsilon)
         if right is not None and (best is None or right[2] < best[2]):
             best, left = right, False
     if best is None or best[2] > CONTOUR_NODE_CAP:
@@ -215,19 +259,63 @@ def _overflow_free(w, s_beta, num):
     return z_cap, arg_floor
 
 
-def _pole_free_contour(beta, log_epsilon):
-    """(h, N, w, s^beta, e^s s^beta, z_cap, arg_floor) of the contour right
-    of the branch point, kept per beta and log epsilon; see _overflow_free
-    for the last two."""
-    contours = _kept(beta).contours
-    kept = contours.get(log_epsilon)
-    if kept is None:
-        mu, h, N, _ = _contour_params(0.0, log_epsilon)
-        if len(contours) >= _KEPT_TOL_CAP:
-            del contours[next(iter(contours))]
+def _contour(beta, log_epsilon, phi=0.0, on_rung=True):
+    """The contour for a pole at phi > 0, or for none at phi = 0:
+    (h, N, w, s^beta, e^s s^beta) and, with no pole, the (z_cap,
+    arg_floor) of _overflow_free, with a pole the region flag left.  A
+    pole-free contour is kept per beta and log epsilon, a pole's per beta,
+    log epsilon and the rung of its phi, each oldest out first past its
+    cap; a refusal keeps nothing.  Without on_rung a pole's contour is
+    tuned to phi itself and not kept."""
+    if not on_rung:
+        mu, h, N, left = _contour_params(phi, phi, log_epsilon)
+        return (h, N) + _nodes(beta, mu, h, N) + (left,)
+    kept = _kept(beta)
+    if phi == 0.0:
+        table, key, cap = kept.contours, log_epsilon, _KEPT_TOL_CAP
+    else:
+        table, key, cap = kept.rungs, (log_epsilon, _rung(phi, log_epsilon)), _KEPT_RUNG_CAP
+    contour = table.get(key)
+    if contour is None:
+        lo, hi = _rung_edges(key[1], log_epsilon) if phi != 0.0 else (0.0, 0.0)
+        mu, h, N, left = _contour_params(lo, hi, log_epsilon)
+        if len(table) >= cap:
+            del table[next(iter(table))]
         nodes = _nodes(beta, mu, h, N)
-        kept = contours[log_epsilon] = (h, N) + nodes + _overflow_free(*nodes)
-    return kept
+        contour = table[key] = (h, N) + nodes + (
+            _overflow_free(*nodes) if phi == 0.0 else (left,))
+    return contour
+
+
+def _invert(beta, z, log_epsilon, h, w, s_beta, num, residue_at, free):
+    """(value, err_est) of E_beta(z) on one contour: the nodes' sum, plus
+    the residue exp(s0)/beta at the pole s0 = residue_at when the contour
+    runs left of it (None otherwise).  free skips the overflow check of
+    the quotients (_overflow_free)."""
+    if free:
+        contrib = num / ((s_beta - z) * w)
+    else:
+        try:
+            with np.errstate(over="raise"):
+                contrib = num / ((s_beta - z) * w)
+        except FloatingPointError:
+            raise NonConvergence(
+                "inversion contour of E_beta overflows double range at |z| = %.4g"
+                % abs(z)) from None
+    integral = h / math.pi * contrib.sum()
+    asum = h / math.pi * np.abs(contrib).sum()
+    residue = 0.0 + 0.0j
+    if residue_at is not None:
+        try:
+            residue += cmath.exp(residue_at) / beta
+        except OverflowError:
+            raise NonConvergence(
+                "residue exp(%.4g) of E_beta(z) overflows double range" % residue_at.real)
+    val = integral + residue
+    err = 3.0 * math.exp(log_epsilon) * max(abs(integral), abs(val)) + MACH_EPS * (asum + abs(residue))
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise NonConvergence("contour value for E_beta overflowed double range")
+    return val, err
 
 
 def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
@@ -251,8 +339,20 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     cancels against the 1 / (2 pi i) of the inversion.  With no pole,
     (mu, h, N) depend on log epsilon alone, so the nodes' w, s^beta and
     e^s s^beta are kept per beta and log epsilon and a call only forms
-    e^s s^beta / ((s^beta - z) w) and sums; with a pole they follow the
-    pole's phi, and nothing is kept.  Near double range (|z| ~ 5e307)
+    e^s s^beta / ((s^beta - z) w) and sums.  With a pole they follow the
+    pole's phi, so they are tuned to the edges of its rung lo <= phi < hi
+    on a fixed ladder, 16 rungs an octave (_rung): the left region to lo,
+    which keeps its mu below lo and so below phi, the right region to hi,
+    which keeps its mu above hi and so above phi.  Either way the pole lies
+    on its side of the contour, at least as far from it as the tuning
+    assumed, and the contour is kept per beta, log epsilon and rung, so
+    every z whose pole falls on the rung reads it; the residue is still
+    taken at the exact pole.  An edge's tuning can raise err_est's rounding
+    floor eps sum|node| (right of the pole mu rises with hi), so a pole
+    call whose kept contour misses rel_tol, or refuses, runs again on a
+    contour tuned to phi itself and not kept: it returns what a per-call
+    tuning returns, and the ladder loses no answer of that tuning.  Near
+    double range (|z| ~ 5e307)
     (s^beta - z) w overflows at most nodes, which would then add 0 to the
     sum, so the quotients are formed under np.errstate(over="raise") and
     an overflow refuses.  A pole-free call skips that check (about 1.3 us)
@@ -262,7 +362,8 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     2 beta atan(N h), which lies well below beta pi, so the whole
     pole-free side clears it.  Past that bound, and on every call with a
     pole, the check and its refusal stay.
-    Returns (value, err_est, nodes), raw like ml_series's tuple.
+    Returns (value, err_est, nodes), nodes summed over the contours it
+    ran, raw like ml_series's tuple.
     """
     z = _validate(beta, z, rel_tol)
     if z == 0:
@@ -282,39 +383,28 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
             pole, phi = None, 0.0
 
     if pole is None:
-        h, N, w, s_beta, num, z_cap, arg_floor = _pole_free_contour(beta, log_epsilon)
-        left = False
-        free = abs(z) < z_cap and abs(ang) > arg_floor
+        h, N, w, s_beta, num, z_cap, arg_floor = _contour(beta, log_epsilon)
+        val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num, None,
+                           abs(z) < z_cap and abs(ang) > arg_floor)
+        work = 2 * N + 1
     else:
-        mu, h, N, left = _contour_params(phi, log_epsilon)
-        w, s_beta, num = _nodes(beta, mu, h, N)
-        free = False
-    if free:
-        contrib = num / ((s_beta - z) * w)
-    else:
+        work = 0
         try:
-            with np.errstate(over="raise"):
-                contrib = num / ((s_beta - z) * w)
-        except FloatingPointError:
-            raise NonConvergence(
-                "inversion contour of E_beta overflows double range at |z| = %.4g"
-                % abs(z)) from None
-    integral = h / math.pi * contrib.sum()
-    asum = h / math.pi * np.abs(contrib).sum()
-    residue = 0.0 + 0.0j
-    if left:
-        try:
-            residue += cmath.exp(pole) / beta
-        except OverflowError:
-            raise NonConvergence(
-                "residue exp(%.4g) of E_beta(z) overflows double range" % pole.real)
-    val = integral + residue
-    err = 3.0 * math.exp(log_epsilon) * max(abs(integral), abs(val)) + MACH_EPS * (asum + abs(residue))
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise NonConvergence("contour value for E_beta overflowed double range")
+            h, N, w, s_beta, num, left = _contour(beta, log_epsilon, phi)
+            work = 2 * N + 1
+            val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num,
+                               pole if left else None, False)
+            missed = not _meets_tol(err, val, rel_tol)
+        except NonConvergence:
+            missed = True
+        if missed:
+            h, N, w, s_beta, num, left = _contour(beta, log_epsilon, phi, on_rung=False)
+            work += 2 * N + 1
+            val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num,
+                               pole if left else None, False)
     if z.imag == 0.0:
         val = complex(val.real, 0.0)
-    return val, err, 2 * N + 1
+    return val, err, work
 
 
 def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:

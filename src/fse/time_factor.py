@@ -13,14 +13,16 @@ import math
 
 from .errors import NonConvergence, ValidationError
 from .mittag import ml_eval
-from .result import EvalResult, TimeConfig
+from .result import EvalResult, TimeConfig, _check_rel_tol
 
 
 def time_factor(cfg: TimeConfig, t: float, rel_tol: float = 1e-10) -> EvalResult:
-    """f(t) through the Mittag-Leffler evaluator."""
+    """f(t) through the Mittag-Leffler evaluator.  rel_tol is checked at
+    every t: at t = 0 here, past it by ml_eval."""
     if t < 0.0 or not math.isfinite(t):
         raise ValidationError("time must be finite and nonnegative")
     if t == 0.0:
+        _check_rel_tol(rel_tol)
         return EvalResult(value=cfg.f0, err_est=0.0, method="closed")
     scaled = (t / cfg.hbar) ** cfg.beta
     if not math.isfinite(scaled):

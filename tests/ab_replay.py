@@ -9,20 +9,25 @@ where OLD_SRC and NEW_SRC are directories holding an `fse` package (the
 `src` of two checkouts).  Each pass is a fresh subprocess that imports fse
 from one tree, builds the rounds of perfbench/workloads.py with it, and
 replays every point through the public entry point the workload names, at
-the workload's tolerances, in one loop timed as a whole.  Pair i runs OLD
-first when i is even and NEW first when it is odd, so a drift of the
-machine's speed loads both sides alike.
+the workload's tolerances, in one timed loop that also times each point.
+Pair i runs OLD first when i is even and NEW first when it is odd, so a
+drift of the machine's speed loads both sides alike.
 
 Per workload it prints the median, first and third quartiles of the time
 ratio NEW/OLD over the pairs (below 1 means NEW is faster), and the median
-seconds of each side; then the outcome diff of the first pass of each side
+seconds of each side; for each side, the per-point p50 and p90 (nearest
+rank, as perfbench reports them), each the median over its passes; then
+the outcome diff of the first pass of each side
 with the semantics of tests/compare_outcomes.py: its summary (compare) and
 its last-bit check (identical).  The outcome lines have the format of
 tests/outcomes.py.  Per workload it also prints, for each side, the calls,
-refusals and returned work of the COUNTED routes, taken in one more pass
-of the first subprocess of each side, after its timed loop and untimed:
-wrappers on the routes' module globals count them, so every call that
-looks them up there (ml_eval's and eval_auto's) is seen.  The kernels are
+refusals and returned work of the COUNTED routes.  They are taken in one
+more subprocess of each side, before the timed ones, by an untimed pass
+that runs first in it, so every kept table starts cold.  Wrappers on the
+routes' module globals count them, so every call that looks them up
+there (ml_eval's and eval_auto's) is seen.  The same pass counts the
+calls of mittag._nodes, the contours a cold run builds rather than reads
+from the Mittag-Leffler table, whose arrays carry no work.  The foxh kernels are
 never wrapped, since a rebound kernel makes every foxh plan cold.  It
 exits 1 if any tag, method, work or refusal class differs, and 0
 otherwise.
@@ -42,31 +47,37 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
+from perfbench.latency import percentile  # noqa: E402
 from perfbench.repeat import parse_seeds, summarise  # noqa: E402
 from tests.compare_outcomes import compare, identical  # noqa: E402
 
 PASS_TIMEOUT_S = 600
-# (module, route) whose calls, refusals and work a counting pass reports
-COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"),
+# (module, function) whose calls, refusals and work a counting pass
+# reports; of those in CALLS_ONLY, whose output has no work, the calls
+COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"), ("mittag", "_nodes"),
            ("foxh", "eval_series"), ("foxh", "eval_contour"))
+CALLS_ONLY = ("mittag._nodes",)
 
 
-def _evaluate(calls) -> list:
-    """The result, or the refusal, of every call."""
+def _evaluate(calls):
+    """The result, or the refusal, of every call, and its seconds."""
     import fse
 
-    results = []
+    results, seconds = [], []
     for _, fn, cfg, coord, kw in calls:
+        t0 = perf_counter()
         try:
             results.append(fn(cfg, coord, **kw))
         except fse.EvaluationError as exc:
             results.append(exc)
-    return results
+        seconds.append(perf_counter() - t0)
+    return results, seconds
 
 
-def _counting(fn, tally):
-    """fn, adding 1 to tally[0] per call, 1 to tally[1] per refusal and
-    its work (an EvalResult's, or a raw tuple's last field) to tally[2]."""
+def _counting(fn, tally, work=True):
+    """fn, adding 1 to tally[0] per call, 1 to tally[1] per refusal and,
+    with work, its work (an EvalResult's, or a raw tuple's last field) to
+    tally[2]."""
     import fse
 
     def wrapped(*args, **kw):
@@ -76,7 +87,8 @@ def _counting(fn, tally):
         except fse.EvaluationError:
             tally[1] += 1
             raise
-        tally[2] += out.work if hasattr(out, "work") else out[2]
+        if work:
+            tally[2] += out.work if hasattr(out, "work") else out[2]
         return out
     return wrapped
 
@@ -91,7 +103,9 @@ def count(calls) -> dict:
         mod = importlib.import_module("fse." + module)
         fn = getattr(mod, name)
         kept.append((mod, name, fn))
-        setattr(mod, name, _counting(fn, counts.setdefault("%s.%s" % (module, name), [0, 0, 0])))
+        key = "%s.%s" % (module, name)
+        setattr(mod, name, _counting(fn, counts.setdefault(key, [0, 0, 0]),
+                                     work=key not in CALLS_ONLY))
     try:
         _evaluate(calls)
     finally:
@@ -101,9 +115,10 @@ def count(calls) -> dict:
 
 
 def replay(workload: str, seeds, rounds, counted=False) -> dict:
-    """One pass in this process: the seconds of the evaluation loop and the
-    outcome line of every point; with counted, the COUNTED routes' counts
-    of one more, untimed pass."""
+    """One pass in this process: the seconds of the evaluation loop, the
+    p50 and p90 of its points' milliseconds and the outcome line of every
+    point; with counted, first the COUNTED routes' counts of one more,
+    untimed pass, which then meets the tables as this process left them."""
     import fse
     from perfbench.workloads import ROUNDS
 
@@ -113,8 +128,9 @@ def replay(workload: str, seeds, rounds, counted=False) -> dict:
             for j, p in enumerate(ROUNDS[workload](seed, r)):
                 calls.append(("%s s%d r%d #%d" % (workload, seed, r, j),
                               getattr(fse, p.route), p.cfg, p.coord, p.tol_kwargs))
+    out = {"counts": count(calls)} if counted else {}
     t0 = perf_counter()
-    results = _evaluate(calls)
+    results, point_s = _evaluate(calls)
     seconds = perf_counter() - t0
     lines = []
     for (tag, *_), r in zip(calls, results):
@@ -123,9 +139,8 @@ def replay(workload: str, seeds, rounds, counted=False) -> dict:
         else:
             fields = (r.value, r.err_est, r.method, r.work)
             lines.append(" ".join([tag] + [repr(v) for v in fields]))
-    out = {"seconds": seconds, "lines": lines}
-    if counted:
-        out["counts"] = count(calls)
+    out.update(seconds=seconds, lines=lines,
+               p50_ms=1e3 * percentile(point_s, 0.5), p90_ms=1e3 * percentile(point_s, 0.9))
     return out
 
 
@@ -147,23 +162,32 @@ def ab(old: str, new: str, workload: str, seeds: str, rounds: str, pairs: int) -
     work or class changed."""
     trees = (old, new)
     times = ([], [])
+    tails = ([], [])
     lines = [None, None]
-    counts = [None, None]
+    counts = [run_pass(tree, workload, seeds, rounds, counted=True)["counts"] for tree in trees]
     for i in range(pairs):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            out = run_pass(trees[side], workload, seeds, rounds, counted=not lines[side])
+            out = run_pass(trees[side], workload, seeds, rounds)
             times[side].append(out["seconds"])
+            tails[side].append((out["p50_ms"], out["p90_ms"]))
             if not lines[side]:
-                lines[side], counts[side] = out["lines"], out["counts"]
+                lines[side] = out["lines"]
     ratio = summarise([b / a for a, b in zip(*times)])
     print("%s: %d points, %d pairs, time ratio new/old median %.3f (Q1 %.3f, Q3 %.3f);"
           " old %.3f s, new %.3f s"
           % (workload, len(lines[0]), pairs, ratio["median"], ratio["q1"], ratio["q3"],
              statistics.median(times[0]), statistics.median(times[1])))
+    for side, name in enumerate(("old", "new")):
+        p50, p90 = (statistics.median(q) for q in zip(*tails[side]))
+        print("  %s per point: p50 %.4f ms, p90 %.4f ms (medians over %d passes)"
+              % (name, p50, p90, pairs))
     for name in counts[0]:
         (c0, r0, w0), (c1, r1, w1) = counts[0][name], counts[1][name]
-        print("  %s: calls %d -> %d, refused %d -> %d, work %d -> %d"
-              % (name, c0, c1, r0, r1, w0, w1))
+        if name in CALLS_ONLY:
+            print("  %s: calls %d -> %d" % (name, c0, c1))
+        else:
+            print("  %s: calls %d -> %d, refused %d -> %d, work %d -> %d"
+                  % (name, c0, c1, r0, r1, w0, w1))
     ok = compare(*lines)
     identical(*lines)
     return ok

@@ -47,3 +47,13 @@ def test_two_passes_of_one_tree_count_alike(capsys):
                  "--rounds", "0", "--pairs", "2"]) == 0
     assert re.search(r"^  mittag\.ml_series: calls (\d+) -> \1, refused 0 -> 0, "
                      r"work (\d+) -> \2$", capsys.readouterr().out, re.M)
+
+
+def test_a_pass_reports_its_point_tails_and_cold_contour_builds():
+    out = run_pass(str(SRC), "time-grid", "1", "0", counted=True)
+    assert 0.0 < out["p50_ms"] <= out["p90_ms"]
+    # the counting pass comes first in a fresh process, so it sees every
+    # contour the round builds cold, and reads the rest from the table;
+    # a build's arrays carry no work
+    contours, builds = out["counts"]["mittag.ml_contour"][0], out["counts"]["mittag._nodes"]
+    assert 0 < builds[0] < contours and builds[1:] == [0, 0]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from collections import OrderedDict
 
 import mpmath as mp
@@ -231,6 +232,40 @@ def _ray(beta, ray, root):
 # in-ball sums near the ball edge |z|^(1/beta) = 12 whose rounding floor
 # misses rel_tol 1e-9: the series stops early, and ml_eval takes the contour
 _SHORT_ROOTS = {"neg": (10.5, 11.9), "pos": (11.9,)}
+# a rung of the pole's phi between the ball edge and twice it on the E < 0
+# ray, whose pole is on the principal sheet for beta > 2/3
+_EDGE_RUNGS = {0.7: -32, 0.9: 40}
+_LOG_EPS_9 = math.log(0.1 * 1e-9)
+
+
+def _pole_phi(beta, z):
+    """phi = (Re s0 + |s0|)/2 of E_beta's Laplace pole s0 at z, as ml_contour
+    forms it."""
+    ang = math.atan2(z.imag, z.real)
+    pole = abs(z) ** (1.0 / beta) * cmath.exp(1j * ang / beta)
+    return (pole.real + abs(pole)) / 2.0
+
+
+def _rung_edge_roots(beta, ray):
+    """|z|^(1/beta) on the ray at which the pole's phi lies just inside
+    either edge of the order's _EDGE_RUNGS rung: the rung's contour is
+    tuned to one edge, so one root sits next to it and the other a whole
+    rung away."""
+    if ray != "neg" or beta not in _EDGE_RUNGS:
+        return []
+    lo, hi = mittag._rung_edges(_EDGE_RUNGS[beta], _LOG_EPS_9)
+    lean = _pole_phi(beta, _ray(beta, ray, 1.0))
+    return [lo * (1.0 + 1e-9) / lean, hi * (1.0 - 1e-9) / lean]
+
+
+def test_the_rung_edge_roots_lie_on_their_rung_past_the_ball():
+    for beta, j in _EDGE_RUNGS.items():
+        roots = _rung_edge_roots(beta, "neg")
+        edge = min(mittag.SERIES_RADIUS, mittag.SERIES_ROOT_CAP ** beta)
+        for root in roots:
+            z = _ray(beta, "neg", root)
+            assert mittag._rung(_pole_phi(beta, z), _LOG_EPS_9) == j
+            assert edge < abs(z) < 2.0 * edge
 
 
 def test_err_est_bounds_the_error_on_the_time_factor_rays():
@@ -238,7 +273,8 @@ def test_err_est_bounds_the_error_on_the_time_factor_rays():
     # -pi beta / 2 (E > 0); both routes must bound their error there
     for beta in (0.3, 0.5, 0.7, 0.9):
         for ray in ("neg", "pos"):
-            for root in list(np.geomspace(0.3, 150.0, 12)) + list(_SHORT_ROOTS[ray]):
+            for root in (list(np.geomspace(0.3, 150.0, 12)) + list(_SHORT_ROOTS[ray])
+                         + _rung_edge_roots(beta, ray)):
                 z = _ray(beta, ray, float(root))
                 want = _taylor_ref(beta, z)
                 value, err, _ = ml_contour(beta, z, 1e-9)
@@ -345,15 +381,105 @@ def test_table_bits_hold_on_cold_warm_extended_and_evicted_orders(
     assert _bits(route, first, arg, 1e-9) == cold
 
 
-def test_a_pole_call_keeps_no_contour(monkeypatch):
+def test_a_pole_call_keeps_one_entry_per_rung(monkeypatch):
     monkeypatch.setattr(mittag, "_table", OrderedDict())
     # the pole of E_0.45 at 14 e^(0.2 i pi) has phi > 0, and a contour's
-    # (mu, h, N) follow it
-    ml_contour(0.45, 14.0 * cmath.exp(0.2j * math.pi), 1e-9)
-    assert all(not kept.contours for kept in mittag._table.values())
-    ml_contour(0.45, 14.0 * cmath.exp(0.9j * math.pi), 1e-9)
-    ml_contour(0.45, -14.0, 1e-6)
-    assert list(mittag._table[0.45].contours) == [math.log(0.1 * 1e-9), math.log(0.1 * 1e-6)]
+    # (mu, h, N) follow the rung of its phi
+    beta, z = 0.45, 14.0 * cmath.exp(0.2j * math.pi)
+    near = z * 1.003
+    j = mittag._rung(_pole_phi(beta, z), _LOG_EPS_9)
+    assert mittag._rung(_pole_phi(beta, near), _LOG_EPS_9) == j and _pole_phi(beta, near) != _pole_phi(beta, z)
+    cold = [_bits(ml_contour, beta, x, 1e-9) for x in (z, near)]
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    assert _bits(ml_contour, beta, z, 1e-9) == cold[0]
+    kept = mittag._table[beta]
+    assert not kept.contours and list(kept.rungs) == [(math.log(0.1 * 1e-9), j)]
+    # a second z on the same rung adds none, and gives its cold bits
+    assert _bits(ml_contour, beta, near, 1e-9) == cold[1]
+    assert list(kept.rungs) == [(math.log(0.1 * 1e-9), j)]
+    ml_contour(beta, 14.0 * cmath.exp(0.9j * math.pi), 1e-9)
+    ml_contour(beta, -14.0, 1e-6)
+    assert list(kept.contours) == [math.log(0.1 * 1e-9), math.log(0.1 * 1e-6)]
+    assert len(kept.rungs) == 1
+    # a refused rung is not kept
+    monkeypatch.setattr(mittag, "CONTOUR_NODE_CAP", 10)
+    with pytest.raises(NonConvergence, match="^no admissible inversion contour for E_beta$"):
+        ml_contour(beta, z, 1e-12)
+    assert len(kept.rungs) == 1
+
+
+def test_a_pole_call_that_misses_on_its_rung_runs_on_its_own_phi(monkeypatch):
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    # at E_0.88 on the E < 0 ray, |z|^(1/beta) = 13.1, the rung's contour
+    # runs right of the pole, tuned to the rung's upper edge, and its
+    # rounding floor misses rel_tol 1e-9; tuned to phi it runs left of it
+    beta, z = 0.88, _ray(0.88, "neg", 13.1)
+    phi = _pole_phi(beta, z)
+    pole = abs(z) ** (1.0 / beta) * cmath.exp(1j * math.atan2(z.imag, z.real) / beta)
+    runs = []
+    for on_rung in (True, False):
+        h, N, w, s_beta, num, left = mittag._contour(beta, _LOG_EPS_9, phi, on_rung)
+        runs.append(mittag._invert(beta, z, _LOG_EPS_9, h, w, s_beta, num,
+                                   pole if left else None, False) + (2 * N + 1, left))
+    assert runs[0][1] > 1e-9 * abs(runs[0][0]) and not runs[0][3]
+    assert runs[1][1] <= 1e-9 * abs(runs[1][0]) and runs[1][3]
+    got = ml_contour(beta, z, 1e-9)
+    assert got == (runs[1][0], runs[1][1], runs[0][2] + runs[1][2])
+    assert abs(got[0] - _taylor_ref(beta, z)) <= got[1]
+    assert ml_eval(beta, z, 1e-9).method == "contour"
+    # the contour tuned to phi is not kept
+    assert len(mittag._table[beta].rungs) == 1
+
+
+def test_kept_rungs_go_oldest_first(monkeypatch):
+    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    # on the positive axis the pole is z^(1/beta) itself: one z per rung,
+    # just above its lower edge
+    beta, rungs = 0.9, range(mittag._KEPT_RUNG_CAP + 3)
+    zs = [(mittag._rung_edges(j, _LOG_EPS_9)[0] * 1.01) ** beta for j in rungs]
+    assert [mittag._rung(_pole_phi(beta, complex(z)), _LOG_EPS_9) for z in zs] == list(rungs)
+    fresh = [_bits(ml_contour, beta, z, 1e-9) for z in zs]
+    kept = mittag._table[beta].rungs
+    assert list(kept) == [(math.log(0.1 * 1e-9), j) for j in rungs[3:]]
+    assert [_bits(ml_contour, beta, z, 1e-9) for z in zs] == fresh
+
+
+@pytest.mark.parametrize("rel_tol", [1e-14, 1e-9, 1e-2])
+def test_the_rung_brackets_phi(rel_tol):
+    # every rung's lower edge, with its neighbours to the ulp, the top
+    # rung's edge 4 (log epsilon - log eps) and its neighbours, past it to
+    # double range, and a sweep of phi between
+    log_epsilon = math.log(max(0.1 * rel_tol, 1e-15))
+    top = mittag._rung_edges(mittag._TOP_RUNG, log_epsilon)[0]
+    edges = [mittag._rung_edges(j, log_epsilon)[0] for j in range(-800, mittag._TOP_RUNG)] + [top]
+    phis = (list(np.geomspace(1e-15, 1e300, 4001)) + edges
+            + [math.nextafter(e, side) for e in edges for side in (0.0, math.inf)]
+            + [sys.float_info.max, math.inf])
+    for phi in phis:
+        j = mittag._rung(phi, log_epsilon)
+        lo, hi = mittag._rung_edges(j, log_epsilon)
+        assert lo <= phi < hi or phi == hi == math.inf, phi
+        assert (j == mittag._TOP_RUNG) == (phi >= top), phi
+        if j != mittag._TOP_RUNG:
+            assert mittag._rung_edges(j - 1, log_epsilon)[1] == lo, phi
+
+
+@pytest.mark.parametrize("rel_tol", [1e-14, 1e-9, 1e-2])
+def test_the_chosen_region_is_admissible_at_the_true_phi(rel_tol):
+    log_epsilon = math.log(max(0.1 * rel_tol, 1e-15))
+    top = mittag._rung(math.inf, log_epsilon)
+    for j in list(range(-800, mittag._rung(math.nextafter(
+            mittag._rung_edges(top, log_epsilon)[0], 0.0), log_epsilon) + 1)) + [top]:
+        lo, hi = mittag._rung_edges(j, log_epsilon)
+        mu, _, _, left = mittag._contour_params(lo, hi, log_epsilon)
+        for phi in (lo, math.nextafter(min(hi, 1e300), 0.0)):
+            assert (mu < phi) if left else (mu > phi), (j, phi)
+    # on the top rung the contour is the one tuned to phi itself
+    lo = mittag._rung_edges(top, log_epsilon)[0]
+    for phi in (lo, math.nextafter(lo, math.inf), 1e5, 1e300):
+        assert (mittag._contour_params(*mittag._rung_edges(mittag._rung(phi, log_epsilon),
+                                                            log_epsilon), log_epsilon)
+                == mittag._contour_params(phi, phi, log_epsilon))
 
 
 def test_kept_contours_and_orders_go_oldest_first(monkeypatch):
@@ -406,48 +532,54 @@ def test_a_refusal_from_a_warm_order_keeps_its_class_and_message(monkeypatch):
 # the Taylor sum stopped early: ml_eval and time_factor at in-ball points
 # whose sum misses rel_tol 1e-9 and so takes the contour, and ml_contour
 # with a pole and without one, inside its overflow bound and (at a tiny z
-# inside the sector, whose pole counts as none) outside it
+# inside the sector, whose pole counts as none) outside it.  The entries
+# whose contour has a pole on the E > 0 ray, or on the E < 0 ray at beta
+# > 2/3, were recorded again when the contour of a pole came to be tuned to
+# the rung of its phi; "contour-pole" (phi past where the left region's
+# mu follows it) and "contour-pole-on-the-axis" (a right region rebalanced
+# to mu at the roundoff budget, with the same N at hi as at phi) kept
+# their bits
 ML_BITS = [
     ("eval-0.3-neg-10.5", ml_eval, 0.3, _ray(0.3, "neg", 10.5),
      ("0x1.1b514253854e8p-2", "0x1.9e2161c872cd8p-4", "0x1.84aa7f6c10e1ap-34", "contour", 25)),
     ("eval-0.3-neg-11.9", ml_eval, 0.3, _ray(0.3, "neg", 11.9),
      ("0x1.13001ef261cc7p-2", "0x1.96b23a693c786p-4", "0x1.79c8092218abfp-34", "contour", 25)),
     ("eval-0.3-pos-11.9", ml_eval, 0.3, _ray(0.3, "pos", 11.9),
-     ("0x1.1cb294e37dfe1p+1", "0x1.d0a58dd84279ap+0", "0x1.d978190f581d2p-31", "contour", 43)),
+     ("0x1.1cb294e37dfcbp+1", "0x1.d0a58dd8427bfp+0", "0x1.d978190546277p-31", "contour", 43)),
     ("eval-0.5-neg-10.5", ml_eval, 0.5, _ray(0.5, "neg", 10.5),
      ("0x1.062f4e4a934ffp-3", "0x1.ddcb24e3bd864p-4", "0x1.c908f014b0cefp-35", "contour", 25)),
     ("eval-0.5-neg-11.9", ml_eval, 0.5, _ray(0.5, "neg", 11.9),
      ("0x1.eabdebd319600p-4", "0x1.c3e4da211326ep-4", "0x1.adc9e95df79efp-35", "contour", 25)),
     ("eval-0.5-pos-11.9", ml_eval, 0.5, _ray(0.5, "pos", 11.9),
-     ("0x1.73cbef8f60603p+0", "0x1.203e2a10f0215p+0", "0x1.2f14b76dba508p-31", "contour", 43)),
+     ("0x1.73cbef8f605dfp+0", "0x1.203e2a10f0225p+0", "0x1.2f14b7687681fp-31", "contour", 43)),
     ("eval-0.7-neg-10.5", ml_eval, 0.7, _ray(0.7, "neg", 10.5),
-     ("0x1.6f951d9287278p-6", "0x1.0e7f63dae2561p-4", "0x1.702e231d6533bp-36", "contour", 27)),
+     ("0x1.6f951d9292fcdp-6", "0x1.0e7f63dae305bp-4", "0x1.702e8aea1e194p-36", "contour", 27)),
     ("eval-0.7-neg-11.9", ml_eval, 0.7, _ray(0.7, "neg", 11.9),
-     ("0x1.5b73a2ee2d9f8p-6", "0x1.e9508946670dcp-5", "0x1.4e99de96a9966p-36", "contour", 27)),
+     ("0x1.5b73a2ee3db16p-6", "0x1.e950894668f6dp-5", "0x1.4e9a5f79341fap-36", "contour", 27)),
     ("eval-0.7-pos-11.9", ml_eval, 0.7, _ray(0.7, "pos", 11.9),
-     ("0x1.178a7adb3f3a7p+0", "0x1.acc764c9b6733p-1", "0x1.c5eb1fff1ae8dp-32", "contour", 43)),
+     ("0x1.178a7adb3f391p+0", "0x1.acc764c9b6747p-1", "0x1.c5eb1ff89ea36p-32", "contour", 43)),
     ("eval-0.9-neg-10.5", ml_eval, 0.9, _ray(0.9, "neg", 10.5),
-     ("-0x1.ce0eaa15c0305p-6", "-0x1.fc865eab4362dp-12", "0x1.6098e6c597d76p-36", "contour", 45)),
+     ("-0x1.ce0eaa16d57a0p-6", "-0x1.fc865f0fe089dp-12", "0x1.6098e6c5f3609p-36", "contour", 47)),
     ("eval-0.9-neg-11.9", ml_eval, 0.9, _ray(0.9, "neg", 11.9),
-     ("0x1.af36107d44259p-9", "-0x1.e02db27187d42p-8", "0x1.ddeea714c6361p-39", "contour", 51)),
+     ("0x1.af36107d20a43p-9", "-0x1.e02db2717e19cp-8", "0x1.ddeea39a3d364p-39", "contour", 51)),
     ("eval-0.9-pos-11.9", ml_eval, 0.9, _ray(0.9, "pos", 11.9),
-     ("0x1.bd7403ecb8472p-1", "0x1.5a6b57917dcf4p-1", "0x1.6b8c4c093cd31p-32", "contour", 43)),
+     ("0x1.bd7403ecb845cp-1", "0x1.5a6b57917dd00p-1", "0x1.6b8c4c04ef45ep-32", "contour", 43)),
     ("time-0.3--1.0", time_factor, TimeConfig(beta=0.3, energy=-1.0), 11.9,
      ("0x1.13001ef261ccap-2", "0x1.96b23a693c772p-4", "0x1.79c8092218ac0p-34", "contour", 25)),
     ("time-0.3-1.0", time_factor, TimeConfig(beta=0.3, energy=1.0), 11.9,
-     ("0x1.1cb294e37dfe1p+1", "0x1.d0a58dd84279ap+0", "0x1.d978190f581d2p-31", "contour", 43)),
+     ("0x1.1cb294e37dfcbp+1", "0x1.d0a58dd8427bfp+0", "0x1.d978190546277p-31", "contour", 43)),
     ("time-0.5--1.0", time_factor, TimeConfig(beta=0.5, energy=-1.0), 11.9,
      ("0x1.eabdebd3195f6p-4", "0x1.c3e4da2113278p-4", "0x1.adc9e95df79efp-35", "contour", 25)),
     ("time-0.5-1.0", time_factor, TimeConfig(beta=0.5, energy=1.0), 11.9,
-     ("0x1.73cbef8f60603p+0", "0x1.203e2a10f0215p+0", "0x1.2f14b76dba508p-31", "contour", 43)),
+     ("0x1.73cbef8f605dfp+0", "0x1.203e2a10f0225p+0", "0x1.2f14b7687681fp-31", "contour", 43)),
     ("time-0.7--1.0", time_factor, TimeConfig(beta=0.7, energy=-1.0), 11.9,
-     ("0x1.5b73a2ee2d9f8p-6", "0x1.e9508946670dcp-5", "0x1.4e99de96a9966p-36", "contour", 27)),
+     ("0x1.5b73a2ee3da2ep-6", "0x1.e950894668fa7p-5", "0x1.4e9a5f7934204p-36", "contour", 27)),
     ("time-0.7-1.0", time_factor, TimeConfig(beta=0.7, energy=1.0), 11.9,
-     ("0x1.178a7adb3f3a7p+0", "0x1.acc764c9b6733p-1", "0x1.c5eb1fff1ae8dp-32", "contour", 43)),
+     ("0x1.178a7adb3f391p+0", "0x1.acc764c9b6747p-1", "0x1.c5eb1ff89ea36p-32", "contour", 43)),
     ("time-0.9--1.0", time_factor, TimeConfig(beta=0.9, energy=-1.0), 11.9,
-     ("0x1.af36107d44249p-9", "-0x1.e02db27187d00p-8", "0x1.ddeea714c6365p-39", "contour", 51)),
+     ("0x1.af36107d20a2ap-9", "-0x1.e02db2717e15cp-8", "0x1.ddeea39a3d367p-39", "contour", 51)),
     ("time-0.9-1.0", time_factor, TimeConfig(beta=0.9, energy=1.0), 11.9,
-     ("0x1.bd7403ecb8472p-1", "0x1.5a6b57917dcf4p-1", "0x1.6b8c4c093cd31p-32", "contour", 43)),
+     ("0x1.bd7403ecb845cp-1", "0x1.5a6b57917dd00p-1", "0x1.6b8c4c04ef45ep-32", "contour", 43)),
     ("contour-pole", ml_contour, 0.45, 14.0 * cmath.exp(0.2j * math.pi),
      ("0x1.c822d14cd1170p+86", "0x1.515f6b2aafabap+89", "0x1.b8ddb526c5c4ap+57", None, 25)),
     ("contour-pole-free", ml_contour, 0.45, 14.0 * cmath.exp(0.9j * math.pi),

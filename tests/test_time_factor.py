@@ -26,6 +26,14 @@ def test_initial_value_is_exact():
     assert r.method == "closed"
 
 
+@pytest.mark.parametrize("rel_tol", [5.0, 1e-16, math.nan])
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_an_invalid_rel_tol_is_refused_at_every_time(t, rel_tol):
+    # t = 0 answered f0 whatever rel_tol was, while every t > 0 refused it
+    with pytest.raises(ValidationError, match="rel_tol"):
+        time_factor(TimeConfig(beta=0.7, energy=-0.5), t, rel_tol=rel_tol)
+
+
 def test_first_order_is_plain_phase():
     rng = np.random.default_rng(53)
     for _ in range(40):
