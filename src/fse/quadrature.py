@@ -11,7 +11,9 @@ Every integrand is an array function: it takes a 1-D float or complex
 numpy array of nodes and returns an array of the same shape, elementwise
 (numpy ufuncs such as np.exp and np.cos, not math or cmath).  One call
 evaluates the nodes of a batch of panels: a bisection step's two halves,
-or the first panels of OSC_BATCH half-period pieces.
+or, in osc_semi_inf, the head's six panels graded toward p = 0 together
+with the first panels of OSC_BATCH half-period pieces, so most oscillatory
+integrals take one call of the integrand.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ from .errors import GridTooCoarse, QuadratureFailure, ValidationError
 from .result import _check_positive
 
 OSC_HALF_PERIODS = 96   # half-period pieces osc_semi_inf sums at most
-OSC_BATCH = 8           # pieces whose first panels share one call of g
+OSC_BATCH = 32          # pieces whose first panels share one call of g
 RAY_PANELS = 1500       # adaptive panel cap of ray_segment
 _TAIL_U_MIN = 2.0 ** -511  # smallest mapped node u with 1/u^2 finite
+# osc_semi_inf's first head panels, in units of pi/omega: graded toward
+# p = 0, where the integrand may carry a fractional power of p
+_HEAD_EDGES = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
 
 
 @dataclass(frozen=True)
@@ -77,24 +82,20 @@ def _panel_est(f, a: np.ndarray, b: np.ndarray):
     return v2, np.abs(v2 - half * (y[:, :15] @ w15))
 
 
-def _bisect(f, a: float, b: float, val, err, tol: float, max_panels: int):
-    """Heap-driven bisection of [a, b], starting from its first panel
-    (val, err); returns (value, error bound, panels used).  Each step splits
-    the panel with the largest error and evaluates both halves in one call
-    of f."""
-    if not err > tol:
-        return val, err, 1
-    heap = [(-err, 0, a, b, val, err)]
-    total = val
-    toterr = err
-    count = 1
-    serial = 1
+def _bisect(f, first, tol: float, max_panels: int):
+    """Heap-driven bisection from first panels (a, b, val, err) that tile
+    an interval; returns (value, error bound, panels used).  Each step
+    splits the panel with the largest error and evaluates both halves in
+    one call of f."""
+    heap = [(-e, i, a, b, v, e) for i, (a, b, v, e) in enumerate(first)]
+    toterr = sum(p[5] for p in heap)
+    count = serial = len(heap)
+    heapq.heapify(heap)
     while toterr > tol and count < max_panels:
         neg, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         (lv, rv), (le, re_) = _panel_est(f, np.array([pa, mid]),
                                          np.array([mid, pb]))
-        total += lv + rv - pval
         toterr += le + re_ - perr
         heapq.heappush(heap, (-le, serial, pa, mid, lv, le))
         heapq.heappush(heap, (-re_, serial + 1, mid, pb, rv, re_))
@@ -102,9 +103,7 @@ def _bisect(f, a: float, b: float, val, err, tol: float, max_panels: int):
         count += 1
     # re-sum in interval order: deterministic and kinder to cancellation
     panels = sorted(heap, key=lambda t: t[2])
-    total = sum(p[4] for p in panels)
-    toterr = sum(p[5] for p in panels)
-    return total, toterr, count
+    return sum(p[4] for p in panels), sum(p[5] for p in panels), count
 
 
 def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
@@ -115,45 +114,61 @@ def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
     call on the nodes of both halves.
     """
     (val,), (err,) = _panel_est(f, np.array([a]), np.array([b]))
-    return _bisect(f, a, b, val, err, tol, max_panels)
+    return _bisect(f, [(a, b, val, err)], tol, max_panels)
 
 
 def osc_semi_inf(g, omega: float, tol: float):
     """Integral of g over [0, inf) where g oscillates like e^(i omega p).
 
-    The head [0, pi/omega] is integrated whole; the half-period pieces
-    after it alternate in sign and go to Euler acceleration.  The first
-    panels of OSC_BATCH pieces at a time come from one call of g, and a
+    The head [0, pi/omega] starts from six panels graded toward p = 0
+    (edges _HEAD_EDGES times pi/omega), where g may have a fractional
+    power, and is bisected from there.  The half-period pieces after it
+    alternate in sign and go to Euler acceleration.  One call of g gives
+    the head's six panels and the first panels of the first OSC_BATCH
+    pieces, and each later call the first panels of OSC_BATCH more; a
     piece whose first panel misses its tolerance is bisected from there.
     The sum stops once two successive estimates (pieces j and j - 2) each
     have spread below 0.1 tol and agree within 0.1 tol; err_est adds twice
-    the last spread and the last change to the panel errors, and work
-    counts the pieces summed.  g (a real array integrand) must supply the
-    oscillating factor itself, at any phase, and decay algebraically.
+    the larger of their spreads and twice their change to the panel
+    errors, and work counts the pieces summed.  g (a real array integrand)
+    must supply the oscillating factor itself, at any phase, and decay
+    algebraically.
     """
     if omega <= 0.0:
         raise ValidationError("oscillation frequency hint must be positive")
     half = math.pi / omega
-    head, head_err, _ = adaptive(g, 0.0, half, 0.1 * tol)
-    pieces = []
+    edges = _HEAD_EDGES * half
+    lo = half + np.arange(OSC_BATCH) * half
+    a, b = np.concatenate((edges[:-1], lo)), np.concatenate((edges[1:], lo + half))
+    first = list(zip(a, b, *_panel_est(g, a, b)))
+    nh = edges.size - 1
+    head, head_err, _ = _bisect(g, first[:nh], 0.1 * tol, 800)
+    batch = iter(first[nh:])
+    pieces = np.empty(OSC_HALF_PERIODS, dtype=complex)
     perr = 0.0
     last = None  # (estimate, spread) of the previous stop attempt
     for j in range(OSC_HALF_PERIODS):
-        if j % OSC_BATCH == 0:
+        if j % OSC_BATCH == 0 and j:
             lo = half + np.arange(j, min(j + OSC_BATCH, OSC_HALF_PERIODS)) * half
             batch = zip(lo, lo + half, *_panel_est(g, lo, lo + half))
         lo_j, hi_j, v, e = next(batch)
-        v, e, _ = _bisect(g, lo_j, hi_j, v, e, 0.05 * tol / (j + 1.0) ** 2, 60)
-        pieces.append(v)
+        piece_tol = 0.05 * tol / (j + 1.0) ** 2
+        if e > piece_tol:
+            v, e, _ = _bisect(g, [(lo_j, hi_j, v, e)], piece_tol, 60)
+        pieces[j] = v
         perr += e
         if j >= 7 and j % 2 == 1:
-            est, spread = euler_alternating(pieces)
+            est, spread = euler_alternating(pieces[:j + 1])
             if last is not None:
                 change = abs(est - last[0])
+                # the error is at most the last attempt's plus the change:
+                # near its sign change Euler's error stalls while the
+                # spread keeps falling, so the larger spread is charged
+                euler_err = 2.0 * (max(spread, last[1]) + change)
                 if max(spread, last[1], change) < 0.1 * tol:
                     break
             last = est, spread
-    return head + est, head_err + perr + 2.0 * (spread + change), len(pieces)
+    return head + est, head_err + perr + euler_err, j + 1
 
 
 def tail_algebraic(g, cut: float, decay: float, tol: float):

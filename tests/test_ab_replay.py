@@ -40,8 +40,9 @@ def test_two_passes_of_one_tree_count_alike(capsys):
     calls, refused, work = counts["mittag.ml_series"]
     assert 0 < calls < len(passes[0]["lines"]) and refused == 0 and work > calls
     assert counts["mittag.ml_contour"][0] > 0
-    # time_factor never reaches foxh
+    # time_factor never reaches foxh or the quadrature engines
     assert counts["foxh.eval_series"] == counts["foxh.eval_contour"] == [0, 0, 0]
+    assert counts["quadrature._panel_est"] == [0, 0, 0]
     # the timed passes of an A/B print each side's counts
     assert main([str(SRC), str(SRC), "--workloads", "time-grid", "--seeds", "1",
                  "--rounds", "0", "--pairs", "2"]) == 0
@@ -57,3 +58,10 @@ def test_a_pass_reports_its_point_tails_and_cold_contour_builds():
     # a build's arrays carry no work
     contours, builds = out["counts"]["mittag.ml_contour"][0], out["counts"]["mittag._nodes"]
     assert 0 < builds[0] < contours and builds[1:] == [0, 0]
+
+
+def test_a_pass_counts_the_oracles_panel_calls():
+    out = run_pass(str(SRC), "oracle", "1", "0", counted=True)
+    # one call per panel batch, at least one per quadrature point; no work
+    calls = out["counts"]["quadrature._panel_est"]
+    assert calls[0] >= len(out["lines"]) and calls[1:] == [0, 0]

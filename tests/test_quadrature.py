@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -135,6 +136,78 @@ def test_batched_pieces_cut_integrand_calls(monkeypatch):
         results.append(fse.delta_quadrature(cfg, 1.0))
     assert results[0].work == results[1].work
     assert 3 * calls[0] <= calls[1]
+
+
+def _resolvent(cfg, x):
+    # delta_quadrature's integrand 2 Re[e^(ikp) / (C p^alpha e^(i theta pi/2)
+    # - E)], k = x / hbar, as an array function and as an mpmath function
+    k = x / cfg.hbar
+    rot = cmath.exp(1j * cfg.theta * math.pi / 2.0)
+    mrot = mp.expjpi(mp.mpf(cfg.theta) / 2)
+
+    def g(p):
+        return 2.0 * (np.exp(1j * k * p) / (cfg.c_alpha * p ** cfg.alpha * rot
+                                            - cfg.energy)).real
+
+    def gm(p):
+        return 2 * mp.re(mp.expj(k * p) / (cfg.c_alpha * p ** mp.mpf(cfg.alpha) * mrot
+                                           - cfg.energy))
+    return g, gm, abs(k)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_panel_call_holds_the_head_and_the_first_pieces(seed, monkeypatch):
+    # the oracle benchmark's first round of oscillatory delta points: the
+    # first call evaluates the head's six graded panels and the first
+    # panels of OSC_BATCH pieces; on this round no piece misses its
+    # tolerance, so every later call bisects the head's first panel
+    # [0, pi/(32 omega)] toward p = 0
+    points = [p for p in ROUNDS["oracle"](seed, 0)
+              if p.route == "delta_quadrature" and p.coord != 0.0]
+    panel_est = quadrature._panel_est
+    calls = []
+
+    def counted(f, a, b):
+        calls.append((a.size, a[0], b[-1]))
+        return panel_est(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel_est", counted)
+    for p in points:
+        calls.clear()
+        fse.delta_quadrature(p.cfg, p.coord, **p.tol_kwargs)
+        half = math.pi / abs(p.coord / p.cfg.hbar)
+        assert calls[0][0] == 6 + quadrature.OSC_BATCH
+        assert all(n == 2 and a == 0.0 and b <= half / 32 for n, a, b in calls[1:])
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+@pytest.mark.parametrize("side", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("x", [0.2, 3.0])
+def test_graded_head_claim_covers_a_30_digit_head(alpha, side, x):
+    # g zero past the head [0, pi/omega] leaves the head alone; its
+    # p^alpha term is not smooth at p = 0
+    cfg = DeltaConfig(alpha=alpha, theta=side * min(alpha, 2.0 - alpha))
+    g, gm, omega = _resolvent(cfg, x)
+    half = math.pi / omega
+    val, err, _ = osc_semi_inf(lambda p: np.where(p < half, g(p), 0.0), omega, 1e-9)
+    with mp.workdps(30):
+        want = mp.quad(gm, [0, 1, half] if half > 1 else [0, half])
+    assert abs(val - complex(want)) <= err
+
+
+@pytest.mark.parametrize("seed, r, i", [(2, 32, 7), (3, 32, 6)])
+def test_oscillatory_tail_claim_covers_a_30_digit_tail(seed, r, i):
+    # the half-period pieces and their Euler sum alone (g zero on the
+    # head); at these oracle points Euler's estimate stalls near the sign
+    # change of its error, so its last spread and change under-count it
+    p = ROUNDS["oracle"](seed, r)[i]
+    g, gm, omega = _resolvent(p.cfg, p.coord)
+    half = math.pi / omega
+    val, err, _ = osc_semi_inf(lambda q: np.where(q > half, g(q), 0.0), omega,
+                               p.tol_kwargs["abs_tol"])
+    with mp.workdps(30):
+        want = mp.quadosc(gm, [half, mp.inf], omega=omega)
+    assert abs(val - complex(want)) <= err
 
 
 def test_algebraic_tail():
