@@ -65,3 +65,9 @@ def test_a_pass_counts_the_oracles_panel_calls():
     # one call per panel batch, at least one per quadrature point; no work
     calls = out["counts"]["quadrature._panel_est"]
     assert calls[0] >= len(out["lines"]) and calls[1:] == [0, 0]
+    # one Euler call per batch of oscillatory pieces; the time factor
+    # never reaches it
+    euler = out["counts"]["quadrature.euler_alternating"]
+    assert 0 < euler[0] < calls[0] and euler[1:] == [0, 0]
+    out = run_pass(str(SRC), "time-grid", "1", "0", counted=True)
+    assert out["counts"]["quadrature.euler_alternating"] == [0, 0, 0]

@@ -380,5 +380,5 @@ def test_quadrature_refuses_a_stalled_integral():
     # both abs_tol = 1e-30 and the 1e-6 relative floor
     cfg = DeltaConfig(alpha=1.5, theta=0.25)
     with pytest.raises(QuadratureFailure, match="^resolvent integral stalled at "
-                       r"error 8\.56e-20 for x = 100000$"):
+                       r"error 1\.11e-18 for x = 100000$"):
         delta_quadrature(cfg, 1e5, abs_tol=1e-30)

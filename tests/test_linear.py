@@ -286,5 +286,5 @@ def test_quadrature_refuses_a_stalled_ray():
     # the ray sums stop short of the 1e-5 n_norm floor
     cfg = LinearConfig(alpha=1.5, c_alpha=1.0, energy=0.5)
     with pytest.raises(QuadratureFailure,
-                       match=r"^ray integrals stalled at error 1\.30e-05 for x = -15$"):
+                       match=r"^ray integrals stalled at error 1\.14e-04 for x = -15$"):
         linear_quadrature(cfg, -15.0)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import fse
-from fse import delta, quadrature
+from fse import delta, linear, quadrature
 from fse.accel import euler_alternating
 from fse.errors import (EvaluationError, GridTooCoarse, QuadratureFailure,
                         ValidationError)
+from fse.linear import scaled_coordinate
 from fse.quadrature import (GridSpec, adaptive, fourier_pair_check,
                             osc_semi_inf, ray_segment, tail_algebraic)
 from fse.result import DeltaConfig
@@ -46,7 +47,7 @@ def _sequential_osc_semi_inf(g, omega, tol):
         pieces.append(v)
         perr += e
         if j >= 7 and j % 2 == 1:
-            est, spread = euler_alternating(pieces)
+            est, spread = (v[-1] for v in euler_alternating(pieces))
             if last is not None:
                 change = abs(est - last[0])
                 if max(spread, last[1], change) < 0.1 * tol:
@@ -208,6 +209,91 @@ def test_oscillatory_tail_claim_covers_a_30_digit_tail(seed, r, i):
     with mp.workdps(30):
         want = mp.quadosc(gm, [half, mp.inf], omega=omega)
     assert abs(val - complex(want)) <= err
+
+
+@pytest.mark.parametrize("seed, r, i", [(2, 32, 7), (3, 32, 6)])
+def test_a_panel_claim_covers_its_rounding(seed, r, i):
+    # the first panel of every half-period piece these oracle points sum:
+    # |G30 - G15| alone sits up to 381x below a piece's true error there
+    # (s2 r32 #7, piece 12), where both rules agree to the rounding of
+    # the nodes and of g; the claim's floor covers it
+    p = ROUNDS["oracle"](seed, r)[i]
+    g, gm, omega = _resolvent(p.cfg, p.coord)
+    half = math.pi / omega
+    lo = half + np.arange(fse.delta_quadrature(p.cfg, p.coord, **p.tol_kwargs).work) * half
+    hi = lo + half
+    val, err = quadrature._panel_est(g, lo, hi)
+    with mp.workdps(30):
+        want = [complex(mp.quad(gm, [a, b])) for a, b in zip(lo, hi)]
+    assert [abs(v - w) <= e for v, w, e in zip(val, want, err)] == [True] * lo.size
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_euler_call_per_batch_of_pieces(seed, monkeypatch):
+    # the oracle benchmark's first round of oscillatory delta points: one
+    # euler_alternating call gives every stop attempt of a batch (no piece
+    # misses its tolerance on this round), over all the pieces in so far
+    points = [p for p in ROUNDS["oracle"](seed, 0)
+              if p.route == "delta_quadrature" and p.coord != 0.0]
+    panel_est, euler = quadrature._panel_est, quadrature.euler_alternating
+    batches, sums = [], []
+
+    def counted_panels(f, a, b):
+        batches.append(a.size > 2)  # a bisection step holds two panels
+        return panel_est(f, a, b)
+
+    def counted_euler(terms):
+        sums.append(len(terms))
+        return euler(terms)
+
+    monkeypatch.setattr(quadrature, "_panel_est", counted_panels)
+    monkeypatch.setattr(quadrature, "euler_alternating", counted_euler)
+    for p in points:
+        batches.clear()
+        sums.clear()
+        fse.delta_quadrature(p.cfg, p.coord, **p.tol_kwargs)
+        n = sum(batches)
+        assert n >= 1 and sums == [min((k + 1) * quadrature.OSC_BATCH,
+                                       quadrature.OSC_HALF_PERIODS) for k in range(n)]
+
+
+def _ray_reference(cfg, x, angle, radius):
+    # linear_quadrature's value, 2 n_norm Re of the integral of
+    # e^(iyw + i rot w^(alpha+1)) along the ray w = t e^(i angle), t in
+    # [0, radius], at 30 digits; the tail past radius is not in its claim
+    y = scaled_coordinate(cfg, x)
+    with mp.workdps(30):
+        ap1 = mp.mpf(cfg.alpha) + 1
+        rot = mp.expjpi(mp.mpf(cfg.theta) / 2)
+        e = mp.expj(mp.mpf(angle))
+        integral = mp.quad(lambda t: mp.exp(1j * y * t * e + 1j * rot * (t * e) ** ap1) * e,
+                           mp.linspace(0, mp.mpf(radius), 9))
+        return 2 * cfg.n_norm * float(mp.re(integral))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_adaptive_claims_cover_the_oracle_ramps_and_x0(seed, monkeypatch):
+    # adaptive starts from ADAPTIVE_START panels: on the oracle's first
+    # round its ramps, both sides of the turning point, against their ray
+    # at 30 digits, and its x = 0 point against the closed form
+    points = [p for p in ROUNDS["oracle"](seed, 0)
+              if p.route == "linear_quadrature" or p.coord == 0.0]
+    assert {p.route for p in points} == {"linear_quadrature", "delta_quadrature"}
+    assert min(p.scaled for p in points) < 0.0 < max(p.scaled for p in points)
+    rays = []
+
+    def recorded(f, angle, radius, tol):
+        rays.append((angle, radius))
+        return ray_segment(f, angle, radius, tol)
+
+    monkeypatch.setattr(linear, "ray_segment", recorded)
+    for p in points:
+        got = getattr(fse, p.route)(p.cfg, p.coord, **p.tol_kwargs)
+        if p.route == "linear_quadrature":
+            want = _ray_reference(p.cfg, p.coord, *rays[-1])
+        else:
+            want = fse.delta_closed_form(p.cfg, 0.0, rel_tol=1e-13).value
+        assert abs(got.value - want) <= got.err_est
 
 
 def test_algebraic_tail():
