@@ -17,15 +17,10 @@ from .errors import (DegeneratePoles, DomainError, EvaluationError,
 from .result import DeltaConfig, EvalResult, LinearConfig, TimeConfig
 from .numerics import log_gamma
 from .mittag import ml_contour, ml_eval, ml_series
-from .foxh import (FoxHParams, eval_auto, eval_contour, eval_series, exists,
-                   invert_argument, lemma31_check, reduce_params,
-                   scale_argument_power, shift_by_power, sigma)
+from .foxh import FoxHParams, eval_auto, eval_contour, eval_series
 from .time_factor import time_factor
 from .delta import delta_classical, delta_closed_form, delta_quadrature
-from .linear import (linear_classical_airy, linear_closed_form,
-                     linear_mellin_factor, linear_momentum_spectrum,
-                     linear_quadrature)
-from .quadrature import GridSpec, fourier_pair_check
+from .linear import linear_classical_airy, linear_closed_form, linear_quadrature
 from .solution import full_solution
 
 __all__ = [
@@ -35,14 +30,10 @@ __all__ = [
     "DeltaConfig", "EvalResult", "LinearConfig", "TimeConfig",
     "log_gamma",
     "ml_contour", "ml_eval", "ml_series",
-    "FoxHParams", "eval_auto", "eval_contour", "eval_series", "exists",
-    "invert_argument", "lemma31_check", "reduce_params",
-    "scale_argument_power", "shift_by_power", "sigma",
+    "FoxHParams", "eval_auto", "eval_contour", "eval_series",
     "time_factor",
     "delta_classical", "delta_closed_form", "delta_quadrature",
-    "linear_classical_airy", "linear_closed_form", "linear_mellin_factor",
-    "linear_momentum_spectrum", "linear_quadrature",
-    "GridSpec", "fourier_pair_check",
+    "linear_classical_airy", "linear_closed_form", "linear_quadrature",
     "full_solution",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from .mittag import ml_contour, ml_eval, ml_series
 from .quadrature import GridSpec
 from .result import (DeltaConfig, EvalResult, LinearConfig, TimeConfig,
                      _accept, _check_order_pair, _check_positive)
-from .solution import _space_value, full_solution
+from .solution import _space_route, full_solution
 from .time_factor import time_factor
 from .verify import format_report, run_criteria
 
@@ -175,7 +175,7 @@ def _cmd_time(args, tol):
 
 def _cmd_space(args, tol):
     cfg, meta = _space_config(args, args.command)
-    return lambda x: _space_value(cfg, x, tol, args.method), meta
+    return _space_route(cfg, tol, args.method), meta
 
 
 def _cmd_foxh(args, tol):

@@ -131,9 +131,12 @@ def delta_classical(hbar: float, mass: float, energy: float, lam: complex,
     _check_positive(mass, "mass")
     if not (energy < 0.0) or not math.isfinite(energy):
         raise ValidationError("the bound state needs a finite energy < 0")
+    lam = complex(lam)
+    _check_finite(lam.real, "lam")
+    _check_finite(lam.imag, "lam")
     _check_finite(x, "x")
     kappa = math.sqrt(-2.0 * mass * energy) / hbar
-    return complex(lam) * math.exp(-abs(x) * kappa)
+    return lam * math.exp(-abs(x) * kappa)
 
 
 def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalResult:

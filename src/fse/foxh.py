@@ -284,29 +284,11 @@ def reduce_params(params: FoxHParams) -> FoxHParams:
         lower=tuple(b for i, b in enumerate(params.lower) if i not in gone_low))
 
 
-def scale_argument_power(params: FoxHParams, k: float) -> FoxHParams:
-    """Params for the identity H(z) = k * H'(z^k) with weights scaled by k."""
-    if not (k > 0.0):
-        raise ValidationError("scale power must be positive")
-    return FoxHParams(m=params.m, n=params.n,
-                      upper=tuple((a, k * wt) for a, wt in params.upper),
-                      lower=tuple((b, k * wt) for b, wt in params.lower))
-
-
 def invert_argument(params: FoxHParams) -> FoxHParams:
     """Params for H^{m,n}_{p,q}(z) = H^{n,m}_{q,p}(1/z) with reflected entries."""
     new_upper = tuple((1.0 - b, wt) for b, wt in params.lower)
     new_lower = tuple((1.0 - a, wt) for a, wt in params.upper)
     return FoxHParams(m=params.n, n=params.m, upper=new_upper, lower=new_lower)
-
-
-def shift_by_power(params: FoxHParams, shift: float) -> FoxHParams:
-    """Params absorbing z^shift: z^shift H(z) = H_shifted(z), for a real
-    shift (a non-real one makes the parameters non-real, which FoxHParams
-    refuses)."""
-    return FoxHParams(m=params.m, n=params.n,
-                      upper=tuple((a + shift * wt, wt) for a, wt in params.upper),
-                      lower=tuple((b + shift * wt, wt) for b, wt in params.lower))
 
 
 def _require_exists(params: FoxHParams, z: complex):
@@ -1133,29 +1115,3 @@ def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalRes
 # the H routes by name, for every caller that takes a method option
 _ROUTES = {"auto": eval_auto, "series": eval_series, "contour": eval_contour}
 
-
-def lemma31_check(x: float, rho: float, alpha: float, b: complex,
-                  rel_tol: float = 1e-10):
-    """Both sides of the algebraic-kernel identity
-
-        x^rho / (1 + b x^alpha) = b^{-rho/alpha}
-            * H^{1,1}_{1,1}(b x^alpha | (rho/alpha, 1); (rho/alpha, 1)).
-
-    Returns (lhs, rhs) evaluated independently; callers assert agreement.
-    """
-    if not (x > 0.0):
-        raise ValidationError("x must be positive")
-    if not (rho >= 0.0):
-        raise ValidationError("rho must be nonnegative")
-    if not (alpha > 0.0):
-        raise ValidationError("alpha must be positive")
-    b = complex(b)
-    if b == 0 or abs(math.atan2(b.imag, b.real)) >= math.pi:
-        raise ValidationError("b must satisfy b != 0 and |arg b| < pi")
-    lhs = x ** rho / (1.0 + b * x ** alpha)
-    r = rho / alpha
-    params = FoxHParams(m=1, n=1, upper=((r, 1.0),), lower=((r, 1.0),))
-    arg = b * x ** alpha
-    res = eval_auto(params, arg, rel_tol)
-    rhs = cmath.exp(-r * cmath.log(b)) * res.value
-    return lhs, rhs

@@ -1,7 +1,6 @@
 """Wavefunction for the linear-ramp potential.
 
-Closed form is a single H-function of the shifted, rescaled coordinate;
-its Mellin factor and momentum spectrum are exposed for cross-checks.
+Closed form is a single H-function of the shifted, rescaled coordinate.
 The ascending power series (entire in y) doubles as the evaluation route
 where the H-representation's sector excludes the argument (y <= 0), and
 the rotated-ray quadrature of the momentum integral is the independent
@@ -16,8 +15,9 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergence, PoleOfGamma, QuadratureFailure
-# eval_auto is unused here; its binding stays for perfbench's CONSUMER_SITES
+from .errors import QuadratureFailure
+# eval_auto and log_gamma are unused here; their bindings stay for
+# perfbench's CONSUMER_SITES
 from .foxh import FoxHParams, _ROUTES, eval_auto
 from .numerics import log_gamma, power_sum
 from .quadrature import ray_segment
@@ -50,60 +50,6 @@ def scaled_coordinate(cfg: LinearConfig, x: float) -> float:
 
 def _flag(label: str, x: float) -> str:
     return label + "|x<0" if x < 0.0 else label
-
-
-def linear_momentum_spectrum(cfg: LinearConfig, p: float) -> complex:
-    """Momentum-space solution, integration constant fixed to 1.
-
-    At theta < 0 its modulus grows like exp(|p|^(alpha+1)) and leaves
-    double range (from |p| of about 32 at alpha = 1.5, theta = -0.2), as
-    does its phase at any theta once |p|^(alpha+1) overflows; both refuse
-    as NonConvergence.
-    """
-    _check_finite(p, "p")
-    if p == 0.0:
-        return 1.0 + 0.0j
-    s = math.copysign(1.0, p)
-    rot = cmath.exp(1j * s * cfg.theta * math.pi / 2.0)
-    try:
-        inner = cfg.energy * p - s * (cfg.c_alpha / (cfg.alpha + 1.0)) \
-            * abs(p) ** (cfg.alpha + 1.0) * rot
-        val = cmath.exp(-1j / (cfg.slope * cfg.hbar) * inner)
-    except OverflowError:
-        val = complex(math.inf)
-    if not cmath.isfinite(val):
-        raise NonConvergence("momentum spectrum at p = %g is past double range" % p)
-    return val
-
-
-def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
-    """Mellin transform of the wavefunction in the scaled coordinate.
-
-    Numerator gamma poles propagate as errors; a denominator pole makes
-    the factor an exact zero.  The two numerator and the two denominator
-    gammas are each one array log_gamma call, since s may be complex.  A
-    non-finite s refuses as invalid, a factor past double range (from
-    s of about 240 at alpha = 1.5, theta = 0.2) as NonConvergence.
-    """
-    s = complex(s)
-    _check_finite(s.real, "s")
-    _check_finite(s.imag, "s")
-    ap1 = cfg.alpha + 1.0
-    num = log_gamma(np.array([s, (1.0 - s) / ap1]))
-    d1 = (cfg.alpha + cfg.theta) * (1.0 - s) / (2.0 * ap1)
-    d2 = (2.0 + cfg.alpha - cfg.theta + (cfg.alpha + cfg.theta) * s) / (2.0 * ap1)
-    try:
-        den = log_gamma(np.array([d1, d2]))
-    except PoleOfGamma:
-        return 0.0 + 0.0j
-    acc = complex(np.sum(num) - np.sum(den))
-    try:
-        val = 2.0 * math.pi * cfg.n_norm / ap1 * cmath.exp(acc)
-    except OverflowError:
-        val = complex(math.inf)
-    if not cmath.isfinite(val):
-        raise NonConvergence("Mellin factor at s = %s is past double range" % (s,))
-    return val
 
 
 def _ascending_series(alpha: float, theta: float, y: float):
@@ -152,11 +98,14 @@ def linear_classical_airy(hbar: float, mass: float, energy: float,
     _check_positive(mass, "mass")
     _check_positive(slope, "slope")
     _check_finite(energy, "energy")
+    lam = complex(lam)
+    _check_finite(lam.real, "lam")
+    _check_finite(lam.imag, "lam")
     _check_finite(x, "x")
     u = (x - energy / slope) * (2.0 * mass * slope / hbar ** 2) ** (1.0 / 3.0)
     # the alpha = 2, theta = 0 series: c = 2/3, argument 3^(1/3) u
     tot, _, _ = _ascending_series(2.0, 0.0, 3.0 ** (1.0 / 3.0) * u)
-    return complex(lam) / math.pi * tot
+    return lam / math.pi * tot
 
 
 def linear_quadrature(cfg: LinearConfig, x: float,

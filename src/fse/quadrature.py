@@ -1,4 +1,4 @@
-"""Adaptive quadrature engines and discrete Fourier-pair checkers.
+"""Adaptive quadrature engines.
 
 Three strategies cover the integral shapes the solvers need: plain
 adaptive bisection on a finite interval, an oscillatory splitter for a
@@ -30,8 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .accel import euler_alternating
-from .errors import GridTooCoarse, QuadratureFailure, ValidationError
-from .result import _check_positive
+from .errors import QuadratureFailure, ValidationError
 
 OSC_HALF_PERIODS = 96   # half-period pieces osc_semi_inf sums at most
 OSC_BATCH = 32          # pieces whose first panels share one call of g
@@ -248,40 +247,3 @@ def ray_segment(f, angle: float, radius: float, tol: float):
     val, err, count = adaptive(h, 0.0, radius ** 0.25, tol, RAY_PANELS)
     return rot * val, err, count
 
-
-def fourier_pair_check(samples, grid: GridSpec, hbar: float = 1.0):
-    """Round-trip and Plancherel defects of a sampled wavefunction.
-
-    Forward transform (1/2pi hbar) integral of e^(-ipx/hbar) psi dx and its
-    inverse are discretized with trapezoid weights on conjugate grids, so
-    insufficient edge decay shows up as a real defect instead of being
-    hidden by an exactly unitary DFT pair.  Returns (roundtrip, ratio) with
-    ratio = norm(psi)^2 / (2 pi hbar norm(psihat)^2).
-    """
-    _check_positive(hbar, "hbar")
-    psi = np.asarray(list(samples), dtype=complex)
-    n = grid.count
-    if psi.shape != (n,):
-        raise ValidationError("sample count must match the grid")
-    if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
-        raise ValidationError("samples must be finite")
-    if not np.any(psi):
-        return 0.0, 1.0
-    x = grid.nodes()
-    dx = x[1] - x[0]
-    wx = np.full(n, dx)
-    wx[0] = wx[-1] = 0.5 * dx
-    dp = 2.0 * math.pi * hbar / (n * dx)
-    p = dp * (np.arange(n) - n // 2)
-    wp = np.full(n, dp)
-    wp[0] = wp[-1] = 0.5 * dp
-    kernel = np.exp(-1j * np.outer(p, x) / hbar)
-    psihat = kernel @ (wx * psi) / (2.0 * math.pi * hbar)
-    back = kernel.conj().T @ (wp * psihat)
-    roundtrip = float(np.max(np.abs(back - psi)))
-    if roundtrip > 1e-3:
-        raise GridTooCoarse(
-            "Fourier round-trip defect %.2e; refine or widen the grid" % roundtrip)
-    ratio = float(np.sum(wx * np.abs(psi) ** 2)
-                  / (2.0 * math.pi * hbar * np.sum(wp * np.abs(psihat) ** 2)))
-    return roundtrip, ratio

@@ -2,7 +2,9 @@
 
 Each criterion function is deterministic (fixed seeds, no clocks) and
 returns a CheckResult; format_report turns a batch into the pass/fail
-table the CLI prints.
+table the CLI prints.  The helpers that only these checks use, the
+Lemma 3.1 identity, the H parameter transforms and the Fourier-pair
+diagnostic, are private to this module.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ import numpy as np
 from .delta import (delta_closed_form, delta_quadrature,
                     _even_part_params, _odd_part_params)
 from .errors import (DegeneratePoles, DomainError, EvaluationError,
-                     NonConvergence, ValidationError)
+                     GridTooCoarse, NonConvergence, ValidationError)
 from .foxh import (FoxHParams, eval_auto, eval_contour, eval_series, exists,
-                   invert_argument, lemma31_check, scale_argument_power,
-                   shift_by_power)
+                   invert_argument)
 from .linear import (linear_classical_airy, linear_closed_form,
                      linear_quadrature, _h_params)
 from .mittag import ml_eval
-from .quadrature import GridSpec, adaptive, fourier_pair_check
-from .result import DeltaConfig, LinearConfig, TimeConfig
+from .quadrature import GridSpec, adaptive
+from .result import DeltaConfig, LinearConfig, TimeConfig, _check_positive
 from .time_factor import time_factor
 
 
@@ -68,6 +69,33 @@ def criterion_2() -> CheckResult:
                        "max rel err %.2e over x in {0,..,3}, bar 1e-8" % worst)
 
 
+def _lemma31_check(x: float, rho: float, alpha: float, b: complex,
+                   rel_tol: float = 1e-10):
+    """Both sides of the algebraic-kernel identity
+
+        x^rho / (1 + b x^alpha) = b^{-rho/alpha}
+            * H^{1,1}_{1,1}(b x^alpha | (rho/alpha, 1); (rho/alpha, 1)).
+
+    Returns (lhs, rhs) evaluated independently; callers assert agreement.
+    """
+    if not (x > 0.0):
+        raise ValidationError("x must be positive")
+    if not (rho >= 0.0):
+        raise ValidationError("rho must be nonnegative")
+    if not (alpha > 0.0):
+        raise ValidationError("alpha must be positive")
+    b = complex(b)
+    if b == 0 or abs(math.atan2(b.imag, b.real)) >= math.pi:
+        raise ValidationError("b must satisfy b != 0 and |arg b| < pi")
+    lhs = x ** rho / (1.0 + b * x ** alpha)
+    r = rho / alpha
+    params = FoxHParams(m=1, n=1, upper=((r, 1.0),), lower=((r, 1.0),))
+    arg = b * x ** alpha
+    res = eval_auto(params, arg, rel_tol)
+    rhs = cmath.exp(-r * cmath.log(b)) * res.value
+    return lhs, rhs
+
+
 def criterion_3() -> CheckResult:
     """Algebraic-kernel identity on 50 random admissible tuples."""
     rng = np.random.default_rng(31)
@@ -81,7 +109,7 @@ def criterion_3() -> CheckResult:
         ang = float(rng.uniform(-0.9 * math.pi, 0.9 * math.pi))
         b = mag * cmath.exp(1j * ang)
         try:
-            lhs, rhs = lemma31_check(x, rho, alpha, b, rel_tol=1e-10)
+            lhs, rhs = _lemma31_check(x, rho, alpha, b, rel_tol=1e-10)
         except EvaluationError:
             continue
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
@@ -98,6 +126,24 @@ def _h_instances():
             cfg = LinearConfig(alpha=alpha, theta=theta, hbar=1.0,
                                c_alpha=1.0, energy=0.0, slope=1.0)
             yield _h_params(cfg)
+
+
+def _scale_argument_power(params: FoxHParams, k: float) -> FoxHParams:
+    """Params for the identity H(z) = k * H'(z^k) with weights scaled by k."""
+    if not (k > 0.0):
+        raise ValidationError("scale power must be positive")
+    return FoxHParams(m=params.m, n=params.n,
+                      upper=tuple((a, k * wt) for a, wt in params.upper),
+                      lower=tuple((b, k * wt) for b, wt in params.lower))
+
+
+def _shift_by_power(params: FoxHParams, shift: float) -> FoxHParams:
+    """Params absorbing z^shift: z^shift H(z) = H_shifted(z), for a real
+    shift (a non-real one makes the parameters non-real, which FoxHParams
+    refuses)."""
+    return FoxHParams(m=params.m, n=params.n,
+                      upper=tuple((a + shift * wt, wt) for a, wt in params.upper),
+                      lower=tuple((b + shift * wt, wt) for b, wt in params.lower))
 
 
 def criterion_4() -> CheckResult:
@@ -145,7 +191,7 @@ def criterion_4() -> CheckResult:
         try:
             v = eval_auto(base, z, 1e-10).value
             k = float(rng.uniform(0.5, 2.0))
-            v1 = k * eval_auto(scale_argument_power(base, k), z ** k,
+            v1 = k * eval_auto(_scale_argument_power(base, k), z ** k,
                                1e-10).value
             d1 = abs(v1 - v) / max(abs(v), 1e-300)
             inv = invert_argument(base)
@@ -155,7 +201,7 @@ def criterion_4() -> CheckResult:
             else:
                 d2 = 0.0
             sh = float(rng.uniform(-0.5, 0.5))
-            v3 = eval_auto(shift_by_power(base, sh), z, 1e-10).value
+            v3 = eval_auto(_shift_by_power(base, sh), z, 1e-10).value
             d3 = abs(v3 - z ** sh * v) / max(abs(z ** sh * v), 1e-300)
         except (NonConvergence, DegeneratePoles, DomainError):
             continue
@@ -253,14 +299,52 @@ def criterion_8() -> CheckResult:
                        "bar 1e-4" % (r_closed, r_airy))
 
 
+def _fourier_pair_check(samples, grid: GridSpec, hbar: float = 1.0):
+    """Round-trip and Plancherel defects of a sampled wavefunction.
+
+    Forward transform (1/2pi hbar) integral of e^(-ipx/hbar) psi dx and its
+    inverse are discretized with trapezoid weights on conjugate grids, so
+    insufficient edge decay shows up as a real defect instead of being
+    hidden by an exactly unitary DFT pair.  Returns (roundtrip, ratio) with
+    ratio = norm(psi)^2 / (2 pi hbar norm(psihat)^2).
+    """
+    _check_positive(hbar, "hbar")
+    psi = np.asarray(list(samples), dtype=complex)
+    n = grid.count
+    if psi.shape != (n,):
+        raise ValidationError("sample count must match the grid")
+    if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
+        raise ValidationError("samples must be finite")
+    if not np.any(psi):
+        return 0.0, 1.0
+    x = grid.nodes()
+    dx = x[1] - x[0]
+    wx = np.full(n, dx)
+    wx[0] = wx[-1] = 0.5 * dx
+    dp = 2.0 * math.pi * hbar / (n * dx)
+    p = dp * (np.arange(n) - n // 2)
+    wp = np.full(n, dp)
+    wp[0] = wp[-1] = 0.5 * dp
+    kernel = np.exp(-1j * np.outer(p, x) / hbar)
+    psihat = kernel @ (wx * psi) / (2.0 * math.pi * hbar)
+    back = kernel.conj().T @ (wp * psihat)
+    roundtrip = float(np.max(np.abs(back - psi)))
+    if roundtrip > 1e-3:
+        raise GridTooCoarse(
+            "Fourier round-trip defect %.2e; refine or widen the grid" % roundtrip)
+    ratio = float(np.sum(wx * np.abs(psi) ** 2)
+                  / (2.0 * math.pi * hbar * np.sum(wp * np.abs(psihat) ** 2)))
+    return roundtrip, ratio
+
+
 def criterion_9() -> CheckResult:
     """Discrete Fourier round-trip and norm ratio on two test functions."""
     g1 = GridSpec(-8.0, 8.0, 256)
     x1 = g1.nodes()
-    rt1, ratio1 = fourier_pair_check(np.exp(-0.5 * x1 ** 2).astype(complex), g1)
+    rt1, ratio1 = _fourier_pair_check(np.exp(-0.5 * x1 ** 2).astype(complex), g1)
     g2 = GridSpec(-20.0, 20.0, 2048)
     x2 = g2.nodes()
-    rt2, ratio2 = fourier_pair_check(np.exp(-np.abs(x2)).astype(complex), g2)
+    rt2, ratio2 = _fourier_pair_check(np.exp(-np.abs(x2)).astype(complex), g2)
     rt = max(rt1, rt2)
     rdev = max(abs(ratio1 - 1.0), abs(ratio2 - 1.0))
     ok = rt <= 1e-8 and rdev <= 1e-6

@@ -29,7 +29,9 @@ import math
 
 import fse
 from fse.delta import _even_part_params, _odd_part_params
+from fse.foxh import invert_argument
 from fse.linear import _ascending_series, _h_params
+from fse.verify import _scale_argument_power, _shift_by_power
 from perfbench.workloads import ROUNDS
 from tests.collision_refs import DELTA0_POINTS, DELTA0_SETS
 
@@ -52,14 +54,14 @@ def h_sets():
         yield from (
             lambda a=alpha: _even_part_params(a),
             lambda a=alpha: _odd_part_params(a),
-            lambda a=alpha: fse.shift_by_power(_even_part_params(a), 0.25),
-            lambda a=alpha: fse.scale_argument_power(_odd_part_params(a), 0.5),
-            lambda a=alpha: fse.invert_argument(_even_part_params(a)),
+            lambda a=alpha: _shift_by_power(_even_part_params(a), 0.25),
+            lambda a=alpha: _scale_argument_power(_odd_part_params(a), 0.5),
+            lambda a=alpha: invert_argument(_even_part_params(a)),
             lambda a=alpha: fse.FoxHParams(1, 1, ((0.0, 1.0),), ((0.0, 1.0), (0.0, a / 2))))
         yield from (lambda a=alpha, t=f * lim: _h_params(fse.LinearConfig(alpha=a, theta=t))
                     for f in (-0.7, 0.0, 0.6))
     # H parameters are real: a complex shift refuses to build
-    yield lambda: fse.shift_by_power(_even_part_params(1.5), 0.25 + 0.4j)
+    yield lambda: _shift_by_power(_even_part_params(1.5), 0.25 + 0.4j)
 
 
 H_ARGS = (0.05, 0.4, 0.9 + 0.3j, 1.7, 2.5 - 1.0j, 4.0, 7.5, 15.0, 60.0, 1e100)

@@ -355,6 +355,9 @@ def test_classical_profile():
     ((math.inf, 1.0, -0.5, 1.0, 1.0), "hbar"),
     ((1.0, math.inf, -0.5, 1.0, 1.0), "mass"),
     ((1.0, 1.0, -math.inf, 1.0, 0.0), "energy"),
+    ((1.0, 1.0, -1.0, math.nan, 0.5), "lam"),
+    ((1.0, 1.0, -1.0, math.inf, 0.5), "lam"),
+    ((1.0, 1.0, -1.0, complex(math.nan, 1.0), 0.5), "lam"),
 ])
 def test_classical_profile_refuses_bad_inputs(args, name):
     # the reference the closed form is compared against checks its inputs

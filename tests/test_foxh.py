@@ -19,11 +19,11 @@ from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
                         ValidationError, ZeroBase)
 from fse.foxh import (FoxHParams, _finish, _gamma_forms, _log_theta, _reflection_pairs,
                       _series_recipe, _term_part, eval_auto, eval_contour,
-                      eval_series, exists, invert_argument, lemma31_check,
-                      reduce_params, scale_argument_power, shift_by_power,
+                      eval_series, exists, invert_argument, reduce_params,
                       series_index, sigma)
 from fse.linear import _h_params
 from fse.result import LinearConfig
+from fse.verify import _lemma31_check, _scale_argument_power, _shift_by_power
 from tests.collision_refs import CONTOUR_SETS, DELTA0_SETS
 from tests.collision_refs import SETS as COLLISION_SETS
 from tests.collision_refs import line_integral
@@ -92,14 +92,14 @@ def test_err_estimate_is_honest_for_exponential():
 
 
 def test_scale_argument_power_examples():
-    assert scale_argument_power(DIAG, 1.0) == DIAG
+    assert _scale_argument_power(DIAG, 1.0) == DIAG
     lhs = eval_contour(DIAG, 1.0).value
-    rhs = 2.0 * eval_contour(scale_argument_power(DIAG, 2.0), 1.0).value
+    rhs = 2.0 * eval_contour(_scale_argument_power(DIAG, 2.0), 1.0).value
     assert abs(lhs - rhs) < 1e-9
     with pytest.raises(NonConvergence):
-        eval_series(scale_argument_power(DIAG, 2.0), 1.0)
+        eval_series(_scale_argument_power(DIAG, 2.0), 1.0)
     lhs2 = eval_series(EXP, 4.0).value
-    rhs2 = 0.5 * eval_series(scale_argument_power(EXP, 0.5), 2.0).value
+    rhs2 = 0.5 * eval_series(_scale_argument_power(EXP, 0.5), 2.0).value
     assert abs(lhs2 - rhs2) < 1e-12
 
 
@@ -115,12 +115,12 @@ def test_invert_argument_examples():
 
 
 def test_shift_by_power_examples():
-    assert shift_by_power(DIAG, 0.0) == FoxHParams(
+    assert _shift_by_power(DIAG, 0.0) == FoxHParams(
         m=1, n=1, upper=(((0.0 + 0.0j), 1.0),), lower=(((0.0 + 0.0j), 1.0),))
-    assert abs(eval_contour(shift_by_power(DIAG, 1.0), 1.0).value - 0.5) < 1e-10
+    assert abs(eval_contour(_shift_by_power(DIAG, 1.0), 1.0).value - 0.5) < 1e-10
     with pytest.raises(NonConvergence):
-        eval_series(shift_by_power(DIAG, 1.0), 1.0)
-    got = eval_series(shift_by_power(EXP, 2.0), 1.5).value
+        eval_series(_shift_by_power(DIAG, 1.0), 1.0)
+    got = eval_series(_shift_by_power(EXP, 2.0), 1.5).value
     assert abs(got - 1.5 ** 2 * math.exp(-1.5)) < 1e-11
 
 
@@ -137,12 +137,12 @@ def test_reduce_params_cancels_pairs():
 
 
 def test_lemma31_fixed_examples():
-    lhs, rhs = lemma31_check(1.0, 0.0, 1.0, 1.0)
+    lhs, rhs = _lemma31_check(1.0, 0.0, 1.0, 1.0)
     assert abs(lhs - 0.5) < 1e-15 and abs(rhs - 0.5) < 1e-9
-    lhs, rhs = lemma31_check(2.0, 1.0, 2.0, 0.25)
+    lhs, rhs = _lemma31_check(2.0, 1.0, 2.0, 0.25)
     assert abs(lhs - 1.0) < 1e-15 and abs(lhs - rhs) < 1e-9
     b = cmath.exp(0.25j * math.pi)
-    lhs, rhs = lemma31_check(1.0, 0.5, 1.5, b)
+    lhs, rhs = _lemma31_check(1.0, 0.5, 1.5, b)
     assert abs(lhs - 1.0 / (1.0 + b)) < 1e-15
     assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
@@ -157,7 +157,7 @@ def test_lemma31_random_battery():
         b = float(rng.uniform(0.2, 5.0)) * cmath.exp(
             1j * float(rng.uniform(-0.9 * math.pi, 0.9 * math.pi)))
         try:
-            lhs, rhs = lemma31_check(x, rho, alpha, b)
+            lhs, rhs = _lemma31_check(x, rho, alpha, b)
         except (NonConvergence, DegeneratePoles):
             continue
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1e-30)
@@ -267,7 +267,7 @@ def test_parameters_are_real():
     with pytest.raises(ValidationError, match="real"):
         FoxHParams(m=1, n=1, upper=((0.2j, 1.0),), lower=((0.0, 1.0),))
     with pytest.raises(ValidationError, match="real"):
-        shift_by_power(_even_part_params(1.5), 0.25 + 0.4j)
+        _shift_by_power(_even_part_params(1.5), 0.25 + 0.4j)
     # a complex with imaginary part 0.0 is real, and is stored as a float
     params = FoxHParams(m=1, n=1, upper=((complex(0.5, 0.0), 1.0),),
                         lower=((np.float64(0.25), 1.0),))
@@ -504,7 +504,7 @@ def _paired_sets():
         (reduce_params(_even_part_params(1.37)), 2),
         (reduce_params(_odd_part_params(1.37)), 1),
         (reduce_params(_h_params(LinearConfig(alpha=1.6, theta=0.3))), 1),
-        (reduce_params(shift_by_power(_even_part_params(1.37), 0.25)), 2),
+        (reduce_params(_shift_by_power(_even_part_params(1.37), 0.25)), 2),
     ]
 
 

@@ -10,11 +10,11 @@ from scipy.special import airy
 
 from fse.errors import NonConvergence, PoleOfGamma, QuadratureFailure, ValidationError
 from fse.linear import (_ascending_series, linear_classical_airy,
-                        linear_closed_form, linear_mellin_factor,
-                        linear_momentum_spectrum, linear_quadrature,
+                        linear_closed_form, linear_quadrature,
                         scaled_coordinate)
+from fse.numerics import log_gamma
 from fse.quadrature import adaptive
-from fse.result import LinearConfig
+from fse.result import LinearConfig, _check_finite
 
 
 def _cfg(alpha=1.5, theta=0.3, energy=0.5):
@@ -22,33 +22,35 @@ def _cfg(alpha=1.5, theta=0.3, energy=0.5):
                         energy=energy, slope=1.0)
 
 
-def test_momentum_spectrum_examples():
-    cfg = _cfg(energy=0.0)
-    assert linear_momentum_spectrum(cfg, 0.0) == 1.0
-    want = cmath.exp(-1j * (-(1.0 / 2.5) * cmath.exp(1j * 0.15 * math.pi)))
-    got = linear_momentum_spectrum(cfg, 1.0)
-    assert abs(got - want) <= 1e-14 * abs(want)
+def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:
+    """Mellin transform of the wavefunction in the scaled coordinate: the
+    ramp's Mellin reference, which no route of the package calls.
 
-
-def test_momentum_spectrum_unskewed_is_unimodular():
-    cfg = LinearConfig(alpha=1.7, theta=0.0, hbar=1.0, c_alpha=1.0,
-                       energy=0.4, slope=1.3)
-    for p in (-3.0, -0.7, 0.2, 5.0):
-        assert abs(abs(linear_momentum_spectrum(cfg, p)) - 1.0) < 1e-14
-
-
-@pytest.mark.parametrize("p", [35.0, 100.0, -100.0])
-def test_growing_momentum_spectrum_refuses_past_double_range(p):
-    # at theta < 0 the modulus grows like exp(|p|^(alpha+1))
-    cfg = LinearConfig(alpha=1.5, theta=-0.2)
-    assert abs(linear_momentum_spectrum(cfg, 30.0)) > 1e100
-    with pytest.raises(NonConvergence):
-        linear_momentum_spectrum(cfg, p)
-
-
-def test_momentum_spectrum_refuses_an_overflowing_phase():
-    with pytest.raises(NonConvergence):
-        linear_momentum_spectrum(LinearConfig(alpha=1.5, theta=0.0), 1e200)
+    Numerator gamma poles propagate as errors; a denominator pole makes
+    the factor an exact zero.  The two numerator and the two denominator
+    gammas are each one array log_gamma call, since s may be complex.  A
+    non-finite s refuses as invalid, a factor past double range (from
+    s of about 240 at alpha = 1.5, theta = 0.2) as NonConvergence.
+    """
+    s = complex(s)
+    _check_finite(s.real, "s")
+    _check_finite(s.imag, "s")
+    ap1 = cfg.alpha + 1.0
+    num = log_gamma(np.array([s, (1.0 - s) / ap1]))
+    d1 = (cfg.alpha + cfg.theta) * (1.0 - s) / (2.0 * ap1)
+    d2 = (2.0 + cfg.alpha - cfg.theta + (cfg.alpha + cfg.theta) * s) / (2.0 * ap1)
+    try:
+        den = log_gamma(np.array([d1, d2]))
+    except PoleOfGamma:
+        return 0.0 + 0.0j
+    acc = complex(np.sum(num) - np.sum(den))
+    try:
+        val = 2.0 * math.pi * cfg.n_norm / ap1 * cmath.exp(acc)
+    except OverflowError:
+        val = complex(math.inf)
+    if not cmath.isfinite(val):
+        raise NonConvergence("Mellin factor at s = %s is past double range" % (s,))
+    return val
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf"), complex(1.0, -math.inf)])
@@ -67,8 +69,8 @@ def test_mellin_factor_refuses_past_double_range():
         linear_mellin_factor(cfg, 1.5e308 + 1.5e308j)
 
 
-@pytest.mark.parametrize("f", [scaled_coordinate, linear_momentum_spectrum,
-                               linear_closed_form, linear_quadrature])
+@pytest.mark.parametrize("f", [scaled_coordinate, linear_closed_form,
+                               linear_quadrature])
 def test_real_coordinate_entry_points_refuse_a_complex_argument(f):
     with pytest.raises(TypeError):
         f(_cfg(), 1.0 + 0.5j)
@@ -159,6 +161,9 @@ def test_classical_airy_series_tracks_scipy():
     ((1.0, math.inf, 0.5, 1.0, 1.0, 1.0), "mass"),
     ((1.0, 1.0, 0.5, math.inf, 1.0, 1.0), "slope"),
     ((1.0, 1.0, math.nan, 1.0, 1.0, 1.0), "energy"),
+    ((1.0, 1.0, 0.5, 1.0, math.nan, 1.0), "lam"),
+    ((1.0, 1.0, 0.5, 1.0, math.inf, 1.0), "lam"),
+    ((1.0, 1.0, 0.5, 1.0, complex(1.0, -math.inf), 1.0), "lam"),
 ])
 def test_classical_airy_refuses_bad_inputs(args, name):
     # the reference the closed form is compared against checks its inputs

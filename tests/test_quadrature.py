@@ -11,9 +11,10 @@ from fse.accel import euler_alternating
 from fse.errors import (EvaluationError, GridTooCoarse, QuadratureFailure,
                         ValidationError)
 from fse.linear import scaled_coordinate
-from fse.quadrature import (GridSpec, adaptive, fourier_pair_check,
-                            osc_semi_inf, ray_segment, tail_algebraic)
+from fse.quadrature import (GridSpec, adaptive, osc_semi_inf, ray_segment,
+                            tail_algebraic)
 from fse.result import DeltaConfig
+from fse.verify import _fourier_pair_check
 from perfbench.workloads import ROUNDS
 
 
@@ -351,7 +352,7 @@ def test_spec_validation():
 def test_fourier_pair_gaussian():
     grid = GridSpec(-8.0, 8.0, 256)
     x = grid.nodes()
-    roundtrip, ratio = fourier_pair_check(np.exp(-0.5 * x * x), grid)
+    roundtrip, ratio = _fourier_pair_check(np.exp(-0.5 * x * x), grid)
     assert roundtrip < 1e-6
     assert abs(ratio - 1.0) < 1e-10
 
@@ -360,7 +361,7 @@ def test_fourier_pair_modulated_gaussian():
     grid = GridSpec(-10.0, 10.0, 512)
     x = grid.nodes()
     psi = np.exp(-0.5 * x * x) * np.exp(3j * x)
-    roundtrip, ratio = fourier_pair_check(psi, grid, hbar=0.7)
+    roundtrip, ratio = _fourier_pair_check(psi, grid, hbar=0.7)
     assert roundtrip < 1e-6
     assert abs(ratio - 1.0) < 1e-8
 
@@ -369,19 +370,19 @@ def test_fourier_pair_refuses_coarse_grid():
     grid = GridSpec(-2.0, 2.0, 128)
     x = grid.nodes()
     with pytest.raises(GridTooCoarse):
-        fourier_pair_check(np.exp(-0.5 * x * x), grid)
+        _fourier_pair_check(np.exp(-0.5 * x * x), grid)
 
 
 def test_fourier_pair_input_validation():
     grid = GridSpec(-4.0, 4.0, 64)
     with pytest.raises(ValidationError):
-        fourier_pair_check(np.zeros(32), grid)
+        _fourier_pair_check(np.zeros(32), grid)
     bad = np.zeros(64)
     bad[3] = math.inf
     with pytest.raises(ValidationError):
-        fourier_pair_check(bad, grid)
+        _fourier_pair_check(bad, grid)
     for hbar in (math.nan, math.inf, 0.0):
         with pytest.raises(ValidationError, match="hbar must be positive and finite"):
-            fourier_pair_check(np.ones(64), grid, hbar=hbar)
-    roundtrip, ratio = fourier_pair_check(np.zeros(64), grid)
+            _fourier_pair_check(np.ones(64), grid, hbar=hbar)
+    roundtrip, ratio = _fourier_pair_check(np.zeros(64), grid)
     assert roundtrip == 0.0 and ratio == 1.0

@@ -1,6 +1,7 @@
 import pytest
 
 from fse.delta import delta_closed_form, delta_quadrature
+from fse import solution
 from fse.errors import ValidationError
 from fse.linear import linear_closed_form
 from fse.result import DeltaConfig, LinearConfig, TimeConfig
@@ -57,8 +58,14 @@ def test_time_factor_shares_hbar_and_energy_with_the_space_config():
         assert r.method == "%s*%s" % (f.method, phi.method)
 
 
-def test_unknown_space_config_refused():
-    with pytest.raises(ValidationError):
-        full_solution(TimeConfig(beta=0.5), 1.0, 1.0)
+def test_unknown_space_config_refused(monkeypatch):
+    # the config's type is checked before anything is read or evaluated
+    def no_time_factor(*args):
+        raise AssertionError("time factor evaluated for an unknown config")
+
+    monkeypatch.setattr(solution, "time_factor", no_time_factor)
+    for cfg in (TimeConfig(beta=0.5), None):
+        with pytest.raises(ValidationError, match="space config"):
+            full_solution(cfg, 1.0, 1.0)
     with pytest.raises(ValidationError):
         full_solution(DeltaConfig(alpha=1.5, c_alpha=1.0), 1.0, 1.0, beta=0.0)
