@@ -94,18 +94,19 @@ One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
 its last answer, which it replays only as the exact conjugate H(conj z) =
 conj H(z).  A replay can differ from a fresh evaluation at conj z in
-rounding, within both err_est, and needs no invalidation.  And one table
-keeps the plans (_Plan) of the last PLAN_CAP H sets that either route
-ran on, least recently used out first.  A plan's series part is extended
-as a later call needs further poles or the rest bound reads further
-scales.  Its contour part holds the set's line and reflection pairs, read
-once per plan, and log theta on the nodes of each step rung a call has
-used: eval_contour rounds its step down to a fixed ladder, so calls at
-nearby |ln |z|| share their nodes, and a call finds theta on the nodes
-kept and extends them as its cut needs.  A plan is z-free, so any z
-reuses it, and a term, a scale or a node value from it has the bits of a
-fresh one.  A term that refuses is not kept, and refuses afresh on every
-call.
+rounding, within both err_est, and needs no invalidation.  And an
+lru_cache (_kept_plan) keeps the plans (_Plan) of the last PLAN_CAP H
+sets that either route ran on, least recently used out first, the one
+policy of every table the package keeps across calls.  A plan's series
+part is extended as a later call needs further poles or the rest bound
+reads further scales.  Its contour part holds the set's line and
+reflection pairs, read once per plan, and log theta on the nodes of each
+step rung a call has used: eval_contour rounds its step down to a fixed
+ladder, so calls at nearby |ln |z|| share their nodes, and a call finds
+theta on the nodes kept and extends them as its cut needs.  A plan is
+z-free, so any z reuses it, and a term, a scale or a node value from it
+has the bits of a fresh one.  A term that refuses is not kept, and
+refuses afresh on every call.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
 up as module globals at call time: by eval_series and eval_contour, whose
 plans are keyed on the reduced H set and the four kernels bound at the
@@ -121,8 +122,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -755,22 +756,19 @@ class _Plan:
 # plans keep at most 2 MB of contour nodes
 PLAN_CAP = 32
 _KEPT_NODE_CAP = 1 << 11
-_plans: OrderedDict = OrderedDict()
+
+
+@lru_cache(maxsize=PLAN_CAP)
+def _kept_plan(params, log_gamma, digamma, log_reflection, pi_cot_pi) -> _Plan:
+    """A fresh plan, kept by params and the four kernels it is keyed on."""
+    return _Plan()
 
 
 def _plan(params: FoxHParams) -> _Plan:
     """The plan of the reduced params under the kernels bound now: a
     rebinding of any of the four starts a cold plan, whose terms and nodes
     make every kernel call afresh."""
-    key = (params, log_gamma, digamma, log_reflection, pi_cot_pi)
-    plan = _plans.get(key)
-    if plan is not None:
-        _plans.move_to_end(key)
-        return plan
-    plan = _plans[key] = _Plan()
-    if len(_plans) > PLAN_CAP:
-        _plans.popitem(last=False)
-    return plan
+    return _kept_plan(params, log_gamma, digamma, log_reflection, pi_cot_pi)
 
 
 def _series_plan(params: FoxHParams) -> _Plan:

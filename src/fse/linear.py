@@ -114,12 +114,14 @@ def linear_quadrature(cfg: LinearConfig, x: float,
 
     The ray w = t e^(i psi) is tilted so the w^(alpha+1) phase decays; the
     integral over p < 0, on the mirrored ray, is its exact conjugate, so
-    the value is twice the real part of one ray.  The e^{iyw} factor can
-    grow for y < 0, so the radius is pushed past the point where the
-    power-law decay wins.  On the ray the exponent has real part
-    c t - t^(alpha+1), c = -y sin(psi), whose peak c t* alpha/(alpha+1) at
-    t* = (c/(alpha+1))^(1/alpha) is checked against _RAY_EXP_CAP before
-    any node is evaluated.
+    the value is twice the real part of one ray.  On the ray the
+    integrand's modulus is exp(c t - t^(alpha+1)), c = -y sin(psi), whose
+    peak c t* alpha/(alpha+1) at t* = (c/(alpha+1))^(1/alpha) is checked
+    against _RAY_EXP_CAP before any node is evaluated.  The ray is cut at
+    a radius R past t*, from 4 or (3 max(0, -y))^(1/alpha) + 4 on; past t*
+    the modulus is log-concave and falling, so the cut tail is at most
+    exp(c R - R^(alpha+1)) / ((alpha+1) R^alpha - c).  R grows until that
+    bound, times 2 n_norm, is at most 0.1 abs_tol, and err_est claims it.
     """
     y = scaled_coordinate(cfg, x)
     _check_positive(abs_tol, "abs_tol")
@@ -133,6 +135,12 @@ def linear_quadrature(cfg: LinearConfig, x: float,
                 "ray integrand reaches exp(%.4g) for x = %g, past the cap exp(%g)"
                 % (peak, x, _RAY_EXP_CAP))
     radius = max(4.0, (3.0 * max(0.0, -y)) ** (1.0 / cfg.alpha) + 4.0)
+    while True:
+        tail = 2.0 * cfg.n_norm * math.exp(c * radius - radius ** ap1) / (
+            ap1 * radius ** cfg.alpha - c)
+        if tail <= 0.1 * abs_tol:
+            break
+        radius *= 1.25
     rot = cmath.exp(1j * cfg.theta * math.pi / 2.0)
 
     def f(w):
@@ -140,7 +148,7 @@ def linear_quadrature(cfg: LinearConfig, x: float,
 
     val, perr, work = ray_segment(f, tilt, radius, 0.5 * abs_tol / cfg.n_norm)
     value = 2.0 * cfg.n_norm * val.real
-    err = 2.0 * cfg.n_norm * perr
+    err = 2.0 * cfg.n_norm * perr + tail
     if not err <= max(abs_tol, 1e-5 * cfg.n_norm):
         raise QuadratureFailure(
             "ray integrals stalled at error %.2e for x = %g" % (err, x))

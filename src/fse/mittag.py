@@ -12,24 +12,24 @@ point at 0 and one pole on the principal sheet, so the contour has two
 candidate regions: left of the pole, which then adds its residue, and
 right of it.
 
-One table keeps the z-free work of the last _TABLE_CAP orders b, least
-recently used out first, since a time grid calls both routes many times
-at one b.  Per b it holds the Taylor log-coefficients -log Gamma(b k + 1),
-each computed the first time a sum reads it, so at most POWER_SUM_CAP + 1
-of them; for each of the last _KEPT_TOL_CAP values of log epsilon, the
-pole-free contour; and for each of the last _KEPT_RUNG_CAP pairs of log
-epsilon and rung, the contour of a pole on that rung.  A contour is its
-(h, N) and the nodes' w, s^b and e^s s^b.  With no pole on the principal
-sheet (mu, h, N) depend on log epsilon alone, so a pole-free call only
-divides by (s^b - z) w and sums.  With a pole they follow the pole's phi,
-which moves with z; so phi is taken down to a rung [lo, hi] of a fixed
-ladder, 16 rungs an octave, and the contour is tuned to the rung's edge on
-its own side of the pole: left of it to lo <= phi, right of it to hi >=
-phi, so the pole lies at least as far from the nodes as the tuning
-assumed, and every z on the rung shares one contour.  A pole call whose
-rung's contour misses rel_tol runs again on one tuned to its own phi,
-which is not kept.  A cold call fills the table and then reads it as a
-warm one does, and every kept value has the bits of a fresh one.
+The z-free work is kept across calls, since a time grid calls both
+routes many times at one b, by functools.lru_cache, least recently used
+out first: the Taylor log-coefficients -log Gamma(b k + 1) of the last
+_TABLE_CAP orders b (_log_coefs), each computed the first time a sum
+reads it, so at most POWER_SUM_CAP + 1 of them; and, in one table of the
+last _CONTOUR_CAP contours (_contour), keyed on b, log epsilon and rung,
+every contour a call has run on.  A contour is its (h, N) and the nodes'
+w, s^b and e^s s^b.  With no pole on the principal sheet (mu, h, N)
+depend on log epsilon alone (rung None), so a pole-free call only divides
+by (s^b - z) w and sums.  With a pole they follow the pole's phi, which
+moves with z; so phi is taken down to a rung [lo, hi] of a fixed ladder,
+16 rungs an octave, and the contour is tuned to the rung's edge on its
+own side of the pole: left of it to lo <= phi, right of it to hi >= phi,
+so the pole lies at least as far from the nodes as the tuning assumed,
+and every z on the rung shares one contour.  A pole call whose rung's
+contour misses rel_tol runs again on one tuned to its own phi, which is
+not kept.  A cold call fills the tables and then reads them as a warm one
+does, and every kept value has the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ import cmath
 import math
 import sys
 from bisect import bisect_right
-from collections import OrderedDict
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,16 +53,14 @@ SERIES_RADIUS = 10.0
 # exp(|z|^(1/beta)) is the top of the Taylor hump; keep it below ~e^12 so
 # roundoff on the partial sums stays near 1e-11 absolute
 SERIES_ROOT_CAP = 12.0
-CONTOUR_NODE_CAP = 500
-# the table's orders, and per order its pole-free contours and pole rungs.
-# Over rel_tol in [1e-14, 1e-2] a pole-free contour has at most 2 N + 1 =
-# 55 nodes, three complex arrays of under 1 KB each, and a rung's contour
-# at most 365 nodes, 18 KB (51 nodes, 3 KB, at rel_tol 1e-9).  So the
-# contours of a full table take under 0.8 MB and 18.5 MB (3 MB at 1e-9);
-# an order's log-coefficients take about 170 KB at the term cap
+# the orders whose log-coefficients are kept, about 170 KB each at the
+# term cap, and the contours kept over all orders, log epsilon and rungs.
+# Over rel_tol in [1e-14, 1e-2] a contour has at most 2 N + 1 = 365 nodes
+# (ml_contour), three complex arrays of 5.8 KB each, so a full contour
+# table takes under 18.5 MB; a time grid of a few orders builds a few
+# hundred
 _TABLE_CAP = 32
-_KEPT_TOL_CAP = 8
-_KEPT_RUNG_CAP = 32
+_CONTOUR_CAP = 1024
 # rung j = 16 e + k of the ladder holds 2^e m_k <= phi < 2^e m_(k+1), with
 # the mantissas m_k = 2^(k/16), k = 0..16: scaling by 2^e is exact, so
 # the rung's edges bracket phi to the bit.  From phi = 4 (log epsilon -
@@ -100,30 +97,8 @@ class _LogCoefs(dict):
         return coef
 
 
-class _Kept(NamedTuple):
-    """The z-free work kept for one order beta: its log-coefficients, its
-    pole-free contour (h, N, w, s^beta, e^s s^beta, z_cap, arg_floor) by
-    log epsilon, and its pole contours (h, N, w, s^beta, e^s s^beta, left)
-    by log epsilon and rung (_contour)."""
-
-    coefs: _LogCoefs
-    contours: dict
-    rungs: dict
-
-
-# the kept work by beta, least recently used first
-_table: OrderedDict = OrderedDict()
-
-
-def _kept(beta) -> _Kept:
-    kept = _table.get(beta)
-    if kept is not None:
-        _table.move_to_end(beta)
-        return kept
-    kept = _table[beta] = _Kept(_LogCoefs(beta), {}, {})
-    if len(_table) > _TABLE_CAP:
-        _table.popitem(last=False)
-    return kept
+# the log-coefficients of the last _TABLE_CAP orders, by beta
+_log_coefs = lru_cache(maxsize=_TABLE_CAP)(_LogCoefs)
 
 
 def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
@@ -142,7 +117,7 @@ def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     refuses.  The tuple is raw: ml_eval and `fse ml` accept it only when
     err_est meets rel_tol."""
     z = _validate(beta, z, rel_tol)
-    return power_sum(z, _kept(beta).coefs.__getitem__, rel_tol,
+    return power_sum(z, _log_coefs(beta).__getitem__, rel_tol,
                      "Mittag-Leffler series", head=1.0, falling=True)
 
 
@@ -214,8 +189,8 @@ def _contour_params(lo, hi, log_epsilon):
     """(mu, h, N, left) of the region with fewer nodes for a pole whose
     phi lies in [lo, hi]: left of it, tuned to lo, or right of it, tuned
     to hi; lo = hi = 0 when there is no pole, and then right of the branch
-    point alone.  Refuses when neither admits at most CONTOUR_NODE_CAP
-    nodes."""
+    point alone.  With a pole the left region always exists, and with none
+    the right one, which _param_right never declines at phi = 0."""
     best, left = None, False
     if lo > 0:
         best, left = _param_left(lo, log_epsilon), True
@@ -223,8 +198,6 @@ def _contour_params(lo, hi, log_epsilon):
         right = _param_right(hi, log_epsilon)
         if right is not None and (best is None or right[2] < best[2]):
             best, left = right, False
-    if best is None or best[2] > CONTOUR_NODE_CAP:
-        raise NonConvergence("no admissible inversion contour for E_beta")
     return best + (left,)
 
 
@@ -259,32 +232,19 @@ def _overflow_free(w, s_beta, num):
     return z_cap, arg_floor
 
 
-def _contour(beta, log_epsilon, phi=0.0, on_rung=True):
-    """The contour for a pole at phi > 0, or for none at phi = 0:
-    (h, N, w, s^beta, e^s s^beta) and, with no pole, the (z_cap,
-    arg_floor) of _overflow_free, with a pole the region flag left.  A
-    pole-free contour is kept per beta and log epsilon, a pole's per beta,
-    log epsilon and the rung of its phi, each oldest out first past its
-    cap; a refusal keeps nothing.  Without on_rung a pole's contour is
-    tuned to phi itself and not kept."""
-    if not on_rung:
-        mu, h, N, left = _contour_params(phi, phi, log_epsilon)
-        return (h, N) + _nodes(beta, mu, h, N) + (left,)
-    kept = _kept(beta)
-    if phi == 0.0:
-        table, key, cap = kept.contours, log_epsilon, _KEPT_TOL_CAP
-    else:
-        table, key, cap = kept.rungs, (log_epsilon, _rung(phi, log_epsilon)), _KEPT_RUNG_CAP
-    contour = table.get(key)
-    if contour is None:
-        lo, hi = _rung_edges(key[1], log_epsilon) if phi != 0.0 else (0.0, 0.0)
-        mu, h, N, left = _contour_params(lo, hi, log_epsilon)
-        if len(table) >= cap:
-            del table[next(iter(table))]
-        nodes = _nodes(beta, mu, h, N)
-        contour = table[key] = (h, N) + nodes + (
-            _overflow_free(*nodes) if phi == 0.0 else (left,))
-    return contour
+@lru_cache(maxsize=_CONTOUR_CAP)
+def _contour(beta, log_epsilon, rung):
+    """The contour of a pole whose phi lies on the ladder's rung, or of
+    none at rung None: (h, N, w, s^beta, e^s s^beta, left, z_cap,
+    arg_floor), with _overflow_free's bound when there is no pole and
+    (0, inf), nothing free, with one.  Kept by lru_cache, which keys a
+    keyword call apart from a positional one, so every call passes the
+    three positionally."""
+    lo, hi = (0.0, 0.0) if rung is None else _rung_edges(rung, log_epsilon)
+    mu, h, N, left = _contour_params(lo, hi, log_epsilon)
+    nodes = _nodes(beta, mu, h, N)
+    return (h, N) + nodes + (left,) + (
+        _overflow_free(*nodes) if rung is None else (0.0, math.inf))
 
 
 def _invert(beta, z, log_epsilon, h, w, s_beta, num, residue_at, free):
@@ -329,8 +289,11 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     so it runs in one of two regions: left of the pole (0 < mu < phi of
     the pole), where the pole's residue exp(s0)/beta is added, or right of
     it (mu > phi, unbounded), the only region when there is no pole.  The
-    region with fewer nodes wins; when neither region admits a contour of
-    at most CONTOUR_NODE_CAP nodes at the target accuracy, it refuses.
+    region with fewer nodes wins.  It has no node cap: over rel_tol in
+    [1e-14, 1e-2], on every rung and at a dense sweep of phi in {0} u
+    [1e-15, 1e300], the winner has at most 2 N + 1 = 365 nodes
+    (tests/test_mittag.py); from phi = 4 (log epsilon - log eps) on it no
+    longer depends on phi, and at phi <= 1e-15 the pole counts as none.
 
     The nodes are s = mu w^2 with w = 1 + iu, u = h k for |k| <= N.  Each
     takes one complex logarithm: s^beta = exp(beta log s) on the principal
@@ -338,30 +301,32 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     s^(beta-1) ds = (s^beta / s) 2 mu w du = s^beta (2i / w) du; the 2i
     cancels against the 1 / (2 pi i) of the inversion.  With no pole,
     (mu, h, N) depend on log epsilon alone, so the nodes' w, s^beta and
-    e^s s^beta are kept per beta and log epsilon and a call only forms
-    e^s s^beta / ((s^beta - z) w) and sums.  With a pole they follow the
-    pole's phi, so they are tuned to the edges of its rung lo <= phi < hi
-    on a fixed ladder, 16 rungs an octave (_rung): the left region to lo,
-    which keeps its mu below lo and so below phi, the right region to hi,
-    which keeps its mu above hi and so above phi.  Either way the pole lies
-    on its side of the contour, at least as far from it as the tuning
-    assumed, and the contour is kept per beta, log epsilon and rung, so
-    every z whose pole falls on the rung reads it; the residue is still
-    taken at the exact pole.  An edge's tuning can raise err_est's rounding
-    floor eps sum|node| (right of the pole mu rises with hi), so a pole
-    call whose kept contour misses rel_tol, or refuses, runs again on a
-    contour tuned to phi itself and not kept: it returns what a per-call
-    tuning returns, and the ladder loses no answer of that tuning.  Near
-    double range (|z| ~ 5e307)
-    (s^beta - z) w overflows at most nodes, which would then add 0 to the
-    sum, so the quotients are formed under np.errstate(over="raise") and
-    an overflow refuses.  A pole-free call skips that check (about 1.3 us)
-    where its kept contour's bound rules overflow out (_overflow_free):
-    |z| below DBL_MAX / (4 max|w|) - max|s^beta|, about 1e307, and
-    |arg z| at least 1e-9 past every node's |arg s^beta| <=
-    2 beta atan(N h), which lies well below beta pi, so the whole
-    pole-free side clears it.  Past that bound, and on every call with a
-    pole, the check and its refusal stay.
+    e^s s^beta are kept per beta and log epsilon (_contour at rung None)
+    and a call only forms e^s s^beta / ((s^beta - z) w) and sums.  With a
+    pole they follow the pole's phi, so they are tuned to the edges of its
+    rung lo <= phi < hi on a fixed ladder, 16 rungs an octave (_rung): the
+    left region to lo, which keeps its mu below lo and so below phi, the
+    right region to hi, which keeps its mu above hi and so above phi.
+    Either way the pole lies on its side of the contour, at least as far
+    from it as the tuning assumed, and the contour is kept per beta, log
+    epsilon and rung, so every z whose pole falls on the rung reads it;
+    the residue is still taken at the exact pole.  An edge's tuning can
+    raise err_est's rounding floor eps sum|node| (right of the pole mu
+    rises with hi), so a pole call whose kept contour misses rel_tol runs
+    again on a contour tuned to phi itself and not kept: it returns what a
+    per-call tuning returns, and the ladder loses no answer of that
+    tuning.  A refusal on a kept contour needs no rerun: below the top
+    rung, phi < 4 (log epsilon - log eps) keeps |z| and the residue far
+    inside double range, and on the top rung the contour is the one tuned
+    to phi.  Near double range (|z| ~ 5e307) (s^beta - z) w overflows at
+    most nodes, which would then add 0 to the sum, so the quotients are
+    formed under np.errstate(over="raise") and an overflow refuses.  A
+    pole-free call skips that check (about 1.3 us) where its kept
+    contour's bound rules overflow out (_overflow_free): |z| below
+    DBL_MAX / (4 max|w|) - max|s^beta|, about 1e307, and |arg z| at least
+    1e-9 past every node's |arg s^beta| <= 2 beta atan(N h), which lies
+    well below beta pi, so the whole pole-free side clears it.  Past that
+    bound, and on every call with a pole, the check and its refusal stay.
     Returns (value, err_est, nodes), nodes summed over the contours it
     ran, raw like ml_series's tuple.
     """
@@ -382,26 +347,16 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
             # on the negative axis to rounding: left of every contour
             pole, phi = None, 0.0
 
-    if pole is None:
-        h, N, w, s_beta, num, z_cap, arg_floor = _contour(beta, log_epsilon)
-        val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num, None,
-                           abs(z) < z_cap and abs(ang) > arg_floor)
-        work = 2 * N + 1
-    else:
-        work = 0
-        try:
-            h, N, w, s_beta, num, left = _contour(beta, log_epsilon, phi)
-            work = 2 * N + 1
-            val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num,
-                               pole if left else None, False)
-            missed = not _meets_tol(err, val, rel_tol)
-        except NonConvergence:
-            missed = True
-        if missed:
-            h, N, w, s_beta, num, left = _contour(beta, log_epsilon, phi, on_rung=False)
-            work += 2 * N + 1
-            val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num,
-                               pole if left else None, False)
+    rung = None if pole is None else _rung(phi, log_epsilon)
+    h, N, w, s_beta, num, left, z_cap, arg_floor = _contour(beta, log_epsilon, rung)
+    val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num, pole if left else None,
+                       abs(z) < z_cap and abs(ang) > arg_floor)
+    work = 2 * N + 1
+    if pole is not None and not _meets_tol(err, val, rel_tol):
+        mu, h, N, left = _contour_params(phi, phi, log_epsilon)
+        work += 2 * N + 1
+        val, err = _invert(beta, z, log_epsilon, h, *_nodes(beta, mu, h, N),
+                           pole if left else None, False)
     if z.imag == 0.0:
         val = complex(val.real, 0.0)
     return val, err, work

@@ -34,7 +34,8 @@ plan per H set keeps the z-free part of each residue term, kernel values
 included, and log theta on the contour nodes of each step rung it has
 used, keyed on the four kernels bound at the call, so a rebound kernel
 sees every call afresh; mittag keeps per beta the log-coefficients it
-hands to power_sum and its pole-free contour nodes.
+hands to power_sum, and per beta, log epsilon and pole rung the contour
+nodes, pole-free ones included.  Each of those tables is an lru_cache.
 """
 
 from __future__ import annotations

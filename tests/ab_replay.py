@@ -27,10 +27,11 @@ that runs first in it, so every kept table starts cold.  Wrappers on the
 routes' module globals count them, so every call that looks them up
 there (ml_eval's and eval_auto's) is seen.  The same pass counts the
 calls of mittag._nodes, the contours a cold run builds rather than reads
-from the Mittag-Leffler table, of quadrature._panel_est, the panel
-batches of the quadrature oracles, each one call of the integrand, and of
-quadrature's euler_alternating, one per batch of oscillatory pieces; none
-of the three returns work.  The foxh kernels are
+from the Mittag-Leffler table, of foxh._Plan, the H-function plans a
+cold run builds rather than reads from the plan table, of
+quadrature._panel_est, the panel batches of the quadrature oracles, each
+one call of the integrand, and of quadrature's euler_alternating, one per
+batch of oscillatory pieces; none of the four returns work.  The foxh kernels are
 never wrapped, since a rebound kernel makes every foxh plan cold.  It
 exits 1 if any tag, method, work or refusal class differs, and 0
 otherwise.
@@ -58,9 +59,10 @@ PASS_TIMEOUT_S = 600
 # (module, function) whose calls, refusals and work a counting pass
 # reports; of those in CALLS_ONLY, whose output has no work, the calls
 COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"), ("mittag", "_nodes"),
-           ("foxh", "eval_series"), ("foxh", "eval_contour"),
+           ("foxh", "eval_series"), ("foxh", "eval_contour"), ("foxh", "_Plan"),
            ("quadrature", "_panel_est"), ("quadrature", "euler_alternating"))
-CALLS_ONLY = ("mittag._nodes", "quadrature._panel_est", "quadrature.euler_alternating")
+CALLS_ONLY = ("mittag._nodes", "foxh._Plan", "quadrature._panel_est",
+              "quadrature.euler_alternating")
 
 
 def _evaluate(calls):

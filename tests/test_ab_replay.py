@@ -42,6 +42,7 @@ def test_two_passes_of_one_tree_count_alike(capsys):
     assert counts["mittag.ml_contour"][0] > 0
     # time_factor never reaches foxh or the quadrature engines
     assert counts["foxh.eval_series"] == counts["foxh.eval_contour"] == [0, 0, 0]
+    assert counts["foxh._Plan"] == [0, 0, 0]
     assert counts["quadrature._panel_est"] == [0, 0, 0]
     # the timed passes of an A/B print each side's counts
     assert main([str(SRC), str(SRC), "--workloads", "time-grid", "--seeds", "1",
@@ -58,6 +59,16 @@ def test_a_pass_reports_its_point_tails_and_cold_contour_builds():
     # a build's arrays carry no work
     contours, builds = out["counts"]["mittag.ml_contour"][0], out["counts"]["mittag._nodes"]
     assert 0 < builds[0] < contours and builds[1:] == [0, 0]
+
+
+def test_a_pass_counts_its_plan_builds():
+    # a delta grid reuses its H sets across points, so a cold pass builds
+    # fewer plans than it makes H calls, and two passes build alike
+    passes = [run_pass(str(SRC), "delta-grid", "1", "0", counted=True) for _ in range(2)]
+    builds = [out["counts"]["foxh._Plan"] for out in passes]
+    h_calls = sum(passes[0]["counts"]["foxh." + name][0]
+                  for name in ("eval_series", "eval_contour"))
+    assert builds[0] == builds[1] and 0 < builds[0][0] < h_calls and builds[0][1:] == [0, 0]
 
 
 def test_a_pass_counts_the_oracles_panel_calls():

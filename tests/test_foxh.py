@@ -4,7 +4,7 @@ import random
 import re
 import sys
 import time
-from collections import OrderedDict
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -766,7 +766,7 @@ def test_contour_evaluates_theta_once_per_node_off_the_real_axis(monkeypatch, pa
     # each _log_theta call takes a block of upper half-line nodes: none is
     # real, and no node is evaluated twice, so on a cold plan the calls
     # hold work/2 nodes, and a repeated call, on the kept nodes, makes none
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     blocks = []
 
     def spy(params, pairs, s):
@@ -1016,10 +1016,22 @@ def test_series_kernel_calls_keep_their_recorded_counts(monkeypatch):
         monkeypatch.undo()
 
 
+def _fresh_plans(monkeypatch):
+    """An empty plan table of foxh's size in place of foxh's own."""
+    plans = lru_cache(maxsize=foxh.PLAN_CAP)(foxh._kept_plan.__wrapped__)
+    monkeypatch.setattr(foxh, "_kept_plan", plans)
+    return plans
+
+
+def _warm(params):
+    """Whether the plan table holds params' plan with a route's part built;
+    a cold lookup enters an empty plan, so test the evicted sets last."""
+    plan = foxh._plan(reduce_params(params))
+    return plan.recipe is not None or plan.line is not None
+
+
 def _plan_terms(params):
-    plan = foxh._plans[(reduce_params(params), foxh.log_gamma, foxh.digamma,
-                        foxh.log_reflection, foxh.pi_cot_pi)]
-    return sum(map(len, plan.parts))
+    return sum(map(len, foxh._plan(reduce_params(params)).parts))
 
 
 @pytest.mark.parametrize("name, build, z, rel_tol, want, calls", SERIES_BITS,
@@ -1029,7 +1041,7 @@ def test_series_bits_hold_on_cold_warm_extended_and_rebound_plans(
     # the plan keeps each term's z-free part across calls: a warm term, one
     # built by a call that went further, and one of a fresh plan after the
     # kernels are rebound must all finish to the bits of a cold one
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     params = build()
     assert _series_bits(params, z, rel_tol) == want
     built = _plan_terms(params)
@@ -1042,7 +1054,7 @@ def test_series_bits_hold_on_cold_warm_extended_and_rebound_plans(
     log_gamma = foxh.log_gamma
     monkeypatch.setattr(foxh, "log_gamma", lambda u: log_gamma(u))
     assert _series_bits(params, z, rel_tol) == want
-    assert len(foxh._plans) == 2 and _plan_terms(params) == built
+    assert foxh._kept_plan.cache_info().currsize == 2 and _plan_terms(params) == built
 
 
 @pytest.mark.parametrize("name, build, z, rel_tol, want, calls", SERIES_BITS,
@@ -1053,7 +1065,7 @@ def test_rest_bounds_hold_on_cold_warm_extended_and_rebound_scales(
     # a warm plan, one whose scales a call at a larger argument extended,
     # and a fresh plan after the kernels are rebound must all give every
     # (rest, beyond) of the cold plan, bit for bit
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     bounds = []
     rest_bound = foxh._rest_bound
 
@@ -1087,7 +1099,7 @@ def test_rest_bounds_hold_on_cold_warm_extended_and_rebound_scales(
 def test_a_refusal_from_a_warm_plan_keeps_its_class_and_message(monkeypatch):
     # chain 0's pole s = 0 is summed and kept; chain 1's first pole lies
     # 3e-10 from chain 0's s = -1 and refuses, unstored, on every call
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     params = FoxHParams(m=2, n=0, upper=(), lower=((0.0, 1.0), (0.5 + 1.5e-10, 0.5)))
     refusals = []
     for _ in range(2):
@@ -1103,7 +1115,7 @@ def test_zero_terms_stay_zero_on_a_warm_plan(monkeypatch):
     # the even part's denominator pair zeroes every odd pole of chain 0 at
     # alpha = 1.37; at alpha = 1.5 a merged pole is deferred to its partner
     # chain: both are kept as None and finish to exactly 0
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     for alpha, z in ((1.37, 0.8), (1.5, 1.2 * cmath.exp(0.4j))):
         params = reduce_params(_even_part_params(alpha))
         first = eval_series(params, z, 1e-9)
@@ -1124,14 +1136,14 @@ def test_zero_terms_stay_zero_on_a_warm_plan(monkeypatch):
 def test_the_plan_table_never_holds_more_than_its_cap(monkeypatch):
     # least recently used out first: sets[0], used again after each new
     # set, stays, beside the PLAN_CAP - 1 newest others
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    plans = _fresh_plans(monkeypatch)
     sets = [_even(0.3 + 0.004 * i, 0.6) for i in range(foxh.PLAN_CAP + 8)]
     for i, params in enumerate(sets):
         eval_series(params, 0.7, 1e-9)
         eval_series(sets[0], 0.7, 1e-9)
-        assert len(foxh._plans) == min(i + 1, foxh.PLAN_CAP)
-    kept = {key[0] for key in foxh._plans}
-    assert kept == {reduce_params(p) for p in [sets[0]] + sets[-foxh.PLAN_CAP + 1:]}
+        assert plans.cache_info().currsize == min(i + 1, foxh.PLAN_CAP)
+    assert all(_warm(p) for p in [sets[0]] + sets[-foxh.PLAN_CAP + 1:])
+    assert not any(_warm(p) for p in sets[1:9])
 
 
 def _even(a1, w):
@@ -1346,7 +1358,7 @@ def test_contour_bits_hold_on_cold_warm_extended_and_rebound_nodes(monkeypatch, 
     # the plan keeps log theta on its step's rung: a warm call, one after a
     # call at a smaller decay rate has extended the kept nodes, and one on a
     # fresh plan after the kernels are rebound must all give the cold bits
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     cold = _contour_bits(params, z)
     assert isinstance(cold[3], int)
     kept = _kept_nodes(params)
@@ -1358,7 +1370,7 @@ def test_contour_bits_hold_on_cold_warm_extended_and_rebound_nodes(monkeypatch, 
     log_gamma = foxh.log_gamma
     monkeypatch.setattr(foxh, "log_gamma", lambda u: log_gamma(u))
     assert _contour_bits(params, z) == cold
-    assert len(foxh._plans) == 2 and _kept_nodes(params) == kept
+    assert foxh._kept_plan.cache_info().currsize == 2 and _kept_nodes(params) == kept
 
 
 @pytest.mark.parametrize("a", [1e-4, 0.02, 0.2, 0.4, 0.8, 1.6])
@@ -1380,13 +1392,13 @@ def test_contour_step_is_a_ladder_rung_at_most_one_rung_below_the_step(a):
 
 def test_contour_plans_keep_at_most_their_node_cap_and_go_least_recently_used_first(
         monkeypatch):
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     well = _even_part_params(1.5)
     z = 9.0 * cmath.exp(-0.25j * math.pi / 3.0)
     fresh = _contour_bits(well, z), _contour_bits(well, _wider(well, z))
     # with a cap below the wider call's nodes, its extension is evaluated
     # and not kept, and every answer keeps its bits
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     cap = fresh[0][3] // 2 + 10
     monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", cap)
     assert _contour_bits(well, z) == fresh[0]
@@ -1399,12 +1411,13 @@ def test_contour_plans_keep_at_most_their_node_cap_and_go_least_recently_used_fi
     assert _contour_bits(well, 10.0 * z)[3] // 2 > 10
     assert list(foxh._plan(reduce_params(well)).rungs) == [1]
     # a series-index-0 set gets a plan with no series part
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    plans = _fresh_plans(monkeypatch)
     monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", 1 << 11)
     with pytest.raises(NonConvergence, match="series index 0"):
         eval_series(DELTA0_SETS["a"], 1.1, 1e-9)
     eval_contour(DELTA0_SETS["a"], 1.1, 1e-9)
-    (plan,) = foxh._plans.values()
+    assert plans.cache_info().currsize == 1
+    plan = foxh._plan(reduce_params(DELTA0_SETS["a"]))
     assert plan.recipe is None and plan.line is not None and plan.rungs
     # least recently used out first: sets[0], used again after each new
     # set, stays beside the PLAN_CAP - 1 newest others
@@ -1412,11 +1425,10 @@ def test_contour_plans_keep_at_most_their_node_cap_and_go_least_recently_used_fi
     for i, params in enumerate(sets):
         eval_contour(params, 0.7, 1e-9)
         eval_contour(sets[0], 0.7, 1e-9)
-        assert len(foxh._plans) == min(i + 2, foxh.PLAN_CAP)
-        assert all(sum(len(s) for s, _ in plan.rungs.values()) <= foxh._KEPT_NODE_CAP
-                   for plan in foxh._plans.values())
-    kept = {key[0] for key in foxh._plans}
-    assert kept == {reduce_params(p) for p in [sets[0]] + sets[-foxh.PLAN_CAP + 1:]}
+        assert plans.cache_info().currsize == min(i + 2, foxh.PLAN_CAP)
+        assert all(_kept_nodes(p) <= foxh._KEPT_NODE_CAP for p in sets[max(0, i - 3):i + 1])
+    assert all(_warm(p) for p in [sets[0]] + sets[-foxh.PLAN_CAP + 1:])
+    assert not any(_warm(p) for p in sets[1:9])
 
 
 @pytest.mark.parametrize("params, z, match", [
@@ -1429,7 +1441,7 @@ def test_contour_plans_keep_at_most_their_node_cap_and_go_least_recently_used_fi
 def test_a_contour_refusal_from_a_warm_plan_keeps_its_class_and_message(
         monkeypatch, params, z, match):
     # every node a call sums is kept, so the repeat sums only kept nodes
-    monkeypatch.setattr(foxh, "_plans", OrderedDict())
+    _fresh_plans(monkeypatch)
     monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", 1 << 17)
     with np.errstate(over="ignore", invalid="ignore"):
         cold = _contour_bits(params, z)

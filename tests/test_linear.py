@@ -15,6 +15,7 @@ from fse.linear import (_ascending_series, linear_classical_airy,
 from fse.numerics import log_gamma
 from fse.quadrature import adaptive
 from fse.result import LinearConfig, _check_finite
+from perfbench.workloads import ROUNDS
 
 
 def _cfg(alpha=1.5, theta=0.3, energy=0.5):
@@ -255,6 +256,35 @@ def test_quadrature_refuses_an_overflowing_ray(alpha, theta, x):
     cfg = LinearConfig(alpha=alpha, theta=theta)
     with pytest.raises(QuadratureFailure, match="ray integrand reaches exp"):
         linear_quadrature(cfg, x)
+
+
+def _mp_ray(cfg, x):
+    """linear_quadrature's ray integral to infinity, by 30-digit
+    mpmath.quad: 2 n_norm Re of the integral along t e^(i psi)."""
+    y = scaled_coordinate(cfg, x)
+    with mp.workdps(30):
+        ap1 = mp.mpf(cfg.alpha) + 1
+        e = mp.expj(mp.pi * (1 - mp.mpf(cfg.theta)) / (2 * ap1))
+        rot = mp.expj(mp.mpf(cfg.theta) * mp.pi / 2)
+        val = mp.quad(lambda t: mp.exp(1j * mp.mpf(y) * t * e + 1j * rot * (t * e) ** ap1) * e,
+                      [0, 1, 2, 4, 8, mp.inf])
+        return float(2 * cfg.n_norm * val.real)
+
+
+@pytest.mark.parametrize("seed, r, j", [
+    (1, 28, 10), (1, 0, 11), (1, 12, 10), (2, 28, 10), (3, 12, 10), (3, 1, 10)])
+def test_quadrature_claims_the_cut_tail_of_its_ray(seed, r, j):
+    # oracle ramps that missed their claim while the ray's cut tail went
+    # unclaimed: at s1 r28 #10 the tail past radius 4 is 6.1e-11 against a
+    # claim of 3.9e-15; at s1 r0 #11 the error 8.1e-15 topped 5.4e-15
+    point = ROUNDS["oracle"](seed, r)[j]
+    assert point.route == "linear_quadrature"
+    got = linear_quadrature(point.cfg, point.coord, **point.tol_kwargs)
+    want = _mp_ray(point.cfg, point.coord)
+    assert abs(got.value.real - want) <= got.err_est <= point.tol_kwargs["abs_tol"]
+    # a tighter abs_tol pushes the radius out until the tail is below it
+    tight = linear_quadrature(point.cfg, point.coord, abs_tol=1e-12)
+    assert abs(tight.value.real - want) <= tight.err_est <= 1e-12
 
 
 def test_negative_x_flag():

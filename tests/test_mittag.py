@@ -1,7 +1,7 @@
 import cmath
 import math
 import sys
-from collections import OrderedDict
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -289,7 +289,7 @@ def test_err_est_bounds_the_error_on_the_time_factor_rays():
                 value, err, nterms = ml_series(beta, z, 1e-9)
                 assert abs(value - want) <= err, (beta, ray, root, "series")
                 assert err > 1e-9 * abs(value), (beta, ray, root)
-                whole = power_sum(z, mittag._kept(beta).coefs.__getitem__, 1e-9,
+                whole = power_sum(z, mittag._log_coefs(beta).__getitem__, 1e-9,
                                   "Mittag-Leffler series", head=1.0)
                 assert whole[1] > 1e-9 * abs(whole[0]) and nterms < whole[2], (beta, ray, root)
 
@@ -359,30 +359,54 @@ _TABLE_CASES = [
 ]
 
 
+def _fresh(monkeypatch, name):
+    """An empty lru_cache of the same size in place of mittag's table name
+    (_log_coefs or _contour)."""
+    kept = getattr(mittag, name)
+    fresh = lru_cache(maxsize=kept.cache_info().maxsize)(kept.__wrapped__)
+    monkeypatch.setattr(mittag, name, fresh)
+    return fresh
+
+
+def _info(table):
+    """(hits, misses, entries) of an lru_cache."""
+    info = table.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def _holds(table, *key):
+    """Whether the lru_cache table holds key; a lookup that misses enters
+    it, so test the evicted keys last."""
+    misses = table.cache_info().misses
+    table(*key)
+    return table.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("route, first, arg", [c[1:] for c in _TABLE_CASES],
                          ids=[c[0] for c in _TABLE_CASES])
 def test_table_bits_hold_on_cold_warm_extended_and_evicted_orders(
         monkeypatch, route, first, arg):
-    # the table keeps an order's log-coefficients and pole-free contours:
-    # a warm call, one after a longer series has extended the coefficients,
-    # and one after the order was evicted must all give the cold bits
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    # the tables keep an order's log-coefficients and its contours: a warm
+    # call, one after a longer series has extended the coefficients, and
+    # one after the coefficients were evicted and the contours cleared
+    # must all give the cold bits
+    coefs, contours = _fresh(monkeypatch, "_log_coefs"), _fresh(monkeypatch, "_contour")
     beta = getattr(first, "beta", first)
     cold = _bits(route, first, arg, 1e-9)
-    kept = mittag._table.get(beta)
-    read = len(kept.coefs) if kept else 0
+    read = len(coefs(beta))
     assert _bits(route, first, arg, 1e-9) == cold
     ml_series(beta, 9.5 ** beta, 1e-12)
-    assert len(mittag._table[beta].coefs) > read
+    assert len(coefs(beta)) > read
     assert _bits(route, first, arg, 1e-9) == cold
     for i in range(mittag._TABLE_CAP):
-        ml_eval(0.05 + 0.029 * i, -2.0, 1e-9)
-    assert beta not in mittag._table and len(mittag._table) == mittag._TABLE_CAP
+        ml_series(0.05 + 0.029 * i, -0.5, 1e-9)
+    assert coefs.cache_info().currsize == mittag._TABLE_CAP and not _holds(coefs, beta)
+    contours.cache_clear()
     assert _bits(route, first, arg, 1e-9) == cold
 
 
 def test_a_pole_call_keeps_one_entry_per_rung(monkeypatch):
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    _fresh(monkeypatch, "_contour")
     # the pole of E_0.45 at 14 e^(0.2 i pi) has phi > 0, and a contour's
     # (mu, h, N) follow the rung of its phi
     beta, z = 0.45, 14.0 * cmath.exp(0.2j * math.pi)
@@ -390,26 +414,27 @@ def test_a_pole_call_keeps_one_entry_per_rung(monkeypatch):
     j = mittag._rung(_pole_phi(beta, z), _LOG_EPS_9)
     assert mittag._rung(_pole_phi(beta, near), _LOG_EPS_9) == j and _pole_phi(beta, near) != _pole_phi(beta, z)
     cold = [_bits(ml_contour, beta, x, 1e-9) for x in (z, near)]
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    contours = _fresh(monkeypatch, "_contour")
     assert _bits(ml_contour, beta, z, 1e-9) == cold[0]
-    kept = mittag._table[beta]
-    assert not kept.contours and list(kept.rungs) == [(math.log(0.1 * 1e-9), j)]
+    assert _info(contours) == (0, 1, 1) and _holds(contours, beta, _LOG_EPS_9, j)
     # a second z on the same rung adds none, and gives its cold bits
     assert _bits(ml_contour, beta, near, 1e-9) == cold[1]
-    assert list(kept.rungs) == [(math.log(0.1 * 1e-9), j)]
+    assert _info(contours) == (2, 1, 1)
     ml_contour(beta, 14.0 * cmath.exp(0.9j * math.pi), 1e-9)
     ml_contour(beta, -14.0, 1e-6)
-    assert list(kept.contours) == [math.log(0.1 * 1e-9), math.log(0.1 * 1e-6)]
-    assert len(kept.rungs) == 1
-    # a refused rung is not kept
-    monkeypatch.setattr(mittag, "CONTOUR_NODE_CAP", 10)
-    with pytest.raises(NonConvergence, match="^no admissible inversion contour for E_beta$"):
+    assert _info(contours) == (2, 3, 3)
+    assert _holds(contours, beta, _LOG_EPS_9, None)
+    assert _holds(contours, beta, math.log(0.1 * 1e-6), None)
+    # a build that raises keeps nothing; since no contour refuses while it
+    # is built, a failing _nodes stands in for one
+    monkeypatch.setattr(mittag, "_nodes", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
         ml_contour(beta, z, 1e-12)
-    assert len(kept.rungs) == 1
+    assert _info(contours)[1:] == (4, 3)
 
 
 def test_a_pole_call_that_misses_on_its_rung_runs_on_its_own_phi(monkeypatch):
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    contours = _fresh(monkeypatch, "_contour")
     # at E_0.88 on the E < 0 ray, |z|^(1/beta) = 13.1, the rung's contour
     # runs right of the pole, tuned to the rung's upper edge, and its
     # rounding floor misses rel_tol 1e-9; tuned to phi it runs left of it
@@ -417,9 +442,9 @@ def test_a_pole_call_that_misses_on_its_rung_runs_on_its_own_phi(monkeypatch):
     phi = _pole_phi(beta, z)
     pole = abs(z) ** (1.0 / beta) * cmath.exp(1j * math.atan2(z.imag, z.real) / beta)
     runs = []
-    for on_rung in (True, False):
-        h, N, w, s_beta, num, left = mittag._contour(beta, _LOG_EPS_9, phi, on_rung)
-        runs.append(mittag._invert(beta, z, _LOG_EPS_9, h, w, s_beta, num,
+    for lo, hi in (mittag._rung_edges(mittag._rung(phi, _LOG_EPS_9), _LOG_EPS_9), (phi, phi)):
+        mu, h, N, left = mittag._contour_params(lo, hi, _LOG_EPS_9)
+        runs.append(mittag._invert(beta, z, _LOG_EPS_9, h, *mittag._nodes(beta, mu, h, N),
                                    pole if left else None, False) + (2 * N + 1, left))
     assert runs[0][1] > 1e-9 * abs(runs[0][0]) and not runs[0][3]
     assert runs[1][1] <= 1e-9 * abs(runs[1][0]) and runs[1][3]
@@ -428,19 +453,30 @@ def test_a_pole_call_that_misses_on_its_rung_runs_on_its_own_phi(monkeypatch):
     assert abs(got[0] - _taylor_ref(beta, z)) <= got[1]
     assert ml_eval(beta, z, 1e-9).method == "contour"
     # the contour tuned to phi is not kept
-    assert len(mittag._table[beta].rungs) == 1
+    assert contours.cache_info().currsize == 1
 
 
 def test_kept_rungs_go_oldest_first(monkeypatch):
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    contours = _fresh(monkeypatch, "_contour")
     # on the positive axis the pole is z^(1/beta) itself: one z per rung,
     # just above its lower edge
-    beta, rungs = 0.9, range(mittag._KEPT_RUNG_CAP + 3)
+    beta, rungs = 0.9, range(35)
     zs = [(mittag._rung_edges(j, _LOG_EPS_9)[0] * 1.01) ** beta for j in rungs]
     assert [mittag._rung(_pole_phi(beta, complex(z)), _LOG_EPS_9) for z in zs] == list(rungs)
     fresh = [_bits(ml_contour, beta, z, 1e-9) for z in zs]
-    kept = mittag._table[beta].rungs
-    assert list(kept) == [(math.log(0.1 * 1e-9), j) for j in rungs[3:]]
+    assert _info(contours) == (0, 35, 35)
+    # least recently used out first: rung 0, used again after each
+    # pole-free contour of a new order, stays beside the _CONTOUR_CAP - 1
+    # newest of them, and the other rungs go
+    orders = [0.01 + 0.0009 * i for i in range(mittag._CONTOUR_CAP)]
+    for i, order in enumerate(orders):
+        ml_contour(order, -6.0, 1e-9)
+        ml_contour(beta, zs[0], 1e-9)
+        assert contours.cache_info().currsize == min(i + 36, mittag._CONTOUR_CAP)
+    assert all(_holds(contours, order, _LOG_EPS_9, None) for order in orders[1:])
+    assert _holds(contours, beta, _LOG_EPS_9, 0)
+    assert not _holds(contours, orders[0], _LOG_EPS_9, None)
+    assert not any(_holds(contours, beta, _LOG_EPS_9, j) for j in rungs[1:])
     assert [_bits(ml_contour, beta, z, 1e-9) for z in zs] == fresh
 
 
@@ -482,46 +518,78 @@ def test_the_chosen_region_is_admissible_at_the_true_phi(rel_tol):
                 == mittag._contour_params(phi, phi, log_epsilon))
 
 
+def test_no_contour_exceeds_365_nodes_and_a_full_contour_table_stays_under_25_mb():
+    # ml_contour has no node cap: over rel_tol in [1e-14, 1e-2] (below
+    # 1e-14 log epsilon stays at log 1e-15) the largest contour is a
+    # rung's, 2 N + 1 = 365 nodes on rung -35 at rel_tol 1e-14, and
+    # neither the pole-free contour nor one tuned to phi itself is larger
+    largest = (0, None)
+    for rel_tol in np.geomspace(1e-14, 1e-2, 25):
+        log_epsilon = math.log(max(0.1 * rel_tol, 1e-15))
+        top = mittag._rung(math.inf, log_epsilon)
+        last = mittag._rung(math.nextafter(mittag._rung_edges(top, log_epsilon)[0], 0.0),
+                            log_epsilon)
+        for j in list(range(-800, last + 1)) + [top]:
+            N = mittag._contour_params(*mittag._rung_edges(j, log_epsilon), log_epsilon)[2]
+            largest = max(largest, (2 * N + 1, (j, log_epsilon)))
+        for phi in [0.0] + list(np.geomspace(1e-15, 1e300, 1001)):
+            N = mittag._contour_params(float(phi), float(phi), log_epsilon)[2]
+            assert 2 * N + 1 <= 365, (rel_tol, phi)
+    assert largest == (365, (-35, math.log(1e-15)))
+    # three complex arrays of 365 nodes each, 5.8 KB, and the tuple
+    contour = mittag._contour.__wrapped__(0.5, *largest[1][::-1])
+    size = sys.getsizeof(contour) + sum(sys.getsizeof(a) for a in contour[2:5])
+    assert 3 * 365 * 16 < size < 18_000
+    assert mittag._CONTOUR_CAP * size < 25e6
+
+
 def test_kept_contours_and_orders_go_oldest_first(monkeypatch):
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
-    tols = np.geomspace(1e-12, 1e-3, mittag._KEPT_TOL_CAP + 3)
-    fresh = [_bits(ml_contour, 0.5, -6.0, float(tol)) for tol in tols]
-    kept = mittag._table[0.5].contours
-    assert list(kept) == [math.log(0.1 * tol) for tol in tols[3:]]
-    assert [_bits(ml_contour, 0.5, -6.0, float(tol)) for tol in tols] == fresh
+    # one pole-free contour per log epsilon, each read warm with its bits
+    contours = _fresh(monkeypatch, "_contour")
+    tols = [float(tol) for tol in np.geomspace(1e-12, 1e-3, 11)]
+    fresh = [_bits(ml_contour, 0.5, -6.0, tol) for tol in tols]
+    assert _info(contours) == (0, 11, 11)
+    assert [_bits(ml_contour, 0.5, -6.0, tol) for tol in tols] == fresh
+    assert _info(contours) == (11, 11, 11)
     # least recently used out first: 0.5, used again after each new
     # order, stays beside the _TABLE_CAP - 1 newest others
-    for i in range(mittag._TABLE_CAP + 8):
-        ml_contour(0.51 + 0.011 * i, -6.0, 1e-9)
-        ml_contour(0.5, -6.0, 1e-9)
-        assert len(mittag._table) == min(i + 2, mittag._TABLE_CAP)
-    assert 0.5 in mittag._table and 0.51 not in mittag._table
+    coefs = _fresh(monkeypatch, "_log_coefs")
+    orders = [0.51 + 0.011 * i for i in range(mittag._TABLE_CAP + 8)]
+    for i, order in enumerate(orders):
+        ml_series(order, -0.5, 1e-9)
+        ml_series(0.5, -0.5, 1e-9)
+        assert coefs.cache_info().currsize == min(i + 2, mittag._TABLE_CAP)
+    assert all(_holds(coefs, order) for order in [0.5] + orders[-mittag._TABLE_CAP + 1:])
+    assert not any(_holds(coefs, order) for order in orders[:9])
 
 
 def test_log_coefficients_stop_at_the_term_cap(monkeypatch):
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    table = _fresh(monkeypatch, "_log_coefs")
     for _ in range(2):
         with pytest.raises(NonConvergence,
                            match="^Mittag-Leffler series hit the 2000-term cap$"):
             ml_series(0.001, 0.999, 1e-9)
-        coefs = mittag._table[0.001].coefs
+        coefs = table(0.001)
         assert len(coefs) <= POWER_SUM_CAP + 1 and max(coefs) == POWER_SUM_CAP
         assert all(coefs[k] == -math.lgamma(0.001 * k + 1.0) for k in coefs)
 
 
 def test_a_refusal_from_a_warm_order_keeps_its_class_and_message(monkeypatch):
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    contours = _fresh(monkeypatch, "_contour")
     ml_contour(0.5, -6.0, 1e-9)
     ml_series(0.5, -1.0, 1e-9)
-    # on a scan of rel_tol in [1e-14, 1e-2] no contour asked for more than
-    # 2 * 173 + 1 nodes, so a lowered cap is what makes it refuse
-    monkeypatch.setattr(mittag, "CONTOUR_NODE_CAP", 10)
-    for z, tol in ((-6.0, 1e-12), (6.0 * cmath.exp(0.4j * math.pi), 1e-9)):
+    # a refusal on a kept contour, pole-free (its nodes overflow) or on a
+    # rung (its residue does), comes after the contour is built, so the
+    # contour stays kept and the repeat refuses alike on it
+    for z, match in ((-1e308, "^inversion contour of E_beta overflows double range"),
+                     (26.636, "^contour value for E_beta overflowed double range$")):
+        refusals = []
         for _ in range(2):
-            with pytest.raises(NonConvergence,
-                               match="^no admissible inversion contour for E_beta$"):
-                ml_contour(0.5, z, tol)
-    assert list(mittag._table[0.5].contours) == [math.log(0.1 * 1e-9)]
+            with pytest.raises(NonConvergence, match=match) as err:
+                ml_contour(0.5, z, 1e-9)
+            refusals.append(str(err.value))
+        assert refusals[0] == refusals[1]
+    assert _info(contours) == (3, 2, 2)
     for _ in range(2):
         with pytest.raises(NonConvergence,
                            match="^Mittag-Leffler series hit the 2000-term cap$"):
@@ -617,23 +685,21 @@ def _errstate_calls(monkeypatch):
     return calls
 
 
-def _forced_errstate_bits(monkeypatch, beta, z, log_epsilon):
-    """ml_contour's bits with the kept contour's bound lowered to nothing,
-    so the quotients are formed under np.errstate."""
-    contours = mittag._table[beta].contours
-    kept = contours[log_epsilon]
-    monkeypatch.setitem(contours, log_epsilon, kept[:5] + (0.0, math.inf))
-    bits = _bits(ml_contour, beta, z, 1e-9)
-    monkeypatch.setitem(contours, log_epsilon, kept)
-    return bits
+def _forced_errstate_bits(monkeypatch, beta, z):
+    """ml_contour's bits on a fresh contour whose bound frees nothing, so
+    the quotients are formed under np.errstate."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mittag, "_overflow_free", lambda w, s_beta, num: (0.0, math.inf))
+        _fresh(patch, "_contour")
+        return _bits(ml_contour, beta, z, 1e-9)
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.9])
 def test_contour_skips_the_overflow_check_only_inside_its_bound(monkeypatch, beta):
-    monkeypatch.setattr(mittag, "_table", OrderedDict())
+    contours = _fresh(monkeypatch, "_contour")
     log_epsilon = math.log(0.1 * 1e-9)
     ml_contour(beta, -1.0, 1e-9)
-    z_cap, arg_floor = mittag._table[beta].contours[log_epsilon][5:]
+    z_cap, arg_floor = contours(beta, log_epsilon, None)[6:]
     assert 1e306 < z_cap < 5e307 and 0.0 < arg_floor < beta * math.pi
     calls = _errstate_calls(monkeypatch)
     # |z| on each side of z_cap, on the negative axis; |arg z| on each side
@@ -644,7 +710,7 @@ def test_contour_skips_the_overflow_check_only_inside_its_bound(monkeypatch, bet
         del calls[:]
         got = _bits(ml_contour, beta, z, 1e-9)
         assert calls == ([] if inside else [{"over": "raise"}]), z
-        assert got == _forced_errstate_bits(monkeypatch, beta, z, log_epsilon), z
+        assert got == _forced_errstate_bits(monkeypatch, beta, z), z
     # far past the bound the check's refusal keeps its class and message
     del calls[:]
     with pytest.raises(NonConvergence,
