@@ -70,13 +70,15 @@ part (_term_part), which holds all of its kernel calls, then a finish at
 ln z (_finish).  One _term_part gives every term, simple, confluent or
 demoted, with one pair of factor loops.  An ordinary term, a simple pole
 on one chain, costs its kernel calls and a few float operations on its
-pole s, with no Python call but the kernels.  Only where the scan finds
-a near miss or two chains meeting exactly does the term call
-_merged_pole, a z-free setup that refuses, or folds the forms again with
-both chains' gammas and each denominator gamma that vanishes there
-skipped, and picks the residue by the pole's order (two less those
-zeros); the same loops then also sum the log derivative that a double
-pole's confluent bracket reads.  The finish exponentiates t ln z plus the
+pole s, with no Python call but the kernels.  The scan is the one walk
+of the pole's neighbours: it refuses a near miss or a right-chain
+collision where it meets it, and records an exact hit on another left
+chain (a second one refuses).  Only with a hit does the term call
+_merged_pole, a z-free setup that folds the forms again with both
+chains' gammas and each denominator gamma that vanishes there skipped,
+and picks the residue by the pole's order (two less those zeros); the
+same loops then also sum the log derivative that a double pole's
+confluent bracket reads.  The finish exponentiates t ln z plus the
 part's logs in one fixed order, so a term finished from a kept part has
 the bits of one built afresh.
 
@@ -431,19 +433,16 @@ def _series_recipe(params: FoxHParams, pairs) -> _Recipe:
     return _Recipe(params, pairs, forms, tuple(terms))
 
 
-def _merged_pole(recipe: _Recipe, chain: int, k: int, s: float):
+def _merged_pole(recipe: _Recipe, chain: int, k: int, s: float, other: int, k2: int):
     """The setup of the residue term at left pole k of the chain, s =
-    -(b + k)/B, whose scan has met another chain's pole: None for a term
-    that is 0, else (num, den, weight, parity, lead, shift, head), which
-    _term_part sums in place of the ordinary term's factors, weight B and
-    parity k.
+    -(b + k)/B, where _term_part's scan found pole k2 of left chain other
+    exactly on s and no other chain near it: None for a term that is 0,
+    else (num, den, weight, parity, lead, shift, head), which _term_part
+    sums in place of the ordinary term's factors, weight B and parity k.
 
     Exactly coincident left poles merge into one pole whose confluent
-    residue is computable.  Nearly coincident ones leave a catastrophically
-    cancelling residue pair, a collision with a right chain pinches the
-    contour, and a third chain on the pole is not handled, so each of these
-    refuses with DegeneratePoles.  When two chains share the pole, the
-    chain consumed first in sweep order carries the whole residue and the
+    residue is computable.  When two chains share the pole, the chain
+    consumed first in sweep order carries the whole residue and the
     partner's later consumption is 0; putting the merged term at the
     earlier sweep keeps it ahead of the stop rule.  The merged pole's order
     is two less the denominator gammas singular there (_denominator_zeros):
@@ -460,30 +459,6 @@ def _merged_pole(recipe: _Recipe, chain: int, k: int, s: float):
     simple pole's log nu! + log |du/ds| (0 for a double pole), and head
     B1 psi(k+1) + B2 psi(k2+1) for a double pole, None for a simple one.
     """
-    hit = None
-    n_left = recipe.params.m - 1
-    for j, (c, du, sep, wt) in enumerate(recipe.terms[chain][2]):
-        u = c + du * s
-        k_near = round(-u)
-        if k_near < 0:
-            continue
-        dist = abs(u + k_near)
-        i = j + (j >= chain)  # the scan skips the chain itself
-        if j >= n_left:
-            if dist < sep:
-                raise DegeneratePoles(
-                    "left chain %d collides with right chain %d near s = %s"
-                    % (chain, j - n_left, s))
-        elif dist < _EXACT_COLLISION_TOL * max(1.0, abs(s)) * wt:
-            if hit is not None:
-                raise DegeneratePoles(
-                    "three left pole chains meet at s = %s" % (s,))
-            hit = (i, k_near)
-        elif dist < sep:
-            raise DegeneratePoles(
-                "left pole chains %d and %d nearly collide at s = %s"
-                % (chain, i, s))
-    other, k2 = hit
     if k > k2 or (k == k2 and chain > other):
         return None
     zeros = _denominator_zeros(recipe.forms, s)
@@ -512,11 +487,21 @@ def _term_part(recipe: _Recipe, chain: int, k: int):
     side in the order numerator pairs, numerator gammas, denominator
     pairs, denominator gammas.  An ordinary term, a simple pole, reads its
     factors, weight B and parity k from recipe.terms and makes no Python
-    call but the kernels.  Where the scan meets another chain's pole,
-    exactly or nearly, _merged_pole refuses the term, makes it 0, or gives
-    the merged pole's factors, weight, parity and log offsets, and for a
-    double pole the head of its confluent bracket; only then do the loops
-    sum the log derivative and its magnitudes that the bracket reads.  A
+    call but the kernels.
+
+    The scan is the one walk of the pole's neighbours, and it classifies
+    each neighbour it meets.  Nearly coincident left poles leave a
+    catastrophically cancelling residue pair and a collision with a right
+    chain pinches the contour, so a near miss on a left chain, or a right
+    chain within SEPARATION_TOL, refuses with DegeneratePoles at once; an
+    exact hit on another left chain is recorded, and a second one refuses
+    too (three chains on one pole are not handled).  The walk refuses at
+    the first offending neighbour in scan order, the other left chains
+    before the right ones.  After it, a recorded hit (other, k2) goes to
+    _merged_pole, which makes the term 0 or gives the merged pole's
+    factors, weight, parity and log offsets, and for a double pole the
+    head of its confluent bracket; only then do the loops sum the log
+    derivative and its magnitudes that the bracket reads.  A
     denominator gamma landing on its own pole kills an ordinary term
     (1/Gamma -> 0), reported as None; in a merged term, whose zeros
     _denominator_zeros took out, it refuses.
@@ -533,20 +518,32 @@ def _term_part(recipe: _Recipe, chain: int, k: int):
     t = (b_i + k) / weight
     s = -t
     abs_s = abs(s)
-    merged = head = None
+    merged = head = hit = None
     parity = k
     tol = _EXACT_COLLISION_TOL * (abs_s if abs_s > 1.0 else 1.0)
-    for c, du, sep, wt in scan:
+    for j, (c, du, sep, wt) in enumerate(scan):
         u = c + du * s
         k_near = round(-u)
         if k_near >= 0:
             dist = abs(u + k_near)
-            if dist < sep or dist < tol * wt:
-                merged = _merged_pole(recipe, chain, k, s)
-                if merged is None:
-                    return None
-                num, den, weight, parity, lead, shift, head = merged
-                break
+            # a right chain's wt is 0, so only a left chain hits exactly
+            if dist < tol * wt:
+                if hit is not None:
+                    raise DegeneratePoles("three left pole chains meet at s = %s" % (s,))
+                hit = (j + (j >= chain), k_near)  # the scan skips the chain itself
+            elif dist < sep:
+                n_left = recipe.params.m - 1
+                if j >= n_left:
+                    raise DegeneratePoles(
+                        "left chain %d collides with right chain %d near s = %s"
+                        % (chain, j - n_left, s))
+                raise DegeneratePoles("left pole chains %d and %d nearly collide at s = %s"
+                                      % (chain, j + (j >= chain), s))
+    if hit is not None:
+        merged = _merged_pole(recipe, chain, k, s, *hit)
+        if merged is None:
+            return None
+        num, den, weight, parity, lead, shift, head = merged
     log_num = dsum_num = 0.0 + 0.0j
     sens_num = dmag_num = 0.0
     for c, du, abs_c, abs_du, kernel, slope, g in num:
@@ -1078,7 +1075,8 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                    "contour", "contour", 2 * (k_hi + 1))
 
 
-# (params, z, rel_tol, result) of eval_auto's last computed answer
+# (params, z, rel_tol, value, err_est, method) of eval_auto's last
+# computed answer: its fields, not the EvalResult the caller holds
 _conj_memo = None
 
 
@@ -1093,20 +1091,21 @@ def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalRes
     point, so conj(value) is off H(conj z) by exactly what value is off H(z)
     and the stored err_est still bounds it.  The replay reports work 0.  A
     real z never replays, so the two sides of the branch cut at z = -x +- 0j
-    stay apart.  A refusal leaves the stored answer as it was.
+    stay apart.  A refusal leaves the stored answer as it was.  The record
+    holds the answer's value, err_est and method, so a caller that changes
+    the EvalResult it was handed changes no later replay.
     """
     global _conj_memo
     z = complex(z)
     memo = _conj_memo
     if memo is not None and z.imag != 0.0 and z == memo[1].conjugate() \
             and rel_tol == memo[2] and params == memo[0]:
-        r = memo[3]
-        return EvalResult(r.value.conjugate(), r.err_est, r.method, 0)
+        return EvalResult(memo[3].conjugate(), memo[4], memo[5], 0)
     try:
         r = eval_series(params, z, rel_tol)
     except (DegeneratePoles, NonConvergence):
         r = eval_contour(params, z, rel_tol)
-    _conj_memo = (params, z, rel_tol, r)
+    _conj_memo = (params, z, rel_tol, r.value, r.err_est, r.method)
     return r
 
 

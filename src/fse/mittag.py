@@ -57,8 +57,9 @@ SERIES_ROOT_CAP = 12.0
 # term cap, and the contours kept over all orders, log epsilon and rungs.
 # Over rel_tol in [1e-14, 1e-2] a contour has at most 2 N + 1 = 365 nodes
 # (ml_contour), three complex arrays of 5.8 KB each, so a full contour
-# table takes under 18.5 MB; a time grid of a few orders builds a few
-# hundred
+# table takes under 18.5 MB, and with the coefficients of _TABLE_CAP
+# orders (5.5 MB) both tables stay under 25 MB; a time grid of a few
+# orders builds a few hundred contours
 _TABLE_CAP = 32
 _CONTOUR_CAP = 1024
 # rung j = 16 e + k of the ladder holds 2^e m_k <= phi < 2^e m_(k+1), with

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from fse.accel import euler_alternating
 
@@ -50,3 +51,8 @@ def test_euler_alternating_matches_its_triangle():
     terms = ((-1.0) ** k * rng.uniform(0.5, 2.0, k.size) / (1.0 + k)
              * np.exp(1j * rng.uniform(-0.5, 0.5, k.size)))
     _check_every_prefix(terms)
+
+
+def test_an_empty_sequence_refuses():
+    with pytest.raises(ValueError, match="empty sequence"):
+        euler_alternating([])

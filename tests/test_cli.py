@@ -114,6 +114,17 @@ def test_tolerance_range_exits_2():
     assert r.returncode == 2
 
 
+def test_tolerance_takes_the_library_range():
+    # --tol is checked as the library checks rel_tol, on [1e-14, 1e-2]
+    for tol in ("1e-14", "1e-13", "1e-2"):
+        r = run_cli("time", "--beta", "0.7", "--grid", "0:1:3", "--tol", tol)
+        assert r.returncode == 0, (tol, r.stderr)
+    for tol in ("9e-15", "1.1e-2"):
+        r = run_cli("time", "--beta", "0.7", "--grid", "0:1:3", "--tol", tol)
+        assert r.returncode == 2, tol
+        assert "rel_tol must lie in [1e-14, 1e-2]" in r.stderr
+
+
 def test_missing_dispersion_coefficient():
     # no physical default away from alpha = 2
     r = run_cli("delta", "--alpha", "1.5", "--energy", "-1",

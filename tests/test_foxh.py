@@ -147,6 +147,20 @@ def test_lemma31_fixed_examples():
     assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
+def test_verify_helpers_refuse_invalid_inputs():
+    for x, rho, alpha, b, what in [
+            (0.0, 0.0, 1.0, 1.0, "x must be positive"),
+            (1.0, -0.5, 1.0, 1.0, "rho must be nonnegative"),
+            (1.0, 0.0, 0.0, 1.0, "alpha must be positive"),
+            (1.0, 0.0, 1.0, 0.0, "b must satisfy"),
+            (1.0, 0.0, 1.0, -2.0, "b must satisfy")]:
+        with pytest.raises(ValidationError, match=what):
+            _lemma31_check(x, rho, alpha, b)
+    for k in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="scale power must be positive"):
+            _scale_argument_power(DIAG, k)
+
+
 def test_lemma31_random_battery():
     rng = np.random.default_rng(41)
     done = 0
@@ -227,6 +241,78 @@ def test_series_refuses_left_chain_on_a_right_chain():
     assert str(err.value) == "left chain 0 collides with right chain 0 near s = -1.0"
 
 
+def _recipe(params):
+    params = reduce_params(params)
+    return _series_recipe(params, _reflection_pairs(params))
+
+
+@pytest.mark.parametrize("lower, upper, n, message", [
+    # chain 0's pole s = -1 is chain 1's exactly and lies 3e-10 from chain
+    # 2's: the near miss refuses, before or after the exact hit in the scan
+    (((0.0, 1.0), (0.0, 1.0), (0.5 + 1.5e-10, 0.5)), (), 0,
+     "left pole chains 0 and 2 nearly collide at s = -1.0"),
+    (((0.0, 1.0), (0.5 + 1.5e-10, 0.5), (0.0, 1.0)), (), 0,
+     "left pole chains 0 and 1 nearly collide at s = -1.0"),
+    # an exact hit on chain 1, then right chain 0's pole Gamma(0) on it
+    (((0.0, 1.0), (0.0, 1.0)), ((1.5, 0.5),), 1,
+     "left chain 0 collides with right chain 0 near s = -1.0"),
+], ids=["near-after-hit", "near-before-hit", "right-after-hit"])
+def test_one_walk_refuses_a_hit_pole_with_an_offending_neighbour(lower, upper, n, message):
+    recipe = _recipe(FoxHParams(m=len(lower), n=n, upper=upper, lower=lower))
+    with pytest.raises(DegeneratePoles) as err:
+        _term_part(recipe, 0, 1)
+    assert str(err.value) == message
+
+
+def test_one_walk_hands_its_exact_hit_to_the_merged_pole(monkeypatch):
+    # alpha = 1.5: chain 0's poles s = -k meet chain 1's s = -(1/3 + k2) 3/2
+    # at odd k2, k = (3 k2 + 1)/2; each walk hands _merged_pole the pole it
+    # hit, and the partner's walk hands back this one
+    params = reduce_params(_even_part_params(1.5))
+    recipe = _recipe(params)
+    merged_pole = foxh._merged_pole
+    hits = []
+
+    def spy(recipe, chain, k, s, other, k2):
+        hits.append((chain, k, other, k2))
+        return merged_pole(recipe, chain, k, s, other, k2)
+
+    monkeypatch.setattr(foxh, "_merged_pole", spy)
+    for chain in range(params.m):
+        for k in range(12):
+            _term_part(recipe, chain, k)
+    assert sorted(hits) == ([(0, (3 * k2 + 1) // 2, 1, k2) for k2 in (1, 3, 5, 7)]
+                            + [(1, k2, 0, (3 * k2 + 1) // 2) for k2 in (1, 3, 5, 7, 9, 11)])
+    for chain, k, other, k2 in hits:
+        (b, wt), (b2, wt2) = params.lower[chain], params.lower[other]
+        assert abs((b + k) / wt - (b2 + k2) / wt2) <= 1e-11 * (b + k) / wt
+
+
+def test_merged_pole_with_a_vanishing_denominator_gamma_beside_it():
+    # the double pole s = 0 of Gamma(s)^2: 1/Gamma(-1 - 2e-10 - s) is 2e-10
+    # from its zero there, inside the refusal band; with weight 1e-4 the
+    # gamma 1/Gamma(5e-13 - 1e-4 s) is 5e-9 from its zero in s, which the
+    # zero scan takes for a miss, but its argument is within POLE_TOL of 0
+    for lower, message in [
+            ((2.0 + 2e-10, 1.0), "denominator gamma nearly singular beside a double pole"),
+            ((1.0 - 5e-13, 1e-4), "denominator pole coincides with a confluent pair")]:
+        params = FoxHParams(m=2, n=0, upper=(), lower=((0.0, 1.0), (0.0, 1.0), lower))
+        with pytest.raises(DegeneratePoles, match=message):
+            eval_series(params, 0.5)
+
+
+def test_merged_pole_zeroed_by_two_denominator_gammas():
+    # Gamma(s)^2 / Gamma(-s/2)^2 is finite at s = 0: both reciprocal gammas
+    # vanish on the double pole, so neither chain's term there is summed
+    params = FoxHParams(m=2, n=0, upper=(),
+                        lower=((0.0, 1.0), (0.0, 1.0), (1.0, 0.5), (1.0, 0.5)))
+    recipe = _recipe(params)
+    assert _term_part(recipe, 0, 0) is None and _term_part(recipe, 1, 0) is None
+    a = eval_series(params, 0.5, 1e-10)
+    b = eval_contour(params, 0.5, 1e-10)
+    assert abs(a.value - b.value) <= a.err_est + b.err_est
+
+
 def test_series_handles_exact_double_poles():
     # the same chains at exact collision have well-defined residues
     params = FoxHParams(m=2, n=0, upper=(),
@@ -258,6 +344,11 @@ def test_parameter_validation():
         FoxHParams(m=2, n=0, upper=(), lower=((0.0, 1.0),))
     with pytest.raises(ValidationError):
         FoxHParams(m=1, n=0, upper=(), lower=((0.0, -1.0),))
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="parameters must be finite"):
+            FoxHParams(m=1, n=0, upper=(), lower=((a, 1.0),))
+    with pytest.raises(ValidationError, match="n <= p"):
+        FoxHParams(m=1, n=2, upper=((0.5, 1.0),), lower=((0.0, 1.0),))
 
 
 def test_parameters_are_real():
@@ -428,6 +519,18 @@ def test_auto_replays_the_conjugate_of_its_last_answer():
     assert a.work > 0 and b.work == 0
     assert b.value == a.value.conjugate()
     assert (b.err_est, b.method) == (a.err_est, a.method)
+
+
+def test_a_changed_answer_leaves_the_replay_as_computed():
+    # the record holds the answer's fields, not the EvalResult handed out
+    params = _even_part_params(1.5)
+    z = 2.0 * cmath.exp(-0.3j)
+    a = eval_auto(params, z, 1e-9)
+    want = (a.value.conjugate(), a.err_est, a.method)
+    a.value, a.err_est, a.method = 0j, 1.0, "changed"
+    b = eval_auto(params, z.conjugate(), 1e-9)
+    assert b.work == 0
+    assert (b.value, b.err_est, b.method) == want
 
 
 @pytest.mark.parametrize("first, second", [
@@ -805,6 +908,40 @@ def test_contour_refuses_past_its_node_and_cut_budgets(params, z, match):
     with pytest.raises(NonConvergence, match=match):
         eval_contour(params, z, 1e-9)
     assert time.perf_counter() - start < 1.0
+
+
+def test_contour_step_is_never_above_the_ideal_step():
+    # at a = 0.8, |ln |z|| = 58.99164000079244 the ideal step lies on rung
+    # 18 to within rounding, and rung 18 rounds above it: the step takes 19
+    den = foxh._LOG_INV_EPS + foxh._LOG_STRIP_GROWTH
+    a, log_abs_z = 0.8, 58.99164000079244
+    ideal = 2.0 * math.pi * a / (den + a * log_abs_z)
+    h0 = 2.0 * math.pi * a / den
+    assert h0 * 2.0 ** (-18 / foxh._RUNGS_PER_OCTAVE) > ideal
+    j, h = foxh._contour_step(a, log_abs_z)
+    assert j == 19 and h <= ideal
+
+
+def test_contour_past_the_kept_node_cap_keeps_the_bits(monkeypatch):
+    # e^-20 takes two blocks of nodes; with room for none, the plan keeps
+    # nothing and the second block is evaluated on its own
+    z = 20.0
+    want = eval_contour(EXP, z, 1e-6)
+    _fresh_plans(monkeypatch)
+    monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", 8)
+    blocks = []
+    contour_nodes = foxh._contour_nodes
+
+    def spy(plan, params, j, h, k_lo, k_hi):
+        blocks.append(k_lo)
+        return contour_nodes(plan, params, j, h, k_lo, k_hi)
+
+    monkeypatch.setattr(foxh, "_contour_nodes", spy)
+    got = eval_contour(EXP, z, 1e-6)
+    assert len(blocks) == 2 and blocks[1] > 0
+    assert not foxh._plan(reduce_params(EXP)).rungs
+    assert (got.value, got.err_est, got.work) == (want.value, want.err_est, want.work)
+    assert abs(got.value - math.exp(-z)) <= got.err_est
 
 
 def test_contour_work_on_the_readme_well_and_the_ramp():

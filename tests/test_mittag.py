@@ -190,6 +190,11 @@ def test_parameter_validation():
         ml_eval(0.5, -1.0, rel_tol=1e-16)
 
 
+def test_contour_at_zero_returns_one_exactly():
+    for beta in (0.3, 0.7, 1.0):
+        assert ml_contour(beta, 0.0) == (1.0 + 0j, 0.0, 0)
+
+
 def test_oscillatory_argument_phase():
     # arg z = 3*pi/4: between the Hankel wedge and the negative axis
     z = 4.0 * cmath.exp(0.75j * math.pi)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fse.errors import PoleOfGamma
-from fse.numerics import digamma, log_gamma, log_reflection, pi_cot_pi, power_sum
+from fse.numerics import (_short_rest, digamma, log_gamma, log_reflection, pi_cot_pi,
+                          power_sum)
 from fse.quadrature import _panel_est
 
 
@@ -246,6 +247,14 @@ def test_real_kernel_paths_agree_across_input_types():
             assert _outcome(fn, complex(x, 0.0)) == want, (fn.__name__, x)
 
 
+def test_zero_dimensional_arrays_take_the_scalar_path():
+    # a 0-d array is a scalar: the real path's type and bits
+    for fn in (log_gamma, log_reflection):
+        for x in (2.5, 0.3, -1.5):
+            got = fn(np.array(x))
+            assert type(got) is type(fn(x)) and got == fn(x), (fn.__name__, x)
+
+
 def test_real_kernel_paths_refuse_poles():
     for n in (0.0, -1.0, -40.0):
         for x in (n, n + 1e-13, n - 1e-13):
@@ -313,6 +322,20 @@ def test_power_sum_claims_the_geometric_rest(q):
     value, err, _ = power_sum(q, lambda k: 0j, 1e-9, "geometric series")
     assert abs(value - 1.0 / (1.0 - q)) <= err
     assert err <= 1e-8 * abs(value)
+
+
+def test_power_sum_at_zero_returns_its_head_exactly():
+    assert power_sum(0.0, lambda k: 0.0, 1e-9, "sum", head=2.5) == (2.5 + 0j, 0.0, 1)
+
+
+def test_short_rest_declines_unless_its_proof_closes():
+    # a ratio not below 1 - 1e-6, or a claim that meets rel_tol once the
+    # rest is widened, gives no early stop; between them the proof closes
+    logz = cmath.log(0.5)
+    assert _short_rest(5, 0j, -1.0, -1.0, 0.3, 1.0, 1.0, 1e-9) is None
+    assert _short_rest(20, logz, -10.0, -9.0, 4.5e-5, 1.0, 0.0, 1e-9) is None
+    rest = _short_rest(20, logz, -10.0, -9.0, 4.5e-5, 1.0, 1e-6, 1e-9)
+    assert rest is not None and rest >= 4.5e-5 / (math.e - 1.0)
 
 
 def test_a_falling_sum_stops_once_its_rounding_floor_misses_rel_tol():

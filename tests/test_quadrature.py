@@ -310,6 +310,19 @@ def test_algebraic_tail_refuses_underflowing_map():
         tail_algebraic(lambda p: p ** -1.01, 2.0, 0.01, 1e-10)
 
 
+def test_algebraic_tail_refuses_invalid_decay_and_a_non_finite_integral():
+    with pytest.raises(ValidationError, match="decay exponent must be positive"):
+        tail_algebraic(lambda p: p ** -2.0, 1.0, 0.0, 1e-10)
+    with pytest.raises(QuadratureFailure, match="not finite"):
+        tail_algebraic(lambda p: np.full_like(p, math.nan), 1.0, 1.0, 1e-10)
+
+
+def test_oscillatory_refuses_a_nonpositive_frequency():
+    for omega in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="frequency hint must be positive"):
+            osc_semi_inf(lambda p: np.cos(p) / (1.0 + p * p), omega, 1e-10)
+
+
 def test_rotated_ray_fresnel():
     # int_0^inf exp(i w^2) dw along the pi/4 ray
     val, err, _ = ray_segment(lambda w: np.exp(1j * w * w),
@@ -340,6 +353,9 @@ def test_spec_validation():
         GridSpec(1.0, -1.0, 32)
     with pytest.raises(ValidationError):
         GridSpec(-1.0, 1.0, 1)
+    for start, stop in ((math.inf, 1.0), (0.0, math.nan), (-math.inf, math.inf)):
+        with pytest.raises(ValidationError, match="endpoints must be finite"):
+            GridSpec(start, stop, 32)
     for count in (2.5, 3.0, math.nan, "5"):
         with pytest.raises(ValidationError, match="grid count must be an integer"):
             GridSpec(0.0, 1.0, count)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fse import DeltaConfig, EvalResult, NonConvergence, delta_quadrature
+from fse import (DeltaConfig, EvalResult, LinearConfig, NonConvergence, ValidationError,
+                 delta_quadrature)
+from fse.result import _accept
 
 
 def test_err_est_is_stored_as_a_python_float():
@@ -19,3 +21,17 @@ def test_nan_err_est_refuses(err):
     with pytest.raises(NonConvergence, match="err_est"):
         EvalResult(1.0, err, "series")
 
+
+def test_configs_refuse_a_non_finite_k_norm_or_energy():
+    for k_norm in (complex(math.inf, 0.0), complex(1.0, math.nan)):
+        with pytest.raises(ValidationError, match="k_norm must be finite"):
+            DeltaConfig(alpha=1.5, k_norm=k_norm)
+    for energy in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="energy must be finite"):
+            LinearConfig(alpha=1.5, energy=energy)
+
+
+def test_accept_refuses_a_non_finite_value():
+    for value in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(NonConvergence, match="overflowed double range"):
+            _accept(value, 0.0, 1e-9, "route", "series", 1)

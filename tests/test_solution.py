@@ -3,7 +3,7 @@ import pytest
 from fse.delta import delta_closed_form, delta_quadrature
 from fse import solution
 from fse.errors import ValidationError
-from fse.linear import linear_closed_form
+from fse.linear import linear_closed_form, linear_quadrature
 from fse.result import DeltaConfig, LinearConfig, TimeConfig
 from fse.solution import full_solution
 from fse.time_factor import time_factor
@@ -69,3 +69,13 @@ def test_unknown_space_config_refused(monkeypatch):
             full_solution(cfg, 1.0, 1.0)
     with pytest.raises(ValidationError):
         full_solution(DeltaConfig(alpha=1.5, c_alpha=1.0), 1.0, 1.0, beta=0.0)
+
+
+def test_space_route_quadrature_takes_the_oracle():
+    # the route `fse delta|linear --method quadrature` evaluates, in process
+    dcfg = DeltaConfig(alpha=1.5, theta=0.25, c_alpha=1.0, energy=-1.0)
+    lcfg = LinearConfig(alpha=1.5, theta=0.3, c_alpha=1.0, energy=0.5)
+    for cfg, oracle in ((dcfg, delta_quadrature), (lcfg, linear_quadrature)):
+        got = solution._space_route(cfg, 1e-8, "quadrature")(0.7)
+        want = oracle(cfg, 0.7, abs_tol=1e-8)
+        assert (got.value, got.err_est, got.method) == (want.value, want.err_est, want.method)
