@@ -1,15 +1,17 @@
 """One-parameter Mittag-Leffler function E_b(z) on 0 < b <= 1.
 
 Two schemes share the work; at b = 1, ml_eval returns E_1(z) = exp(z)
-itself.  A Taylor sum handles the ball where double
-precision keeps enough digits (the largest term grows like exp(|z|^(1/b)),
-so the ball is capped in that quantity, not just in |z|).  Everything else
-goes through an inverse-Laplace parabolic contour with optimally tuned
-(mu, h, N), after the optimal-parabolic-contour construction for Laplace
-inversion at t = 1.  That construction handles any number of sorted
-singularities; the image of E_b with b <= 1 has two at most, the branch
-point at 0 and one pole on the principal sheet, so the contour has two
-candidate regions: left of the pole, which then adds its residue, and
+itself.  A Taylor sum handles the ball where double precision keeps
+enough digits (the largest term grows like exp(|z|^(1/b)), so the ball is
+capped in that quantity, not just in |z|).  Inside it a sum whose
+rounding floor will miss rel_tol, predicted from (b, z, rel_tol) before
+its first term (_taylor_misses), takes the contour first.  Everything
+else goes through an inverse-Laplace parabolic contour with optimally
+tuned (mu, h, N), after the optimal-parabolic-contour construction for
+Laplace inversion at t = 1.  That construction handles any number of
+sorted singularities; the image of E_b with b <= 1 has two at most, the
+branch point at 0 and one pole on the principal sheet, so the contour has
+two candidate regions: left of the pole, which then adds its residue, and
 right of it.
 
 The z-free work is kept across calls, since a time grid calls both
@@ -73,6 +75,20 @@ _CONTOUR_CAP = 1024
 _RUNGS_PER_OCTAVE = 16
 _RUNG_MANTISSAS = tuple(2.0 ** (k / _RUNGS_PER_OCTAVE) for k in range(_RUNGS_PER_OCTAVE + 1))
 _TOP_RUNG = 7 * _RUNGS_PER_OCTAVE
+# _taylor_misses predicts a miss only where its predicted rounding floor
+# exceeds _MISS_MARGIN times rel_tol times its predicted |E_beta(z)|.
+# Against the whole sum's err_est, over 152,000 random in-ball sums (beta
+# uniform in [0.01, 0.99999] or log-uniform from 0.001, every phase,
+# rel_tol log-uniform in [1e-14, 1e-2]) no sum that meets rel_tol had a
+# ratio above 1.34, so the margin of 2 sends none of them to the contour
+_MISS_MARGIN = 2.0
+# nor any sum that might reach the POWER_SUM_CAP-term cap, whose refusal
+# ml_eval passes on: its term at k = _CAP_PROBE_K must lie below
+# e^_CAP_PROBE_LOG.  Over 40,000 random in-ball sums (beta log-uniform in
+# [0.001, 1)) that term was above e^-16 for all 853 that hit the cap, and
+# on the benchmark's time grids it is below e^-690 for every in-ball sum
+_CAP_PROBE_K = 1000
+_CAP_PROBE_LOG = -50.0
 
 
 def _validate(beta: float, z: complex, rel_tol: float) -> complex:
@@ -108,18 +124,40 @@ def ml_series(beta: float, z: complex, rel_tol: float = 1e-10):
     ones and computed only past them, so a sum at any z reuses them.  Its
     terms fall slowly at small beta (the ratio is about |z| / (beta k)^beta),
     so the rest of the sum is claimed as the geometric tail at the last
-    term ratios, not as the last term alone.  The ratios
-    |z| Gamma(beta k + 1) / Gamma(beta k + beta + 1) never rise, by the
-    log-convexity of Gamma, so power_sum runs falling: a sum whose rounding
-    floor already misses rel_tol, against the partial sum plus a bound on
-    the rest, stops there and returns the partial sum with an honest
-    err_est that misses rel_tol, as the whole sum's would, so ml_eval
-    still takes the contour; a sum that would hit the term cap still
-    refuses.  The tuple is raw: ml_eval and `fse ml` accept it only when
-    err_est meets rel_tol."""
+    term ratios, not as the last term alone.  The sum always runs whole;
+    ml_eval skips the sums _taylor_misses predicts to miss rel_tol.  The
+    tuple is raw: ml_eval and `fse ml` accept it only when err_est meets
+    rel_tol."""
     z = _validate(beta, z, rel_tol)
     return power_sum(z, _log_coefs(beta).__getitem__, rel_tol,
-                     "Mittag-Leffler series", head=1.0, falling=True)
+                     "Mittag-Leffler series", head=1.0)
+
+
+def _taylor_misses(beta: float, z: complex, rel_tol: float) -> bool:
+    """Whether ml_series's err_est at z (0 < |z| in the series ball) will
+    miss rel_tol, predicted before its first term.
+
+    With x = |z|^(1/beta) and phi = |arg z|, power_sum charges term k,
+    t_k = |z|^k / Gamma(beta k + 1), a rounding claim of
+    (4 + |ln t_k| + k phi) eps t_k.  The terms form a hump at k ~ x / beta
+    that sums to about e^x / beta, with |ln t_k| <= x on it, so the claims
+    sum to about eps (e^x / beta) (4 + x + (x / beta) phi).  E_beta(z) is
+    about its algebraic tail 1 / (|z| |Gamma(1 - beta)|) plus the pole's
+    exponential e^(x cos(phi / beta)) / beta (Podlubny 1999, 1.2), with the
+    pole's phase clamped at pi so that a pole just off the principal sheet
+    still counts.  A miss is predicted when the floor exceeds _MISS_MARGIN
+    times rel_tol times that size, and only where the term at k =
+    _CAP_PROBE_K is below e^_CAP_PROBE_LOG, so that the sum cannot reach
+    its term cap.
+    """
+    x = abs(z) ** (1.0 / beta)
+    phi = abs(math.atan2(z.imag, z.real))
+    floor = MACH_EPS * math.exp(x) / beta * (4.0 + x + x / beta * phi)
+    size = (1.0 / (abs(z) * abs(math.gamma(1.0 - beta)))
+            + math.exp(x * math.cos(min(phi / beta, math.pi))) / beta)
+    return (floor > _MISS_MARGIN * rel_tol * size
+            and _CAP_PROBE_K * math.log(abs(z)) - math.lgamma(beta * _CAP_PROBE_K + 1.0)
+            < _CAP_PROBE_LOG)
 
 
 def _param_left(phi, log_epsilon):
@@ -370,7 +408,13 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     Otherwise the series is tried first inside the ball
     |z| <= min(SERIES_RADIUS, SERIES_ROOT_CAP^beta), that is |z|^(1/beta) <=
     SERIES_ROOT_CAP, written so that no power overflows at a tiny beta, and
-    every other point goes to the contour.  It raises NonConvergence when neither scheme's error
+    every other point goes to the contour.  In the ball a sum that
+    _taylor_misses predicts to miss rel_tol runs after the contour, and
+    only if the contour misses too: the prediction fires on no sum that
+    meets rel_tol and on none that could reach the term cap, so the order
+    moves no answer and no refusal, and a refusal names the series first
+    as before.  Both routes are looked up as module globals at each call.
+    It raises NonConvergence when neither scheme's error
     estimate meets rel_tol relative to the returned magnitude; this is
     inherent near deep sign-changing arguments where the function is
     exponentially smaller than the roundoff floor of any fixed-precision
@@ -388,16 +432,18 @@ def ml_eval(beta: float, z: complex, rel_tol: float = 1e-10) -> EvalResult:
             raise NonConvergence(
                 "E_1(z) = exp(z) overflows double range at Re z = %.4g" % z.real)
         return EvalResult(val, 2.0 * MACH_EPS * abs(val) + math.ulp(0.0), "exp", 1)
-    tried = []
-    if abs(z) <= min(SERIES_RADIUS, SERIES_ROOT_CAP ** beta):
-        val, err, work = ml_series(beta, z, rel_tol)
+    if abs(z) > min(SERIES_RADIUS, SERIES_ROOT_CAP ** beta):
+        order = ("contour",)
+    elif _taylor_misses(beta, z, rel_tol):
+        order = ("contour", "series")
+    else:
+        order = ("series", "contour")
+    tried = {}
+    for method in order:
+        val, err, work = (ml_series if method == "series" else ml_contour)(beta, z, rel_tol)
         if _meets_tol(err, val, rel_tol):
-            return EvalResult(val, err, "series", work)
-        tried.append(("series", err, abs(val)))
-    val, err, work = ml_contour(beta, z, rel_tol)
-    if _meets_tol(err, val, rel_tol):
-        return EvalResult(val, err, "contour", work)
-    tried.append(("contour", err, abs(val)))
-    detail = "; ".join("%s err_est %.2e at |value| %.2e" % t for t in tried)
+            return EvalResult(val, err, method, work)
+        tried[method] = "%s err_est %.2e at |value| %.2e" % (method, err, abs(val))
+    detail = "; ".join(tried[m] for m in ("series", "contour") if m in tried)
     raise NonConvergence(
         "E_beta(z) error estimate misses rel_tol %.1e (%s)" % (rel_tol, detail))

@@ -193,14 +193,9 @@ def pi_cot_pi(x) -> float:
 
 
 POWER_SUM_CAP = 2000
-# relative room in _short_rest's bounds for the rounding of the terms still
-# unsummed and of their additions: at most POWER_SUM_CAP of each, a few eps
-# apiece, so under 1e-11 in all
-_SUM_MARGIN = 1e-9
 
 
-def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None,
-              falling=False):
+def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None):
     """sum_k c_k z^k for real c_k, term k taken as exp(k log z + log c_k).
 
     log_coef(k) gives log c_k, plus i pi where c_k < 0.  head, when given,
@@ -214,21 +209,9 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None,
     rest), plus (4 + |Re L| + |Im L|) eps |term| per term of exponent L,
     plus eps times the largest partial sum.  A term
     past exp(700) or the POWER_SUM_CAP-term cap raises NonConvergence,
-    named by what.
-
-    falling=True tells that the term ratios |c_(k+1) z / c_k| never rise
-    with k, as for E_beta, whose ratios fall by the log-convexity of Gamma.
-    Then, once a term has fallen below the one before, every later ratio
-    is at most the current one, q, so the unsummed rest is at most
-    |term| q / (1 - q) and the finished sum at most |partial sum| + rest.
-    When the rounding floor already claimed, round_acc + eps peak, exceeds
-    rel_tol times that (see _short_rest), the finished sum's claim would
-    miss rel_tol too, so the sum stops there and claims the rest like the
-    ordinary stop.  The value and claim are honest, and the claim misses
-    rel_tol, as the whole sum's would; the stop is taken only where the
-    whole sum provably ends inside the term cap, so a sum that would hit
-    the cap still refuses.  A series whose ratios may rise (the ramp's
-    sines) has no such bound, and keeps the ordinary stop alone.
+    named by what.  A sum whose rounding floor will miss rel_tol has no
+    early stop: a caller that can tell so before the first term skips the
+    sum instead (mittag._taylor_misses).
     """
     z = complex(z)
     if z == 0:
@@ -244,10 +227,8 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None,
     round_acc = 0.0
     small_run = 0
     # real exponents (log magnitudes) of the two terms before this one,
-    # kept while the run of small terms lasts; outside a run log_prev is
-    # the last term's, which a falling series reads
-    log_prev2 = 0.0
-    log_prev = math.log(peak) if peak else -math.inf
+    # kept while the run of small terms lasts
+    log_prev = log_prev2 = 0.0
     eps = MACH_EPS
     for k in range(0 if head is None else 1, POWER_SUM_CAP + 1):
         expo = k * logz + log_coef(k)
@@ -276,18 +257,6 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None,
             log_prev2, log_prev = log_prev, log_mag
         else:
             small_run = 0
-            # a falling series whose rounding floor already misses rel_tol,
-            # checked on the terms above the ordinary stop's floor: a cheap
-            # necessary test at the unslackened ratio first
-            if falling and round_acc + eps * peak > floor and log_mag < log_prev:
-                q = math.exp(log_mag - log_prev)
-                claimed = round_acc + eps * peak
-                if claimed > rel_tol * (size + last_mag * q / (1.0 - q)):
-                    tail = _short_rest(k, logz, log_mag, log_prev, last_mag,
-                                       size, claimed, rel_tol)
-                    if tail is not None:
-                        break
-            log_prev = log_mag
     else:
         raise NonConvergence("%s hit the %d-term cap" % (what, POWER_SUM_CAP))
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
@@ -295,42 +264,6 @@ def power_sum(z: complex, log_coef, rel_tol: float, what: str, head=None,
     if z.imag == 0.0:
         total = complex(total.real, 0.0)
     return total, max(last_mag, tail) + round_acc + MACH_EPS * peak, k + 1
-
-
-def _short_rest(k, logz, log_mag, log_last, last_mag, size, claimed, rel_tol):
-    """A bound on the rest of a falling power_sum after term k, when it
-    proves that the whole sum would end inside the term cap with a claim of
-    at least `claimed` that misses rel_tol; else None.
-
-    The log magnitudes L carry rounding: of k log|z|, of the coefficient,
-    whose size is at most |L| + k |log|z||, and of their sum, a few eps per
-    unit each.  slack bounds it for terms k and k - 1, so the true ratio
-    q_k is at most q = exp(log_mag - log_last + slack) and the rest at most
-    |term| q / (1 - q), widened by slack and _SUM_MARGIN.  The whole sum
-    is then at most (|partial sum| + rest) (1 + _SUM_MARGIN) and its claim
-    at least `claimed`, since the rounding floor only grows.  Later sums
-    are at least |partial sum| - rest, so the ordinary stop (three small
-    terms, then a small geometric rest) comes by the term where twice
-    |term| Q^n falls below rel_tol times that, at the looser ratio
-    Q = q^0.9.  Inside the cap no L exceeds about 2e6 in size, so the
-    rounding of the later ratios the stop reads is at most about 2e-8 in
-    log even at slack's rate, and log q <= -1e-6 leaves Q 1e-7 of room.
-    """
-    slack = 16.0 * MACH_EPS * (1.0 + 2.0 * k * abs(logz.real) + abs(log_mag) + abs(log_last))
-    log_q = log_mag - log_last + slack
-    if log_q > -1e-6:
-        return None
-    q = math.exp(log_q)
-    rest = last_mag * q / (1.0 - q) * (1.0 + slack + _SUM_MARGIN)
-    if not claimed > rel_tol * max((size + rest) * (1.0 + _SUM_MARGIN), 1e-300):
-        return None
-    log_loose = 0.9 * log_q
-    loose = math.exp(log_loose)
-    low = rel_tol * max((size - rest) * (1.0 - _SUM_MARGIN), 1e-300)
-    reach = (math.log(low) - log_mag - slack
-             - math.log(2.0 * max(1.0, loose / (1.0 - loose))))
-    n = 3 + max(0, math.ceil(reach / log_loose))
-    return rest if k + n < POWER_SUM_CAP else None
 
 
 def digamma(x) -> float:

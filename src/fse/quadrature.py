@@ -58,6 +58,9 @@ class GridSpec:
             raise ValidationError("grid endpoints must be finite")
         if not (self.start < self.stop):
             raise ValidationError("grid start must be below stop")
+        if not math.isfinite(self.stop - self.start):
+            # np.linspace would step by inf and hand out NaN nodes
+            raise ValidationError("grid span stop - start overflows double range")
         try:
             object.__setattr__(self, "count", operator.index(self.count))
         except TypeError:

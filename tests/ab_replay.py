@@ -21,7 +21,10 @@ the outcome diff of the first pass of each side
 with the semantics of tests/compare_outcomes.py: its summary (compare) and
 its last-bit check (identical).  The outcome lines have the format of
 tests/outcomes.py.  Per workload it also prints, for each side, the calls,
-refusals and returned work of the COUNTED routes.  They are taken in one
+refusals and returned work of the COUNTED routes, and for the raw
+Mittag-Leffler routes (MISSED) the answers whose err_est misses the
+call's rel_tol, which ml_eval passes over: a count no machine noise
+moves.  They are taken in one
 more subprocess of each side, before the timed ones, by an untimed pass
 that runs first in it, so every kept table starts cold.  Wrappers on the
 routes' module globals count them, so every call that looks them up
@@ -63,6 +66,10 @@ COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"), ("mittag", "_nodes
            ("quadrature", "_panel_est"), ("quadrature", "euler_alternating"))
 CALLS_ONLY = ("mittag._nodes", "foxh._Plan", "quadrature._panel_est",
               "quadrature.euler_alternating")
+# of the COUNTED routes, those that return a raw (value, err_est, work)
+# tuple whatever its err_est; a pass also counts their answers that miss
+# rel_tol
+MISSED = ("mittag.ml_series", "mittag.ml_contour")
 
 
 def _evaluate(calls):
@@ -80,11 +87,17 @@ def _evaluate(calls):
     return results, seconds
 
 
-def _counting(fn, tally, work=True):
+def _counting(fn, tally, work=True, missed=False):
     """fn, adding 1 to tally[0] per call, 1 to tally[1] per refusal and,
     with work, its work (an EvalResult's, or a raw tuple's last field) to
-    tally[2]."""
+    tally[2]; with missed, 1 to tally[3] per raw answer whose err_est
+    misses the call's rel_tol."""
+    import inspect
+
     import fse
+    from fse.result import _meets_tol
+
+    signature = inspect.signature(fn)
 
     def wrapped(*args, **kw):
         tally[0] += 1
@@ -95,13 +108,18 @@ def _counting(fn, tally, work=True):
             raise
         if work:
             tally[2] += out.work if hasattr(out, "work") else out[2]
+        if missed:
+            call = signature.bind(*args, **kw)
+            call.apply_defaults()
+            tally[3] += not _meets_tol(out[1], out[0], call.arguments["rel_tol"])
         return out
     return wrapped
 
 
 def count(calls) -> dict:
     """[calls, refusals, work] of each COUNTED route over one pass of calls,
-    counted by wrappers on the routes' module globals, restored after."""
+    with missed answers fourth for the MISSED ones, counted by wrappers on
+    the routes' module globals, restored after."""
     import importlib
 
     counts, kept = {}, []
@@ -110,8 +128,8 @@ def count(calls) -> dict:
         fn = getattr(mod, name)
         kept.append((mod, name, fn))
         key = "%s.%s" % (module, name)
-        setattr(mod, name, _counting(fn, counts.setdefault(key, [0, 0, 0]),
-                                     work=key not in CALLS_ONLY))
+        setattr(mod, name, _counting(fn, counts.setdefault(key, [0] * (4 if key in MISSED else 3)),
+                                     work=key not in CALLS_ONLY, missed=key in MISSED))
     try:
         _evaluate(calls)
     finally:
@@ -188,12 +206,9 @@ def ab(old: str, new: str, workload: str, seeds: str, rounds: str, pairs: int) -
         print("  %s per point: p50 %.4f ms, p90 %.4f ms (medians over %d passes)"
               % (name, p50, p90, pairs))
     for name in counts[0]:
-        (c0, r0, w0), (c1, r1, w1) = counts[0][name], counts[1][name]
-        if name in CALLS_ONLY:
-            print("  %s: calls %d -> %d" % (name, c0, c1))
-        else:
-            print("  %s: calls %d -> %d, refused %d -> %d, work %d -> %d"
-                  % (name, c0, c1, r0, r1, w0, w1))
+        old_n, new_n = counts[0][name], counts[1][name]
+        fields = ("calls",) if name in CALLS_ONLY else ("calls", "refused", "work", "missed")
+        print("  %s: %s" % (name, ", ".join("%s %d -> %d" % f for f in zip(fields, old_n, new_n))))
     ok = compare(*lines)
     identical(*lines)
     return ok

@@ -534,3 +534,12 @@ def test_overflowing_prefactor_is_refused_before_quadrature(grid):
     assert r.returncode == 3, r.stderr
     assert "NonConvergence" in r.stderr and "prefactor" in r.stderr
     assert "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr
+
+
+def test_a_grid_whose_span_overflows_is_refused_by_name():
+    # -1e308:1e308 has finite endpoints, but stop - start overflows: the
+    # grid, not a NaN argument built from its nodes, is at fault
+    r = run_cli("ml", "--beta", "0.5", "--grid=-1e308:1e308:3")
+    assert r.returncode == 2, r.stderr
+    assert "grid span" in r.stderr and "NaN" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from fse import mittag
-from fse.errors import DomainError, NonConvergence, ValidationError
+from fse.errors import DomainError, EvaluationError, NonConvergence, ValidationError
 from fse.foxh import FoxHParams, eval_auto
 from fse.mittag import ml_contour, ml_eval, ml_series
-from fse.numerics import POWER_SUM_CAP, power_sum
+from fse.numerics import POWER_SUM_CAP
 from fse.quadrature import adaptive
 from fse.result import TimeConfig
 from fse.time_factor import time_factor
@@ -235,7 +235,7 @@ def _ray(beta, ray, root):
 
 
 # in-ball sums near the ball edge |z|^(1/beta) = 12 whose rounding floor
-# misses rel_tol 1e-9: the series stops early, and ml_eval takes the contour
+# misses rel_tol 1e-9: ml_eval runs the contour and skips the series
 _SHORT_ROOTS = {"neg": (10.5, 11.9), "pos": (11.9,)}
 # a rung of the pole's phi between the ball edge and twice it on the E < 0
 # ray, whose pole is on the principal sheet for beta > 2/3
@@ -287,16 +287,18 @@ def test_err_est_bounds_the_error_on_the_time_factor_rays():
                 got = ml_eval(beta, z, 1e-9)
                 assert abs(got.value - want) <= got.err_est, (beta, ray, root, got.method)
             for root in _SHORT_ROOTS[ray]:
-                # a sum that cannot meet rel_tol stops short of the whole
-                # sum with an honest claim that misses rel_tol
+                # a sum that cannot meet rel_tol claims so honestly.  On the
+                # E < 0 ray its floor misses by 5x to 160x, and the
+                # prediction sends it to the contour before its first term;
+                # on the E > 0 ray it misses by 1.1x to 2x, inside the
+                # prediction's margin, so the series runs first
                 z = _ray(beta, ray, root)
                 want = _taylor_ref(beta, z)
-                value, err, nterms = ml_series(beta, z, 1e-9)
+                value, err, _ = ml_series(beta, z, 1e-9)
                 assert abs(value - want) <= err, (beta, ray, root, "series")
                 assert err > 1e-9 * abs(value), (beta, ray, root)
-                whole = power_sum(z, mittag._log_coefs(beta).__getitem__, 1e-9,
-                                  "Mittag-Leffler series", head=1.0)
-                assert whole[1] > 1e-9 * abs(whole[0]) and nterms < whole[2], (beta, ray, root)
+                assert mittag._taylor_misses(beta, z, 1e-9) == (ray == "neg"), (beta, ray, root)
+                assert ml_eval(beta, z, 1e-9).method == "contour", (beta, ray, root)
 
 
 def test_series_refuses_at_its_term_cap():
@@ -315,12 +317,74 @@ def test_series_refuses_at_its_term_cap():
     (ml_series, 0.3, 2.0 ** 0.3 * cmath.exp(-0.15j * math.pi) * -5.0),
 ])
 def test_a_sum_that_would_hit_the_cap_still_refuses(route, beta, z):
-    # the early stop of a sum that misses rel_tol is taken only where the
-    # whole sum provably ends inside the cap, so this refusal, which
-    # ml_eval passes on instead of trying the contour, keeps its class
+    # ml_eval skips a sum predicted to miss rel_tol only where its term at
+    # k = 1000 is below e^-50, so this refusal, which ml_eval passes on
+    # instead of trying the contour, keeps its class
     with pytest.raises(NonConvergence,
                        match="^Mittag-Leffler series hit the 2000-term cap$"):
         route(beta, z, 1e-9)
+
+
+def test_a_predicted_miss_is_a_miss_inside_the_term_cap():
+    # a dense sweep of the series ball: every sum _taylor_misses sends to
+    # the contour first misses rel_tol when summed whole, and ends inside
+    # the term cap, so skipping it moves no answer and no refusal
+    rng = np.random.default_rng(27)
+    predicted = 0
+    for beta in np.geomspace(0.001, 0.99999, 24):
+        beta = float(beta)
+        args = [-0.5 * math.pi * beta, math.pi - 0.5 * math.pi * beta]
+        args += list(rng.uniform(-math.pi, math.pi, 3))
+        for root in np.linspace(0.5, 12.0, 24):
+            for arg in args:
+                z = min(float(root) ** beta, mittag.SERIES_RADIUS) * cmath.exp(1j * arg)
+                for rel_tol in (1e-2, 1e-6, 1e-9, 1e-12, 1e-14):
+                    if mittag._taylor_misses(beta, z, rel_tol):
+                        predicted += 1
+                        value, err, nterms = ml_series(beta, z, rel_tol)
+                        assert err > rel_tol * abs(value), (beta, z, rel_tol)
+                        assert nterms <= POWER_SUM_CAP
+    assert predicted > 1000
+
+
+def _fuzz_inputs(n, seed):
+    """n seeded (beta, z, rel_tol): beta log-uniform in [1e-300, 1),
+    uniform in (0, 1) or within 1e-16 of 1; z at a uniform phase, |z|
+    log-uniform in [1e-320, 1e308] for half of them and in the series
+    ball for the other half, uniform in it or log-uniform down to 1e-20
+    of its radius; rel_tol log-uniform in [1e-14, 1e-2]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.4:
+            beta = 10.0 ** rng.uniform(-300.0, 0.0)
+        elif kind < 0.8:
+            beta = rng.uniform(0.0, 1.0)
+        else:
+            beta = 1.0 - 10.0 ** rng.uniform(-16.0, 0.0)
+        beta = min(max(beta, 1e-300), 1.0 - 1e-16)
+        if rng.random() < 0.5:
+            radius = 10.0 ** rng.uniform(-320.0, 308.0)
+        else:
+            ball = min(mittag.SERIES_RADIUS, mittag.SERIES_ROOT_CAP ** beta)
+            radius = ball * (rng.random() if rng.random() < 0.5
+                             else 10.0 ** rng.uniform(-20.0, 0.0))
+        z = radius * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        yield beta, z, 10.0 ** rng.uniform(-14.0, -2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route", [ml_eval, ml_series, ml_contour])
+def test_fuzzed_inputs_raise_only_evaluation_errors(route):
+    # a refusal is an EvaluationError subclass; an OverflowError, a
+    # ValueError from math or a numpy warning is a defect.  Half the
+    # arguments lie in the series ball, where ml_eval first asks
+    # _taylor_misses, whose pow, exp and gamma this guards
+    for beta, z, rel_tol in _fuzz_inputs(5000, 39):
+        try:
+            route(beta, z, rel_tol)
+        except EvaluationError:
+            pass
 
 
 def test_contour_refuses_a_value_past_double_range():
@@ -602,7 +666,8 @@ def test_a_refusal_from_a_warm_order_keeps_its_class_and_message(monkeypatch):
 
 
 # (value.real, value.imag, err_est) hex, method and work, recorded before
-# the Taylor sum stopped early: ml_eval and time_factor at in-ball points
+# the Taylor sum stopped early and kept since ml_eval skips the sums
+# predicted to miss: ml_eval and time_factor at in-ball points
 # whose sum misses rel_tol 1e-9 and so takes the contour, and ml_contour
 # with a pole and without one, inside its overflow bound and (at a tiny z
 # inside the sector, whose pole counts as none) outside it.  The entries

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fse.errors import PoleOfGamma
-from fse.numerics import (_short_rest, digamma, log_gamma, log_reflection, pi_cot_pi,
-                          power_sum)
+from fse.numerics import digamma, log_gamma, log_reflection, pi_cot_pi, power_sum
 from fse.quadrature import _panel_est
 
 
@@ -326,32 +325,3 @@ def test_power_sum_claims_the_geometric_rest(q):
 
 def test_power_sum_at_zero_returns_its_head_exactly():
     assert power_sum(0.0, lambda k: 0.0, 1e-9, "sum", head=2.5) == (2.5 + 0j, 0.0, 1)
-
-
-def test_short_rest_declines_unless_its_proof_closes():
-    # a ratio not below 1 - 1e-6, or a claim that meets rel_tol once the
-    # rest is widened, gives no early stop; between them the proof closes
-    logz = cmath.log(0.5)
-    assert _short_rest(5, 0j, -1.0, -1.0, 0.3, 1.0, 1.0, 1e-9) is None
-    assert _short_rest(20, logz, -10.0, -9.0, 4.5e-5, 1.0, 0.0, 1e-9) is None
-    rest = _short_rest(20, logz, -10.0, -9.0, 4.5e-5, 1.0, 1e-6, 1e-9)
-    assert rest is not None and rest >= 4.5e-5 / (math.e - 1.0)
-
-
-def test_a_falling_sum_stops_once_its_rounding_floor_misses_rel_tol():
-    # e^-30 = sum (-30)^k / k!: the terms peak near 30^30 / 30! ~ 8e11, so
-    # the rounding floor, about 1e-4, misses rel_tol against e^-30 ~ 1e-13
-    # long before the terms fall below it
-    def log_coef(k):
-        return -math.lgamma(k + 1.0)
-
-    want = math.exp(-30.0)
-    whole = power_sum(-30.0, log_coef, 1e-9, "exp series", head=1.0)
-    short = power_sum(-30.0, log_coef, 1e-9, "exp series", head=1.0, falling=True)
-    for value, err, _ in (whole, short):
-        assert abs(value - want) <= err
-        assert err > 1e-9 * abs(value)
-    assert short[2] < whole[2]
-    # an ordinary sum that meets rel_tol keeps its bits
-    assert (power_sum(-3.0, log_coef, 1e-9, "exp series", head=1.0, falling=True)
-            == power_sum(-3.0, log_coef, 1e-9, "exp series", head=1.0))

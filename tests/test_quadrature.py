@@ -356,6 +356,9 @@ def test_spec_validation():
     for start, stop in ((math.inf, 1.0), (0.0, math.nan), (-math.inf, math.inf)):
         with pytest.raises(ValidationError, match="endpoints must be finite"):
             GridSpec(start, stop, 32)
+    for start, stop in ((-1e308, 1e308), (-1e308, 8e307)):
+        with pytest.raises(ValidationError, match="grid span"):
+            GridSpec(start, stop, 3)
     for count in (2.5, 3.0, math.nan, "5"):
         with pytest.raises(ValidationError, match="grid count must be an integer"):
             GridSpec(0.0, 1.0, count)
