@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import NonConvergence, QuadratureFailure, ValidationError
 from .foxh import FoxHParams, _ROUTES, eval_auto
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
 from .result import (DeltaConfig, EvalResult, _accept, _check_finite, _check_positive,
-                     _check_rel_tol, _route)
+                     _check_rel_tol, _check_scales, _route)
 
 
 def _even_part_params(alpha: float) -> FoxHParams:
@@ -46,17 +45,24 @@ def _odd_part_params(alpha: float) -> FoxHParams:
                       lower=((0.5, 0.5), (a1, 1.0 / alpha), (0.0, 0.5)))
 
 
-def _hbar_scales(cfg: DeltaConfig):
-    """(zeta per unit |x|, (2 pi hbar)^2), refused when an extreme hbar takes
-    them out of double range; the divisor must be a normal float."""
+# the scales _scales derives, in order
+_SCALES = ("zeta per unit |x| (hbar^alpha C/(-E))^(-1/alpha)", "(2 pi hbar)^2",
+           "(2 pi hbar)^2 alpha E", "(C/(-E))^(-1/alpha)")
+
+
+def _scales(cfg: DeltaConfig):
+    """The well's _SCALES, derived once for both routes and refused by name
+    (result._check_scales) when extreme but valid hbar, C and E take one
+    out of double range."""
+    scales = []
     try:
-        zscale = (cfg.hbar ** cfg.alpha * cfg.c_alpha / -cfg.energy) ** (-1.0 / cfg.alpha)
-        h2 = (2.0 * math.pi * cfg.hbar) ** 2
+        scales.append((cfg.hbar ** cfg.alpha * cfg.c_alpha / -cfg.energy) ** (-1.0 / cfg.alpha))
+        scales.append((2.0 * math.pi * cfg.hbar) ** 2)
+        scales.append(scales[1] * cfg.alpha * cfg.energy)
+        scales.append((cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha))
     except (OverflowError, ZeroDivisionError):
-        zscale = h2 = 0.0
-    if not (0.0 < zscale < math.inf and sys.float_info.min <= h2 < math.inf):
-        raise NonConvergence("hbar = %g puts the delta-well scales out of double range" % cfg.hbar)
-    return zscale, h2
+        scales.append(math.inf)
+    return _check_scales(scales, _SCALES, cfg)
 
 
 def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
@@ -86,10 +92,8 @@ def delta_closed_form(cfg: DeltaConfig, x: float, rel_tol: float = 1e-9,
     _check_finite(x, "x")
     _check_rel_tol(rel_tol)
     ev = _route(_ROUTES, method)
-    zscale, h2 = _hbar_scales(cfg)
+    zscale, _, denom, scal = _scales(cfg)
     zeta = abs(x) * zscale
-    denom = h2 * cfg.alpha * cfg.energy
-    scal = (cfg.c_alpha / (-cfg.energy)) ** (-1.0 / cfg.alpha)
     c_even = -math.pi * cfg.gamma_strength / denom * scal
     phi = cfg.theta * math.pi / (2.0 * cfg.alpha)
     if x == 0.0:
@@ -146,11 +150,13 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     e^(+-i theta pi/2) - E) of the two half-lines are conjugates, so the
     inverse transform is the integral over p > 0 of 2 Re[G+(p) e^(i p x / hbar)].
     The denominator never vanishes for E < 0 (its real part stays above
-    -E), so the integrand is smooth with algebraic decay.
+    -E), so the integrand is smooth with algebraic decay.  A node whose
+    resolvent leaves double range, as C p^alpha or the tail's q (q - E) do
+    at an extreme C or E, refuses with NonConvergence.
     """
     _check_finite(x, "x")
     _check_positive(abs_tol, "abs_tol")
-    h2 = _hbar_scales(cfg)[1]
+    h2 = _scales(cfg)[1]
     pref = cfg.gamma_strength * cfg.k_norm / h2
     if not cmath.isfinite(pref):
         raise NonConvergence(
@@ -165,28 +171,35 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     def g(p):
         return 2.0 * (np.exp(1j * k * p) / (ca * p ** cfg.alpha * rot - en)).real
 
-    if omega < 1e-12:
-        # no oscillation: split at the resolvent knee.  Past the cut the
-        # leading tail 2 cos(theta pi/2) / (C p^alpha) is integrated in
-        # closed form, and only the remainder 2 Re[E / (q (q - E))],
-        # q = C p^alpha e^(i theta pi/2), which is O(p^(-2 alpha)), is
-        # mapped; the bare p^(-alpha) tail defeats the map for alpha near 1
-        knee = (-en / ca) ** (1.0 / cfg.alpha)
-        cut = 50.0 * knee + 50.0
+    # a node or a sum past double range refuses before numpy warns: C p^alpha
+    # and the tail's q (q - E) overflow first, at an extreme C or E
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if omega < 1e-12:
+                # no oscillation: split at the resolvent knee.  Past the cut
+                # the leading tail 2 cos(theta pi/2) / (C p^alpha) is
+                # integrated in closed form, and only the remainder
+                # 2 Re[E / (q (q - E))], q = C p^alpha e^(i theta pi/2),
+                # which is O(p^(-2 alpha)), is mapped; the bare p^(-alpha)
+                # tail defeats the map for alpha near 1
+                knee = (-en / ca) ** (1.0 / cfg.alpha)
+                cut = 50.0 * knee + 50.0
 
-        def rest(p):
-            q = ca * p ** cfg.alpha * rot
-            return 2.0 * (en / (q * (q - en))).real
+                def rest(p):
+                    q = ca * p ** cfg.alpha * rot
+                    return 2.0 * (en / (q * (q - en))).real
 
-        lead = 2.0 * rot.real / ca * cut ** (1.0 - cfg.alpha) / (cfg.alpha - 1.0)
-        v1, e1, w1 = adaptive(g, 0.0, cut, 0.5 * abs_tol)
-        v2, e2, w2 = tail_algebraic(rest, cut, 2.0 * cfg.alpha - 1.0, 0.5 * abs_tol)
-        integral = v1 + lead + v2
-        ierr = e1 + e2
-        work = w1 + w2
-    else:
-        integral, ierr, work = osc_semi_inf(g, omega, abs_tol)
-    value = pref * integral
+                lead = 2.0 * rot.real / ca * cut ** (1.0 - cfg.alpha) / (cfg.alpha - 1.0)
+                v1, e1, w1 = adaptive(g, 0.0, cut, 0.5 * abs_tol)
+                v2, e2, w2 = tail_algebraic(rest, cut, 2.0 * cfg.alpha - 1.0, 0.5 * abs_tol)
+                integral = v1 + lead + v2
+                ierr = e1 + e2
+                work = w1 + w2
+            else:
+                integral, ierr, work = osc_semi_inf(g, omega, abs_tol)
+            value = pref * integral
+    except FloatingPointError:
+        raise NonConvergence("resolvent integral leaves double range at %r" % (cfg,)) from None
     err = abs(pref) * ierr
     if err > max(abs_tol, 1e-6 * abs(value)):
         raise QuadratureFailure(

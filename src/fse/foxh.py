@@ -105,7 +105,9 @@ reads further scales.  Its contour part holds the set's line and
 reflection pairs, read once per plan, and log theta on the nodes of each
 step rung a call has used: eval_contour rounds its step down to a fixed
 ladder, so calls at nearby |ln |z|| share their nodes, and a call finds
-theta on the nodes kept and extends them as its cut needs.  A plan is
+theta on the nodes kept and extends them as its cut needs; a cut that
+grows is summed again from its first node, so the sums carry nothing
+from one length of the cut to the next.  A plan is
 z-free, so any z reuses it, and a term, a scale or a node value from it
 has the bits of a fresh one.  A term that refuses is not kept, and
 refuses afresh on every call.
@@ -951,24 +953,22 @@ def _contour_step(a: float, log_abs_z: float):
     return j, h
 
 
-def _contour_nodes(plan: _Plan, params: FoxHParams, j: int, h: float, k_lo: int, k_hi: int):
+def _contour_nodes(plan: _Plan, params: FoxHParams, j: int, h: float, k_hi: int):
     """s and log theta(s) at the upper half-line nodes gamma + i(k + 1/2)h
-    of rung j, k_lo <= k <= k_hi: the kept ones, and the rest evaluated
-    and kept after them while the plan has room."""
+    of rung j, 0 <= k <= k_hi: the kept ones, and the rest evaluated and
+    kept after them while the plan has room.  A cut extended past its
+    first block asks again from k = 0, so its kept nodes are read, not
+    evaluated again."""
     s_kept, log_kept = plan.rungs.get(j, (_NO_NODES, _NO_NODES))
     n = len(s_kept)
     if k_hi >= n:
         gam, _, _, pairs = plan.line
-        start = max(n, k_lo)
-        s_new = gam + 1j * h * (np.arange(start, k_hi + 1) + 0.5)
-        log_new = _log_theta(params, pairs, s_new)
-        if start > n:
-            return s_new, log_new
+        s_new = gam + 1j * h * (np.arange(n, k_hi + 1) + 0.5)
         s_kept = np.concatenate((s_kept, s_new))
-        log_kept = np.concatenate((log_kept, log_new))
+        log_kept = np.concatenate((log_kept, _log_theta(params, pairs, s_new)))
         if sum(len(s) for s, _ in plan.rungs.values()) - n + k_hi + 1 <= _KEPT_NODE_CAP:
             plan.rungs[j] = (s_kept, log_kept)
-    return s_kept[k_lo:k_hi + 1], log_kept[k_lo:k_hi + 1]
+    return s_kept[:k_hi + 1], log_kept[:k_hi + 1]
 
 
 def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
@@ -1004,10 +1004,12 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     fall like exp(-r |t|), r = pi sigma/2 - |arg z| (Braaksma), so the
     nodes up to k_hi = ceil(T/h_j), T = (ln(100/rel_tol) + 8)/r, are taken
     as one block and T is extended by half until the tail estimate
-    2 |f| / r at the last node is below 0.1 rel_tol of the sum.  The cut
-    stops at CONTOUR_T_CAP, where a tail still above that refuses; a step
-    that would need more than _CONTOUR_NODE_CAP nodes refuses before the
-    block is evaluated.
+    2 |f| / r at the last node is below 0.1 rel_tol of the sum.  An
+    extended cut is summed again from the first node, with theta read
+    from the plan on the nodes it kept: no sum is carried over from the
+    shorter cut.  The cut stops at CONTOUR_T_CAP, where a tail still above
+    that refuses; a step that would need more than _CONTOUR_NODE_CAP nodes
+    refuses before the block is evaluated.
 
     err_est sums three parts: that discretisation bound, the tail estimate,
     and the rounding eps sum |v| (1 + |log theta(s) - s log z|) of the
@@ -1033,19 +1035,15 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     rate = edge - abs(logz.imag)
     j, h = _contour_step(a, abs(logz.real))
     t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
-    acc = 0.0 + 0.0j
-    abs_acc = 0.0
-    round_acc = 0.0
-    k_lo = 0
     while True:
         k_hi = math.ceil(t_cut / h)
         if 2 * (k_hi + 1) > _CONTOUR_NODE_CAP:
             raise NonConvergence(
                 "contour step %.2e needs %d nodes to |Im s| = %.3g, past its cap %d"
                 % (h, 2 * (k_hi + 1), t_cut, _CONTOUR_NODE_CAP))
-        # nodes (k + 1/2) h for k_lo <= k <= k_hi, both signs; theta on the
+        # nodes (k + 1/2) h for 0 <= k <= k_hi, both signs; theta on the
         # upper half
-        s_up, upper = _contour_nodes(plan, params, j, h, k_lo, k_hi)
+        s_up, upper = _contour_nodes(plan, params, j, h, k_hi)
         s = np.concatenate((s_up, s_up.conj()))
         expo = np.concatenate((upper, upper.conj())) - s * logz
         # a node or a sum past double range refuses before numpy warns, and
@@ -1053,20 +1051,19 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
         try:
             with np.errstate(over="raise"):
                 mags = np.exp(expo.real)
-                acc += h * complex(np.sum(np.exp(expo)))
-                abs_acc += h * float(np.sum(mags))
-                round_acc += h * float(np.sum(mags * (1.0 + np.abs(expo))))
+                acc = h * complex(np.sum(np.exp(expo)))
+                abs_acc = h * float(np.sum(mags))
+                round_acc = h * float(np.sum(mags * (1.0 + np.abs(expo))))
                 size = abs(acc)
         except (FloatingPointError, OverflowError):
             raise NonConvergence("contour overflowed double range") from None
         # |f| at the last node, on the upper and the lower half-line
-        tail = 2.0 * max(mags[k_hi - k_lo], mags[-1]) / rate
+        tail = 2.0 * max(mags[k_hi], mags[-1]) / rate
         if tail <= 0.1 * rel_tol * max(size, 1e-300):
             break
         if t_cut >= CONTOUR_T_CAP:
             raise NonConvergence(
                 "contour tail still %.2e at |Im s| = %g" % (tail, t_cut))
-        k_lo = k_hi + 1
         t_cut = min(1.5 * t_cut, CONTOUR_T_CAP)
     # M = e^(_LOG_STRIP_GROWTH + a |ln |z||) sum |f| makes
     # 2 M e^(-2 pi a/h) = 2 eps sum |f|

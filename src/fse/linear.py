@@ -21,8 +21,8 @@ from .errors import QuadratureFailure
 from .foxh import FoxHParams, _ROUTES, eval_auto
 from .numerics import log_gamma, power_sum
 from .quadrature import ray_segment
-from .result import (EvalResult, LinearConfig, _check_finite, _check_positive,
-                     _check_rel_tol, _route)
+from .result import (EvalResult, LinearConfig, _check_argument, _check_finite,
+                     _check_positive, _check_rel_tol, _check_scales, _route)
 
 _RAMP_STOP = 1e-16
 # largest exponent the ray integrand may reach: e^600 leaves a rounding
@@ -40,12 +40,26 @@ def _h_params(cfg: LinearConfig) -> FoxHParams:
                       lower=((0.0, 1.0), (c, w)))
 
 
+# the scales scaled_coordinate derives, in order
+_SCALES = ("length scale (C/(hbar F (alpha + 1)))^(1/(alpha + 1))", "n_norm")
+
+
 def scaled_coordinate(cfg: LinearConfig, x: float) -> float:
-    """Dimensionless y: coordinate shifted to the turning point and rescaled."""
+    """Dimensionless y: coordinate shifted to the turning point and rescaled.
+
+    The ramp's _SCALES are derived here for both routes and refused by name
+    (result._check_scales) when extreme but valid hbar, C and F take one
+    out of double range, and so is a y past it, as the ramp's argument."""
     _check_finite(x, "x")
-    scale = (cfg.c_alpha / (cfg.hbar * cfg.slope * (cfg.alpha + 1.0))) ** (
-        1.0 / (cfg.alpha + 1.0))
-    return (x - cfg.energy / cfg.slope) / cfg.hbar / scale
+    scales = []
+    try:
+        scales.append((cfg.c_alpha / (cfg.hbar * cfg.slope * (cfg.alpha + 1.0))) ** (
+            1.0 / (cfg.alpha + 1.0)))
+        scales.append(cfg.n_norm)
+    except (OverflowError, ZeroDivisionError):
+        scales.append(math.inf)
+    y = (x - cfg.energy / cfg.slope) / cfg.hbar / _check_scales(scales, _SCALES, cfg)[0]
+    return _check_argument(y, "ramp").real
 
 
 def _flag(label: str, x: float) -> str:

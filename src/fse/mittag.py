@@ -30,8 +30,9 @@ own side of the pole: left of it to lo <= phi, right of it to hi >= phi,
 so the pole lies at least as far from the nodes as the tuning assumed,
 and every z on the rung shares one contour.  A pole call whose rung's
 contour misses rel_tol runs again on one tuned to its own phi, which is
-not kept.  A cold call fills the tables and then reads them as a warm one
-does, and every kept value has the bits of a fresh one.
+not kept; it comes from the same builder as the kept ones (_build).  A
+cold call fills the tables and then reads them as a warm one does, and
+every kept value has the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -250,8 +251,9 @@ def _nodes(beta, mu, h, N):
 
 
 def _overflow_free(w, s_beta, num):
-    """(z_cap, arg_floor) of a pole-free contour: for |z| < z_cap and
-    |arg z| > arg_floor no node's (s^beta - z) w or quotient can overflow.
+    """(z_cap, arg_floor) of a contour's nodes: for |z| < z_cap and
+    |arg z| > arg_floor no node's (s^beta - z) w or quotient can overflow,
+    whether or not z has a pole on the principal sheet.
 
     |s^beta - z| |w| <= (max|s^beta| + |z|) max|w|, below DBL_MAX / 4
     under z_cap, which bounds the difference, every product the complex
@@ -271,27 +273,33 @@ def _overflow_free(w, s_beta, num):
     return z_cap, arg_floor
 
 
-@lru_cache(maxsize=_CONTOUR_CAP)
-def _contour(beta, log_epsilon, rung):
-    """The contour of a pole whose phi lies on the ladder's rung, or of
-    none at rung None: (h, N, w, s^beta, e^s s^beta, left, z_cap,
-    arg_floor), with _overflow_free's bound when there is no pole and
-    (0, inf), nothing free, with one.  Kept by lru_cache, which keys a
-    keyword call apart from a positional one, so every call passes the
-    three positionally."""
-    lo, hi = (0.0, 0.0) if rung is None else _rung_edges(rung, log_epsilon)
+def _build(beta, log_epsilon, lo, hi):
+    """The contour of a pole whose phi lies in [lo, hi], or of none at
+    lo = hi = 0 (_contour_params): (h, N, w, s^beta, e^s s^beta, left,
+    z_cap, arg_floor), with _overflow_free's bound on its nodes, which
+    holds whether or not the contour has a pole."""
     mu, h, N, left = _contour_params(lo, hi, log_epsilon)
     nodes = _nodes(beta, mu, h, N)
-    return (h, N) + nodes + (left,) + (
-        _overflow_free(*nodes) if rung is None else (0.0, math.inf))
+    return (h, N) + nodes + (left,) + _overflow_free(*nodes)
 
 
-def _invert(beta, z, log_epsilon, h, w, s_beta, num, residue_at, free):
-    """(value, err_est) of E_beta(z) on one contour: the nodes' sum, plus
-    the residue exp(s0)/beta at the pole s0 = residue_at when the contour
-    runs left of it (None otherwise).  free skips the overflow check of
-    the quotients (_overflow_free)."""
-    if free:
+@lru_cache(maxsize=_CONTOUR_CAP)
+def _contour(beta, log_epsilon, rung):
+    """The kept _build of a pole whose phi lies on the ladder's rung, built
+    at the rung's edges, or of none at rung None, built at 0, 0.  Kept by
+    lru_cache, which keys a keyword call apart from a positional one, so
+    every call passes the three positionally."""
+    lo, hi = (0.0, 0.0) if rung is None else _rung_edges(rung, log_epsilon)
+    return _build(beta, log_epsilon, lo, hi)
+
+
+def _invert(beta, z, log_epsilon, contour, pole):
+    """(value, err_est, nodes) of E_beta(z) on one contour record (_build):
+    the nodes' sum, plus the residue exp(s0)/beta at the pole s0 when the
+    record runs left of it.  Inside the record's _overflow_free bound the
+    quotients are formed without the overflow check."""
+    h, N, w, s_beta, num, left, z_cap, arg_floor = contour
+    if abs(z) < z_cap and abs(math.atan2(z.imag, z.real)) > arg_floor:
         contrib = num / ((s_beta - z) * w)
     else:
         try:
@@ -304,17 +312,17 @@ def _invert(beta, z, log_epsilon, h, w, s_beta, num, residue_at, free):
     integral = h / math.pi * contrib.sum()
     asum = h / math.pi * np.abs(contrib).sum()
     residue = 0.0 + 0.0j
-    if residue_at is not None:
+    if left:
         try:
-            residue += cmath.exp(residue_at) / beta
+            residue += cmath.exp(pole) / beta
         except OverflowError:
             raise NonConvergence(
-                "residue exp(%.4g) of E_beta(z) overflows double range" % residue_at.real)
+                "residue exp(%.4g) of E_beta(z) overflows double range" % pole.real)
     val = integral + residue
     err = 3.0 * math.exp(log_epsilon) * max(abs(integral), abs(val)) + MACH_EPS * (asum + abs(residue))
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise NonConvergence("contour value for E_beta overflowed double range")
-    return val, err
+    return val, err, 2 * N + 1
 
 
 def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
@@ -359,13 +367,16 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
     inside double range, and on the top rung the contour is the one tuned
     to phi.  Near double range (|z| ~ 5e307) (s^beta - z) w overflows at
     most nodes, which would then add 0 to the sum, so the quotients are
-    formed under np.errstate(over="raise") and an overflow refuses.  A
-    pole-free call skips that check (about 1.3 us) where its kept
-    contour's bound rules overflow out (_overflow_free): |z| below
-    DBL_MAX / (4 max|w|) - max|s^beta|, about 1e307, and |arg z| at least
-    1e-9 past every node's |arg s^beta| <= 2 beta atan(N h), which lies
-    well below beta pi, so the whole pole-free side clears it.  Past that
-    bound, and on every call with a pole, the check and its refusal stay.
+    formed under np.errstate(over="raise") and an overflow refuses.  Every
+    contour, kept or tuned to phi, comes from one builder (_build) with its
+    bound (_overflow_free), and a call skips that check (about 1.3 us)
+    where the bound rules overflow out: |z| below DBL_MAX / (4 max|w|) -
+    max|s^beta|, about 1e307, and |arg z| at least 1e-9 past every node's
+    |arg s^beta| <= 2 beta atan(N h).  That lies well below beta pi, so
+    the whole pole-free side clears it, and so do some pole calls (on the
+    time factor's E < 0 ray, from beta = 2/3, where the pole appears, to
+    about 0.75, and at some |z| beyond).  Past the bound the check and its
+    refusal stay.
     Returns (value, err_est, nodes), nodes summed over the contours it
     ran, raw like ml_series's tuple.
     """
@@ -387,15 +398,10 @@ def ml_contour(beta: float, z: complex, rel_tol: float = 1e-10):
             pole, phi = None, 0.0
 
     rung = None if pole is None else _rung(phi, log_epsilon)
-    h, N, w, s_beta, num, left, z_cap, arg_floor = _contour(beta, log_epsilon, rung)
-    val, err = _invert(beta, z, log_epsilon, h, w, s_beta, num, pole if left else None,
-                       abs(z) < z_cap and abs(ang) > arg_floor)
-    work = 2 * N + 1
+    val, err, work = _invert(beta, z, log_epsilon, _contour(beta, log_epsilon, rung), pole)
     if pole is not None and not _meets_tol(err, val, rel_tol):
-        mu, h, N, left = _contour_params(phi, phi, log_epsilon)
-        work += 2 * N + 1
-        val, err = _invert(beta, z, log_epsilon, h, *_nodes(beta, mu, h, N),
-                           pole if left else None, False)
+        val, err, nodes = _invert(beta, z, log_epsilon, _build(beta, log_epsilon, phi, phi), pole)
+        work += nodes
     if z.imag == 0.0:
         val = complex(val.real, 0.0)
     return val, err, work

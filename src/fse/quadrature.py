@@ -15,7 +15,9 @@ panels, a bisection step's two halves, or, in osc_semi_inf, the head's six
 panels graded toward p = 0 together with the first panels of OSC_BATCH
 half-period pieces, so most oscillatory integrals take one call of the
 integrand and, for the Euler sum of their pieces, one euler_alternating
-call.  A panel's error claim is at least its rounding floor (_ROUNDING).
+call; a batch's pieces whose first panel misses its tolerance are all
+bisected before that call.  A panel's error claim is at least its
+rounding floor (_ROUNDING).
 """
 
 from __future__ import annotations
@@ -151,12 +153,11 @@ def osc_semi_inf(g, omega: float, tol: float):
     pieces 0..j and 0..j-2 each have spread below 0.1 tol and agree within
     0.1 tol; err_est adds twice the larger of their spreads and twice
     their change to the panel errors, and work counts the pieces summed.
-    One euler_alternating call gives every estimate of a batch, so a batch
-    makes one call; a piece whose first panel misses its tolerance is
-    bisected only once every estimate before it has failed to stop, and
-    the estimates from it on take one more call.  g (a real array
-    integrand) must supply the oscillating factor itself, at any phase,
-    and decay algebraically.
+    Each batch first bisects every piece whose first panel misses its
+    tolerance, then makes one euler_alternating call, which gives every
+    estimate of the pieces so far, and one search of them for the stop.
+    g (a real array integrand) must supply the oscillating factor itself,
+    at any phase, and decay algebraically.
     """
     if omega <= 0.0:
         raise ValidationError("oscillation frequency hint must be positive")
@@ -176,30 +177,24 @@ def osc_semi_inf(g, omega: float, tol: float):
     while True:
         end = j + val.size
         pieces[j:end], perr[j:end] = val, err
-        miss = set((j + np.flatnonzero(err > piece_tol[j:end])).tolist())
-        starts = sorted(miss | {j})
-        for first, stop in zip(starts, starts[1:] + [end]):
-            if first in miss:
-                lo_j = half + first * half
-                pieces[first], perr[first], _ = _bisect(
-                    g, [(lo_j, lo_j + half, pieces[first], perr[first])],
-                    piece_tol[first], 60)
-            # stop attempts at odd j in [first, stop), each against j - 2
-            js = np.arange(max(9, first | 1), stop, 2)
-            if not js.size:
-                continue
-            est, spread = euler_alternating(pieces[:stop])
-            change = np.abs(est[js] - est[js - 2])
-            worst = np.maximum(np.maximum(spread[js], spread[js - 2]), change)
-            hit = np.flatnonzero(worst < 0.1 * tol)
-            if hit.size or stop == OSC_HALF_PERIODS:
-                k = hit[0] if hit.size else -1
-                n = int(js[k]) + 1
-                # the error is at most the last attempt's plus the change:
-                # near its sign change Euler's error stalls while the
-                # spread keeps falling, so the larger spread is charged
-                euler_err = 2.0 * (max(spread[n - 1], spread[n - 3]) + change[k])
-                return head + est[n - 1], head_err + perr[:n].sum() + euler_err, n
+        for i in (j + np.flatnonzero(err > piece_tol[j:end])).tolist():
+            lo_i = half + i * half
+            pieces[i], perr[i], _ = _bisect(g, [(lo_i, lo_i + half, pieces[i], perr[i])],
+                                            piece_tol[i], 60)
+        # stop attempts at odd j of this batch from 9 on, each against j - 2
+        js = np.arange(max(9, j | 1), end, 2)
+        est, spread = euler_alternating(pieces[:end])
+        change = np.abs(est[js] - est[js - 2])
+        worst = np.maximum(np.maximum(spread[js], spread[js - 2]), change)
+        hit = np.flatnonzero(worst < 0.1 * tol)
+        if hit.size or end == OSC_HALF_PERIODS:
+            k = hit[0] if hit.size else -1
+            n = int(js[k]) + 1
+            # the error is at most the last attempt's plus the change:
+            # near its sign change Euler's error stalls while the spread
+            # keeps falling, so the larger spread is charged
+            euler_err = 2.0 * (max(spread[n - 1], spread[n - 3]) + change[k])
+            return head + est[n - 1], head_err + perr[:n].sum() + euler_err, n
         j = end
         lo = half + np.arange(j, min(j + OSC_BATCH, OSC_HALF_PERIODS)) * half
         val, err = _panel_est(g, lo, lo + half)

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 from .errors import NonConvergence, ValidationError
 
+_DBL_MIN = 2.0 ** -1022  # the least normal float
+
 
 def _check_positive(value, name):
     if not (value > 0.0) or not math.isfinite(value):
@@ -27,14 +29,27 @@ def _check_finite(value, name):
 
 def _check_argument(z, name) -> complex:
     """complex(z) for the argument of the function called name: a NaN z
-    refuses as invalid, an infinite one as past double range (the class an
-    overflowed argument gets)."""
+    refuses as invalid, an infinite one, or a finite one whose modulus
+    overflows, as past double range (the class an overflowed argument
+    gets)."""
     z = complex(z)
     if cmath.isnan(z):
         raise ValidationError("%s argument is NaN" % name)
-    if cmath.isinf(z):
+    if math.hypot(z.real, z.imag) == math.inf:
         raise NonConvergence("%s argument %r is past double range" % (name, z))
     return z
+
+
+def _check_scales(scales, names, cfg):
+    """scales, the scales derived from cfg in the order of names, once
+    each is a normal float in double range: past it, or below the normal
+    floats, a product or quotient with it raises or loses its digits.  The
+    first that is not refuses with NonConvergence by its name; a caller
+    whose arithmetic raised gives inf for the scale it was deriving."""
+    for value, name in zip(scales, names):
+        if not _DBL_MIN <= abs(value) < math.inf:
+            raise NonConvergence("%s is out of double range at %r" % (name, cfg))
+    return scales
 
 
 def _meets_tol(err, value, rel_tol) -> bool:

@@ -32,9 +32,11 @@ there (ml_eval's and eval_auto's) is seen.  The same pass counts the
 calls of mittag._nodes, the contours a cold run builds rather than reads
 from the Mittag-Leffler table, of foxh._Plan, the H-function plans a
 cold run builds rather than reads from the plan table, of
+foxh._contour_nodes, one per length of cut an eval_contour call sums, so
+more calls than eval_contour's show contours that extended their cut, of
 quadrature._panel_est, the panel batches of the quadrature oracles, each
 one call of the integrand, and of quadrature's euler_alternating, one per
-batch of oscillatory pieces; none of the four returns work.  The foxh kernels are
+batch of oscillatory pieces; none of the five returns work.  The foxh kernels are
 never wrapped, since a rebound kernel makes every foxh plan cold.  It
 exits 1 if any tag, method, work or refusal class differs, and 0
 otherwise.
@@ -63,8 +65,9 @@ PASS_TIMEOUT_S = 600
 # reports; of those in CALLS_ONLY, whose output has no work, the calls
 COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"), ("mittag", "_nodes"),
            ("foxh", "eval_series"), ("foxh", "eval_contour"), ("foxh", "_Plan"),
-           ("quadrature", "_panel_est"), ("quadrature", "euler_alternating"))
-CALLS_ONLY = ("mittag._nodes", "foxh._Plan", "quadrature._panel_est",
+           ("foxh", "_contour_nodes"), ("quadrature", "_panel_est"),
+           ("quadrature", "euler_alternating"))
+CALLS_ONLY = ("mittag._nodes", "foxh._Plan", "foxh._contour_nodes", "quadrature._panel_est",
               "quadrature.euler_alternating")
 # of the COUNTED routes, those that return a raw (value, err_est, work)
 # tuple whatever its err_est; a pass also counts their answers that miss

@@ -73,6 +73,10 @@ def test_a_pass_counts_its_plan_builds():
     h_calls = sum(passes[0]["counts"]["foxh." + name][0]
                   for name in ("eval_series", "eval_contour"))
     assert builds[0] == builds[1] and 0 < builds[0][0] < h_calls and builds[0][1:] == [0, 0]
+    # each contour call sums at least one cut, and one more per extension
+    counts = passes[0]["counts"]
+    assert 0 < counts["foxh.eval_contour"][0] <= counts["foxh._contour_nodes"][0]
+    assert counts["foxh._contour_nodes"][1:] == [0, 0]
 
 
 def test_a_pass_counts_the_oracles_panel_calls():

@@ -506,6 +506,21 @@ def test_extreme_hbar_on_the_delta_well_exits_3(hbar, method):
     assert "NonConvergence" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("delta", "--alpha", "1.5", "--hbar", "1e80", "--c-alpha", "1e-180",
+     "--energy", "-1e170", "--grid", "0:1:2"),
+    ("linear", "--alpha", "1.5", "--hbar", "1e120", "--c-alpha", "1e-60",
+     "--slope", "1e180", "--grid", "0:1:2"),
+], ids=["delta", "linear"])
+def test_a_scale_past_double_range_exits_3(args):
+    # valid inputs whose derived scale leaves double range: (2 pi hbar)^2
+    # alpha E overflows, and the ramp's length scale underflows to 0
+    r = run_cli(*args)
+    assert r.returncode == 3, r.stderr
+    assert "NonConvergence" in r.stderr and "out of double range" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_contour_past_its_log_z_cap_exits_3():
     r = run_cli("foxh", "--m", "1", "--n", "0", "--lower", "0:1",
                 "--grid", "1e300:1e301:2")

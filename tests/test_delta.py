@@ -385,3 +385,12 @@ def test_quadrature_refuses_a_stalled_integral():
     with pytest.raises(QuadratureFailure, match="^resolvent integral stalled at "
                        r"error 1\.11e-18 for x = 100000$"):
         delta_quadrature(cfg, 1e5, abs_tol=1e-30)
+
+
+def test_an_oracle_node_past_double_range_refuses():
+    # C = 1e161 and E = -1e155: the tail's q (q - E) overflows at the first
+    # node, and the oracle refuses before numpy warns
+    cfg = DeltaConfig(alpha=1.6, hbar=2e-5, c_alpha=1e161, energy=-1e155,
+                      gamma_strength=1e112)
+    with pytest.raises(NonConvergence, match="^resolvent integral leaves double range"):
+        delta_quadrature(cfg, 0.0)

@@ -923,8 +923,8 @@ def test_contour_step_is_never_above_the_ideal_step():
 
 
 def test_contour_past_the_kept_node_cap_keeps_the_bits(monkeypatch):
-    # e^-20 takes two blocks of nodes; with room for none, the plan keeps
-    # nothing and the second block is evaluated on its own
+    # e^-20 extends its cut once; with room for none, the plan keeps
+    # nothing and the longer cut is evaluated and summed from k = 0
     z = 20.0
     want = eval_contour(EXP, z, 1e-6)
     _fresh_plans(monkeypatch)
@@ -932,13 +932,13 @@ def test_contour_past_the_kept_node_cap_keeps_the_bits(monkeypatch):
     blocks = []
     contour_nodes = foxh._contour_nodes
 
-    def spy(plan, params, j, h, k_lo, k_hi):
-        blocks.append(k_lo)
-        return contour_nodes(plan, params, j, h, k_lo, k_hi)
+    def spy(plan, params, j, h, k_hi):
+        blocks.append(k_hi)
+        return contour_nodes(plan, params, j, h, k_hi)
 
     monkeypatch.setattr(foxh, "_contour_nodes", spy)
     got = eval_contour(EXP, z, 1e-6)
-    assert len(blocks) == 2 and blocks[1] > 0
+    assert len(blocks) == 2 and blocks[1] > blocks[0]
     assert not foxh._plan(reduce_params(EXP)).rungs
     assert (got.value, got.err_est, got.work) == (want.value, want.err_est, want.work)
     assert abs(got.value - math.exp(-z)) <= got.err_est

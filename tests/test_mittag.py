@@ -512,9 +512,8 @@ def test_a_pole_call_that_misses_on_its_rung_runs_on_its_own_phi(monkeypatch):
     pole = abs(z) ** (1.0 / beta) * cmath.exp(1j * math.atan2(z.imag, z.real) / beta)
     runs = []
     for lo, hi in (mittag._rung_edges(mittag._rung(phi, _LOG_EPS_9), _LOG_EPS_9), (phi, phi)):
-        mu, h, N, left = mittag._contour_params(lo, hi, _LOG_EPS_9)
-        runs.append(mittag._invert(beta, z, _LOG_EPS_9, h, *mittag._nodes(beta, mu, h, N),
-                                   pole if left else None, False) + (2 * N + 1, left))
+        contour = mittag._build(beta, _LOG_EPS_9, lo, hi)
+        runs.append(mittag._invert(beta, z, _LOG_EPS_9, contour, pole) + (contour[5],))
     assert runs[0][1] > 1e-9 * abs(runs[0][0]) and not runs[0][3]
     assert runs[1][1] <= 1e-9 * abs(runs[1][0]) and runs[1][3]
     got = ml_contour(beta, z, 1e-9)
@@ -781,6 +780,16 @@ def test_contour_skips_the_overflow_check_only_inside_its_bound(monkeypatch, bet
         got = _bits(ml_contour, beta, z, 1e-9)
         assert calls == ([] if inside else [{"over": "raise"}]), z
         assert got == _forced_errstate_bits(monkeypatch, beta, z), z
+    # a pole call inside its rung contour's bound skips it too: on the
+    # E < 0 ray at beta 0.7 the nodes' |arg s^beta| stay below |arg z|
+    z = _ray(0.7, "neg", 2.0)
+    rung = mittag._rung(_pole_phi(0.7, z), log_epsilon)
+    z_cap, arg_floor = contours(0.7, log_epsilon, rung)[6:]
+    assert abs(z) < z_cap and abs(math.atan2(z.imag, z.real)) > arg_floor
+    del calls[:]
+    got = _bits(ml_contour, 0.7, z, 1e-9)
+    assert calls == []
+    assert got == _forced_errstate_bits(monkeypatch, 0.7, z)
     # far past the bound the check's refusal keeps its class and message
     del calls[:]
     with pytest.raises(NonConvergence,

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from fse.delta import delta_closed_form, delta_quadrature
 from fse import solution
-from fse.errors import ValidationError
+from fse.errors import EvaluationError, ValidationError
 from fse.linear import linear_closed_form, linear_quadrature
 from fse.result import DeltaConfig, LinearConfig, TimeConfig
 from fse.solution import full_solution
@@ -79,3 +81,40 @@ def test_space_route_quadrature_takes_the_oracle():
         got = solution._space_route(cfg, 1e-8, "quadrature")(0.7)
         want = oracle(cfg, 0.7, abs_tol=1e-8)
         assert (got.value, got.err_est, got.method) == (want.value, want.err_est, want.method)
+
+
+def _extreme_scale(rng):
+    return 10.0 ** rng.uniform(-200.0, 200.0)
+
+
+def test_extreme_but_valid_scales_refuse_with_a_typed_error():
+    # hbar, C, |E|, gamma, k_norm and the slope log-uniform in
+    # [1e-200, 1e200]: every route answers or refuses with a typed error,
+    # never a bare ZeroDivisionError, OverflowError or ValueError, nor a
+    # numpy RuntimeWarning (an error under this suite's warning filter)
+    rng = random.Random(20261020)
+    for _ in range(300):
+        alpha = rng.uniform(1.05, 2.0)
+        theta = rng.uniform(-1.0, 1.0) * min(alpha, 2.0 - alpha)
+        well = DeltaConfig(alpha=alpha, theta=theta, hbar=_extreme_scale(rng),
+                           c_alpha=_extreme_scale(rng), energy=-_extreme_scale(rng),
+                           gamma_strength=_extreme_scale(rng), k_norm=_extreme_scale(rng))
+        ramp = LinearConfig(alpha=alpha, theta=theta, hbar=_extreme_scale(rng),
+                            c_alpha=_extreme_scale(rng),
+                            energy=rng.choice((-1.0, 1.0)) * _extreme_scale(rng),
+                            slope=_extreme_scale(rng))
+        clock = TimeConfig(beta=rng.uniform(0.05, 1.0), hbar=_extreme_scale(rng),
+                           energy=rng.choice((-1.0, 1.0)) * _extreme_scale(rng))
+        x = rng.choice((0.0, 1.0, -2.5, _extreme_scale(rng), -_extreme_scale(rng)))
+        t = rng.choice((0.5, _extreme_scale(rng)))
+        for call in (lambda: delta_closed_form(well, x, 1e-6),
+                     lambda: delta_quadrature(well, x, 1e-6),
+                     lambda: linear_closed_form(ramp, x, 1e-6),
+                     lambda: linear_quadrature(ramp, x, 1e-6),
+                     lambda: full_solution(rng.choice((well, ramp)), x, t,
+                                           rng.uniform(0.1, 1.0), 1.0, 1e-6),
+                     lambda: time_factor(clock, t, 1e-6)):
+            try:
+                call()
+            except (ValidationError, EvaluationError):
+                pass
