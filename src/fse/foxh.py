@@ -92,6 +92,18 @@ once its claim, the rounding of the terms and of the largest partial sum
 plus that bound, is within rel_tol, and refuses as soon as the rounding
 part, which only grows, misses rel_tol whatever the rest adds.
 
+Past |z| of about 8 on the delta well that rounding part, which grows
+like eps e^(mu t*) with the terms' peak (Braaksma), swamps an H that
+falls like its descending expansion, and the series refuses after
+summing its whole hump.  eval_auto predicts that refusal before the
+first term (_series_misses): from z-free inputs kept per set, Braaksma's
+constants (_miss_inputs) and the descending expansion's first two
+nonzero terms (_miss_lead), it screens the point in O(1), and where the
+screen cannot rule a miss out it reads the rounding that eval_series
+charges the terms at the peak, and then near it, from the set's kept
+parts, the latter summed in numpy from rows kept beside them
+(_miss_rows); on a predicted miss the contour runs first.
+
 One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
 its last answer, which it replays only as the exact conjugate H(conj z) =
@@ -126,6 +138,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -738,13 +751,18 @@ class _Plan:
     that needs further nodes extends them, as long as the plan keeps at
     most _KEPT_NODE_CAP nodes over all its rungs; past that it evaluates
     the rest without keeping it.
+
+    The rows of _series_misses, left None until it first reads the plan:
+    every nonzero part summed so far, all chains in one order of rising
+    t, as arrays (_miss_rows), with cover, the t below which they hold
+    every nonzero part of every chain.
     """
 
-    __slots__ = ("inverted", "recipe", "reach", "parts", "scales", "line", "rungs")
+    __slots__ = ("inverted", "recipe", "reach", "parts", "scales", "line", "rungs", "rows")
 
     def __init__(self):
         self.inverted = False
-        self.recipe = self.reach = self.parts = self.scales = self.line = None
+        self.recipe = self.reach = self.parts = self.scales = self.line = self.rows = None
         self.rungs = {}
 
 
@@ -1072,15 +1090,289 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                    "contour", "contour", 2 * (k_hi + 1))
 
 
+# _series_misses fires where a part of the series' rounding floor exceeds
+# _MISS_MARGIN rel_tol S, S its size of H.  It reads the series' terms
+# only where Braaksma's estimate eps e^(mu t*) of that floor is within
+# e^_MISS_SCREEN of the threshold, and sums them up to t = t* +
+# _MISS_REACH sqrt(t*) + _MISS_PAD where the peak's error is within
+# _MISS_SPREAD of it and that takes at most _MISS_ROWS_CAP parts.  The
+# measurements behind each are in its docstring
+_MISS_MARGIN = 3.0
+_MISS_SCREEN = 8.0
+_MISS_REACH = 4.0
+_MISS_PAD = 8.0
+_MISS_ROWS_CAP = 256
+_MISS_SPREAD = 100.0
+# the poles of each right chain searched for the first two nonzero terms
+# of the descending expansion
+_LEAD_POLES = 8
+
+
+def _descending_lead(params: FoxHParams):
+    """(t, log |coefficient|) of the first two nonzero terms, in rising t,
+    of the descending expansion of H: the residues at the right poles
+    s = t = (1 - a + k)/A, each |c| |z|^-t, with math.lgamma for every
+    other gamma factor.  A denominator gamma on its pole makes a term 0;
+    None where a numerator gamma meets one (a double pole) or fewer than
+    two nonzero terms lie within the first _LEAD_POLES poles of the
+    chains (with no right chain, H is exponentially small)."""
+    forms = _gamma_forms(params)
+    lead = []
+    for j in range(params.m, params.m + params.n):
+        _, c_j, du_j, _ = forms[j]
+        others = [(sign, c, du) for pos, (sign, c, du, _) in enumerate(forms) if pos != j]
+        found = 0
+        for k in range(_LEAD_POLES):
+            t = (c_j + k) / -du_j
+            tol = _EXACT_COLLISION_TOL * max(1.0, abs(t))
+            log_coef = -math.lgamma(k + 1.0) - math.log(-du_j)
+            zero = False
+            for sign, c, du in others:
+                u = c + du * t
+                if u <= 0.0 and abs(u - round(u)) < tol:
+                    if sign > 0:
+                        return None
+                    zero = True
+                elif not zero:
+                    log_coef += sign * math.lgamma(u)
+            if not zero:
+                lead.append((t, log_coef))
+                found += 1
+                if found == 2:
+                    break
+    lead.sort()
+    return tuple(lead[:2]) if len(lead) >= 2 else None
+
+
+@lru_cache(maxsize=PLAN_CAP)
+def _miss_inputs(params: FoxHParams):
+    """Braaksma's constants of the set, the z-free inputs of
+    _series_misses's screen: (inverted, mu, log beta, pi sigma/2), or None
+    for a series-index-0 set.  mu is |series index| and beta =
+    prod B^B / prod A^A over the set the series sums (the inverted one
+    when inverted), which with sigma a cancelling pair (reduce_params)
+    leaves alone, so they are read off params as given."""
+    mu = series_index(params)
+    if abs(mu) <= 1e-12:
+        return None
+    log_beta = (sum(wt * math.log(wt) for _, wt in params.lower)
+                - sum(wt * math.log(wt) for _, wt in params.upper))
+    return mu < 0.0, abs(mu), log_beta if mu > 0.0 else -log_beta, 0.5 * math.pi * sigma(params)
+
+
+@lru_cache(maxsize=PLAN_CAP)
+def _miss_lead(params: FoxHParams):
+    """The inputs of _series_misses past its first screen, for a set of
+    nonzero series index: (lead, span), lead the _descending_lead of the
+    set the series sums, read off params as given (a cancelling pair
+    adds the same log to the numerator and the denominator), and span
+    (sum B, m - sum b) over its left chains, so that the parts with
+    t <= T number at most T sum B + m - sum b; None where there is no
+    _descending_lead."""
+    summed = invert_argument(params) if series_index(params) < 0.0 else params
+    lead = _descending_lead(summed)
+    if lead is None:
+        return None
+    left = summed.lower[:summed.m]
+    return lead, (sum(wt for _, wt in left), summed.m - sum(b for b, _ in left))
+
+
+# the reduced params of the sets _series_misses reads the parts of
+_reduced = lru_cache(maxsize=PLAN_CAP)(reduce_params)
+
+
+def _miss_rows(plan: _Plan, t_cut: float):
+    """plan.rows, first extended to hold every nonzero part with t <= t_cut:
+    each chain's parts are built on as eval_series builds them, and the
+    rows rebuilt from all the parts kept.  The rows are (cover, t as a
+    list and as an array, r + i i, 1/weight, 4 + sens/eps, brackets):
+    every nonzero part with t < cover, in rising t (chain order among
+    equal t), with r + i i its log at ln w = 0 (as in _finish, the weight
+    apart), and brackets the (row, head plus log derivative) of its
+    double poles.  A part that refuses raises, as in eval_series, and is
+    not kept."""
+    if plan.rows is not None and t_cut < plan.rows[0]:
+        return plan.rows
+    recipe, parts = plan.recipe, plan.parts
+    cover = math.inf
+    for chain, (b, wt) in enumerate(recipe.params.lower[:recipe.params.m]):
+        built = parts[chain]
+        while (b + len(built)) / wt <= t_cut:
+            built.append(_term_part(recipe, chain, len(built)))
+        cover = min(cover, (b + len(built)) / wt)
+    rows = []
+    for part in itertools.chain.from_iterable(parts):
+        if part is not None:
+            t, log_fact, log_ratio, weight, _, sens, merge = part
+            bracket = None
+            if merge is not None:
+                lead, shift, bracket = merge
+                log_ratio += shift - lead
+            rows.append((t, log_ratio - log_fact, 1.0 / weight, 4.0 + sens / MACH_EPS,
+                         None if bracket is None else bracket[0]))
+    rows.sort(key=lambda row: row[0])
+    t, log_part, inv_weight, rel = (np.array(col) for col in list(zip(*rows))[:4])
+    brackets = tuple((j, row[4]) for j, row in enumerate(rows) if row[4] is not None)
+    plan.rows = (cover, list(t), t, log_part, inv_weight, rel, brackets)
+    return plan.rows
+
+
+def _miss_floor(rows, t_cut: float, logw: complex) -> float:
+    """The rounding that eval_series charges the nonzero terms with
+    t <= t_cut at ln w, from their rows (_miss_rows): each term's
+    (4 + |Re L| + |Im L|) eps + sens times its modulus, L its log, as in
+    _finish; a double pole's modulus takes its bracket, but not the
+    bracket's own rounding.  A term past e^700, which eval_series refuses,
+    counts as e^700."""
+    _, t_list, t, log_part, inv_weight, rel, brackets = rows
+    n = bisect_right(t_list, t_cut)
+    log_term = log_part[:n] + t[:n] * logw
+    x = log_term.real
+    mag = np.exp(np.minimum(x, 700.0)) * inv_weight[:n]
+    for j, derivs in brackets:
+        if j < n:
+            mag[j] *= abs(derivs - logw)
+    return MACH_EPS * float(np.dot(np.abs(x) + np.abs(log_term.imag) + rel[:n], mag))
+
+
+def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
+    """Whether eval_series at z will refuse on its rounding floor,
+    predicted from (params, z, rel_tol) before its first term.
+
+    The series sums at w = z, or at w = 1/z on the inverted set (series
+    index < 0).  Its terms peak near e^(mu t*), t* = (|w|/beta)^(1/mu)
+    (Braaksma, Compositio Math. 15 (1964); Mathai, Saxena and Haubold, The
+    H-Function, Springer 2010, ch. 1), so its rounding floor grows like
+    eps e^(mu t*), while H falls like its descending expansion.  The size
+    S of H is the first two nonzero terms of that expansion
+    (_descending_lead) plus Braaksma's exponential
+    e^(-mu t* sin(min(delta/mu, pi/2))), delta = pi sigma/2 - |arg w| the
+    distance to the sector's edge: near alpha = 2 the delta well's and the
+    ramp's algebraic terms vanish like sin(pi alpha/2), and H is that
+    exponential, e^-zeta and the Airy decay.  A miss is predicted when a
+    part of the floor eval_series charges its terms (_finish) exceeds
+    _MISS_MARGIN rel_tol S: the largest error of a term at the two poles
+    of each chain nearest t* (_peak_error), or else the sum over every
+    term with t <= t* + 4 sqrt(t*) + 8 (_miss_floor), both read from the
+    set's kept parts.  The series sums each of those terms before it can
+    stop (a chain that still grows has no rest bound), so its floor is at
+    least either, and only S can make a prediction wrong.
+
+    The constants were measured on the 3,360 eval_series calls of
+    delta-grid (seeds 1-3, rounds 0-39) and the 1,728 of param-sweep
+    (rounds 0-15), each series summed to its end, |H| from the contour at
+    rel_tol 1e-12.  |H|/S lies in 0.41-1.08 over all of them (without the
+    exponential, up to 221 near alpha = 2); the summed floor is 0.88-1.0
+    of the series' final one; the series that answer end with a floor of
+    at most 0.99 rel_tol |H|, those refused on their error estimate at
+    most 2.0, and those refused on their rounding floor from 2.0 on,
+    median 23 and 44.  Over 60,000 seeded random delta and ramp points
+    (the sweep of test_a_predicted_series_miss_is_a_refusal on other
+    seeds) the largest summed floor of a series that answers lay between
+    2.0 and 2.5 rel_tol S.  So the margin 3 keeps every series that
+    answers, and every one refused on its estimate, from firing; it
+    catches 908 of the 1,069 rounding refusals of delta-grid and 495 of
+    the 572 of param-sweep.  The summed floor exceeds eps e^(mu t*) by
+    e^1.2-e^20 (the power of t* and the sines that Braaksma's estimate
+    leaves out), so the screen, which returns False at once where
+    eps e^(mu t*) e^_MISS_SCREEN is below the threshold (first with S
+    bounded below by its exponential alone, which needs no lead), costs
+    19 and 13 of those catches.  The summed floor is 9-15 times the peak
+    error on the ramp, and 1.8-860 times (95 %) on the delta well, where
+    a near-zero sine can put the hump's largest term away from t*: it is
+    not summed where the peak error is below 1/_MISS_SPREAD of the
+    threshold, which costs 12 and 2 catches and spares the sum on 3 in 4
+    of the ramps that reach it.  A call that would read more than
+    _MISS_ROWS_CAP parts, far past the workloads' range, reads only the
+    poles at t*, built afresh.
+
+    The prediction is a pure function of (params, z, rel_tol): the sum
+    reads the terms with t <= t* + 4 sqrt(t*) + 8 in one order whatever
+    else the plan has kept, and a kept part has the bits of a fresh one.
+    It returns False where it cannot tell: a series-index-0 set, a set
+    with no descending expansion, z outside the sector or past
+    CONTOUR_LOG_Z_CAP (where the contour refuses), a part that refuses or
+    a term past double range.  Invalid input returns False, for eval_series
+    to refuse as it does."""
+    if not 0.0 < abs(z) < math.inf:
+        return False
+    inputs = _miss_inputs(params)
+    if inputs is None:
+        return False
+    inverted, mu, log_beta, edge = inputs
+    log_r = -math.log(abs(z)) if inverted else math.log(abs(z))
+    delta = edge - abs(math.atan2(z.imag, z.real))
+    if delta <= 0.0 or abs(log_r) > CONTOUR_LOG_Z_CAP:
+        return False
+    try:
+        t_star = math.exp((log_r - log_beta) / mu)
+        log_floor = mu * t_star + _MISS_SCREEN - _LOG_INV_EPS
+        log_exponential = -mu * t_star * math.sin(min(delta / mu, 0.5 * math.pi))
+        # S is at least its exponential, so no lead is needed where even
+        # that puts the floor out of reach
+        if not rel_tol > 0.0 or log_floor < math.log(_MISS_MARGIN * rel_tol) + log_exponential:
+            return False
+        lead = _miss_lead(params)
+        if lead is None:
+            return False
+        terms, span = lead
+        size = math.exp(log_exponential)
+        for t, log_coef in terms:
+            size += math.exp(log_coef - t * log_r)
+        gate = _MISS_MARGIN * rel_tol * size
+        if not gate > 0.0 or log_floor < math.log(gate):
+            return False
+        plan = _series_plan(_reduced(params))
+        logw = cmath.log(1.0 / z if inverted else z)
+        t_cut = t_star + _MISS_REACH * math.sqrt(t_star) + _MISS_PAD
+        near = t_cut * span[0] + span[1] <= _MISS_ROWS_CAP
+        peak = _peak_error(plan, t_star, logw, near)
+        if peak > gate:
+            return True
+        return (near and peak * _MISS_SPREAD > gate
+                and _miss_floor(_miss_rows(plan, t_cut), t_cut, logw) > gate)
+    except (OverflowError, DegeneratePoles, NonConvergence):
+        return False
+
+
+def _peak_error(plan: _Plan, t_star: float, logw: complex, keep: bool) -> float:
+    """The largest error eval_series charges a term at ln w among the two
+    poles of each chain nearest t*; 0 where they pass TERM_CAP sweeps.
+    With keep, the plan's parts are built on to those poles as
+    eval_series builds them; without it, a part the plan does not hold
+    is built afresh and not kept, since the plan keeps only every part up
+    to its last."""
+    recipe, parts = plan.recipe, plan.parts
+    err = 0.0
+    for chain, (b, wt) in enumerate(recipe.params.lower[:recipe.params.m]):
+        k = max(math.floor(t_star * wt - b), 0)
+        if k + 1 >= TERM_CAP:
+            return 0.0
+        built = parts[chain]
+        while keep and len(built) <= k + 1:
+            built.append(_term_part(recipe, chain, len(built)))
+        for pole in (k, k + 1):
+            part = built[pole] if pole < len(built) else _term_part(recipe, chain, pole)
+            err = max(err, _finish(part, logw)[1])
+    return err
+
+
 # (params, z, rel_tol, value, err_est, method) of eval_auto's last
 # computed answer: its fields, not the EvalResult the caller holds
 _conj_memo = None
 
 
 def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
-    """Series first, contour as fallback on degenerate poles or slow series.
+    """Series first, contour as fallback on degenerate poles or slow series,
+    unless the series is predicted to refuse on its rounding floor.
 
     A series-index-0 set always takes the contour: eval_series refuses it.
+    Where _series_misses predicts, before the series' first term, that its
+    rounding floor misses rel_tol, the contour runs first, and the series
+    only if the contour refuses; when both refuse, the contour's refusal
+    is raised, as on the other order.  The prediction fires on no series
+    that answers, so either order returns the same answer or refusal
+    class.
 
     A call with the same params and rel_tol at the conjugate of the last
     computed z, off the real axis, is answered from that answer: with real
@@ -1098,10 +1390,19 @@ def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalRes
     if memo is not None and z.imag != 0.0 and z == memo[1].conjugate() \
             and rel_tol == memo[2] and params == memo[0]:
         return EvalResult(memo[3].conjugate(), memo[4], memo[5], 0)
-    try:
-        r = eval_series(params, z, rel_tol)
-    except (DegeneratePoles, NonConvergence):
-        r = eval_contour(params, z, rel_tol)
+    if _series_misses(params, z, rel_tol):
+        try:
+            r = eval_contour(params, z, rel_tol)
+        except (NonConvergence, NoSeparatingContour) as refusal:
+            try:
+                r = eval_series(params, z, rel_tol)
+            except (DegeneratePoles, NonConvergence):
+                raise refusal from None
+    else:
+        try:
+            r = eval_series(params, z, rel_tol)
+        except (DegeneratePoles, NonConvergence):
+            r = eval_contour(params, z, rel_tol)
     _conj_memo = (params, z, rel_tol, r.value, r.err_est, r.method)
     return r
 

@@ -21,25 +21,27 @@ the outcome diff of the first pass of each side
 with the semantics of tests/compare_outcomes.py: its summary (compare) and
 its last-bit check (identical).  The outcome lines have the format of
 tests/outcomes.py.  Per workload it also prints, for each side, the calls,
-refusals and returned work of the COUNTED routes, and for the raw
+refusals and returned work of the COUNTED routes, for the raw
 Mittag-Leffler routes (MISSED) the answers whose err_est misses the
-call's rel_tol, which ml_eval passes over: a count no machine noise
-moves.  They are taken in one
-more subprocess of each side, before the timed ones, by an untimed pass
-that runs first in it, so every kept table starts cold.  Wrappers on the
-routes' module globals count them, so every call that looks them up
-there (ml_eval's and eval_auto's) is seen.  The same pass counts the
+call's rel_tol, which ml_eval passes over, and for foxh.eval_series its
+refusals by class (REFUSAL_CLASSES): on its rounding floor, on its error
+estimate, and other; counts no machine noise moves.  They are taken in
+one more subprocess of each side, before the timed ones, by an untimed
+pass that runs first in it, so every kept table starts cold.  Wrappers
+on the routes' module globals count them, so every call that looks them
+up there (ml_eval's and eval_auto's) is seen.  The same pass counts the
 calls of mittag._nodes, the contours a cold run builds rather than reads
 from the Mittag-Leffler table, of foxh._Plan, the H-function plans a
 cold run builds rather than reads from the plan table, of
-foxh._contour_nodes, one per length of cut an eval_contour call sums, so
-more calls than eval_contour's show contours that extended their cut, of
-quadrature._panel_est, the panel batches of the quadrature oracles, each
-one call of the integrand, and of quadrature's euler_alternating, one per
-batch of oscillatory pieces; none of the five returns work.  The foxh kernels are
-never wrapped, since a rebound kernel makes every foxh plan cold.  It
-exits 1 if any tag, method, work or refusal class differs, and 0
-otherwise.
+foxh._term_part, the z-free parts of residue terms a run builds rather
+than reads from a plan, of foxh._contour_nodes, one per length of cut an
+eval_contour call sums, so more calls than eval_contour's show contours
+that extended their cut, of quadrature._panel_est, the panel batches of
+the quadrature oracles, each one call of the integrand, and of
+quadrature's euler_alternating, one per batch of oscillatory pieces;
+none of the six returns work.  The foxh kernels are never wrapped, since
+a rebound kernel makes every foxh plan cold.  It exits 1 if any tag,
+method, work or refusal class differs, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -65,10 +67,14 @@ PASS_TIMEOUT_S = 600
 # reports; of those in CALLS_ONLY, whose output has no work, the calls
 COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"), ("mittag", "_nodes"),
            ("foxh", "eval_series"), ("foxh", "eval_contour"), ("foxh", "_Plan"),
-           ("foxh", "_contour_nodes"), ("quadrature", "_panel_est"),
+           ("foxh", "_term_part"), ("foxh", "_contour_nodes"), ("quadrature", "_panel_est"),
            ("quadrature", "euler_alternating"))
-CALLS_ONLY = ("mittag._nodes", "foxh._Plan", "foxh._contour_nodes", "quadrature._panel_est",
-              "quadrature.euler_alternating")
+CALLS_ONLY = ("mittag._nodes", "foxh._Plan", "foxh._term_part", "foxh._contour_nodes",
+              "quadrature._panel_est", "quadrature.euler_alternating")
+# of the COUNTED routes, those whose refusals a pass also counts by class:
+# (class, a phrase of its messages) in turn, the rest as other
+REFUSAL_CLASSES = {"foxh.eval_series": (("rounding", "rounding error"),
+                                        ("estimate", "error estimate"))}
 # of the COUNTED routes, those that return a raw (value, err_est, work)
 # tuple whatever its err_est; a pass also counts their answers that miss
 # rel_tol
@@ -90,11 +96,13 @@ def _evaluate(calls):
     return results, seconds
 
 
-def _counting(fn, tally, work=True, missed=False):
+def _counting(fn, tally, work=True, missed=False, classes=()):
     """fn, adding 1 to tally[0] per call, 1 to tally[1] per refusal and,
     with work, its work (an EvalResult's, or a raw tuple's last field) to
     tally[2]; with missed, 1 to tally[3] per raw answer whose err_est
-    misses the call's rel_tol."""
+    misses the call's rel_tol; with classes, 1 per refusal to tally[3 + j]
+    for the first class j whose phrase its message holds, or to the last
+    field, other."""
     import inspect
 
     import fse
@@ -106,8 +114,11 @@ def _counting(fn, tally, work=True, missed=False):
         tally[0] += 1
         try:
             out = fn(*args, **kw)
-        except fse.EvaluationError:
+        except fse.EvaluationError as exc:
             tally[1] += 1
+            if classes:
+                tally[3 + next((j for j, (_, phrase) in enumerate(classes) if phrase in str(exc)),
+                               len(classes))] += 1
             raise
         if work:
             tally[2] += out.work if hasattr(out, "work") else out[2]
@@ -121,8 +132,9 @@ def _counting(fn, tally, work=True, missed=False):
 
 def count(calls) -> dict:
     """[calls, refusals, work] of each COUNTED route over one pass of calls,
-    with missed answers fourth for the MISSED ones, counted by wrappers on
-    the routes' module globals, restored after."""
+    with missed answers fourth for the MISSED ones and the refusals by
+    class after for the REFUSAL_CLASSES ones, counted by wrappers on the
+    routes' module globals, restored after."""
     import importlib
 
     counts, kept = {}, []
@@ -131,8 +143,11 @@ def count(calls) -> dict:
         fn = getattr(mod, name)
         kept.append((mod, name, fn))
         key = "%s.%s" % (module, name)
-        setattr(mod, name, _counting(fn, counts.setdefault(key, [0] * (4 if key in MISSED else 3)),
-                                     work=key not in CALLS_ONLY, missed=key in MISSED))
+        classes = REFUSAL_CLASSES.get(key, ())
+        fields = 3 + (key in MISSED) + (len(classes) + 1 if classes else 0)
+        setattr(mod, name, _counting(fn, counts.setdefault(key, [0] * fields),
+                                     work=key not in CALLS_ONLY, missed=key in MISSED,
+                                     classes=classes))
     try:
         _evaluate(calls)
     finally:
@@ -210,7 +225,13 @@ def ab(old: str, new: str, workload: str, seeds: str, rounds: str, pairs: int) -
               % (name, p50, p90, pairs))
     for name in counts[0]:
         old_n, new_n = counts[0][name], counts[1][name]
-        fields = ("calls",) if name in CALLS_ONLY else ("calls", "refused", "work", "missed")
+        classes = tuple(c for c, _ in REFUSAL_CLASSES.get(name, ()))
+        if name in CALLS_ONLY:
+            fields = ("calls",)
+        elif classes:
+            fields = ("calls", "refused", "work") + classes + ("other",)
+        else:
+            fields = ("calls", "refused", "work", "missed")
         print("  %s: %s" % (name, ", ".join("%s %d -> %d" % f for f in zip(fields, old_n, new_n))))
     ok = compare(*lines)
     identical(*lines)

@@ -45,8 +45,9 @@ def test_two_passes_of_one_tree_count_alike(capsys):
     contour = counts["mittag.ml_contour"]
     assert contour[0] > 0 and 0 <= contour[3] < contour[0]
     # time_factor never reaches foxh or the quadrature engines
-    assert counts["foxh.eval_series"] == counts["foxh.eval_contour"] == [0, 0, 0]
-    assert counts["foxh._Plan"] == [0, 0, 0]
+    assert counts["foxh.eval_series"] == [0] * 6
+    assert counts["foxh.eval_contour"] == counts["foxh._Plan"] == [0, 0, 0]
+    assert counts["foxh._term_part"] == [0, 0, 0]
     assert counts["quadrature._panel_est"] == [0, 0, 0]
     # the timed passes of an A/B print each side's counts
     assert main([str(SRC), str(SRC), "--workloads", "time-grid", "--seeds", "1",
@@ -77,6 +78,13 @@ def test_a_pass_counts_its_plan_builds():
     counts = passes[0]["counts"]
     assert 0 < counts["foxh.eval_contour"][0] <= counts["foxh._contour_nodes"][0]
     assert counts["foxh._contour_nodes"][1:] == [0, 0]
+    # the term parts a cold pass builds, alike in both passes; and every
+    # series refusal falls in one class, the rounding floor, the error
+    # estimate or other
+    parts = [out["counts"]["foxh._term_part"] for out in passes]
+    assert parts[0] == parts[1] and parts[0][0] > 0 and parts[0][1:] == [0, 0]
+    calls, refused, work, rounding, estimate, other = counts["foxh.eval_series"]
+    assert rounding + estimate + other == refused < calls
 
 
 def test_a_pass_counts_the_oracles_panel_calls():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fse import foxh
-from fse.delta import _even_part_params, _odd_part_params
+from fse.delta import _even_part_params, _odd_part_params, delta_closed_form
 from fse.errors import (DegeneratePoles, DomainError, EvaluationError,
                         NoSeparatingContour, NonConvergence, PoleOfGamma,
                         ValidationError, ZeroBase)
@@ -454,6 +454,131 @@ def test_series_waits_for_a_chain_that_still_grows(alpha, z):
             assert route is eval_series
             continue
         assert abs(got.value - ref.value) <= got.err_est + ref.err_est
+
+
+@pytest.mark.parametrize("alpha, z", [
+    (1.05, 225.0), (1.02, 228.07), (1.02, 285.54), (1.06, 228.07), (1.06, 285.54)])
+def test_auto_answers_the_far_odd_part_from_the_contour_alone(alpha, z, monkeypatch):
+    # the series' terms peak near e^(2 |z|) here, so eval_series summed
+    # 1,100-1,400 terms (25-40 ms) before it refused; the refusal is
+    # predicted from one pole of each chain at the peak, and eval_auto
+    # answers from the contour without calling the series at all
+    params = _odd_part_params(alpha)
+    assert foxh._series_misses(params, z, 1e-9)
+    contour = eval_contour(params, z, 1e-9)
+
+    def series(*args):
+        raise AssertionError("eval_series ran on a predicted miss")
+
+    monkeypatch.setattr(foxh, "eval_series", series)
+    got = eval_auto(params, z, 1e-9)
+    assert got.method == "contour" and got.work == contour.work
+    assert got.value == contour.value and got.err_est == contour.err_est
+
+
+def test_a_predicted_miss_falls_back_to_the_series_and_raises_the_contours_refusal(
+        monkeypatch):
+    # on a predicted miss the contour runs first; if it refuses, the series
+    # runs, and when both refuse the contour's refusal is raised, as on the
+    # series-first order
+    params, z = _even_part_params(1.5), 2.0
+    series = eval_series(params, z, 1e-9)
+    monkeypatch.setattr(foxh, "_series_misses", lambda *args: True)
+
+    def refusing(*args):
+        raise NonConvergence("contour refused")
+
+    monkeypatch.setattr(foxh, "eval_contour", refusing)
+    got = eval_auto(params, z, 1e-9)
+    assert (got.value, got.method, got.work) == (series.value, "series", series.work)
+
+    def series_refusing(*args):
+        raise DegeneratePoles("series refused")
+
+    monkeypatch.setattr(foxh, "eval_series", series_refusing)
+    with pytest.raises(NonConvergence, match="contour refused"):
+        eval_auto(params, 3.0, 1e-9)
+
+
+def _miss_sweep_calls(seed):
+    """Seeded (params, z, rel_tol) over random delta-well parts, at phases
+    up to 0.98 of the sector's edge, and ramps, at moduli from 0.05 to 60
+    and at e^20, e^60 and e^110 below the contour's cap, plus the sets of
+    tests/collision_refs.py on a grid of moduli and phases."""
+    rng = np.random.default_rng(seed)
+    tols = (1e-3, 1e-6, 1e-9, 1e-12, 1e-14)
+    sets = []
+    for _ in range(150):
+        alpha = float(rng.uniform(1.0, 2.0))
+        kind = int(rng.integers(3))
+        if kind == 2:
+            theta = float(rng.uniform(-1.0, 1.0) * min(alpha, 2.0 - alpha))
+            sets.append((_h_params(LinearConfig(alpha=alpha, theta=theta)), [0.0]))
+        else:
+            params = (_even_part_params, _odd_part_params)[kind](alpha)
+            edge = 0.5 * math.pi * sigma(params)
+            sets.append((params, list(rng.uniform(-0.98, 0.98, 2) * edge)))
+    for params, phases in sets:
+        moduli = list(np.exp(rng.uniform(math.log(0.05), math.log(60.0), 3)))
+        for r in moduli + [math.exp(20.0), math.exp(60.0), math.exp(110.0)]:
+            for phase in phases:
+                for rel_tol in tols:
+                    yield params, float(r) * cmath.exp(1j * float(phase)), rel_tol
+    for params in (list(COLLISION_SETS.values()) + list(CONTOUR_SETS.values())
+                   + list(DELTA0_SETS.values())):
+        edge = 0.5 * math.pi * sigma(params)
+        for r in (0.5, 2.0, 4.0, 8.0, 16.0, 40.0):
+            for frac in (0.0, 0.5, 0.95):
+                for rel_tol in tols:
+                    yield params, r * cmath.exp(1j * frac * edge), rel_tol
+
+
+def test_a_predicted_series_miss_is_a_refusal():
+    # every series _series_misses sends to the contour first refuses, so
+    # skipping it moves no answer; the sweep reaches near the sector's
+    # edge, rel_tol 1e-14 and the collision sets, where the size of H is
+    # hardest to predict
+    predicted = calls = 0
+    for params, z, rel_tol in _miss_sweep_calls(41):
+        calls += 1
+        if foxh._series_misses(params, z, rel_tol):
+            predicted += 1
+            with pytest.raises((NonConvergence, DegeneratePoles)):
+                eval_series(params, z, rel_tol)
+    assert calls > 8000 and predicted > 1500
+
+
+def test_series_miss_decisions_do_not_depend_on_kept_plans():
+    # the decisions made during a delta-grid round, on plans the round
+    # itself warms, are those of a warm pass after it and of cold plans
+    from perfbench.workloads import delta_grid
+
+    seen = []
+    predict = foxh._series_misses
+
+    def recording(params, z, rel_tol):
+        seen.append(((params, z, rel_tol), predict(params, z, rel_tol)))
+        return seen[-1][1]
+
+    foxh._kept_plan.cache_clear()
+    foxh._miss_inputs.cache_clear()
+    foxh._miss_lead.cache_clear()
+    foxh._reduced.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foxh, "_series_misses", recording)
+        for r in range(3):
+            for p in delta_grid(1, r):
+                delta_closed_form(p.cfg, p.coord, **p.tol_kwargs)
+    assert any(fired for _, fired in seen) and not all(fired for _, fired in seen)
+    warm = [predict(*call) for call, _ in seen]
+    cold = []
+    for call, _ in seen:
+        foxh._kept_plan.cache_clear()
+        foxh._miss_inputs.cache_clear()
+        foxh._miss_lead.cache_clear()
+        foxh._reduced.cache_clear()
+        cold.append(predict(*call))
+    assert warm == cold == [fired for _, fired in seen]
 
 
 def test_ramp_series_err_est_bounds_its_error():
