@@ -5,9 +5,13 @@ coef * H(z): the even part at zeta e^(-i phi) and zeta e^(i phi), then the
 odd part at half those arguments, phi = theta pi/(2 alpha).  Each second
 term is the exact conjugate of the first in argument and coefficient, and
 with real parameters H(conj z) = conj H(z), so eval_auto computes two H
-values and replays the other two.  At theta = 0 the odd part cancels and
-the list is one even term at the real zeta, the Riesz-case well of
-de Oliveira, Costa & Vaz (J. Math. Phys. 51, 123517, 2010).  At x = 0,
+values and replays the other two.  The two parts' H sets are kept per
+alpha (_even_part_params, _odd_part_params), least recently used out
+first, PLAN_CAP of each, the policy of foxh's plan table: a call on a
+known well builds no set and hands foxh the very sets its plans are
+keyed on.  At theta = 0 the odd part cancels and the list is one even
+term at the real zeta, the Riesz-case well of de Oliveira, Costa & Vaz
+(J. Math. Phys. 51, 123517, 2010).  At x = 0,
 where the paper fixes the energy by self-consistency, only the even
 part's first residue is left, and psi(0) is elementary.  The
 quadrature route integrates the momentum-space resolvent directly and is
@@ -20,17 +24,20 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonConvergence, QuadratureFailure, ValidationError
 # eval_auto is unused here; its binding stays for perfbench's CONSUMER_SITES
-from .foxh import FoxHParams, _ROUTES, eval_auto
+from .foxh import PLAN_CAP, FoxHParams, _ROUTES, eval_auto
 from .quadrature import adaptive, osc_semi_inf, tail_algebraic
 from .result import (DeltaConfig, EvalResult, _accept, _check_finite, _check_positive,
                      _check_rel_tol, _check_scales, _route)
 
 
+# kept per alpha under foxh's table policy (see the module docstring)
+@lru_cache(maxsize=PLAN_CAP)
 def _even_part_params(alpha: float) -> FoxHParams:
     a1 = 1.0 - 1.0 / alpha
     return FoxHParams(m=2, n=1,
@@ -38,6 +45,7 @@ def _even_part_params(alpha: float) -> FoxHParams:
                       lower=((0.0, 1.0), (a1, 1.0 / alpha), (0.5, 0.5)))
 
 
+@lru_cache(maxsize=PLAN_CAP)
 def _odd_part_params(alpha: float) -> FoxHParams:
     a1 = 1.0 - 1.0 / alpha
     return FoxHParams(m=2, n=1,

@@ -96,13 +96,14 @@ Past |z| of about 8 on the delta well that rounding part, which grows
 like eps e^(mu t*) with the terms' peak (Braaksma), swamps an H that
 falls like its descending expansion, and the series refuses after
 summing its whole hump.  eval_auto predicts that refusal before the
-first term (_series_misses): from z-free inputs kept per set, Braaksma's
-constants (_miss_inputs) and the descending expansion's first two
-nonzero terms (_miss_lead), it screens the point in O(1), and where the
-screen cannot rule a miss out it reads the rounding that eval_series
-charges the terms at the peak, and then near it, from the set's kept
-parts, the latter summed in numpy from rows kept beside them
-(_miss_rows); on a predicted miss the contour runs first.
+first term (_series_misses).  It screens the point in O(1) from
+Braaksma's constants, which the set's plan derived when it was built;
+where the screen cannot rule a miss out, it reads the descending
+expansion's first two nonzero terms, kept on the plan the first time
+(_descending_lead), and then the rounding that eval_series charges the
+terms at the peak, and near it, from the set's kept parts, the latter
+summed in numpy from rows kept beside them (_miss_rows); on a predicted
+miss the contour runs first.
 
 One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
@@ -110,27 +111,31 @@ its last answer, which it replays only as the exact conjugate H(conj z) =
 conj H(z).  A replay can differ from a fresh evaluation at conj z in
 rounding, within both err_est, and needs no invalidation.  And an
 lru_cache (_kept_plan) keeps the plans (_Plan) of the last PLAN_CAP H
-sets that either route ran on, least recently used out first, the one
-policy of every table the package keeps across calls.  A plan's series
-part is extended as a later call needs further poles or the rest bound
-reads further scales.  Its contour part holds the set's line and
-reflection pairs, read once per plan, and log theta on the nodes of each
-step rung a call has used: eval_contour rounds its step down to a fixed
-ladder, so calls at nearby |ln |z|| share their nodes, and a call finds
-theta on the nodes kept and extends them as its cut needs; a cut that
-grows is summed again from its first node, so the sums carry nothing
-from one length of the cut to the next.  A plan is
-z-free, so any z reuses it, and a term, a scale or a node value from it
-has the bits of a fresh one.  A term that refuses is not kept, and
-refuses afresh on every call.
+sets that a route or the prediction ran on, least recently used out
+first, the one policy of every table the package keeps across calls.  A
+plan is the one record of its set, keyed on the set as given: built, it
+derives the reduced set, its existence index and sector edge, its series
+index and Braaksma's constants once, so a call on a known set makes one
+lookup of the table and none of those derivations.  Two sets that reduce
+alike have a plan each.  A plan's series part is extended as a later
+call needs further poles or the rest bound reads further scales.  Its
+contour part holds the set's line and reflection pairs, read once per
+plan, and log theta on the nodes of each step rung a call has used:
+eval_contour rounds its step down to a fixed ladder, so calls at nearby
+|ln |z|| share their nodes, and a call finds theta on the nodes kept and
+extends them as its cut needs; a cut that grows is summed again from its
+first node, so the sums carry nothing from one length of the cut to the
+next.  A plan is z-free, so any z reuses it, and a term, a scale or a
+node value from it has the bits of a fresh one.  A term that refuses is
+not kept, and refuses afresh on every call.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
-up as module globals at call time: by eval_series and eval_contour, whose
-plans are keyed on the reduced H set and the four kernels bound at the
-call, by _flat, when a plan builds its recipe and when a merged pole
-folds its factors, and by the contour once per folded factor on each
-block of new nodes.  So rebinding any of them between calls (to count or
-time them) starts a fresh plan, which sees every kernel call, still one
-per folded factor per term or per block of nodes.
+up as module globals at call time: by eval_series, eval_contour and
+_series_misses, whose plans are keyed on the H set and the four kernels
+bound at the call, by _flat, when a plan builds its recipe and when a
+merged pole folds its factors, and by the contour once per folded factor
+on each block of new nodes.  So rebinding any of them between calls (to
+count or time them) starts a fresh plan, which sees every kernel call,
+still one per folded factor per term or per block of nodes.
 """
 
 from __future__ import annotations
@@ -238,21 +243,24 @@ def series_index(params: FoxHParams) -> float:
 def exists(params: FoxHParams, z: complex) -> bool:
     """Strict sector test: z finite and nonzero, sigma > 0,
     |arg z| < pi*sigma/2."""
+    sig = sigma(params)
     try:
-        _require_exists(params, z)
+        _require_exists(z, sig, 0.5 * math.pi * sig)
     except (ValidationError, ZeroBase, NonConvergence, DomainError):
         return False
     return True
 
 
 def _prepare(params: FoxHParams, z: complex, rel_tol: float):
-    """The reduced params and complex z of an evaluation, once rel_tol and z
-    pass and z lies in the existence sector."""
+    """The plan of params (_plan) and the complex z of an evaluation, once
+    rel_tol and z pass and z lies in the existence sector of the reduced
+    set: one lookup of the plan table, which derived the set's sector when
+    it built the plan."""
     _check_rel_tol(rel_tol)
     z = complex(z)
-    params = reduce_params(params)
-    _require_exists(params, z)
-    return params, z
+    plan = _plan(params)
+    _require_exists(z, plan.sigma, plan.edge)
+    return plan, z
 
 
 def _answer(z: complex, value: complex, err: float, rel_tol: float, what: str,
@@ -309,21 +317,20 @@ def invert_argument(params: FoxHParams) -> FoxHParams:
     return FoxHParams(m=params.n, n=params.m, upper=new_upper, lower=new_lower)
 
 
-def _require_exists(params: FoxHParams, z: complex):
+def _require_exists(z: complex, sig: float, edge: float):
     """Refuse a NaN z as invalid, an infinite one as past double range (the
-    class an overflowed argument gets), z = 0, and z outside the sector."""
+    class an overflowed argument gets), z = 0, and z outside the sector
+    |arg z| < edge = pi sig/2 of existence index sig."""
     z = _check_argument(z, "H-function")
     if z == 0:
         raise ZeroBase("H-function argument must be nonzero")
-    sig = sigma(params)
     if sig <= 0.0:
         raise DomainError("existence index sigma = %g is not positive" % sig)
     # math.atan2, not cmath.phase, which overflows at z = 1e300 + 1e-300j
     arg = abs(math.atan2(z.imag, z.real))
-    if arg >= 0.5 * math.pi * sig:
+    if arg >= edge:
         raise DomainError(
-            "|arg z| = %.6f outside the existence sector pi*sigma/2 = %.6f"
-            % (arg, 0.5 * math.pi * sig))
+            "|arg z| = %.6f outside the existence sector pi*sigma/2 = %.6f" % (arg, edge))
 
 
 _EXACT_COLLISION_TOL = 1e-11
@@ -732,43 +739,62 @@ def _rest_bound(plan: _Plan, k: int, hist, room: float):
 
 
 class _Plan:
-    """What eval_series and eval_contour keep of one reduced H set, each
-    route's part built the first time that route runs on the set.
+    """The one record kept of an H set, keyed on the set as given: what
+    eval_series, eval_contour and _series_misses read of it, each route's
+    part built the first time it is needed.
 
-    The series part, left None by a series-index-0 set: whether the
-    series runs on the inverted set, the recipe of that set, reach[chain]
-    (the last pole k of the chain that a denominator gamma can zero),
-    parts[chain], the _term_part of each pole k summed so far by any call,
-    and scales[chain], a dict from pole k to its _pole_scale (sine, gain),
-    filled the first time _rest_bound reads that pole.  A call that needs
-    a later pole appends its part; a part that refuses is not stored, so a
-    later call recomputes it and refuses alike.
+    Derived when the plan is built, once per set: params, the set reduced
+    (reduce_params), on which both routes run; sigma, its existence index,
+    and edge = pi sigma/2, the sector's edge, which _require_exists, the
+    contour's decay rate and the prediction's distance to the edge read;
+    mu, its series index, 0 where it is within 1e-12 of 0; and log_beta,
+    Braaksma's log(prod B^B / prod A^A) of the set the series sums (the
+    inverted one where mu < 0).
 
-    The contour part: line, the set's (gamma, a, pi sigma/2, reflection
-    pairs), and rungs, a dict from a step's rung j (_contour_step) to the
-    upper half-line nodes gamma + i(k + 1/2)h_j, k = 0, 1, ..., that any
-    call has evaluated, as the arrays of s and of log theta(s).  A call
-    that needs further nodes extends them, as long as the plan keeps at
-    most _KEPT_NODE_CAP nodes over all its rungs; past that it evaluates
-    the rest without keeping it.
+    The series part, left None by a series-index-0 set: the recipe of the
+    set the series sums, reach[chain] (the last pole k of the chain that a
+    denominator gamma can zero), parts[chain], the _term_part of each pole
+    k summed so far by any call, and scales[chain], a dict from pole k to
+    its _pole_scale (sine, gain), filled the first time _rest_bound reads
+    that pole.  A call that needs a later pole appends its part; a part
+    that refuses is not stored, so a later call recomputes it and refuses
+    alike.  lead, the _descending_lead of the recipe, is kept by the first
+    _series_misses call that reads it.
 
-    The rows of _series_misses, left None until it first reads the plan:
+    The contour part: line, the set's (gamma, a, reflection pairs), and
+    rungs, a dict from a step's rung j (_contour_step) to the upper
+    half-line nodes gamma + i(k + 1/2)h_j, k = 0, 1, ..., that any call
+    has evaluated, as the arrays of s and of log theta(s).  A call that
+    needs further nodes extends them, as long as the plan keeps at most
+    _KEPT_NODE_CAP nodes over all its rungs; past that it evaluates the
+    rest without keeping it.
+
+    The rows of _series_misses, left None until it first sums the floor:
     every nonzero part summed so far, all chains in one order of rising
     t, as arrays (_miss_rows), with cover, the t below which they hold
     every nonzero part of every chain.
     """
 
-    __slots__ = ("inverted", "recipe", "reach", "parts", "scales", "line", "rungs", "rows")
+    __slots__ = ("params", "sigma", "edge", "mu", "log_beta", "recipe", "reach", "parts",
+                 "scales", "lead", "line", "rungs", "rows")
 
-    def __init__(self):
-        self.inverted = False
-        self.recipe = self.reach = self.parts = self.scales = self.line = self.rows = None
+    def __init__(self, params: FoxHParams):
+        self.params = params = reduce_params(params)
+        self.sigma = sigma(params)
+        self.edge = 0.5 * math.pi * self.sigma
+        mu = series_index(params)
+        self.mu = mu if abs(mu) > 1e-12 else 0.0
+        log_beta = (sum(wt * math.log(wt) for _, wt in params.lower)
+                    - sum(wt * math.log(wt) for _, wt in params.upper))
+        self.log_beta = log_beta if mu > 0.0 else -log_beta
+        self.recipe = self.reach = self.parts = self.scales = self.lead = None
+        self.line = self.rows = None
         self.rungs = {}
 
 
-# the plans by (reduced params, log_gamma, digamma, log_reflection,
-# pi_cot_pi), least recently used first.  A series part costs well under
-# a megabyte at the benchmark's term counts, and a contour part at most
+# the plans by (params, log_gamma, digamma, log_reflection, pi_cot_pi),
+# least recently used first.  A series part costs well under a megabyte
+# at the benchmark's term counts, and a contour part at most
 # _KEPT_NODE_CAP nodes of 32 bytes (s and log theta), 64 KB; so PLAN_CAP
 # plans keep at most 2 MB of contour nodes
 PLAN_CAP = 32
@@ -777,29 +803,28 @@ _KEPT_NODE_CAP = 1 << 11
 
 @lru_cache(maxsize=PLAN_CAP)
 def _kept_plan(params, log_gamma, digamma, log_reflection, pi_cot_pi) -> _Plan:
-    """A fresh plan, kept by params and the four kernels it is keyed on."""
-    return _Plan()
+    """A fresh plan of params, kept by params and the four kernels it is
+    keyed on."""
+    return _Plan(params)
 
 
 def _plan(params: FoxHParams) -> _Plan:
-    """The plan of the reduced params under the kernels bound now: a
-    rebinding of any of the four starts a cold plan, whose terms and nodes
-    make every kernel call afresh."""
+    """The plan of params under the kernels bound now: a rebinding of any
+    of the four starts a cold plan, whose terms and nodes make every
+    kernel call afresh."""
     return _kept_plan(params, log_gamma, digamma, log_reflection, pi_cot_pi)
 
 
-def _series_plan(params: FoxHParams) -> _Plan:
-    """The plan of the reduced params with its series part built.  A
-    series-index-0 set refuses, and its plan keeps no series part."""
-    plan = _plan(params)
+def _series_plan(plan: _Plan) -> _Plan:
+    """The plan with its series part built, on the inverted set where the
+    series index is negative.  A series-index-0 set refuses, and its plan
+    keeps no series part."""
     if plan.recipe is not None:
         return plan
-    mu = series_index(params)
-    if abs(mu) <= 1e-12:
+    if not plan.mu:
         raise NonConvergence(
             "series index 0: the residue series converges only inside a finite radius")
-    if mu < 0.0:
-        params = invert_argument(params)
+    params = invert_argument(plan.params) if plan.mu < 0.0 else plan.params
     m = params.m
     # the last pole k of each chain (b, B) that a denominator gamma
     # 1/Gamma(1 - b' - B' s), zero only at s >= (1 - b')/B', can zero:
@@ -808,7 +833,6 @@ def _series_plan(params: FoxHParams) -> _Plan:
                       default=-1.0) for b, wt in params.lower[:m]]
     plan.parts = [[] for _ in range(m)]
     plan.scales = [{} for _ in range(m)]
-    plan.inverted = mu < 0.0
     plan.recipe = _series_recipe(params, _reflection_pairs(params))
     return plan
 
@@ -851,9 +875,9 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     call on a set summed before makes kernel calls only for the poles past
     those earlier calls reached.
     """
-    params, z = _prepare(params, z, rel_tol)
-    plan = _series_plan(params)
-    if plan.inverted:
+    plan, z = _prepare(params, z, rel_tol)
+    _series_plan(plan)
+    if plan.mu < 0.0:
         z = 1.0 / z
     logz = cmath.log(z)
     recipe, reach, parts = plan.recipe, plan.reach, plan.parts
@@ -971,19 +995,19 @@ def _contour_step(a: float, log_abs_z: float):
     return j, h
 
 
-def _contour_nodes(plan: _Plan, params: FoxHParams, j: int, h: float, k_hi: int):
-    """s and log theta(s) at the upper half-line nodes gamma + i(k + 1/2)h
-    of rung j, 0 <= k <= k_hi: the kept ones, and the rest evaluated and
-    kept after them while the plan has room.  A cut extended past its
-    first block asks again from k = 0, so its kept nodes are read, not
-    evaluated again."""
+def _contour_nodes(plan: _Plan, j: int, h: float, k_hi: int):
+    """s and log theta(s) of the plan's set at the upper half-line nodes
+    gamma + i(k + 1/2)h of rung j, 0 <= k <= k_hi: the kept ones, and the
+    rest evaluated and kept after them while the plan has room.  A cut
+    extended past its first block asks again from k = 0, so its kept
+    nodes are read, not evaluated again."""
     s_kept, log_kept = plan.rungs.get(j, (_NO_NODES, _NO_NODES))
     n = len(s_kept)
     if k_hi >= n:
-        gam, _, _, pairs = plan.line
+        gam, _, pairs = plan.line
         s_new = gam + 1j * h * (np.arange(n, k_hi + 1) + 0.5)
         s_kept = np.concatenate((s_kept, s_new))
-        log_kept = np.concatenate((log_kept, _log_theta(params, pairs, s_new)))
+        log_kept = np.concatenate((log_kept, _log_theta(plan.params, pairs, s_new)))
         if sum(len(s) for s, _ in plan.rungs.values()) - n + k_hi + 1 <= _KEPT_NODE_CAP:
             plan.rungs[j] = (s_kept, log_kept)
     return s_kept[:k_hi + 1], log_kept[:k_hi + 1]
@@ -1039,18 +1063,16 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
     lower half is their conjugate.  z^-s is still taken at every node,
     since z may be complex.  work counts the nodes, 2 (k_hi + 1).
     """
-    params, z = _prepare(params, z, rel_tol)
+    plan, z = _prepare(params, z, rel_tol)
     logz = cmath.log(z)
     if abs(logz) > CONTOUR_LOG_Z_CAP:
         raise NonConvergence("|log z| = %.1f is past the contour's cap %g"
                              % (abs(logz), CONTOUR_LOG_Z_CAP))
-    plan = _plan(params)
     if plan.line is None:
-        gam, lo, hi = _contour_line(params)
-        plan.line = (gam, _STRIP_SHIFT * min(gam - lo, hi - gam),
-                     0.5 * math.pi * sigma(params), _reflection_pairs(params))
-    _, a, edge, _ = plan.line
-    rate = edge - abs(logz.imag)
+        gam, lo, hi = _contour_line(plan.params)
+        plan.line = (gam, _STRIP_SHIFT * min(gam - lo, hi - gam), _reflection_pairs(plan.params))
+    a = plan.line[1]
+    rate = plan.edge - abs(logz.imag)
     j, h = _contour_step(a, abs(logz.real))
     t_cut = min((math.log(100.0 / rel_tol) + 8.0) / rate, CONTOUR_T_CAP)
     while True:
@@ -1061,7 +1083,7 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                 % (h, 2 * (k_hi + 1), t_cut, _CONTOUR_NODE_CAP))
         # nodes (k + 1/2) h for 0 <= k <= k_hi, both signs; theta on the
         # upper half
-        s_up, upper = _contour_nodes(plan, params, j, h, k_hi)
+        s_up, upper = _contour_nodes(plan, j, h, k_hi)
         s = np.concatenate((s_up, s_up.conj()))
         expo = np.concatenate((upper, upper.conj())) - s * logz
         # a node or a sum past double range refuses before numpy warns, and
@@ -1108,17 +1130,18 @@ _MISS_SPREAD = 100.0
 _LEAD_POLES = 8
 
 
-def _descending_lead(params: FoxHParams):
+def _descending_lead(recipe: _Recipe):
     """(t, log |coefficient|) of the first two nonzero terms, in rising t,
-    of the descending expansion of H: the residues at the right poles
-    s = t = (1 - a + k)/A, each |c| |z|^-t, with math.lgamma for every
-    other gamma factor.  A denominator gamma on its pole makes a term 0;
-    None where a numerator gamma meets one (a double pole) or fewer than
-    two nonzero terms lie within the first _LEAD_POLES poles of the
-    chains (with no right chain, H is exponentially small)."""
-    forms = _gamma_forms(params)
+    of the descending expansion of the recipe's set, the one the series
+    sums: the residues at the right poles s = t = (1 - a + k)/A, each
+    |c| |w|^-t, with math.lgamma for every other gamma factor of the
+    recipe's forms.  A denominator gamma on its pole makes a term 0; ()
+    where a numerator gamma meets one (a double pole) or fewer than two
+    nonzero terms lie within the first _LEAD_POLES poles of the chains
+    (with no right chain, H is exponentially small)."""
+    forms, m = recipe.forms, recipe.params.m
     lead = []
-    for j in range(params.m, params.m + params.n):
+    for j in range(m, m + recipe.params.n):
         _, c_j, du_j, _ = forms[j]
         others = [(sign, c, du) for pos, (sign, c, du, _) in enumerate(forms) if pos != j]
         found = 0
@@ -1131,7 +1154,7 @@ def _descending_lead(params: FoxHParams):
                 u = c + du * t
                 if u <= 0.0 and abs(u - round(u)) < tol:
                     if sign > 0:
-                        return None
+                        return ()
                     zero = True
                 elif not zero:
                     log_coef += sign * math.lgamma(u)
@@ -1141,44 +1164,7 @@ def _descending_lead(params: FoxHParams):
                 if found == 2:
                     break
     lead.sort()
-    return tuple(lead[:2]) if len(lead) >= 2 else None
-
-
-@lru_cache(maxsize=PLAN_CAP)
-def _miss_inputs(params: FoxHParams):
-    """Braaksma's constants of the set, the z-free inputs of
-    _series_misses's screen: (inverted, mu, log beta, pi sigma/2), or None
-    for a series-index-0 set.  mu is |series index| and beta =
-    prod B^B / prod A^A over the set the series sums (the inverted one
-    when inverted), which with sigma a cancelling pair (reduce_params)
-    leaves alone, so they are read off params as given."""
-    mu = series_index(params)
-    if abs(mu) <= 1e-12:
-        return None
-    log_beta = (sum(wt * math.log(wt) for _, wt in params.lower)
-                - sum(wt * math.log(wt) for _, wt in params.upper))
-    return mu < 0.0, abs(mu), log_beta if mu > 0.0 else -log_beta, 0.5 * math.pi * sigma(params)
-
-
-@lru_cache(maxsize=PLAN_CAP)
-def _miss_lead(params: FoxHParams):
-    """The inputs of _series_misses past its first screen, for a set of
-    nonzero series index: (lead, span), lead the _descending_lead of the
-    set the series sums, read off params as given (a cancelling pair
-    adds the same log to the numerator and the denominator), and span
-    (sum B, m - sum b) over its left chains, so that the parts with
-    t <= T number at most T sum B + m - sum b; None where there is no
-    _descending_lead."""
-    summed = invert_argument(params) if series_index(params) < 0.0 else params
-    lead = _descending_lead(summed)
-    if lead is None:
-        return None
-    left = summed.lower[:summed.m]
-    return lead, (sum(wt for _, wt in left), summed.m - sum(b for b, _ in left))
-
-
-# the reduced params of the sets _series_misses reads the parts of
-_reduced = lru_cache(maxsize=PLAN_CAP)(reduce_params)
+    return tuple(lead[:2]) if len(lead) >= 2 else ()
 
 
 def _miss_rows(plan: _Plan, t_cut: float):
@@ -1286,46 +1272,55 @@ def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
     _MISS_ROWS_CAP parts, far past the workloads' range, reads only the
     poles at t*, built afresh.
 
-    The prediction is a pure function of (params, z, rel_tol): the sum
-    reads the terms with t <= t* + 4 sqrt(t*) + 8 in one order whatever
-    else the plan has kept, and a kept part has the bits of a fresh one.
-    It returns False where it cannot tell: a series-index-0 set, a set
+    Every z-free input is read from the set's plan, in one lookup of the
+    plan table: mu, beta and the sector's edge, derived when the plan was
+    built; the series part, which the screen's pass builds if no call has
+    (eval_series, which runs next when the prediction does not fire,
+    builds it anyway); and the lead, kept on the plan the first time it is
+    read.  The prediction is a pure function of (params, z, rel_tol): the
+    sum reads the terms with t <= t* + 4 sqrt(t*) + 8 in one order
+    whatever else the plan has kept, and a kept part has the bits of a
+    fresh one.  It returns False where it cannot tell: a series-index-0 set, a set
     with no descending expansion, z outside the sector or past
     CONTOUR_LOG_Z_CAP (where the contour refuses), a part that refuses or
     a term past double range.  Invalid input returns False, for eval_series
     to refuse as it does."""
     if not 0.0 < abs(z) < math.inf:
         return False
-    inputs = _miss_inputs(params)
-    if inputs is None:
+    plan = _plan(params)
+    if not plan.mu:
         return False
-    inverted, mu, log_beta, edge = inputs
+    inverted = plan.mu < 0.0
+    mu = abs(plan.mu)
     log_r = -math.log(abs(z)) if inverted else math.log(abs(z))
-    delta = edge - abs(math.atan2(z.imag, z.real))
+    delta = plan.edge - abs(math.atan2(z.imag, z.real))
     if delta <= 0.0 or abs(log_r) > CONTOUR_LOG_Z_CAP:
         return False
     try:
-        t_star = math.exp((log_r - log_beta) / mu)
+        t_star = math.exp((log_r - plan.log_beta) / mu)
         log_floor = mu * t_star + _MISS_SCREEN - _LOG_INV_EPS
         log_exponential = -mu * t_star * math.sin(min(delta / mu, 0.5 * math.pi))
         # S is at least its exponential, so no lead is needed where even
         # that puts the floor out of reach
         if not rel_tol > 0.0 or log_floor < math.log(_MISS_MARGIN * rel_tol) + log_exponential:
             return False
-        lead = _miss_lead(params)
-        if lead is None:
+        recipe = _series_plan(plan).recipe
+        if plan.lead is None:
+            plan.lead = _descending_lead(recipe)
+        if not plan.lead:
             return False
-        terms, span = lead
         size = math.exp(log_exponential)
-        for t, log_coef in terms:
+        for t, log_coef in plan.lead:
             size += math.exp(log_coef - t * log_r)
         gate = _MISS_MARGIN * rel_tol * size
         if not gate > 0.0 or log_floor < math.log(gate):
             return False
-        plan = _series_plan(_reduced(params))
         logw = cmath.log(1.0 / z if inverted else z)
         t_cut = t_star + _MISS_REACH * math.sqrt(t_star) + _MISS_PAD
-        near = t_cut * span[0] + span[1] <= _MISS_ROWS_CAP
+        # the parts with t <= t_cut number at most t_cut sum B + m - sum b
+        left = recipe.params.lower[:recipe.params.m]
+        near = (t_cut * sum(wt for _, wt in left)
+                + (recipe.params.m - sum(b for b, _ in left))) <= _MISS_ROWS_CAP
         peak = _peak_error(plan, t_star, logw, near)
         if peak > gate:
             return True

@@ -47,6 +47,7 @@ def test_two_passes_of_one_tree_count_alike(capsys):
     # time_factor never reaches foxh or the quadrature engines
     assert counts["foxh.eval_series"] == [0] * 6
     assert counts["foxh.eval_contour"] == counts["foxh._Plan"] == [0, 0, 0]
+    assert counts["foxh.reduce_params"] == [0, 0, 0]
     assert counts["foxh._term_part"] == [0, 0, 0]
     assert counts["quadrature._panel_est"] == [0, 0, 0]
     # the timed passes of an A/B print each side's counts
@@ -74,6 +75,8 @@ def test_a_pass_counts_its_plan_builds():
     h_calls = sum(passes[0]["counts"]["foxh." + name][0]
                   for name in ("eval_series", "eval_contour"))
     assert builds[0] == builds[1] and 0 < builds[0][0] < h_calls and builds[0][1:] == [0, 0]
+    # a plan reduces its set once, when it is built
+    assert [out["counts"]["foxh.reduce_params"] for out in passes] == builds
     # each contour call sums at least one cut, and one more per extension
     counts = passes[0]["counts"]
     assert 0 < counts["foxh.eval_contour"][0] <= counts["foxh._contour_nodes"][0]

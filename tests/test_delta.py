@@ -24,6 +24,22 @@ def test_even_in_x_when_unskewed():
         assert a.value == b.value
 
 
+def test_a_known_well_builds_no_h_set(monkeypatch):
+    # the even and odd parts' sets are kept per alpha: a second call on
+    # one well, at another x, builds and validates no FoxHParams, and a
+    # call on a new alpha builds its two
+    cfg = DeltaConfig(alpha=1.43, theta=0.2, c_alpha=1.0, energy=-0.5)
+    delta_closed_form(cfg, 0.7)
+    built = []
+    post_init = foxh.FoxHParams.__post_init__
+    monkeypatch.setattr(foxh.FoxHParams, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    delta_closed_form(cfg, 1.9)
+    assert built == []
+    delta_closed_form(DeltaConfig(alpha=1.4301, theta=0.2, c_alpha=1.0, energy=-0.5), 1.9)
+    assert len(built) == 2
+
+
 def test_linear_in_normalization():
     base = DeltaConfig(alpha=1.7, theta=0.1, c_alpha=0.8, energy=-0.4)
     scaled = DeltaConfig(alpha=1.7, theta=0.1, c_alpha=0.8, energy=-0.4,

@@ -136,6 +136,37 @@ def test_reduce_params_cancels_pairs():
         assert reduce_params(params) is params
 
 
+def test_a_padded_set_answers_through_its_own_plan_with_its_reduced_bits(monkeypatch):
+    # plans are keyed on the set as given: a set that reduces to EXP has a
+    # plan of its own, which holds the reduced set, and both routes answer
+    # from it with the bits of EXP
+    plans = _fresh_plans(monkeypatch)
+    padded = FoxHParams(m=2, n=0, upper=((0.3, 0.7),), lower=((0.0, 1.0), (0.3, 0.7)))
+    for route in (eval_series, eval_contour):
+        assert route(padded, 1.2, 1e-10) == route(EXP, 1.2, 1e-10)
+    assert foxh._plan(padded) is not foxh._plan(EXP)
+    assert foxh._plan(padded).params == EXP and plans.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("route", [eval_series, eval_contour, eval_auto])
+def test_a_warm_route_call_derives_nothing_of_its_set(monkeypatch, route):
+    # the plan derives the reduced set and its sector when it is built: a
+    # later call on the set at a new z reduces nothing and takes no sigma,
+    # and a call on a new set takes one of each
+    _fresh_plans(monkeypatch)
+    params = _even_part_params(1.37)
+    route(params, 0.8 * cmath.exp(0.3j), 1e-9)
+    calls = []
+    for name in ("reduce_params", "sigma"):
+        fn = getattr(foxh, name)
+        monkeypatch.setattr(foxh, name,
+                            lambda p, fn=fn, name=name: calls.append(name) or fn(p))
+    route(params, 1.1 * cmath.exp(-0.2j), 1e-9)
+    assert calls == []
+    route(_odd_part_params(1.37), 1.1 * cmath.exp(-0.2j), 1e-9)
+    assert calls == ["reduce_params", "sigma"]
+
+
 def test_lemma31_fixed_examples():
     lhs, rhs = _lemma31_check(1.0, 0.0, 1.0, 1.0)
     assert abs(lhs - 0.5) < 1e-15 and abs(rhs - 0.5) < 1e-9
@@ -561,9 +592,6 @@ def test_series_miss_decisions_do_not_depend_on_kept_plans():
         return seen[-1][1]
 
     foxh._kept_plan.cache_clear()
-    foxh._miss_inputs.cache_clear()
-    foxh._miss_lead.cache_clear()
-    foxh._reduced.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foxh, "_series_misses", recording)
         for r in range(3):
@@ -574,9 +602,6 @@ def test_series_miss_decisions_do_not_depend_on_kept_plans():
     cold = []
     for call, _ in seen:
         foxh._kept_plan.cache_clear()
-        foxh._miss_inputs.cache_clear()
-        foxh._miss_lead.cache_clear()
-        foxh._reduced.cache_clear()
         cold.append(predict(*call))
     assert warm == cold == [fired for _, fired in seen]
 
@@ -1057,14 +1082,14 @@ def test_contour_past_the_kept_node_cap_keeps_the_bits(monkeypatch):
     blocks = []
     contour_nodes = foxh._contour_nodes
 
-    def spy(plan, params, j, h, k_hi):
+    def spy(plan, j, h, k_hi):
         blocks.append(k_hi)
-        return contour_nodes(plan, params, j, h, k_hi)
+        return contour_nodes(plan, j, h, k_hi)
 
     monkeypatch.setattr(foxh, "_contour_nodes", spy)
     got = eval_contour(EXP, z, 1e-6)
     assert len(blocks) == 2 and blocks[1] > blocks[0]
-    assert not foxh._plan(reduce_params(EXP)).rungs
+    assert not foxh._plan(EXP).rungs
     assert (got.value, got.err_est, got.work) == (want.value, want.err_est, want.work)
     assert abs(got.value - math.exp(-z)) <= got.err_est
 
@@ -1288,12 +1313,12 @@ def _fresh_plans(monkeypatch):
 def _warm(params):
     """Whether the plan table holds params' plan with a route's part built;
     a cold lookup enters an empty plan, so test the evicted sets last."""
-    plan = foxh._plan(reduce_params(params))
+    plan = foxh._plan(params)
     return plan.recipe is not None or plan.line is not None
 
 
 def _plan_terms(params):
-    return sum(map(len, foxh._plan(reduce_params(params)).parts))
+    return sum(map(len, foxh._plan(params).parts))
 
 
 @pytest.mark.parametrize("name, build, z, rel_tol, want, calls", SERIES_BITS,
@@ -1344,7 +1369,7 @@ def test_rest_bounds_hold_on_cold_warm_extended_and_rebound_scales(
     params = reduce_params(build())
     cold = run(z)
     assert cold[0] == want and cold[1]
-    plan = foxh._series_plan(params)
+    plan = foxh._series_plan(foxh._plan(params))
     filled = sum(map(len, plan.scales))
     assert filled and run(z) == cold
     far = z * 8.0 if series_index(params) > 0.0 else z / 8.0
@@ -1353,7 +1378,7 @@ def test_rest_bounds_hold_on_cold_warm_extended_and_rebound_scales(
     assert run(z) == cold
     log_gamma = foxh.log_gamma
     monkeypatch.setattr(foxh, "log_gamma", lambda u: log_gamma(u))
-    rebound = foxh._series_plan(params)
+    rebound = foxh._series_plan(foxh._plan(params))
     assert rebound is not plan and not any(rebound.scales)
     assert run(z) == cold
 
@@ -1368,7 +1393,7 @@ def test_a_refusal_from_a_warm_plan_keeps_its_class_and_message(monkeypatch):
         with pytest.raises(DegeneratePoles) as err:
             eval_series(params, 0.5)
         refusals.append((type(err.value), str(err.value)))
-        assert [len(p) for p in foxh._series_plan(params).parts] == [1, 0]
+        assert [len(p) for p in foxh._series_plan(foxh._plan(params)).parts] == [1, 0]
     assert refusals[0] == refusals[1]
     assert refusals[0][1].startswith("left pole chains 1 and 0 nearly collide")
 
@@ -1382,7 +1407,7 @@ def test_zero_terms_stay_zero_on_a_warm_plan(monkeypatch):
         params = reduce_params(_even_part_params(alpha))
         first = eval_series(params, z, 1e-9)
         assert eval_series(params, z, 1e-9) == first
-        plan = foxh._series_plan(params)
+        plan = foxh._series_plan(foxh._plan(params))
         zeros = {(c, k) for c, built in enumerate(plan.parts)
                  for k, p in enumerate(built) if p is None}
         for c, k in zeros:
@@ -1597,7 +1622,7 @@ def _contour_bits(params, z, rel_tol=1e-9):
 
 
 def _kept_nodes(params):
-    return sum(len(s) for s, _ in foxh._plan(reduce_params(params)).rungs.values())
+    return sum(len(s) for s, _ in foxh._plan(params).rungs.values())
 
 
 def _wider(params, z):
@@ -1669,9 +1694,9 @@ def test_contour_plans_keep_at_most_their_node_cap_and_go_least_recently_used_fi
         assert _kept_nodes(well) == fresh[0][3] // 2
     # a second rung counts against the same cap: a call at another |z|
     # needing more than the room left keeps nothing
-    assert foxh._contour_step(foxh._plan(reduce_params(well)).line[1], math.log(90.0))[0] == 2
+    assert foxh._contour_step(foxh._plan(well).line[1], math.log(90.0))[0] == 2
     assert _contour_bits(well, 10.0 * z)[3] // 2 > 10
-    assert list(foxh._plan(reduce_params(well)).rungs) == [1]
+    assert list(foxh._plan(well).rungs) == [1]
     # a series-index-0 set gets a plan with no series part
     plans = _fresh_plans(monkeypatch)
     monkeypatch.setattr(foxh, "_KEPT_NODE_CAP", 1 << 11)
@@ -1679,7 +1704,7 @@ def test_contour_plans_keep_at_most_their_node_cap_and_go_least_recently_used_fi
         eval_series(DELTA0_SETS["a"], 1.1, 1e-9)
     eval_contour(DELTA0_SETS["a"], 1.1, 1e-9)
     assert plans.cache_info().currsize == 1
-    plan = foxh._plan(reduce_params(DELTA0_SETS["a"]))
+    plan = foxh._plan(DELTA0_SETS["a"])
     assert plan.recipe is None and plan.line is not None and plan.rungs
     # least recently used out first: sets[0], used again after each new
     # set, stays beside the PLAN_CAP - 1 newest others
