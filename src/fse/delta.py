@@ -151,6 +151,19 @@ def delta_classical(hbar: float, mass: float, energy: float, lam: complex,
     return lam * math.exp(-abs(x) * kappa)
 
 
+def _head_grading(s: float) -> np.ndarray:
+    """First panel edges of the x = 0 head [0, cut] in units of the cut,
+    the knee at s = knee/cut <= 1/50: seven panels of ratio 2 from s/64 up
+    to s, as p^alpha is not smooth at p = 0, then ceil(log2(1/s)) of one
+    ratio on to the cut, but at most 16, so at most 23 in all; a knee far
+    below the cut takes a larger ratio, not more panels.  s = 0, from a
+    cut past double range, raises FloatingPointError under the caller's
+    errstate."""
+    n = math.ceil(min(16.0, -np.log2(s)))
+    return np.concatenate(([0.0], s * 2.0 ** np.arange(-6.0, 1.0),
+                           s ** (1.0 - np.arange(1.0, n + 1.0) / n)))
+
+
 def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalResult:
     """Oracle route: one real Fourier integral of the momentum-space resolvent.
 
@@ -158,7 +171,12 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
     e^(+-i theta pi/2) - E) of the two half-lines are conjugates, so the
     inverse transform is the integral over p > 0 of 2 Re[G+(p) e^(i p x / hbar)].
     The denominator never vanishes for E < 0 (its real part stays above
-    -E), so the integrand is smooth with algebraic decay.  A node whose
+    -E), so the integrand is smooth with algebraic decay.  At x = 0 it
+    does not oscillate: adaptive integrates it up to a cut 50 knee + 50
+    past the resolvent's knee (-E/C)^(1/alpha), from at most 23 first
+    panels (_head_grading) in one call, graded toward p = 0, where p^alpha
+    is not smooth, and grown past the knee to the cut, and the tail past
+    the cut is mapped.  A node whose
     resolvent leaves double range, as C p^alpha or the tail's q (q - E) do
     at an extreme C or E, refuses with NonConvergence.
     """
@@ -198,7 +216,8 @@ def delta_quadrature(cfg: DeltaConfig, x: float, abs_tol: float = 1e-9) -> EvalR
                     return 2.0 * (en / (q * (q - en))).real
 
                 lead = 2.0 * rot.real / ca * cut ** (1.0 - cfg.alpha) / (cfg.alpha - 1.0)
-                v1, e1, w1 = adaptive(g, 0.0, cut, 0.5 * abs_tol)
+                v1, e1, w1 = adaptive(g, 0.0, cut, 0.5 * abs_tol,
+                                      grading=_head_grading(knee / cut))
                 v2, e2, w2 = tail_algebraic(rest, cut, 2.0 * cfg.alpha - 1.0, 0.5 * abs_tol)
                 integral = v1 + lead + v2
                 ierr = e1 + e2

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureFailure
 # eval_auto and log_gamma are unused here; their bindings stay for
 # perfbench's CONSUMER_SITES
-from .foxh import FoxHParams, _ROUTES, eval_auto
+from .foxh import PLAN_CAP, FoxHParams, _ROUTES, eval_auto
 from .numerics import log_gamma, power_sum
 from .quadrature import ray_segment
 from .result import (EvalResult, LinearConfig, _check_argument, _check_finite,
@@ -31,6 +32,9 @@ _RAMP_STOP = 1e-16
 _RAY_EXP_CAP = 600.0
 
 
+# kept per ramp under foxh's table policy: a call on a known ramp builds no
+# set and hands foxh the very set its plan is keyed on
+@lru_cache(maxsize=PLAN_CAP)
 def _h_params(cfg: LinearConfig) -> FoxHParams:
     ap1 = cfg.alpha + 1.0
     c = (2.0 + cfg.alpha - cfg.theta) / (2.0 * ap1)

@@ -10,8 +10,10 @@ code with the H-function evaluators.
 Every integrand is an array function: it takes a 1-D float or complex
 numpy array of nodes and returns an array of the same shape, elementwise
 (numpy ufuncs such as np.exp and np.cos, not math or cmath).  One call
-evaluates the nodes of a batch of panels: adaptive's ADAPTIVE_START first
-panels, a bisection step's two halves, or, in osc_semi_inf, the head's six
+evaluates the nodes of a batch of panels: adaptive's first panels
+(ADAPTIVE_START equal ones, or the graded ones its caller gives, as the
+x = 0 delta oracle gives at most 23 toward p = 0 and past the resolvent's
+knee), a bisection step's two halves, or, in osc_semi_inf, the head's six
 panels graded toward p = 0 together with the first panels of OSC_BATCH
 half-period pieces, so most oscillatory integrals take one call of the
 integrand and, for the Euler sum of their pieces, one euler_alternating
@@ -125,14 +127,17 @@ def _bisect(f, first, tol: float, max_panels: int):
     return sum(p[4] for p in panels), sum(p[5] for p in panels), count
 
 
-def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800):
+def adaptive(f, a: float, b: float, tol: float, max_panels: int = 800,
+             grading: np.ndarray = _START_EDGES):
     """Heap-driven bisection; returns (value, error bound, panels used).
 
     f maps an array of nodes in [a, b] to the array of integrand values.
-    The first ADAPTIVE_START equal panels are one call of f; each
-    bisection step after them is one call on the nodes of both halves.
+    The first panels have the edges a + (b - a) grading, grading rising
+    from 0 to 1: ADAPTIVE_START equal panels unless the caller grades
+    them.  They are one call of f, and each bisection step after them is
+    one call on the nodes of both halves.
     """
-    edges = a + (b - a) * _START_EDGES
+    edges = a + (b - a) * grading
     edges[-1] = b  # exactly
     lo, hi = edges[:-1], edges[1:]
     val, err = _panel_est(f, lo, hi)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import fse.delta
-from fse import foxh
+from fse import foxh, quadrature
 from fse.delta import (_even_part_params, delta_classical, delta_closed_form,
                        delta_quadrature)
 from fse.errors import NonConvergence, QuadratureFailure, ValidationError
 from fse.foxh import eval_auto
 from fse.linear import linear_closed_form
 from fse.result import DeltaConfig, LinearConfig
+from perfbench.workloads import ROUNDS
 
 
 def test_even_in_x_when_unskewed():
@@ -303,20 +304,79 @@ def test_quadrature_at_origin_beta_integral():
     assert abs(q.value.imag) <= 1e-12 * abs(q.value)
 
 
+def _origin_value(cfg):
+    # psi(0) = pref pi / (alpha sin(pi/alpha)) sum a^(-1/alpha) / (-E) with
+    # a = C e^(+-i theta pi/2) / (-E), from int dp / (1 + a p^alpha)
+    a = cfg.alpha
+    pref = cfg.gamma_strength * cfg.k_norm / (2.0 * math.pi * cfg.hbar) ** 2
+    return pref * math.pi / (a * math.sin(math.pi / a)) * sum(
+        (cfg.c_alpha * cmath.exp(sg * 0.5j * math.pi * cfg.theta) / -cfg.energy)
+        ** (-1.0 / a) / -cfg.energy for sg in (1.0, -1.0))
+
+
 @pytest.mark.parametrize("alpha", [1.01, 1.03, 1.2, 1.5, 1.9])
 def test_quadrature_at_origin_slow_tail(alpha):
-    # the integrand decays like p^(-alpha), barely integrable near alpha = 1;
-    # against psi(0) = pref pi / (alpha sin(pi/alpha)) sum a^(-1/alpha) / (-E)
-    # with a = C e^(+-i theta pi/2) / (-E), from int dp / (1 + a p^alpha)
+    # the integrand decays like p^(-alpha), barely integrable near alpha = 1
     cfg = DeltaConfig(alpha=alpha, theta=0.5 * min(alpha, 2.0 - alpha),
                       c_alpha=0.8, energy=-1.3)
-    pref = cfg.gamma_strength * cfg.k_norm / (2.0 * math.pi * cfg.hbar) ** 2
-    want = pref * math.pi / (alpha * math.sin(math.pi / alpha)) * sum(
-        (cfg.c_alpha * cmath.exp(sg * 0.5j * math.pi * cfg.theta) / -cfg.energy)
-        ** (-1.0 / alpha) / -cfg.energy for sg in (1.0, -1.0))
+    want = _origin_value(cfg)
     q = delta_quadrature(cfg, 0.0, 1e-10)
     assert abs(q.value - want) <= q.err_est
     assert abs(q.value - want) <= 1e-12 * abs(want)
+
+
+def _head_calls(monkeypatch):
+    # per x = 0 oracle call: the panel batches of its head, and the panels
+    # of the first batch
+    heads, calls = [], []
+    panel_est, tail = quadrature._panel_est, fse.delta.tail_algebraic
+
+    def counted(f, a, b):
+        calls.append(a.size)
+        return panel_est(f, a, b)
+
+    def after_head(*args):
+        heads.append((len(calls), calls[0]))
+        out = tail(*args)
+        calls.clear()
+        return out
+
+    monkeypatch.setattr(quadrature, "_panel_est", counted)
+    monkeypatch.setattr(fse.delta, "tail_algebraic", after_head)
+    return heads
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_origin_oracle_well_makes_one_head_call(seed, monkeypatch):
+    # the oracle benchmark's x = 0 wells of round 0: the head's graded
+    # first panels meet its tolerance, so the head is one call of g
+    heads = _head_calls(monkeypatch)
+    for p in ROUNDS["oracle"](seed, 0):
+        if p.route == "delta_quadrature" and p.coord == 0.0:
+            delta_quadrature(p.cfg, 0.0, **p.tol_kwargs)
+    assert heads and [n for n, _ in heads] == [1] * len(heads)
+
+
+def test_origin_claims_hold_on_seeded_wells(monkeypatch):
+    # alpha in [1.01, 1.999], theta up to the skew bound and C, -E
+    # log-uniform in [1e-3, 1e3], against the Beta-function psi(0); the
+    # wells C = 1e3, E = -1e-3 put the knee far below the cut, which takes
+    # a larger ratio, not more first panels
+    rng = np.random.default_rng(44)
+    wells = [DeltaConfig(alpha=alpha, theta=0.0, c_alpha=1e3, energy=-1e-3)
+             for alpha in (1.01, 1.5, 1.999)]
+    for _ in range(200):
+        alpha = rng.uniform(1.01, 1.999)
+        wells.append(DeltaConfig(alpha=alpha,
+                                 theta=rng.uniform(-1.0, 1.0) * min(alpha, 2.0 - alpha),
+                                 c_alpha=10.0 ** rng.uniform(-3.0, 3.0),
+                                 energy=-10.0 ** rng.uniform(-3.0, 3.0)))
+    heads = _head_calls(monkeypatch)
+    for cfg in wells:
+        q = delta_quadrature(cfg, 0.0, 1e-9)
+        assert abs(q.value - _origin_value(cfg)) <= q.err_est, cfg
+    assert max(first for _, first in heads) <= 24
+    assert [first for _, first in heads[:3]] == [23] * 3
 
 
 @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
+from fse import foxh
 from fse.errors import NonConvergence, PoleOfGamma, QuadratureFailure, ValidationError
 from fse.linear import (_ascending_series, linear_classical_airy,
                         linear_closed_form, linear_quadrature,
@@ -21,6 +22,22 @@ from perfbench.workloads import ROUNDS
 def _cfg(alpha=1.5, theta=0.3, energy=0.5):
     return LinearConfig(alpha=alpha, theta=theta, hbar=1.0, c_alpha=1.0,
                         energy=energy, slope=1.0)
+
+
+def test_a_known_ramp_builds_no_h_set(monkeypatch):
+    # the ramp's set is kept per ramp: a second call on one ramp, at
+    # another x, builds and validates no FoxHParams, and a call on a new
+    # ramp builds its one
+    cfg = _cfg(alpha=1.43, theta=0.2)
+    linear_closed_form(cfg, 1.2)
+    built = []
+    post_init = foxh.FoxHParams.__post_init__
+    monkeypatch.setattr(foxh.FoxHParams, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    linear_closed_form(cfg, 2.3)
+    assert built == []
+    linear_closed_form(_cfg(alpha=1.4301, theta=0.2), 2.3)
+    assert len(built) == 1
 
 
 def linear_mellin_factor(cfg: LinearConfig, s: complex) -> complex:

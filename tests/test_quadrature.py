@@ -274,9 +274,10 @@ def _ray_reference(cfg, x, angle, radius):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_adaptive_claims_cover_the_oracle_ramps_and_x0(seed, monkeypatch):
-    # adaptive starts from ADAPTIVE_START panels: on the oracle's first
-    # round its ramps, both sides of the turning point, against their ray
-    # at 30 digits, and its x = 0 point against the closed form
+    # adaptive starts from ADAPTIVE_START panels on the ramps and from
+    # graded ones at x = 0: on the oracle's first round its ramps, both
+    # sides of the turning point, against their ray at 30 digits, and its
+    # x = 0 point against the closed form
     points = [p for p in ROUNDS["oracle"](seed, 0)
               if p.route == "linear_quadrature" or p.coord == 0.0]
     assert {p.route for p in points} == {"linear_quadrature", "delta_quadrature"}
