@@ -100,10 +100,10 @@ first term (_series_misses).  It screens the point in O(1) from
 Braaksma's constants, which the set's plan derived when it was built;
 where the screen cannot rule a miss out, it reads the descending
 expansion's first two nonzero terms, kept on the plan the first time
-(_descending_lead), and then the rounding that eval_series charges the
-terms at the peak, and near it, from the set's kept parts, the latter
-summed in numpy from rows kept beside them (_miss_rows); on a predicted
-miss the contour runs first.
+(_descending_lead), and then sums the error that eval_series itself
+charges each term (_finish) up to past the peak, over the set's kept
+parts, built on as eval_series builds them; on a predicted miss the
+contour runs first.
 
 One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
@@ -143,7 +143,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -756,10 +755,10 @@ class _Plan:
     denominator gamma can zero), parts[chain], the _term_part of each pole
     k summed so far by any call, and scales[chain], a dict from pole k to
     its _pole_scale (sine, gain), filled the first time _rest_bound reads
-    that pole.  A call that needs a later pole appends its part; a part
-    that refuses is not stored, so a later call recomputes it and refuses
-    alike.  lead, the _descending_lead of the recipe, is kept by the first
-    _series_misses call that reads it.
+    that pole.  A call that needs a later pole appends its part,
+    _series_misses as eval_series does; a part that refuses is not
+    stored, so a later call recomputes it and refuses alike.  lead, the _descending_lead of the recipe, is kept by
+    the first _series_misses call that reads it.
 
     The contour part: line, the set's (gamma, a, reflection pairs), and
     rungs, a dict from a step's rung j (_contour_step) to the upper
@@ -768,15 +767,10 @@ class _Plan:
     needs further nodes extends them, as long as the plan keeps at most
     _KEPT_NODE_CAP nodes over all its rungs; past that it evaluates the
     rest without keeping it.
-
-    The rows of _series_misses, left None until it first sums the floor:
-    every nonzero part summed so far, all chains in one order of rising
-    t, as arrays (_miss_rows), with cover, the t below which they hold
-    every nonzero part of every chain.
     """
 
     __slots__ = ("params", "sigma", "edge", "mu", "log_beta", "recipe", "reach", "parts",
-                 "scales", "lead", "line", "rungs", "rows")
+                 "scales", "lead", "line", "rungs")
 
     def __init__(self, params: FoxHParams):
         self.params = params = reduce_params(params)
@@ -788,7 +782,7 @@ class _Plan:
                     - sum(wt * math.log(wt) for _, wt in params.upper))
         self.log_beta = log_beta if mu > 0.0 else -log_beta
         self.recipe = self.reach = self.parts = self.scales = self.lead = None
-        self.line = self.rows = None
+        self.line = None
         self.rungs = {}
 
 
@@ -1112,19 +1106,16 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                    "contour", "contour", 2 * (k_hi + 1))
 
 
-# _series_misses fires where a part of the series' rounding floor exceeds
+# _series_misses fires where the series' rounding floor, summed over its
+# terms up to t = t* + _MISS_REACH sqrt(t*) + _MISS_PAD, exceeds
 # _MISS_MARGIN rel_tol S, S its size of H.  It reads the series' terms
 # only where Braaksma's estimate eps e^(mu t*) of that floor is within
-# e^_MISS_SCREEN of the threshold, and sums them up to t = t* +
-# _MISS_REACH sqrt(t*) + _MISS_PAD where the peak's error is within
-# _MISS_SPREAD of it and that takes at most _MISS_ROWS_CAP parts.  The
-# measurements behind each are in its docstring
+# e^_MISS_SCREEN of the threshold.  The measurements behind each are in
+# its docstring
 _MISS_MARGIN = 3.0
 _MISS_SCREEN = 8.0
 _MISS_REACH = 4.0
 _MISS_PAD = 8.0
-_MISS_ROWS_CAP = 256
-_MISS_SPREAD = 100.0
 # the poles of each right chain searched for the first two nonzero terms
 # of the descending expansion
 _LEAD_POLES = 8
@@ -1167,60 +1158,6 @@ def _descending_lead(recipe: _Recipe):
     return tuple(lead[:2]) if len(lead) >= 2 else ()
 
 
-def _miss_rows(plan: _Plan, t_cut: float):
-    """plan.rows, first extended to hold every nonzero part with t <= t_cut:
-    each chain's parts are built on as eval_series builds them, and the
-    rows rebuilt from all the parts kept.  The rows are (cover, t as a
-    list and as an array, r + i i, 1/weight, 4 + sens/eps, brackets):
-    every nonzero part with t < cover, in rising t (chain order among
-    equal t), with r + i i its log at ln w = 0 (as in _finish, the weight
-    apart), and brackets the (row, head plus log derivative) of its
-    double poles.  A part that refuses raises, as in eval_series, and is
-    not kept."""
-    if plan.rows is not None and t_cut < plan.rows[0]:
-        return plan.rows
-    recipe, parts = plan.recipe, plan.parts
-    cover = math.inf
-    for chain, (b, wt) in enumerate(recipe.params.lower[:recipe.params.m]):
-        built = parts[chain]
-        while (b + len(built)) / wt <= t_cut:
-            built.append(_term_part(recipe, chain, len(built)))
-        cover = min(cover, (b + len(built)) / wt)
-    rows = []
-    for part in itertools.chain.from_iterable(parts):
-        if part is not None:
-            t, log_fact, log_ratio, weight, _, sens, merge = part
-            bracket = None
-            if merge is not None:
-                lead, shift, bracket = merge
-                log_ratio += shift - lead
-            rows.append((t, log_ratio - log_fact, 1.0 / weight, 4.0 + sens / MACH_EPS,
-                         None if bracket is None else bracket[0]))
-    rows.sort(key=lambda row: row[0])
-    t, log_part, inv_weight, rel = (np.array(col) for col in list(zip(*rows))[:4])
-    brackets = tuple((j, row[4]) for j, row in enumerate(rows) if row[4] is not None)
-    plan.rows = (cover, list(t), t, log_part, inv_weight, rel, brackets)
-    return plan.rows
-
-
-def _miss_floor(rows, t_cut: float, logw: complex) -> float:
-    """The rounding that eval_series charges the nonzero terms with
-    t <= t_cut at ln w, from their rows (_miss_rows): each term's
-    (4 + |Re L| + |Im L|) eps + sens times its modulus, L its log, as in
-    _finish; a double pole's modulus takes its bracket, but not the
-    bracket's own rounding.  A term past e^700, which eval_series refuses,
-    counts as e^700."""
-    _, t_list, t, log_part, inv_weight, rel, brackets = rows
-    n = bisect_right(t_list, t_cut)
-    log_term = log_part[:n] + t[:n] * logw
-    x = log_term.real
-    mag = np.exp(np.minimum(x, 700.0)) * inv_weight[:n]
-    for j, derivs in brackets:
-        if j < n:
-            mag[j] *= abs(derivs - logw)
-    return MACH_EPS * float(np.dot(np.abs(x) + np.abs(log_term.imag) + rel[:n], mag))
-
-
 def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
     """Whether eval_series at z will refuse on its rounding floor,
     predicted from (params, z, rel_tol) before its first term.
@@ -1235,14 +1172,15 @@ def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
     e^(-mu t* sin(min(delta/mu, pi/2))), delta = pi sigma/2 - |arg w| the
     distance to the sector's edge: near alpha = 2 the delta well's and the
     ramp's algebraic terms vanish like sin(pi alpha/2), and H is that
-    exponential, e^-zeta and the Airy decay.  A miss is predicted when a
-    part of the floor eval_series charges its terms (_finish) exceeds
-    _MISS_MARGIN rel_tol S: the largest error of a term at the two poles
-    of each chain nearest t* (_peak_error), or else the sum over every
-    term with t <= t* + 4 sqrt(t*) + 8 (_miss_floor), both read from the
-    set's kept parts.  The series sums each of those terms before it can
-    stop (a chain that still grows has no rest bound), so its floor is at
-    least either, and only S can make a prediction wrong.
+    exponential, e^-zeta and the Airy decay.  A miss is predicted when
+    the error eval_series charges its terms (_finish), summed over every
+    term with t <= t_cut = t* + 4 sqrt(t*) + 8, exceeds
+    _MISS_MARGIN rel_tol S.  One pass walks each chain's poles upward to
+    t_cut, at most TERM_CAP of them, over the set's kept parts, appending
+    a missing part as eval_series does, and stops at the first partial
+    sum past the threshold.  The series sums each of those terms before
+    it can stop (a chain that still grows has no rest bound), so its
+    floor is at least that sum, and only S can make a prediction wrong.
 
     The constants were measured on the 3,360 eval_series calls of
     delta-grid (seeds 1-3, rounds 0-39) and the 1,728 of param-sweep
@@ -1257,20 +1195,13 @@ def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
     seeds) the largest summed floor of a series that answers lay between
     2.0 and 2.5 rel_tol S.  So the margin 3 keeps every series that
     answers, and every one refused on its estimate, from firing; it
-    catches 908 of the 1,069 rounding refusals of delta-grid and 495 of
+    catches 920 of the 1,069 rounding refusals of delta-grid and 497 of
     the 572 of param-sweep.  The summed floor exceeds eps e^(mu t*) by
     e^1.2-e^20 (the power of t* and the sines that Braaksma's estimate
     leaves out), so the screen, which returns False at once where
     eps e^(mu t*) e^_MISS_SCREEN is below the threshold (first with S
     bounded below by its exponential alone, which needs no lead), costs
-    19 and 13 of those catches.  The summed floor is 9-15 times the peak
-    error on the ramp, and 1.8-860 times (95 %) on the delta well, where
-    a near-zero sine can put the hump's largest term away from t*: it is
-    not summed where the peak error is below 1/_MISS_SPREAD of the
-    threshold, which costs 12 and 2 catches and spares the sum on 3 in 4
-    of the ramps that reach it.  A call that would read more than
-    _MISS_ROWS_CAP parts, far past the workloads' range, reads only the
-    poles at t*, built afresh.
+    28 and 20 of those catches.
 
     Every z-free input is read from the set's plan, in one lookup of the
     plan table: mu, beta and the sector's edge, derived when the plan was
@@ -1278,13 +1209,13 @@ def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
     (eval_series, which runs next when the prediction does not fire,
     builds it anyway); and the lead, kept on the plan the first time it is
     read.  The prediction is a pure function of (params, z, rel_tol): the
-    sum reads the terms with t <= t* + 4 sqrt(t*) + 8 in one order
-    whatever else the plan has kept, and a kept part has the bits of a
-    fresh one.  It returns False where it cannot tell: a series-index-0 set, a set
-    with no descending expansion, z outside the sector or past
+    pass reads the terms with t <= t_cut in one order whatever else the
+    plan has kept, and a kept part has the bits of a fresh one.  It
+    returns False where it cannot tell: a series-index-0 set, a set with
+    no descending expansion, z outside the sector or past
     CONTOUR_LOG_Z_CAP (where the contour refuses), a part that refuses or
-    a term past double range.  Invalid input returns False, for eval_series
-    to refuse as it does."""
+    a term past double range.  Invalid input returns False, for
+    eval_series to refuse as it does."""
     if not 0.0 < abs(z) < math.inf:
         return False
     plan = _plan(params)
@@ -1317,39 +1248,20 @@ def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
             return False
         logw = cmath.log(1.0 / z if inverted else z)
         t_cut = t_star + _MISS_REACH * math.sqrt(t_star) + _MISS_PAD
-        # the parts with t <= t_cut number at most t_cut sum B + m - sum b
-        left = recipe.params.lower[:recipe.params.m]
-        near = (t_cut * sum(wt for _, wt in left)
-                + (recipe.params.m - sum(b for b, _ in left))) <= _MISS_ROWS_CAP
-        peak = _peak_error(plan, t_star, logw, near)
-        if peak > gate:
-            return True
-        return (near and peak * _MISS_SPREAD > gate
-                and _miss_floor(_miss_rows(plan, t_cut), t_cut, logw) > gate)
+        floor = 0.0
+        for chain, (b, wt) in enumerate(recipe.params.lower[:recipe.params.m]):
+            built = plan.parts[chain]
+            for k in range(TERM_CAP):
+                if (b + k) / wt > t_cut:
+                    break
+                if k == len(built):
+                    built.append(_term_part(recipe, chain, k))
+                floor += _finish(built[k], logw)[1]
+                if floor > gate:
+                    return True
+        return False
     except (OverflowError, DegeneratePoles, NonConvergence):
         return False
-
-
-def _peak_error(plan: _Plan, t_star: float, logw: complex, keep: bool) -> float:
-    """The largest error eval_series charges a term at ln w among the two
-    poles of each chain nearest t*; 0 where they pass TERM_CAP sweeps.
-    With keep, the plan's parts are built on to those poles as
-    eval_series builds them; without it, a part the plan does not hold
-    is built afresh and not kept, since the plan keeps only every part up
-    to its last."""
-    recipe, parts = plan.recipe, plan.parts
-    err = 0.0
-    for chain, (b, wt) in enumerate(recipe.params.lower[:recipe.params.m]):
-        k = max(math.floor(t_star * wt - b), 0)
-        if k + 1 >= TERM_CAP:
-            return 0.0
-        built = parts[chain]
-        while keep and len(built) <= k + 1:
-            built.append(_term_part(recipe, chain, len(built)))
-        for pole in (k, k + 1):
-            part = built[pole] if pole < len(built) else _term_part(recipe, chain, pole)
-            err = max(err, _finish(part, logw)[1])
-    return err
 
 
 # (params, z, rel_tol, value, err_est, method) of eval_auto's last

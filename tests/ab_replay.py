@@ -16,7 +16,8 @@ drift of the machine's speed loads both sides alike.
 Per workload it prints the median, first and third quartiles of the time
 ratio NEW/OLD over the pairs (below 1 means NEW is faster), and the median
 seconds of each side; for each side, the per-point p50 and p90 (nearest
-rank, as perfbench reports them), each the median over its passes; then
+rank, as perfbench reports them), each the median over its passes, and
+the points its first pass answered and refused, by exception class; then
 the outcome diff of the first pass of each side
 with the semantics of tests/compare_outcomes.py: its summary (compare) and
 its last-bit check (identical).  The outcome lines have the format of
@@ -54,6 +55,7 @@ import os
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -62,7 +64,7 @@ sys.path.insert(0, str(ROOT))
 
 from perfbench.latency import percentile  # noqa: E402
 from perfbench.repeat import parse_seeds, summarise  # noqa: E402
-from tests.compare_outcomes import compare, identical  # noqa: E402
+from tests.compare_outcomes import compare, identical, parse  # noqa: E402
 
 PASS_TIMEOUT_S = 600
 # (module, function) whose calls, refusals and work a counting pass
@@ -188,6 +190,12 @@ def replay(workload: str, seeds, rounds, counted=False) -> dict:
     return out
 
 
+def tally(lines) -> dict:
+    """The points answered ('answer') and the points refused by exception
+    class, from outcome lines."""
+    return Counter(parse(line)[1] for line in lines)
+
+
 def run_pass(src: str, workload: str, seeds: str, rounds: str, counted=False) -> dict:
     """One pass in a fresh subprocess that imports fse from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(src).resolve()), str(ROOT)]))
@@ -225,6 +233,10 @@ def ab(old: str, new: str, workload: str, seeds: str, rounds: str, pairs: int) -
         p50, p90 = (statistics.median(q) for q in zip(*tails[side]))
         print("  %s per point: p50 %.4f ms, p90 %.4f ms (medians over %d passes)"
               % (name, p50, p90, pairs))
+        kinds = tally(lines[side])
+        refused = "".join(", %d %s" % (n, cls) for cls, n in sorted(kinds.items())
+                          if cls != "answer")
+        print("  %s outcomes: %d answered%s" % (name, kinds["answer"], refused))
     for name in counts[0]:
         old_n, new_n = counts[0][name], counts[1][name]
         classes = tuple(c for c, _ in REFUSAL_CLASSES.get(name, ()))

@@ -2,7 +2,7 @@ import re
 import shutil
 from pathlib import Path
 
-from tests.ab_replay import COUNTED, main, run_pass
+from tests.ab_replay import COUNTED, main, run_pass, tally
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -16,6 +16,20 @@ def test_a_tree_against_itself_reads_no_outcome_difference(capsys):
     assert m and int(m.group(1)) > 0
     assert float(m.group(3)) <= float(m.group(2)) <= float(m.group(4))
     assert "0 of %s outcomes differ in a parsed field" % m.group(1) in out
+    # each side's answered and refused points sum to the points
+    sides = re.findall(r"^  (old|new) outcomes: (\d+) answered((?:, \d+ \w+)*)$", out, re.M)
+    assert [side for side, _, _ in sides] == ["old", "new"]
+    for _, answered, refused in sides:
+        assert int(answered) + sum(int(n) for n in re.findall(r"(\d+) \w+", refused)) \
+            == int(m.group(1))
+
+
+def test_a_tally_counts_answers_and_refusals_by_class():
+    lines = ["delta-grid s1 r0 #0 (0.5+0j) 1e-12 'series' 20",
+             "delta-grid s1 r0 #1 NonConvergence H series hit the 2000-term cap",
+             "delta-grid s1 r0 #2 (0.25-0.5j) 1e-13 'contour' 64",
+             "delta-grid s1 r0 #3 DomainError z outside the sector"]
+    assert tally(lines) == {"answer": 2, "NonConvergence": 1, "DomainError": 1}
 
 
 def test_a_changed_work_count_fails_the_ab(capsys, tmp_path):
