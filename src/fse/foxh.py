@@ -94,16 +94,15 @@ part, which only grows, misses rel_tol whatever the rest adds.
 
 Past |z| of about 8 on the delta well that rounding part, which grows
 like eps e^(mu t*) with the terms' peak (Braaksma), swamps an H that
-falls like its descending expansion, and the series refuses after
-summing its whole hump.  eval_auto predicts that refusal before the
-first term (_series_misses).  It screens the point in O(1) from
-Braaksma's constants, which the set's plan derived when it was built;
-where the screen cannot rule a miss out, it reads the descending
-expansion's first two nonzero terms, kept on the plan the first time
-(_descending_lead), and then sums the error that eval_series itself
-charges each term (_finish) up to past the peak, over the set's kept
-parts, built on as eval_series builds them; on a predicted miss the
-contour runs first.
+falls like its descending expansion, and the series would refuse only
+after summing its whole hump.  So eval_series also refuses at the first
+sweep whose rounding passes a gate set before the first term
+(_miss_gate): 3 rel_tol times the size of H that the descending
+expansion's first two nonzero terms (_descending_lead, kept on the plan)
+and Braaksma's exponential predict.  The gate is inf, and the sum runs
+as it would without one, where Braaksma's constants, which the set's
+plan derived when it was built, put that rounding far below it.
+eval_auto runs the series first and the contour on any refusal.
 
 One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
@@ -111,12 +110,12 @@ its last answer, which it replays only as the exact conjugate H(conj z) =
 conj H(z).  A replay can differ from a fresh evaluation at conj z in
 rounding, within both err_est, and needs no invalidation.  And an
 lru_cache (_kept_plan) keeps the plans (_Plan) of the last PLAN_CAP H
-sets that a route or the prediction ran on, least recently used out
-first, the one policy of every table the package keeps across calls.  A
-plan is the one record of its set, keyed on the set as given: built, it
-derives the reduced set, its existence index and sector edge, its series
-index and Braaksma's constants once, so a call on a known set makes one
-lookup of the table and none of those derivations.  Two sets that reduce
+sets that a route ran on, least recently used out first, the one policy
+of every table the package keeps across calls.  A plan is the one record
+of its set, keyed on the set as given: built, it derives the reduced set,
+its existence index and sector edge, its series index and Braaksma's
+constants once, so a call on a known set makes one lookup of the table
+and none of those derivations.  Two sets that reduce
 alike have a plan each.  A plan's series part is extended as a later
 call needs further poles or the rest bound reads further scales.  Its
 contour part holds the set's line and reflection pairs, read once per
@@ -129,11 +128,11 @@ next.  A plan is z-free, so any z reuses it, and a term, a scale or a
 node value from it has the bits of a fresh one.  A term that refuses is
 not kept, and refuses afresh on every call.
 The kernels log_gamma, digamma, log_reflection and pi_cot_pi are looked
-up as module globals at call time: by eval_series, eval_contour and
-_series_misses, whose plans are keyed on the H set and the four kernels
-bound at the call, by _flat, when a plan builds its recipe and when a
-merged pole folds its factors, and by the contour once per folded factor
-on each block of new nodes.  So rebinding any of them between calls (to
+up as module globals at call time: by eval_series and eval_contour,
+whose plans are keyed on the H set and the four kernels bound at the
+call, by _flat, when a plan builds its recipe and when a merged pole
+folds its factors, and by the contour once per folded factor on each
+block of new nodes.  So rebinding any of them between calls (to
 count or time them) starts a fresh plan, which sees every kernel call,
 still one per folded factor per term or per block of nodes.
 """
@@ -739,13 +738,13 @@ def _rest_bound(plan: _Plan, k: int, hist, room: float):
 
 class _Plan:
     """The one record kept of an H set, keyed on the set as given: what
-    eval_series, eval_contour and _series_misses read of it, each route's
-    part built the first time it is needed.
+    eval_series and eval_contour read of it, each route's part built the
+    first time it is needed.
 
     Derived when the plan is built, once per set: params, the set reduced
     (reduce_params), on which both routes run; sigma, its existence index,
     and edge = pi sigma/2, the sector's edge, which _require_exists, the
-    contour's decay rate and the prediction's distance to the edge read;
+    contour's decay rate and _miss_gate's distance to the edge read;
     mu, its series index, 0 where it is within 1e-12 of 0; and log_beta,
     Braaksma's log(prod B^B / prod A^A) of the set the series sums (the
     inverted one where mu < 0).
@@ -755,10 +754,10 @@ class _Plan:
     denominator gamma can zero), parts[chain], the _term_part of each pole
     k summed so far by any call, and scales[chain], a dict from pole k to
     its _pole_scale (sine, gain), filled the first time _rest_bound reads
-    that pole.  A call that needs a later pole appends its part,
-    _series_misses as eval_series does; a part that refuses is not
-    stored, so a later call recomputes it and refuses alike.  lead, the _descending_lead of the recipe, is kept by
-    the first _series_misses call that reads it.
+    that pole.  A call that needs a later pole appends its part; a part
+    that refuses is not stored, so a later call recomputes it and refuses
+    alike.  lead, the _descending_lead of the recipe, is kept by the first
+    _miss_gate call that reads it.
 
     The contour part: line, the set's (gamma, a, reflection pairs), and
     rungs, a dict from a step's rung j (_contour_step) to the upper
@@ -831,6 +830,110 @@ def _series_plan(plan: _Plan) -> _Plan:
     return plan
 
 
+# eval_series refuses once its rounding error passes _MISS_MARGIN rel_tol
+# S, S the size of H that _miss_gate reads off the descending expansion,
+# and sets no gate where Braaksma's estimate eps e^(mu t*) of that error
+# stays e^_MISS_SCREEN below it.  The measurements behind both are in
+# _miss_gate's docstring
+_MISS_MARGIN = 3.0
+_MISS_SCREEN = 8.0
+# the poles of each right chain searched for the first two nonzero terms
+# of the descending expansion
+_LEAD_POLES = 8
+
+
+def _descending_lead(recipe: _Recipe):
+    """(t, log |coefficient|) of the first two nonzero terms, in rising t,
+    of the descending expansion of the recipe's set, the one the series
+    sums: the residues at the right poles s = t = (1 - a + k)/A, each
+    |c| |w|^-t, with math.lgamma for every other gamma factor of the
+    recipe's forms.  A denominator gamma on its pole makes a term 0; ()
+    where a numerator gamma meets one (a double pole) or fewer than two
+    nonzero terms lie within the first _LEAD_POLES poles of the chains
+    (with no right chain, H is exponentially small).  A gamma argument
+    on a pole is one within rounding of an integer at most 0, on either
+    side of it."""
+    forms, m = recipe.forms, recipe.params.m
+    lead = []
+    for j in range(m, m + recipe.params.n):
+        _, c_j, du_j, _ = forms[j]
+        others = [(sign, c, du) for pos, (sign, c, du, _) in enumerate(forms) if pos != j]
+        found = 0
+        for k in range(_LEAD_POLES):
+            t = (c_j + k) / -du_j
+            tol = _EXACT_COLLISION_TOL * max(1.0, abs(t))
+            log_coef = -math.lgamma(k + 1.0) - math.log(-du_j)
+            zero = False
+            for sign, c, du in others:
+                u = c + du * t
+                nearest = round(u)
+                if nearest <= 0 and abs(u - nearest) < tol:
+                    if sign > 0:
+                        return ()
+                    zero = True
+                elif not zero:
+                    log_coef += sign * math.lgamma(u)
+            if not zero:
+                lead.append((t, log_coef))
+                found += 1
+                if found == 2:
+                    break
+    lead.sort()
+    return tuple(lead[:2]) if len(lead) >= 2 else ()
+
+
+def _miss_gate(plan: _Plan, logw: complex, rel_tol: float) -> float:
+    """The rounding error past which eval_series refuses at ln w = logw
+    on the plan's series part: _MISS_MARGIN rel_tol S, S the size of H
+    that the descending expansion predicts, or inf where there is no gate.
+
+    The series sums at w = z, or at w = 1/z on the inverted set (series
+    index < 0).  Its terms peak near e^(mu t*), t* = (|w|/beta)^(1/mu)
+    (Braaksma, Compositio Math. 15 (1964); Mathai, Saxena and Haubold, The
+    H-Function, Springer 2010, ch. 1), so its rounding error grows like
+    eps e^(mu t*), while H falls like its descending expansion.  S is the
+    first two nonzero terms of that expansion (_descending_lead, kept on
+    the plan the first time it is read) plus Braaksma's exponential
+    e^(-mu t* sin(min(delta/mu, pi/2))), delta = pi sigma/2 - |arg w| the
+    distance to the sector's edge: near alpha = 2 the delta well's and the
+    ramp's algebraic terms vanish like sin(pi alpha/2), and H is that
+    exponential, e^-zeta and the Airy decay.
+
+    A series that answers ends with its rounding error at most
+    rel_tol |total|, so the gate refuses one only where
+    |H| > 3 (1 - rel_tol) S >= 2.97 S.  |H|/S was measured at 0.41-1.08
+    over the 3,360 eval_series calls of delta-grid (seeds 1-3, rounds
+    0-39) and the 1,728 of param-sweep (rounds 0-15), |H| from the
+    contour at rel_tol 1e-12 (without the exponential, up to 221 near
+    alpha = 2).  The series' rounding error exceeds eps e^(mu t*) by
+    e^1.2-e^20 (the power of t* and the sines that Braaksma's estimate
+    leaves out), so the gate is inf where eps e^(mu t*) e^_MISS_SCREEN is
+    below it, and the series sums as it would without one.  It is inf
+    too for a set with no descending lead, and past CONTOUR_LOG_Z_CAP,
+    where the contour refuses.  The gate is a pure function of (set, w,
+    rel_tol): a kept lead has the bits of a fresh one."""
+    log_r = logw.real
+    if abs(log_r) > CONTOUR_LOG_Z_CAP:
+        return math.inf
+    if plan.lead is None:
+        plan.lead = _descending_lead(plan.recipe)
+    if not plan.lead:
+        return math.inf
+    mu = abs(plan.mu)
+    delta = plan.edge - abs(logw.imag)
+    try:
+        t_star = math.exp((log_r - plan.log_beta) / mu)
+        size = math.exp(-mu * t_star * math.sin(min(delta / mu, 0.5 * math.pi)))
+        for t, log_coef in plan.lead:
+            size += math.exp(log_coef - t * log_r)
+    except OverflowError:
+        return math.inf
+    gate = _MISS_MARGIN * rel_tol * size
+    if not gate > 0.0 or mu * t_star + _MISS_SCREEN - _LOG_INV_EPS < math.log(gate):
+        return math.inf
+    return gate
+
+
 def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
     """Ascending residue power series over the left pole chains.
 
@@ -842,10 +945,10 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     collisions are only fatal when a colliding term is actually needed
     before the sum stops.
 
-    Every decision reads one bound on the rest of the sum, rest + beyond
-    (_rest_bound), and the part of the claim that only grows,
-    fixed = round_acc + eps peak: the summed error bounds of the terms and
-    the rounding of the largest partial sum.
+    The stop and the refusal read one bound on the rest of the sum,
+    rest + beyond (_rest_bound), and the part of the claim that only
+    grows, fixed = round_acc + eps peak: the summed error bounds of the
+    terms and the rounding of the largest partial sum.
     - Stop.  Once three sweeps in a row fall below rel_tol |total|, the
       sum stops when fixed + rest + beyond < rel_tol |total|, and claims
       err = fixed + rest.  beyond is what the poles past the sweeps the
@@ -864,6 +967,14 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
       not cancel.  At the stop's sweeps, once fixed alone misses
       rel_tol |total| and the bound is below fixed/rel_tol - |total|, the
       sum stops and _accept refuses its claim.
+    - Gate.  At every sweep, once round_acc passes the gate _miss_gate
+      set before the first term, 3 rel_tol S, S the size of H the
+      descending expansion predicts, the series refuses with
+      NonConvergence.  An answer ends with round_acc <= rel_tol |total|,
+      so the gate refuses one only where |H| > 2.97 S, and |H|/S was
+      measured at 0.41-1.08.  Past |z| of about 8 on the delta well this
+      refuses before the terms' hump, which the other two rules would sum
+      whole (a chain that still grows has no rest bound).
 
     The terms' z-free parts come from the set's plan (_series_plan), so a
     call on a set summed before makes kernel calls only for the poles past
@@ -874,6 +985,7 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     if plan.mu < 0.0:
         z = 1.0 / z
     logz = cmath.log(z)
+    gate = _miss_gate(plan, logz, rel_tol)
     recipe, reach, parts = plan.recipe, plan.reach, plan.parts
     chains = range(recipe.params.m)
 
@@ -905,6 +1017,10 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
             nterms += 1
             if nterms >= TERM_CAP:
                 raise NonConvergence("H series hit the %d-term cap" % TERM_CAP)
+        if round_acc > gate:
+            raise NonConvergence(
+                "H series rounding error %.2e misses rel_tol at |value| near %.2e"
+                % (round_acc, gate / (_MISS_MARGIN * rel_tol)))
         total += sweep
         size = abs(total)
         peak = max(peak, size)
@@ -1106,180 +1222,18 @@ def eval_contour(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> Eval
                    "contour", "contour", 2 * (k_hi + 1))
 
 
-# _series_misses fires where the series' rounding floor, summed over its
-# terms up to t = t* + _MISS_REACH sqrt(t*) + _MISS_PAD, exceeds
-# _MISS_MARGIN rel_tol S, S its size of H.  It reads the series' terms
-# only where Braaksma's estimate eps e^(mu t*) of that floor is within
-# e^_MISS_SCREEN of the threshold.  The measurements behind each are in
-# its docstring
-_MISS_MARGIN = 3.0
-_MISS_SCREEN = 8.0
-_MISS_REACH = 4.0
-_MISS_PAD = 8.0
-# the poles of each right chain searched for the first two nonzero terms
-# of the descending expansion
-_LEAD_POLES = 8
-
-
-def _descending_lead(recipe: _Recipe):
-    """(t, log |coefficient|) of the first two nonzero terms, in rising t,
-    of the descending expansion of the recipe's set, the one the series
-    sums: the residues at the right poles s = t = (1 - a + k)/A, each
-    |c| |w|^-t, with math.lgamma for every other gamma factor of the
-    recipe's forms.  A denominator gamma on its pole makes a term 0; ()
-    where a numerator gamma meets one (a double pole) or fewer than two
-    nonzero terms lie within the first _LEAD_POLES poles of the chains
-    (with no right chain, H is exponentially small)."""
-    forms, m = recipe.forms, recipe.params.m
-    lead = []
-    for j in range(m, m + recipe.params.n):
-        _, c_j, du_j, _ = forms[j]
-        others = [(sign, c, du) for pos, (sign, c, du, _) in enumerate(forms) if pos != j]
-        found = 0
-        for k in range(_LEAD_POLES):
-            t = (c_j + k) / -du_j
-            tol = _EXACT_COLLISION_TOL * max(1.0, abs(t))
-            log_coef = -math.lgamma(k + 1.0) - math.log(-du_j)
-            zero = False
-            for sign, c, du in others:
-                u = c + du * t
-                if u <= 0.0 and abs(u - round(u)) < tol:
-                    if sign > 0:
-                        return ()
-                    zero = True
-                elif not zero:
-                    log_coef += sign * math.lgamma(u)
-            if not zero:
-                lead.append((t, log_coef))
-                found += 1
-                if found == 2:
-                    break
-    lead.sort()
-    return tuple(lead[:2]) if len(lead) >= 2 else ()
-
-
-def _series_misses(params: FoxHParams, z: complex, rel_tol: float) -> bool:
-    """Whether eval_series at z will refuse on its rounding floor,
-    predicted from (params, z, rel_tol) before its first term.
-
-    The series sums at w = z, or at w = 1/z on the inverted set (series
-    index < 0).  Its terms peak near e^(mu t*), t* = (|w|/beta)^(1/mu)
-    (Braaksma, Compositio Math. 15 (1964); Mathai, Saxena and Haubold, The
-    H-Function, Springer 2010, ch. 1), so its rounding floor grows like
-    eps e^(mu t*), while H falls like its descending expansion.  The size
-    S of H is the first two nonzero terms of that expansion
-    (_descending_lead) plus Braaksma's exponential
-    e^(-mu t* sin(min(delta/mu, pi/2))), delta = pi sigma/2 - |arg w| the
-    distance to the sector's edge: near alpha = 2 the delta well's and the
-    ramp's algebraic terms vanish like sin(pi alpha/2), and H is that
-    exponential, e^-zeta and the Airy decay.  A miss is predicted when
-    the error eval_series charges its terms (_finish), summed over every
-    term with t <= t_cut = t* + 4 sqrt(t*) + 8, exceeds
-    _MISS_MARGIN rel_tol S.  One pass walks each chain's poles upward to
-    t_cut, at most TERM_CAP of them, over the set's kept parts, appending
-    a missing part as eval_series does, and stops at the first partial
-    sum past the threshold.  The series sums each of those terms before
-    it can stop (a chain that still grows has no rest bound), so its
-    floor is at least that sum, and only S can make a prediction wrong.
-
-    The constants were measured on the 3,360 eval_series calls of
-    delta-grid (seeds 1-3, rounds 0-39) and the 1,728 of param-sweep
-    (rounds 0-15), each series summed to its end, |H| from the contour at
-    rel_tol 1e-12.  |H|/S lies in 0.41-1.08 over all of them (without the
-    exponential, up to 221 near alpha = 2); the summed floor is 0.88-1.0
-    of the series' final one; the series that answer end with a floor of
-    at most 0.99 rel_tol |H|, those refused on their error estimate at
-    most 2.0, and those refused on their rounding floor from 2.0 on,
-    median 23 and 44.  Over 60,000 seeded random delta and ramp points
-    (the sweep of test_a_predicted_series_miss_is_a_refusal on other
-    seeds) the largest summed floor of a series that answers lay between
-    2.0 and 2.5 rel_tol S.  So the margin 3 keeps every series that
-    answers, and every one refused on its estimate, from firing; it
-    catches 920 of the 1,069 rounding refusals of delta-grid and 497 of
-    the 572 of param-sweep.  The summed floor exceeds eps e^(mu t*) by
-    e^1.2-e^20 (the power of t* and the sines that Braaksma's estimate
-    leaves out), so the screen, which returns False at once where
-    eps e^(mu t*) e^_MISS_SCREEN is below the threshold (first with S
-    bounded below by its exponential alone, which needs no lead), costs
-    28 and 20 of those catches.
-
-    Every z-free input is read from the set's plan, in one lookup of the
-    plan table: mu, beta and the sector's edge, derived when the plan was
-    built; the series part, which the screen's pass builds if no call has
-    (eval_series, which runs next when the prediction does not fire,
-    builds it anyway); and the lead, kept on the plan the first time it is
-    read.  The prediction is a pure function of (params, z, rel_tol): the
-    pass reads the terms with t <= t_cut in one order whatever else the
-    plan has kept, and a kept part has the bits of a fresh one.  It
-    returns False where it cannot tell: a series-index-0 set, a set with
-    no descending expansion, z outside the sector or past
-    CONTOUR_LOG_Z_CAP (where the contour refuses), a part that refuses or
-    a term past double range.  Invalid input returns False, for
-    eval_series to refuse as it does."""
-    if not 0.0 < abs(z) < math.inf:
-        return False
-    plan = _plan(params)
-    if not plan.mu:
-        return False
-    inverted = plan.mu < 0.0
-    mu = abs(plan.mu)
-    log_r = -math.log(abs(z)) if inverted else math.log(abs(z))
-    delta = plan.edge - abs(math.atan2(z.imag, z.real))
-    if delta <= 0.0 or abs(log_r) > CONTOUR_LOG_Z_CAP:
-        return False
-    try:
-        t_star = math.exp((log_r - plan.log_beta) / mu)
-        log_floor = mu * t_star + _MISS_SCREEN - _LOG_INV_EPS
-        log_exponential = -mu * t_star * math.sin(min(delta / mu, 0.5 * math.pi))
-        # S is at least its exponential, so no lead is needed where even
-        # that puts the floor out of reach
-        if not rel_tol > 0.0 or log_floor < math.log(_MISS_MARGIN * rel_tol) + log_exponential:
-            return False
-        recipe = _series_plan(plan).recipe
-        if plan.lead is None:
-            plan.lead = _descending_lead(recipe)
-        if not plan.lead:
-            return False
-        size = math.exp(log_exponential)
-        for t, log_coef in plan.lead:
-            size += math.exp(log_coef - t * log_r)
-        gate = _MISS_MARGIN * rel_tol * size
-        if not gate > 0.0 or log_floor < math.log(gate):
-            return False
-        logw = cmath.log(1.0 / z if inverted else z)
-        t_cut = t_star + _MISS_REACH * math.sqrt(t_star) + _MISS_PAD
-        floor = 0.0
-        for chain, (b, wt) in enumerate(recipe.params.lower[:recipe.params.m]):
-            built = plan.parts[chain]
-            for k in range(TERM_CAP):
-                if (b + k) / wt > t_cut:
-                    break
-                if k == len(built):
-                    built.append(_term_part(recipe, chain, k))
-                floor += _finish(built[k], logw)[1]
-                if floor > gate:
-                    return True
-        return False
-    except (OverflowError, DegeneratePoles, NonConvergence):
-        return False
-
-
 # (params, z, rel_tol, value, err_est, method) of eval_auto's last
 # computed answer: its fields, not the EvalResult the caller holds
 _conj_memo = None
 
 
 def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalResult:
-    """Series first, contour as fallback on degenerate poles or slow series,
-    unless the series is predicted to refuse on its rounding floor.
+    """Series first, contour as fallback on any refusal of the series.
 
     A series-index-0 set always takes the contour: eval_series refuses it.
-    Where _series_misses predicts, before the series' first term, that its
-    rounding floor misses rel_tol, the contour runs first, and the series
-    only if the contour refuses; when both refuse, the contour's refusal
-    is raised, as on the other order.  The prediction fires on no series
-    that answers, so either order returns the same answer or refusal
-    class.
+    So does a series whose rounding passes its gate (_miss_gate), which
+    past |z| of about 8 on the delta well refuses within its first sweeps.
+    When both routes refuse, the contour's refusal is raised.
 
     A call with the same params and rel_tol at the conjugate of the last
     computed z, off the real axis, is answered from that answer: with real
@@ -1297,19 +1251,10 @@ def eval_auto(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalRes
     if memo is not None and z.imag != 0.0 and z == memo[1].conjugate() \
             and rel_tol == memo[2] and params == memo[0]:
         return EvalResult(memo[3].conjugate(), memo[4], memo[5], 0)
-    if _series_misses(params, z, rel_tol):
-        try:
-            r = eval_contour(params, z, rel_tol)
-        except (NonConvergence, NoSeparatingContour) as refusal:
-            try:
-                r = eval_series(params, z, rel_tol)
-            except (DegeneratePoles, NonConvergence):
-                raise refusal from None
-    else:
-        try:
-            r = eval_series(params, z, rel_tol)
-        except (DegeneratePoles, NonConvergence):
-            r = eval_contour(params, z, rel_tol)
+    try:
+        r = eval_series(params, z, rel_tol)
+    except (DegeneratePoles, NonConvergence):
+        r = eval_contour(params, z, rel_tol)
     _conj_memo = (params, z, rel_tol, r.value, r.err_est, r.method)
     return r
 

@@ -62,7 +62,7 @@ def test_two_passes_of_one_tree_count_alike(capsys):
     assert counts["foxh.eval_series"] == [0] * 6
     assert counts["foxh.eval_contour"] == counts["foxh._Plan"] == [0, 0, 0]
     assert counts["foxh.reduce_params"] == [0, 0, 0]
-    assert counts["foxh._term_part"] == [0, 0, 0]
+    assert counts["foxh._term_part"] == counts["foxh._finish"] == [0, 0, 0]
     assert counts["quadrature._panel_est"] == [0, 0, 0]
     # the timed passes of an A/B print each side's counts
     assert main([str(SRC), str(SRC), "--workloads", "time-grid", "--seeds", "1",
@@ -102,6 +102,10 @@ def test_a_pass_counts_its_plan_builds():
     assert parts[0] == parts[1] and parts[0][0] > 0 and parts[0][1:] == [0, 0]
     calls, refused, work, rounding, estimate, other = counts["foxh.eval_series"]
     assert rounding + estimate + other == refused < calls
+    # every term a series sums is one finish at its z, a kept part's too:
+    # at least the terms of the answers, and alike in both passes
+    finish = [out["counts"]["foxh._finish"] for out in passes]
+    assert finish[0] == finish[1] and finish[0][0] >= work and finish[0][1:] == [0, 0]
 
 
 def test_a_pass_counts_the_oracles_panel_calls():

@@ -491,45 +491,54 @@ def test_series_waits_for_a_chain_that_still_grows(alpha, z):
     (1.05, 225.0), (1.02, 228.07), (1.02, 285.54), (1.06, 228.07), (1.06, 285.54),
     (1.4954, 3.4 - 1.17j)])
 def test_auto_answers_the_far_odd_part_from_the_contour_alone(alpha, z, monkeypatch):
-    # eval_series refuses on its rounding floor at each of these, at the
-    # far ones after 1,100-1,400 terms (25-40 ms), with its terms peaking
-    # near e^(2 |z|), and at alpha 1.4954 on a floor 11 times rel_tol
-    # |H| (at alpha 1.5 the same z answers); the refusal is predicted from
-    # the error eval_series charges the terms up to past the peak, and
-    # eval_auto answers from the contour without calling the series at all
+    # the series' rounding refuses at each of these: at the far ones it
+    # passes the gate in the first sweep, where without the gate it would
+    # sum 1,100-1,400 terms (25-40 ms) to its peak near e^(2 |z|), and at
+    # alpha 1.4954, on a floor 11 times rel_tol |H|, in the third (at
+    # alpha 1.5 the same z answers); eval_auto then answers with the
+    # contour's own result
     params = _odd_part_params(alpha)
-    assert foxh._series_misses(params, z, 1e-9)
+    chains = foxh._series_plan(foxh._plan(params)).recipe.params.m
+    finish, finished = foxh._finish, []
+
+    def counting(part, logz):
+        finished.append(part)
+        return finish(part, logz)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foxh, "_finish", counting)
+        with pytest.raises(NonConvergence, match="rounding error .* near"):
+            eval_series(params, z, 1e-9)
+    assert 0 < len(finished) <= chains * (1 if abs(z) > 100.0 else 3)
     contour = eval_contour(params, z, 1e-9)
-
-    def series(*args):
-        raise AssertionError("eval_series ran on a predicted miss")
-
-    monkeypatch.setattr(foxh, "eval_series", series)
     got = eval_auto(params, z, 1e-9)
     assert got.method == "contour" and got.work == contour.work
     assert got.value == contour.value and got.err_est == contour.err_est
 
 
-def test_a_predicted_miss_falls_back_to_the_series_and_raises_the_contours_refusal(
-        monkeypatch):
-    # on a predicted miss the contour runs first; if it refuses, the series
-    # runs, and when both refuse the contour's refusal is raised, as on the
-    # series-first order
+def test_auto_refuses_an_argument_whose_modulus_overflows():
+    # both parts finite, |z| past double range: a typed refusal, not the
+    # OverflowError of abs(z)
+    with pytest.raises(NonConvergence, match="past double range"):
+        eval_auto(_even_part_params(1.5), complex(1.5e308, 1.5e308), 1e-9)
+
+def test_auto_raises_the_contours_refusal_when_both_routes_refuse(monkeypatch):
+    # the series runs first and the contour on its refusal; when both
+    # refuse, the contour's refusal is raised
     params, z = _even_part_params(1.5), 2.0
-    series = eval_series(params, z, 1e-9)
-    monkeypatch.setattr(foxh, "_series_misses", lambda *args: True)
-
-    def refusing(*args):
-        raise NonConvergence("contour refused")
-
-    monkeypatch.setattr(foxh, "eval_contour", refusing)
-    got = eval_auto(params, z, 1e-9)
-    assert (got.value, got.method, got.work) == (series.value, "series", series.work)
+    contour = eval_contour(params, z, 1e-9)
 
     def series_refusing(*args):
         raise DegeneratePoles("series refused")
 
     monkeypatch.setattr(foxh, "eval_series", series_refusing)
+    got = eval_auto(params, z, 1e-9)
+    assert (got.value, got.method, got.work) == (contour.value, "contour", contour.work)
+
+    def refusing(*args):
+        raise NonConvergence("contour refused")
+
+    monkeypatch.setattr(foxh, "eval_contour", refusing)
     with pytest.raises(NonConvergence, match="contour refused"):
         eval_auto(params, 3.0, 1e-9)
 
@@ -567,46 +576,99 @@ def _miss_sweep_calls(seed):
                     yield params, r * cmath.exp(1j * frac * edge), rel_tol
 
 
-def test_a_predicted_series_miss_is_a_refusal():
-    # every series _series_misses sends to the contour first refuses, so
-    # skipping it moves no answer; the sweep reaches near the sector's
-    # edge, rel_tol 1e-14 and the collision sets, where the size of H is
-    # hardest to predict
-    predicted = calls = 0
+def test_a_predicted_series_miss_is_a_refusal(monkeypatch):
+    # every series the gate refuses also refuses without it, and every
+    # answer keeps its bits, so the gate moves no answer; the sweep
+    # reaches near the sector's edge, rel_tol 1e-14 and the collision
+    # sets, where the size of H is hardest to predict
+    calls = gated = 0
     for params, z, rel_tol in _miss_sweep_calls(41):
         calls += 1
-        if foxh._series_misses(params, z, rel_tol):
-            predicted += 1
-            with pytest.raises((NonConvergence, DegeneratePoles)):
-                eval_series(params, z, rel_tol)
-    assert calls > 8000 and predicted > 5000
+        got = _series_bits(params, z, rel_tol)
+        gated += "misses rel_tol at |value| near" in str(got[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(foxh, "_miss_gate", lambda *args: math.inf)
+            ungated = _series_bits(params, z, rel_tol)
+        if isinstance(got[0], str):
+            assert ungated == got, (params, z, rel_tol)
+        else:
+            assert isinstance(ungated[0], type), (params, z, rel_tol)
+    assert calls > 8000 and gated > 5000
+
+
+def _leads_from_residues(recipe):
+    """The first two nonzero terms, in rising t, of the residue series of
+    the recipe's set inverted, over the first _LEAD_POLES poles of each
+    chain, as (t, log |c|) with log |c| = log_ratio - log k! - log B; ()
+    for fewer than two.  The descending expansion of a set is the
+    ascending series of its inversion at 1/w."""
+    inverted = invert_argument(recipe.params)
+    inv_recipe = _series_recipe(inverted, _reflection_pairs(inverted))
+    terms = []
+    for chain in range(inverted.m):
+        for k in range(foxh._LEAD_POLES):
+            part = _term_part(inv_recipe, chain, k)
+            if part is not None:
+                t, log_fact, log_ratio, weight, _, _, merge = part
+                assert merge is None
+                terms.append((t, log_ratio.real - log_fact - math.log(weight)))
+    terms.sort()
+    return tuple(terms[:2]) if len(terms) >= 2 else ()
+
+
+def test_the_descending_lead_is_the_inverted_sets_first_residues():
+    # a gamma argument rounded just above a pole (c + w = 1 on the ramp
+    # gives 1 - c - w = +1e-16) is on it: that coefficient is 0, not a
+    # term of size e^-36
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        alpha = rng.uniform(1.0, 2.0)
+        kind = rng.randrange(3)
+        if kind == 2:
+            theta = rng.uniform(-1.0, 1.0) * min(alpha, 2.0 - alpha)
+            params = _h_params(LinearConfig(alpha=alpha, theta=theta))
+        else:
+            params = (_even_part_params, _odd_part_params)[kind](alpha)
+        recipe = foxh._series_plan(foxh._plan(params)).recipe
+        try:
+            want = _leads_from_residues(recipe)
+        except DegeneratePoles:
+            continue
+        checked += 1
+        got = foxh._descending_lead(recipe)
+        assert len(got) == len(want), (alpha, kind)
+        for (t, log_c), (t_want, log_c_want) in zip(got, want):
+            assert abs(t - t_want) <= 1e-12 and abs(log_c - log_c_want) <= 1e-12, (alpha, kind)
+    assert checked > 250
 
 
 def test_series_miss_decisions_do_not_depend_on_kept_plans():
-    # the decisions made during a delta-grid round, on plans the round
-    # itself warms, are those of a warm pass after it and of cold plans
+    # the gates set during a delta-grid round, on plans the round itself
+    # warms, are those of a warm pass after it and of cold plans
     from perfbench.workloads import delta_grid
 
     seen = []
-    predict = foxh._series_misses
+    gate = foxh._miss_gate
 
-    def recording(params, z, rel_tol):
-        seen.append(((params, z, rel_tol), predict(params, z, rel_tol)))
+    def recording(plan, logw, rel_tol):
+        seen.append(((plan, logw, rel_tol), gate(plan, logw, rel_tol)))
         return seen[-1][1]
 
     foxh._kept_plan.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(foxh, "_series_misses", recording)
+        patch.setattr(foxh, "_miss_gate", recording)
         for r in range(3):
             for p in delta_grid(1, r):
                 delta_closed_form(p.cfg, p.coord, **p.tol_kwargs)
-    assert any(fired for _, fired in seen) and not all(fired for _, fired in seen)
-    warm = [predict(*call) for call, _ in seen]
+    gates = [g for _, g in seen]
+    assert any(math.isfinite(g) for g in gates) and not all(map(math.isfinite, gates))
+    warm = [gate(*call) for call, _ in seen]
     cold = []
-    for call, _ in seen:
+    for (plan, logw, rel_tol), _ in seen:
         foxh._kept_plan.cache_clear()
-        cold.append(predict(*call))
-    assert warm == cold == [fired for _, fired in seen]
+        cold.append(gate(foxh._series_plan(foxh._plan(plan.params)), logw, rel_tol))
+    assert warm == cold == gates
 
 
 def test_ramp_series_err_est_bounds_its_error():
@@ -1248,10 +1310,12 @@ SERIES_BITS = [
     ("inverted", lambda: invert_argument(_even_part_params(1.37)), 2.5, 1e-9,
      ("0x1.a948658233b9fp-2", "0x0.0p+0", "0x1.4c45d92b0e894p-47", 26),
      (26, 26)),
-    ("refuses", lambda: _even_part_params(1.37), 8.0 * cmath.exp(0.2j), 1e-9,
+    # the early refusal on the rounding, short of the gate (_miss_gate),
+    # which at |z| = 8 refuses in the first sweeps and reads no rest bound
+    ("refuses", lambda: _even_part_params(1.37), 6.0 * cmath.exp(0.2j), 1e-9,
      (NonConvergence,
-      "H series rounding error 4.61e-10 misses rel_tol at |value| <= 1.59e-01"),
-     (46, 46)),
+      "H series rounding error 2.89e-11 misses rel_tol at |value| <= 1.21e-02"),
+     (42, 42)),
     # fixed alone misses rel_tol at the stop, but by less than the early
     # refusal's factor 2: the stop refuses once the rest is bounded
     ("misses", lambda: _odd_part_params(1.05), 4.0, 1e-9,
@@ -1336,9 +1400,12 @@ def test_series_bits_hold_on_cold_warm_extended_and_rebound_plans(
     assert _series_bits(params, z, rel_tol) == want
     built = _plan_terms(params)
     assert _series_bits(params, z, rel_tol) == want
-    # a larger argument of the series actually summed needs more sweeps
+    # a larger argument of the series actually summed needs more sweeps,
+    # which the rounding gate would cut short at some of these points
     far = z * 8.0 if series_index(reduce_params(params)) > 0.0 else z / 8.0
-    _series_bits(params, far, rel_tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(foxh, "_miss_gate", lambda *args: math.inf)
+        _series_bits(params, far, rel_tol)
     assert _plan_terms(params) > built
     assert _series_bits(params, z, rel_tol) == want
     log_gamma = foxh.log_gamma
@@ -1376,7 +1443,9 @@ def test_rest_bounds_hold_on_cold_warm_extended_and_rebound_scales(
     filled = sum(map(len, plan.scales))
     assert filled and run(z) == cold
     far = z * 8.0 if series_index(params) > 0.0 else z / 8.0
-    run(far)
+    with monkeypatch.context() as patch:
+        patch.setattr(foxh, "_miss_gate", lambda *args: math.inf)
+        run(far)
     assert sum(map(len, plan.scales)) > filled
     assert run(z) == cold
     log_gamma = foxh.log_gamma
