@@ -1,7 +1,6 @@
 """Sequence acceleration for the oscillatory quadrature tails: the Euler
 transform of an alternating series, for every prefix of its terms in one
-pass.  No H series is resummed: a series-index-0 set, whose residue series
-has a finite radius, takes the Mellin-Barnes contour instead."""
+pass."""
 
 from __future__ import annotations
 

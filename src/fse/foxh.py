@@ -82,27 +82,30 @@ confluent bracket reads.  The finish exponentiates t ln z plus the
 part's logs in one fixed order, so a term finished from a kept part has
 the bits of one built afresh.
 
-One bound on the rest of the sum (_rest_bound) makes every decision of
-eval_series.  It takes each live chain's last terms, divides out their
+One bound on the rest of the sum (_rest_bound) makes every stop decision
+of eval_series.  It takes each live chain's last terms, divides out their
 poles' scales, the denominator pairs' sine and the near-pole gain, and
 sums the geometric envelope of what is left, times the gains of the
 poles ahead (_pole_scale, from the same arithmetic as the terms); a
 chain whose envelope does not decay yet has no bound.  The series stops
 once its claim, the rounding of the terms and of the largest partial sum
-plus that bound, is within rel_tol, and refuses as soon as the rounding
-part, which only grows, misses rel_tol whatever the rest adds.
+plus that bound, is within rel_tol, or once the rounding part, which
+only grows, misses rel_tol whatever the rest adds; _accept then refuses
+the claim.
 
 Past |z| of about 8 on the delta well that rounding part, which grows
 like eps e^(mu t*) with the terms' peak (Braaksma), swamps an H that
-falls like its descending expansion, and the series would refuse only
-after summing its whole hump.  So eval_series also refuses at the first
-sweep whose rounding passes a gate set before the first term
-(_miss_gate): 3 rel_tol times the size of H that the descending
-expansion's first two nonzero terms (_descending_lead, kept on the plan)
-and Braaksma's exponential predict.  The gate is inf, and the sum runs
-as it would without one, where Braaksma's constants, which the set's
-plan derived when it was built, put that rounding far below it.
-eval_auto runs the series first and the contour on any refusal.
+falls like its descending expansion, and the stop would come only after
+the series summed its whole hump.  So eval_series makes one decision
+before its first term, and it is the only one that refuses early: a
+gate (_miss_gate), 3 rel_tol times the size of H that the descending
+expansion's first two nonzero terms (_descending_lead, which the plan
+derives with its series part) and Braaksma's exponential predict, and a
+refusal at the first sweep whose rounding passes it.  The gate is inf,
+and the sum runs as it would without one, where Braaksma's constants,
+which the set's plan derived when it was built, put that rounding far
+below it, and past the contour's cap, where the series is the only
+route.  eval_auto runs the series first and the contour on any refusal.
 
 One matcher, _exact_matches, finds both the cancelling and the
 reflection pairs.  Two things are kept between calls.  eval_auto keeps
@@ -756,8 +759,8 @@ class _Plan:
     its _pole_scale (sine, gain), filled the first time _rest_bound reads
     that pole.  A call that needs a later pole appends its part; a part
     that refuses is not stored, so a later call recomputes it and refuses
-    alike.  lead, the _descending_lead of the recipe, is kept by the first
-    _miss_gate call that reads it.
+    alike.  lead, the _descending_lead of the recipe, which _miss_gate
+    reads on every call, is derived with the recipe.
 
     The contour part: line, the set's (gamma, a, reflection pairs), and
     rungs, a dict from a step's rung j (_contour_step) to the upper
@@ -827,6 +830,7 @@ def _series_plan(plan: _Plan) -> _Plan:
     plan.parts = [[] for _ in range(m)]
     plan.scales = [{} for _ in range(m)]
     plan.recipe = _series_recipe(params, _reflection_pairs(params))
+    plan.lead = _descending_lead(plan.recipe)
     return plan
 
 
@@ -892,8 +896,8 @@ def _miss_gate(plan: _Plan, logw: complex, rel_tol: float) -> float:
     (Braaksma, Compositio Math. 15 (1964); Mathai, Saxena and Haubold, The
     H-Function, Springer 2010, ch. 1), so its rounding error grows like
     eps e^(mu t*), while H falls like its descending expansion.  S is the
-    first two nonzero terms of that expansion (_descending_lead, kept on
-    the plan the first time it is read) plus Braaksma's exponential
+    first two nonzero terms of that expansion (_descending_lead, derived
+    with the plan's series part) plus Braaksma's exponential
     e^(-mu t* sin(min(delta/mu, pi/2))), delta = pi sigma/2 - |arg w| the
     distance to the sector's edge: near alpha = 2 the delta well's and the
     ramp's algebraic terms vanish like sin(pi alpha/2), and H is that
@@ -905,19 +909,22 @@ def _miss_gate(plan: _Plan, logw: complex, rel_tol: float) -> float:
     over the 3,360 eval_series calls of delta-grid (seeds 1-3, rounds
     0-39) and the 1,728 of param-sweep (rounds 0-15), |H| from the
     contour at rel_tol 1e-12 (without the exponential, up to 221 near
-    alpha = 2).  The series' rounding error exceeds eps e^(mu t*) by
-    e^1.2-e^20 (the power of t* and the sines that Braaksma's estimate
+    alpha = 2).  Off those sets S can fall far below |H|: on
+    H^{1,1}_{1,2} with b/B = -2.3, H grows like |z|^-2.3 at small |z|,
+    the lead like |z|^-1.5, and |H|/S is 6e7 at |z| = 1e-10.  The
+    series' rounding error exceeds eps e^(mu t*) by e^1.2-e^20 on the
+    workloads (the power of t* and the sines that Braaksma's estimate
     leaves out), so the gate is inf where eps e^(mu t*) e^_MISS_SCREEN is
-    below it, and the series sums as it would without one.  It is inf
-    too for a set with no descending lead, and past CONTOUR_LOG_Z_CAP,
-    where the contour refuses.  The gate is a pure function of (set, w,
-    rel_tol): a kept lead has the bits of a fresh one."""
+    below it, and the series sums as it would without one.  On 9,000
+    fuzzed sets (tests/test_foxh.py, seeds 48, 1 and 2) the gate refused
+    4 series that answer without it, all on sets whose pole families
+    overlap, where the contour refuses too.  The gate is inf too for a
+    set with no descending lead, where t* or a lead term overflows, and
+    past CONTOUR_LOG_Z_CAP, where the contour refuses and the series is
+    the only route left.  It is a pure function of (set, w, rel_tol): a
+    kept lead has the bits of a fresh one."""
     log_r = logw.real
-    if abs(log_r) > CONTOUR_LOG_Z_CAP:
-        return math.inf
-    if plan.lead is None:
-        plan.lead = _descending_lead(plan.recipe)
-    if not plan.lead:
+    if not plan.lead or abs(log_r) > CONTOUR_LOG_Z_CAP:
         return math.inf
     mu = abs(plan.mu)
     delta = plan.edge - abs(logw.imag)
@@ -945,36 +952,31 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
     collisions are only fatal when a colliding term is actually needed
     before the sum stops.
 
-    The stop and the refusal read one bound on the rest of the sum,
-    rest + beyond (_rest_bound), and the part of the claim that only
-    grows, fixed = round_acc + eps peak: the summed error bounds of the
-    terms and the rounding of the largest partial sum.
-    - Stop.  Once three sweeps in a row fall below rel_tol |total|, the
-      sum stops when fixed + rest + beyond < rel_tol |total|, and claims
-      err = fixed + rest.  beyond is what the poles past the sweeps the
-      bound scans would add if each came as near another chain's pole as
-      any can short of an exact collision: it holds the stop back, but
-      the claim counts only the envelope and the gains actually scanned.
-      A chain whose terms still grow has no bound, so the stop waits for
-      it even when every term of the last sweeps is small, and so does a
-      chain with no nonzero term yet while a denominator gamma can still
-      be zeroing its poles.
-    - Refuse.  From sweep 7 on, once fixed passes 2 rel_tol |total|, the
-      series refuses with NonConvergence as soon as fixed passes
-      2 rel_tol (|total| + rest + beyond): a later stop could only refuse.
-      The factor 2 covers an envelope that underestimates the rest; the
-      cheap first test keeps the bound off every sweep where the sum does
-      not cancel.  At the stop's sweeps, once fixed alone misses
-      rel_tol |total| and the bound is below fixed/rel_tol - |total|, the
-      sum stops and _accept refuses its claim.
-    - Gate.  At every sweep, once round_acc passes the gate _miss_gate
-      set before the first term, 3 rel_tol S, S the size of H the
-      descending expansion predicts, the series refuses with
-      NonConvergence.  An answer ends with round_acc <= rel_tol |total|,
-      so the gate refuses one only where |H| > 2.97 S, and |H|/S was
-      measured at 0.41-1.08.  Past |z| of about 8 on the delta well this
-      refuses before the terms' hump, which the other two rules would sum
-      whole (a chain that still grows has no rest bound).
+    Two rules decide the sum.
+    - Gate.  The one decision made before the first term, and the only
+      early refusal: at every sweep, once round_acc, the summed error
+      bounds of the terms, passes the gate _miss_gate set, 3 rel_tol S, S
+      the size of H the descending expansion predicts, the series refuses
+      with NonConvergence.  An answer ends with round_acc <=
+      rel_tol |total|, so the gate refuses one only where |H| > 2.97 S,
+      and |H|/S was measured at 0.41-1.08.  Past |z| of about 8 on the
+      delta well this refuses before the terms' hump, which the stop
+      would sum whole (a chain that still grows has no rest bound).
+    - Stop.  It reads one bound on the rest of the sum, rest + beyond
+      (_rest_bound), and the part of the claim that only grows,
+      fixed = round_acc + eps peak, eps peak the rounding of the largest
+      partial sum.  Once three sweeps in a row fall below rel_tol |total|,
+      the sum stops when fixed + rest + beyond < rel_tol |total| and
+      answers err = fixed + rest; or, where fixed alone misses
+      rel_tol |total|, when the bound is below fixed/rel_tol - |total|,
+      and hands that claim to _accept, which refuses it.  beyond is what
+      the poles past the sweeps the bound scans would add if each came as
+      near another chain's pole as any can short of an exact collision:
+      it holds the stop back, but the claim counts only the envelope and
+      the gains actually scanned.  A chain whose terms still grow has no
+      bound, so the stop waits for it even when every term of the last
+      sweeps is small, and so does a chain with no nonzero term yet while
+      a denominator gamma can still be zeroing its poles.
 
     The terms' z-free parts come from the set's plan (_series_plan), so a
     call on a set summed before makes kernel calls only for the poles past
@@ -1032,31 +1034,20 @@ def eval_series(params: FoxHParams, z: complex, rel_tol: float = 1e-10) -> EvalR
             small_run += 1
         else:
             small_run = 0
+        if small_run < 3:
+            continue
         # the part of err_est that only grows
         fixed = round_acc + MACH_EPS * peak
-        # room: a rest below it decides the sum.  It can lift |total| to
-        # neither fixed / (2 rel_tol) (refuse now) nor, at the stop,
-        # fixed / rel_tol (refuse), or it keeps fixed + rest within
-        # rel_tol |total| (answer)
-        guard = fixed > 2.0 * floor and k >= 7
-        if guard:
-            room = 0.5 * fixed / rel_tol - size
-        elif small_run < 3:
-            continue
-        elif fixed <= floor:
-            room = floor - fixed
-        else:
-            room = fixed / rel_tol - size
+        # room: a rest below it decides the sum.  It keeps fixed + rest
+        # within rel_tol |total| (answer), or it cannot lift |total| to
+        # fixed / rel_tol (_accept refuses)
+        room = floor - fixed if fixed <= floor else fixed / rel_tol - size
         # a chain with no nonzero term stays live, with no bound, while a
         # denominator gamma can still be zeroing its poles
         live = {c: h[-3:] for c, h in enumerate(hist)
                 if (k - h[-1][0] < 8 if h else k <= reach[c])}
         rest, beyond = _rest_bound(plan, k, live, room)
         if rest + beyond < room:
-            if guard:
-                raise NonConvergence(
-                    "H series rounding error %.2e misses rel_tol at |value| <= %.2e"
-                    % (fixed, size + rest + beyond))
             err = fixed + rest
             break
     return _answer(z, total, err, rel_tol, "H series", "series", nterms)

@@ -38,13 +38,14 @@ foxh.reduce_params, which a plan calls once when it is built, so any
 more calls than foxh._Plan's show a set reduced again per call, of
 foxh._term_part, the z-free parts of residue terms a run builds rather
 than reads from a plan, of foxh._finish, one per residue term a series
-sums at its z, whether its part was built or kept, of
+sums at its z, whether its part was built or kept, of foxh._rest_bound,
+one per bound on the rest of a sum that a series' stop reads, of
 foxh._contour_nodes, one per length of cut an
 eval_contour call sums, so more calls than eval_contour's show contours
 that extended their cut, of quadrature._panel_est, the panel batches of
 the quadrature oracles, each one call of the integrand, and of
 quadrature's euler_alternating, one per batch of oscillatory pieces;
-none of the eight returns work.  The foxh kernels are never wrapped, since
+none of the nine returns work.  The foxh kernels are never wrapped, since
 a rebound kernel makes every foxh plan cold.  It exits 1 if any tag,
 method, work or refusal class differs, and 0 otherwise.
 """
@@ -74,10 +75,10 @@ PASS_TIMEOUT_S = 600
 COUNTED = (("mittag", "ml_series"), ("mittag", "ml_contour"), ("mittag", "_nodes"),
            ("foxh", "eval_series"), ("foxh", "eval_contour"), ("foxh", "_Plan"),
            ("foxh", "reduce_params"), ("foxh", "_term_part"), ("foxh", "_finish"),
-           ("foxh", "_contour_nodes"), ("quadrature", "_panel_est"),
+           ("foxh", "_rest_bound"), ("foxh", "_contour_nodes"), ("quadrature", "_panel_est"),
            ("quadrature", "euler_alternating"))
 CALLS_ONLY = ("mittag._nodes", "foxh._Plan", "foxh.reduce_params", "foxh._term_part",
-              "foxh._finish", "foxh._contour_nodes", "quadrature._panel_est",
+              "foxh._finish", "foxh._rest_bound", "foxh._contour_nodes", "quadrature._panel_est",
               "quadrature.euler_alternating")
 # of the COUNTED routes, those whose refusals a pass also counts by class:
 # (class, a phrase of its messages) in turn, the rest as other

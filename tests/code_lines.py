@@ -7,6 +7,10 @@ sorted by path, and then `count total`.  A line counts when it holds a
 token other than a comment or a line break; a module, class or function
 docstring counts for none of its lines, and any other string counts for
 every line it spans.
+
+`python tests/code_lines.py OLD_DIR NEW_DIR` compares two trees: one line
+per module, `old -> new path`, path relative to its tree and `-` on the
+side that lacks the module, then `old -> new total`.
 """
 
 import ast
@@ -45,7 +49,18 @@ def count_tree(root) -> dict:
     return {str(p): code_lines(p.read_text()) for p in sorted(Path(root).rglob("*.py"))}
 
 
+def _relative(root) -> dict:
+    """count_tree of root, keyed by path relative to root."""
+    return {str(Path(path).relative_to(root)): n for path, n in count_tree(root).items()}
+
+
 def main(argv) -> int:
+    if len(argv) == 3:
+        old, new = _relative(argv[1]), _relative(argv[2])
+        for path in sorted(old.keys() | new.keys()):
+            print("%5s -> %5s %s" % (old.get(path, "-"), new.get(path, "-"), path))
+        print("%5d -> %5d total" % (sum(old.values()), sum(new.values())))
+        return 0
     counts = count_tree(argv[1] if len(argv) > 1 else "src/fse")
     for path, n in counts.items():
         print("%5d %s" % (n, path))

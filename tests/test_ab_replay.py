@@ -63,6 +63,7 @@ def test_two_passes_of_one_tree_count_alike(capsys):
     assert counts["foxh.eval_contour"] == counts["foxh._Plan"] == [0, 0, 0]
     assert counts["foxh.reduce_params"] == [0, 0, 0]
     assert counts["foxh._term_part"] == counts["foxh._finish"] == [0, 0, 0]
+    assert counts["foxh._rest_bound"] == [0, 0, 0]
     assert counts["quadrature._panel_est"] == [0, 0, 0]
     # the timed passes of an A/B print each side's counts
     assert main([str(SRC), str(SRC), "--workloads", "time-grid", "--seeds", "1",
@@ -106,6 +107,11 @@ def test_a_pass_counts_its_plan_builds():
     # at least the terms of the answers, and alike in both passes
     finish = [out["counts"]["foxh._finish"] for out in passes]
     assert finish[0] == finish[1] and finish[0][0] >= work and finish[0][1:] == [0, 0]
+    # every series that answers or refuses on its error estimate reads
+    # the rest bound at its stop at least once; alike in both passes
+    bounds = [out["counts"]["foxh._rest_bound"] for out in passes]
+    assert bounds[0] == bounds[1] and bounds[0][1:] == [0, 0]
+    assert bounds[0][0] >= calls - rounding - other
 
 
 def test_a_pass_counts_the_oracles_panel_calls():

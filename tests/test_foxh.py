@@ -522,6 +522,86 @@ def test_auto_refuses_an_argument_whose_modulus_overflows():
     with pytest.raises(NonConvergence, match="past double range"):
         eval_auto(_even_part_params(1.5), complex(1.5e308, 1.5e308), 1e-9)
 
+
+def _fuzzed_calls(n, seed):
+    """n seeded (params, z, rel_tol): p <= 3 upper and 1 <= q <= 3 lower
+    entries, n <= p and m <= q; each a_j or b_j uniform in [-3, 3], or 30 %
+    of the time a half-integer in [-1.5, 1.5], and each weight log-uniform
+    in [1e-3, 10], or 20 % of the time 0.5, 1 or 2; |z| log-uniform in
+    [1e-320, 1e308] for 30 % of the sets and in [1e-3, 1e3] otherwise, at
+    a uniform phase; rel_tol log-uniform in [1e-14, 1e-2]."""
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        if rng.random() < 0.3:
+            c = 0.5 * float(rng.integers(-3, 4))
+        else:
+            c = float(rng.uniform(-3.0, 3.0))
+        if rng.random() < 0.2:
+            return c, float(rng.choice((0.5, 1.0, 2.0)))
+        return c, float(10.0 ** rng.uniform(-3.0, 1.0))
+
+    for _ in range(n):
+        p, q = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        upper = tuple(entry() for _ in range(p))
+        lower = tuple(entry() for _ in range(q))
+        params = FoxHParams(m=int(rng.integers(0, q + 1)), n=int(rng.integers(0, p + 1)),
+                            upper=upper, lower=lower)
+        lo, hi = (-320.0, 308.0) if rng.random() < 0.3 else (-3.0, 3.0)
+        z = 10.0 ** rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        yield params, z, float(10.0 ** rng.uniform(-14.0, -2.0))
+
+
+def test_fuzzed_sets_raise_only_evaluation_errors(monkeypatch):
+    # a refusal is an EvaluationError subclass; an OverflowError, a
+    # ValueError from math or a numpy warning (an error under this
+    # package's pytest settings) is a defect.  A series the gate refuses
+    # (_miss_gate) refuses as well when summed with no gate: the gate
+    # saves the sum, it moves no answer
+    answered, gated = 0, []
+    for params, z, rel_tol in _fuzzed_calls(1000, 48):
+        for route in (eval_series, eval_contour, eval_auto):
+            try:
+                route(params, z, rel_tol)
+                answered += 1
+            except EvaluationError as err:
+                if route is eval_series and "near" in str(err):
+                    gated.append((params, z, rel_tol))
+    assert answered > 300 and len(gated) > 5
+    monkeypatch.setattr(foxh, "_miss_gate", lambda *args: math.inf)
+    for call in gated:
+        with pytest.raises(EvaluationError):
+            eval_series(*call)
+
+
+def test_auto_answers_where_the_lead_is_far_below_h():
+    # at |z| <= 1e-10 this set's H is its first ascending term,
+    # Gamma(-1.8) / Gamma(-1.3) z^-2.3, while its descending lead, of size
+    # |z|^-1.5, is far below it.  Braaksma's estimate of the rounding,
+    # eps e^(mu t*), stays far below the gate, so the gate is inf
+    # (_MISS_SCREEN) and the series answers, past the contour's cap too
+    params = FoxHParams(1, 1, ((0.5, 1.0),), ((-2.3, 1.0), (0.0, 1.0)))
+    for z in (1e-10, 1e-40, 1e-60):
+        res = eval_auto(params, z, 1e-10)
+        assert res.method == "series"
+        lead = math.gamma(-1.8) / math.gamma(-1.3) * z ** -2.3
+        assert abs(res.value - lead) <= 1e-9 * lead
+    # |ln z| = 450, past the contour's cap, on a set whose series sums at
+    # w = 1/z.  The screen would set a gate there that the series passes,
+    # but H is its first residue, at s = (1 - a) / A, and the series sums
+    # it to 5e-15; the gate is inf past the cap, where the contour refuses
+    params = FoxHParams(1, 1, ((1.95, 3.75),), ((-1.55, 1.0), (1.47, 0.0168), (-0.43, 2.0)))
+    z, rel_tol = -1.94e195 + 2.62e195j, 5e-14
+    with pytest.raises(NonConvergence, match="past the contour's cap"):
+        eval_contour(params, z, rel_tol)
+    res = eval_auto(params, z, rel_tol)
+    assert res.method == "series"
+    s0 = (1.0 - 1.95) / 3.75
+    coef = mp.gamma(-1.55 + s0) / (3.75 * mp.gamma(1.0 - 1.47 - 0.0168 * s0)
+                                   * mp.gamma(1.0 + 0.43 - 2.0 * s0))
+    lead = complex(coef * mp.power(mp.mpc(z), -s0))
+    assert abs(res.value - lead) <= 2.0 * res.err_est <= 2.0 * rel_tol * abs(lead)
+
 def test_auto_raises_the_contours_refusal_when_both_routes_refuse(monkeypatch):
     # the series runs first and the contour on its refusal; when both
     # refuse, the contour's refusal is raised
@@ -645,7 +725,9 @@ def test_the_descending_lead_is_the_inverted_sets_first_residues():
 
 def test_series_miss_decisions_do_not_depend_on_kept_plans():
     # the gates set during a delta-grid round, on plans the round itself
-    # warms, are those of a warm pass after it and of cold plans
+    # warms, are those of a warm pass after it and of cold plans, inf and
+    # finite alike.  e^-z has no descending lead, and its gate is inf on a
+    # warm and a cold plan
     from perfbench.workloads import delta_grid
 
     seen = []
@@ -669,6 +751,12 @@ def test_series_miss_decisions_do_not_depend_on_kept_plans():
         foxh._kept_plan.cache_clear()
         cold.append(gate(foxh._series_plan(foxh._plan(plan.params)), logw, rel_tol))
     assert warm == cold == gates
+    no_lead = FoxHParams(1, 0, (), ((0.0, 1.0),))
+    plans = [foxh._series_plan(foxh._plan(no_lead)) for _ in range(2)]
+    foxh._kept_plan.cache_clear()
+    plans.append(foxh._series_plan(foxh._plan(no_lead)))
+    assert plans[0] is plans[1] is not plans[2]
+    assert all(p.lead == () and gate(p, cmath.log(2.0), 1e-9) == math.inf for p in plans)
 
 
 def test_ramp_series_err_est_bounds_its_error():
@@ -1310,14 +1398,16 @@ SERIES_BITS = [
     ("inverted", lambda: invert_argument(_even_part_params(1.37)), 2.5, 1e-9,
      ("0x1.a948658233b9fp-2", "0x0.0p+0", "0x1.4c45d92b0e894p-47", 26),
      (26, 26)),
-    # the early refusal on the rounding, short of the gate (_miss_gate),
-    # which at |z| = 8 refuses in the first sweeps and reads no rest bound
+    # a rounding floor 3.7 times rel_tol |H| that stays below the gate
+    # (_miss_gate, 3.30e-11 here): the sum runs to its stop, which reads
+    # the rest bound and hands the claim to _accept.  At |z| = 8 the gate
+    # refuses in the first sweeps and reads no rest bound
     ("refuses", lambda: _even_part_params(1.37), 6.0 * cmath.exp(0.2j), 1e-9,
      (NonConvergence,
-      "H series rounding error 2.89e-11 misses rel_tol at |value| <= 1.21e-02"),
-     (42, 42)),
-    # fixed alone misses rel_tol at the stop, but by less than the early
-    # refusal's factor 2: the stop refuses once the rest is bounded
+      "H series error estimate 2.89e-11 misses rel_tol at |value| 7.84e-03"),
+     (74, 74)),
+    # fixed alone misses rel_tol |total| by 5 %, far below the gate
+    # (4.49e-10): the stop refuses once the rest is bounded
     ("misses", lambda: _odd_part_params(1.05), 4.0, 1e-9,
      (NonConvergence,
       "H series error estimate 1.53e-10 misses rel_tol at |value| 1.46e-01"),

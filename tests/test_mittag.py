@@ -327,8 +327,8 @@ def test_a_sum_that_would_hit_the_cap_still_refuses(route, beta, z):
 
 def test_a_predicted_miss_is_a_miss_inside_the_term_cap():
     # a dense sweep of the series ball: every sum _taylor_misses sends to
-    # the contour first misses rel_tol when summed whole, and ends inside
-    # the term cap, so skipping it moves no answer and no refusal
+    # the contour alone misses rel_tol when summed whole, and ends inside
+    # the term cap, so skipping it moves no answer and no refusal class
     rng = np.random.default_rng(27)
     predicted = 0
     for beta in np.geomspace(0.001, 0.99999, 24):
@@ -345,6 +345,35 @@ def test_a_predicted_miss_is_a_miss_inside_the_term_cap():
                         assert err > rel_tol * abs(value), (beta, z, rel_tol)
                         assert nterms <= POWER_SUM_CAP
     assert predicted > 1000
+
+
+def test_a_predicted_miss_runs_the_contour_alone(monkeypatch):
+    # a sum _taylor_misses predicts to miss rel_tol is never run: when the
+    # contour misses as well, the refusal names the contour alone.  A sum
+    # not predicted to miss runs first, and the refusal names both routes
+    # in the order they ran
+    beta, rel_tol = 0.5, 1e-9
+    series, calls = mittag.ml_series, []
+
+    def spy(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(mittag, "ml_series", spy)
+    monkeypatch.setattr(mittag, "ml_contour", lambda *args: (1.0 + 0.0j, 1.0, 7))
+    z = -3.4 + 0.0j
+    assert mittag._taylor_misses(beta, z, rel_tol)
+    with pytest.raises(NonConvergence) as err:
+        ml_eval(beta, z, rel_tol)
+    assert calls == []
+    assert str(err.value) == ("E_beta(z) error estimate misses rel_tol 1.0e-09 "
+                              "(contour err_est 1.00e+00 at |value| 1.00e+00)")
+    z = -2.0 + 0.0j
+    assert not mittag._taylor_misses(beta, z, rel_tol)
+    monkeypatch.setattr(mittag, "_meets_tol", lambda *args: False)
+    with pytest.raises(NonConvergence, match=r"\(series err_est .*; contour err_est "):
+        ml_eval(beta, z, rel_tol)
+    assert calls == [(beta, z, rel_tol)]
 
 
 def _fuzz_inputs(n, seed):
